@@ -12,8 +12,8 @@ from .catalog import (FAMILIES, SIGNED_FAMILIES, AlgebraSpec, OrbitRecord,
                       total_orbit_count)
 from .centralizers import (CentralizerReport, centralizer_dim_nilpotent,
                            centralizer_dim_triple, centralizer_report,
-                           expected_compact_dim, expected_reductive_dim,
-                           orbit_dim)
+                           expected_compact_dim, expected_orbit_dim,
+                           expected_reductive_dim, orbit_dim)
 from .diagrams import SignedDiagram, enumerate_signed_diagrams, sign_matrix
 from .homotopy import (HomotopyType, KElement, chi, chi_pair, compact_pair,
                        embed_K, factor_layout, quotient_dim, sample_k_element,
@@ -54,6 +54,7 @@ __all__ = [
     "enumerate_partitions",
     "enumerate_signed_diagrams",
     "expected_compact_dim",
+    "expected_orbit_dim",
     "expected_reductive_dim",
     "factor_layout",
     "fiber_count",

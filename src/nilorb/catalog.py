@@ -22,6 +22,11 @@ SIGNED_FAMILIES = ("so_pq", "sp_pq")
 Datum = Union[Partition, SignedDiagram]
 
 
+def datum_partition(datum: Datum) -> Partition:
+    """The partition underlying a datum (a signed diagram's, or the datum itself)."""
+    return datum.partition if isinstance(datum, SignedDiagram) else datum
+
+
 @dataclass(frozen=True)
 class AlgebraSpec:
     """One concrete algebra: a family name plus its size parameters.
@@ -91,9 +96,7 @@ class OrbitRecord:
     is_zero_orbit: bool
 
     def partition(self) -> Partition:
-        if isinstance(self.datum, SignedDiagram):
-            return self.datum.partition
-        return self.datum
+        return datum_partition(self.datum)
 
     def to_json(self) -> dict:
         if isinstance(self.datum, SignedDiagram):
@@ -107,13 +110,9 @@ class OrbitRecord:
         }
 
 
-def _datum_partition(datum: Datum) -> Partition:
-    return datum.partition if isinstance(datum, SignedDiagram) else datum
-
-
 def fiber_count(a: AlgebraSpec, datum: Datum) -> int:
     """How many orbits share this datum under the family's parametrization."""
-    part = _datum_partition(datum)
+    part = datum_partition(datum)
     cls = classify(part)
     if a.family == "sl_r":
         return 2 if cls.is_even else 1
@@ -159,7 +158,7 @@ def enumerate_orbits(a: AlgebraSpec) -> List[OrbitRecord]:
         OrbitRecord(
             datum=d,
             fiber_count=fiber_count(a, d),
-            is_zero_orbit=_datum_partition(d).is_zero_type(),
+            is_zero_orbit=datum_partition(d).is_zero_type(),
         )
         for d in data
     ]
@@ -175,7 +174,7 @@ def datum_membership_error(a: AlgebraSpec, datum: Datum) -> Optional[str]:
 
     Returns ``None`` when the datum is valid.
     """
-    part = _datum_partition(datum)
+    part = datum_partition(datum)
     cls = classify(part)
     expected = a.size
     if part.size() != expected:

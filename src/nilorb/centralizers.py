@@ -3,20 +3,20 @@
 The solver realifies the linear conditions cutting out the centralizer of
 a triple (or of its nilpotent element alone) inside the ambient algebra
 and computes the kernel dimension over the rationals.  Unknowns are the
-real components of the matrix entries; the assembled system stays sparse
-but is bounded by O((dim g)^2) rational entries per orbit.
+real components of the matrix entries.  Assembly indexes the nonzero
+entries of X, Y and the Gram matrix once per solve and then visits only
+those, so its cost scales with the nonzeros rather than with a dense scan
+of one row and one column of each matrix per unknown.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .catalog import AlgebraSpec, Datum
-from .diagrams import SignedDiagram
+from .catalog import AlgebraSpec, Datum, datum_partition
 from .matrices import ExactMatrix
-from .partitions import Partition
 from .scalars import Scalar
 from .triples import (FORM_KIND, RING_DIM, SCALAR_RING, Triple, build_triple,
                       gram_matrix, layout_for)
@@ -44,13 +44,9 @@ def dim_g(a: AlgebraSpec) -> int:
     }[a.family]
 
 
-def _partition_of(datum: Datum) -> Partition:
-    return datum.partition if isinstance(datum, SignedDiagram) else datum
-
-
 def expected_reductive_dim(a: AlgebraSpec, datum: Datum) -> int:
     """Real dimension of the reductive centralizer, in closed form."""
-    part = _partition_of(datum)
+    part = datum_partition(datum)
     odd = [(d, t) for d, t in part.pairs if d % 2 == 1]
     even = [(d, t) for d, t in part.pairs if d % 2 == 0]
     fam = a.family
@@ -76,9 +72,35 @@ def expected_reductive_dim(a: AlgebraSpec, datum: Datum) -> int:
     raise ValueError(fam)
 
 
+def expected_orbit_dim(a: AlgebraSpec, datum: Datum) -> int:
+    """Real dimension of the orbit, in closed form over the dual partition.
+
+    Uses Collingwood–McGovern, Cor. 6.1.4, on the complexified orbit: a
+    real form's orbit has that complex dimension, and the complex families
+    double it.  ``sl_h``, ``sp_pq`` and ``so_star`` complexify to a
+    partition with every part repeated twice.
+    """
+    fam = a.family
+    pairs = datum_partition(datum).pairs
+    if fam in ("sl_h", "sp_pq", "so_star"):
+        pairs = tuple((d, 2 * t) for d, t in pairs)
+    n = sum(d * t for d, t in pairs)
+    largest = max((d for d, _ in pairs), default=0)
+    dual_squares = sum(sum(t for d, t in pairs if d >= i) ** 2
+                       for i in range(1, largest + 1))
+    odd = sum(t for d, t in pairs if d % 2 == 1)
+    if fam in ("sl_r", "sl_c", "sl_h"):
+        dim = n * n - dual_squares
+    elif fam in ("so_c", "so_pq", "so_star"):
+        dim = (n * (n - 1) - dual_squares + odd) // 2
+    else:
+        dim = (n * (n + 1) - dual_squares - odd) // 2
+    return 2 * dim if fam in ("sl_c", "so_c", "sp_c") else dim
+
+
 def expected_compact_dim(a: AlgebraSpec, datum: Datum) -> int:
     """Real dimension of the maximal compact subgroup K, in closed form."""
-    part = _partition_of(datum)
+    part = datum_partition(datum)
     fam = a.family
     if fam == "sl_c":
         return sum(t * t for _, t in part.pairs) - 1
@@ -149,6 +171,27 @@ def _scatter(scalar: Scalar, comps: int) -> List[Tuple[int, Fraction]]:
     return out
 
 
+#: Per-row (or per-column) lists of ``(column (or row), value)`` pairs.
+_Lines = List[List[Tuple[int, Any]]]
+
+
+def _nonzeros(m: ExactMatrix, value: Callable[[Scalar], Any]) -> Tuple[_Lines, _Lines]:
+    """Row and column lists of ``(index, value(entry))`` over the nonzeros of ``m``.
+
+    Row lists ascend by column and column lists by row, the order of a
+    dense scan.
+    """
+    by_row: _Lines = [[] for _ in range(m.nrows)]
+    by_col: _Lines = [[] for _ in range(m.ncols)]
+    for r, row in enumerate(m.rows()):
+        for c, x in enumerate(row):
+            if not x.is_zero():
+                v = value(x)
+                by_row[r].append((c, v))
+                by_col[c].append((r, v))
+    return by_row, by_col
+
+
 def _centralizer_nullity(a: AlgebraSpec,
                          commute_with: List[ExactMatrix],
                          gram: Optional[ExactMatrix],
@@ -175,7 +218,8 @@ def _centralizer_nullity(a: AlgebraSpec,
         if coeff:
             row = rows.setdefault(key, {})
             idx = index[unknown]
-            val = row.get(idx, Fraction(0)) + coeff
+            val = row.get(idx)
+            val = coeff if val is None else val + coeff
             if val:
                 row[idx] = val
             else:
@@ -184,36 +228,38 @@ def _centralizer_nullity(a: AlgebraSpec,
     # Commutation rows stay inside one real component because the fixed
     # matrices are rational.
     for mi, m in enumerate(commute_with):
+        by_row, by_col = _nonzeros(m, Scalar.rational_value)
         for (ra, rb) in positions:
-            for s in range(n):
-                coeff = m.entry(rb, s)
-                if not coeff.is_zero():
-                    q = coeff.rational_value()
-                    for c in range(comps):
-                        add(("c", mi, ra, s, c), (ra, rb, c), q)
-            for r in range(n):
-                coeff = m.entry(r, ra)
-                if not coeff.is_zero():
-                    q = coeff.rational_value()
-                    for c in range(comps):
-                        add(("c", mi, r, rb, c), (ra, rb, c), -q)
+            for s, q in by_row[rb]:
+                for c in range(comps):
+                    add(("c", mi, ra, s, c), (ra, rb, c), q)
+            for r, q in by_col[ra]:
+                for c in range(comps):
+                    add(("c", mi, r, rb, c), (ra, rb, c), -q)
 
     if gram is not None:
         _, sigma = FORM_KIND[a.family]
+        ring_dim = RING_DIM[ring]
+        by_row, by_col = _nonzeros(gram, lambda x: x)
+        # The scattered products depend on (ra, c) but not on rb.
+        left_terms: Dict[Tuple[int, int], list] = {}
+        right_terms: Dict[Tuple[int, int], list] = {}
+        for c in range(comps):
+            unit = _UNITS[c]
+            left = unit.conjugate() if sigma == "conj" else unit
+            for ra in range(n):
+                left_terms[ra, c] = [(s, _scatter(left * sv, ring_dim))
+                                     for s, sv in by_row[ra]]
+                right_terms[ra, c] = [(r, _scatter(sv * unit, ring_dim))
+                                      for r, sv in by_col[ra]]
         for (ra, rb) in positions:
             for c in range(comps):
-                unit = _UNITS[c]
-                left = unit.conjugate() if sigma == "conj" else unit
-                for s in range(n):
-                    sv = gram.entry(ra, s)
-                    if not sv.is_zero():
-                        for cc, coeff in _scatter(left * sv, RING_DIM[ring]):
-                            add(("m", rb, s, cc), (ra, rb, c), coeff)
-                for r in range(n):
-                    sv = gram.entry(r, ra)
-                    if not sv.is_zero():
-                        for cc, coeff in _scatter(sv * unit, RING_DIM[ring]):
-                            add(("m", r, rb, cc), (ra, rb, c), coeff)
+                for s, terms in left_terms[ra, c]:
+                    for cc, coeff in terms:
+                        add(("m", rb, s, cc), (ra, rb, c), coeff)
+                for r, terms in right_terms[ra, c]:
+                    for cc, coeff in terms:
+                        add(("m", r, rb, cc), (ra, rb, c), coeff)
     elif a.family in ("sl_r", "sl_c"):
         for c in range(comps):
             row_key = ("t", c)
@@ -245,23 +291,28 @@ def centralizer_dim_nilpotent(x: ExactMatrix, a: AlgebraSpec,
     ``x`` must be given in the triple basis of ``datum`` for the form
     families, where the invariant form's Gram matrix is needed.
     """
-    n = x.nrows
     gram = None
     if a.family in FORM_KIND:
         if datum is None:
             raise ValueError("form families need the datum to pin the Gram matrix")
         gram = gram_matrix(a, datum)
+    return _nilpotent_nullity(x, a, gram)
+
+
+def _nilpotent_nullity(x: ExactMatrix, a: AlgebraSpec,
+                       gram: Optional[ExactMatrix]) -> int:
+    n = x.nrows
     positions = [(r, s) for r in range(n) for s in range(n)]
     return _centralizer_nullity(a, [x], gram, n, positions)
 
 
 def orbit_dim(a: AlgebraSpec, datum: Datum) -> int:
     """Real dimension of the adjoint orbit through the datum's representative."""
-    part = _partition_of(datum)
+    part = datum_partition(datum)
     if part.is_zero_type():
         return 0
     triple = build_triple(a, datum)
-    return dim_g(a) - centralizer_dim_nilpotent(triple.X, a, datum)
+    return dim_g(a) - _nilpotent_nullity(triple.X, a, triple.gram)
 
 
 @dataclass(frozen=True)
@@ -289,7 +340,7 @@ class CentralizerReport:
 
 
 def centralizer_report(a: AlgebraSpec, datum: Datum) -> CentralizerReport:
-    part = _partition_of(datum)
+    part = datum_partition(datum)
     ambient = dim_g(a)
     expected = expected_reductive_dim(a, datum)
     try:
@@ -303,7 +354,7 @@ def centralizer_report(a: AlgebraSpec, datum: Datum) -> CentralizerReport:
             match=ambient == expected)
     triple = build_triple(a, datum)
     dz_triple = centralizer_dim_triple(triple, a, datum)
-    dz_x = centralizer_dim_nilpotent(triple.X, a, datum)
+    dz_x = _nilpotent_nullity(triple.X, a, triple.gram)
     return CentralizerReport(
         dim_z_triple=dz_triple, dim_z_X=dz_x, dim_g=ambient,
         dim_orbit=ambient - dz_x, expected_reductive=expected,

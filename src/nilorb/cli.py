@@ -115,15 +115,20 @@ def _verify_specs(args) -> List[AlgebraSpec]:
         return [_algebra_from_args(args)]
     cap = args.max_verify_n
     fam = args.algebra
-    out = []
     if fam in SIGNED_FAMILIES:
-        for total in range(2, cap + 1):
-            for p in range(1, total):
-                out.append(AlgebraSpec(fam, p=p, q=total - p))
-        return out
-    lo = 3 if fam == "so_c" else 1
-    hi = cap // 2 if fam == "sp_c" else cap
-    return [AlgebraSpec(fam, n=n) for n in range(lo, hi + 1)]
+        smallest = AlgebraSpec(fam, p=1, q=1)
+        specs = [AlgebraSpec(fam, p=p, q=total - p)
+                 for total in range(2, cap + 1) for p in range(1, total)]
+    else:
+        lo = 3 if fam == "so_c" else 1
+        smallest = AlgebraSpec(fam, n=lo)
+        hi = cap // 2 if fam == "sp_c" else cap
+        specs = [AlgebraSpec(fam, n=n) for n in range(lo, hi + 1)]
+    if not specs:
+        raise UsageError(f"--max-verify-n {cap} sweeps no {fam} algebra; "
+                         f"the smallest, {smallest}, needs --max-verify-n "
+                         f"{smallest.size}")
+    return specs
 
 
 def _parse_datum(a: AlgebraSpec, datum_str: str, signs_str: Optional[str]) -> Datum:

@@ -55,6 +55,10 @@ class SignedDiagram:
 
     def __init__(self, partition: Partition, p_by_part: Dict[int, int]):
         self.partition = partition
+        stray = sorted(set(p_by_part) - {d for d, _ in partition.pairs})
+        if stray:
+            raise ValueError(f"sign data names part {stray[0]}, "
+                             "which is not in the partition")
         cleaned = {}
         for d, t in partition.pairs:
             if d not in p_by_part:
@@ -63,8 +67,6 @@ class SignedDiagram:
             if not 0 <= p <= t:
                 raise ValueError(f"sign count for part {d} out of range")
             cleaned[d] = p
-        if set(p_by_part) != set(cleaned):
-            raise ValueError("sign data names a part size not in the partition")
         self._p = tuple(sorted(cleaned.items(), reverse=True))
 
     @property

@@ -15,23 +15,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .catalog import AlgebraSpec, Datum
+from .catalog import AlgebraSpec, Datum, datum_partition
 from .centralizers import expected_compact_dim
 from .diagrams import SignedDiagram
 from .matrices import (ExactMatrix, block_oplus, complex_to_real_blocks,
                        conj_transpose, det, inverse,
                        quaternion_to_complex_blocks, reduced_norm,
                        repeat_blocks)
-from .partitions import Partition
 from .scalars import ONE, Scalar
 from .triples import (AdaptedBasis, Triple, adapted_basis, build_triple,
                       sigma_transpose)
 
 _FORM_FAMILIES = ("so_c", "so_pq", "sp_c", "sp_pq")
-
-
-def _partition_of(datum: Datum) -> Partition:
-    return datum.partition if isinstance(datum, SignedDiagram) else datum
 
 
 @dataclass(frozen=True)
@@ -75,7 +70,7 @@ class FactorSpec:
 
 def factor_layout(a: AlgebraSpec, datum: Datum) -> List[FactorSpec]:
     """The datum's compact factor tuple, in embedding order."""
-    part = _partition_of(datum)
+    part = datum_partition(datum)
     fam = a.family
     if fam in ("sl_r", "sl_c", "sl_h"):
         kind = {"sl_r": "O", "sl_c": "U", "sl_h": "Sp"}[fam]
@@ -297,7 +292,7 @@ def embed_K(a: AlgebraSpec, datum: Datum, e: KElement) -> ExactMatrix:
     fam = a.family
 
     if fam in ("sl_r", "sl_c", "sl_h"):
-        part = _partition_of(datum)
+        part = datum_partition(datum)
         blocks = [repeat_blocks(by_key[("part", d)], d) for d, _ in part.pairs]
         return block_oplus(blocks)
 

@@ -160,11 +160,6 @@ class ExactMatrix:
 
 # -- elementwise helpers ---------------------------------------------------
 
-def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Exact matrix product; entry order preserved (no commuting applied)."""
-    return a @ b
-
-
 def conj_transpose(a: ExactMatrix) -> ExactMatrix:
     """Transpose with conjugated entries (negates i, j, k; fixes sqrt2)."""
     return ExactMatrix([[a.entry(c, r).conjugate() for c in range(a.nrows)]

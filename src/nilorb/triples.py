@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .catalog import AlgebraSpec, Datum
-from .diagrams import SignedDiagram
+from .catalog import AlgebraSpec, Datum, datum_partition
 from .matrices import ExactMatrix, conj_transpose, rank
 from .partitions import Partition
 from .scalars import (HALF_SQRT2, I_HALF_SQRT2, I_UNIT, J_HALF_SQRT2, J_UNIT,
@@ -140,10 +139,6 @@ def _require_nonzero(partition: Partition) -> None:
         raise ZeroOrbitError("the zero orbit has no standard triple")
 
 
-def _datum_partition(datum: Datum) -> Partition:
-    return datum.partition if isinstance(datum, SignedDiagram) else datum
-
-
 def sigma_transpose(m: ExactMatrix, sigma: str) -> ExactMatrix:
     return conj_transpose(m) if sigma == "conj" else m.transpose()
 
@@ -184,7 +179,7 @@ def lowest_weight_form(a: AlgebraSpec, datum: Datum, d: int) -> ExactMatrix:
     alternating block for the skew case, and ``j``-diagonal for the
     quaternionic skew-adjoint case.
     """
-    part = _datum_partition(datum)
+    part = datum_partition(datum)
     t = part.multiplicity(d)
     fam = a.family
     odd = d % 2 == 1
@@ -230,7 +225,7 @@ def gram_matrix(a: AlgebraSpec, datum: Datum) -> ExactMatrix:
     """
     if a.family not in FORM_KIND:
         raise ValueError(f"{a.family} carries no invariant form")
-    part = _datum_partition(datum)
+    part = datum_partition(datum)
     lay = layout_for(part)
     m = [[ZERO] * lay.dim for _ in range(lay.dim)]
     for d, t in part.pairs:
@@ -248,7 +243,7 @@ def gram_matrix(a: AlgebraSpec, datum: Datum) -> ExactMatrix:
 
 
 def build_triple(a: AlgebraSpec, datum: Datum) -> Triple:
-    part = _datum_partition(datum)
+    part = datum_partition(datum)
     _require_nonzero(part)
     if part.size() != a.size:
         raise ValueError(f"datum size {part.size()} does not match {a}")
@@ -386,7 +381,7 @@ def adapted_basis(a: AlgebraSpec, datum: Datum) -> AdaptedBasis:
     fam = a.family
     if fam not in ("so_c", "so_pq", "sp_c", "sp_pq"):
         raise ValueError(f"no adapted basis construction for {fam}")
-    part = _datum_partition(datum)
+    part = datum_partition(datum)
     lay = layout_for(part)
     evens = sorted(d for d, _ in part.pairs if d % 2 == 0)
     odds = sorted(d for d, _ in part.pairs if d % 2 == 1)
@@ -557,7 +552,7 @@ def adapted_change_of_basis(a: AlgebraSpec, datum: Datum) -> ExactMatrix:
 
 def standard_adapted_gram(a: AlgebraSpec, datum: Datum) -> ExactMatrix:
     """What the Gram matrix must become in the adapted basis."""
-    part = _datum_partition(datum)
+    part = datum_partition(datum)
     n = part.size()
     if a.family == "so_c":
         return ExactMatrix.identity(n)

@@ -7,8 +7,8 @@ import pytest
 from nilorb.catalog import AlgebraSpec, enumerate_orbits
 from nilorb.centralizers import (centralizer_dim_nilpotent,
                                  centralizer_dim_triple, centralizer_report,
-                                 expected_compact_dim, expected_reductive_dim,
-                                 orbit_dim)
+                                 expected_compact_dim, expected_orbit_dim,
+                                 expected_reductive_dim, orbit_dim)
 from nilorb.partitions import Partition
 from nilorb.triples import build_triple
 
@@ -139,6 +139,46 @@ def test_report_fields():
     assert doc["dim_g"] == 4 * 4 - 1
     assert doc["dim_orbit"] == doc["dim_g"] - doc["dim_z_X"]
     assert doc["match"] is True
+
+
+ORBIT_DIM_SWEEP = (
+    [AlgebraSpec("sl_r", n=n) for n in range(2, 6)]
+    + [AlgebraSpec("sl_c", n=n) for n in range(2, 5)]
+    + [AlgebraSpec("sl_h", n=n) for n in range(2, 4)]
+    + [AlgebraSpec("so_c", n=n) for n in range(3, 8)]
+    + [AlgebraSpec("sp_c", n=n) for n in range(1, 4)]
+    + [AlgebraSpec("so_star", n=n) for n in range(1, 4)]
+    + [AlgebraSpec(f, p=p, q=q)
+       for f in ("so_pq", "sp_pq") for p in range(1, 4) for q in range(1, 4)]
+)
+
+
+@pytest.mark.parametrize("a", ORBIT_DIM_SWEEP, ids=str)
+def test_solved_orbit_dim_matches_dual_partition_formula(a):
+    """The kernel solver and the closed form of Collingwood-McGovern agree
+    on every orbit, the zero orbit included."""
+    for rec in enumerate_orbits(a):
+        got = centralizer_report(a, rec.datum).dim_orbit
+        assert got == expected_orbit_dim(a, rec.datum), str(rec.datum)
+
+
+def test_expected_orbit_dim_hand_values():
+    from nilorb.diagrams import SignedDiagram
+    # Regular orbits: dim g - rank, doubled for the complex families.
+    assert expected_orbit_dim(AlgebraSpec("sl_r", n=3), Partition([3])) == 6
+    assert expected_orbit_dim(AlgebraSpec("sl_c", n=3), Partition([3])) == 12
+    assert expected_orbit_dim(AlgebraSpec("so_c", n=5), Partition([5])) == 16
+    assert expected_orbit_dim(AlgebraSpec("sp_c", n=2), Partition([4])) == 16
+    # Minimal orbit of sl(3): dual partition [2, 1].
+    assert expected_orbit_dim(AlgebraSpec("sl_r", n=3), Partition([2, 1])) == 4
+    # sp(1,1) = so(4,1) up to cover: its one nonzero orbit has dimension 6.
+    d = SignedDiagram(Partition([2]), {2: 1})
+    assert expected_orbit_dim(AlgebraSpec("sp_pq", p=1, q=1), d) == 6
+    # sl(2,H) = so(5,1) up to cover: the complexified partition is [2,2].
+    assert expected_orbit_dim(AlgebraSpec("sl_h", n=2), Partition([2])) == 8
+    # Zero orbits.
+    assert expected_orbit_dim(AlgebraSpec("so_star", n=3),
+                              SignedDiagram(Partition([1, 1, 1]), {1: 3})) == 0
 
 
 def test_expected_compact_unsupported_family():

@@ -91,6 +91,27 @@ def test_verify_sweep_without_size(capsys):
     assert "sp_c(n=3)" not in out  # 2n boxes would exceed the cap
 
 
+@pytest.mark.parametrize("algebra,cap,smallest", [
+    ("so_c", "2", "so_c(n=3), needs --max-verify-n 3"),
+    ("sp_c", "1", "sp_c(n=1), needs --max-verify-n 2"),
+    ("sl_r", "-5", "sl_r(n=1), needs --max-verify-n 1"),
+])
+def test_verify_empty_sweep_exits_two(capsys, algebra, cap, smallest):
+    code, out, err = run(capsys, "verify", "--algebra", algebra,
+                         "--max-verify-n", cap)
+    assert code == 2
+    assert "PASS" not in out
+    assert f"the smallest, {smallest}" in err
+
+
+def test_describe_stray_sign_part_named(capsys):
+    code, _, err = run(capsys, "describe", "--algebra", "so_pq", "--p", "2",
+                       "--q", "1", "--datum", "3", "--signs", "2:1")
+    assert code == 2
+    assert "part 2" in err
+    assert "part 3" not in err
+
+
 # --- warnings and content -----------------------------------------------------
 
 def test_low_rank_warning_in_list(capsys):
