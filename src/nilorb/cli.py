@@ -4,24 +4,24 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .catalog import (FAMILIES, SIGNED_FAMILIES, AlgebraSpec, Datum,
-                      OrbitRecord, datum_membership_error, enumerate_orbits)
-from .centralizers import centralizer_report
+                      OrbitRecord, datum_membership_error, datum_partition,
+                      enumerate_orbits, fiber_count)
+from .centralizers import (centralizer_dim_triple, centralizer_report, dim_g,
+                           expected_reductive_dim)
 from .diagrams import SignedDiagram
 from .homotopy import (KElement, compact_pair, embed_K, sample_k_element,
                        signed_block_relation, signed_block_totals,
                        verify_K_membership)
-from .matrices import ExactMatrix, congruence_signature
+from .matrices import ExactMatrix, commutator, congruence_signature
 from .partitions import Partition
-from .scalars import BASIS_NAMES, Scalar
-from .triples import (Triple, adapted_basis, build_triple, jordan_type,
+from .scalars import Scalar
+from .triples import (adapted_basis, build_triple, jordan_type,
                       sigma_transpose, standard_adapted_gram)
 
 SCHEMA_VERSION = 1
@@ -164,53 +164,12 @@ def _parse_datum(a: AlgebraSpec, datum_str: str, signs_str: Optional[str]) -> Da
         raise UsageError(str(exc)) from exc
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("NILORB_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-        if value < 1:
-            raise ValueError
-    except ValueError:
-        raise UsageError(f"NILORB_THREADS must be a positive integer, got {raw!r}")
-    return value
-
-
-def _run_indexed(tasks: Sequence, fn):
-    """Apply ``fn`` over tasks, optionally on a worker pool, keeping order."""
-    threads = _thread_count()
-    if threads == 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, tasks))
-
-
 # ---------------------------------------------------------------------------
 # Rendering helpers
 # ---------------------------------------------------------------------------
 
-def _scalar_str(s: Scalar) -> str:
-    if s.is_zero():
-        return "0"
-    terms = []
-    for idx, c in enumerate(s.components):
-        if not c:
-            continue
-        name = BASIS_NAMES[idx]
-        if name == "1":
-            terms.append(str(c))
-        elif c == 1:
-            terms.append(name)
-        elif c == -1:
-            terms.append(f"-{name}")
-        else:
-            terms.append(f"{c}*{name}")
-    return "+".join(terms).replace("+-", "-")
-
-
 def _matrix_lines(title: str, m: ExactMatrix) -> List[str]:
-    cells = [[_scalar_str(m.entry(r, c)) for c in range(m.ncols)]
+    cells = [[str(m.entry(r, c)) for c in range(m.ncols)]
              for r in range(m.nrows)]
     widths = [max((len(cells[r][c]) for r in range(m.nrows)), default=1)
               for c in range(m.ncols)]
@@ -219,10 +178,6 @@ def _matrix_lines(title: str, m: ExactMatrix) -> List[str]:
         row = "  ".join(cells[r][c].rjust(widths[c]) for c in range(m.ncols))
         lines.append(f"  [ {row} ]")
     return lines
-
-
-def _datum_str(datum: Datum) -> str:
-    return str(datum)
 
 
 def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> List[str]:
@@ -244,7 +199,7 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> List[str]:
 def _record_document(a: AlgebraSpec, rec: OrbitRecord) -> dict:
     report = centralizer_report(a, rec.datum)
     doc = rec.to_json()
-    doc["datum_rendered"] = _datum_str(rec.datum)
+    doc["datum_rendered"] = str(rec.datum)
     doc["orbit_dim"] = report.dim_orbit
     doc["centralizer"] = report.to_json()
     if a.family in _HOMOTOPY_FAMILIES:
@@ -260,7 +215,7 @@ def _record_document(a: AlgebraSpec, rec: OrbitRecord) -> dict:
 def _cmd_list(args) -> int:
     a = _algebra_from_args(args)
     records = enumerate_orbits(a)
-    docs = _run_indexed(records, lambda rec: _record_document(a, rec))
+    docs = [_record_document(a, rec) for rec in records]
     document = {
         "schema": SCHEMA_VERSION,
         "algebra": a.family,
@@ -303,7 +258,8 @@ def _cmd_describe(args) -> int:
     if problem is not None:
         print(f"datum rejected: {problem}", file=sys.stderr)
         return 2
-    record = next(r for r in enumerate_orbits(a) if r.datum == datum)
+    record = OrbitRecord(datum, fiber_count(a, datum),
+                         datum_partition(datum).is_zero_type())
     report = centralizer_report(a, datum)
     doc = {
         "schema": SCHEMA_VERSION,
@@ -311,7 +267,7 @@ def _cmd_describe(args) -> int:
         "params": a.params_json(),
         "low_rank_warning": a.low_rank_warning,
         "datum": record.to_json()["datum"],
-        "datum_rendered": _datum_str(datum),
+        "datum_rendered": str(datum),
         "fiber_count": record.fiber_count,
         "is_zero_orbit": record.is_zero_orbit,
         "orbit_dim": report.dim_orbit,
@@ -323,8 +279,10 @@ def _cmd_describe(args) -> int:
         doc["triple"] = triple.to_json()
     else:
         doc["triple"] = None
+    t_matrix = None
     if a.family in ("so_c", "so_pq", "sp_c", "sp_pq"):
-        doc["change_of_basis"] = adapted_basis(a, datum).matrix.to_json()
+        t_matrix = adapted_basis(a, datum).matrix
+        doc["change_of_basis"] = t_matrix.to_json()
     else:
         doc["change_of_basis"] = None
     if a.family in _HOMOTOPY_FAMILIES:
@@ -362,8 +320,7 @@ def _cmd_describe(args) -> int:
         if triple.gram is not None:
             for line in _matrix_lines("gram", triple.gram):
                 print(line)
-    if doc["change_of_basis"] is not None:
-        t_matrix = adapted_basis(a, datum).matrix
+    if t_matrix is not None:
         for line in _matrix_lines("adapted basis (columns)", t_matrix):
             print(line)
     return 0
@@ -373,16 +330,32 @@ def _cmd_describe(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+def _compare(got: ExactMatrix, expected: ExactMatrix) -> Tuple[bool, str]:
+    """Whether two matrices agree and, if not, the first entry that differs."""
+    if got == expected:
+        return True, ""
+    for r, (row_got, row_expected) in enumerate(zip(got.rows(), expected.rows())):
+        for c, (x, y) in enumerate(zip(row_got, row_expected)):
+            if x != y:
+                return False, f"entry ({r},{c}) is {x}, expected {y}"
+    return False, (f"shape {got.nrows}x{got.ncols}, "
+                   f"expected {expected.nrows}x{expected.ncols}")
+
+
 def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
                   inject_fault: bool) -> List[Tuple[str, bool, str]]:
     """All checks for one orbit: (check name, passed, detail)."""
     rng = random.Random(f"{seed}:{a}:{index}")
     datum = rec.datum
     results: List[Tuple[str, bool, str]] = []
-    report = centralizer_report(a, datum)
-    results.append(("centralizer-dim", report.match,
-                    f"solved {report.dim_z_triple}, "
-                    f"expected {report.expected_reductive}"))
+    expected = expected_reductive_dim(a, datum)
+    if rec.is_zero_orbit:
+        solved = dim_g(a)
+    else:
+        triple = build_triple(a, datum)
+        solved = centralizer_dim_triple(triple, a)
+    results.append(("centralizer-dim", solved == expected,
+                    f"solved {solved}, expected {expected}"))
 
     if a.family in SIGNED_FAMILIES:
         totals = signed_block_totals(a, datum)
@@ -398,15 +371,14 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
                             f"dim_quotient={h.dim_quotient}"))
         return results
 
-    triple = build_triple(a, datum)
     if inject_fault:
         triple = replace(triple, Y=triple.Y.scale_left(Scalar.rational(2)))
     two_x = triple.X.scale_left(Scalar.rational(2))
     minus_two_y = triple.Y.scale_left(Scalar.rational(-2))
-    comm = lambda m1, m2: m1 @ m2 - m2 @ m1
-    results.append(("[H,X]=2X", comm(triple.H, triple.X) == two_x, ""))
-    results.append(("[H,Y]=-2Y", comm(triple.H, triple.Y) == minus_two_y, ""))
-    results.append(("[X,Y]=H", comm(triple.X, triple.Y) == triple.H, ""))
+    results.append(("[H,X]=2X", *_compare(commutator(triple.H, triple.X), two_x)))
+    results.append(("[H,Y]=-2Y",
+                    *_compare(commutator(triple.H, triple.Y), minus_two_y)))
+    results.append(("[X,Y]=H", *_compare(commutator(triple.X, triple.Y), triple.H)))
     results.append(("jordan-type",
                     jordan_type(triple.X) == rec.partition(), ""))
 
@@ -414,7 +386,7 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
         s = triple.gram
         eps_s = s if triple.epsilon == 1 else -s
         results.append(("gram-symmetry",
-                        sigma_transpose(s, triple.sigma) == eps_s, ""))
+                        *_compare(sigma_transpose(s, triple.sigma), eps_s)))
         invariant = all(
             (sigma_transpose(m, triple.sigma) @ s + s @ m).is_zero()
             for m in (triple.X, triple.H, triple.Y))
@@ -428,16 +400,16 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
         t_matrix = adapted_basis(a, datum).matrix
         target = standard_adapted_gram(a, datum)
         got = sigma_transpose(t_matrix, triple.sigma) @ triple.gram @ t_matrix
-        results.append(("adapted-basis", got == target, ""))
+        results.append(("adapted-basis", *_compare(got, target)))
 
     if a.family in _HOMOTOPY_FAMILIES:
         e1 = sample_k_element(a, datum, rng)
         e2 = sample_k_element(a, datum, rng)
         prod = KElement(tuple(g1 @ g2 for g1, g2 in zip(e1.factors, e2.factors)))
-        homo = embed_K(a, datum, e1) @ embed_K(a, datum, e2) == embed_K(a, datum, prod)
         ident = KElement(tuple(ExactMatrix.identity(g.nrows) for g in e1.factors))
-        homo = homo and embed_K(a, datum, ident) == ExactMatrix.identity(
-            embed_K(a, datum, e1).nrows)
+        emb1 = embed_K(a, datum, e1)
+        homo = (emb1 @ embed_K(a, datum, e2) == embed_K(a, datum, prod)
+                and embed_K(a, datum, ident) == ExactMatrix.identity(emb1.nrows))
         results.append(("embedding-homomorphism", homo, ""))
         member = verify_K_membership(a, datum, e1, triple, t_matrix)
         detail = "" if member.ok else ", ".join(member.failures)
@@ -452,17 +424,13 @@ def _cmd_verify(args) -> int:
     all_ok = True
     for a in specs:
         records = enumerate_orbits(a)
-        tasks = []
+        by_check: Dict[str, List[Tuple[bool, str]]] = {}
         for idx, rec in enumerate(records):
             inject = fault_armed and not rec.is_zero_orbit
-            if inject:
-                fault_armed = False
-            tasks.append((rec, idx, inject))
-        per_orbit = _run_indexed(
-            tasks, lambda t: _verify_orbit(a, t[0], args.seed, t[1], t[2]))
-        by_check: Dict[str, List[Tuple[bool, str]]] = {}
-        for results in per_orbit:
-            for name, ok, detail in results:
+            fault_armed = fault_armed and not inject
+            for name, ok, detail in _verify_orbit(a, rec, args.seed, idx, inject):
+                if not ok:
+                    detail = f"{rec.datum}: {detail}" if detail else str(rec.datum)
                 by_check.setdefault(name, []).append((ok, detail))
         checks = []
         for name in _CHECK_ORDER:

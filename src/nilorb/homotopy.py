@@ -287,6 +287,11 @@ def embed_K(a: AlgebraSpec, datum: Datum, e: KElement) -> ExactMatrix:
     defect = k_element_defect(a, datum, e)
     if defect is not None:
         raise ValueError(defect)
+    return _assemble_K(a, datum, e)
+
+
+def _assemble_K(a: AlgebraSpec, datum: Datum, e: KElement) -> ExactMatrix:
+    """The block assembly of :func:`embed_K` for a tuple with no factor defect."""
     layout = factor_layout(a, datum)
     by_key = {(spec.role, spec.part): g for spec, g in zip(layout, e.factors)}
     fam = a.family
@@ -417,7 +422,7 @@ def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
     defect = k_element_defect(a, datum, e)
     if defect is not None:
         return MembershipResult(False, (f"factor relation: {defect}",))
-    emb = embed_K(a, datum, e)
+    emb = _assemble_K(a, datum, e)
     if a.family in ("sl_r", "sl_c", "sl_h"):
         g = emb
     else:

@@ -49,10 +49,6 @@ class ExactMatrix:
                             for r in range(n)])
 
     @staticmethod
-    def from_rows(rows: Sequence[Sequence]) -> "ExactMatrix":
-        return ExactMatrix([[as_scalar(x) for x in row] for row in rows])
-
-    @staticmethod
     def build(nrows: int, ncols: int, fn: Callable[[int, int], Scalar]) -> "ExactMatrix":
         return ExactMatrix([[fn(r, c) for c in range(ncols)] for r in range(nrows)])
 
@@ -116,10 +112,6 @@ class ExactMatrix:
     def scale_left(self, s: Scalar) -> "ExactMatrix":
         s = as_scalar(s)
         return ExactMatrix([[s * x for x in row] for row in self._rows])
-
-    def scale_right(self, s: Scalar) -> "ExactMatrix":
-        s = as_scalar(s)
-        return ExactMatrix([[x * s for x in row] for row in self._rows])
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(list(zip(*self._rows))) if self.nrows else \

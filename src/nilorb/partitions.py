@@ -52,12 +52,6 @@ class Partition:
                 return t
         return 0
 
-    def distinct_parts(self) -> List[int]:
-        return [d for d, _ in self._pairs]
-
-    def largest_part(self) -> int:
-        return self._pairs[0][0] if self._pairs else 0
-
     def is_zero_type(self) -> bool:
         """True for the partition [1, 1, ..., 1] (and for the empty one)."""
         return all(d == 1 for d, _ in self._pairs)
@@ -112,17 +106,8 @@ def enumerate_partitions(n: int) -> List[Partition]:
 
 @dataclass(frozen=True)
 class PartitionClasses:
-    """Parity bookkeeping for one partition.
+    """Parity bookkeeping for one partition."""
 
-    ``multiplicities`` maps part size to multiplicity; the remaining fields
-    split the distinct part sizes by parity and by residue mod 4.
-    """
-
-    multiplicities: Tuple[Tuple[int, int], ...]
-    even_parts: Tuple[int, ...]
-    odd_parts: Tuple[int, ...]
-    odd_parts_1mod4: Tuple[int, ...]
-    odd_parts_3mod4: Tuple[int, ...]
     is_even: bool
     is_very_even: bool
     in_even_mult_class: bool
@@ -140,16 +125,10 @@ def classify(partition: Partition) -> PartitionClasses:
       symplectic parametrizing condition).
     """
     pairs = partition.pairs
-    evens = tuple(d for d, _ in pairs if d % 2 == 0)
-    odds = tuple(d for d, _ in pairs if d % 2 == 1)
+    is_even = all(d % 2 == 0 for d, _ in pairs)
     return PartitionClasses(
-        multiplicities=pairs,
-        even_parts=evens,
-        odd_parts=odds,
-        odd_parts_1mod4=tuple(d for d in odds if d % 4 == 1),
-        odd_parts_3mod4=tuple(d for d in odds if d % 4 == 3),
-        is_even=len(odds) == 0,
-        is_very_even=len(odds) == 0 and all(t % 2 == 0 for _, t in pairs),
+        is_even=is_even,
+        is_very_even=is_even and all(t % 2 == 0 for _, t in pairs),
         in_even_mult_class=all(t % 2 == 0 for d, t in pairs if d % 2 == 0),
         in_odd_mult_class=all(t % 2 == 0 for d, t in pairs if d % 2 == 1),
     )

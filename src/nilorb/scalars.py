@@ -272,14 +272,14 @@ class Scalar:
     def __hash__(self) -> int:
         return hash(self._c)
 
-    def __repr__(self) -> str:
+    def __str__(self) -> str:
+        """Nonzero terms joined by signs, e.g. ``1/2-i*sqrt2``; ``0`` for zero."""
         if self.is_zero():
-            return "Scalar(0)"
+            return "0"
         terms = []
-        for idx, c in enumerate(self._c):
+        for name, c in zip(BASIS_NAMES, self._c):
             if not c:
                 continue
-            name = BASIS_NAMES[idx]
             if name == "1":
                 terms.append(str(c))
             elif c == 1:
@@ -288,7 +288,10 @@ class Scalar:
                 terms.append(f"-{name}")
             else:
                 terms.append(f"{c}*{name}")
-        return f"Scalar({' + '.join(terms)})"
+        return "+".join(terms).replace("+-", "-")
+
+    def __repr__(self) -> str:
+        return f"Scalar({self})"
 
 
 ZERO = Scalar.rational(0)

@@ -146,7 +146,6 @@ def sigma_transpose(m: ExactMatrix, sigma: str) -> ExactMatrix:
 def nilpotent_matrix(partition: Partition) -> ExactMatrix:
     """The block matrix sending ``X^l v_j`` to ``X^{l+1} v_j``."""
     lay = layout_for(partition)
-    cols: Dict[Tuple[int, int], Scalar] = {}
     m = [[ZERO] * lay.dim for _ in range(lay.dim)]
     for d, t in partition.pairs:
         for l in range(d - 1):
@@ -171,6 +170,18 @@ def lowering_matrix(partition: Partition) -> ExactMatrix:
     return ExactMatrix(m)
 
 
+def _split_alternating(size: int) -> ExactMatrix:
+    """The alternating block ``[[0, I], [-I, 0]]`` of even ``size``."""
+    if size % 2:
+        raise ValueError("alternating block needs even multiplicity")
+    half = size // 2
+    m = [[ZERO] * size for _ in range(size)]
+    for i in range(half):
+        m[i][half + i] = ONE
+        m[half + i][i] = MINUS_ONE
+    return ExactMatrix(m)
+
+
 def lowest_weight_form(a: AlgebraSpec, datum: Datum, d: int) -> ExactMatrix:
     """Form values on the lowest-weight generators of the size-``d`` part.
 
@@ -184,27 +195,17 @@ def lowest_weight_form(a: AlgebraSpec, datum: Datum, d: int) -> ExactMatrix:
     fam = a.family
     odd = d % 2 == 1
 
-    def split_alternating(size: int) -> ExactMatrix:
-        if size % 2:
-            raise ValueError("alternating block needs even multiplicity")
-        half = size // 2
-        m = [[ZERO] * size for _ in range(size)]
-        for i in range(half):
-            m[i][half + i] = ONE
-            m[half + i][i] = MINUS_ONE
-        return ExactMatrix(m)
-
     def signed_diag(size: int, plus: int) -> ExactMatrix:
         return ExactMatrix.diagonal([ONE] * plus + [MINUS_ONE] * (size - plus))
 
     if fam == "so_c":
-        return ExactMatrix.identity(t) if odd else split_alternating(t)
+        return ExactMatrix.identity(t) if odd else _split_alternating(t)
     if fam == "so_pq":
         if odd:
             return signed_diag(t, datum.p_of(d))
-        return split_alternating(t)
+        return _split_alternating(t)
     if fam == "sp_c":
-        return split_alternating(t) if odd else ExactMatrix.identity(t)
+        return _split_alternating(t) if odd else ExactMatrix.identity(t)
     if fam == "sp_pq":
         if odd:
             return signed_diag(t, datum.p_of(d))
@@ -343,6 +344,29 @@ def _odd_real_column(lay: BasisLayout, d: int, l: int, j: int) -> Dict[int, Scal
     return {lay.slot(d, d - 1 - l, j): HALF_SQRT2, lay.slot(d, l, j): -HALF_SQRT2}
 
 
+def _add_signed_odd_parts(datum: Datum, lay: BasisLayout, odds: Sequence[int],
+                          plus: Tuple[list, list], minus: Tuple[list, list]) -> None:
+    """Append the odd parts' columns and blocks of so_pq or sp_pq to each half.
+
+    ``plus`` and ``minus`` are the (columns, blocks) lists of the two halves.
+    Parts ``1 mod 4`` come before parts ``3 mod 4``.  At each level the
+    columns of the ``p_d`` rows starting with +1 form an ``odd_p`` block and
+    the rest an ``odd_q`` block; :func:`_odd_level_takes_plus_rows` says
+    whether the ``odd_p`` block goes to the plus half.
+    """
+    for d in [x for x in odds if x % 4 == 1] + [x for x in odds if x % 4 == 3]:
+        t = lay.multiplicity(d)
+        p = datum.p_of(d)
+        for l in range(d):
+            cols = [_odd_real_column(lay, d, l, j) for j in range(1, t + 1)]
+            p_side, q_side = ((plus, minus) if _odd_level_takes_plus_rows(d, l)
+                              else (minus, plus))
+            p_side[0].extend(cols[:p])
+            p_side[1].append(BlockSpec(("odd_p", d), p))
+            q_side[0].extend(cols[p:])
+            q_side[1].append(BlockSpec(("odd_q", d), t - p))
+
+
 def _even_quarter_column(lay: BasisLayout, d: int, l: int, j: int, t: int,
                          complex_quarters: bool) -> Dict[int, Scalar]:
     """Column ``j`` (1..2t) of the paired-level block of an even part.
@@ -385,8 +409,6 @@ def adapted_basis(a: AlgebraSpec, datum: Datum) -> AdaptedBasis:
     lay = layout_for(part)
     evens = sorted(d for d, _ in part.pairs if d % 2 == 0)
     odds = sorted(d for d, _ in part.pairs if d % 2 == 1)
-    odds_1mod4 = [d for d in odds if d % 4 == 1]
-    odds_3mod4 = [d for d in odds if d % 4 == 3]
 
     columns: List[Dict[int, Scalar]] = []
     plus_blocks: List[BlockSpec] = []
@@ -431,22 +453,8 @@ def adapted_basis(a: AlgebraSpec, datum: Datum) -> AdaptedBasis:
                     minus_cols.append(_even_quarter_column(lay, d, l, j, t, False))
                 plus_blocks.append(BlockSpec(("even", d), t))
                 minus_blocks.append(BlockSpec(("even", d), t))
-        for group in (odds_1mod4, odds_3mod4):
-            for d in group:
-                t = part.multiplicity(d)
-                p = datum.p_of(d)
-                for l in range(d):
-                    cols = [_odd_real_column(lay, d, l, j) for j in range(1, t + 1)]
-                    if _odd_level_takes_plus_rows(d, l):
-                        plus_cols.extend(cols[:p])
-                        minus_cols.extend(cols[p:])
-                        plus_blocks.append(BlockSpec(("odd_p", d), p))
-                        minus_blocks.append(BlockSpec(("odd_q", d), t - p))
-                    else:
-                        plus_cols.extend(cols[p:])
-                        minus_cols.extend(cols[:p])
-                        plus_blocks.append(BlockSpec(("odd_q", d), t - p))
-                        minus_blocks.append(BlockSpec(("odd_p", d), p))
+        _add_signed_odd_parts(datum, lay, odds, (plus_cols, plus_blocks),
+                              (minus_cols, minus_blocks))
         matrix = _columns_to_matrix(plus_cols + minus_cols, lay.dim)
         return AdaptedBasis(matrix, tuple(plus_blocks), tuple(minus_blocks),
                             has_sides=True)
@@ -506,22 +514,8 @@ def adapted_basis(a: AlgebraSpec, datum: Datum) -> AdaptedBasis:
             for j in range(1, t + 1):
                 minus_cols.append(_sp_pq_even_column(lay, d, l, j))
             minus_blocks.append(BlockSpec(("even", d), t))
-    for group in (odds_1mod4, odds_3mod4):
-        for d in group:
-            t = part.multiplicity(d)
-            p = datum.p_of(d)
-            for l in range(d):
-                cols = [_odd_real_column(lay, d, l, j) for j in range(1, t + 1)]
-                if _odd_level_takes_plus_rows(d, l):
-                    plus_cols.extend(cols[:p])
-                    minus_cols.extend(cols[p:])
-                    plus_blocks.append(BlockSpec(("odd_p", d), p))
-                    minus_blocks.append(BlockSpec(("odd_q", d), t - p))
-                else:
-                    plus_cols.extend(cols[p:])
-                    minus_cols.extend(cols[:p])
-                    plus_blocks.append(BlockSpec(("odd_q", d), t - p))
-                    minus_blocks.append(BlockSpec(("odd_p", d), p))
+    _add_signed_odd_parts(datum, lay, odds, (plus_cols, plus_blocks),
+                          (minus_cols, minus_blocks))
     matrix = _columns_to_matrix(plus_cols + minus_cols, lay.dim)
     return AdaptedBasis(matrix, tuple(plus_blocks), tuple(minus_blocks),
                         has_sides=True)
@@ -559,10 +553,5 @@ def standard_adapted_gram(a: AlgebraSpec, datum: Datum) -> ExactMatrix:
     if a.family in ("so_pq", "sp_pq"):
         return ExactMatrix.diagonal([ONE] * a.p + [MINUS_ONE] * a.q)
     if a.family == "sp_c":
-        half = n // 2
-        m = [[ZERO] * n for _ in range(n)]
-        for i in range(half):
-            m[i][half + i] = ONE
-            m[half + i][i] = MINUS_ONE
-        return ExactMatrix(m)
+        return _split_alternating(n)
     raise ValueError(f"no adapted basis construction for {a.family}")

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+from nilorb.catalog import AlgebraSpec, enumerate_orbits
 from nilorb.cli import main
+from nilorb.diagrams import SignedDiagram
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -78,6 +83,9 @@ def test_verify_fault_injection_fails_named_identity(capsys):
                        "--inject-fault")
     assert code == 1
     assert "[X,Y]=H FAILED" in out
+    # The fault doubles Y of the first nonzero orbit, [2,1], so [X,Y] = 2H;
+    # H is 1 at entry (0,0).
+    assert "[2,1]: entry (0,0) is 2, expected 1]" in out
     # The fault scales Y, so the eigenvalue identities still pass.
     assert "[H,Y]=-2Y PASSED" in out
     assert "verify: FAIL" in out
@@ -184,6 +192,42 @@ def test_list_table_row_count_matches_orbit_total(capsys):
     assert len(rows) == 3  # [1,1] once, [2] twice (its fiber splits)
 
 
+@pytest.mark.parametrize("family,params", [
+    ("so_pq", {"p": 2, "q": 2}),
+    ("sp_pq", {"p": 2, "q": 1}),
+    ("so_c", {"n": 6}),
+    ("sl_r", {"n": 4}),
+])
+def test_describe_record_matches_catalog(capsys, family, params):
+    """describe builds its record from the datum; it must agree with list."""
+    size_args = [arg for key, value in params.items()
+                 for arg in (f"--{key}", str(value))]
+    for rec in enumerate_orbits(AlgebraSpec(family, **params)):
+        argv = ["describe", "--algebra", family, *size_args,
+                "--datum", ",".join(map(str, rec.partition().parts())),
+                "--format", "json"]
+        if isinstance(rec.datum, SignedDiagram):
+            argv += ["--signs", ",".join(f"{d}:{p}" for d, p in rec.datum.p_pairs)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        expected = rec.to_json()
+        assert doc["datum"] == expected["datum"]
+        assert doc["fiber_count"] == expected["fiber_count"]
+        assert doc["is_zero_orbit"] == expected["is_zero_orbit"]
+
+
+def test_cli_import_leaves_out_thread_pool():
+    """The command line runs serially; importing it pulls in no executor."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, nilorb.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "False"
+
+
 def test_describe_document_content(capsys):
     _, raw, _ = run(capsys, "describe", "--algebra", "sl_h", "--n", "3",
                     "--datum", "2,1", "--format", "json")
@@ -203,21 +247,6 @@ def test_verify_deterministic_across_runs(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
-
-
-def test_worker_count_does_not_change_output(capsys, monkeypatch):
-    args = ("list", "--algebra", "sl_h", "--n", "4", "--format", "json")
-    _, serial, _ = run(capsys, *args)
-    monkeypatch.setenv("NILORB_THREADS", "4")
-    _, threaded, _ = run(capsys, *args)
-    assert serial == threaded
-
-
-def test_bad_worker_count_exits_two(capsys, monkeypatch):
-    monkeypatch.setenv("NILORB_THREADS", "zero")
-    code, _, err = run(capsys, "list", "--algebra", "sl_r", "--n", "2")
-    assert code == 2
-    assert "NILORB_THREADS" in err
 
 
 GOLDEN_CASES = [
