@@ -8,7 +8,7 @@ which this module reports alongside the enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 from .diagrams import (SignedDiagram, enumerate_signed_diagrams,
                        in_sign_balance_class)

@@ -340,19 +340,24 @@ class CentralizerReport:
 
 
 def centralizer_report(a: AlgebraSpec, datum: Datum) -> CentralizerReport:
-    part = datum_partition(datum)
+    triple = None if datum_partition(datum).is_zero_type() else build_triple(a, datum)
+    return _centralizer_report(a, datum, triple)
+
+
+def _centralizer_report(a: AlgebraSpec, datum: Datum,
+                        triple: Optional[Triple]) -> CentralizerReport:
+    """:func:`centralizer_report` with the datum's triple given (None for the zero orbit)."""
     ambient = dim_g(a)
     expected = expected_reductive_dim(a, datum)
     try:
         compact = expected_compact_dim(a, datum)
     except ValueError:
         compact = None
-    if part.is_zero_type():
+    if triple is None:
         return CentralizerReport(
             dim_z_triple=ambient, dim_z_X=ambient, dim_g=ambient, dim_orbit=0,
             expected_reductive=expected, expected_compact=compact,
             match=ambient == expected)
-    triple = build_triple(a, datum)
     dz_triple = centralizer_dim_triple(triple, a, datum)
     dz_x = _nilpotent_nullity(triple.X, a, triple.gram)
     return CentralizerReport(

@@ -12,17 +12,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .catalog import (FAMILIES, SIGNED_FAMILIES, AlgebraSpec, Datum,
                       OrbitRecord, datum_membership_error, datum_partition,
                       enumerate_orbits, fiber_count)
-from .centralizers import (centralizer_dim_triple, centralizer_report, dim_g,
-                           expected_reductive_dim)
+from .centralizers import (_centralizer_report, centralizer_dim_triple,
+                           centralizer_report, dim_g, expected_reductive_dim)
 from .diagrams import SignedDiagram
-from .homotopy import (KElement, compact_pair, embed_K, sample_k_element,
-                       signed_block_relation, signed_block_totals,
-                       verify_K_membership)
+from .homotopy import (KElement, _embed_K, _form_basis, _half_totals,
+                       _verify_K_membership, compact_pair, sample_k_element,
+                       signed_block_relation)
 from .matrices import ExactMatrix, commutator, congruence_signature
 from .partitions import Partition
 from .scalars import Scalar
-from .triples import (adapted_basis, build_triple, jordan_type,
-                      sigma_transpose, standard_adapted_gram)
+from .triples import (build_triple, jordan_type, sigma_transpose,
+                      standard_adapted_gram)
 
 SCHEMA_VERSION = 1
 
@@ -260,7 +260,8 @@ def _cmd_describe(args) -> int:
         return 2
     record = OrbitRecord(datum, fiber_count(a, datum),
                          datum_partition(datum).is_zero_type())
-    report = centralizer_report(a, datum)
+    triple = None if record.is_zero_orbit else build_triple(a, datum)
+    report = _centralizer_report(a, datum, triple)
     doc = {
         "schema": SCHEMA_VERSION,
         "algebra": a.family,
@@ -273,18 +274,10 @@ def _cmd_describe(args) -> int:
         "orbit_dim": report.dim_orbit,
         "centralizer": report.to_json(),
     }
-    triple = None
-    if not record.is_zero_orbit:
-        triple = build_triple(a, datum)
-        doc["triple"] = triple.to_json()
-    else:
-        doc["triple"] = None
-    t_matrix = None
-    if a.family in ("so_c", "so_pq", "sp_c", "sp_pq"):
-        t_matrix = adapted_basis(a, datum).matrix
-        doc["change_of_basis"] = t_matrix.to_json()
-    else:
-        doc["change_of_basis"] = None
+    doc["triple"] = None if triple is None else triple.to_json()
+    adapted = _form_basis(a, datum)
+    t_matrix = None if adapted is None else adapted.matrix
+    doc["change_of_basis"] = None if t_matrix is None else t_matrix.to_json()
     if a.family in _HOMOTOPY_FAMILIES:
         h = compact_pair(a, datum)
         doc["homotopy"] = h.to_json()
@@ -357,8 +350,9 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
     results.append(("centralizer-dim", solved == expected,
                     f"solved {solved}, expected {expected}"))
 
+    adapted = _form_basis(a, datum)
     if a.family in SIGNED_FAMILIES:
-        totals = signed_block_totals(a, datum)
+        totals = _half_totals(adapted)
         relation = signed_block_relation(datum)
         ok = totals == relation == (a.p, a.q)
         results.append(("block-accounting", ok,
@@ -396,8 +390,8 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
             results.append(("gram-signature", sig == (a.p, a.q),
                             f"signature {sig}"))
     t_matrix = None
-    if a.family in ("so_c", "so_pq", "sp_c", "sp_pq"):
-        t_matrix = adapted_basis(a, datum).matrix
+    if adapted is not None:
+        t_matrix = adapted.matrix
         target = standard_adapted_gram(a, datum)
         got = sigma_transpose(t_matrix, triple.sigma) @ triple.gram @ t_matrix
         results.append(("adapted-basis", *_compare(got, target)))
@@ -407,11 +401,13 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
         e2 = sample_k_element(a, datum, rng)
         prod = KElement(tuple(g1 @ g2 for g1, g2 in zip(e1.factors, e2.factors)))
         ident = KElement(tuple(ExactMatrix.identity(g.nrows) for g in e1.factors))
-        emb1 = embed_K(a, datum, e1)
-        homo = (emb1 @ embed_K(a, datum, e2) == embed_K(a, datum, prod)
-                and embed_K(a, datum, ident) == ExactMatrix.identity(emb1.nrows))
+        emb1 = _embed_K(a, datum, e1, adapted)
+        homo = (emb1 @ _embed_K(a, datum, e2, adapted)
+                == _embed_K(a, datum, prod, adapted)
+                and _embed_K(a, datum, ident, adapted)
+                == ExactMatrix.identity(emb1.nrows))
         results.append(("embedding-homomorphism", homo, ""))
-        member = verify_K_membership(a, datum, e1, triple, t_matrix)
+        member = _verify_K_membership(a, datum, e1, triple, adapted, t_matrix)
         detail = "" if member.ok else ", ".join(member.failures)
         results.append(("K-membership", member.ok, detail))
     return results

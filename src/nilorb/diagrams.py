@@ -10,8 +10,7 @@ determines the whole diagram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .partitions import Partition, classify, enumerate_partitions
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .catalog import AlgebraSpec, Datum, datum_partition
 from .centralizers import expected_compact_dim
@@ -23,8 +23,7 @@ from .matrices import (ExactMatrix, block_oplus, complex_to_real_blocks,
                        quaternion_to_complex_blocks, reduced_norm,
                        repeat_blocks)
 from .scalars import ONE, Scalar
-from .triples import (AdaptedBasis, Triple, adapted_basis, build_triple,
-                      sigma_transpose)
+from .triples import AdaptedBasis, Triple, adapted_basis, sigma_transpose
 
 _FORM_FAMILIES = ("so_c", "so_pq", "sp_c", "sp_pq")
 
@@ -284,24 +283,34 @@ def embed_K(a: AlgebraSpec, datum: Datum, e: KElement) -> ExactMatrix:
     image of the quaternionic block matrix) and in triple coordinates for
     the trace-zero families.
     """
+    return _embed_K(a, datum, e, _form_basis(a, datum))
+
+
+def _form_basis(a: AlgebraSpec, datum: Datum) -> Optional[AdaptedBasis]:
+    """The adapted basis of a form family; None for the trace-zero families."""
+    return adapted_basis(a, datum) if a.family in _FORM_FAMILIES else None
+
+
+def _embed_K(a: AlgebraSpec, datum: Datum, e: KElement,
+             adapted: Optional[AdaptedBasis]) -> ExactMatrix:
+    """:func:`embed_K` with the datum's :func:`_form_basis` given."""
     defect = k_element_defect(a, datum, e)
     if defect is not None:
         raise ValueError(defect)
-    return _assemble_K(a, datum, e)
+    return _assemble_K(a, datum, e, adapted)
 
 
-def _assemble_K(a: AlgebraSpec, datum: Datum, e: KElement) -> ExactMatrix:
-    """The block assembly of :func:`embed_K` for a tuple with no factor defect."""
+def _assemble_K(a: AlgebraSpec, datum: Datum, e: KElement,
+                adapted: Optional[AdaptedBasis]) -> ExactMatrix:
+    """The block assembly of :func:`_embed_K` for a tuple with no factor defect."""
     layout = factor_layout(a, datum)
     by_key = {(spec.role, spec.part): g for spec, g in zip(layout, e.factors)}
     fam = a.family
 
-    if fam in ("sl_r", "sl_c", "sl_h"):
+    if adapted is None:
         part = datum_partition(datum)
         blocks = [repeat_blocks(by_key[("part", d)], d) for d, _ in part.pairs]
         return block_oplus(blocks)
-
-    adapted = adapted_basis(a, datum)
 
     def side_blocks(specs) -> List[ExactMatrix]:
         out = []
@@ -369,9 +378,12 @@ def chi_pair(a: AlgebraSpec, datum: Datum, e: KElement) -> Tuple[Scalar, Scalar]
 
 def signed_block_totals(a: AlgebraSpec, datum: Datum) -> Tuple[int, int]:
     """Row totals of the two embedded halves, counted from the adapted basis."""
-    ab = adapted_basis(a, datum)
-    return (sum(b.size for b in ab.plus_blocks),
-            sum(b.size for b in ab.minus_blocks))
+    return _half_totals(adapted_basis(a, datum))
+
+
+def _half_totals(adapted: AdaptedBasis) -> Tuple[int, int]:
+    return (sum(b.size for b in adapted.plus_blocks),
+            sum(b.size for b in adapted.minus_blocks))
 
 
 def signed_block_relation(datum: SignedDiagram) -> Tuple[int, int]:
@@ -418,17 +430,22 @@ def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
     X, H, Y, preservation of the Gram matrix, and agreement between the
     ambient determinant condition and the character constraint.
     """
+    adapted = _form_basis(a, datum)
+    if T is None and adapted is not None:
+        T = adapted.matrix
+    return _verify_K_membership(a, datum, e, t, adapted, T)
+
+
+def _verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement, t: Triple,
+                         adapted: Optional[AdaptedBasis],
+                         T: Optional[ExactMatrix]) -> MembershipResult:
+    """:func:`verify_K_membership` with the datum's :func:`_form_basis` given."""
     failures: List[str] = []
     defect = k_element_defect(a, datum, e)
     if defect is not None:
         return MembershipResult(False, (f"factor relation: {defect}",))
-    emb = _assemble_K(a, datum, e)
-    if a.family in ("sl_r", "sl_c", "sl_h"):
-        g = emb
-    else:
-        if T is None:
-            T = adapted_basis(a, datum).matrix
-        g = T @ emb @ inverse(T)
+    emb = _assemble_K(a, datum, e, adapted)
+    g = emb if adapted is None else T @ emb @ inverse(T)
     for name, m in (("X", t.X), ("H", t.H), ("Y", t.Y)):
         if g @ m != m @ g:
             failures.append(f"commutes[{name}]")

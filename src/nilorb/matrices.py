@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
-from .scalars import MINUS_ONE, ONE, ZERO, Scalar, as_scalar
+from .scalars import ONE, ZERO, Scalar, as_scalar
 
 
 class DegenerateFormError(ValueError):
@@ -29,6 +29,15 @@ class ExactMatrix:
         self.ncols = len(self._rows[0]) if self._rows else 0
         if any(len(r) != self.ncols for r in self._rows):
             raise ValueError("ragged rows")
+
+    @staticmethod
+    def _of(rows: tuple) -> "ExactMatrix":
+        """Wrap a tuple of equal-length tuples of Scalars without checking them."""
+        m = object.__new__(ExactMatrix)
+        m._rows = rows
+        m.nrows = len(rows)
+        m.ncols = len(rows[0]) if rows else 0
+        return m
 
     # -- constructors --------------------------------------------------
 
@@ -96,18 +105,22 @@ class ExactMatrix:
         if self.ncols != other.nrows:
             raise ValueError(
                 f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        bt = list(zip(*other._rows))
-        out: List[List[Scalar]] = []
+        ncols = other.ncols
+        # Row k of ``other`` as its (column, entry) nonzeros; each nonzero
+        # a[r][k] adds a[r][k] * b[k][c] to output entry (r, c), in k order.
+        nonzero_rows = [[(c, b) for c, b in enumerate(row) if not b.is_zero()]
+                        for row in other._rows]
+        out = []
         for ra in self._rows:
-            row_out = []
-            for cb in bt:
-                acc = ZERO
-                for a, b in zip(ra, cb):
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + a * b
-                row_out.append(acc)
-            out.append(row_out)
-        return ExactMatrix(out)
+            acc = [None] * ncols
+            for a, nonzeros in zip(ra, nonzero_rows):
+                if not nonzeros or a.is_zero():
+                    continue
+                for c, b in nonzeros:
+                    prev = acc[c]
+                    acc[c] = a * b if prev is None else prev + a * b
+            out.append(tuple([ZERO if x is None else x for x in acc]))
+        return ExactMatrix._of(tuple(out))
 
     def scale_left(self, s: Scalar) -> "ExactMatrix":
         s = as_scalar(s)

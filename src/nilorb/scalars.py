@@ -27,6 +27,14 @@ _QMUL = (
     ((1, 3), (1, 2), (-1, 1), (-1, 0)),
 )
 
+# _PROD[a][b] = (index, factor): component a times component b lands on
+# ``index`` scaled by ``factor`` (the unit sign, doubled for sqrt(2)**2).
+_PROD = tuple(
+    tuple((_QMUL[ia & 3][ib & 3][1] + 4 * ((ia >> 2) ^ (ib >> 2)),
+           _QMUL[ia & 3][ib & 3][0] * (2 if ia >> 2 and ib >> 2 else 1))
+          for ib in range(8))
+    for ia in range(8))
+
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
@@ -61,6 +69,13 @@ class Scalar:
         if len(components) != 8:
             raise ValueError("Scalar needs exactly 8 components")
         self._c = tuple(_coerce_fraction(x) for x in components)
+
+    @staticmethod
+    def _of(components: tuple) -> "Scalar":
+        """Wrap a tuple of eight ``Fraction`` objects without checking them."""
+        s = object.__new__(Scalar)
+        s._c = components
+        return s
 
     # -- constructors ------------------------------------------------
 
@@ -120,47 +135,40 @@ class Scalar:
 
     # -- arithmetic ---------------------------------------------------
 
+    # Sums and products touch only the nonzero components of their operands.
+
     def __add__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
             return NotImplemented
-        a, b = self._c, other._c
-        return Scalar(tuple(a[t] + b[t] for t in range(8)))
+        return Scalar._of(tuple([(x + y if x else y) if y else x
+                                 for x, y in zip(self._c, other._c)]))
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
             return NotImplemented
-        a, b = self._c, other._c
-        return Scalar(tuple(a[t] - b[t] for t in range(8)))
+        return Scalar._of(tuple([(x - y if x else -y) if y else x
+                                 for x, y in zip(self._c, other._c)]))
 
     def __neg__(self) -> "Scalar":
-        return Scalar(tuple(-x for x in self._c))
+        return Scalar._of(tuple([-x if x else x for x in self._c]))
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
             return NotImplemented
-        a, b = self._c, other._c
-        out = [_F0] * 8
-        for ia in range(8):
-            ca = a[ia]
+        nz_b = [(ib, cb) for ib, cb in enumerate(other._c) if cb]
+        out = [None] * 8
+        for ia, ca in enumerate(self._c):
             if not ca:
                 continue
-            qa, sa = ia & 3, ia >> 2
-            for ib in range(8):
-                cb = b[ib]
-                if not cb:
-                    continue
-                qb, sb = ib & 3, ib >> 2
-                sign, q = _QMUL[qa][qb]
+            prod = _PROD[ia]
+            for ib, cb in nz_b:
+                idx, factor = prod[ib]
                 coeff = ca * cb
-                if sa and sb:
-                    coeff *= 2  # sqrt(2) squared
-                    s = 0
-                else:
-                    s = sa ^ sb
-                if sign < 0:
-                    coeff = -coeff
-                out[q + 4 * s] += coeff
-        return Scalar(out)
+                if factor != 1:
+                    coeff = -coeff if factor == -1 else coeff * factor
+                prev = out[idx]
+                out[idx] = coeff if prev is None else prev + coeff
+        return Scalar._of(tuple([_F0 if x is None else x for x in out]))
 
     def scale(self, x: RationalLike) -> "Scalar":
         f = _coerce_fraction(x)

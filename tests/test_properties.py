@@ -1,4 +1,5 @@
-"""Property tests: ring laws of the scalar tower, realification, exact rank.
+"""Property tests: scalar and matrix arithmetic against component-level
+references, ring laws of the scalar tower, realification, exact rank.
 
 Hypothesis runs derandomized with a fixed example budget, so every run
 checks the same examples and the suite stays deterministic.
@@ -9,11 +10,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilorb.matrices import ExactMatrix, rank, realify
-from nilorb.scalars import ONE, Scalar
+from nilorb.scalars import ONE, ZERO, Scalar
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
                     max_examples=40)
@@ -45,6 +47,139 @@ def square_pairs(draw, entries):
     mats = [ExactMatrix([[draw(entries) for _ in range(n)] for _ in range(n)])
             for _ in range(2)]
     return mats[0], mats[1]
+
+
+# --- arithmetic against references on raw component tuples -------------------
+#
+# A value is an 8-tuple of Fractions: index q + 4*s holds the coefficient of
+# quaternion unit q (1, i, j, k) times sqrt(2)**s.  The references below never
+# go through Scalar operators.
+
+F0 = Fraction(0)
+ZERO_TUPLE = (F0,) * 8
+
+
+@st.composite
+def sparse_tuples(draw, components=range(8)):
+    """A raw 8-tuple whose nonzero components are any subset of ``components``."""
+    support = draw(st.sets(st.sampled_from(tuple(components))))
+    values = [F0] * 8
+    for idx in support:
+        values[idx] = draw(st.fractions(min_value=-3, max_value=3,
+                                        max_denominator=4).filter(bool))
+    return tuple(values)
+
+
+def ref_add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def ref_neg(x):
+    return tuple(-a for a in x)
+
+
+def _root2_mul(x, y):
+    """(x0 + x1*sqrt2) * (y0 + y1*sqrt2) on pairs of Fractions."""
+    return (x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def ref_mul(x, y):
+    """Hamilton's product with coefficients in Q(sqrt2)."""
+    a = [(x[q], x[q + 4]) for q in range(4)]
+    b = [(y[q], y[q + 4]) for q in range(4)]
+
+    def term(sign, u, v):
+        p = _root2_mul(a[u], b[v])
+        return (sign * p[0], sign * p[1])
+
+    units = (
+        (term(1, 0, 0), term(-1, 1, 1), term(-1, 2, 2), term(-1, 3, 3)),
+        (term(1, 0, 1), term(1, 1, 0), term(1, 2, 3), term(-1, 3, 2)),
+        (term(1, 0, 2), term(-1, 1, 3), term(1, 2, 0), term(1, 3, 1)),
+        (term(1, 0, 3), term(1, 1, 2), term(-1, 2, 1), term(1, 3, 0)),
+    )
+    sums = [(sum(t[0] for t in ts), sum(t[1] for t in ts)) for ts in units]
+    return tuple(s[0] for s in sums) + tuple(s[1] for s in sums)
+
+
+def exact_components(s: Scalar):
+    """The components, after checking that each one is a Fraction."""
+    assert all(type(c) is Fraction for c in s.components)
+    return s.components
+
+
+@settings(PROPERTY, max_examples=150)
+@given(sparse_tuples(), sparse_tuples())
+def test_scalar_arithmetic_matches_component_reference(x, y):
+    a, b = Scalar(x), Scalar(y)
+    assert exact_components(a + b) == ref_add(x, y)
+    assert exact_components(a - b) == ref_add(x, ref_neg(y))
+    assert exact_components(-a) == ref_neg(x)
+    assert exact_components(a * b) == ref_mul(x, y)
+    assert exact_components(b * a) == ref_mul(y, x)
+
+
+@PROPERTY
+@given(sparse_tuples())
+def test_cancellation_gives_canonical_zero(x):
+    a = Scalar(x)
+    for diff in (a + (-a), a - a, -a + a):
+        assert diff.is_zero()
+        assert diff == ZERO
+        assert hash(diff) == hash(ZERO)
+        assert exact_components(diff) == ZERO_TUPLE
+
+
+def ref_matmul(a, b):
+    """Naive triple loop over raw tuples; ``a`` and ``b`` are lists of rows."""
+    out = []
+    for row in a:
+        out_row = []
+        for c in range(len(b[0])):
+            acc = ZERO_TUPLE
+            for k, x in enumerate(row):
+                acc = ref_add(acc, ref_mul(x, b[k][c]))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+@st.composite
+def raw_matrix(draw, nrows, ncols, components):
+    """Rows of raw tuples with some whole rows and columns set to zero."""
+    zero_rows = draw(st.sets(st.integers(0, nrows - 1)))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1)))
+    return [[ZERO_TUPLE if r in zero_rows or c in zero_cols
+             else draw(sparse_tuples(components)) for c in range(ncols)]
+            for r in range(nrows)]
+
+
+@st.composite
+def matmul_operands(draw, components):
+    m, k, n = (draw(st.integers(1, 4)) for _ in range(3))
+    return (draw(raw_matrix(m, k, components)),
+            draw(raw_matrix(k, n, components)))
+
+
+def to_matrix(raw) -> ExactMatrix:
+    return ExactMatrix([[Scalar(x) for x in row] for row in raw])
+
+
+@pytest.mark.parametrize("components", [(0,), (0, 1), (0, 1, 2, 3), range(8)],
+                         ids=["rational", "gauss", "quat", "quat_sqrt2"])
+@settings(PROPERTY, max_examples=30)
+@given(data=st.data())
+def test_matmul_matches_triple_loop_reference(components, data):
+    a, b = data.draw(matmul_operands(components))
+    product = to_matrix(a) @ to_matrix(b)
+    assert (product.nrows, product.ncols) == (len(a), len(b[0]))
+    assert [[exact_components(x) for x in row] for row in product.rows()] \
+        == ref_matmul(a, b)
+
+
+def test_matmul_rejects_shape_mismatch():
+    with pytest.raises(ValueError, match="shape mismatch: 2x3 @ 2x3"):
+        ExactMatrix.zeros(2, 3) @ ExactMatrix.zeros(2, 3)
 
 
 # --- the scalar tower is an associative ring with inverses --------------------
