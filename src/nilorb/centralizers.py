@@ -181,14 +181,11 @@ def _nonzeros(m: ExactMatrix, value: Callable[[Scalar], Any]) -> Tuple[_Lines, _
     Row lists ascend by column and column lists by row, the order of a
     dense scan.
     """
-    by_row: _Lines = [[] for _ in range(m.nrows)]
+    by_row: _Lines = [[(c, value(x)) for c, x in row] for row in m.nonzeros()]
     by_col: _Lines = [[] for _ in range(m.ncols)]
-    for r, row in enumerate(m.rows()):
-        for c, x in enumerate(row):
-            if not x.is_zero():
-                v = value(x)
-                by_row[r].append((c, v))
-                by_col[c].append((r, v))
+    for r, row in enumerate(by_row):
+        for c, v in row:
+            by_col[c].append((r, v))
     return by_row, by_col
 
 
@@ -339,14 +336,15 @@ class CentralizerReport:
         }
 
 
-def centralizer_report(a: AlgebraSpec, datum: Datum) -> CentralizerReport:
-    triple = None if datum_partition(datum).is_zero_type() else build_triple(a, datum)
-    return _centralizer_report(a, datum, triple)
+def centralizer_report(a: AlgebraSpec, datum: Datum,
+                       triple: Optional[Triple] = None) -> CentralizerReport:
+    """Solved and closed-form centralizer dimensions of the datum's orbit.
 
-
-def _centralizer_report(a: AlgebraSpec, datum: Datum,
-                        triple: Optional[Triple]) -> CentralizerReport:
-    """:func:`centralizer_report` with the datum's triple given (None for the zero orbit)."""
+    ``triple`` is the datum's standard triple, built here when not given
+    (the zero orbit has none).
+    """
+    if triple is None and not datum_partition(datum).is_zero_type():
+        triple = build_triple(a, datum)
     ambient = dim_g(a)
     expected = expected_reductive_dim(a, datum)
     try:

@@ -12,12 +12,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .catalog import (FAMILIES, SIGNED_FAMILIES, AlgebraSpec, Datum,
                       OrbitRecord, datum_membership_error, datum_partition,
                       enumerate_orbits, fiber_count)
-from .centralizers import (_centralizer_report, centralizer_dim_triple,
-                           centralizer_report, dim_g, expected_reductive_dim)
+from .centralizers import (centralizer_dim_triple, centralizer_report, dim_g,
+                           expected_reductive_dim)
 from .diagrams import SignedDiagram
-from .homotopy import (KElement, _embed_K, _form_basis, _half_totals,
-                       _verify_K_membership, compact_pair, sample_k_element,
-                       signed_block_relation)
+from .homotopy import (KElement, _form_basis, _half_totals, compact_pair,
+                       embed_K, sample_k_element, signed_block_relation,
+                       verify_K_membership)
 from .matrices import ExactMatrix, commutator, congruence_signature
 from .partitions import Partition
 from .scalars import Scalar
@@ -261,7 +261,7 @@ def _cmd_describe(args) -> int:
     record = OrbitRecord(datum, fiber_count(a, datum),
                          datum_partition(datum).is_zero_type())
     triple = None if record.is_zero_orbit else build_triple(a, datum)
-    report = _centralizer_report(a, datum, triple)
+    report = centralizer_report(a, datum, triple=triple)
     doc = {
         "schema": SCHEMA_VERSION,
         "algebra": a.family,
@@ -389,7 +389,6 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
             sig = congruence_signature(s)
             results.append(("gram-signature", sig == (a.p, a.q),
                             f"signature {sig}"))
-    t_matrix = None
     if adapted is not None:
         t_matrix = adapted.matrix
         target = standard_adapted_gram(a, datum)
@@ -401,13 +400,13 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
         e2 = sample_k_element(a, datum, rng)
         prod = KElement(tuple(g1 @ g2 for g1, g2 in zip(e1.factors, e2.factors)))
         ident = KElement(tuple(ExactMatrix.identity(g.nrows) for g in e1.factors))
-        emb1 = _embed_K(a, datum, e1, adapted)
-        homo = (emb1 @ _embed_K(a, datum, e2, adapted)
-                == _embed_K(a, datum, prod, adapted)
-                and _embed_K(a, datum, ident, adapted)
+        emb1 = embed_K(a, datum, e1, adapted=adapted)
+        homo = (emb1 @ embed_K(a, datum, e2, adapted=adapted)
+                == embed_K(a, datum, prod, adapted=adapted)
+                and embed_K(a, datum, ident, adapted=adapted)
                 == ExactMatrix.identity(emb1.nrows))
         results.append(("embedding-homomorphism", homo, ""))
-        member = _verify_K_membership(a, datum, e1, triple, adapted, t_matrix)
+        member = verify_K_membership(a, datum, e1, triple, adapted=adapted)
         detail = "" if member.ok else ", ".join(member.failures)
         results.append(("K-membership", member.ok, detail))
     return results

@@ -275,15 +275,22 @@ def _factor_block(a: AlgebraSpec, spec: FactorSpec, g: ExactMatrix) -> ExactMatr
     return g
 
 
-def embed_K(a: AlgebraSpec, datum: Datum, e: KElement) -> ExactMatrix:
+def embed_K(a: AlgebraSpec, datum: Datum, e: KElement,
+            adapted: Optional[AdaptedBasis] = None) -> ExactMatrix:
     """Assemble the factor tuple into the ambient compact group.
 
     The output lives in adapted-basis coordinates for the form families
     (for the complex symplectic family that means the quaternion-to-complex
     image of the quaternionic block matrix) and in triple coordinates for
-    the trace-zero families.
+    the trace-zero families.  ``adapted`` is the datum's adapted basis,
+    built here when not given.
     """
-    return _embed_K(a, datum, e, _form_basis(a, datum))
+    defect = k_element_defect(a, datum, e)
+    if defect is not None:
+        raise ValueError(defect)
+    if adapted is None:
+        adapted = _form_basis(a, datum)
+    return _assemble_K(a, datum, e, adapted)
 
 
 def _form_basis(a: AlgebraSpec, datum: Datum) -> Optional[AdaptedBasis]:
@@ -291,18 +298,9 @@ def _form_basis(a: AlgebraSpec, datum: Datum) -> Optional[AdaptedBasis]:
     return adapted_basis(a, datum) if a.family in _FORM_FAMILIES else None
 
 
-def _embed_K(a: AlgebraSpec, datum: Datum, e: KElement,
-             adapted: Optional[AdaptedBasis]) -> ExactMatrix:
-    """:func:`embed_K` with the datum's :func:`_form_basis` given."""
-    defect = k_element_defect(a, datum, e)
-    if defect is not None:
-        raise ValueError(defect)
-    return _assemble_K(a, datum, e, adapted)
-
-
 def _assemble_K(a: AlgebraSpec, datum: Datum, e: KElement,
                 adapted: Optional[AdaptedBasis]) -> ExactMatrix:
-    """The block assembly of :func:`_embed_K` for a tuple with no factor defect."""
+    """The block assembly of :func:`embed_K` for a tuple with no factor defect."""
     layout = factor_layout(a, datum)
     by_key = {(spec.role, spec.part): g for spec, g in zip(layout, e.factors)}
     fam = a.family
@@ -422,24 +420,21 @@ class MembershipResult:
 
 
 def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
-                        t: Triple, T: Optional[ExactMatrix] = None) -> MembershipResult:
+                        t: Triple, T: Optional[ExactMatrix] = None,
+                        adapted: Optional[AdaptedBasis] = None) -> MembershipResult:
     """Check an embedded element against the triple, form, and character.
 
     The element is moved back to triple coordinates through ``T`` (identity
     for the trace-zero families), then tested for exact commutation with
     X, H, Y, preservation of the Gram matrix, and agreement between the
     ambient determinant condition and the character constraint.
+    ``adapted`` is the datum's adapted basis, built here when not given;
+    ``T`` defaults to its matrix.
     """
-    adapted = _form_basis(a, datum)
+    if adapted is None:
+        adapted = _form_basis(a, datum)
     if T is None and adapted is not None:
         T = adapted.matrix
-    return _verify_K_membership(a, datum, e, t, adapted, T)
-
-
-def _verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement, t: Triple,
-                         adapted: Optional[AdaptedBasis],
-                         T: Optional[ExactMatrix]) -> MembershipResult:
-    """:func:`verify_K_membership` with the datum's :func:`_form_basis` given."""
     failures: List[str] = []
     defect = k_element_defect(a, datum, e)
     if defect is not None:
@@ -504,9 +499,7 @@ def random_compact_point(rng: random.Random, kind: str, size: int,
         if reflect is None:
             reflect = rng.random() < 0.5
         if reflect:
-            flip = [[-ONE if r == c == 0 else (ONE if r == c else Scalar.rational(0))
-                     for c in range(size)] for r in range(size)]
-            g = g @ ExactMatrix(flip)
+            g = g @ ExactMatrix.diagonal([-1] + [1] * (size - 1))
     return g
 
 

@@ -3,13 +3,19 @@
 Matrices act on column vectors from the left; scalars multiply vectors on
 the right, so quaternionic non-commutativity is respected throughout.  All
 kernel and signature computations are exact.
+
+Every structured matrix (triples, Gram matrices, adapted bases, block
+embeddings) is built from its nonzero entries with
+:meth:`ExactMatrix.from_entries`, and every consumer that wants to skip
+zeros reads them back through :meth:`ExactMatrix.nonzeros`, so how a
+matrix is stored is decided in this module alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Mapping, Sequence, Tuple
 
 from .scalars import ONE, ZERO, Scalar, as_scalar
 
@@ -21,7 +27,7 @@ class DegenerateFormError(ValueError):
 class ExactMatrix:
     """An immutable rectangular matrix of :class:`Scalar` entries."""
 
-    __slots__ = ("_rows", "nrows", "ncols")
+    __slots__ = ("_rows", "nrows", "ncols", "_nonzeros")
 
     def __init__(self, rows: Sequence[Sequence[Scalar]]):
         self._rows = tuple(tuple(as_scalar(x) for x in row) for row in rows)
@@ -29,33 +35,48 @@ class ExactMatrix:
         self.ncols = len(self._rows[0]) if self._rows else 0
         if any(len(r) != self.ncols for r in self._rows):
             raise ValueError("ragged rows")
+        self._nonzeros = None
 
     @staticmethod
-    def _of(rows: tuple) -> "ExactMatrix":
-        """Wrap a tuple of equal-length tuples of Scalars without checking them."""
+    def _of(rows: tuple, ncols: int) -> "ExactMatrix":
+        """Wrap a tuple of ``ncols``-long tuples of Scalars without checking them."""
         m = object.__new__(ExactMatrix)
         m._rows = rows
         m.nrows = len(rows)
-        m.ncols = len(rows[0]) if rows else 0
+        m.ncols = ncols
+        m._nonzeros = None
         return m
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
+    def from_entries(nrows: int, ncols: int,
+                     entries: Mapping[Tuple[int, int], object]) -> "ExactMatrix":
+        """The ``nrows x ncols`` matrix with ``entries[(r, c)]`` at (r, c).
+
+        Absent entries are zero; values are coerced like :func:`as_scalar`.
+        An index outside the shape, negative ones included, raises
+        ``IndexError``.
+        """
+        grid = [[ZERO] * ncols for _ in range(nrows)]
+        for (r, c), x in entries.items():
+            if not (0 <= r < nrows and 0 <= c < ncols):
+                raise IndexError(f"entry ({r},{c}) outside a {nrows}x{ncols} matrix")
+            grid[r][c] = as_scalar(x)
+        return ExactMatrix._of(tuple(map(tuple, grid)), ncols)
+
+    @staticmethod
     def zeros(nrows: int, ncols: int) -> "ExactMatrix":
-        return ExactMatrix([[ZERO] * ncols for _ in range(nrows)])
+        return ExactMatrix.from_entries(nrows, ncols, {})
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix([[ONE if r == c else ZERO for c in range(n)]
-                            for r in range(n)])
+        return ExactMatrix.from_entries(n, n, {(r, r): ONE for r in range(n)})
 
     @staticmethod
     def diagonal(entries: Sequence) -> "ExactMatrix":
-        es = [as_scalar(e) for e in entries]
-        n = len(es)
-        return ExactMatrix([[es[r] if r == c else ZERO for c in range(n)]
-                            for r in range(n)])
+        n = len(entries)
+        return ExactMatrix.from_entries(n, n, {(r, r): e for r, e in enumerate(entries)})
 
     @staticmethod
     def build(nrows: int, ncols: int, fn: Callable[[int, int], Scalar]) -> "ExactMatrix":
@@ -75,8 +96,20 @@ class ExactMatrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
+    def nonzeros(self) -> tuple:
+        """Per row, the ``(column, entry)`` pairs of its nonzero entries, by column.
+
+        Computed on first use and kept, since matrices are immutable.
+        """
+        nz = self._nonzeros
+        if nz is None:
+            nz = self._nonzeros = tuple(
+                tuple([(c, x) for c, x in enumerate(row) if not x.is_zero()])
+                for row in self._rows)
+        return nz
+
     def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self._rows for x in row)
+        return not any(self.nonzeros())
 
     def variant(self) -> str:
         order = ("rational", "gauss", "tower", "quat", "quat_sqrt2")
@@ -106,21 +139,18 @@ class ExactMatrix:
             raise ValueError(
                 f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
         ncols = other.ncols
-        # Row k of ``other`` as its (column, entry) nonzeros; each nonzero
-        # a[r][k] adds a[r][k] * b[k][c] to output entry (r, c), in k order.
-        nonzero_rows = [[(c, b) for c, b in enumerate(row) if not b.is_zero()]
-                        for row in other._rows]
+        # Each nonzero a[r][k] adds a[r][k] * b[k][c] to output entry (r, c)
+        # for the nonzeros b[k][c] of row k of ``other``, in k order.
+        other_rows = other.nonzeros()
         out = []
-        for ra in self._rows:
+        for row in self.nonzeros():
             acc = [None] * ncols
-            for a, nonzeros in zip(ra, nonzero_rows):
-                if not nonzeros or a.is_zero():
-                    continue
-                for c, b in nonzeros:
+            for k, a in row:
+                for c, b in other_rows[k]:
                     prev = acc[c]
                     acc[c] = a * b if prev is None else prev + a * b
             out.append(tuple([ZERO if x is None else x for x in acc]))
-        return ExactMatrix._of(tuple(out))
+        return ExactMatrix._of(tuple(out), ncols)
 
     def scale_left(self, s: Scalar) -> "ExactMatrix":
         s = as_scalar(s)
@@ -180,15 +210,14 @@ def block_oplus(blocks: Sequence[ExactMatrix]) -> ExactMatrix:
     for b in blocks:
         if not b.is_square():
             raise ValueError("block_oplus needs square blocks")
-    n = sum(b.nrows for b in blocks)
-    out = [[ZERO] * n for _ in range(n)]
+    entries = {}
     off = 0
     for b in blocks:
-        for r in range(b.nrows):
-            for c in range(b.ncols):
-                out[off + r][off + c] = b.entry(r, c)
+        for r, row in enumerate(b.nonzeros()):
+            for c, x in row:
+                entries[off + r, off + c] = x
         off += b.nrows
-    return ExactMatrix(out)
+    return ExactMatrix.from_entries(off, off, entries)
 
 
 def repeat_blocks(b: ExactMatrix, s: int) -> ExactMatrix:
@@ -211,39 +240,28 @@ def complex_to_real_blocks(a: ExactMatrix) -> ExactMatrix:
     entrywise real and imaginary parts; it is a ring homomorphism.
     """
     m, n = a.nrows, a.ncols
-    re = [[None] * n for _ in range(m)]
-    im = [[None] * n for _ in range(m)]
-    for r in range(m):
-        for c in range(n):
-            s, t = a.entry(r, c).real_imag()
-            re[r][c], im[r][c] = s, t
-    out = [[ZERO] * (2 * n) for _ in range(2 * m)]
-    for r in range(m):
-        for c in range(n):
-            out[r][c] = re[r][c]
-            out[r][n + c] = -im[r][c]
-            out[m + r][c] = im[r][c]
-            out[m + r][n + c] = re[r][c]
-    return ExactMatrix(out)
+    entries = {}
+    for r, row in enumerate(a.nonzeros()):
+        for c, x in row:
+            s, t = x.real_imag()
+            entries[r, c] = entries[m + r, n + c] = s
+            entries[r, n + c] = -t
+            entries[m + r, c] = t
+    return ExactMatrix.from_entries(2 * m, 2 * n, entries)
 
 
 def quaternion_to_complex_blocks(a: ExactMatrix) -> ExactMatrix:
     """Substitute each quaternion entry ``P + jQ`` by ``[[P, -conj Q], [Q, conj P]]``."""
     m, n = a.nrows, a.ncols
-    p = [[None] * n for _ in range(m)]
-    q = [[None] * n for _ in range(m)]
-    for r in range(m):
-        for c in range(n):
-            pp, qq = a.entry(r, c).complex_pair()
-            p[r][c], q[r][c] = pp, qq
-    out = [[ZERO] * (2 * n) for _ in range(2 * m)]
-    for r in range(m):
-        for c in range(n):
-            out[r][c] = p[r][c]
-            out[r][n + c] = -q[r][c].conjugate()
-            out[m + r][c] = q[r][c]
-            out[m + r][n + c] = p[r][c].conjugate()
-    return ExactMatrix(out)
+    entries = {}
+    for r, row in enumerate(a.nonzeros()):
+        for c, x in row:
+            p, q = x.complex_pair()
+            entries[r, c] = p
+            entries[r, n + c] = -q.conjugate()
+            entries[m + r, c] = q
+            entries[m + r, n + c] = p.conjugate()
+    return ExactMatrix.from_entries(2 * m, 2 * n, entries)
 
 
 def realify(a: ExactMatrix, kind: str | None = None) -> ExactMatrix:

@@ -135,7 +135,8 @@ class Scalar:
 
     # -- arithmetic ---------------------------------------------------
 
-    # Sums and products touch only the nonzero components of their operands.
+    # Sums, products and the rebuilds below touch only the nonzero components
+    # of their operands, and build results through the unchecked ``_of``.
 
     def __add__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
@@ -172,12 +173,14 @@ class Scalar:
 
     def scale(self, x: RationalLike) -> "Scalar":
         f = _coerce_fraction(x)
-        return Scalar(tuple(c * f for c in self._c))
+        return Scalar._of(tuple([c * f if c else c for c in self._c]))
 
     def conjugate(self) -> "Scalar":
         """Standard conjugation: fixes rationals and sqrt(2), negates i, j, k."""
-        c = self._c
-        return Scalar((c[0], -c[1], -c[2], -c[3], c[4], -c[5], -c[6], -c[7]))
+        c0, c1, c2, c3, c4, c5, c6, c7 = self._c
+        return Scalar._of((c0, -c1 if c1 else c1, -c2 if c2 else c2,
+                           -c3 if c3 else c3, c4, -c5 if c5 else c5,
+                           -c6 if c6 else c6, -c7 if c7 else c7))
 
     def norm_real(self) -> "Scalar":
         """The product self * conjugate(self), an element of Q(sqrt2)."""
@@ -191,8 +194,8 @@ class Scalar:
         a, b = n[0], n[4]
         # (a + b*sqrt2)^-1 = (a - b*sqrt2) / (a^2 - 2 b^2)
         denom = a * a - 2 * b * b
-        return Scalar(tuple(c for c in (conj * Scalar(
-            (a / denom, _F0, _F0, _F0, -b / denom, _F0, _F0, _F0)))._c))
+        return conj * Scalar._of((a / denom, _F0, _F0, _F0, -b / denom,
+                                  _F0, _F0, _F0))
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
@@ -230,8 +233,8 @@ class Scalar:
         if not self.is_complex_like():
             raise ValueError("scalar has quaternion parts")
         c = self._c
-        re = Scalar((c[0], _F0, _F0, _F0, c[4], _F0, _F0, _F0))
-        im = Scalar((c[1], _F0, _F0, _F0, c[5], _F0, _F0, _F0))
+        re = Scalar._of((c[0], _F0, _F0, _F0, c[4], _F0, _F0, _F0))
+        im = Scalar._of((c[1], _F0, _F0, _F0, c[5], _F0, _F0, _F0))
         return re, im
 
     def complex_pair(self) -> tuple:
@@ -240,9 +243,10 @@ class Scalar:
         Follows the convention ``x1 + x2 i + x3 j + x4 k = P + j Q`` with
         ``P = x1 + x2 i`` and ``Q = x3 - x4 i``.
         """
-        c = self._c
-        p = Scalar((c[0], c[1], _F0, _F0, c[4], c[5], _F0, _F0))
-        q = Scalar((c[2], -c[3], _F0, _F0, c[6], -c[7], _F0, _F0))
+        c0, c1, c2, c3, c4, c5, c6, c7 = self._c
+        p = Scalar._of((c0, c1, _F0, _F0, c4, c5, _F0, _F0))
+        q = Scalar._of((c2, -c3 if c3 else c3, _F0, _F0,
+                        c6, -c7 if c7 else c7, _F0, _F0))
         return p, q
 
     # -- serialization ------------------------------------------------

@@ -20,7 +20,7 @@ from .catalog import AlgebraSpec, Datum, datum_partition
 from .matrices import ExactMatrix, conj_transpose, rank
 from .partitions import Partition
 from .scalars import (HALF_SQRT2, I_HALF_SQRT2, I_UNIT, J_HALF_SQRT2, J_UNIT,
-                      MINUS_ONE, ONE, ZERO, Scalar)
+                      MINUS_ONE, ONE, Scalar)
 
 #: (epsilon, sigma) of the invariant form; sigma "conj" negates i, j, k.
 FORM_KIND = {
@@ -145,12 +145,9 @@ def sigma_transpose(m: ExactMatrix, sigma: str) -> ExactMatrix:
 def nilpotent_matrix(partition: Partition) -> ExactMatrix:
     """The block matrix sending ``X^l v_j`` to ``X^{l+1} v_j``."""
     lay = layout_for(partition)
-    m = [[ZERO] * lay.dim for _ in range(lay.dim)]
-    for d, t in partition.pairs:
-        for l in range(d - 1):
-            for j in range(1, t + 1):
-                m[lay.slot(d, l + 1, j)][lay.slot(d, l, j)] = ONE
-    return ExactMatrix(m)
+    return ExactMatrix.from_entries(lay.dim, lay.dim, {
+        (lay.slot(d, l + 1, j), lay.slot(d, l, j)): ONE
+        for d, t in partition.pairs for l in range(d - 1) for j in range(1, t + 1)})
 
 
 def semisimple_matrix(partition: Partition) -> ExactMatrix:
@@ -161,12 +158,9 @@ def semisimple_matrix(partition: Partition) -> ExactMatrix:
 def lowering_matrix(partition: Partition) -> ExactMatrix:
     """The block matrix sending ``X^l v_j`` to ``l(d-l) X^{l-1} v_j``."""
     lay = layout_for(partition)
-    m = [[ZERO] * lay.dim for _ in range(lay.dim)]
-    for d, t in partition.pairs:
-        for l in range(1, d):
-            for j in range(1, t + 1):
-                m[lay.slot(d, l - 1, j)][lay.slot(d, l, j)] = Scalar.rational(l * (d - l))
-    return ExactMatrix(m)
+    return ExactMatrix.from_entries(lay.dim, lay.dim, {
+        (lay.slot(d, l - 1, j), lay.slot(d, l, j)): l * (d - l)
+        for d, t in partition.pairs for l in range(1, d) for j in range(1, t + 1)})
 
 
 def _split_alternating(size: int) -> ExactMatrix:
@@ -174,11 +168,11 @@ def _split_alternating(size: int) -> ExactMatrix:
     if size % 2:
         raise ValueError("alternating block needs even multiplicity")
     half = size // 2
-    m = [[ZERO] * size for _ in range(size)]
+    entries = {}
     for i in range(half):
-        m[i][half + i] = ONE
-        m[half + i][i] = MINUS_ONE
-    return ExactMatrix(m)
+        entries[i, half + i] = ONE
+        entries[half + i, i] = MINUS_ONE
+    return ExactMatrix.from_entries(size, size, entries)
 
 
 def lowest_weight_form(a: AlgebraSpec, datum: Datum, d: int) -> ExactMatrix:
@@ -227,19 +221,15 @@ def gram_matrix(a: AlgebraSpec, datum: Datum) -> ExactMatrix:
         raise ValueError(f"{a.family} carries no invariant form")
     part = datum_partition(datum)
     lay = layout_for(part)
-    m = [[ZERO] * lay.dim for _ in range(lay.dim)]
-    for d, t in part.pairs:
-        base = lowest_weight_form(a, datum, d)
+    entries = {}
+    for d, _ in part.pairs:
+        base = lowest_weight_form(a, datum, d).nonzeros()
         for l in range(d):
-            sign = 1 if l % 2 == 0 else -1
-            for i in range(1, t + 1):
-                for j in range(1, t + 1):
-                    val = base.entry(i - 1, j - 1)
-                    if val.is_zero():
-                        continue
-                    entry = val if sign > 0 else -val
-                    m[lay.slot(d, l, i)][lay.slot(d, d - 1 - l, j)] = entry
-    return ExactMatrix(m)
+            for i, row in enumerate(base, 1):
+                for j, val in row:
+                    entries[lay.slot(d, l, i), lay.slot(d, d - 1 - l, j + 1)] = (
+                        val if l % 2 == 0 else -val)
+    return ExactMatrix.from_entries(lay.dim, lay.dim, entries)
 
 
 def build_triple(a: AlgebraSpec, datum: Datum) -> Triple:
@@ -531,11 +521,8 @@ def _sp_pq_even_column(lay: BasisLayout, d: int, l: int, j: int) -> Dict[int, Sc
 def _columns_to_matrix(columns: Sequence[Dict[int, Scalar]], dim: int) -> ExactMatrix:
     if len(columns) != dim:
         raise AssertionError(f"expected {dim} adapted columns, built {len(columns)}")
-    m = [[ZERO] * dim for _ in range(dim)]
-    for c, col in enumerate(columns):
-        for r, val in col.items():
-            m[r][c] = val
-    return ExactMatrix(m)
+    return ExactMatrix.from_entries(dim, dim, {
+        (r, c): val for c, col in enumerate(columns) for r, val in col.items()})
 
 
 def adapted_change_of_basis(a: AlgebraSpec, datum: Datum) -> ExactMatrix:

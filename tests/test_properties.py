@@ -1,4 +1,5 @@
 """Property tests: scalar and matrix arithmetic against component-level
+references, matrix construction from nonzero entries against raw-index
 references, ring laws of the scalar tower, realification, exact rank.
 
 Hypothesis runs derandomized with a fixed example budget, so every run
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilorb.matrices import ExactMatrix, rank, realify
-from nilorb.scalars import ONE, ZERO, Scalar
+from nilorb.matrices import (ExactMatrix, block_oplus, complex_to_real_blocks,
+                             quaternion_to_complex_blocks, rank, realify)
+from nilorb.scalars import I_UNIT, J_UNIT, ONE, ZERO, Scalar
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
                     max_examples=40)
@@ -180,6 +182,196 @@ def test_matmul_matches_triple_loop_reference(components, data):
 def test_matmul_rejects_shape_mismatch():
     with pytest.raises(ValueError, match="shape mismatch: 2x3 @ 2x3"):
         ExactMatrix.zeros(2, 3) @ ExactMatrix.zeros(2, 3)
+
+
+# --- matrices built from their nonzero entries --------------------------------
+#
+# References index rows of raw tuples directly; ``raw_of`` reads a matrix back
+# into that form after checking that every component is a Fraction.
+
+def raw_of(m: ExactMatrix):
+    return [[exact_components(x) for x in row] for row in m.rows()]
+
+
+def ref_nonzeros(raw):
+    return [[(c, x) for c, x in enumerate(row) if x != ZERO_TUPLE] for row in raw]
+
+
+def nonzeros_as_raw(m: ExactMatrix):
+    return [[(c, exact_components(x)) for c, x in row] for row in m.nonzeros()]
+
+
+@st.composite
+def entry_maps(draw, components=range(8)):
+    """(nrows, ncols, entries) with whole zero rows and columns and zero values."""
+    nrows, ncols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    cells = [(r, c) for r in range(nrows) for c in range(ncols)]
+    keys = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
+    return nrows, ncols, {key: draw(sparse_tuples(components)) for key in keys}
+
+
+@settings(PROPERTY, max_examples=60)
+@given(entry_maps())
+def test_from_entries_matches_raw_index_reference(shape):
+    nrows, ncols, entries = shape
+    m = ExactMatrix.from_entries(nrows, ncols,
+                                 {key: Scalar(x) for key, x in entries.items()})
+    raw = [[entries.get((r, c), ZERO_TUPLE) for c in range(ncols)]
+           for r in range(nrows)]
+    assert (m.nrows, m.ncols) == (nrows, ncols)
+    assert raw_of(m) == raw
+    assert nonzeros_as_raw(m) == ref_nonzeros(raw)
+    assert m.nonzeros() is m.nonzeros()
+    assert m.is_zero() == all(x == ZERO_TUPLE for row in raw for x in row)
+    assert m == ExactMatrix([[Scalar(x) for x in row] for row in raw])
+
+
+@PROPERTY
+@given(st.integers(0, 3), st.integers(0, 3),
+       st.sampled_from([0, 1, Fraction(-1, 2)]))
+def test_from_entries_rejects_indices_outside_the_shape(nrows, ncols, value):
+    for r in range(-2, nrows + 2):
+        for c in range(-2, ncols + 2):
+            entries = {(r, c): value}
+            if 0 <= r < nrows and 0 <= c < ncols:
+                m = ExactMatrix.from_entries(nrows, ncols, entries)
+                assert exact_components(m.entry(r, c)) == \
+                    (Fraction(value),) + ZERO_TUPLE[1:]
+            else:
+                with pytest.raises(IndexError):
+                    ExactMatrix.from_entries(nrows, ncols, entries)
+
+
+def test_empty_and_zero_matrices_have_no_nonzeros():
+    for m in (ExactMatrix.zeros(0, 0), ExactMatrix.from_entries(0, 0, {}),
+              ExactMatrix.zeros(2, 3), ExactMatrix.from_entries(2, 2, {(1, 0): 0})):
+        assert m.is_zero()
+        assert all(row == () for row in m.nonzeros())
+    assert ExactMatrix.zeros(0, 0).nonzeros() == ()
+    assert not ExactMatrix.identity(1).is_zero()
+
+
+@settings(PROPERTY, max_examples=30)
+@given(matmul_operands(range(8)))
+def test_product_nonzeros_skip_cancelled_entries(operands):
+    a, b = operands
+    product = to_matrix(a) @ to_matrix(b)
+    raw = ref_matmul(a, b)
+    assert nonzeros_as_raw(product) == ref_nonzeros(raw)
+    assert product.is_zero() == all(x == ZERO_TUPLE for row in raw for x in row)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.lists(st.integers(0, 3).flatmap(
+    lambda n: raw_matrix(n, n, range(8)) if n else st.just([])), max_size=4))
+def test_block_oplus_matches_raw_index_reference(blocks):
+    n = sum(len(b) for b in blocks)
+    ref = [[ZERO_TUPLE] * n for _ in range(n)]
+    off = 0
+    for b in blocks:
+        for r, row in enumerate(b):
+            for c, x in enumerate(row):
+                ref[off + r][off + c] = x
+        off += len(b)
+    mats = [to_matrix(b) if b else ExactMatrix.zeros(0, 0) for b in blocks]
+    out = block_oplus(mats)
+    assert (out.nrows, out.ncols) == (n, n)
+    assert raw_of(out) == ref
+
+
+def ref_conj(x):
+    return (x[0], -x[1], -x[2], -x[3], x[4], -x[5], -x[6], -x[7])
+
+
+def _re(x):
+    return (x[0], F0, F0, F0, x[4], F0, F0, F0)
+
+
+def _im(x):
+    return (x[1], F0, F0, F0, x[5], F0, F0, F0)
+
+
+@st.composite
+def rectangular(draw, components):
+    nrows, ncols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return draw(raw_matrix(nrows, ncols, components))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(rectangular(COMPLEX))
+def test_complex_to_real_blocks_matches_raw_index_reference(raw):
+    m, n = len(raw), len(raw[0])
+    ref = [[ZERO_TUPLE] * (2 * n) for _ in range(2 * m)]
+    for r in range(m):
+        for c in range(n):
+            s, t = _re(raw[r][c]), _im(raw[r][c])
+            ref[r][c] = ref[m + r][n + c] = s
+            ref[r][n + c] = ref_neg(t)
+            ref[m + r][c] = t
+    assert raw_of(complex_to_real_blocks(to_matrix(raw))) == ref
+
+
+@settings(PROPERTY, max_examples=60)
+@given(rectangular(range(8)))
+def test_quaternion_to_complex_blocks_matches_raw_index_reference(raw):
+    m, n = len(raw), len(raw[0])
+    ref = [[ZERO_TUPLE] * (2 * n) for _ in range(2 * m)]
+    for r in range(m):
+        for c in range(n):
+            x = raw[r][c]
+            p = (x[0], x[1], F0, F0, x[4], x[5], F0, F0)
+            q = (x[2], -x[3], F0, F0, x[6], -x[7], F0, F0)
+            ref[r][c] = p
+            ref[r][n + c] = ref_neg(ref_conj(q))
+            ref[m + r][c] = q
+            ref[m + r][n + c] = ref_conj(p)
+    assert raw_of(quaternion_to_complex_blocks(to_matrix(raw))) == ref
+
+
+# --- conjugation, inverse and the scalar decompositions -----------------------
+
+@settings(PROPERTY, max_examples=60)
+@given(sparse_tuples(), sparse_tuples())
+def test_conjugate_is_an_anti_automorphism(x, y):
+    a, b = Scalar(x), Scalar(y)
+    assert exact_components(a.conjugate()) == ref_conj(x)
+    assert exact_components((a * b).conjugate()) == ref_conj(ref_mul(x, y))
+    assert (a * b).conjugate() == b.conjugate() * a.conjugate()
+    assert a.conjugate().conjugate() == a
+
+
+@settings(PROPERTY, max_examples=60)
+@given(sparse_tuples().filter(lambda x: x != ZERO_TUPLE))
+def test_scalar_times_its_inverse_is_one(x):
+    a = Scalar(x)
+    inv = a.inverse()
+    exact_components(inv)
+    assert exact_components(a * inv) == exact_components(ONE)
+
+
+@settings(PROPERTY, max_examples=50)
+@given(sparse_tuples(), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+def test_scale_matches_component_reference(x, f):
+    assert exact_components(Scalar(x).scale(f)) == tuple(c * f for c in x)
+
+
+@settings(PROPERTY, max_examples=50)
+@given(sparse_tuples(COMPLEX))
+def test_real_imag_recompose(x):
+    re, im = Scalar(x).real_imag()
+    assert exact_components(re) == _re(x)
+    assert exact_components(im) == _im(x)
+    assert exact_components(re + I_UNIT * im) == x
+
+
+@settings(PROPERTY, max_examples=50)
+@given(sparse_tuples())
+def test_complex_pair_recomposes(x):
+    p, q = Scalar(x).complex_pair()
+    exact_components(p)
+    exact_components(q)
+    assert p.is_complex_like() and q.is_complex_like()
+    assert exact_components(p + J_UNIT * q) == x
 
 
 # --- the scalar tower is an associative ring with inverses --------------------
