@@ -10,10 +10,11 @@ homogeneous space.
 from .catalog import (FAMILIES, SIGNED_FAMILIES, AlgebraSpec, OrbitRecord,
                       datum_membership_error, enumerate_orbits, fiber_count,
                       total_orbit_count)
-from .centralizers import (CentralizerReport, centralizer_dim_nilpotent,
-                           centralizer_dim_triple, centralizer_report,
-                           expected_compact_dim, expected_orbit_dim,
-                           expected_reductive_dim, orbit_dim)
+from .centralizers import (AlgebraConstraint, CentralizerReport,
+                           centralizer_dim_nilpotent, centralizer_dim_triple,
+                           centralizer_report, expected_compact_dim,
+                           expected_orbit_dim, expected_reductive_dim,
+                           graded_dims, orbit_dim)
 from .diagrams import SignedDiagram, enumerate_signed_diagrams, sign_matrix
 from .homotopy import (HomotopyType, KElement, chi, chi_pair, compact_pair,
                        embed_K, factor_layout, quotient_dim, sample_k_element,
@@ -27,6 +28,7 @@ from .triples import (Triple, ZeroOrbitError, adapted_change_of_basis,
 __version__ = "0.1.0"
 
 __all__ = [
+    "AlgebraConstraint",
     "AlgebraSpec",
     "CentralizerReport",
     "ExactMatrix",
@@ -58,6 +60,7 @@ __all__ = [
     "expected_reductive_dim",
     "factor_layout",
     "fiber_count",
+    "graded_dims",
     "gram_matrix",
     "jordan_type",
     "orbit_dim",

@@ -1,12 +1,18 @@
 """Exact centralizer dimensions and their closed-form cross-checks.
 
-The solver realifies the linear conditions cutting out the centralizer of
-a triple (or of its nilpotent element alone) inside the ambient algebra
-and computes the kernel dimension over the rationals.  Unknowns are the
-real components of the matrix entries.  Assembly indexes the nonzero
-entries of X, Y and the Gram matrix once per solve and then visits only
-those, so its cost scales with the nonzeros rather than with a dense scan
-of one row and one column of each matrix per unknown.
+The solver realifies the linear conditions cutting a subspace out of the
+ambient algebra and computes its dimension over the rationals.  Unknowns
+are the real components of the matrix entries.  Assembly visits only the
+nonzero entries of X, Y and the Gram matrix, and the scattered Gram
+products are built once per triple and shared by its solves.
+
+The reported dimensions come from the ad(H)-grading g = ⊕ g_k: by
+sl2-theory dim z(X) = dim g_0 + dim g_1 and dim z(X,H,Y) = dim g_0 -
+dim g_2, where each dim g_k is a small solve over the entries of weight
+difference k, with no commutation rows.  The direct solves
+``centralizer_dim_triple`` and ``centralizer_dim_nilpotent`` stay as
+independent references; ``verify`` checks the direct triple solve and
+the grading against each other and against the closed forms.
 """
 
 from __future__ import annotations
@@ -189,21 +195,52 @@ def _nonzeros(m: ExactMatrix, value: Callable[[Scalar], Any]) -> Tuple[_Lines, _
     return by_row, by_col
 
 
-def _centralizer_nullity(a: AlgebraSpec,
-                         commute_with: List[ExactMatrix],
-                         gram: Optional[ExactMatrix],
-                         n: int,
-                         positions: List[Tuple[int, int]]) -> int:
-    """Real dimension of {Z : [Z, M] = 0 for listed M, Z in the algebra}.
+class AlgebraConstraint:
+    """The real linear conditions that cut the algebra out of gl_n over its ring.
 
-    For the complex families every condition is complex-linear, so the
-    solve runs on one real component and the nullity doubles.
+    They are ``Z^sigma G + G Z = 0`` for a form family with Gram matrix
+    ``G``, and trace zero otherwise.  Unknowns are the real components of
+    the entries of ``Z``.  Every condition of a complex family is
+    complex-linear, so its solves run on one real component and double the
+    nullity.  The scattered Gram products of an unknown depend on its row
+    and component but not on its column; they are built for a row on first
+    use and kept, so every solve over one Gram matrix shares them.
     """
-    ring = SCALAR_RING[a.family]
-    comps = RING_DIM[ring]
-    doubling = 1
-    if ring == "complex":
-        comps, doubling = 1, 2
+
+    def __init__(self, a: AlgebraSpec, gram: Optional[ExactMatrix]):
+        ring = SCALAR_RING[a.family]
+        self.family = a.family
+        self.gram = gram
+        self._ring_dim = RING_DIM[ring]
+        self.comps, self.doubling = (1, 2) if ring == "complex" else (self._ring_dim, 1)
+        self._terms: Dict[Tuple[int, int], Tuple[list, list]] = {}
+        if gram is not None:
+            _, sigma = FORM_KIND[a.family]
+            self._left_units = [u.conjugate() if sigma == "conj" else u
+                                for u in _UNITS[:self.comps]]
+            self._by_row, self._by_col = _nonzeros(gram, lambda x: x)
+
+    def form_terms(self, ra: int, c: int) -> Tuple[list, list]:
+        """Scattered ``Z^sigma G`` and ``G Z`` terms of component ``c`` of row ``ra``.
+
+        Each is a list of ``(row or column of the condition, [(component,
+        coefficient), ...])``.
+        """
+        terms = self._terms.get((ra, c))
+        if terms is None:
+            left, unit = self._left_units[c], _UNITS[c]
+            terms = self._terms[ra, c] = (
+                [(s, _scatter(left * sv, self._ring_dim)) for s, sv in self._by_row[ra]],
+                [(r, _scatter(sv * unit, self._ring_dim)) for r, sv in self._by_col[ra]])
+        return terms
+
+
+def _centralizer_nullity(constraint: AlgebraConstraint,
+                         commute_with: List[ExactMatrix],
+                         positions: List[Tuple[int, int]]) -> int:
+    """Real dimension of {Z in the algebra : [Z, M] = 0 for every listed M},
+    over the Z whose nonzero entries lie in ``positions``."""
+    comps = constraint.comps
     index: Dict[Tuple[int, int, int], int] = {}
     for (r, s) in positions:
         for c in range(comps):
@@ -234,73 +271,84 @@ def _centralizer_nullity(a: AlgebraSpec,
                 for c in range(comps):
                     add(("c", mi, r, rb, c), (ra, rb, c), -q)
 
-    if gram is not None:
-        _, sigma = FORM_KIND[a.family]
-        ring_dim = RING_DIM[ring]
-        by_row, by_col = _nonzeros(gram, lambda x: x)
-        # The scattered products depend on (ra, c) but not on rb.
-        left_terms: Dict[Tuple[int, int], list] = {}
-        right_terms: Dict[Tuple[int, int], list] = {}
-        for c in range(comps):
-            unit = _UNITS[c]
-            left = unit.conjugate() if sigma == "conj" else unit
-            for ra in range(n):
-                left_terms[ra, c] = [(s, _scatter(left * sv, ring_dim))
-                                     for s, sv in by_row[ra]]
-                right_terms[ra, c] = [(r, _scatter(sv * unit, ring_dim))
-                                      for r, sv in by_col[ra]]
+    if constraint.gram is not None:
         for (ra, rb) in positions:
             for c in range(comps):
-                for s, terms in left_terms[ra, c]:
+                left_terms, right_terms = constraint.form_terms(ra, c)
+                for s, terms in left_terms:
                     for cc, coeff in terms:
                         add(("m", rb, s, cc), (ra, rb, c), coeff)
-                for r, terms in right_terms[ra, c]:
+                for r, terms in right_terms:
                     for cc, coeff in terms:
                         add(("m", r, rb, cc), (ra, rb, c), coeff)
-    elif a.family in ("sl_r", "sl_c"):
+    elif constraint.family in ("sl_r", "sl_c"):
         for c in range(comps):
             row_key = ("t", c)
             for (ra, rb) in positions:
                 if ra == rb:
                     add(row_key, (ra, rb, c), Fraction(1))
-    elif a.family == "sl_h":
+    elif constraint.family == "sl_h":
         for (ra, rb) in positions:
             if ra == rb:
                 add(("t", 0), (ra, rb, 0), Fraction(2))
 
-    return doubling * _nullity(list(rows.values()), len(index))
+    return constraint.doubling * _nullity(list(rows.values()), len(index))
+
+
+def _grade_positions(t: Triple, k: int) -> List[Tuple[int, int]]:
+    """The entries of ad(H)-eigenvalue ``k``: ``weights[r] - weights[s] == k``."""
+    weights = layout_for(t.partition).weights()
+    n = len(weights)
+    return [(r, s) for r in range(n) for s in range(n)
+            if weights[r] - weights[s] == k]
+
+
+def graded_dims(t: Triple, a: AlgebraSpec,
+                constraint: Optional[AlgebraConstraint] = None) -> Tuple[int, int, int]:
+    """Real dimensions of g_0, g_1 and g_2, the ad(H)-eigenspaces of the algebra.
+
+    By sl2-theory (Collingwood–McGovern, ch. 3) the centralizer of X has
+    dimension dim g_0 + dim g_1 and that of the triple dim g_0 - dim g_2.
+    The form and trace conditions never mix grades, so each grade is its
+    own solve, with no commutation rows.  ``constraint`` is the algebra's
+    constraint over ``t.gram``, built here when not given.
+    """
+    if constraint is None:
+        constraint = AlgebraConstraint(a, t.gram)
+    g0, g1, g2 = (_centralizer_nullity(constraint, [], _grade_positions(t, k))
+                  for k in (0, 1, 2))
+    return g0, g1, g2
 
 
 def centralizer_dim_triple(t: Triple, a: AlgebraSpec,
-                           datum: Optional[Datum] = None) -> int:
-    """Real dimension of the simultaneous centralizer of X, H, Y in the algebra."""
-    n = t.X.nrows
-    weights = layout_for(t.partition).weights()
-    positions = [(r, s) for r in range(n) for s in range(n)
-                 if weights[r] == weights[s]]
-    return _centralizer_nullity(a, [t.X, t.Y], t.gram, n, positions)
+                           datum: Optional[Datum] = None,
+                           constraint: Optional[AlgebraConstraint] = None) -> int:
+    """Real dimension of the simultaneous centralizer of X, H, Y in the algebra.
+
+    This is the direct solve: commutation with X and Y over the entries
+    that commute with H.  ``constraint`` is as in :func:`graded_dims`.
+    """
+    if constraint is None:
+        constraint = AlgebraConstraint(a, t.gram)
+    return _centralizer_nullity(constraint, [t.X, t.Y], _grade_positions(t, 0))
 
 
 def centralizer_dim_nilpotent(x: ExactMatrix, a: AlgebraSpec,
                               datum: Optional[Datum] = None) -> int:
     """Real dimension of the centralizer of the nilpotent element alone.
 
-    ``x`` must be given in the triple basis of ``datum`` for the form
-    families, where the invariant form's Gram matrix is needed.
+    This is the direct solve over all n² entries.  ``x`` must be given in
+    the triple basis of ``datum`` for the form families, where the
+    invariant form's Gram matrix is needed.
     """
     gram = None
     if a.family in FORM_KIND:
         if datum is None:
             raise ValueError("form families need the datum to pin the Gram matrix")
         gram = gram_matrix(a, datum)
-    return _nilpotent_nullity(x, a, gram)
-
-
-def _nilpotent_nullity(x: ExactMatrix, a: AlgebraSpec,
-                       gram: Optional[ExactMatrix]) -> int:
     n = x.nrows
     positions = [(r, s) for r in range(n) for s in range(n)]
-    return _centralizer_nullity(a, [x], gram, n, positions)
+    return _centralizer_nullity(AlgebraConstraint(a, gram), [x], positions)
 
 
 def orbit_dim(a: AlgebraSpec, datum: Datum) -> int:
@@ -308,8 +356,8 @@ def orbit_dim(a: AlgebraSpec, datum: Datum) -> int:
     part = datum_partition(datum)
     if part.is_zero_type():
         return 0
-    triple = build_triple(a, datum)
-    return dim_g(a) - _nilpotent_nullity(triple.X, a, triple.gram)
+    g0, g1, _ = graded_dims(build_triple(a, datum), a)
+    return dim_g(a) - g0 - g1
 
 
 @dataclass(frozen=True)
@@ -356,8 +404,8 @@ def centralizer_report(a: AlgebraSpec, datum: Datum,
             dim_z_triple=ambient, dim_z_X=ambient, dim_g=ambient, dim_orbit=0,
             expected_reductive=expected, expected_compact=compact,
             match=ambient == expected)
-    dz_triple = centralizer_dim_triple(triple, a, datum)
-    dz_x = _nilpotent_nullity(triple.X, a, triple.gram)
+    g0, g1, g2 = graded_dims(triple, a)
+    dz_triple, dz_x = g0 - g2, g0 + g1
     return CentralizerReport(
         dim_z_triple=dz_triple, dim_z_X=dz_x, dim_g=ambient,
         dim_orbit=ambient - dz_x, expected_reductive=expected,

@@ -12,8 +12,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .catalog import (FAMILIES, SIGNED_FAMILIES, AlgebraSpec, Datum,
                       OrbitRecord, datum_membership_error, datum_partition,
                       enumerate_orbits, fiber_count)
-from .centralizers import (centralizer_dim_triple, centralizer_report, dim_g,
-                           expected_reductive_dim)
+from .centralizers import (AlgebraConstraint, centralizer_dim_triple,
+                           centralizer_report, dim_g, expected_orbit_dim,
+                           expected_reductive_dim, graded_dims)
 from .diagrams import SignedDiagram
 from .homotopy import (KElement, _form_basis, _half_totals, compact_pair,
                        embed_K, sample_k_element, signed_block_relation,
@@ -342,13 +343,21 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
     datum = rec.datum
     results: List[Tuple[str, bool, str]] = []
     expected = expected_reductive_dim(a, datum)
+    expected_x = dim_g(a) - expected_orbit_dim(a, datum)
     if rec.is_zero_orbit:
-        solved = dim_g(a)
+        solved = graded = graded_x = dim_g(a)
     else:
         triple = build_triple(a, datum)
-        solved = centralizer_dim_triple(triple, a)
-    results.append(("centralizer-dim", solved == expected,
-                    f"solved {solved}, expected {expected}"))
+        constraint = AlgebraConstraint(a, triple.gram)
+        solved = centralizer_dim_triple(triple, a, constraint=constraint)
+        g0, g1, g2 = graded_dims(triple, a, constraint=constraint)
+        graded, graded_x = g0 - g2, g0 + g1
+    disagreements = []
+    if not solved == graded == expected:
+        disagreements.append(f"solved {solved}, graded {graded}, expected {expected}")
+    if graded_x != expected_x:
+        disagreements.append(f"z(X) graded {graded_x}, expected {expected_x}")
+    results.append(("centralizer-dim", not disagreements, "; ".join(disagreements)))
 
     adapted = _form_basis(a, datum)
     if a.family in SIGNED_FAMILIES:

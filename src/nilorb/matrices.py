@@ -184,10 +184,10 @@ class ExactMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self._rows == other._rows
+        return self.ncols == other.ncols and self._rows == other._rows
 
     def __hash__(self) -> int:
-        return hash(self._rows)
+        return hash((self.ncols, self._rows))
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.nrows}x{self.ncols})"

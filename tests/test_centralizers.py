@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 
 from nilorb.catalog import AlgebraSpec, enumerate_orbits
-from nilorb.centralizers import (centralizer_dim_nilpotent,
+from nilorb.centralizers import (AlgebraConstraint, centralizer_dim_nilpotent,
                                  centralizer_dim_triple, centralizer_report,
-                                 expected_compact_dim, expected_orbit_dim,
-                                 expected_reductive_dim, orbit_dim)
+                                 dim_g, expected_compact_dim,
+                                 expected_orbit_dim, expected_reductive_dim,
+                                 graded_dims, orbit_dim)
 from nilorb.partitions import Partition
 from nilorb.triples import build_triple
 
@@ -47,6 +48,36 @@ def test_nilpotent_centralizer_at_least_triple_centralizer(a):
         z_x = centralizer_dim_nilpotent(t.X, a, rec.datum)
         assert z_x >= z_triple
         assert orbit_dim(a, rec.datum) == dim_of(a) - z_x
+
+
+GRADING_SWEEP = (
+    [AlgebraSpec("sl_r", n=n) for n in range(2, 7)]
+    + [AlgebraSpec("sl_c", n=n) for n in range(2, 6)]
+    + [AlgebraSpec("sl_h", n=n) for n in range(2, 5)]
+    + [AlgebraSpec("so_c", n=n) for n in range(3, 10)]
+    + [AlgebraSpec("sp_c", n=n) for n in range(1, 5)]
+    + [AlgebraSpec("so_star", n=n) for n in range(1, 6)]
+    + [AlgebraSpec(f, p=p, q=t - p)
+       for f in ("so_pq", "sp_pq")
+       for t in range(2, 7) for p in range(1, t)]
+)
+
+
+@pytest.mark.parametrize("a", GRADING_SWEEP, ids=str)
+def test_grading_matches_direct_solves_and_closed_forms(a):
+    """dim g_0 - dim g_2 is the triple centralizer and dim g_0 + dim g_1
+    the centralizer of X, by the direct solves and by the closed forms."""
+    for rec in enumerate_orbits(a):
+        if rec.is_zero_orbit:
+            continue
+        t = build_triple(a, rec.datum)
+        constraint = AlgebraConstraint(a, t.gram)
+        g0, g1, g2 = graded_dims(t, a, constraint=constraint)
+        assert (g0 - g2 == centralizer_dim_triple(t, a, constraint=constraint)
+                == expected_reductive_dim(a, rec.datum)), str(rec.datum)
+        assert (g0 + g1 == centralizer_dim_nilpotent(t.X, a, rec.datum)
+                == dim_g(a) - expected_orbit_dim(a, rec.datum)), str(rec.datum)
+        assert (g0, g1, g2) == graded_dims(t, a)
 
 
 def dim_of(a: AlgebraSpec) -> int:

@@ -91,6 +91,30 @@ def test_verify_fault_injection_fails_named_identity(capsys):
     assert "verify: FAIL" in out
 
 
+@pytest.mark.parametrize("grade, detail", [
+    (2, "[2,1]: solved 1, graded 0, expected 1]"),
+    (1, "[2,1]: z(X) graded 5, expected 4]"),
+], ids=("z-triple", "z-X"))
+def test_verify_names_a_graded_route_that_disagrees(capsys, monkeypatch,
+                                                     grade, detail):
+    """Adding one to dim g_2 breaks the triple route and adding one to
+    dim g_1 the z(X) route; verify fails and names the route."""
+    import nilorb.cli
+
+    graded = nilorb.cli.graded_dims
+
+    def off_by_one(*args, **kwargs):
+        dims = list(graded(*args, **kwargs))
+        dims[grade] += 1
+        return tuple(dims)
+
+    monkeypatch.setattr(nilorb.cli, "graded_dims", off_by_one)
+    code, out, _ = run(capsys, "verify", "--algebra", "sl_r", "--n", "3")
+    assert code == 1
+    assert "centralizer-dim FAILED (3 orbit(s)) [2 failed: " + detail in out
+    assert "verify: FAIL" in out
+
+
 def test_verify_sweep_without_size(capsys):
     code, out, _ = run(capsys, "verify", "--algebra", "sp_c",
                        "--max-verify-n", "4")

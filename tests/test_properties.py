@@ -223,7 +223,20 @@ def test_from_entries_matches_raw_index_reference(shape):
     assert nonzeros_as_raw(m) == ref_nonzeros(raw)
     assert m.nonzeros() is m.nonzeros()
     assert m.is_zero() == all(x == ZERO_TUPLE for row in raw for x in row)
-    assert m == ExactMatrix([[Scalar(x) for x in row] for row in raw])
+    from_rows = ExactMatrix([[Scalar(x) for x in row] for row in raw])
+    # Rows alone cannot give a 0-row matrix columns, so 0 x n differs from it.
+    assert (m == from_rows) == (nrows > 0 or ncols == 0)
+    if m == from_rows:
+        assert hash(m) == hash(from_rows)
+
+
+def test_matrices_without_rows_differ_by_column_count():
+    shapes = [(0, 0), (0, 1), (0, 3), (1, 0), (2, 0), (1, 1)]
+    for first in shapes:
+        for second in shapes:
+            m, other = ExactMatrix.zeros(*first), ExactMatrix.zeros(*second)
+            assert (m == other) == (first == second)
+            assert (hash(m) == hash(other)) == (first == second)
 
 
 @PROPERTY
