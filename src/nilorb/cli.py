@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -19,7 +20,8 @@ from .diagrams import SignedDiagram
 from .homotopy import (KElement, _form_basis, _half_totals, compact_pair,
                        embed_K, sample_k_element, signed_block_relation,
                        verify_K_membership)
-from .matrices import ExactMatrix, commutator, congruence_signature
+from .matrices import (ExactMatrix, commutator, congruence_signature,
+                       conj_transpose)
 from .partitions import Partition
 from .scalars import Scalar
 from .triples import (build_triple, jordan_type, sigma_transpose,
@@ -54,7 +56,11 @@ class UsageError(Exception):
 # Argument handling
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: argparse trees are
+    reference cycles, so a fresh tree per command is garbage for the
+    cyclic collector."""
     parser = argparse.ArgumentParser(
         prog="nilorb",
         description="Enumerate, construct, and verify nilpotent adjoint "
@@ -170,8 +176,7 @@ def _parse_datum(a: AlgebraSpec, datum_str: str, signs_str: Optional[str]) -> Da
 # ---------------------------------------------------------------------------
 
 def _matrix_lines(title: str, m: ExactMatrix) -> List[str]:
-    cells = [[str(m.entry(r, c)) for c in range(m.ncols)]
-             for r in range(m.nrows)]
+    cells = [[str(x) for x in row] for row in m.rows()]
     widths = [max((len(cells[r][c]) for r in range(m.nrows)), default=1)
               for c in range(m.ncols)]
     lines = [f"{title}:"]
@@ -382,18 +387,23 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
     results.append(("[H,Y]=-2Y",
                     *_compare(commutator(triple.H, triple.Y), minus_two_y)))
     results.append(("[X,Y]=H", *_compare(commutator(triple.X, triple.Y), triple.H)))
-    results.append(("jordan-type",
-                    jordan_type(triple.X) == rec.partition(), ""))
+    found = jordan_type(triple.X)
+    results.append(("jordan-type", found == rec.partition(),
+                    f"found {found}, expected {rec.partition()}"))
 
     if triple.gram is not None:
         s = triple.gram
         eps_s = s if triple.epsilon == 1 else -s
         results.append(("gram-symmetry",
                         *_compare(sigma_transpose(s, triple.sigma), eps_s)))
-        invariant = all(
-            (sigma_transpose(m, triple.sigma) @ s + s @ m).is_zero()
-            for m in (triple.X, triple.H, triple.Y))
-        results.append(("gram-invariance", invariant, ""))
+        # Each of X, H, Y must satisfy sigma(m)^T S = -S m.
+        invariance = (True, "")
+        for name, m in (("X", triple.X), ("H", triple.H), ("Y", triple.Y)):
+            ok, detail = _compare(sigma_transpose(m, triple.sigma) @ s, -(s @ m))
+            if not ok:
+                invariance = (False, f"{name}: {detail}")
+                break
+        results.append(("gram-invariance", *invariance))
         if a.family in SIGNED_FAMILIES:
             sig = congruence_signature(s)
             results.append(("gram-signature", sig == (a.p, a.q),
@@ -402,7 +412,13 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
         t_matrix = adapted.matrix
         target = standard_adapted_gram(a, datum)
         got = sigma_transpose(t_matrix, triple.sigma) @ triple.gram @ t_matrix
-        results.append(("adapted-basis", *_compare(got, target)))
+        adapted_ok, detail = _compare(got, target)
+        if adapted_ok:
+            # T is unitary, so verify_K_membership may invert it by T*.
+            adapted_ok, detail = _compare(conj_transpose(t_matrix) @ t_matrix,
+                                          ExactMatrix.identity(t_matrix.ncols))
+            detail = detail and f"T*T {detail}"
+        results.append(("adapted-basis", adapted_ok, detail))
 
     if a.family in _HOMOTOPY_FAMILIES:
         e1 = sample_k_element(a, datum, rng)
@@ -410,11 +426,15 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
         prod = KElement(tuple(g1 @ g2 for g1, g2 in zip(e1.factors, e2.factors)))
         ident = KElement(tuple(ExactMatrix.identity(g.nrows) for g in e1.factors))
         emb1 = embed_K(a, datum, e1, adapted=adapted)
-        homo = (emb1 @ embed_K(a, datum, e2, adapted=adapted)
-                == embed_K(a, datum, prod, adapted=adapted)
-                and embed_K(a, datum, ident, adapted=adapted)
-                == ExactMatrix.identity(emb1.nrows))
-        results.append(("embedding-homomorphism", homo, ""))
+        if (emb1 @ embed_K(a, datum, e2, adapted=adapted)
+                != embed_K(a, datum, prod, adapted=adapted)):
+            homo = (False, "product: emb(g1) emb(g2) != emb(g1 g2)")
+        elif (embed_K(a, datum, ident, adapted=adapted)
+              != ExactMatrix.identity(emb1.nrows)):
+            homo = (False, "identity: emb(1) != 1")
+        else:
+            homo = (True, "")
+        results.append(("embedding-homomorphism", *homo))
         member = verify_K_membership(a, datum, e1, triple, adapted=adapted)
         detail = "" if member.ok else ", ".join(member.failures)
         results.append(("K-membership", member.ok, detail))

@@ -22,7 +22,7 @@ from .matrices import (ExactMatrix, block_oplus, complex_to_real_blocks,
                        conj_transpose, det, inverse,
                        quaternion_to_complex_blocks, reduced_norm,
                        repeat_blocks)
-from .scalars import ONE, Scalar
+from .scalars import COMPLEX_LIKE_VARIANTS, ONE, Scalar
 from .triples import AdaptedBasis, Triple, adapted_basis, sigma_transpose
 
 _FORM_FAMILIES = ("so_c", "so_pq", "sp_c", "sp_pq")
@@ -118,12 +118,12 @@ def k_element_defect(a: AlgebraSpec, datum: Datum, e: KElement) -> Optional[str]
         if spec.kind == "O":
             if g.transpose() @ g != ident:
                 return f"O({spec.size}) factor is not orthogonal"
-            if any(not x.is_rational() for row in g.rows() for x in row):
+            if g.variant() != "rational":
                 return f"O({spec.size}) factor has non-real entries"
         elif spec.kind == "U":
             if conj_transpose(g) @ g != ident:
                 return f"U({spec.size}) factor is not unitary"
-            if any(not x.is_complex_like() for row in g.rows() for x in row):
+            if g.variant() not in COMPLEX_LIKE_VARIANTS:
                 return f"U({spec.size}) factor has j/k entries"
         else:
             if conj_transpose(g) @ g != ident:
@@ -254,13 +254,11 @@ def quotient_dim(a: AlgebraSpec, datum: Datum) -> int:
 
 def _i_to_j(m: ExactMatrix) -> ExactMatrix:
     """Send complex entries x + iy to the quaternions x + jy."""
-    def twist(s: Scalar) -> Scalar:
-        c = s.components
-        if not s.is_complex_like() or c[4] or c[5]:
-            raise ValueError("entry is not a rational complex number")
-        return Scalar.quaternion_value(c[0], 0, c[1], 0)
-
-    return ExactMatrix([[twist(x) for x in row] for row in m.rows()])
+    if m.variant() not in ("rational", "gauss"):
+        raise ValueError("entry is not a rational complex number")
+    return ExactMatrix.from_entries(m.nrows, m.ncols, {
+        (r, c): Scalar.quaternion_value(x.components[0], 0, x.components[1], 0)
+        for r, row in enumerate(m.nonzeros()) for c, x in row})
 
 
 def _factor_block(a: AlgebraSpec, spec: FactorSpec, g: ExactMatrix) -> ExactMatrix:
@@ -429,7 +427,9 @@ def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
     X, H, Y, preservation of the Gram matrix, and agreement between the
     ambient determinant condition and the character constraint.
     ``adapted`` is the datum's adapted basis, built here when not given;
-    ``T`` defaults to its matrix.
+    ``T`` defaults to its matrix.  ``T`` must be unitary (``T* T = I``),
+    so that ``T*`` is its inverse; otherwise the result is the single
+    failure ``unitary[T]``.
     """
     if adapted is None:
         adapted = _form_basis(a, datum)
@@ -440,7 +440,12 @@ def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
     if defect is not None:
         return MembershipResult(False, (f"factor relation: {defect}",))
     emb = _assemble_K(a, datum, e, adapted)
-    g = emb if adapted is None else T @ emb @ inverse(T)
+    g = emb
+    if adapted is not None:
+        t_star = conj_transpose(T)
+        if t_star @ T != ExactMatrix.identity(T.ncols):
+            return MembershipResult(False, ("unitary[T]",))
+        g = T @ emb @ t_star
     for name, m in (("X", t.X), ("H", t.H), ("Y", t.Y)):
         if g @ m != m @ g:
             failures.append(f"commutes[{name}]")
@@ -462,8 +467,10 @@ def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
 
 
 def _corner(m: ExactMatrix, lo: int, hi: int) -> ExactMatrix:
-    return ExactMatrix([[m.entry(r, c) for c in range(lo, hi)]
-                        for r in range(lo, hi)])
+    """The diagonal block of rows and columns ``lo..hi-1``."""
+    return ExactMatrix.from_entries(hi - lo, hi - lo, {
+        (r - lo, c - lo): x for r, row in enumerate(m.nonzeros()[lo:hi], lo)
+        for c, x in row if lo <= c < hi})
 
 
 # ---------------------------------------------------------------------------

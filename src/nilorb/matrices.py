@@ -4,6 +4,21 @@ Matrices act on column vectors from the left; scalars multiply vectors on
 the right, so quaternionic non-commutativity is respected throughout.  All
 kernel and signature computations are exact.
 
+Storage.  A matrix keeps one positive integer denominator ``D`` and, per
+row, its nonzero entries in column order as ``(column, numerators)``: an
+entry is ``numerators / D``, where ``numerators`` holds eight ints in the
+component order of :data:`~nilorb.scalars.BASIS_NAMES`.  Every result is
+reduced so that ``gcd(D, all numerators) == 1``, and the zero matrix has
+``D == 1`` and no entries, so equal matrices have equal storage and equal
+hashes.  Products, sums, scaling, transposes, the block maps, equality,
+rank, ``det`` (Bareiss), ``inverse`` (Gauss-Jordan with int pivots) and
+``congruence_signature`` work on these ints, multiplying components
+through ``scalars._PROD``.  ``Scalar`` entries are built only when read
+(:meth:`ExactMatrix.entry`, :meth:`~ExactMatrix.rows`,
+:meth:`~ExactMatrix.nonzeros`, :meth:`~ExactMatrix.to_json`) and then
+kept.  A matrix built by :meth:`ExactMatrix.from_entries` keeps the
+Scalars it was given and derives its ints on first use.
+
 Every structured matrix (triples, Gram matrices, adapted bases, block
 embeddings) is built from its nonzero entries with
 :meth:`ExactMatrix.from_entries`, and every consumer that wants to skip
@@ -14,38 +29,130 @@ matrix is stored is decided in this module alone.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Callable, List, Mapping, Sequence, Tuple
 
-from .scalars import ONE, ZERO, Scalar, as_scalar
+from .scalars import (_F0, _PROD, COMPLEX_LIKE_VARIANTS, ONE, ZERO, Scalar,
+                      as_scalar, variant_of)
 
 
 class DegenerateFormError(ValueError):
     """Raised when a congruence diagonalization meets a singular form."""
 
 
-class ExactMatrix:
-    """An immutable rectangular matrix of :class:`Scalar` entries."""
+# Sign of each component under conjugation.
+_CONJ_SIGNS = (1, -1, -1, -1, 1, -1, -1, -1)
+_ZERO_NUM = (0,) * 8
+_ONE_NUM = (1, 0, 0, 0, 0, 0, 0, 0)
 
-    __slots__ = ("_rows", "nrows", "ncols", "_nonzeros")
+
+def _scalar_ints(x: Scalar) -> Tuple[int, tuple]:
+    """``(d, numerators)`` with ``x == numerators / d`` and ``d`` the least such."""
+    comps = x.components
+    den = lcm(*[f.denominator for f in comps])
+    return den, tuple([f.numerator * (den // f.denominator) for f in comps])
+
+
+def _to_scalar(nums: tuple, den: int) -> Scalar:
+    return Scalar._of(tuple([Fraction(v, den) if v else _F0 for v in nums]))
+
+
+def _content(g: int, num: tuple) -> int:
+    """gcd of ``g`` and every numerator in ``num`` (stops early at 1)."""
+    for row in num:
+        for _, x in row:
+            g = gcd(g, *x)
+            if g == 1:
+                return 1
+    return g
+
+
+def _conj_nums(x: tuple) -> tuple:
+    """The numerators of the conjugate entry (negates i, j, k; fixes sqrt2)."""
+    return tuple([s * v for s, v in zip(_CONJ_SIGNS, x)])
+
+
+def _mul_nums(a: tuple, b: tuple) -> tuple:
+    """The product of two entries' numerator tuples."""
+    out = [0] * 8
+    for ia, x in enumerate(a):
+        if x:
+            prod = _PROD[ia]
+            for ib, y in enumerate(b):
+                if y:
+                    idx, f = prod[ib]
+                    out[idx] += f * x * y
+    return tuple(out)
+
+
+class ExactMatrix:
+    """An immutable rectangular matrix over the scalar tower.
+
+    See the module docstring for the storage: one denominator ``_den``
+    and the per-row nonzero numerators ``_num``.  ``_nonzeros`` and
+    ``_rows`` cache the entries as Scalars once they are read.  A matrix
+    built from Scalars keeps them and derives ``_den`` and ``_num`` on
+    first use, since many such matrices are only ever read back.
+    """
+
+    __slots__ = ("nrows", "ncols", "_d", "_n", "_nonzeros", "_rows")
 
     def __init__(self, rows: Sequence[Sequence[Scalar]]):
-        self._rows = tuple(tuple(as_scalar(x) for x in row) for row in rows)
-        self.nrows = len(self._rows)
-        self.ncols = len(self._rows[0]) if self._rows else 0
-        if any(len(r) != self.ncols for r in self._rows):
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        self._nonzeros = None
+        nonzeros = []
+        for row in rows:
+            entries = [(c, as_scalar(x)) for c, x in enumerate(row)]
+            nonzeros.append(tuple([(c, x) for c, x in entries if not x.is_zero()]))
+        self._set_scalars(len(rows), ncols, tuple(nonzeros))
+
+    def _set_scalars(self, nrows: int, ncols: int, nonzeros: tuple) -> None:
+        """Store the matrix whose nonzero Scalars, per row by column, are ``nonzeros``."""
+        self.nrows, self.ncols = nrows, ncols
+        self._nonzeros = nonzeros
+        self._d = self._n = self._rows = None
+
+    @property
+    def _den(self) -> int:
+        if self._d is None:
+            self._set_ints()
+        return self._d
+
+    @property
+    def _num(self) -> tuple:
+        if self._n is None:
+            self._set_ints()
+        return self._n
+
+    def _set_ints(self) -> None:
+        """Derive the int storage from the Scalars ``_nonzeros``."""
+        nonzeros = self._nonzeros
+        den = lcm(*{f.denominator for row in nonzeros for _, x in row
+                    for f in x.components})
+        self._d = den
+        self._n = tuple(
+            tuple([(c, tuple([f.numerator * (den // f.denominator)
+                              for f in x.components])) for c, x in row])
+            for row in nonzeros)
 
     @staticmethod
-    def _of(rows: tuple, ncols: int) -> "ExactMatrix":
-        """Wrap a tuple of ``ncols``-long tuples of Scalars without checking them."""
+    def _of(nrows: int, ncols: int, den: int, num: tuple) -> "ExactMatrix":
+        """Wrap storage that is already reduced, without checking it."""
         m = object.__new__(ExactMatrix)
-        m._rows = rows
-        m.nrows = len(rows)
-        m.ncols = ncols
-        m._nonzeros = None
+        m.nrows, m.ncols, m._d, m._n = nrows, ncols, den, num
+        m._nonzeros = m._rows = None
         return m
+
+    @staticmethod
+    def _reduced(nrows: int, ncols: int, den: int, num: tuple) -> "ExactMatrix":
+        """The matrix ``num / den``: divide out the common gcd, then wrap."""
+        g = _content(den, num)
+        if g != 1:
+            den //= g
+            num = tuple(tuple([(c, tuple([v // g for v in x])) for c, x in row])
+                        for row in num)
+        return ExactMatrix._of(nrows, ncols, den, num)
 
     # -- constructors --------------------------------------------------
 
@@ -58,20 +165,25 @@ class ExactMatrix:
         An index outside the shape, negative ones included, raises
         ``IndexError``.
         """
-        grid = [[ZERO] * ncols for _ in range(nrows)]
+        rows: List[list] = [[] for _ in range(nrows)]
         for (r, c), x in entries.items():
             if not (0 <= r < nrows and 0 <= c < ncols):
                 raise IndexError(f"entry ({r},{c}) outside a {nrows}x{ncols} matrix")
-            grid[r][c] = as_scalar(x)
-        return ExactMatrix._of(tuple(map(tuple, grid)), ncols)
+            x = as_scalar(x)
+            if not x.is_zero():
+                rows[r].append((c, x))
+        m = object.__new__(ExactMatrix)
+        m._set_scalars(nrows, ncols, tuple(
+            tuple(sorted(row, key=lambda e: e[0])) for row in rows))
+        return m
 
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "ExactMatrix":
-        return ExactMatrix.from_entries(nrows, ncols, {})
+        return ExactMatrix._of(nrows, ncols, 1, ((),) * nrows)
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix.from_entries(n, n, {(r, r): ONE for r in range(n)})
+        return ExactMatrix._of(n, n, 1, tuple(((r, _ONE_NUM),) for r in range(n)))
 
     @staticmethod
     def diagonal(entries: Sequence) -> "ExactMatrix":
@@ -85,13 +197,23 @@ class ExactMatrix:
     # -- access ----------------------------------------------------------
 
     def entry(self, r: int, c: int) -> Scalar:
-        return self._rows[r][c]
+        return self.rows()[r][c]
 
     def row(self, r: int) -> tuple:
-        return self._rows[r]
+        return self.rows()[r]
 
     def rows(self) -> tuple:
-        return self._rows
+        """The entries as a tuple of rows of Scalars, built on first use and kept."""
+        rows = self._rows
+        if rows is None:
+            out = []
+            for row in self.nonzeros():
+                dense = [ZERO] * self.ncols
+                for c, x in row:
+                    dense[c] = x
+                out.append(tuple(dense))
+            rows = self._rows = tuple(out)
+        return rows
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -99,74 +221,113 @@ class ExactMatrix:
     def nonzeros(self) -> tuple:
         """Per row, the ``(column, entry)`` pairs of its nonzero entries, by column.
 
-        Computed on first use and kept, since matrices are immutable.
+        The Scalars are built on first use and kept, since matrices are
+        immutable.
         """
         nz = self._nonzeros
         if nz is None:
+            den = self._den
             nz = self._nonzeros = tuple(
-                tuple([(c, x) for c, x in enumerate(row) if not x.is_zero()])
-                for row in self._rows)
+                tuple([(c, _to_scalar(x, den)) for c, x in row]) for row in self._num)
         return nz
 
     def is_zero(self) -> bool:
-        return not any(self.nonzeros())
+        return not any(self._num)
 
     def variant(self) -> str:
-        order = ("rational", "gauss", "tower", "quat", "quat_sqrt2")
-        best = 0
-        for row in self._rows:
-            for x in row:
-                best = max(best, order.index(x.variant()))
-        return order[best]
+        """Smallest named scalar variant containing every entry."""
+        return variant_of({i for row in self._num for _, x in row
+                           for i, v in enumerate(x) if v})
 
     # -- ring operations ---------------------------------------------
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+    def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
+        """``self + sign * other`` over the least common denominator."""
         self._check_same_shape(other)
-        return ExactMatrix([[a + b for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self._rows, other._rows)])
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, sign * (den // other._den)
+        out = []
+        for ra, rb in zip(self._num, other._num):
+            acc = {c: [fa * v for v in x] for c, x in ra}
+            for c, y in rb:
+                x = acc.get(c)
+                if x is None:
+                    acc[c] = [fb * v for v in y]
+                else:
+                    for i, v in enumerate(y):
+                        if v:
+                            x[i] += fb * v
+            out.append(tuple([(c, tuple(x)) for c, x in sorted(acc.items()) if any(x)]))
+        return ExactMatrix._reduced(self.nrows, self.ncols, den, tuple(out))
+
+    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_shape(other)
-        return ExactMatrix([[a - b for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self._rows, other._rows)])
+        return self._combine(other, -1)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[-x for x in row] for row in self._rows])
+        return ExactMatrix._of(self.nrows, self.ncols, self._den, tuple(
+            tuple([(c, tuple([-v for v in x])) for c, x in row]) for row in self._num))
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.nrows:
             raise ValueError(
                 f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
         ncols = other.ncols
-        # Each nonzero a[r][k] adds a[r][k] * b[k][c] to output entry (r, c)
-        # for the nonzeros b[k][c] of row k of ``other``, in k order.
-        other_rows = other.nonzeros()
+        # Each nonzero component x of a[r][k] adds x * y, placed by _PROD, to
+        # output entry (r, c) for each nonzero component y of each b[k][c].
+        b_terms = [[(c, [(ib, y) for ib, y in enumerate(b) if y]) for c, b in row]
+                   for row in other._num]
         out = []
-        for row in self.nonzeros():
+        for row in self._num:
             acc = [None] * ncols
             for k, a in row:
-                for c, b in other_rows[k]:
-                    prev = acc[c]
-                    acc[c] = a * b if prev is None else prev + a * b
-            out.append(tuple([ZERO if x is None else x for x in acc]))
-        return ExactMatrix._of(tuple(out), ncols)
+                b_row = b_terms[k]
+                if not b_row:
+                    continue
+                a_terms = [(_PROD[ia], x) for ia, x in enumerate(a) if x]
+                for c, terms in b_row:
+                    v = acc[c]
+                    if v is None:
+                        v = acc[c] = [0] * 8
+                    for prod, x in a_terms:
+                        for ib, y in terms:
+                            idx, f = prod[ib]
+                            v[idx] += f * x * y
+            out.append(tuple([(c, tuple(v)) for c, v in enumerate(acc)
+                              if v is not None and any(v)]))
+        return ExactMatrix._reduced(self.nrows, ncols, self._den * other._den,
+                                    tuple(out))
 
     def scale_left(self, s: Scalar) -> "ExactMatrix":
-        s = as_scalar(s)
-        return ExactMatrix([[s * x for x in row] for row in self._rows])
+        den, s_num = _scalar_ints(as_scalar(s))
+        out = []
+        for row in self._num:
+            products = [(c, _mul_nums(s_num, x)) for c, x in row]
+            out.append(tuple([(c, p) for c, p in products if any(p)]))
+        return ExactMatrix._reduced(self.nrows, self.ncols, den * self._den, tuple(out))
+
+    def _transposed(self, conj: bool) -> "ExactMatrix":
+        """The transpose, with conjugated entries when ``conj``."""
+        cols: List[list] = [[] for _ in range(self.ncols)]
+        for r, row in enumerate(self._num):
+            for c, x in row:
+                cols[c].append((r, _conj_nums(x) if conj else x))
+        return ExactMatrix._of(self.ncols, self.nrows, self._den, tuple(map(tuple, cols)))
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(list(zip(*self._rows))) if self.nrows else \
-            ExactMatrix.zeros(self.ncols, 0)
+        return self._transposed(False)
 
     def trace(self) -> Scalar:
         if not self.is_square():
             raise ValueError("trace of a non-square matrix")
-        acc = ZERO
-        for r in range(self.nrows):
-            acc = acc + self._rows[r][r]
-        return acc
+        acc = [0] * 8
+        for r, row in enumerate(self._num):
+            for c, x in row:
+                if c == r:
+                    acc = [u + v for u, v in zip(acc, x)]
+        return _to_scalar(tuple(acc), self._den)
 
     def _check_same_shape(self, other: "ExactMatrix") -> None:
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -175,7 +336,7 @@ class ExactMatrix:
     # -- serialization --------------------------------------------------
 
     def to_json(self) -> list:
-        return [[x.to_json() for x in row] for row in self._rows]
+        return [[x.to_json() for x in row] for row in self.rows()]
 
     @staticmethod
     def from_json(data) -> "ExactMatrix":
@@ -184,10 +345,11 @@ class ExactMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.ncols == other.ncols and self._rows == other._rows
+        return (self.ncols == other.ncols and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self) -> int:
-        return hash((self.ncols, self._rows))
+        return hash((self.ncols, self._den, self._num))
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.nrows}x{self.ncols})"
@@ -197,8 +359,7 @@ class ExactMatrix:
 
 def conj_transpose(a: ExactMatrix) -> ExactMatrix:
     """Transpose with conjugated entries (negates i, j, k; fixes sqrt2)."""
-    return ExactMatrix([[a.entry(c, r).conjugate() for c in range(a.nrows)]
-                        for r in range(a.ncols)])
+    return a._transposed(True)
 
 
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -210,14 +371,16 @@ def block_oplus(blocks: Sequence[ExactMatrix]) -> ExactMatrix:
     for b in blocks:
         if not b.is_square():
             raise ValueError("block_oplus needs square blocks")
-    entries = {}
+    den = lcm(*[b._den for b in blocks])
+    rows = []
     off = 0
     for b in blocks:
-        for r, row in enumerate(b.nonzeros()):
-            for c, x in row:
-                entries[off + r, off + c] = x
+        f = den // b._den
+        for row in b._num:
+            rows.append(tuple([(off + c, x if f == 1 else tuple([f * v for v in x]))
+                               for c, x in row]))
         off += b.nrows
-    return ExactMatrix.from_entries(off, off, entries)
+    return ExactMatrix._reduced(off, off, den, tuple(rows))
 
 
 def repeat_blocks(b: ExactMatrix, s: int) -> ExactMatrix:
@@ -240,28 +403,40 @@ def complex_to_real_blocks(a: ExactMatrix) -> ExactMatrix:
     entrywise real and imaginary parts; it is a ring homomorphism.
     """
     m, n = a.nrows, a.ncols
-    entries = {}
-    for r, row in enumerate(a.nonzeros()):
+    top, bottom = [], []
+    for row in a._num:
+        re, im = [], []
         for c, x in row:
-            s, t = x.real_imag()
-            entries[r, c] = entries[m + r, n + c] = s
-            entries[r, n + c] = -t
-            entries[m + r, c] = t
-    return ExactMatrix.from_entries(2 * m, 2 * n, entries)
+            if x[2] or x[3] or x[6] or x[7]:
+                raise ValueError("scalar has quaternion parts")
+            if x[0] or x[4]:
+                re.append((c, (x[0], 0, 0, 0, x[4], 0, 0, 0)))
+            if x[1] or x[5]:
+                im.append((c, (x[1], 0, 0, 0, x[5], 0, 0, 0)))
+        top.append(tuple(re + [(n + c, tuple([-v for v in t])) for c, t in im]))
+        bottom.append(tuple(im + [(n + c, s) for c, s in re]))
+    return ExactMatrix._of(2 * m, 2 * n, a._den, tuple(top + bottom))
 
 
 def quaternion_to_complex_blocks(a: ExactMatrix) -> ExactMatrix:
     """Substitute each quaternion entry ``P + jQ`` by ``[[P, -conj Q], [Q, conj P]]``."""
     m, n = a.nrows, a.ncols
-    entries = {}
-    for r, row in enumerate(a.nonzeros()):
-        for c, x in row:
-            p, q = x.complex_pair()
-            entries[r, c] = p
-            entries[r, n + c] = -q.conjugate()
-            entries[m + r, c] = q
-            entries[m + r, n + c] = p.conjugate()
-    return ExactMatrix.from_entries(2 * m, 2 * n, entries)
+    top, bottom = [], []
+    for row in a._num:
+        ps, qs = [], []
+        for c, (x0, x1, x2, x3, x4, x5, x6, x7) in row:
+            if x0 or x1 or x4 or x5:
+                ps.append((c, x0, x1, x4, x5))
+            if x2 or x3 or x6 or x7:
+                qs.append((c, x2, x3, x6, x7))
+        # P = (x0, x1, x4, x5) and Q = (x2, -x3, x6, -x7) on the 1, i, sqrt2, i*sqrt2 parts.
+        top.append(tuple([(c, (x0, x1, 0, 0, x4, x5, 0, 0)) for c, x0, x1, x4, x5 in ps]
+                         + [(n + c, (-x2, -x3, 0, 0, -x6, -x7, 0, 0))
+                            for c, x2, x3, x6, x7 in qs]))
+        bottom.append(tuple([(c, (x2, -x3, 0, 0, x6, -x7, 0, 0)) for c, x2, x3, x6, x7 in qs]
+                            + [(n + c, (x0, -x1, 0, 0, x4, -x5, 0, 0))
+                               for c, x0, x1, x4, x5 in ps]))
+    return ExactMatrix._of(2 * m, 2 * n, a._den, tuple(top + bottom))
 
 
 def realify(a: ExactMatrix, kind: str | None = None) -> ExactMatrix:
@@ -289,18 +464,6 @@ def realify(a: ExactMatrix, kind: str | None = None) -> ExactMatrix:
 
 
 # -- exact linear algebra ---------------------------------------------------
-
-def _rational_rows(a: ExactMatrix) -> List[List[Fraction]]:
-    rows = []
-    for row in a.rows():
-        out = []
-        for x in row:
-            if not x.is_rational():
-                raise ValueError("operation requires rational entries")
-            out.append(x.rational_value())
-        rows.append(out)
-    return rows
-
 
 def _integer_rank(rows: List[List[int]], ncols: int) -> int:
     """Rank by fraction-free (Bareiss) elimination over the integers."""
@@ -335,14 +498,15 @@ def rank(a: ExactMatrix) -> int:
     """Exact rank of a matrix with rational entries."""
     if a.nrows == 0 or a.ncols == 0:
         return 0
-    rows = _rational_rows(a)
+    if a.variant() != "rational":
+        raise ValueError("operation requires rational entries")
+    # The rows share one denominator, so the numerators have the same rank.
     int_rows = []
-    for row in rows:
-        lcm = 1
-        for x in row:
-            if x:
-                lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-        int_rows.append([int(x * lcm) for x in row])
+    for row in a._num:
+        dense = [0] * a.ncols
+        for c, x in row:
+            dense[c] = x[0]
+        int_rows.append(dense)
     return _integer_rank(int_rows, a.ncols)
 
 
@@ -351,73 +515,132 @@ def kernel_dim(a: ExactMatrix) -> int:
     return a.ncols - rank(a)
 
 
+def _dense(a: ExactMatrix, width: int) -> List[list]:
+    """The numerator rows of ``a`` as lists of ``width`` tuples, zeros filled in."""
+    out = []
+    for row in a._num:
+        dense = [_ZERO_NUM] * width
+        for c, x in row:
+            dense[c] = x
+        out.append(dense)
+    return out
+
+
+def _integer_multiplier(p: tuple) -> Tuple[tuple, int]:
+    """``(w, d)`` with ``w * p == d`` a nonzero int, for a nonzero numerator tuple ``p``.
+
+    ``w = (a - b sqrt2) * conj(p)``, where ``p * conj(p) = a + b sqrt2``,
+    so ``d = a^2 - 2 b^2``.
+    """
+    if not any(p[1:]):
+        return _ONE_NUM, p[0]
+    conj = _conj_nums(p)
+    norm = _mul_nums(p, conj)
+    a, b = norm[0], norm[4]
+    return _mul_nums((a, 0, 0, 0, -b, 0, 0, 0), conj), a * a - 2 * b * b
+
+
+def _exact_quotient(x: tuple, b: tuple) -> tuple:
+    """``x / b`` for complex-like ``x`` and ``b`` when it has int numerators.
+
+    Multiplies by ``conj(b) * (u - v sqrt2)``, where ``b * conj(b) = u + v sqrt2``,
+    which turns the divisor into the int ``u^2 - 2 v^2``.
+    """
+    w, d = _integer_multiplier(b)
+    return tuple([v // d for v in _mul_nums(w, x)])
+
+
 def det(a: ExactMatrix) -> Scalar:
-    """Exact determinant over a commutative scalar ring (no j/k parts)."""
+    """Exact determinant over a commutative scalar ring (no j/k parts).
+
+    Bareiss elimination on the integer numerators: after step ``k`` every
+    remaining entry is a ``(k+1)``-minor, so the division by the previous
+    pivot is exact.
+    """
     if not a.is_square():
         raise ValueError("determinant of a non-square matrix")
     n = a.nrows
     if n == 0:
         return ONE
-    m = [list(row) for row in a.rows()]
-    for row in m:
-        for x in row:
-            if not x.is_complex_like():
-                raise ValueError(
-                    "determinant needs commuting entries; use reduced_norm for quaternions")
-    result = ONE
+    if a.variant() not in COMPLEX_LIKE_VARIANTS:
+        raise ValueError(
+            "determinant needs commuting entries; use reduced_norm for quaternions")
+    m = _dense(a, n)
     sign = 1
+    prev = _ONE_NUM
     for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if not m[r][col].is_zero():
-                pivot_row = r
-                break
+        pivot_row = next((r for r in range(col, n) if any(m[r][col])), None)
         if pivot_row is None:
             return ZERO
         if pivot_row != col:
             m[col], m[pivot_row] = m[pivot_row], m[col]
             sign = -sign
-        piv = m[col][col]
-        result = result * piv
-        inv = piv.inverse()
+        piv, prow = m[col][col], m[col]
         for r in range(col + 1, n):
-            if m[r][col].is_zero():
-                continue
-            f = m[r][col] * inv
-            for c in range(col, n):
-                m[r][c] = m[r][c] - f * m[col][c]
-    return result if sign > 0 else -result
+            row, f = m[r], m[r][col]
+            for c in range(col + 1, n):
+                x = tuple([u - v for u, v in zip(_mul_nums(piv, row[c]),
+                                                  _mul_nums(f, prow[c]))])
+                row[c] = x if prev is _ONE_NUM else _exact_quotient(x, prev)
+        prev = piv
+    return _to_scalar(tuple([sign * v for v in m[n - 1][n - 1]]), a._den ** n)
+
+
+def _primitive(row: list) -> list:
+    """The row divided by the gcd of all its numerators."""
+    g = 0
+    for x in row:
+        g = gcd(g, *x)
+        if g == 1:
+            return row
+    return [tuple([v // g for v in x]) for x in row] if g > 1 else row
 
 
 def inverse(a: ExactMatrix) -> ExactMatrix:
     """Exact inverse over the full (possibly quaternionic) scalar tower.
 
-    Row reduction multiplies rows by scalars on the left, which is the
-    correct one-sided operation over a division ring.
+    Gauss-Jordan elimination on the integer numerators.  Row operations
+    multiply rows by scalars on the left, which is the correct one-sided
+    operation over a division ring: each pivot row is multiplied by the
+    ``w`` of :func:`_integer_multiplier`, so its pivot becomes an int
+    ``d``, and each other row ``r`` becomes ``d * r - f * pivot_row``.
+    Every row is kept primitive, so the ints stay small.
     """
     if not a.is_square():
         raise ValueError("inverse of a non-square matrix")
     n = a.nrows
-    m = [list(row) + [ONE if r == c else ZERO for c in range(n)]
-         for r, row in enumerate(a.rows())]
+    m = _dense(a, 2 * n)
+    for r, row in enumerate(m):
+        row[n + r] = _ONE_NUM
     for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if not m[r][col].is_zero():
-                pivot_row = r
-                break
+        pivot_row = next((r for r in range(col, n) if any(m[r][col])), None)
         if pivot_row is None:
             raise ZeroDivisionError("matrix is singular")
-        if pivot_row != col:
-            m[col], m[pivot_row] = m[pivot_row], m[col]
-        inv = m[col][col].inverse()
-        m[col] = [inv * x for x in m[col]]
+        m[col], m[pivot_row] = m[pivot_row], m[col]
+        w, _ = _integer_multiplier(m[col][col])
+        if w != _ONE_NUM:
+            m[col] = [_mul_nums(w, x) if any(x) else x for x in m[col]]
+        prow = m[col] = _primitive(m[col])
+        d = prow[col][0]
+        terms = [(j, y) for j, y in enumerate(prow) if any(y)]
         for r in range(n):
-            if r == col or m[r][col].is_zero():
-                continue
             f = m[r][col]
-            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return ExactMatrix([row[n:] for row in m])
+            if r == col or not any(f):
+                continue
+            row = [tuple([d * v for v in x]) if any(x) else x for x in m[r]]
+            for j, y in terms:
+                fy = _mul_nums(f, y)
+                row[j] = tuple([u - v for u, v in zip(row[j], fy)])
+            m[r] = _primitive(row)
+    # Row r now reads d_r * e_r on the left, so inverse row r is its right half / d_r.
+    pivots = [m[r][r][0] for r in range(n)]
+    den = lcm(*pivots)
+    out = []
+    for r, row in enumerate(m):
+        f = den // pivots[r] * a._den
+        out.append(tuple([(c, tuple([f * v for v in x]))
+                          for c, x in enumerate(row[n:]) if any(x)]))
+    return ExactMatrix._reduced(n, n, den, tuple(out))
 
 
 def congruence_signature(s: ExactMatrix) -> Tuple[int, int]:
@@ -425,73 +648,79 @@ def congruence_signature(s: ExactMatrix) -> Tuple[int, int]:
 
     Accepts real symmetric or quaternion-Hermitian matrices (conjugate
     transpose equal to the matrix itself) and diagonalizes by simultaneous
-    row/column operations.  Raises :class:`DegenerateFormError` when the
-    form is singular.
+    row/column operations on the integer numerators.  A pivot ``d`` lies
+    in Z[sqrt2]; clearing entry ``c`` of its row scales the other row and
+    column by the int ``delta = d * d~`` (``d~`` flips the sign of the
+    sqrt2 part) instead of dividing by ``d``, which is again a congruence.
+    Dividing the remaining block by a positive gcd keeps the signature.
+    Raises :class:`DegenerateFormError` when the form is singular.
     """
     if not s.is_square():
         raise ValueError("signature of a non-square matrix")
     n = s.nrows
     if conj_transpose(s) != s:
         raise ValueError("signature needs a self-adjoint matrix")
-    m = [list(row) for row in s.rows()]
+    m = _dense(s, n)
 
     def swap(i: int, j: int) -> None:
         m[i], m[j] = m[j], m[i]
         for row in m:
             row[i], row[j] = row[j], row[i]
 
+    def combine(scale: int, x: tuple, y: tuple) -> tuple:
+        return tuple([scale * u + v for u, v in zip(x, y)])
+
     pos = neg = 0
     for k in range(n):
-        if m[k][k].is_zero():
-            found = None
-            for t in range(k + 1, n):
-                if not m[t][t].is_zero():
-                    found = t
-                    break
+        if not any(m[k][k]):
+            found = next((t for t in range(k + 1, n) if any(m[t][t])), None)
             if found is not None:
                 swap(k, found)
             else:
                 # Entire remaining diagonal is zero; create a pivot from an
                 # off-diagonal entry q via a rank-two congruence update.
-                spot = None
-                for i in range(k, n):
-                    for j in range(i + 1, n):
-                        if not m[i][j].is_zero():
-                            spot = (i, j)
-                            break
-                    if spot:
-                        break
+                spot = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                             if any(m[i][j])), None)
                 if spot is None:
                     raise DegenerateFormError("form is degenerate")
                 i, j = spot
                 if i != k:
                     swap(i, k)
                     j = i if j == k else j
-                alpha = m[k][j].conjugate()
-                for x in range(n):
-                    m[x][k] = m[x][k] + m[x][j] * alpha
-                ac = alpha.conjugate()
-                for y in range(n):
-                    m[k][y] = m[k][y] + ac * m[j][y]
+                alpha = _conj_nums(m[k][j])
+                for x in range(k, n):
+                    m[x][k] = combine(1, m[x][k], _mul_nums(m[x][j], alpha))
+                ac = _conj_nums(alpha)
+                for y in range(k, n):
+                    m[k][y] = combine(1, m[k][y], _mul_nums(ac, m[j][y]))
         d = m[k][k]
-        if d.is_zero():
+        if not any(d):
             raise DegenerateFormError("form is degenerate")
-        dsign = d.sign()
-        if dsign > 0:
+        if _to_scalar(d, 1).sign() > 0:
             pos += 1
         else:
             neg += 1
-        dinv = d.inverse()
+        d_tilde = (d[0], 0, 0, 0, -d[4], 0, 0, 0)
+        delta = d[0] * d[0] - 2 * d[4] * d[4]
         for t in range(k + 1, n):
             c = m[k][t]
-            if c.is_zero():
+            if not any(c):
                 continue
-            f = dinv * c
-            for x in range(n):
-                m[x][t] = m[x][t] - m[x][k] * f
-            fc = c.conjugate() * dinv
-            for y in range(n):
-                m[t][y] = m[t][y] - fc * m[k][y]
+            # Column t becomes delta * col_t - col_k * (d~ c), then row t
+            # becomes delta * row_t - (conj(c) d~) * row_k.
+            f = tuple([-v for v in _mul_nums(d_tilde, c)])
+            for x in range(k, n):
+                m[x][t] = combine(delta, m[x][t], _mul_nums(m[x][k], f))
+            fc = tuple([-v for v in _mul_nums(_conj_nums(c), d_tilde)])
+            for y in range(k, n):
+                m[t][y] = combine(delta, m[t][y], _mul_nums(fc, m[k][y]))
+        g = 0
+        for row in m[k + 1:]:
+            for x in row[k + 1:]:
+                g = gcd(g, *x)
+        if g > 1:
+            for row in m[k + 1:]:
+                row[k + 1:] = [tuple([v // g for v in x]) for x in row[k + 1:]]
     return pos, neg
 
 

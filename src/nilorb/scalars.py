@@ -48,6 +48,18 @@ VARIANT_COMPONENTS = {
 }
 
 
+#: The variants without j or k parts, whose values commute.
+COMPLEX_LIKE_VARIANTS = ("rational", "gauss", "tower")
+
+
+def variant_of(support) -> str:
+    """Smallest named variant whose components include the set ``support``."""
+    for name in ("rational", "gauss", "tower", "quat", "quat_sqrt2"):
+        if support <= VARIANT_COMPONENTS[name]:
+            return name
+    return "quat_sqrt2"
+
+
 def _coerce_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, Fraction):
         return x
@@ -111,11 +123,7 @@ class Scalar:
 
     def variant(self) -> str:
         """Smallest named variant containing this value."""
-        support = {idx for idx, c in enumerate(self._c) if c}
-        for name in ("rational", "gauss", "tower", "quat", "quat_sqrt2"):
-            if support <= VARIANT_COMPONENTS[name]:
-                return name
-        return "quat_sqrt2"
+        return variant_of({idx for idx, c in enumerate(self._c) if c})
 
     def is_zero(self) -> bool:
         return not any(self._c)

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -113,6 +114,117 @@ def test_verify_names_a_graded_route_that_disagrees(capsys, monkeypatch,
     assert code == 1
     assert "centralizer-dim FAILED (3 orbit(s)) [2 failed: " + detail in out
     assert "verify: FAIL" in out
+
+
+def test_parser_is_built_once_and_reused_after_errors(capsys):
+    """A bad argument, twice, then a good command, all in one process: the
+    cached parser gives the same error bytes and exit codes every time."""
+    import nilorb.cli
+
+    assert nilorb.cli._build_parser() is nilorb.cli._build_parser()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["list", "--algebra", "gl_r", "--n", "3"])
+        assert exc.value.code == 2
+        errors.append(capsys.readouterr())
+    assert errors[0] == errors[1]
+    assert errors[0].out == ""
+    assert errors[0].err.startswith("usage: nilorb list ")
+    assert "argument --algebra: invalid choice: 'gl_r'" in errors[0].err
+    code, out, err = run(capsys, "list", "--algebra", "sl_r", "--n", "3")
+    assert (code, err) == (0, "")
+    assert out.startswith("orbit catalog for sl_r(n=3)\n")
+    assert run(capsys, "list", "--algebra", "sl_r", "--n", "3") == (code, out, err)
+
+
+# --- failure details of the silent checks -------------------------------------
+
+def test_verify_explains_a_wrong_jordan_type(capsys, monkeypatch):
+    import nilorb.cli
+    from nilorb.partitions import Partition
+
+    monkeypatch.setattr(nilorb.cli, "jordan_type", lambda x: Partition([x.nrows]))
+    code, out, _ = run(capsys, "verify", "--algebra", "sl_r", "--n", "3")
+    assert code == 1
+    assert ("jordan-type FAILED (2 orbit(s)) "
+            "[1 failed: [2,1]: found [3], expected [2,1]]") in out
+
+
+def test_verify_explains_a_gram_invariance_failure(capsys, monkeypatch):
+    """Y + I is not in the algebra: sigma(Y + I)^T S = -S (Y + I) fails at Y."""
+    from dataclasses import replace
+
+    import nilorb.cli
+    from nilorb.matrices import ExactMatrix
+
+    build = nilorb.cli.build_triple
+
+    def shifted_y(a, datum):
+        t = build(a, datum)
+        return replace(t, Y=t.Y + ExactMatrix.identity(t.Y.nrows))
+
+    monkeypatch.setattr(nilorb.cli, "build_triple", shifted_y)
+    code, out, _ = run(capsys, "verify", "--algebra", "so_pq", "--p", "2", "--q", "1")
+    assert code == 1
+    assert ("gram-invariance FAILED (1 orbit(s)) "
+            "[1 failed: [3](3:0): Y: entry (0,2) is -1, expected 1]") in out
+    assert "gram-symmetry PASSED" in out
+
+
+@pytest.mark.parametrize("fault, argv, detail", [
+    ("product", ("--algebra", "sl_c", "--n", "4"),
+     "[2 failed: [2,1,1]: product: emb(g1) emb(g2) != emb(g1 g2)]"),
+    ("identity", ("--algebra", "sl_c", "--n", "3"),
+     "[2 failed: [2,1]: identity: emb(1) != 1]"),
+], ids=("product", "identity"))
+def test_verify_explains_an_embedding_that_is_not_a_homomorphism(
+        capsys, monkeypatch, fault, argv, detail):
+    """Embedding by the conjugate transpose reverses products; embedding
+    everything as zero keeps products but loses the identity."""
+    import nilorb.cli
+    from nilorb.matrices import ExactMatrix, conj_transpose
+
+    embed = nilorb.cli.embed_K
+
+    def faulty(*args, **kwargs):
+        emb = embed(*args, **kwargs)
+        if fault == "product":
+            return conj_transpose(emb)
+        return ExactMatrix.zeros(emb.nrows, emb.ncols)
+
+    monkeypatch.setattr(nilorb.cli, "embed_K", faulty)
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 1
+    assert "embedding-homomorphism FAILED" in out
+    assert detail in out
+
+
+def test_verify_requires_a_unitary_adapted_basis(capsys, monkeypatch):
+    """T Q with Q complex orthogonal but not unitary still carries the Gram
+    matrix to the identity, so only T*T = I catches it; K-membership then
+    reports unitary[T] instead of inverting T."""
+    from dataclasses import replace
+
+    import nilorb.cli
+    from nilorb.matrices import ExactMatrix
+    from nilorb.scalars import Scalar
+
+    form_basis = nilorb.cli._form_basis
+    a, b = Scalar.rational(Fraction(5, 4)), Scalar.complex_value(0, Fraction(3, 4))
+    q = ExactMatrix.from_entries(3, 3, {(0, 0): a, (0, 1): b, (1, 0): -b,
+                                        (1, 1): a, (2, 2): 1})
+
+    def non_unitary(alg, datum):
+        adapted = form_basis(alg, datum)
+        return replace(adapted, matrix=adapted.matrix @ q)
+
+    monkeypatch.setattr(nilorb.cli, "_form_basis", non_unitary)
+    code, out, _ = run(capsys, "verify", "--algebra", "so_c", "--n", "3")
+    assert code == 1
+    assert ("adapted-basis FAILED (1 orbit(s)) "
+            "[1 failed: [3]: T*T entry (0,0) is 17/8, expected 1]") in out
+    assert "K-membership FAILED (1 orbit(s)) [1 failed: [3]: unitary[T]]" in out
 
 
 def test_verify_sweep_without_size(capsys):

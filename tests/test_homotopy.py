@@ -13,7 +13,7 @@ from nilorb.homotopy import (KElement, chi, chi_pair, compact_pair, dim_M,
                              quotient_dim, sample_k_element,
                              signed_block_relation, signed_block_totals,
                              verify_K_membership)
-from nilorb.matrices import ExactMatrix, det, reduced_norm
+from nilorb.matrices import ExactMatrix, conj_transpose, det, reduced_norm
 from nilorb.partitions import Partition
 from nilorb.triples import adapted_change_of_basis, build_triple
 
@@ -160,6 +160,49 @@ def test_membership_rejects_corrupted_element():
 
 
 # --- block accounting (the two size relations of the signed families) ------
+
+FORM_SPECS = (
+    [AlgebraSpec("so_pq", p=p, q=t - p) for t in range(2, 7) for p in range(1, t)]
+    + [AlgebraSpec("sp_pq", p=p, q=t - p) for t in range(2, 6) for p in range(1, t)]
+    + [AlgebraSpec("so_c", n=n) for n in range(3, 10)]
+    + [AlgebraSpec("sp_c", n=n) for n in range(1, 5)]
+)
+
+
+def test_every_adapted_basis_is_unitary():
+    """T* T = T T* = I on all 164 form-family orbits, so T* inverts T."""
+    count = 0
+    for a in FORM_SPECS:
+        for rec in enumerate_orbits(a):
+            T = adapted_change_of_basis(a, rec.datum)
+            ident = ExactMatrix.identity(T.nrows)
+            assert conj_transpose(T) @ T == ident, (str(a), str(rec.datum))
+            assert T @ conj_transpose(T) == ident, (str(a), str(rec.datum))
+            count += 1
+    assert count == 164
+
+
+def test_membership_names_a_basis_that_is_not_unitary():
+    """A complex orthogonal, non-unitary Q keeps T Q adapted to the form,
+    but T Q cannot be inverted by its conjugate transpose."""
+    from fractions import Fraction
+
+    from nilorb.scalars import Scalar
+
+    a = AlgebraSpec("so_c", n=3)
+    rec = [r for r in enumerate_orbits(a) if not r.is_zero_orbit][0]
+    t = build_triple(a, rec.datum)
+    x, y = Scalar.rational(Fraction(5, 4)), Scalar.complex_value(0, Fraction(3, 4))
+    q = ExactMatrix.from_entries(3, 3, {(0, 0): x, (0, 1): y, (1, 0): -y,
+                                        (1, 1): x, (2, 2): 1})
+    assert q.transpose() @ q == ExactMatrix.identity(3)
+    T = adapted_change_of_basis(a, rec.datum)
+    e = sample_k_element(a, rec.datum, random.Random("unitary"))
+    assert verify_K_membership(a, rec.datum, e, t, T).ok
+    result = verify_K_membership(a, rec.datum, e, t, T @ q)
+    assert not result.ok
+    assert result.failures == ("unitary[T]",)
+
 
 def test_block_accounting_every_signed_datum():
     for total in range(2, 7):

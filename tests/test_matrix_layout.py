@@ -6,6 +6,12 @@ entries (``ExactMatrix.from_entries``) and reads them back through
 the standard library and fails on the two signs of a hand-rolled dense
 layout: importing ``ZERO``, or a comprehension of list-multiplied rows
 such as ``[[ZERO] * n for _ in range(m)]``.
+
+A second scan keeps the hot paths from reading Scalars one entry at a
+time: outside ``matrices``, ``scalars`` and ``cli`` (which renders
+matrices and names failing entries), no module calls ``.rows()``,
+``.row()`` or ``.entry()``, or builds a matrix with the positional
+``ExactMatrix(rows)`` constructor.
 """
 
 from __future__ import annotations
@@ -18,6 +24,9 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nilorb"
 LAYOUT_OWNERS = {"matrices.py", "scalars.py"}
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name not in LAYOUT_OWNERS)
+ENTRY_READERS = LAYOUT_OWNERS | {"cli.py"}
+HOT_MODULES = sorted(p for p in MODULES if p.name not in ENTRY_READERS)
+ENTRY_METHODS = {"rows", "row", "entry"}
 
 
 def _is_multiplied_list(node: ast.AST) -> bool:
@@ -37,9 +46,27 @@ def dense_layouts(source: str) -> list:
     return sorted(found)
 
 
+def entry_reads(source: str) -> list:
+    """``(line, what)`` for every per-entry read and positional matrix build."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if isinstance(func, ast.Attribute) and name in ENTRY_METHODS:
+            found.append((node.lineno, f".{name}()"))
+        elif name == "ExactMatrix":
+            found.append((node.lineno, "ExactMatrix(rows)"))
+    return sorted(found)
+
+
 def test_scan_finds_modules():
     assert {p.name for p in MODULES} >= {"triples.py", "homotopy.py", "cli.py"}
     assert not LAYOUT_OWNERS & {p.name for p in MODULES}
+    assert {p.name for p in HOT_MODULES} >= {"triples.py", "homotopy.py",
+                                             "centralizers.py"}
+    assert "cli.py" not in {p.name for p in HOT_MODULES}
 
 
 def test_scan_flags_dense_layouts_and_accepts_sparse_ones():
@@ -59,3 +86,25 @@ def test_scan_flags_dense_layouts_and_accepts_sparse_ones():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dense_layout_outside_matrices(path):
     assert dense_layouts(path.read_text()) == []
+
+
+def test_scan_flags_entry_reads_and_accepts_nonzeros():
+    source = (
+        "x = m.entry(0, 1)\n"
+        "for row in m.rows():\n"
+        "    pass\n"
+        "r = m.row(2)\n"
+        "a = ExactMatrix([[ONE]])\n"
+        "b = matrices.ExactMatrix(rows)\n"
+        "c = ExactMatrix.from_entries(1, 1, {(0, 0): ONE})\n"
+        "nz = m.nonzeros()\n"
+        "rows = layout.rows\n"
+        "v = m.variant()\n"
+    )
+    assert entry_reads(source) == [(1, ".entry()"), (2, ".rows()"), (4, ".row()"),
+                                   (5, "ExactMatrix(rows)"), (6, "ExactMatrix(rows)")]
+
+
+@pytest.mark.parametrize("path", HOT_MODULES, ids=lambda p: p.name)
+def test_no_entry_reads_outside_matrices_scalars_and_cli(path):
+    assert entry_reads(path.read_text()) == []

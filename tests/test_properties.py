@@ -1,6 +1,8 @@
 """Property tests: scalar and matrix arithmetic against component-level
 references, matrix construction from nonzero entries against raw-index
-references, ring laws of the scalar tower, realification, exact rank.
+references, ring laws of the scalar tower, realification, exact rank, the
+canonical integer-numerator storage, and inverse, det and signature against
+plain elimination.
 
 Hypothesis runs derandomized with a fixed example budget, so every run
 checks the same examples and the suite stays deterministic.
@@ -9,6 +11,7 @@ checks the same examples and the suite stays deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import List
 
 import pytest
@@ -16,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilorb.matrices import (ExactMatrix, block_oplus, complex_to_real_blocks,
+                             congruence_signature, conj_transpose, det, inverse,
                              quaternion_to_complex_blocks, rank, realify)
-from nilorb.scalars import I_UNIT, J_UNIT, ONE, ZERO, Scalar
+from nilorb.scalars import I_UNIT, J_UNIT, ONE, VARIANT_COMPONENTS, ZERO, Scalar
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
                     max_examples=40)
@@ -463,3 +467,255 @@ def rational_matrices(draw):
 def test_rank_matches_gaussian_elimination(rows):
     m = ExactMatrix([[Scalar.rational(x) for x in row] for row in rows])
     assert rank(m) == gaussian_rank(rows)
+
+
+# --- integer-numerator storage ------------------------------------------------
+#
+# A matrix stores one positive int denominator and, per row, its nonzero
+# entries as (column, 8-tuple of int numerators).  The properties below check
+# every int-native operation against the raw-tuple references above, on shapes
+# from 0 x 0 to 4 x 4 with zero rows and columns, and check that the storage
+# is canonical, so that equal matrices have equal storage and equal hashes.
+
+def assert_canonical(m: ExactMatrix):
+    den, num = m._den, m._num
+    assert type(den) is int and den > 0
+    assert len(num) == m.nrows
+    values = []
+    for row in num:
+        assert [c for c, _ in row] == sorted({c for c, _ in row})
+        for c, x in row:
+            assert 0 <= c < m.ncols
+            assert len(x) == 8 and all(type(v) is int for v in x) and any(x)
+            values.extend(x)
+    assert gcd(den, *values) == 1
+    if not values:
+        assert den == 1
+
+
+@st.composite
+def shaped_raw(draw, nrows=None, ncols=None, components=range(8)):
+    """(nrows, ncols, rows of raw tuples), 0 <= nrows, ncols <= 4, with zero
+    rows and columns; ``nrows``/``ncols`` fix a dimension when given."""
+    nrows = draw(st.integers(0, 4)) if nrows is None else nrows
+    ncols = draw(st.integers(0, 4)) if ncols is None else ncols
+    zero_rows = draw(st.sets(st.integers(0, 3)))
+    zero_cols = draw(st.sets(st.integers(0, 3)))
+    return nrows, ncols, [[ZERO_TUPLE if r in zero_rows or c in zero_cols
+                           else draw(sparse_tuples(components)) for c in range(ncols)]
+                          for r in range(nrows)]
+
+
+def matrix_of(shaped) -> ExactMatrix:
+    nrows, ncols, raw = shaped
+    return ExactMatrix.from_entries(nrows, ncols, {
+        (r, c): Scalar(x) for r, row in enumerate(raw) for c, x in enumerate(row)
+        if x != ZERO_TUPLE})
+
+
+def ref_transpose(raw, ncols, conj=False):
+    return [[ref_conj(row[c]) if conj else row[c] for row in raw] for c in range(ncols)]
+
+
+def ref_variant(raw) -> str:
+    support = {i for row in raw for x in row for i, v in enumerate(x) if v}
+    return next(name for name in ("rational", "gauss", "tower", "quat", "quat_sqrt2")
+                if support <= VARIANT_COMPONENTS[name])
+
+
+@st.composite
+def same_shape_pairs(draw, components=range(8)):
+    first = draw(shaped_raw(components=components))
+    nrows, ncols, _ = first
+    return first, draw(shaped_raw(nrows, ncols, components))
+
+
+@pytest.mark.parametrize("components", [(0,), COMPLEX, range(8)],
+                         ids=["rational", "tower", "quat_sqrt2"])
+@settings(PROPERTY, max_examples=60)
+@given(data=st.data())
+def test_int_native_ops_match_raw_references(components, data):
+    first, second = data.draw(same_shape_pairs(components))
+    s = data.draw(sparse_tuples(components))
+    (nrows, ncols, x), (_, _, y) = first, second
+    a, b = matrix_of(first), matrix_of(second)
+    cases = [
+        (a + b, [[ref_add(u, v) for u, v in zip(ru, rv)] for ru, rv in zip(x, y)]),
+        (a - b, [[ref_add(u, ref_neg(v)) for u, v in zip(ru, rv)]
+                 for ru, rv in zip(x, y)]),
+        (-a, [[ref_neg(u) for u in row] for row in x]),
+        (a.scale_left(Scalar(s)), [[ref_mul(s, u) for u in row] for row in x]),
+        (a.transpose(), ref_transpose(x, ncols)),
+        (conj_transpose(a), ref_transpose(x, ncols, conj=True)),
+    ]
+    for m, ref in cases:
+        assert_canonical(m)
+        assert raw_of(m) == ref
+        assert nonzeros_as_raw(m) == ref_nonzeros(ref)
+        assert m.is_zero() == all(v == ZERO_TUPLE for row in ref for v in row)
+    assert (a.transpose().nrows, a.transpose().ncols) == (ncols, nrows)
+    assert a.variant() == ref_variant(x)
+    assert (a == b) == (x == y)
+    if x == y:
+        assert hash(a) == hash(b)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(data=st.data())
+def test_products_of_any_shape_match_the_reference(data):
+    m, k, n = (data.draw(st.integers(0, 4)) for _ in range(3))
+    first = data.draw(shaped_raw(m, k))
+    second = data.draw(shaped_raw(k, n))
+    product = matrix_of(first) @ matrix_of(second)
+    assert_canonical(product)
+    assert (product.nrows, product.ncols) == (m, n)
+    ref = [[ZERO_TUPLE] * n for _ in range(m)] if k == 0 else \
+        ref_matmul(first[2], second[2])
+    assert raw_of(product) == ref
+
+
+def storage(m: ExactMatrix):
+    return m.nrows, m.ncols, m._den, m._num
+
+
+@settings(PROPERTY, max_examples=60)
+@given(same_shape_pairs())
+def test_one_matrix_by_two_routes_has_one_storage(pair):
+    first, second = pair
+    nrows, ncols, raw = first
+    a, b = matrix_of(first), matrix_of(second)
+    assert_canonical(a)
+    routes = [
+        (a + b) - b, -(-a), a.transpose().transpose(),
+        conj_transpose(conj_transpose(a)),
+        a @ ExactMatrix.identity(ncols), ExactMatrix.identity(nrows) @ a,
+        ExactMatrix.from_entries(nrows, ncols, {
+            (r, c): x for r, row in enumerate(a.nonzeros()) for c, x in row}),
+        a.scale_left(Scalar.rational(Fraction(1, 3))).scale_left(Scalar.rational(3)),
+        (a + a) - a,
+    ]
+    if nrows:
+        routes.append(ExactMatrix([[Scalar(x) for x in row] for row in raw]))
+        routes.append(ExactMatrix.from_json(a.to_json()))
+    for m in routes:
+        assert m == a
+        assert hash(m) == hash(a)
+        assert storage(m) == storage(a)
+    zero = a - a
+    assert storage(zero) == (nrows, ncols, 1, ((),) * nrows)
+    assert zero == ExactMatrix.zeros(nrows, ncols)
+    assert hash(zero) == hash(ExactMatrix.zeros(nrows, ncols))
+
+
+# --- inverse and det against plain elimination ----------------------------------
+
+def fraction_det_and_inverse(rows: List[List[Fraction]]):
+    """Textbook Gauss-Jordan over Fraction: (det, inverse rows or None)."""
+    n = len(rows)
+    m = [row[:] + [Fraction(int(r == c)) for c in range(n)] for r, row in enumerate(rows)]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0), None
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return det, [row[n:] for row in m]
+
+
+@st.composite
+def rational_squares(draw):
+    n = draw(st.integers(0, 4))
+    return [[draw(fractions) for _ in range(n)] for _ in range(n)]
+
+
+@settings(PROPERTY, max_examples=120)
+@given(rational_squares())
+def test_rational_inverse_and_det_match_fraction_elimination(rows):
+    n = len(rows)
+    a = ExactMatrix.from_entries(n, n, {(r, c): x for r, row in enumerate(rows)
+                                        for c, x in enumerate(row)})
+    ref_det, ref_inverse = fraction_det_and_inverse(rows)
+    assert exact_components(det(a)) == (ref_det,) + ZERO_TUPLE[1:]
+    if ref_inverse is None:
+        with pytest.raises(ZeroDivisionError):
+            inverse(a)
+        return
+    inv = inverse(a)
+    assert_canonical(inv)
+    assert raw_of(inv) == [[(x,) + ZERO_TUPLE[1:] for x in row] for row in ref_inverse]
+
+
+def scalar_det(rows: List[List[Scalar]]) -> Scalar:
+    """Textbook elimination with Scalar field operations (commuting entries)."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    result = ONE
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if not m[r][col].is_zero()), None)
+        if pivot is None:
+            return ZERO
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            result = -result
+        result = result * m[col][col]
+        for r in range(col + 1, n):
+            f = m[r][col] / m[col][col]
+            m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return result
+
+
+@st.composite
+def squares(draw, components):
+    n = draw(st.integers(0, 4))
+    return [[Scalar(draw(sparse_tuples(components))) for _ in range(n)] for _ in range(n)]
+
+
+@settings(PROPERTY, max_examples=40)
+@given(squares(COMPLEX))
+def test_complex_det_matches_scalar_elimination(rows):
+    a = ExactMatrix.from_entries(len(rows), len(rows), {
+        (r, c): x for r, row in enumerate(rows) for c, x in enumerate(row)})
+    assert exact_components(det(a)) == exact_components(scalar_det(rows))
+
+
+@settings(PROPERTY, max_examples=40)
+@given(squares(range(8)))
+def test_quaternion_inverse_is_two_sided(rows):
+    n = len(rows)
+    a = ExactMatrix.from_entries(n, n, {
+        (r, c): x for r, row in enumerate(rows) for c, x in enumerate(row)})
+    try:
+        inv = inverse(a)
+    except ZeroDivisionError:
+        # Singular: the complex image has zero determinant.
+        assert det(quaternion_to_complex_blocks(a)).is_zero()
+        return
+    assert_canonical(inv)
+    assert a @ inv == ExactMatrix.identity(n)
+    assert inv @ a == ExactMatrix.identity(n)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n),
+    st.lists(scalars(), min_size=n * n, max_size=n * n))))
+def test_signature_counts_the_signs_of_a_congruent_diagonal(case):
+    """P* diag(signs) P has the signature of diag(signs) when P is invertible."""
+    signs, values = case
+    n = len(signs)
+    p = ExactMatrix.from_entries(n, n, {(r, c): values[r * n + c]
+                                        for r in range(n) for c in range(n)})
+    try:
+        inverse(p)
+    except ZeroDivisionError:
+        return
+    form = conj_transpose(p) @ ExactMatrix.diagonal(signs) @ p
+    assert congruence_signature(form) == (signs.count(1), signs.count(-1))
