@@ -12,7 +12,8 @@ from typing import List, Optional, Union
 
 from .diagrams import (SignedDiagram, enumerate_signed_diagrams,
                        in_sign_balance_class)
-from .partitions import Partition, classify, enumerate_partitions
+from .partitions import (Partition, classify, enumerate_partitions,
+                         partition_counts)
 
 FAMILIES = ("sl_r", "sl_c", "sl_h", "so_c", "so_pq", "sp_c", "sp_pq", "so_star")
 
@@ -162,6 +163,21 @@ def enumerate_orbits(a: AlgebraSpec) -> List[OrbitRecord]:
         )
         for d in data
     ]
+
+
+def orbit_record_bound(a: AlgebraSpec) -> int:
+    """An upper bound on ``len(enumerate_orbits(a))``, counted without enumerating.
+
+    Plain partitions: p(size), exact for sl_r, sl_c and sl_h.  Signed
+    diagrams: choosing how many of the ``t`` rows of each length start
+    with ``+`` gives at most prod(t + 1) diagrams per partition, and these
+    products summed over the partitions of ``n`` count the pairs of
+    partitions of total size ``n``: sum of p(k) p(n - k).
+    """
+    p = partition_counts(a.size)
+    if a.family in ("so_pq", "sp_pq", "so_star"):
+        return sum(x * y for x, y in zip(p, reversed(p)))
+    return p[-1]
 
 
 def total_orbit_count(a: AlgebraSpec) -> int:

@@ -8,11 +8,11 @@ import json
 import random
 import sys
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .catalog import (FAMILIES, SIGNED_FAMILIES, AlgebraSpec, Datum,
                       OrbitRecord, datum_membership_error, datum_partition,
-                      enumerate_orbits, fiber_count)
+                      enumerate_orbits, fiber_count, orbit_record_bound)
 from .centralizers import (AlgebraConstraint, centralizer_dim_triple,
                            centralizer_report, dim_g, expected_orbit_dim,
                            expected_reductive_dim, graded_dims)
@@ -46,6 +46,12 @@ _CHECK_ORDER = (
     "embedding-homomorphism",
     "K-membership",
 )
+
+
+#: Work limit of one ``list`` or ``verify`` run: the sum over its algebras
+#: of (orbit records) x size^2.  ``list --algebra sl_r --n 24`` (estimate
+#: 907,200) takes about a second; ``--n 25`` (1,223,750) is refused.
+MAX_WORK = 1_000_000
 
 
 class UsageError(Exception):
@@ -116,21 +122,41 @@ def _algebra_from_args(args) -> AlgebraSpec:
         raise UsageError(str(exc)) from exc
 
 
+def _admit(specs: Iterable[AlgebraSpec]) -> List[AlgebraSpec]:
+    """The algebras of one run, unless its work estimate exceeds ``MAX_WORK``.
+
+    The estimate adds :func:`orbit_record_bound` x size^2 per algebra,
+    before any orbit is enumerated or built, and stops at the algebra that
+    takes it over the limit, so an oversized sweep is never listed in full.
+    """
+    admitted, work = [], 0
+    for a in specs:
+        square = a.size ** 2
+        # Every algebra has its zero orbit, so a square over the limit needs no count.
+        work += square if square > MAX_WORK else square * orbit_record_bound(a)
+        if work > MAX_WORK:
+            raise UsageError(f"work limit: orbit records x size^2, summed over the "
+                             f"run's algebras, reaches {work:,} at {a}; the limit is "
+                             f"{MAX_WORK:,}")
+        admitted.append(a)
+    return admitted
+
+
 def _verify_specs(args) -> List[AlgebraSpec]:
     """The algebras a verify run sweeps: one explicit, or all small sizes."""
     if args.n is not None or args.p is not None or args.q is not None:
-        return [_algebra_from_args(args)]
+        return _admit([_algebra_from_args(args)])
     cap = args.max_verify_n
     fam = args.algebra
     if fam in SIGNED_FAMILIES:
         smallest = AlgebraSpec(fam, p=1, q=1)
-        specs = [AlgebraSpec(fam, p=p, q=total - p)
-                 for total in range(2, cap + 1) for p in range(1, total)]
+        specs = _admit(AlgebraSpec(fam, p=p, q=total - p)
+                       for total in range(2, cap + 1) for p in range(1, total))
     else:
         lo = 3 if fam == "so_c" else 1
         smallest = AlgebraSpec(fam, n=lo)
         hi = cap // 2 if fam == "sp_c" else cap
-        specs = [AlgebraSpec(fam, n=n) for n in range(lo, hi + 1)]
+        specs = _admit(AlgebraSpec(fam, n=n) for n in range(lo, hi + 1))
     if not specs:
         raise UsageError(f"--max-verify-n {cap} sweeps no {fam} algebra; "
                          f"the smallest, {smallest}, needs --max-verify-n "
@@ -176,13 +202,12 @@ def _parse_datum(a: AlgebraSpec, datum_str: str, signs_str: Optional[str]) -> Da
 # ---------------------------------------------------------------------------
 
 def _matrix_lines(title: str, m: ExactMatrix) -> List[str]:
-    cells = [[str(x) for x in row] for row in m.rows()]
-    widths = [max((len(cells[r][c]) for r in range(m.nrows)), default=1)
-              for c in range(m.ncols)]
+    cells = m._cells(str, "0")
+    widths = [max(map(len, column)) for column in zip(*cells)]
     lines = [f"{title}:"]
-    for r in range(m.nrows):
-        row = "  ".join(cells[r][c].rjust(widths[c]) for c in range(m.ncols))
-        lines.append(f"  [ {row} ]")
+    for row in cells:
+        padded = "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
+        lines.append(f"  [ {padded} ]")
     return lines
 
 
@@ -219,7 +244,7 @@ def _record_document(a: AlgebraSpec, rec: OrbitRecord) -> dict:
 
 
 def _cmd_list(args) -> int:
-    a = _algebra_from_args(args)
+    (a,) = _admit([_algebra_from_args(args)])
     records = enumerate_orbits(a)
     docs = [_record_document(a, rec) for rec in records]
     document = {
@@ -268,49 +293,43 @@ def _cmd_describe(args) -> int:
                          datum_partition(datum).is_zero_type())
     triple = None if record.is_zero_orbit else build_triple(a, datum)
     report = centralizer_report(a, datum, triple=triple)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "algebra": a.family,
-        "params": a.params_json(),
-        "low_rank_warning": a.low_rank_warning,
-        "datum": record.to_json()["datum"],
-        "datum_rendered": str(datum),
-        "fiber_count": record.fiber_count,
-        "is_zero_orbit": record.is_zero_orbit,
-        "orbit_dim": report.dim_orbit,
-        "centralizer": report.to_json(),
-    }
-    doc["triple"] = None if triple is None else triple.to_json()
     adapted = _form_basis(a, datum)
     t_matrix = None if adapted is None else adapted.matrix
-    doc["change_of_basis"] = None if t_matrix is None else t_matrix.to_json()
-    if a.family in _HOMOTOPY_FAMILIES:
-        h = compact_pair(a, datum)
-        doc["homotopy"] = h.to_json()
-        doc["homotopy_rendered"] = h.rendered()
-    else:
-        doc["homotopy"] = None
-        doc["homotopy_rendered"] = None
+    h = compact_pair(a, datum) if a.family in _HOMOTOPY_FAMILIES else None
 
     if args.format == "json":
+        doc = {
+            "schema": SCHEMA_VERSION,
+            "algebra": a.family,
+            "params": a.params_json(),
+            "low_rank_warning": a.low_rank_warning,
+            "datum": record.to_json()["datum"],
+            "datum_rendered": str(datum),
+            "fiber_count": record.fiber_count,
+            "is_zero_orbit": record.is_zero_orbit,
+            "orbit_dim": report.dim_orbit,
+            "centralizer": report.to_json(),
+            "triple": None if triple is None else triple.to_json(),
+            "change_of_basis": None if t_matrix is None else t_matrix.to_json(),
+            "homotopy": None if h is None else h.to_json(),
+            "homotopy_rendered": None if h is None else h.rendered(),
+        }
         print(json.dumps(doc, indent=2))
         return 0
-    print(f"{a} orbit datum {doc['datum_rendered']}")
+    print(f"{a} orbit datum {datum}")
     if a.low_rank_warning:
         print("warning: size is below the family's simple range; "
               "small-rank coincidences apply")
-    print(f"fiber count: {doc['fiber_count']}")
-    print(f"orbit dimension: {doc['orbit_dim']}")
-    rep = doc["centralizer"]
-    print(f"centralizer dims: triple={rep['dim_z_triple']} "
-          f"nilpotent={rep['dim_z_X']} ambient={rep['dim_g']} "
-          f"expected-reductive={rep['expected_reductive']} "
-          f"match={'yes' if rep['match'] else 'NO'}")
-    if doc["homotopy_rendered"]:
-        print(f"homotopy type: {doc['homotopy_rendered']}")
-        h = doc["homotopy"]
-        print(f"dims: M={h['dim_M']} K={h['dim_K']} quotient={h['dim_quotient']}")
-        if doc["is_zero_orbit"]:
+    print(f"fiber count: {record.fiber_count}")
+    print(f"orbit dimension: {report.dim_orbit}")
+    print(f"centralizer dims: triple={report.dim_z_triple} "
+          f"nilpotent={report.dim_z_X} ambient={report.dim_g} "
+          f"expected-reductive={report.expected_reductive} "
+          f"match={'yes' if report.match else 'NO'}")
+    if h is not None:
+        print(f"homotopy type: {h.rendered()}")
+        print(f"dims: M={h.dim_M} K={h.dim_K} quotient={h.dim_quotient}")
+        if record.is_zero_orbit:
             print("zero orbit: K = M, the quotient is a point")
     if triple is not None:
         for title, m in (("X", triple.X), ("H", triple.H), ("Y", triple.Y)):
@@ -333,10 +352,14 @@ def _compare(got: ExactMatrix, expected: ExactMatrix) -> Tuple[bool, str]:
     """Whether two matrices agree and, if not, the first entry that differs."""
     if got == expected:
         return True, ""
-    for r, (row_got, row_expected) in enumerate(zip(got.rows(), expected.rows())):
-        for c, (x, y) in enumerate(zip(row_got, row_expected)):
-            if x != y:
-                return False, f"entry ({r},{c}) is {x}, expected {y}"
+    ncols = min(got.ncols, expected.ncols)
+    for r, (row_got, row_expected) in enumerate(zip(got.nonzeros(), expected.nonzeros())):
+        x, y = dict(row_got), dict(row_expected)
+        bad = [c for c in x.keys() | y.keys()
+               if c < ncols and x.get(c, 0) != y.get(c, 0)]
+        if bad:
+            c = min(bad)
+            return False, f"entry ({r},{c}) is {x.get(c, 0)}, expected {y.get(c, 0)}"
     return False, (f"shape {got.nrows}x{got.ncols}, "
                    f"expected {expected.nrows}x{expected.ncols}")
 

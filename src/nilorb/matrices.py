@@ -15,9 +15,12 @@ rank, ``det`` (Bareiss), ``inverse`` (Gauss-Jordan with int pivots) and
 ``congruence_signature`` work on these ints, multiplying components
 through ``scalars._PROD``.  ``Scalar`` entries are built only when read
 (:meth:`ExactMatrix.entry`, :meth:`~ExactMatrix.rows`,
-:meth:`~ExactMatrix.nonzeros`, :meth:`~ExactMatrix.to_json`) and then
-kept.  A matrix built by :meth:`ExactMatrix.from_entries` keeps the
-Scalars it was given and derives its ints on first use.
+:meth:`~ExactMatrix.nonzeros`) and then kept.  A matrix built by
+:meth:`ExactMatrix.from_entries` keeps the Scalars it was given and
+derives its ints on first use.  Rendering (:meth:`~ExactMatrix.to_json`
+and the CLI's matrix tables) builds Scalars for the nonzeros only: each
+nonzero is rendered once and every zero cell holds one value rendered
+once per call.
 
 Every structured matrix (triples, Gram matrices, adapted bases, block
 embeddings) is built from its nonzero entries with
@@ -199,9 +202,6 @@ class ExactMatrix:
     def entry(self, r: int, c: int) -> Scalar:
         return self.rows()[r][c]
 
-    def row(self, r: int) -> tuple:
-        return self.rows()[r]
-
     def rows(self) -> tuple:
         """The entries as a tuple of rows of Scalars, built on first use and kept."""
         rows = self._rows
@@ -335,8 +335,24 @@ class ExactMatrix:
 
     # -- serialization --------------------------------------------------
 
+    def _cells(self, render: Callable[[Scalar], object], zero) -> list:
+        """Dense rows of rendered cells: ``render(x)`` for each nonzero entry
+        ``x`` and the one object ``zero`` in every other cell.
+
+        Only the nonzero entries are built as Scalars and rendered.
+        """
+        ncols = self.ncols
+        out = []
+        for row in self.nonzeros():
+            cells = [zero] * ncols
+            for c, x in row:
+                cells[c] = render(x)
+            out.append(cells)
+        return out
+
     def to_json(self) -> list:
-        return [[x.to_json() for x in row] for row in self.rows()]
+        # One fresh zero cell per call, shared by the zero cells of this result.
+        return self._cells(Scalar.to_json, ZERO.to_json())
 
     @staticmethod
     def from_json(data) -> "ExactMatrix":

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from nilorb.catalog import (AlgebraSpec, datum_membership_error,
-                            enumerate_orbits, fiber_count, total_orbit_count)
+from nilorb.catalog import (FAMILIES, SIGNED_FAMILIES, AlgebraSpec,
+                            datum_membership_error, enumerate_orbits,
+                            fiber_count, orbit_record_bound, total_orbit_count)
 from nilorb.diagrams import SignedDiagram, sign_row
-from nilorb.partitions import Partition, enumerate_partitions
+from nilorb.partitions import Partition, enumerate_partitions, partition_counts
 
 # Catalog totals frozen from independent hand enumeration:
 #   sl_r n=2: [2] splits in two, [1,1] stays      -> 3
@@ -216,3 +217,29 @@ def test_low_rank_warning():
     assert AlgebraSpec("so_pq", p=2, q=2).low_rank_warning
     assert not AlgebraSpec("so_pq", p=3, q=2).low_rank_warning
     assert not AlgebraSpec("sp_pq", p=1, q=1).low_rank_warning
+
+
+def test_partition_counts_match_enumeration():
+    counts = partition_counts(20)
+    assert counts == [len(enumerate_partitions(n)) for n in range(21)]
+    assert partition_counts(64)[64] == 1741630
+    assert partition_counts(0) == [1]
+
+
+def _small_algebras():
+    for fam in FAMILIES:
+        if fam in SIGNED_FAMILIES:
+            yield from (AlgebraSpec(fam, p=p, q=total - p)
+                        for total in range(2, 9) for p in range(1, total))
+        else:
+            lo = 3 if fam == "so_c" else 1
+            hi = 4 if fam == "sp_c" else 8  # sp_c(n) has 2n boxes
+            yield from (AlgebraSpec(fam, n=n) for n in range(lo, hi + 1))
+
+
+@pytest.mark.parametrize("a", list(_small_algebras()), ids=str)
+def test_orbit_record_bound_bounds_the_enumeration(a):
+    bound, count = orbit_record_bound(a), len(enumerate_orbits(a))
+    assert bound >= count
+    if a.family in ("sl_r", "sl_c", "sl_h"):
+        assert bound == count

@@ -248,6 +248,56 @@ def test_verify_empty_sweep_exits_two(capsys, algebra, cap, smallest):
     assert f"the smallest, {smallest}" in err
 
 
+def _no_orbit_work(monkeypatch):
+    """Make every route into orbit enumeration or triple building raise."""
+    import nilorb.centralizers
+    import nilorb.cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("orbit work started before the work limit")
+    for module, name in ((nilorb.cli, "build_triple"),
+                         (nilorb.centralizers, "build_triple"),
+                         (nilorb.cli, "enumerate_orbits")):
+        monkeypatch.setattr(module, name, forbidden)
+
+
+@pytest.mark.parametrize("argv,estimate,at", [
+    (("list", "--algebra", "sl_r", "--n", "64"), "7,133,716,480", "sl_r(n=64)"),
+    (("verify", "--algebra", "sl_r", "--max-verify-n", "1000"), "1,157,124",
+     "sl_r(n=21)"),
+    (("list", "--algebra", "sl_r", "--n", "25"), "1,223,750", "sl_r(n=25)"),
+    (("list", "--algebra", "sl_r", "--n", "1000000000"),
+     "1,000,000,000,000,000,000", "sl_r(n=1000000000)"),
+    (("verify", "--algebra", "sp_pq", "--max-verify-n", "1000000000"), "1,031,956",
+     "sp_pq(3,8)"),
+])
+def test_oversized_runs_are_refused_before_any_orbit_work(
+        capsys, monkeypatch, argv, estimate, at):
+    _no_orbit_work(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: work limit: orbit records x size^2, summed over the "
+                   f"run's algebras, reaches {estimate} at {at}; the limit is "
+                   f"1,000,000\n")
+
+
+@pytest.mark.parametrize("argv", [
+    # The largest list the limit admits: 1,575 x 24^2 = 907,200.
+    ("list", "--algebra", "sl_r", "--n", "24"),
+    # The largest commands of perfbench's catalog and verify workloads.
+    ("list", "--algebra", "so_c", "--n", "14"),
+    ("list", "--algebra", "sp_pq", "--p", "4", "--q", "4"),
+    ("list", "--algebra", "sp_c", "--n", "6"),
+    ("verify", "--algebra", "sp_pq", "--max-verify-n", "5"),
+    ("verify", "--algebra", "so_pq", "--max-verify-n", "6"),
+    ("verify", "--algebra", "sl_c", "--max-verify-n", "6"),
+], ids=" ".join)
+def test_work_limit_admits_runs_below_it(monkeypatch, argv):
+    _no_orbit_work(monkeypatch)
+    with pytest.raises(AssertionError, match="before the work limit"):
+        main(list(argv))
+
+
 def test_describe_stray_sign_part_named(capsys):
     code, _, err = run(capsys, "describe", "--algebra", "so_pq", "--p", "2",
                        "--q", "1", "--datum", "3", "--signs", "2:1")

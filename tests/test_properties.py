@@ -1,8 +1,8 @@
 """Property tests: scalar and matrix arithmetic against component-level
 references, matrix construction from nonzero entries against raw-index
 references, ring laws of the scalar tower, realification, exact rank, the
-canonical integer-numerator storage, and inverse, det and signature against
-plain elimination.
+canonical integer-numerator storage, inverse, det and signature against
+plain elimination, and matrix rendering against per-entry references.
 
 Hypothesis runs derandomized with a fixed example budget, so every run
 checks the same examples and the suite stays deterministic.
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilorb.cli import _compare, _matrix_lines
 from nilorb.matrices import (ExactMatrix, block_oplus, complex_to_real_blocks,
                              congruence_signature, conj_transpose, det, inverse,
                              quaternion_to_complex_blocks, rank, realify)
@@ -719,3 +720,97 @@ def test_signature_counts_the_signs_of_a_congruent_diagonal(case):
         return
     form = conj_transpose(p) @ ExactMatrix.diagonal(signs) @ p
     assert congruence_signature(form) == (signs.count(1), signs.count(-1))
+
+
+# --- rendering -------------------------------------------------------------------
+#
+# ``to_json``, ``cli._matrix_lines`` and ``cli._compare`` read only the nonzero
+# entries.  The references read every entry through ``rows()``.
+
+def ref_to_json(m: ExactMatrix) -> list:
+    return [[x.to_json() for x in row] for row in m.rows()]
+
+
+def ref_matrix_lines(title: str, m: ExactMatrix) -> List[str]:
+    cells = [[str(x) for x in row] for row in m.rows()]
+    widths = [max((len(cells[r][c]) for r in range(m.nrows)), default=1)
+              for c in range(m.ncols)]
+    lines = [f"{title}:"]
+    for r in range(m.nrows):
+        row = "  ".join(cells[r][c].rjust(widths[c]) for c in range(m.ncols))
+        lines.append(f"  [ {row} ]")
+    return lines
+
+
+def ref_compare(got: ExactMatrix, expected: ExactMatrix):
+    if got == expected:
+        return True, ""
+    for r, (row_got, row_expected) in enumerate(zip(got.rows(), expected.rows())):
+        for c, (x, y) in enumerate(zip(row_got, row_expected)):
+            if x != y:
+                return False, f"entry ({r},{c}) is {x}, expected {y}"
+    return False, (f"shape {got.nrows}x{got.ncols}, "
+                   f"expected {expected.nrows}x{expected.ncols}")
+
+
+@st.composite
+def rendered_matrices(draw):
+    """Shapes 0 x 0 to 4 x 4 with zero rows and columns, any components (so
+    4-string and 8-string cells mix), built from Scalars or from ints."""
+    m = matrix_of(draw(shaped_raw()))
+    return -(-m) if draw(st.booleans()) else m
+
+
+@settings(PROPERTY, max_examples=100)
+@given(rendered_matrices())
+def test_to_json_matches_the_dense_reference(m):
+    assert m.to_json() == ref_to_json(m)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(rendered_matrices())
+def test_matrix_lines_match_the_per_entry_reference(m):
+    assert _matrix_lines("m", m) == ref_matrix_lines("m", m)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(rendered_matrices())
+def test_to_json_results_share_no_mutable_state(m):
+    first = m.to_json()
+    for row in first:
+        row.append("extra")
+        for cell in row[:-1]:
+            cell[0] = "mutated"
+            cell.append("extra")
+    assert m.to_json() == ref_to_json(m)
+    assert ExactMatrix.zeros(2, 3).to_json() == [[["0/1"] * 4] * 3] * 2
+
+
+@st.composite
+def compare_pairs(draw):
+    """Two matrices of one shape, or the first and a copy of either one
+    with rows or columns cut off or zeros added, so the shapes differ."""
+    first, second = draw(same_shape_pairs())
+    if draw(st.booleans()):
+        nrows, ncols, raw = draw(st.sampled_from([first, second]))
+        new_rows = draw(st.sampled_from([nrows, 0, 1, 2, 3, 4]))
+        new_cols = draw(st.sampled_from([max(ncols - 1, 0), 0, 1, 2, 3, 4]))
+        second = (new_rows, new_cols, [
+            [raw[r][c] if r < nrows and c < ncols else ZERO_TUPLE
+             for c in range(new_cols)] for r in range(new_rows)])
+    return matrix_of(first), matrix_of(second)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(compare_pairs())
+def test_compare_names_the_entry_the_reference_names(pair):
+    for got, expected in (pair, pair[::-1]):
+        assert _compare(got, expected) == ref_compare(got, expected)
+
+
+def test_compare_reads_only_the_columns_both_shapes_have():
+    wide = ExactMatrix.from_entries(2, 3, {(1, 2): ONE})
+    narrow = ExactMatrix.from_entries(2, 2, {(1, 1): ONE})
+    assert _compare(wide, ExactMatrix.zeros(2, 2)) == (False, "shape 2x3, expected 2x2")
+    assert _compare(ExactMatrix.zeros(2, 2), wide) == (False, "shape 2x2, expected 2x3")
+    assert _compare(wide, narrow) == (False, "entry (1,1) is 0, expected 1")
