@@ -6,33 +6,39 @@ are the real components of the matrix entries.  Assembly visits only the
 nonzero entries of X, Y and the Gram matrix, and the scattered Gram
 products are built once per triple and shared by its solves.
 
+The solver runs on Python ints from end to end.  It reads each matrix
+through :meth:`~nilorb.matrices.ExactMatrix.integer_nonzeros`, the matrix
+times the least positive integer that clears its denominators, and
+eliminates fraction-free (:func:`_nullity`).  This is exact because each
+condition row draws on exactly one matrix: a form row on the Gram matrix,
+a commutation row on one commuting matrix, a trace row on the identity
+(coefficients 1, or 2 for the reduced trace of ``sl_h``).  Dropping that
+matrix's denominator scales the whole row by a positive integer, which
+leaves the kernel unchanged.
+
 The reported dimensions come from the ad(H)-grading g = ⊕ g_k: by
 sl2-theory dim z(X) = dim g_0 + dim g_1 and dim z(X,H,Y) = dim g_0 -
 dim g_2, where each dim g_k is a small solve over the entries of weight
 difference k, with no commutation rows.  The direct solves
 ``centralizer_dim_triple`` and ``centralizer_dim_nilpotent`` stay as
 independent references; ``verify`` checks the direct triple solve and
-the grading against each other and against the closed forms.
+the grading against each other and against the closed forms.  The graded
+solves read only the Gram matrix and the slot weights, so
+``centralizer_report`` without a triple and ``orbit_dim`` build no X, H
+or Y.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from math import gcd
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .catalog import AlgebraSpec, Datum, datum_partition
 from .matrices import ExactMatrix
-from .scalars import Scalar
-from .triples import (FORM_KIND, RING_DIM, SCALAR_RING, Triple, build_triple,
-                      gram_matrix, layout_for)
-
-_UNITS = (
-    Scalar.unit("1"),
-    Scalar.unit("i"),
-    Scalar.unit("j"),
-    Scalar.unit("k"),
-)
+from .scalars import _PROD
+from .triples import (FORM_KIND, RING_DIM, SCALAR_RING, Triple, gram_matrix,
+                      layout_for, triple_partition)
 
 
 def dim_g(a: AlgebraSpec) -> int:
@@ -141,58 +147,79 @@ def expected_compact_dim(a: AlgebraSpec, datum: Datum) -> int:
 # Kernel solver
 # ---------------------------------------------------------------------------
 
-def _nullity(rows: List[Dict[int, Fraction]], num_unknowns: int) -> int:
-    """Kernel dimension of a sparse rational system via incremental echelon."""
-    pivots: Dict[int, Dict[int, Fraction]] = {}
+def _nullity(rows: List[Dict[int, int]], num_unknowns: int) -> int:
+    """Kernel dimension of a sparse integer system by fraction-free echelon.
+
+    Every pivot row is kept primitive: the gcd of its entries is 1.  A row
+    whose leading column ``c`` holds a pivot ``p``, with ``f`` at ``c`` in
+    the row, becomes ``(p/g) r - (f/g) pivot`` for ``g = gcd(p, f)`` and
+    is then divided by its content, so the entries stay small.
+    """
+    pivots: Dict[int, Dict[int, int]] = {}
     rank = 0
     for row in rows:
         r = dict(row)
         while r:
             c = min(r)
-            if c in pivots:
-                factor = r.pop(c)
-                for cc, vv in pivots[c].items():
-                    if cc == c:
-                        continue
-                    nv = r.get(cc, Fraction(0)) - factor * vv
+            pivot = pivots.get(c)
+            if pivot is None:
+                g = gcd(*r.values())
+                pivots[c] = r if g == 1 else {cc: v // g for cc, v in r.items()}
+                rank += 1
+                break
+            f = r.pop(c)
+            p = pivot[c]
+            g = gcd(p, f)
+            if g != 1:
+                p, f = p // g, f // g
+            if p != 1:
+                r = {cc: p * v for cc, v in r.items()}
+            for cc, v in pivot.items():
+                if cc != c:
+                    nv = r.get(cc, 0) - f * v
                     if nv:
                         r[cc] = nv
                     else:
-                        r.pop(cc, None)
-            else:
-                piv = r[c]
-                pivots[c] = {cc: vv / piv for cc, vv in r.items()}
-                rank += 1
-                break
+                        del r[cc]
+            if r:
+                g = gcd(*r.values())
+                if g != 1:
+                    r = {cc: v // g for cc, v in r.items()}
     return num_unknowns - rank
 
 
-def _scatter(scalar: Scalar, comps: int) -> List[Tuple[int, Fraction]]:
-    out = []
-    for c, v in enumerate(scalar.components):
-        if v:
-            if c >= comps:
-                raise AssertionError("constraint coefficient outside the scalar ring")
-            out.append((c, v))
-    return out
-
-
 #: Per-row (or per-column) lists of ``(column (or row), value)`` pairs.
-_Lines = List[List[Tuple[int, Any]]]
+_Lines = Sequence[Sequence[Tuple[int, Any]]]
 
 
-def _nonzeros(m: ExactMatrix, value: Callable[[Scalar], Any]) -> Tuple[_Lines, _Lines]:
-    """Row and column lists of ``(index, value(entry))`` over the nonzeros of ``m``.
-
-    Row lists ascend by column and column lists by row, the order of a
-    dense scan.
-    """
-    by_row: _Lines = [[(c, value(x)) for c, x in row] for row in m.nonzeros()]
-    by_col: _Lines = [[] for _ in range(m.ncols)]
+def _columns(by_row: _Lines, ncols: int) -> _Lines:
+    """Column lists of ``(row, value)`` pairs, ascending by row, of the row lists."""
+    by_col: List[list] = [[] for _ in range(ncols)]
     for r, row in enumerate(by_row):
         for c, v in row:
             by_col[c].append((r, v))
-    return by_row, by_col
+    return by_col
+
+
+def _rational_lines(m: ExactMatrix) -> _Lines:
+    """The row lists of ``D * m`` with the int value of each entry.
+
+    Raises ``ValueError`` when an entry is not rational.
+    """
+    out = []
+    for row in m.integer_nonzeros():
+        if any(any(x[1:]) for _, x in row):
+            raise ValueError("a commuting matrix must have rational entries")
+        out.append([(c, x[0]) for c, x in row])
+    return out
+
+
+def _in_ring(terms: List[Tuple[int, int]], comps: int) -> List[Tuple[int, int]]:
+    """The ``(component, coefficient)`` terms, checked to lie in the scalar ring."""
+    for c, _ in terms:
+        if c >= comps:
+            raise AssertionError("constraint coefficient outside the scalar ring")
+    return terms
 
 
 class AlgebraConstraint:
@@ -204,7 +231,8 @@ class AlgebraConstraint:
     complex-linear, so its solves run on one real component and double the
     nullity.  The scattered Gram products of an unknown depend on its row
     and component but not on its column; they are built for a row on first
-    use and kept, so every solve over one Gram matrix shares them.
+    use and kept, so every solve over one Gram matrix shares them.  They
+    are products of a unit with the int numerators of ``D * G``.
     """
 
     def __init__(self, a: AlgebraSpec, gram: Optional[ExactMatrix]):
@@ -216,22 +244,30 @@ class AlgebraConstraint:
         self._terms: Dict[Tuple[int, int], Tuple[list, list]] = {}
         if gram is not None:
             _, sigma = FORM_KIND[a.family]
-            self._left_units = [u.conjugate() if sigma == "conj" else u
-                                for u in _UNITS[:self.comps]]
-            self._by_row, self._by_col = _nonzeros(gram, lambda x: x)
+            # sigma = conj negates the units i, j and k.
+            self._left_signs = [-1 if sigma == "conj" and c else 1
+                                for c in range(self.comps)]
+            self._by_row = gram.integer_nonzeros()
+            self._by_col = _columns(self._by_row, gram.ncols)
 
     def form_terms(self, ra: int, c: int) -> Tuple[list, list]:
         """Scattered ``Z^sigma G`` and ``G Z`` terms of component ``c`` of row ``ra``.
 
         Each is a list of ``(row or column of the condition, [(component,
-        coefficient), ...])``.
+        coefficient), ...])``: ``sigma(e_c) G[ra][s]`` and ``G[r][ra] e_c``
+        for the unit ``e_c``, with int coefficients read from ``D * G``.
         """
         terms = self._terms.get((ra, c))
         if terms is None:
-            left, unit = self._left_units[c], _UNITS[c]
+            sign, dim = self._left_signs[c], self._ring_dim
+            left = _PROD[c]
             terms = self._terms[ra, c] = (
-                [(s, _scatter(left * sv, self._ring_dim)) for s, sv in self._by_row[ra]],
-                [(r, _scatter(sv * unit, self._ring_dim)) for r, sv in self._by_col[ra]])
+                [(s, _in_ring([(left[ib][0], sign * left[ib][1] * y)
+                              for ib, y in enumerate(g) if y], dim))
+                 for s, g in self._by_row[ra]],
+                [(r, _in_ring([(_PROD[ib][c][0], _PROD[ib][c][1] * y)
+                              for ib, y in enumerate(g) if y], dim))
+                 for r, g in self._by_col[ra]])
         return terms
 
 
@@ -241,66 +277,72 @@ def _centralizer_nullity(constraint: AlgebraConstraint,
     """Real dimension of {Z in the algebra : [Z, M] = 0 for every listed M},
     over the Z whose nonzero entries lie in ``positions``."""
     comps = constraint.comps
-    index: Dict[Tuple[int, int, int], int] = {}
-    for (r, s) in positions:
-        for c in range(comps):
-            index[(r, s, c)] = len(index)
+    # Unknown ``i * comps + c`` is component c of the entry at positions[i].
+    rows: Dict[Tuple, Dict[int, int]] = {}
 
-    rows: Dict[Tuple, Dict[int, Fraction]] = {}
-
-    def add(key: Tuple, unknown: Tuple[int, int, int], coeff: Fraction) -> None:
-        if coeff:
-            row = rows.setdefault(key, {})
-            idx = index[unknown]
-            val = row.get(idx)
-            val = coeff if val is None else val + coeff
-            if val:
-                row[idx] = val
-            else:
-                row.pop(idx, None)
+    def add(key: Tuple, idx: int, coeff: int) -> None:
+        """Add ``coeff`` (never 0) times unknown ``idx`` to the row ``key``."""
+        row = rows.get(key)
+        if row is None:
+            rows[key] = {idx: coeff}
+            return
+        val = row.get(idx, 0) + coeff
+        if val:
+            row[idx] = val
+        else:
+            del row[idx]
 
     # Commutation rows stay inside one real component because the fixed
     # matrices are rational.
     for mi, m in enumerate(commute_with):
-        by_row, by_col = _nonzeros(m, Scalar.rational_value)
-        for (ra, rb) in positions:
-            for s, q in by_row[rb]:
-                for c in range(comps):
-                    add(("c", mi, ra, s, c), (ra, rb, c), q)
-            for r, q in by_col[ra]:
-                for c in range(comps):
-                    add(("c", mi, r, rb, c), (ra, rb, c), -q)
+        by_row = _rational_lines(m)
+        by_col = _columns(by_row, m.ncols)
+        for i, (ra, rb) in enumerate(positions):
+            for c in range(comps):
+                idx = i * comps + c
+                for s, q in by_row[rb]:
+                    add(("c", mi, ra, s, c), idx, q)
+                for r, q in by_col[ra]:
+                    add(("c", mi, r, rb, c), idx, -q)
 
     if constraint.gram is not None:
-        for (ra, rb) in positions:
+        for i, (ra, rb) in enumerate(positions):
             for c in range(comps):
+                idx = i * comps + c
                 left_terms, right_terms = constraint.form_terms(ra, c)
                 for s, terms in left_terms:
                     for cc, coeff in terms:
-                        add(("m", rb, s, cc), (ra, rb, c), coeff)
+                        add(("m", rb, s, cc), idx, coeff)
                 for r, terms in right_terms:
                     for cc, coeff in terms:
-                        add(("m", r, rb, cc), (ra, rb, c), coeff)
+                        add(("m", r, rb, cc), idx, coeff)
     elif constraint.family in ("sl_r", "sl_c"):
         for c in range(comps):
-            row_key = ("t", c)
-            for (ra, rb) in positions:
+            for i, (ra, rb) in enumerate(positions):
                 if ra == rb:
-                    add(row_key, (ra, rb, c), Fraction(1))
+                    add(("t", c), i * comps + c, 1)
     elif constraint.family == "sl_h":
-        for (ra, rb) in positions:
+        for i, (ra, rb) in enumerate(positions):
             if ra == rb:
-                add(("t", 0), (ra, rb, 0), Fraction(2))
+                add(("t", 0), i * comps, 2)
 
-    return constraint.doubling * _nullity(list(rows.values()), len(index))
+    return constraint.doubling * _nullity(list(rows.values()), len(positions) * comps)
 
 
-def _grade_positions(t: Triple, k: int) -> List[Tuple[int, int]]:
+def _grade_positions(weights: Sequence[int], k: int) -> List[Tuple[int, int]]:
     """The entries of ad(H)-eigenvalue ``k``: ``weights[r] - weights[s] == k``."""
-    weights = layout_for(t.partition).weights()
-    n = len(weights)
-    return [(r, s) for r in range(n) for s in range(n)
-            if weights[r] - weights[s] == k]
+    slots: Dict[int, List[int]] = {}
+    for s, w in enumerate(weights):
+        slots.setdefault(w, []).append(s)
+    return [(r, s) for r, w in enumerate(weights) for s in slots.get(w - k, ())]
+
+
+def _grade_nullities(constraint: AlgebraConstraint,
+                     weights: Sequence[int]) -> Tuple[int, int, int]:
+    """dim g_0, g_1 and g_2 over the slot weights of the triple's basis."""
+    g0, g1, g2 = (_centralizer_nullity(constraint, [], _grade_positions(weights, k))
+                  for k in (0, 1, 2))
+    return g0, g1, g2
 
 
 def graded_dims(t: Triple, a: AlgebraSpec,
@@ -315,9 +357,15 @@ def graded_dims(t: Triple, a: AlgebraSpec,
     """
     if constraint is None:
         constraint = AlgebraConstraint(a, t.gram)
-    g0, g1, g2 = (_centralizer_nullity(constraint, [], _grade_positions(t, k))
-                  for k in (0, 1, 2))
-    return g0, g1, g2
+    return _grade_nullities(constraint, t.layout.weights())
+
+
+def _datum_graded_dims(a: AlgebraSpec, datum: Datum) -> Tuple[int, int, int]:
+    """:func:`graded_dims` of the datum's standard triple, from its Gram
+    matrix and slot weights alone: X, H and Y are never built."""
+    part = triple_partition(a, datum)
+    gram = gram_matrix(a, datum) if a.family in FORM_KIND else None
+    return _grade_nullities(AlgebraConstraint(a, gram), layout_for(part).weights())
 
 
 def centralizer_dim_triple(t: Triple, a: AlgebraSpec,
@@ -330,7 +378,8 @@ def centralizer_dim_triple(t: Triple, a: AlgebraSpec,
     """
     if constraint is None:
         constraint = AlgebraConstraint(a, t.gram)
-    return _centralizer_nullity(constraint, [t.X, t.Y], _grade_positions(t, 0))
+    return _centralizer_nullity(constraint, [t.X, t.Y],
+                                _grade_positions(t.layout.weights(), 0))
 
 
 def centralizer_dim_nilpotent(x: ExactMatrix, a: AlgebraSpec,
@@ -353,10 +402,9 @@ def centralizer_dim_nilpotent(x: ExactMatrix, a: AlgebraSpec,
 
 def orbit_dim(a: AlgebraSpec, datum: Datum) -> int:
     """Real dimension of the adjoint orbit through the datum's representative."""
-    part = datum_partition(datum)
-    if part.is_zero_type():
+    if datum_partition(datum).is_zero_type():
         return 0
-    g0, g1, _ = graded_dims(build_triple(a, datum), a)
+    g0, g1, _ = _datum_graded_dims(a, datum)
     return dim_g(a) - g0 - g1
 
 
@@ -388,23 +436,25 @@ def centralizer_report(a: AlgebraSpec, datum: Datum,
                        triple: Optional[Triple] = None) -> CentralizerReport:
     """Solved and closed-form centralizer dimensions of the datum's orbit.
 
-    ``triple`` is the datum's standard triple, built here when not given
-    (the zero orbit has none).
+    ``triple`` is the datum's standard triple, if the caller has one.
+    Without it only the Gram matrix and the slot weights are built.
     """
-    if triple is None and not datum_partition(datum).is_zero_type():
-        triple = build_triple(a, datum)
+    zero = datum_partition(datum).is_zero_type()
     ambient = dim_g(a)
     expected = expected_reductive_dim(a, datum)
     try:
         compact = expected_compact_dim(a, datum)
     except ValueError:
         compact = None
-    if triple is None:
+    if zero:
         return CentralizerReport(
             dim_z_triple=ambient, dim_z_X=ambient, dim_g=ambient, dim_orbit=0,
             expected_reductive=expected, expected_compact=compact,
             match=ambient == expected)
-    g0, g1, g2 = graded_dims(triple, a)
+    if triple is None:
+        g0, g1, g2 = _datum_graded_dims(a, datum)
+    else:
+        g0, g1, g2 = graded_dims(triple, a)
     dz_triple, dz_x = g0 - g2, g0 + g1
     return CentralizerReport(
         dim_z_triple=dz_triple, dim_z_X=dz_x, dim_g=ambient,

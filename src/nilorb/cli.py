@@ -49,9 +49,17 @@ _CHECK_ORDER = (
 
 
 #: Work limit of one ``list`` or ``verify`` run: the sum over its algebras
-#: of (orbit records) x size^2.  ``list --algebra sl_r --n 24`` (estimate
-#: 907,200) takes about a second; ``--n 25`` (1,223,750) is refused.
+#: of (orbit records) x size^2, times :data:`VERIFY_WEIGHT` for ``verify``.
+#: ``list --algebra sl_r --n 24`` (estimate 907,200) takes under a second;
+#: ``--n 25`` (1,223,750) is refused.
 MAX_WORK = 1_000_000
+
+#: Weight of a ``verify`` run in the work estimate.  A ``list`` record costs
+#: 0.35 to 2.4 us per unit of records x size^2, a ``verify`` record 2 to
+#: 190 us (most for sl_c, least for the signed families, whose record count
+#: is a loose bound), so with this weight ``verify --algebra sl_c --n 21``,
+#: which runs for over a minute, is refused.
+VERIFY_WEIGHT = 3
 
 
 class UsageError(Exception):
@@ -122,22 +130,25 @@ def _algebra_from_args(args) -> AlgebraSpec:
         raise UsageError(str(exc)) from exc
 
 
-def _admit(specs: Iterable[AlgebraSpec]) -> List[AlgebraSpec]:
+def _admit(specs: Iterable[AlgebraSpec], weight: int = 1) -> List[AlgebraSpec]:
     """The algebras of one run, unless its work estimate exceeds ``MAX_WORK``.
 
-    The estimate adds :func:`orbit_record_bound` x size^2 per algebra,
-    before any orbit is enumerated or built, and stops at the algebra that
-    takes it over the limit, so an oversized sweep is never listed in full.
+    The estimate adds ``weight`` x :func:`orbit_record_bound` x size^2 per
+    algebra, before any orbit is enumerated or built, and stops at the
+    algebra that takes it over the limit, so an oversized sweep is never
+    listed in full.
     """
+    measure = "orbit records x size^2"
+    if weight != 1:
+        measure += f" x {weight} (the verify weight)"
     admitted, work = [], 0
     for a in specs:
-        square = a.size ** 2
+        square = weight * a.size ** 2
         # Every algebra has its zero orbit, so a square over the limit needs no count.
         work += square if square > MAX_WORK else square * orbit_record_bound(a)
         if work > MAX_WORK:
-            raise UsageError(f"work limit: orbit records x size^2, summed over the "
-                             f"run's algebras, reaches {work:,} at {a}; the limit is "
-                             f"{MAX_WORK:,}")
+            raise UsageError(f"work limit: {measure}, summed over the run's algebras, "
+                             f"reaches {work:,} at {a}; the limit is {MAX_WORK:,}")
         admitted.append(a)
     return admitted
 
@@ -145,18 +156,20 @@ def _admit(specs: Iterable[AlgebraSpec]) -> List[AlgebraSpec]:
 def _verify_specs(args) -> List[AlgebraSpec]:
     """The algebras a verify run sweeps: one explicit, or all small sizes."""
     if args.n is not None or args.p is not None or args.q is not None:
-        return _admit([_algebra_from_args(args)])
+        return _admit([_algebra_from_args(args)], VERIFY_WEIGHT)
     cap = args.max_verify_n
     fam = args.algebra
     if fam in SIGNED_FAMILIES:
         smallest = AlgebraSpec(fam, p=1, q=1)
-        specs = _admit(AlgebraSpec(fam, p=p, q=total - p)
-                       for total in range(2, cap + 1) for p in range(1, total))
+        specs = _admit((AlgebraSpec(fam, p=p, q=total - p)
+                        for total in range(2, cap + 1) for p in range(1, total)),
+                       VERIFY_WEIGHT)
     else:
         lo = 3 if fam == "so_c" else 1
         smallest = AlgebraSpec(fam, n=lo)
         hi = cap // 2 if fam == "sp_c" else cap
-        specs = _admit(AlgebraSpec(fam, n=n) for n in range(lo, hi + 1))
+        specs = _admit((AlgebraSpec(fam, n=n) for n in range(lo, hi + 1)),
+                       VERIFY_WEIGHT)
     if not specs:
         raise UsageError(f"--max-verify-n {cap} sweeps no {fam} algebra; "
                          f"the smallest, {smallest}, needs --max-verify-n "

@@ -26,7 +26,10 @@ Every structured matrix (triples, Gram matrices, adapted bases, block
 embeddings) is built from its nonzero entries with
 :meth:`ExactMatrix.from_entries`, and every consumer that wants to skip
 zeros reads them back through :meth:`ExactMatrix.nonzeros`, so how a
-matrix is stored is decided in this module alone.
+matrix is stored is decided in this module alone.  A consumer whose answer
+does not change when the matrix is scaled by a positive integer, such as
+a kernel solve, reads the stored numerators instead through
+:meth:`ExactMatrix.integer_nonzeros` and builds no Scalar.
 """
 
 from __future__ import annotations
@@ -230,6 +233,18 @@ class ExactMatrix:
             nz = self._nonzeros = tuple(
                 tuple([(c, _to_scalar(x, den)) for c, x in row]) for row in self._num)
         return nz
+
+    def integer_nonzeros(self) -> tuple:
+        """Per row, the ``(column, numerators)`` pairs of ``D * self``, by column.
+
+        ``D`` is the least positive integer that clears every denominator,
+        and ``numerators`` holds eight ints in the component order of
+        :data:`~nilorb.scalars.BASIS_NAMES`.  The stored tuples are
+        returned, not copied.  The result is the matrix times a positive
+        integer that is not returned, so it suits only callers whose answer
+        does not change under a nonzero scale, such as kernels and ranks.
+        """
+        return self._num
 
     def is_zero(self) -> bool:
         return not any(self._num)

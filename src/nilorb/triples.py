@@ -133,9 +133,18 @@ class Triple:
         return data
 
 
-def _require_nonzero(partition: Partition) -> None:
-    if partition.is_zero_type():
+def triple_partition(a: AlgebraSpec, datum: Datum) -> Partition:
+    """The partition of a datum whose standard triple lives in ``a``.
+
+    Raises :class:`ZeroOrbitError` for the zero orbit and ``ValueError``
+    when the datum's size is not the algebra's.
+    """
+    part = datum_partition(datum)
+    if part.is_zero_type():
         raise ZeroOrbitError("the zero orbit has no standard triple")
+    if part.size() != a.size:
+        raise ValueError(f"datum size {part.size()} does not match {a}")
+    return part
 
 
 def sigma_transpose(m: ExactMatrix, sigma: str) -> ExactMatrix:
@@ -233,10 +242,7 @@ def gram_matrix(a: AlgebraSpec, datum: Datum) -> ExactMatrix:
 
 
 def build_triple(a: AlgebraSpec, datum: Datum) -> Triple:
-    part = datum_partition(datum)
-    _require_nonzero(part)
-    if part.size() != a.size:
-        raise ValueError(f"datum size {part.size()} does not match {a}")
+    part = triple_partition(a, datum)
     gram = epsilon = sigma = None
     if a.family in FORM_KIND:
         epsilon, sigma = FORM_KIND[a.family]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from nilorb.catalog import AlgebraSpec, enumerate_orbits
@@ -10,6 +12,7 @@ from nilorb.centralizers import (AlgebraConstraint, centralizer_dim_nilpotent,
                                  dim_g, expected_compact_dim,
                                  expected_orbit_dim, expected_reductive_dim,
                                  graded_dims, orbit_dim)
+from nilorb.diagrams import SignedDiagram
 from nilorb.partitions import Partition
 from nilorb.triples import build_triple
 
@@ -133,6 +136,29 @@ def test_zero_orbit_dimensions():
     assert rep.dim_z_X == rep.dim_g
     assert rep.dim_z_triple == rep.dim_g
     assert rep.match
+
+
+def test_commuting_matrices_must_be_rational():
+    """The commutation rows read one real component, so a fixed matrix with
+    an irrational or imaginary entry is refused, not solved wrongly."""
+    from nilorb.scalars import I_UNIT, SQRT2
+
+    a = AlgebraSpec("sl_c", n=3)
+    t = build_triple(a, Partition([2, 1]))
+    for unit in (I_UNIT, SQRT2):
+        with pytest.raises(ValueError, match="rational entries"):
+            centralizer_dim_nilpotent(t.X.scale_left(unit), a)
+        with pytest.raises(ValueError, match="rational entries"):
+            centralizer_dim_triple(replace(t, Y=t.Y.scale_left(unit)), a)
+
+
+def test_datum_of_another_size_is_refused():
+    a = AlgebraSpec("so_pq", p=2, q=1)
+    d = SignedDiagram(Partition([3, 1]), {3: 0, 1: 1})
+    with pytest.raises(ValueError, match="does not match"):
+        orbit_dim(a, d)
+    with pytest.raises(ValueError, match="does not match"):
+        centralizer_report(a, d)
 
 
 def test_compact_at_most_reductive():

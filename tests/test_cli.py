@@ -256,27 +256,31 @@ def _no_orbit_work(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("orbit work started before the work limit")
     for module, name in ((nilorb.cli, "build_triple"),
-                         (nilorb.centralizers, "build_triple"),
+                         (nilorb.centralizers, "gram_matrix"),
                          (nilorb.cli, "enumerate_orbits")):
         monkeypatch.setattr(module, name, forbidden)
 
 
 @pytest.mark.parametrize("argv,estimate,at", [
     (("list", "--algebra", "sl_r", "--n", "64"), "7,133,716,480", "sl_r(n=64)"),
-    (("verify", "--algebra", "sl_r", "--max-verify-n", "1000"), "1,157,124",
-     "sl_r(n=21)"),
+    (("verify", "--algebra", "sl_r", "--max-verify-n", "1000"), "1,140,486",
+     "sl_r(n=18)"),
     (("list", "--algebra", "sl_r", "--n", "25"), "1,223,750", "sl_r(n=25)"),
     (("list", "--algebra", "sl_r", "--n", "1000000000"),
      "1,000,000,000,000,000,000", "sl_r(n=1000000000)"),
-    (("verify", "--algebra", "sp_pq", "--max-verify-n", "1000000000"), "1,031,956",
-     "sp_pq(3,8)"),
+    (("verify", "--algebra", "sp_pq", "--max-verify-n", "1000000000"), "1,122,540",
+     "sp_pq(1,9)"),
+    (("verify", "--algebra", "sl_c", "--n", "21"), "1,047,816", "sl_c(n=21)"),
 ])
 def test_oversized_runs_are_refused_before_any_orbit_work(
         capsys, monkeypatch, argv, estimate, at):
     _no_orbit_work(monkeypatch)
+    measure = "orbit records x size^2"
+    if argv[0] == "verify":
+        measure += " x 3 (the verify weight)"
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == (f"error: work limit: orbit records x size^2, summed over the "
+    assert err == (f"error: work limit: {measure}, summed over the "
                    f"run's algebras, reaches {estimate} at {at}; the limit is "
                    f"1,000,000\n")
 
@@ -291,11 +295,28 @@ def test_oversized_runs_are_refused_before_any_orbit_work(
     ("verify", "--algebra", "sp_pq", "--max-verify-n", "5"),
     ("verify", "--algebra", "so_pq", "--max-verify-n", "6"),
     ("verify", "--algebra", "sl_c", "--max-verify-n", "6"),
+    # The largest sl_c verify the weight admits: 3 x 627 x 20^2 = 752,400.
+    ("verify", "--algebra", "sl_c", "--n", "20"),
 ], ids=" ".join)
 def test_work_limit_admits_runs_below_it(monkeypatch, argv):
     _no_orbit_work(monkeypatch)
     with pytest.raises(AssertionError, match="before the work limit"):
         main(list(argv))
+
+
+@pytest.mark.parametrize("family,cap", [("sp_pq", 5), ("so_pq", 6), ("sl_c", 6)])
+def test_verify_weight_leaves_the_benchmark_sweeps_twice_the_room(family, cap):
+    """The weighted estimate of each benchmark verify sweep is at most half
+    the limit; the largest, so_pq up to size 6, is 16,460 unweighted."""
+    from nilorb.catalog import orbit_record_bound
+    from nilorb.cli import MAX_WORK, VERIFY_WEIGHT, _build_parser, _verify_specs
+
+    args = _build_parser().parse_args(["verify", "--algebra", family,
+                                       "--max-verify-n", str(cap)])
+    units = sum(a.size ** 2 * orbit_record_bound(a) for a in _verify_specs(args))
+    assert 2 * VERIFY_WEIGHT * units <= MAX_WORK
+    if family == "so_pq":
+        assert units == 16_460
 
 
 def test_describe_stray_sign_part_named(capsys):
@@ -455,3 +476,36 @@ def test_golden_documents(capsys, name, argv):
     assert code == 0
     golden = (DATA / name).read_text()
     assert out == golden
+
+
+def _no_triple_matrices(monkeypatch):
+    """Make the constructors of X, H and Y raise in every nilorb module holding them."""
+    import nilorb.triples
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("X, H or Y was built")
+    for name in ("nilpotent_matrix", "semisimple_matrix", "lowering_matrix"):
+        original = getattr(nilorb.triples, name)
+        for module_name, module in list(sys.modules.items()):
+            if ((module_name == "nilorb" or module_name.startswith("nilorb."))
+                    and vars(module).get(name) is original):
+                monkeypatch.setattr(module, name, forbidden)
+
+
+def test_list_and_orbit_dim_build_no_triple_matrices(capsys, monkeypatch):
+    """The graded solves read only the Gram matrix and the slot weights."""
+    from nilorb.centralizers import expected_orbit_dim, orbit_dim
+    from nilorb.triples import build_triple
+
+    _no_triple_matrices(monkeypatch)
+    a = AlgebraSpec("sp_c", n=2)
+    records = [r for r in enumerate_orbits(a) if not r.is_zero_orbit]
+    with pytest.raises(AssertionError, match="X, H or Y was built"):
+        build_triple(a, records[0].datum)
+    code, out, _ = run(capsys, "list", "--algebra", "so_pq", "--p", "2", "--q", "1",
+                       "--format", "json")
+    assert (code, out) == (0, (DATA / "list_so_pq_2_1.json").read_text())
+    code, _, _ = run(capsys, "list", "--algebra", "sl_h", "--n", "3")
+    assert code == 0
+    for rec in records:
+        assert orbit_dim(a, rec.datum) == expected_orbit_dim(a, rec.datum)

@@ -13,6 +13,11 @@ time: outside ``matrices`` and ``scalars``, no module calls ``.rows()``,
 ``ExactMatrix(rows)`` constructor.  ``cli`` is scanned too: it renders
 matrices through the nonzero-driven ``ExactMatrix._cells`` and names a
 failing entry from ``nonzeros()``.
+
+A third scan keeps the storage itself private: outside ``matrices`` and
+``scalars``, no module touches the attributes ``_num``, ``_den``, ``_d``,
+``_n``, ``_nonzeros`` or ``_rows``.  The centralizer solver reads
+numerators through the public ``ExactMatrix.integer_nonzeros``.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name not in LAYOUT_OWNERS)
 ENTRY_READERS = LAYOUT_OWNERS
 HOT_MODULES = sorted(p for p in MODULES if p.name not in ENTRY_READERS)
 ENTRY_METHODS = {"rows", "row", "entry"}
+STORAGE_ATTRIBUTES = {"_num", "_den", "_d", "_n", "_nonzeros", "_rows"}
 
 
 def _is_multiplied_list(node: ast.AST) -> bool:
@@ -109,3 +115,31 @@ def test_scan_flags_entry_reads_and_accepts_nonzeros():
 @pytest.mark.parametrize("path", HOT_MODULES, ids=lambda p: p.name)
 def test_no_entry_reads_outside_matrices_scalars_and_cli(path):
     assert entry_reads(path.read_text()) == []
+
+
+def storage_reads(source: str) -> list:
+    """``(line, what)`` for every access to a matrix's private storage."""
+    return sorted((node.lineno, f".{node.attr}") for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in STORAGE_ATTRIBUTES)
+
+
+def test_scan_flags_storage_reads_and_accepts_public_readers():
+    source = (
+        "den, num = m._den, m._num\n"
+        "d = m._d\n"
+        "n = other._n\n"
+        "nz = m._nonzeros\n"
+        "rows = m._rows\n"
+        "nz = m.nonzeros()\n"
+        "ints = m.integer_nonzeros()\n"
+        "cells = m._cells(str, '0')\n"
+        "k = m.ncols, m.nrows\n"
+        "num = _num\n"
+    )
+    assert storage_reads(source) == [(1, "._den"), (1, "._num"), (2, "._d"), (3, "._n"),
+                                     (4, "._nonzeros"), (5, "._rows")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_storage_reads_outside_matrices_and_scalars(path):
+    assert storage_reads(path.read_text()) == []

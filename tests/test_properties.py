@@ -2,7 +2,9 @@
 references, matrix construction from nonzero entries against raw-index
 references, ring laws of the scalar tower, realification, exact rank, the
 canonical integer-numerator storage, inverse, det and signature against
-plain elimination, and matrix rendering against per-entry references.
+plain elimination, matrix rendering against per-entry references, and the
+integer centralizer solver against Bareiss rank, the Fraction echelon it
+replaced and rescaled matrices.
 
 Hypothesis runs derandomized with a fixed example budget, so every run
 checks the same examples and the suite stays deterministic.
@@ -10,19 +12,25 @@ checks the same examples and the suite stays deterministic.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import List
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilorb.catalog import AlgebraSpec, enumerate_orbits
+from nilorb.centralizers import (_nullity, centralizer_dim_triple,
+                                 expected_reductive_dim, graded_dims)
 from nilorb.cli import _compare, _matrix_lines
 from nilorb.matrices import (ExactMatrix, block_oplus, complex_to_real_blocks,
                              congruence_signature, conj_transpose, det, inverse,
-                             quaternion_to_complex_blocks, rank, realify)
+                             kernel_dim, quaternion_to_complex_blocks, rank,
+                             realify)
 from nilorb.scalars import I_UNIT, J_UNIT, ONE, VARIANT_COMPONENTS, ZERO, Scalar
+from nilorb.triples import build_triple
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
                     max_examples=40)
@@ -814,3 +822,120 @@ def test_compare_reads_only_the_columns_both_shapes_have():
     assert _compare(wide, ExactMatrix.zeros(2, 2)) == (False, "shape 2x3, expected 2x2")
     assert _compare(ExactMatrix.zeros(2, 2), wide) == (False, "shape 2x2, expected 2x3")
     assert _compare(wide, narrow) == (False, "entry (1,1) is 0, expected 1")
+
+
+# --- the integer centralizer solver --------------------------------------------
+#
+# The solver assembles its rows from ExactMatrix.integer_nonzeros, the matrix
+# times the least int that clears its denominators, and eliminates
+# fraction-free.  Its kernel dimensions are checked against Bareiss rank in
+# matrices and against the Fraction echelon it replaced, kept here, and its
+# centralizer dimensions against the same matrices with other denominators.
+
+def fraction_nullity(rows, num_unknowns: int) -> int:
+    """Kernel dimension by the sparse Fraction echelon the solver used to run."""
+    pivots = {}
+    rank = 0
+    for row in rows:
+        r = {c: Fraction(v) for c, v in row.items()}
+        while r:
+            c = min(r)
+            if c in pivots:
+                factor = r.pop(c)
+                for cc, vv in pivots[c].items():
+                    if cc == c:
+                        continue
+                    nv = r.get(cc, Fraction(0)) - factor * vv
+                    if nv:
+                        r[cc] = nv
+                    else:
+                        r.pop(cc, None)
+            else:
+                piv = r[c]
+                pivots[c] = {cc: vv / piv for cc, vv in r.items()}
+                rank += 1
+                break
+    return num_unknowns - rank
+
+
+# Small coefficients most of the time, and some up to 10^6 so that pivots and
+# row contents have nontrivial gcds.
+int_coefficients = st.one_of(st.integers(-9, 9), st.integers(-10 ** 6, 10 ** 6)).filter(bool)
+
+
+@st.composite
+def int_systems(draw):
+    """``(rows, unknowns)``: sparse int rows over 0..8 unknowns, with empty
+    rows, repeated rows, multiples and sums of earlier rows mixed in."""
+    n = draw(st.integers(0, 8))
+    columns = st.integers(0, n - 1) if n else st.nothing()
+    rows = draw(st.lists(st.dictionaries(columns, int_coefficients, max_size=n),
+                         max_size=8))
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        a, b = draw(int_coefficients), draw(st.integers(-3, 3))
+        combined = {c: a * rows[i].get(c, 0) + b * rows[j].get(c, 0)
+                    for c in rows[i].keys() | rows[j].keys()}
+        rows.append({c: v for c, v in combined.items() if v})
+    return draw(st.permutations(rows)), n
+
+
+@settings(PROPERTY, max_examples=300)
+@given(int_systems())
+def test_integer_nullity_matches_bareiss_and_the_fraction_echelon(system):
+    rows, n = system
+    before = [dict(r) for r in rows]
+    got = _nullity(rows, n)
+    assert rows == before  # the input rows are not modified
+    m = ExactMatrix.from_entries(len(rows), n, {(i, c): v for i, row in enumerate(rows)
+                                                for c, v in row.items()})
+    assert got == kernel_dim(m) == fraction_nullity(rows, n)
+
+
+def test_integer_nullity_edge_cases():
+    assert _nullity([], 0) == 0
+    assert _nullity([{}, {}], 3) == 3
+    assert _nullity([{0: 2, 1: 4}, {0: 2, 1: 4}, {0: -1, 1: -2}], 2) == 1
+    assert _nullity([{0: 6, 1: 4}, {0: 9, 1: 6}, {1: 10 ** 6}], 3) == 1
+
+
+@settings(PROPERTY, max_examples=60)
+@given(shaped_raw())
+def test_integer_nonzeros_are_the_matrix_times_its_least_denominator(shaped):
+    m = matrix_of(shaped)
+    nrows, _, raw = shaped
+    den = lcm(*[f.denominator for row in raw for x in row for f in x])
+    got = m.integer_nonzeros()
+    assert got is m.integer_nonzeros()
+    assert [[(c, tuple(Fraction(v, den) for v in x)) for c, x in row] for row in got] == [
+        [(c, x) for c, x in enumerate(raw[r]) if x != ZERO_TUPLE] for r in range(nrows)]
+
+
+def _scaled_triple(t, gram_by, x_by, y_by):
+    def scale(m, f):
+        return m.scale_left(Scalar.rational(f))
+    return replace(t, gram=scale(t.gram, gram_by), X=scale(t.X, x_by),
+                   Y=scale(t.Y, y_by))
+
+
+FORM_ORBITS = [("so_c", {"n": 6}), ("so_pq", {"p": 3, "q": 2}), ("sp_c", {"n": 3}),
+               ("sp_pq", {"p": 2, "q": 1}), ("so_star", {"n": 3})]
+
+
+@pytest.mark.parametrize("family,params", FORM_ORBITS, ids=[f for f, _ in FORM_ORBITS])
+@pytest.mark.parametrize("gram_by,x_by,y_by", [
+    (Fraction(1, 3), 1, 1), (1, Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(-2, 3), Fraction(1, 2), Fraction(3, 2))])
+def test_centralizer_dims_ignore_the_denominators(family, params, gram_by, x_by, y_by):
+    """A scaled Gram matrix cuts out the same algebra, and X and Y scaled
+    have the same centralizer, whatever denominator the scale brings in."""
+    a = AlgebraSpec(family, **params)
+    # The orbit with the most distinct parts, so odd and even parts meet.
+    rec = max((r for r in enumerate_orbits(a) if not r.is_zero_orbit),
+              key=lambda r: (len(r.partition().pairs), str(r.datum)))
+    t = build_triple(a, rec.datum)
+    scaled = _scaled_triple(t, gram_by, x_by, y_by)
+    assert scaled.gram != t.gram or scaled.X != t.X
+    assert graded_dims(scaled, a) == graded_dims(t, a)
+    assert (centralizer_dim_triple(scaled, a) == centralizer_dim_triple(t, a)
+            == expected_reductive_dim(a, rec.datum))
