@@ -165,19 +165,41 @@ def enumerate_orbits(a: AlgebraSpec) -> List[OrbitRecord]:
     ]
 
 
+#: The parity rules of each family's data: (parity of the part lengths whose
+#: rows carry a free sign, parity of the part lengths that need even
+#: multiplicity), ``None`` for no such parts.  The sl families have neither.
+_PARITY_RULES = {
+    "so_c": (None, 0),
+    "sp_c": (None, 1),
+    "so_pq": (1, 0),
+    "sp_pq": (1, None),
+    "so_star": (0, None),
+}
+
+
 def orbit_record_bound(a: AlgebraSpec) -> int:
     """An upper bound on ``len(enumerate_orbits(a))``, counted without enumerating.
 
-    Plain partitions: p(size), exact for sl_r, sl_c and sl_h.  Signed
-    diagrams: choosing how many of the ``t`` rows of each length start
-    with ``+`` gives at most prod(t + 1) diagrams per partition, and these
-    products summed over the partitions of ``n`` count the pairs of
-    partitions of total size ``n``: sum of p(k) p(n - k).
+    The coefficient of x^size in a product over part lengths d of partition
+    generating functions: 1/(1 - x^d)^2 where the rows of length d carry a
+    free sign (t rows have t + 1 sign choices), 1/(1 - x^(2d)) where parts
+    d need even multiplicity, 1/(1 - x^d) otherwise.  Exact for the
+    families without a signature; so_pq and sp_pq count every signature of
+    size p + q.  The sl families take p(size) from :func:`partition_counts`.
     """
-    p = partition_counts(a.size)
-    if a.family in ("so_pq", "sp_pq", "so_star"):
-        return sum(x * y for x, y in zip(p, reversed(p)))
-    return p[-1]
+    rules = _PARITY_RULES.get(a.family)
+    if rules is None:
+        return partition_counts(a.size)[-1]
+    free, paired = rules
+    n = a.size
+    series = [1] + [0] * n
+    for d in range(1, n + 1):
+        steps = (d, d) if d % 2 == free else (2 * d,) if d % 2 == paired else (d,)
+        for k in steps:
+            # Multiplying by 1/(1 - x^k) adds x^k times the series to itself.
+            for m in range(k, n + 1):
+                series[m] += series[m - k]
+    return series[n]
 
 
 def total_orbit_count(a: AlgebraSpec) -> int:

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import random
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .catalog import (FAMILIES, SIGNED_FAMILIES, AlgebraSpec, Datum,
@@ -55,10 +55,11 @@ _CHECK_ORDER = (
 MAX_WORK = 1_000_000
 
 #: Weight of a ``verify`` run in the work estimate.  A ``list`` record costs
-#: 0.35 to 2.4 us per unit of records x size^2, a ``verify`` record 2 to
-#: 190 us (most for sl_c, least for the signed families, whose record count
-#: is a loose bound), so with this weight ``verify --algebra sl_c --n 21``,
-#: which runs for over a minute, is refused.
+#: 0.35 to 2.4 us per unit of records x size^2, a ``verify`` record up to
+#: 190 us (most for sl_c), so with this weight ``verify --algebra sl_c
+#: --n 21``, which runs for over a minute, is refused.  The record counts
+#: follow the parity rules, so the largest admitted so/sp runs (so_c 25,
+#: sp_c 12, so_pq(8,8), sp_pq(7,8)) take under half a minute each.
 VERIFY_WEIGHT = 3
 
 
@@ -195,11 +196,13 @@ def _parse_datum(a: AlgebraSpec, datum_str: str, signs_str: Optional[str]) -> Da
             if not chunk:
                 continue
             try:
-                d, p = chunk.split(":")
-                p_by_part[int(d)] = int(p)
+                d, p = (int(x) for x in chunk.split(":"))
             except ValueError as exc:
                 raise UsageError(
                     f"cannot parse --signs entry {chunk!r}; use d:p_d") from exc
+            if d in p_by_part:
+                raise UsageError(f"sign data names part {d} twice")
+            p_by_part[d] = p
     forced_parity = 1 if a.family == "so_star" else 0
     for d, t in partition.pairs:
         if d % 2 == forced_parity:
@@ -222,6 +225,71 @@ def _matrix_lines(title: str, m: ExactMatrix) -> List[str]:
         padded = "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
         lines.append(f"  [ {padded} ]")
     return lines
+
+
+_JSON_CONTAINERS = (list, tuple, dict)
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, for a document of str,
+    int, bool, None, lists, tuples and str-keyed dicts.
+
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder, one
+    generator per nesting level yielding one token at a time; here each
+    subtree's text is one ``str.join``.  Within the call, the text of each
+    list or tuple whose items are not containers is kept by identity and
+    depth, so a cell list that ``ExactMatrix.to_json`` shares across a
+    matrix's zero entries is encoded once.  The document keeps every object
+    alive for the whole call, so no identity is reused.  Anything else,
+    floats and non-str keys included, raises ``TypeError``.
+    """
+    memo: Dict[Tuple[int, int], str] = {}
+    quote = encode_basestring_ascii
+
+    def encode(o, depth: int) -> str:
+        if isinstance(o, str):
+            return quote(o)
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            key = (id(o), depth)
+            text = memo.get(key)
+            if text is not None:
+                return text
+            leaf = True
+            items = []
+            for x in o:
+                if isinstance(x, str):
+                    items.append(quote(x))
+                else:
+                    leaf = leaf and not isinstance(x, _JSON_CONTAINERS)
+                    items.append(encode(x, depth + 1))
+            inner = "\n" + "  " * (depth + 1)
+            text = f"[{inner}{(',' + inner).join(items)}\n{'  ' * depth}]"
+            if leaf:
+                memo[key] = text
+            return text
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            items = []
+            for k, v in o.items():
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                items.append(f"{quote(k)}: {encode(v, depth + 1)}")
+            inner = "\n" + "  " * (depth + 1)
+            return f"{{{inner}{(',' + inner).join(items)}\n{'  ' * depth}}}"
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    return encode(doc, 0)
 
 
 def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> List[str]:
@@ -269,7 +337,7 @@ def _cmd_list(args) -> int:
         "orbit_records": docs,
     }
     if args.format == "json":
-        print(json.dumps(document, indent=2))
+        print(_json_text(document))
         return 0
     rows = []
     for doc in docs:
@@ -327,7 +395,7 @@ def _cmd_describe(args) -> int:
             "homotopy": None if h is None else h.to_json(),
             "homotopy_rendered": None if h is None else h.rendered(),
         }
-        print(json.dumps(doc, indent=2))
+        print(_json_text(doc))
         return 0
     print(f"{a} orbit datum {datum}")
     if a.low_rank_warning:
@@ -520,7 +588,7 @@ def _cmd_verify(args) -> int:
         "algebras": algebra_reports,
     }
     if args.format == "json":
-        print(json.dumps(document, indent=2))
+        print(_json_text(document))
     else:
         for rep in algebra_reports:
             params = ",".join(f"{k}={v}" for k, v in rep["params"].items())

@@ -226,20 +226,39 @@ def test_partition_counts_match_enumeration():
     assert partition_counts(0) == [1]
 
 
+# Largest size checked per family: signed algebras up to p + q = 14, so_c
+# and so_star up to 14, sp_c up to 8 (16 boxes), the sl families up to 8.
+_BOUND_CHECK_SIZES = {"so_pq": 14, "sp_pq": 14, "so_c": 14, "sp_c": 8, "so_star": 14}
+
+
 def _small_algebras():
     for fam in FAMILIES:
+        hi = _BOUND_CHECK_SIZES.get(fam, 8)
         if fam in SIGNED_FAMILIES:
             yield from (AlgebraSpec(fam, p=p, q=total - p)
-                        for total in range(2, 9) for p in range(1, total))
+                        for total in range(2, hi + 1) for p in range(1, total))
         else:
             lo = 3 if fam == "so_c" else 1
-            hi = 4 if fam == "sp_c" else 8  # sp_c(n) has 2n boxes
             yield from (AlgebraSpec(fam, n=n) for n in range(lo, hi + 1))
 
 
 @pytest.mark.parametrize("a", list(_small_algebras()), ids=str)
 def test_orbit_record_bound_bounds_the_enumeration(a):
+    """The parity-rule count is exact for every family without a
+    signature; so_pq and sp_pq count the diagrams of every signature."""
     bound, count = orbit_record_bound(a), len(enumerate_orbits(a))
     assert bound >= count
-    if a.family in ("sl_r", "sl_c", "sl_h"):
+    if a.family not in SIGNED_FAMILIES:
         assert bound == count
+
+
+@pytest.mark.parametrize("a, bound, records", [
+    (AlgebraSpec("so_pq", p=7, q=7), 465, 99),
+    (AlgebraSpec("sp_pq", p=7, q=7), 1_040, 256),
+    (AlgebraSpec("so_c", n=21), 196, 196),
+], ids=str)
+def test_orbit_record_bound_counts_the_parity_rules(a, bound, records):
+    """The bound stays near the record count: within 5x for the signed
+    algebras of size 14, exact for so_c 21, past the enumeration test's
+    sizes."""
+    assert (orbit_record_bound(a), len(enumerate_orbits(a))) == (bound, records)

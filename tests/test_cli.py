@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import pathlib
@@ -268,9 +269,10 @@ def _no_orbit_work(monkeypatch):
     (("list", "--algebra", "sl_r", "--n", "25"), "1,223,750", "sl_r(n=25)"),
     (("list", "--algebra", "sl_r", "--n", "1000000000"),
      "1,000,000,000,000,000,000", "sl_r(n=1000000000)"),
-    (("verify", "--algebra", "sp_pq", "--max-verify-n", "1000000000"), "1,122,540",
-     "sp_pq(1,9)"),
+    (("verify", "--algebra", "sp_pq", "--max-verify-n", "1000000000"), "1,008,720",
+     "sp_pq(7,3)"),
     (("verify", "--algebra", "sl_c", "--n", "21"), "1,047,816", "sl_c(n=21)"),
+    (("verify", "--algebra", "so_c", "--n", "26"), "1,016,028", "so_c(n=26)"),
 ])
 def test_oversized_runs_are_refused_before_any_orbit_work(
         capsys, monkeypatch, argv, estimate, at):
@@ -297,6 +299,13 @@ def test_oversized_runs_are_refused_before_any_orbit_work(
     ("verify", "--algebra", "sl_c", "--max-verify-n", "6"),
     # The largest sl_c verify the weight admits: 3 x 627 x 20^2 = 752,400.
     ("verify", "--algebra", "sl_c", "--n", "20"),
+    # The largest so/sp verifies the parity-rule bound admits, each about
+    # half a minute or less: so_c 25 (3 x 420 x 25^2 = 787,500), sp_c 12,
+    # so_pq(8,8) and sp_pq(7,8).
+    ("verify", "--algebra", "so_c", "--n", "25"),
+    ("verify", "--algebra", "sp_c", "--n", "12"),
+    ("verify", "--algebra", "so_pq", "--p", "8", "--q", "8"),
+    ("verify", "--algebra", "sp_pq", "--p", "7", "--q", "8"),
 ], ids=" ".join)
 def test_work_limit_admits_runs_below_it(monkeypatch, argv):
     _no_orbit_work(monkeypatch)
@@ -307,7 +316,7 @@ def test_work_limit_admits_runs_below_it(monkeypatch, argv):
 @pytest.mark.parametrize("family,cap", [("sp_pq", 5), ("so_pq", 6), ("sl_c", 6)])
 def test_verify_weight_leaves_the_benchmark_sweeps_twice_the_room(family, cap):
     """The weighted estimate of each benchmark verify sweep is at most half
-    the limit; the largest, so_pq up to size 6, is 16,460 unweighted."""
+    the limit; the largest, so_pq up to size 6, is 6,700 unweighted."""
     from nilorb.catalog import orbit_record_bound
     from nilorb.cli import MAX_WORK, VERIFY_WEIGHT, _build_parser, _verify_specs
 
@@ -316,7 +325,15 @@ def test_verify_weight_leaves_the_benchmark_sweeps_twice_the_room(family, cap):
     units = sum(a.size ** 2 * orbit_record_bound(a) for a in _verify_specs(args))
     assert 2 * VERIFY_WEIGHT * units <= MAX_WORK
     if family == "so_pq":
-        assert units == 16_460
+        assert units == 6_700
+
+
+def test_describe_sign_part_named_twice(capsys):
+    """A repeated part in --signs is refused, not overwritten by its last entry."""
+    code, out, err = run(capsys, "describe", "--algebra", "so_pq", "--p", "2",
+                         "--q", "1", "--datum", "3", "--signs", "3:1,3:0")
+    assert (code, out) == (2, "")
+    assert err == "error: sign data names part 3 twice\n"
 
 
 def test_describe_stray_sign_part_named(capsys):
@@ -372,6 +389,67 @@ def test_json_round_trip(capsys):
         _, out, _ = run(capsys, *argv, "--format", "json")
         doc = json.loads(out)
         assert json.dumps(doc, indent=2) + "\n" == out
+
+
+@pytest.mark.parametrize("argv", [
+    ("describe", "--algebra", "sl_r", "--n", "3", "--datum", "2,1"),
+    ("describe", "--algebra", "sl_c", "--n", "3", "--datum", "1,1,1"),
+    ("describe", "--algebra", "sl_h", "--n", "2", "--datum", "2"),
+    ("describe", "--algebra", "so_c", "--n", "5", "--datum", "3,1,1"),
+    ("describe", "--algebra", "so_pq", "--p", "2", "--q", "2", "--datum", "3,1",
+     "--signs", "3:0,1:0"),
+    ("describe", "--algebra", "sp_c", "--n", "2", "--datum", "2,2"),
+    ("describe", "--algebra", "sp_pq", "--p", "2", "--q", "1", "--datum", "2,1",
+     "--signs", "2:1,1:1"),
+    ("describe", "--algebra", "so_star", "--n", "4", "--datum", "2,2",
+     "--signs", "2:1"),
+    ("list", "--algebra", "sp_c", "--n", "2"),
+    ("verify", "--algebra", "so_pq", "--p", "2", "--q", "1"),
+], ids=lambda argv: " ".join(argv[:3:2]))
+def test_json_output_is_the_stdlib_encoding(capsys, argv):
+    """Every JSON command prints exactly json.dumps(document, indent=2): one
+    describe per family (sl_c's zero orbit, signed data for so_pq, sp_pq
+    and so_star), one list and one verify."""
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+def json_dumps_calls(source: str) -> list:
+    """``(line, what)`` for every ``json.dump``/``json.dumps`` call and every
+    import of ``dump`` or ``dumps`` from ``json``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            found.extend((node.lineno, f"imports {alias.name}") for alias in node.names
+                         if alias.name in ("dump", "dumps"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in ("dump", "dumps")
+              and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"):
+            found.append((node.lineno, f"json.{node.func.attr}()"))
+    return sorted(found)
+
+
+def test_scan_flags_json_dumps_and_accepts_the_cli_encoder():
+    source = (
+        "print(json.dumps(doc, indent=2))\n"
+        "from json import dumps\n"
+        "json.dump(doc, fh)\n"
+        "from json.encoder import encode_basestring_ascii\n"
+        "print(_json_text(doc))\n"
+        "doc = json.loads(text)\n"
+    )
+    assert json_dumps_calls(source) == [(1, "json.dumps()"), (2, "imports dumps"),
+                                        (3, "json.dump()")]
+
+
+@pytest.mark.parametrize("path", sorted((pathlib.Path(__file__).resolve().parents[1]
+                                         / "src" / "nilorb").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_the_cli_encoder_writes_json(path):
+    """JSON output has one path, ``cli._json_text``; a second one cannot
+    come back through the stdlib encoder."""
+    assert json_dumps_calls(path.read_text()) == []
 
 
 def test_table_and_json_numeric_parity(capsys):

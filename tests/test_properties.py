@@ -2,9 +2,10 @@
 references, matrix construction from nonzero entries against raw-index
 references, ring laws of the scalar tower, realification, exact rank, the
 canonical integer-numerator storage, inverse, det and signature against
-plain elimination, matrix rendering against per-entry references, and the
-integer centralizer solver against Bareiss rank, the Fraction echelon it
-replaced and rescaled matrices.
+plain elimination, matrix rendering against per-entry references, the
+JSON encoder against ``json.dumps(doc, indent=2)``, and the integer
+centralizer solver against Bareiss rank, the Fraction echelon it replaced
+and rescaled matrices.
 
 Hypothesis runs derandomized with a fixed example budget, so every run
 checks the same examples and the suite stays deterministic.
@@ -12,6 +13,7 @@ checks the same examples and the suite stays deterministic.
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 from nilorb.catalog import AlgebraSpec, enumerate_orbits
 from nilorb.centralizers import (_nullity, centralizer_dim_triple,
                                  expected_reductive_dim, graded_dims)
-from nilorb.cli import _compare, _matrix_lines
+from nilorb.cli import _compare, _json_text, _matrix_lines
 from nilorb.matrices import (ExactMatrix, block_oplus, complex_to_real_blocks,
                              congruence_signature, conj_transpose, det, inverse,
                              kernel_dim, quaternion_to_complex_blocks, rank,
@@ -822,6 +824,62 @@ def test_compare_reads_only_the_columns_both_shapes_have():
     assert _compare(wide, ExactMatrix.zeros(2, 2)) == (False, "shape 2x3, expected 2x2")
     assert _compare(ExactMatrix.zeros(2, 2), wide) == (False, "shape 2x2, expected 2x3")
     assert _compare(wide, narrow) == (False, "entry (1,1) is 0, expected 1")
+
+
+# --- the JSON encoder ------------------------------------------------------------
+#
+# cli._json_text must print json.dumps(doc, indent=2) byte for byte.  The
+# trees mix every value type a document may hold with text the escaper must
+# handle; a leaf list shared at two depths and the equal-content pair
+# [1, True], [True, 1] under one parent catch a memo that forgets the depth
+# or keys on content.
+
+json_strings = st.text(alphabet=st.one_of(
+    st.sampled_from(['"', "\\", "/", "\x00", "\x1f", "\n", "\t", "\x7f", "é",
+                     "\u2028", "\ud800", "\U0001f600", "\U0010ffff"]),
+    st.characters()), max_size=6)
+json_ints = st.one_of(st.integers(), st.sampled_from([-1, -(2 ** 70), 2 ** 64, 2 ** 64 + 1]))
+json_scalars = st.one_of(st.none(), st.booleans(), json_ints, json_strings)
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(json_strings, children, max_size=4)),
+    max_leaves=20)
+
+
+@st.composite
+def shared_leaf_documents(draw):
+    leaf = draw(st.lists(json_scalars, min_size=1, max_size=4))
+    tree = draw(json_trees)
+    shared = {"shallow": leaf, "deep": [[leaf, tree]], "twins": [[1, True], [True, 1]]}
+    return draw(st.sampled_from([shared, [tree, shared, leaf], (leaf, [leaf])]))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(json_trees)
+def test_json_text_is_json_dumps_with_indent_2(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(shared_leaf_documents())
+def test_json_text_of_shared_lists_is_json_dumps(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc, message", [
+    (1.5, "Object of type float is not JSON serializable"),
+    ({"a": [0, 2.0]}, "Object of type float is not JSON serializable"),
+    ({1: "a"}, "keys must be str, not int"),
+    ({None: "a"}, "keys must be str, not NoneType"),
+    ([object()], "Object of type object is not JSON serializable"),
+], ids=("float", "nested float", "int key", "None key", "object"))
+def test_json_text_refuses_what_nilorb_documents_never_hold(doc, message):
+    """json.dumps prints floats and turns int and None keys into strings;
+    the encoder refuses those, and any other object, with TypeError."""
+    with pytest.raises(TypeError, match=message):
+        _json_text(doc)
 
 
 # --- the integer centralizer solver --------------------------------------------
