@@ -8,17 +8,17 @@ which this module reports alongside the enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Union
 
-from .diagrams import (SignedDiagram, enumerate_signed_diagrams,
-                       in_sign_balance_class)
-from .partitions import (Partition, classify, enumerate_partitions,
-                         partition_counts)
+from .diagrams import SignedDiagram, enumerate_signed_diagrams
+from .families import FAMILIES, FAMILY_SPECS, SIGNED_FAMILIES, FamilySpec
+from .partitions import Partition, classify, enumerate_partitions, partition_counts
 
-FAMILIES = ("sl_r", "sl_c", "sl_h", "so_c", "so_pq", "sp_c", "sp_pq", "so_star")
-
-#: Families whose invariant form carries a signature (p, q).
-SIGNED_FAMILIES = ("so_pq", "sp_pq")
+# FAMILIES and SIGNED_FAMILIES are re-exported from the family table.
+__all__ = ["FAMILIES", "SIGNED_FAMILIES", "AlgebraSpec", "Datum", "OrbitRecord",
+           "datum_membership_error", "datum_partition", "enumerate_orbits",
+           "fiber_count", "orbit_record_bound", "total_orbit_count"]
 
 Datum = Union[Partition, SignedDiagram]
 
@@ -42,9 +42,10 @@ class AlgebraSpec:
     q: Optional[int] = None
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
+        spec = FAMILY_SPECS.get(self.family)
+        if spec is None:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.family in SIGNED_FAMILIES:
+        if spec.signed:
             if self.p is None or self.q is None or self.n is not None:
                 raise ValueError(f"{self.family} takes p and q, not n")
             if self.p < 1 or self.q < 1:
@@ -54,38 +55,33 @@ class AlgebraSpec:
                 raise ValueError(f"{self.family} takes n only")
             if self.n < 1:
                 raise ValueError("n must be positive")
-            if self.family == "so_c" and self.n < 3:
-                raise ValueError("so_c needs n >= 3")
+            if self.n < spec.min_n:
+                raise ValueError(f"{self.family} needs n >= {spec.min_n}")
+
+    @cached_property
+    def family_spec(self) -> FamilySpec:
+        """The family's record in :data:`~nilorb.families.FAMILY_SPECS`."""
+        return FAMILY_SPECS[self.family]
 
     @property
     def size(self) -> int:
         """Number of boxes in a parametrizing datum."""
-        if self.family in SIGNED_FAMILIES:
+        if self.family_spec.signed:
             return self.p + self.q
-        if self.family == "sp_c":
-            return 2 * self.n
-        return self.n
+        return self.family_spec.boxes_per_n * self.n
 
     @property
     def low_rank_warning(self) -> bool:
         """True below the simplicity threshold of the family."""
-        if self.family == "so_c":
-            return self.n < 5
-        if self.family == "so_pq":
-            return self.p + self.q < 5
-        if self.family == "so_star":
-            return self.n < 3
-        if self.family in ("sl_r", "sl_c", "sl_h"):
-            return self.n < 2
-        return False
+        return self.size < self.family_spec.low_rank
 
     def params_json(self) -> dict:
-        if self.family in SIGNED_FAMILIES:
+        if self.family_spec.signed:
             return {"p": self.p, "q": self.q}
         return {"n": self.n}
 
     def __str__(self) -> str:
-        if self.family in SIGNED_FAMILIES:
+        if self.family_spec.signed:
             return f"{self.family}({self.p},{self.q})"
         return f"{self.family}(n={self.n})"
 
@@ -113,22 +109,12 @@ class OrbitRecord:
 
 def fiber_count(a: AlgebraSpec, datum: Datum) -> int:
     """How many orbits share this datum under the family's parametrization."""
-    part = datum_partition(datum)
-    cls = classify(part)
-    if a.family == "sl_r":
-        return 2 if cls.is_even else 1
-    if a.family == "so_c":
-        return 2 if cls.is_very_even else 1
-    if a.family == "so_pq":
-        if not isinstance(datum, SignedDiagram):
-            raise ValueError("so_pq data carry signs")
-        if cls.is_very_even:
-            return 4
-        if cls.in_even_mult_class and in_sign_balance_class(datum):
-            return 2
-        return 1
-    # sl_c, sl_h, sp_c, sp_pq, so_star: the parametrization is a bijection.
-    return 1
+    return a.family_spec.fibers(classify(datum_partition(datum)), datum)
+
+
+def _pairs_ok(spec: FamilySpec, part: Partition) -> bool:
+    """Whether every part of the family's paired parity has even multiplicity."""
+    return all(t % 2 == 0 for d, t in part.pairs if d % 2 == spec.paired)
 
 
 def enumerate_orbits(a: AlgebraSpec) -> List[OrbitRecord]:
@@ -137,24 +123,16 @@ def enumerate_orbits(a: AlgebraSpec) -> List[OrbitRecord]:
     Partitions ascend lexicographically; sign tuples ascend within one
     partition.  The zero orbit (partition all ones) is always present.
     """
+    spec = a.family_spec
+    signature = (a.p, a.q) if spec.signed else None
     data: List[Datum] = []
-    if a.family in ("sl_r", "sl_c", "sl_h"):
-        data = list(enumerate_partitions(a.n))
-    elif a.family == "so_c":
-        data = [p for p in enumerate_partitions(a.n)
-                if classify(p).in_even_mult_class]
-    elif a.family == "sp_c":
-        data = [p for p in enumerate_partitions(2 * a.n)
-                if classify(p).in_odd_mult_class]
-    elif a.family == "so_pq":
-        for part in enumerate_partitions(a.p + a.q):
-            data.extend(enumerate_signed_diagrams(part, "even1", (a.p, a.q)))
-    elif a.family == "sp_pq":
-        for part in enumerate_partitions(a.p + a.q):
-            data.extend(enumerate_signed_diagrams(part, "even", (a.p, a.q)))
-    elif a.family == "so_star":
-        for part in enumerate_partitions(a.n):
-            data.extend(enumerate_signed_diagrams(part, "odd"))
+    for part in enumerate_partitions(a.size):
+        if not _pairs_ok(spec, part):
+            continue
+        if spec.free_sign is None:
+            data.append(part)
+        else:
+            data.extend(enumerate_signed_diagrams(part, spec.diagram_variant(), signature))
     return [
         OrbitRecord(
             datum=d,
@@ -165,18 +143,6 @@ def enumerate_orbits(a: AlgebraSpec) -> List[OrbitRecord]:
     ]
 
 
-#: The parity rules of each family's data: (parity of the part lengths whose
-#: rows carry a free sign, parity of the part lengths that need even
-#: multiplicity), ``None`` for no such parts.  The sl families have neither.
-_PARITY_RULES = {
-    "so_c": (None, 0),
-    "sp_c": (None, 1),
-    "so_pq": (1, 0),
-    "sp_pq": (1, None),
-    "so_star": (0, None),
-}
-
-
 def orbit_record_bound(a: AlgebraSpec) -> int:
     """An upper bound on ``len(enumerate_orbits(a))``, counted without enumerating.
 
@@ -185,12 +151,13 @@ def orbit_record_bound(a: AlgebraSpec) -> int:
     free sign (t rows have t + 1 sign choices), 1/(1 - x^(2d)) where parts
     d need even multiplicity, 1/(1 - x^d) otherwise.  Exact for the
     families without a signature; so_pq and sp_pq count every signature of
-    size p + q.  The sl families take p(size) from :func:`partition_counts`.
+    size p + q.  Without parity rules the count is p(size), taken from
+    :func:`partition_counts`.
     """
-    rules = _PARITY_RULES.get(a.family)
-    if rules is None:
+    spec = a.family_spec
+    free, paired = spec.free_sign, spec.paired
+    if free is None and paired is None:
         return partition_counts(a.size)[-1]
-    free, paired = rules
     n = a.size
     series = [1] + [0] * n
     for d in range(1, n + 1):
@@ -212,56 +179,27 @@ def datum_membership_error(a: AlgebraSpec, datum: Datum) -> Optional[str]:
 
     Returns ``None`` when the datum is valid.
     """
+    spec = a.family_spec
     part = datum_partition(datum)
-    cls = classify(part)
     expected = a.size
     if part.size() != expected:
         return f"partition has {part.size()} boxes, expected {expected}"
-    if a.family in ("sl_r", "sl_c", "sl_h"):
-        if isinstance(datum, SignedDiagram):
-            return "this family takes plain partitions, not signed diagrams"
-        return None
-    if a.family == "so_c":
-        if isinstance(datum, SignedDiagram):
-            return "this family takes plain partitions, not signed diagrams"
-        if not cls.in_even_mult_class:
-            bad = [d for d, t in part.pairs if d % 2 == 0 and t % 2]
-            return (f"even part {bad[0]} has odd multiplicity; every even part "
-                    f"needs even multiplicity in this family")
-        return None
-    if a.family == "sp_c":
-        if isinstance(datum, SignedDiagram):
-            return "this family takes plain partitions, not signed diagrams"
-        if not cls.in_odd_mult_class:
-            bad = [d for d, t in part.pairs if d % 2 == 1 and t % 2]
-            return (f"odd part {bad[0]} has odd multiplicity; every odd part "
-                    f"needs even multiplicity in this family")
-        return None
-    if not isinstance(datum, SignedDiagram):
+    signed = isinstance(datum, SignedDiagram)
+    if spec.free_sign is None and signed:
+        return "this family takes plain partitions, not signed diagrams"
+    if spec.free_sign is not None and not signed:
         return "this family takes signed diagrams (use d:p sign pairs)"
-    if a.family == "so_pq":
-        if not cls.in_even_mult_class:
-            bad = [d for d, t in part.pairs if d % 2 == 0 and t % 2]
-            return (f"even part {bad[0]} has odd multiplicity; every even part "
-                    f"needs even multiplicity in this family")
-        for d, t in part.pairs:
-            if d % 2 == 0 and datum.p_of(d) != t:
-                return f"rows of even length {d} must all start with +1"
-        if datum.sgn_counts() != (a.p, a.q):
-            got = datum.sgn_counts()
-            return f"sign counts {got} do not match the form signature ({a.p},{a.q})"
+    if not _pairs_ok(spec, part):
+        parity = ("even", "odd")[spec.paired]
+        bad = [d for d, t in part.pairs if d % 2 == spec.paired and t % 2]
+        return (f"{parity} part {bad[0]} has odd multiplicity; every {parity} part "
+                f"needs even multiplicity in this family")
+    if spec.free_sign is None:
         return None
-    if a.family == "sp_pq":
-        for d, t in part.pairs:
-            if d % 2 == 0 and datum.p_of(d) != t:
-                return f"rows of even length {d} must all start with +1"
-        if datum.sgn_counts() != (a.p, a.q):
-            got = datum.sgn_counts()
-            return f"sign counts {got} do not match the form signature ({a.p},{a.q})"
-        return None
-    if a.family == "so_star":
-        for d, t in part.pairs:
-            if d % 2 == 1 and datum.p_of(d) != t:
-                return f"rows of odd length {d} must all start with +1"
-        return None
-    raise AssertionError("unreachable")
+    for d, t in part.pairs:
+        if d % 2 != spec.free_sign and datum.p_of(d) != t:
+            return f"rows of {('even', 'odd')[d % 2]} length {d} must all start with +1"
+    if spec.signed and datum.sgn_counts() != (a.p, a.q):
+        got = datum.sgn_counts()
+        return f"sign counts {got} do not match the form signature ({a.p},{a.q})"
+    return None

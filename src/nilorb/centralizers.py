@@ -11,8 +11,8 @@ through :meth:`~nilorb.matrices.ExactMatrix.integer_nonzeros`, the matrix
 times the least positive integer that clears its denominators, and
 eliminates fraction-free (:func:`_nullity`).  This is exact because each
 condition row draws on exactly one matrix: a form row on the Gram matrix,
-a commutation row on one commuting matrix, a trace row on the identity
-(coefficients 1, or 2 for the reduced trace of ``sl_h``).  Dropping that
+a commutation row on one commuting matrix, the trace row on the identity
+(coefficient 1 on the real component of each diagonal entry).  Dropping that
 matrix's denominator scales the whole row by a positive integer, which
 leaves the kernel unchanged.
 
@@ -35,53 +35,55 @@ from math import gcd
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .catalog import AlgebraSpec, Datum, datum_partition
+from .families import COMPLEX, QUATERNION, FamilySpec
+from .homotopy import expected_compact_dim
 from .matrices import ExactMatrix
 from .scalars import _PROD
-from .triples import (FORM_KIND, RING_DIM, SCALAR_RING, Triple, gram_matrix,
-                      layout_for, triple_partition)
+from .triples import Triple, gram_matrix, layout_for, triple_partition
+
+
+# The closed forms below work over the complexification: a type A, BD or C
+# algebra of N x N matrices, N doubled for the quaternionic families, whose
+# data have their multiplicities doubled too.  A complex family's real
+# dimensions are twice the complex ones.
+
+def _real(spec: FamilySpec, complex_dim: int) -> int:
+    return 2 * complex_dim if spec.ring is COMPLEX else complex_dim
+
+
+def _complex_pairs(spec: FamilySpec, datum: Datum) -> Tuple[Tuple[int, int], ...]:
+    """The datum's (part, multiplicity) pairs over the complexification."""
+    k = 2 if spec.ring is QUATERNION else 1
+    return tuple((d, k * t) for d, t in datum_partition(datum).pairs)
+
+
+def _orthogonal_sign(spec: FamilySpec) -> int:
+    """1 for type BD, -1 for type C: the symmetry of the complexified form."""
+    return 1 if spec.cartan == "BD" else -1
 
 
 def dim_g(a: AlgebraSpec) -> int:
     """Real dimension of the ambient simple algebra."""
-    n = a.n if a.n is not None else a.p + a.q
-    return {
-        "sl_r": n * n - 1,
-        "sl_c": 2 * (n * n - 1),
-        "sl_h": 4 * n * n - 1,
-        "so_c": n * (n - 1),
-        "so_pq": n * (n - 1) // 2,
-        "sp_c": 2 * n * (2 * n + 1),
-        "sp_pq": n * (2 * n + 1),
-        "so_star": n * (2 * n - 1),
-    }[a.family]
+    spec = a.family_spec
+    n = a.size * (2 if spec.ring is QUATERNION else 1)
+    if spec.cartan == "A":
+        return _real(spec, n * n - 1)
+    return _real(spec, n * (n - _orthogonal_sign(spec)) // 2)
 
 
 def expected_reductive_dim(a: AlgebraSpec, datum: Datum) -> int:
-    """Real dimension of the reductive centralizer, in closed form."""
-    part = datum_partition(datum)
-    odd = [(d, t) for d, t in part.pairs if d % 2 == 1]
-    even = [(d, t) for d, t in part.pairs if d % 2 == 0]
-    fam = a.family
-    if fam == "sl_c":
-        return 2 * sum(t * t for _, t in part.pairs) - 2
-    if fam == "sl_r":
-        return sum(t * t for _, t in part.pairs) - 1
-    if fam == "sl_h":
-        return 4 * sum(t * t for _, t in part.pairs) - 1
-    if fam == "so_c":
-        return sum(t * (t - 1) for _, t in odd) + sum(t * (t + 1) for _, t in even)
-    if fam == "so_pq":
-        return (sum(t * (t - 1) // 2 for _, t in odd)
-                + sum(t * (t + 1) // 2 for _, t in even))
-    if fam == "sp_c":
-        return sum(t * (t - 1) for _, t in even) + sum(t * (t + 1) for _, t in odd)
-    if fam == "sp_pq":
-        return (sum(t * (2 * t - 1) for _, t in even)
-                + sum(t * (2 * t + 1) for _, t in odd))
-    if fam == "so_star":
-        return (sum(t * (2 * t - 1) for _, t in odd)
-                + sum(t * (2 * t + 1) for _, t in even))
-    raise ValueError(fam)
+    """Real dimension of the reductive centralizer, in closed form.
+
+    Over the complexification it is S(prod GL(t)) in type A.  In type BD a
+    part of odd length carries O(t) and one of even length Sp(t); type C
+    swaps them.
+    """
+    spec = a.family_spec
+    pairs = _complex_pairs(spec, datum)
+    if spec.cartan == "A":
+        return _real(spec, sum(t * t for _, t in pairs) - 1)
+    s = _orthogonal_sign(spec)
+    return _real(spec, sum(t * (t - s if d % 2 else t + s) // 2 for d, t in pairs))
 
 
 def expected_orbit_dim(a: AlgebraSpec, datum: Datum) -> int:
@@ -92,55 +94,17 @@ def expected_orbit_dim(a: AlgebraSpec, datum: Datum) -> int:
     double it.  ``sl_h``, ``sp_pq`` and ``so_star`` complexify to a
     partition with every part repeated twice.
     """
-    fam = a.family
-    pairs = datum_partition(datum).pairs
-    if fam in ("sl_h", "sp_pq", "so_star"):
-        pairs = tuple((d, 2 * t) for d, t in pairs)
+    spec = a.family_spec
+    pairs = _complex_pairs(spec, datum)
     n = sum(d * t for d, t in pairs)
     largest = max((d for d, _ in pairs), default=0)
     dual_squares = sum(sum(t for d, t in pairs if d >= i) ** 2
                        for i in range(1, largest + 1))
+    if spec.cartan == "A":
+        return _real(spec, n * n - dual_squares)
+    s = _orthogonal_sign(spec)
     odd = sum(t for d, t in pairs if d % 2 == 1)
-    if fam in ("sl_r", "sl_c", "sl_h"):
-        dim = n * n - dual_squares
-    elif fam in ("so_c", "so_pq", "so_star"):
-        dim = (n * (n - 1) - dual_squares + odd) // 2
-    else:
-        dim = (n * (n + 1) - dual_squares - odd) // 2
-    return 2 * dim if fam in ("sl_c", "so_c", "sp_c") else dim
-
-
-def expected_compact_dim(a: AlgebraSpec, datum: Datum) -> int:
-    """Real dimension of the maximal compact subgroup K, in closed form."""
-    part = datum_partition(datum)
-    fam = a.family
-    if fam == "sl_c":
-        return sum(t * t for _, t in part.pairs) - 1
-    if fam == "sl_r":
-        return sum(t * (t - 1) // 2 for _, t in part.pairs)
-    if fam == "sl_h":
-        return sum(t * (2 * t + 1) for _, t in part.pairs)
-    odd = [(d, t) for d, t in part.pairs if d % 2 == 1]
-    even = [(d, t) for d, t in part.pairs if d % 2 == 0]
-    if fam == "so_c":
-        return (sum((t // 2) * (t + 1) for _, t in even)
-                + sum(t * (t - 1) // 2 for _, t in odd))
-    if fam == "so_pq":
-        total = sum((t // 2) ** 2 for _, t in even)
-        for d, _ in odd:
-            p, q = datum.p_of(d), datum.q_of(d)
-            total += (p * (p - 1) + q * (q - 1)) // 2
-        return total
-    if fam == "sp_c":
-        return (sum(t * (t - 1) // 2 for _, t in even)
-                + sum((t // 2) * (t + 1) for _, t in odd))
-    if fam == "sp_pq":
-        total = sum(t * t for _, t in even)
-        for d, _ in odd:
-            p, q = datum.p_of(d), datum.q_of(d)
-            total += p * (2 * p + 1) + q * (2 * q + 1)
-        return total
-    raise ValueError(f"no compact closed form for {fam}")
+    return _real(spec, (n * (n - s) - dual_squares + s * odd) // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +190,10 @@ class AlgebraConstraint:
     """The real linear conditions that cut the algebra out of gl_n over its ring.
 
     They are ``Z^sigma G + G Z = 0`` for a form family with Gram matrix
-    ``G``, and trace zero otherwise.  Unknowns are the real components of
-    the entries of ``Z``.  Every condition of a complex family is
+    ``G``, and otherwise one row: the real part of the trace is zero (for
+    a complex family, which solves on one component, that row stands for
+    the whole trace).  Unknowns are the real components of the entries of
+    ``Z``.  Every condition of a complex family is
     complex-linear, so its solves run on one real component and double the
     nullity.  The scattered Gram products of an unknown depend on its row
     and component but not on its column; they are built for a row on first
@@ -236,14 +202,13 @@ class AlgebraConstraint:
     """
 
     def __init__(self, a: AlgebraSpec, gram: Optional[ExactMatrix]):
-        ring = SCALAR_RING[a.family]
-        self.family = a.family
+        ring = a.family_spec.ring
         self.gram = gram
-        self._ring_dim = RING_DIM[ring]
-        self.comps, self.doubling = (1, 2) if ring == "complex" else (self._ring_dim, 1)
+        self._ring_dim = ring.dim
+        self.comps, self.doubling = (1, 2) if ring is COMPLEX else (ring.dim, 1)
         self._terms: Dict[Tuple[int, int], Tuple[list, list]] = {}
         if gram is not None:
-            _, sigma = FORM_KIND[a.family]
+            _, sigma = a.family_spec.form
             # sigma = conj negates the units i, j and k.
             self._left_signs = [-1 if sigma == "conj" and c else 1
                                 for c in range(self.comps)]
@@ -316,15 +281,10 @@ def _centralizer_nullity(constraint: AlgebraConstraint,
                 for r, terms in right_terms:
                     for cc, coeff in terms:
                         add(("m", r, rb, cc), idx, coeff)
-    elif constraint.family in ("sl_r", "sl_c"):
-        for c in range(comps):
-            for i, (ra, rb) in enumerate(positions):
-                if ra == rb:
-                    add(("t", c), i * comps + c, 1)
-    elif constraint.family == "sl_h":
+    else:
         for i, (ra, rb) in enumerate(positions):
             if ra == rb:
-                add(("t", 0), i * comps, 2)
+                add(("t",), i * comps, 1)
 
     return constraint.doubling * _nullity(list(rows.values()), len(positions) * comps)
 
@@ -364,7 +324,7 @@ def _datum_graded_dims(a: AlgebraSpec, datum: Datum) -> Tuple[int, int, int]:
     """:func:`graded_dims` of the datum's standard triple, from its Gram
     matrix and slot weights alone: X, H and Y are never built."""
     part = triple_partition(a, datum)
-    gram = gram_matrix(a, datum) if a.family in FORM_KIND else None
+    gram = gram_matrix(a, datum) if a.family_spec.form is not None else None
     return _grade_nullities(AlgebraConstraint(a, gram), layout_for(part).weights())
 
 
@@ -391,7 +351,7 @@ def centralizer_dim_nilpotent(x: ExactMatrix, a: AlgebraSpec,
     invariant form's Gram matrix is needed.
     """
     gram = None
-    if a.family in FORM_KIND:
+    if a.family_spec.form is not None:
         if datum is None:
             raise ValueError("form families need the datum to pin the Gram matrix")
         gram = gram_matrix(a, datum)
@@ -442,10 +402,7 @@ def centralizer_report(a: AlgebraSpec, datum: Datum,
     zero = datum_partition(datum).is_zero_type()
     ambient = dim_g(a)
     expected = expected_reductive_dim(a, datum)
-    try:
-        compact = expected_compact_dim(a, datum)
-    except ValueError:
-        compact = None
+    compact = expected_compact_dim(a, datum) if a.family_spec.has_descriptor else None
     if zero:
         return CentralizerReport(
             dim_z_triple=ambient, dim_z_X=ambient, dim_g=ambient, dim_orbit=0,

@@ -10,13 +10,14 @@ from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .catalog import (FAMILIES, SIGNED_FAMILIES, AlgebraSpec, Datum,
-                      OrbitRecord, datum_membership_error, datum_partition,
-                      enumerate_orbits, fiber_count, orbit_record_bound)
+from .catalog import (AlgebraSpec, Datum, OrbitRecord, datum_membership_error,
+                      datum_partition, enumerate_orbits, fiber_count,
+                      orbit_record_bound)
 from .centralizers import (AlgebraConstraint, centralizer_dim_triple,
                            centralizer_report, dim_g, expected_orbit_dim,
                            expected_reductive_dim, graded_dims)
 from .diagrams import SignedDiagram
+from .families import FAMILIES, FAMILY_SPECS
 from .homotopy import (KElement, _form_basis, _half_totals, compact_pair,
                        embed_K, sample_k_element, signed_block_relation,
                        verify_K_membership)
@@ -28,8 +29,6 @@ from .triples import (build_triple, jordan_type, sigma_transpose,
                       standard_adapted_gram)
 
 SCHEMA_VERSION = 1
-
-_HOMOTOPY_FAMILIES = ("sl_r", "sl_c", "sl_h", "so_c", "so_pq", "sp_c", "sp_pq")
 
 _CHECK_ORDER = (
     "[H,X]=2X",
@@ -51,7 +50,8 @@ _CHECK_ORDER = (
 #: Work limit of one ``list`` or ``verify`` run: the sum over its algebras
 #: of (orbit records) x size^2, times :data:`VERIFY_WEIGHT` for ``verify``.
 #: ``list --algebra sl_r --n 24`` (estimate 907,200) takes under a second;
-#: ``--n 25`` (1,223,750) is refused.
+#: ``--n 25`` (1,223,750) is refused.  ``describe`` builds one orbit record,
+#: so its estimate is size^2: ``--n 1000`` runs and ``--n 1001`` is refused.
 MAX_WORK = 1_000_000
 
 #: Weight of a ``verify`` run in the work estimate.  A ``list`` record costs
@@ -116,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _algebra_from_args(args) -> AlgebraSpec:
     try:
-        if args.algebra in SIGNED_FAMILIES:
+        if FAMILY_SPECS[args.algebra].signed:
             if args.p is None or args.q is None:
                 raise UsageError(f"{args.algebra} needs --p and --q")
             if args.n is not None:
@@ -159,20 +159,20 @@ def _verify_specs(args) -> List[AlgebraSpec]:
     if args.n is not None or args.p is not None or args.q is not None:
         return _admit([_algebra_from_args(args)], VERIFY_WEIGHT)
     cap = args.max_verify_n
-    fam = args.algebra
-    if fam in SIGNED_FAMILIES:
-        smallest = AlgebraSpec(fam, p=1, q=1)
-        specs = _admit((AlgebraSpec(fam, p=p, q=total - p)
+    name = args.algebra
+    spec = FAMILY_SPECS[name]
+    if spec.signed:
+        smallest = AlgebraSpec(name, p=1, q=1)
+        specs = _admit((AlgebraSpec(name, p=p, q=total - p)
                         for total in range(2, cap + 1) for p in range(1, total)),
                        VERIFY_WEIGHT)
     else:
-        lo = 3 if fam == "so_c" else 1
-        smallest = AlgebraSpec(fam, n=lo)
-        hi = cap // 2 if fam == "sp_c" else cap
-        specs = _admit((AlgebraSpec(fam, n=n) for n in range(lo, hi + 1)),
+        smallest = AlgebraSpec(name, n=spec.min_n)
+        specs = _admit((AlgebraSpec(name, n=n)
+                        for n in range(spec.min_n, cap // spec.boxes_per_n + 1)),
                        VERIFY_WEIGHT)
     if not specs:
-        raise UsageError(f"--max-verify-n {cap} sweeps no {fam} algebra; "
+        raise UsageError(f"--max-verify-n {cap} sweeps no {name} algebra; "
                          f"the smallest, {smallest}, needs --max-verify-n "
                          f"{smallest.size}")
     return specs
@@ -186,7 +186,8 @@ def _parse_datum(a: AlgebraSpec, datum_str: str, signs_str: Optional[str]) -> Da
         partition = Partition(parts)
     except ValueError as exc:
         raise UsageError(f"cannot parse --datum {datum_str!r}: {exc}") from exc
-    if a.family not in ("so_pq", "sp_pq", "so_star"):
+    free_sign = a.family_spec.free_sign
+    if free_sign is None:
         if signs_str:
             raise UsageError(f"{a.family} takes plain partitions; drop --signs")
         return partition
@@ -203,9 +204,9 @@ def _parse_datum(a: AlgebraSpec, datum_str: str, signs_str: Optional[str]) -> Da
             if d in p_by_part:
                 raise UsageError(f"sign data names part {d} twice")
             p_by_part[d] = p
-    forced_parity = 1 if a.family == "so_star" else 0
+    # The rows without a free sign start with +1.
     for d, t in partition.pairs:
-        if d % 2 == forced_parity:
+        if d % 2 != free_sign:
             p_by_part.setdefault(d, t)
     try:
         return SignedDiagram(partition, p_by_part)
@@ -314,7 +315,7 @@ def _record_document(a: AlgebraSpec, rec: OrbitRecord) -> dict:
     doc["datum_rendered"] = str(rec.datum)
     doc["orbit_dim"] = report.dim_orbit
     doc["centralizer"] = report.to_json()
-    if a.family in _HOMOTOPY_FAMILIES:
+    if a.family_spec.has_descriptor:
         h = compact_pair(a, rec.datum)
         doc["homotopy"] = h.to_json()
         doc["homotopy_rendered"] = h.rendered()
@@ -365,6 +366,10 @@ def _cmd_list(args) -> int:
 
 def _cmd_describe(args) -> int:
     a = _algebra_from_args(args)
+    work = a.size ** 2
+    if work > MAX_WORK:
+        raise UsageError(f"work limit: one orbit record x size^2 reaches {work:,} "
+                         f"at {a}; the limit is {MAX_WORK:,}")
     datum = _parse_datum(a, args.datum, args.signs)
     problem = datum_membership_error(a, datum)
     if problem is not None:
@@ -376,7 +381,7 @@ def _cmd_describe(args) -> int:
     report = centralizer_report(a, datum, triple=triple)
     adapted = _form_basis(a, datum)
     t_matrix = None if adapted is None else adapted.matrix
-    h = compact_pair(a, datum) if a.family in _HOMOTOPY_FAMILIES else None
+    h = compact_pair(a, datum) if a.family_spec.has_descriptor else None
 
     if args.format == "json":
         doc = {
@@ -469,7 +474,7 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
     results.append(("centralizer-dim", not disagreements, "; ".join(disagreements)))
 
     adapted = _form_basis(a, datum)
-    if a.family in SIGNED_FAMILIES:
+    if a.family_spec.signed:
         totals = _half_totals(adapted)
         relation = signed_block_relation(datum)
         ok = totals == relation == (a.p, a.q)
@@ -477,7 +482,7 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
                         f"halves {totals}, closed form {relation}"))
 
     if rec.is_zero_orbit:
-        if a.family in _HOMOTOPY_FAMILIES:
+        if a.family_spec.has_descriptor:
             h = compact_pair(a, datum)
             results.append(("zero-orbit-quotient", h.dim_quotient == 0,
                             f"dim_quotient={h.dim_quotient}"))
@@ -508,7 +513,7 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
                 invariance = (False, f"{name}: {detail}")
                 break
         results.append(("gram-invariance", *invariance))
-        if a.family in SIGNED_FAMILIES:
+        if a.family_spec.signed:
             sig = congruence_signature(s)
             results.append(("gram-signature", sig == (a.p, a.q),
                             f"signature {sig}"))
@@ -524,7 +529,7 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
             detail = detail and f"T*T {detail}"
         results.append(("adapted-basis", adapted_ok, detail))
 
-    if a.family in _HOMOTOPY_FAMILIES:
+    if a.family_spec.has_descriptor:
         e1 = sample_k_element(a, datum, rng)
         e2 = sample_k_element(a, datum, rng)
         prod = KElement(tuple(g1 @ g2 for g1, g2 in zip(e1.factors, e2.factors)))

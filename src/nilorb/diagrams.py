@@ -10,11 +10,12 @@ determines the whole diagram.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import product
+from typing import Dict, List, Optional, Tuple
 
-from .partitions import Partition, classify, enumerate_partitions
+from .partitions import Partition, classify
 
-SYD_VARIANTS = ("all", "even", "odd", "even1", "oddm1")
+SYD_VARIANTS = ("even", "odd", "even1")
 
 
 def sign_row(d: int, start: int) -> Tuple[int, ...]:
@@ -146,20 +147,17 @@ def in_sign_balance_class(diagram: SignedDiagram) -> bool:
 
 def enumerate_signed_diagrams(
     partition: Partition,
-    variant: str = "all",
+    variant: str,
     signature: Optional[Tuple[int, int]] = None,
 ) -> List[SignedDiagram]:
     """All sign choices on one partition, filtered by variant and signature.
 
     Variants:
 
-    * ``"all"``   - every row may start with either sign.
     * ``"even"``  - rows of even length must start ``+`` (p_d = t_d there).
     * ``"odd"``   - rows of odd length must start ``+``.
     * ``"even1"`` - as ``"even"``, and every even part size must also have
       even multiplicity (the orthogonal parametrizing restriction).
-    * ``"oddm1"`` - as ``"odd"``, and every odd part size must have even
-      multiplicity.
 
     ``signature=(p, q)`` keeps only diagrams whose box counts are exactly
     (p, q).  Output order: sign tuples ascending lexicographically in the
@@ -167,46 +165,15 @@ def enumerate_signed_diagrams(
     """
     if variant not in SYD_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    cls = classify(partition)
-    if variant == "even1" and not cls.in_even_mult_class:
+    if variant == "even1" and not classify(partition).in_even_mult_class:
         return []
-    if variant == "oddm1" and not cls.in_odd_mult_class:
-        return []
-
-    choices: List[List[int]] = []
+    forced = 1 if variant == "odd" else 0
     sizes = [d for d, _ in partition.pairs]
-    for d, t in partition.pairs:
-        if variant in ("even", "even1") and d % 2 == 0:
-            choices.append([t])
-        elif variant in ("odd", "oddm1") and d % 2 == 1:
-            choices.append([t])
-        else:
-            choices.append(list(range(t + 1)))
-
-    def product(idx: int) -> Iterator[List[int]]:
-        if idx == len(choices):
-            yield []
-            return
-        for val in choices[idx]:
-            for rest in product(idx + 1):
-                yield [val] + rest
-
+    choices = [[t] if d % 2 == forced else range(t + 1) for d, t in partition.pairs]
     out = []
-    for combo in product(0):
+    for combo in product(*choices):
         diag = SignedDiagram(partition, dict(zip(sizes, combo)))
         if signature is not None and diag.sgn_counts() != signature:
             continue
         out.append(diag)
-    return out
-
-
-def enumerate_signed_diagrams_of_size(
-    n: int,
-    variant: str = "all",
-    signature: Optional[Tuple[int, int]] = None,
-) -> List[SignedDiagram]:
-    """Signed diagrams over every partition of ``n``, partition-lex order."""
-    out: List[SignedDiagram] = []
-    for part in enumerate_partitions(n):
-        out.extend(enumerate_signed_diagrams(part, variant, signature))
     return out

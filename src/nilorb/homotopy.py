@@ -13,20 +13,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .catalog import AlgebraSpec, Datum, datum_partition
-from .centralizers import expected_compact_dim
 from .diagrams import SignedDiagram
+from .families import FAMILY_SPECS, compact_dim, ring_of_kind
 from .matrices import (ExactMatrix, block_oplus, complex_to_real_blocks,
                        conj_transpose, det, inverse,
                        quaternion_to_complex_blocks, reduced_norm,
                        repeat_blocks)
 from .scalars import COMPLEX_LIKE_VARIANTS, ONE, Scalar
 from .triples import AdaptedBasis, Triple, adapted_basis, sigma_transpose
-
-_FORM_FAMILIES = ("so_c", "so_pq", "sp_c", "sp_pq")
-
 
 @dataclass(frozen=True)
 class FactorSpec:
@@ -38,29 +35,22 @@ class FactorSpec:
     part: int
 
     def dim(self) -> int:
-        if self.kind == "U":
-            return self.size * self.size
-        if self.kind == "O":
-            return self.size * (self.size - 1) // 2
-        return self.size * (2 * self.size + 1)
+        return compact_dim(self.kind, self.size)
 
     def multiplicity_pattern(self, family: str) -> str:
+        spec = FAMILY_SPECS[family]
         d = self.part
         if self.role == "part":
             return f"repeat:{d}"
         if self.role == "even":
-            reps = d // 2
-            if family == "so_c":
-                return f"levels:{reps};embed:H-to-R"
-            if family == "so_pq":
-                return f"levels:{reps};sides:2;embed:C-to-R"
-            if family == "sp_pq":
-                return f"levels:{reps};sides:2;embed:i-to-j"
-            return f"levels:{reps};sides:2"
+            out = f"levels:{d // 2}"
+            if spec.two_sided:
+                out += ";sides:2"
+            if spec.even_embed is not None:
+                out += f";embed:{spec.even_embed}"
+            return out
         if self.role == "odd":
-            if family == "sp_c":
-                return f"levels:{d};quaternionic"
-            return f"levels:{d}"
+            return f"levels:{d};quaternionic" if spec.quaternionic_k else f"levels:{d}"
         plus = (d + 1) // 2 if d % 4 == 1 else d // 2
         if self.role == "odd_q":
             plus = d - plus
@@ -68,35 +58,46 @@ class FactorSpec:
 
 
 def factor_layout(a: AlgebraSpec, datum: Datum) -> List[FactorSpec]:
-    """The datum's compact factor tuple, in embedding order."""
+    """The datum's compact factor tuple, in embedding order.
+
+    A trace-zero family has one factor per part.  A form family lists its
+    even parts, then its odd parts 1 mod 4, then those 3 mod 4, each
+    ascending.  A part with free signs has one factor for its +1 rows and
+    one for the others; a part that needs even multiplicity t has a factor
+    of size t/2.
+    """
+    spec = a.family_spec
+    if not spec.has_descriptor:
+        raise ValueError(f"no homotopy descriptor for {a.family}")
     part = datum_partition(datum)
-    fam = a.family
-    if fam in ("sl_r", "sl_c", "sl_h"):
-        kind = {"sl_r": "O", "sl_c": "U", "sl_h": "Sp"}[fam]
-        return [FactorSpec(kind, t, "part", d) for d, t in part.pairs]
-    if fam not in _FORM_FAMILIES:
-        raise ValueError(f"no homotopy descriptor for {fam}")
+    if spec.form is None:
+        return [FactorSpec(spec.k_kind(d), t, "part", d) for d, t in part.pairs]
     evens = sorted((d, t) for d, t in part.pairs if d % 2 == 0)
-    odds = sorted((d, t) for d, t in part.pairs if d % 2 == 1)
-    odds = ([x for x in odds if x[0] % 4 == 1] + [x for x in odds if x[0] % 4 == 3])
+    odds = sorted(((d, t) for d, t in part.pairs if d % 2 == 1),
+                  key=lambda x: (x[0] % 4, x[0]))
     out: List[FactorSpec] = []
-    if fam == "so_c":
-        out += [FactorSpec("Sp", t // 2, "even", d) for d, t in evens]
-        out += [FactorSpec("O", t, "odd", d) for d, t in odds]
-    elif fam == "so_pq":
-        out += [FactorSpec("U", t // 2, "even", d) for d, t in evens]
-        for d, _ in odds:
-            out.append(FactorSpec("O", datum.p_of(d), "odd_p", d))
-            out.append(FactorSpec("O", datum.q_of(d), "odd_q", d))
-    elif fam == "sp_c":
-        out += [FactorSpec("O", t, "even", d) for d, t in evens]
-        out += [FactorSpec("Sp", t // 2, "odd", d) for d, t in odds]
-    else:  # sp_pq
-        out += [FactorSpec("U", t, "even", d) for d, t in evens]
-        for d, _ in odds:
-            out.append(FactorSpec("Sp", datum.p_of(d), "odd_p", d))
-            out.append(FactorSpec("Sp", datum.q_of(d), "odd_q", d))
+    for d, t in evens + odds:
+        kind, role = spec.k_kind(d), ("even", "odd")[d % 2]
+        if d % 2 == spec.free_sign:
+            out.append(FactorSpec(kind, datum.p_of(d), role + "_p", d))
+            out.append(FactorSpec(kind, datum.q_of(d), role + "_q", d))
+        else:
+            out.append(FactorSpec(kind, t // 2 if d % 2 == spec.paired else t, role, d))
     return out
+
+
+def expected_compact_dim(a: AlgebraSpec, datum: Datum) -> int:
+    """Real dimension of the maximal compact subgroup K, in closed form."""
+    return _k_dim(a, factor_layout(a, datum))
+
+
+def _k_dim(a: AlgebraSpec, factors: Sequence[FactorSpec]) -> int:
+    """The dimensions of the factors added up, less one where the constraint
+    chi = 1 is on a character of U factors, a circle; a character of O
+    factors takes only the values +-1."""
+    spec = a.family_spec
+    circle = spec.constraint == "chi=1" and spec.k_kind(1) == "U"
+    return sum(f.dim() for f in factors) - circle
 
 
 @dataclass(frozen=True)
@@ -135,49 +136,21 @@ def k_element_defect(a: AlgebraSpec, datum: Datum, e: KElement) -> Optional[str]
 # Descriptor
 # ---------------------------------------------------------------------------
 
+def _ambient_sizes(a: AlgebraSpec) -> Tuple[int, ...]:
+    """M is one group of size n, or a product of two of sizes p and q."""
+    if not a.family_spec.has_descriptor:
+        raise ValueError(f"no homotopy descriptor for {a.family}")
+    return (a.p, a.q) if a.family_spec.signed else (a.n,)
+
+
 def ambient_name(a: AlgebraSpec) -> str:
-    fam = a.family
-    if fam == "sl_c":
-        return f"SU({a.n})"
-    if fam == "sl_r":
-        return f"SO({a.n})"
-    if fam == "sl_h":
-        return f"Sp({a.n})"
-    if fam == "so_c":
-        return f"SO({a.n})"
-    if fam == "so_pq":
-        return f"SO({a.p})×SO({a.q})"
-    if fam == "sp_c":
-        return f"Sp({a.n})"
-    if fam == "sp_pq":
-        return f"Sp({a.p})×Sp({a.q})"
-    raise ValueError(f"no homotopy descriptor for {fam}")
+    kind = a.family_spec.ambient
+    return "×".join(f"{kind}({n})" for n in _ambient_sizes(a))
 
 
 def dim_M(a: AlgebraSpec) -> int:
-    fam = a.family
-    if fam in ("sl_c",):
-        return a.n * a.n - 1
-    if fam in ("sl_r", "so_c"):
-        return a.n * (a.n - 1) // 2
-    if fam in ("sl_h", "sp_c"):
-        return a.n * (2 * a.n + 1)
-    if fam == "so_pq":
-        return a.p * (a.p - 1) // 2 + a.q * (a.q - 1) // 2
-    if fam == "sp_pq":
-        return a.p * (2 * a.p + 1) + a.q * (2 * a.q + 1)
-    raise ValueError(f"no homotopy descriptor for {fam}")
-
-
-_CONSTRAINT = {
-    "sl_c": "chi=1",
-    "sl_r": "chi=1",
-    "sl_h": "none",
-    "so_c": "chi=1",
-    "so_pq": "chi_p=chi_q=1",
-    "sp_c": "none",
-    "sp_pq": "none",
-}
+    kind = a.family_spec.ambient
+    return sum(compact_dim(kind, n) for n in _ambient_sizes(a))
 
 
 @dataclass(frozen=True)
@@ -214,7 +187,8 @@ class HomotopyType:
         names = [f"{f.kind}({f.size})" for f in self.factors]
         if self.constraint == "none":
             return f"{self.ambient} / ({' × '.join(names)})"
-        if self.family in ("so_c", "sl_r"):
+        if self.constraint == "chi=1" and FAMILY_SPECS[self.family].k_kind(1) == "O":
+            # A character of O factors is +-1, trivial on the even parts.
             plain, grouped = [], []
             for f, name in zip(self.factors, names):
                 if f.part % 2 == 1:
@@ -234,13 +208,14 @@ def compact_pair(a: AlgebraSpec, datum: Datum) -> HomotopyType:
     """Descriptor of the orbit's homotopy type M/Λ(K)."""
     factors = tuple(factor_layout(a, datum))
     m = dim_M(a)
-    k = expected_compact_dim(a, datum)
+    k = _k_dim(a, factors)
+    constraint = a.family_spec.constraint
     aux = None
-    if a.family == "so_pq":
+    if constraint == "chi_p=chi_q=1":
         aux = {"ambient": f"S(O({a.p}) × O({a.q}))", "constraint": "chi_p*chi_q=1"}
     return HomotopyType(
         ambient=ambient_name(a), factors=factors,
-        constraint=_CONSTRAINT[a.family], dim_M=m, dim_K=k,
+        constraint=constraint, dim_M=m, dim_K=k,
         dim_quotient=m - k, family=a.family, auxiliary=aux)
 
 
@@ -262,14 +237,14 @@ def _i_to_j(m: ExactMatrix) -> ExactMatrix:
 
 
 def _factor_block(a: AlgebraSpec, spec: FactorSpec, g: ExactMatrix) -> ExactMatrix:
-    fam = a.family
-    if spec.role == "even":
-        if fam == "so_c":
-            return complex_to_real_blocks(quaternion_to_complex_blocks(g))
-        if fam == "so_pq":
-            return complex_to_real_blocks(g)
-        if fam == "sp_pq":
-            return _i_to_j(g)
+    """A factor as it enters the adapted basis (``FamilySpec.even_embed``)."""
+    embed = a.family_spec.even_embed if spec.role == "even" else None
+    if embed == "H-to-R":
+        return complex_to_real_blocks(quaternion_to_complex_blocks(g))
+    if embed == "C-to-R":
+        return complex_to_real_blocks(g)
+    if embed == "i-to-j":
+        return _i_to_j(g)
     return g
 
 
@@ -293,7 +268,7 @@ def embed_K(a: AlgebraSpec, datum: Datum, e: KElement,
 
 def _form_basis(a: AlgebraSpec, datum: Datum) -> Optional[AdaptedBasis]:
     """The adapted basis of a form family; None for the trace-zero families."""
-    return adapted_basis(a, datum) if a.family in _FORM_FAMILIES else None
+    return adapted_basis(a, datum) if a.family_spec.has_adapted_basis else None
 
 
 def _assemble_K(a: AlgebraSpec, datum: Datum, e: KElement,
@@ -301,7 +276,6 @@ def _assemble_K(a: AlgebraSpec, datum: Datum, e: KElement,
     """The block assembly of :func:`embed_K` for a tuple with no factor defect."""
     layout = factor_layout(a, datum)
     by_key = {(spec.role, spec.part): g for spec, g in zip(layout, e.factors)}
-    fam = a.family
 
     if adapted is None:
         part = datum_partition(datum)
@@ -323,7 +297,7 @@ def _assemble_K(a: AlgebraSpec, datum: Datum, e: KElement,
             out.append(block)
         return out
 
-    if fam == "sp_c":
+    if a.family_spec.quaternionic_k:
         quat = block_oplus(side_blocks(adapted.plus_blocks))
         return quaternion_to_complex_blocks(quat)
     blocks = side_blocks(adapted.plus_blocks) + side_blocks(adapted.minus_blocks)
@@ -331,30 +305,26 @@ def _assemble_K(a: AlgebraSpec, datum: Datum, e: KElement,
 
 
 def chi(a: AlgebraSpec, datum: Datum, e: KElement) -> Scalar:
-    """The determinant character attached to the factor tuple."""
-    layout = factor_layout(a, datum)
-    fam = a.family
-    if fam in ("sl_r", "sl_c", "sl_h"):
-        total = ONE
-        for spec, g in zip(layout, e.factors):
-            base = reduced_norm(g) if fam == "sl_h" else det(g)
-            for _ in range(spec.part):
+    """The determinant character attached to the factor tuple.
+
+    The product, over the factors of whole parts or of odd parts, of their
+    determinants (reduced norms for Sp factors) to the power of the part.
+    """
+    spec = a.family_spec
+    if not (spec.form is None or spec.constraint == "chi=1"):
+        raise ValueError(f"no single character for {a.family}; see chi_pair")
+    total = ONE
+    for f, g in zip(factor_layout(a, datum), e.factors):
+        if f.role in ("part", "odd"):
+            base = reduced_norm(g) if f.kind == "Sp" else det(g)
+            for _ in range(f.part):
                 total = total * base
-        return total
-    if fam == "so_c":
-        total = ONE
-        for spec, g in zip(layout, e.factors):
-            if spec.part % 2 == 1:
-                base = det(g)
-                for _ in range(spec.part):
-                    total = total * base
-        return total
-    raise ValueError(f"no single character for {fam}; see chi_pair")
+    return total
 
 
 def chi_pair(a: AlgebraSpec, datum: Datum, e: KElement) -> Tuple[Scalar, Scalar]:
     """The two characters of the split orthogonal family."""
-    if a.family != "so_pq":
+    if a.family_spec.constraint != "chi_p=chi_q=1":
         raise ValueError("chi_pair applies to the split orthogonal family")
     layout = factor_layout(a, datum)
     chi_p = ONE
@@ -453,11 +423,12 @@ def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
         if sigma_transpose(g, t.sigma) @ t.gram @ g != t.gram:
             failures.append("preserves[S]")
     one = ONE
-    if a.family in ("sl_c", "sl_r", "so_c"):
+    constraint = a.family_spec.constraint
+    if constraint == "chi=1":
         char = chi(a, datum, e)
         if (det(emb) == one) != (char == one):
             failures.append("det-vs-chi")
-    elif a.family == "so_pq":
+    elif constraint == "chi_p=chi_q=1":
         cp, cq = chi_pair(a, datum, e)
         det_p = det(_corner(emb, 0, a.p))
         det_q = det(_corner(emb, a.p, a.p + a.q))
@@ -477,15 +448,13 @@ def _corner(m: ExactMatrix, lo: int, hi: int) -> ExactMatrix:
 # Exact random points via Cayley transforms
 # ---------------------------------------------------------------------------
 
-def _random_scalar(rng: random.Random, kind: str) -> Scalar:
-    def q() -> Fraction:
-        return Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+_NO_PART = Fraction(0)
 
-    if kind == "O":
-        return Scalar.rational(q())
-    if kind == "U":
-        return Scalar.complex_value(q(), q())
-    return Scalar.quaternion_value(q(), q(), q(), q())
+
+def _random_scalar(rng: random.Random, dim: int) -> Scalar:
+    """A random entry with ``dim`` (1, 2 or 4) random rational components."""
+    return Scalar([Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(dim)]
+                  + [_NO_PART] * (8 - dim))
 
 
 def random_compact_point(rng: random.Random, kind: str, size: int,
@@ -498,7 +467,8 @@ def random_compact_point(rng: random.Random, kind: str, size: int,
     """
     if size == 0:
         return ExactMatrix.zeros(0, 0)
-    raw = ExactMatrix.build(size, size, lambda r, c: _random_scalar(rng, kind))
+    dim = ring_of_kind(kind).dim
+    raw = ExactMatrix.build(size, size, lambda r, c: _random_scalar(rng, dim))
     anti = raw - (raw.transpose() if kind == "O" else conj_transpose(raw))
     ident = ExactMatrix.identity(size)
     g = (ident - anti) @ inverse(ident + anti)

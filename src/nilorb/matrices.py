@@ -334,16 +334,6 @@ class ExactMatrix:
     def transpose(self) -> "ExactMatrix":
         return self._transposed(False)
 
-    def trace(self) -> Scalar:
-        if not self.is_square():
-            raise ValueError("trace of a non-square matrix")
-        acc = [0] * 8
-        for r, row in enumerate(self._num):
-            for c, x in row:
-                if c == r:
-                    acc = [u + v for u, v in zip(acc, x)]
-        return _to_scalar(tuple(acc), self._den)
-
     def _check_same_shape(self, other: "ExactMatrix") -> None:
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise ValueError("shape mismatch")
@@ -470,30 +460,6 @@ def quaternion_to_complex_blocks(a: ExactMatrix) -> ExactMatrix:
     return ExactMatrix._of(2 * m, 2 * n, a._den, tuple(top + bottom))
 
 
-def realify(a: ExactMatrix, kind: str | None = None) -> ExactMatrix:
-    """Matrix of the same operator over real scalars.
-
-    ``kind`` is one of ``"real"``, ``"complex"``, ``"quaternion"``; when
-    omitted it is inferred from the entries.  A complex m x m matrix maps to
-    a 2m x 2m real one, a quaternionic one to 4m x 4m.
-    """
-    if kind is None:
-        v = a.variant()
-        if v in ("quat", "quat_sqrt2"):
-            kind = "quaternion"
-        elif v in ("gauss", "tower"):
-            kind = "complex"
-        else:
-            kind = "real"
-    if kind == "real":
-        return a
-    if kind == "complex":
-        return complex_to_real_blocks(a)
-    if kind == "quaternion":
-        return complex_to_real_blocks(quaternion_to_complex_blocks(a))
-    raise ValueError(f"unknown realification kind {kind!r}")
-
-
 # -- exact linear algebra ---------------------------------------------------
 
 def _integer_rank(rows: List[List[int]], ncols: int) -> int:
@@ -539,11 +505,6 @@ def rank(a: ExactMatrix) -> int:
             dense[c] = x[0]
         int_rows.append(dense)
     return _integer_rank(int_rows, a.ncols)
-
-
-def kernel_dim(a: ExactMatrix) -> int:
-    """Exact nullity of a rational matrix via fraction-free elimination."""
-    return a.ncols - rank(a)
 
 
 def _dense(a: ExactMatrix, width: int) -> List[list]:
@@ -755,20 +716,7 @@ def congruence_signature(s: ExactMatrix) -> Tuple[int, int]:
     return pos, neg
 
 
-# -- quaternionic trace and norm -------------------------------------------
-
-def reduced_trace(a: ExactMatrix) -> Fraction:
-    """Trace of the complex image of a quaternion matrix: 2 * sum of real parts."""
-    if not a.is_square():
-        raise ValueError("reduced trace of a non-square matrix")
-    total = ZERO
-    for r in range(a.nrows):
-        x = a.entry(r, r)
-        total = total + x + x.conjugate()
-    if not total.is_rational():
-        raise ValueError("reduced trace has an irrational part")
-    return total.rational_value()
-
+# -- quaternionic norm ------------------------------------------------------
 
 def reduced_norm(a: ExactMatrix) -> Scalar:
     """Determinant of the complex image of a quaternion matrix (real valued)."""

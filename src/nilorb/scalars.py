@@ -128,9 +128,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not any(self._c)
 
-    def is_rational(self) -> bool:
-        return not any(self._c[1:])
-
     def is_real(self) -> bool:
         """True when the value lies in Q(sqrt2)."""
         c = self._c
@@ -190,10 +187,6 @@ class Scalar:
                            -c3 if c3 else c3, c4, -c5 if c5 else c5,
                            -c6 if c6 else c6, -c7 if c7 else c7))
 
-    def norm_real(self) -> "Scalar":
-        """The product self * conjugate(self), an element of Q(sqrt2)."""
-        return self * self.conjugate()
-
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise ZeroDivisionError("scalar inverse of zero")
@@ -228,34 +221,6 @@ class Scalar:
         if a > 0:
             return 1 if d > 0 else -1
         return -1 if d > 0 else 1
-
-    # -- decompositions ----------------------------------------------
-
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("scalar is not rational")
-        return self._c[0]
-
-    def real_imag(self) -> tuple:
-        """Split a complex-like value as (re, im), both in Q(sqrt2)."""
-        if not self.is_complex_like():
-            raise ValueError("scalar has quaternion parts")
-        c = self._c
-        re = Scalar._of((c[0], _F0, _F0, _F0, c[4], _F0, _F0, _F0))
-        im = Scalar._of((c[1], _F0, _F0, _F0, c[5], _F0, _F0, _F0))
-        return re, im
-
-    def complex_pair(self) -> tuple:
-        """Split a quaternion as (P, Q) with value ``P + j*Q``, P and Q complex-like.
-
-        Follows the convention ``x1 + x2 i + x3 j + x4 k = P + j Q`` with
-        ``P = x1 + x2 i`` and ``Q = x3 - x4 i``.
-        """
-        c0, c1, c2, c3, c4, c5, c6, c7 = self._c
-        p = Scalar._of((c0, c1, _F0, _F0, c4, c5, _F0, _F0))
-        q = Scalar._of((c2, -c3 if c3 else c3, _F0, _F0,
-                        c6, -c7 if c7 else c7, _F0, _F0))
-        return p, q
 
     # -- serialization ------------------------------------------------
 

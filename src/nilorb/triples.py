@@ -17,35 +17,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .catalog import AlgebraSpec, Datum, datum_partition
+from .families import QUATERNION, FamilySpec
 from .matrices import ExactMatrix, conj_transpose, rank
 from .partitions import Partition
 from .scalars import (HALF_SQRT2, I_HALF_SQRT2, I_UNIT, J_HALF_SQRT2, J_UNIT,
                       MINUS_ONE, ONE, Scalar)
-
-#: (epsilon, sigma) of the invariant form; sigma "conj" negates i, j, k.
-FORM_KIND = {
-    "so_c": (1, "id"),
-    "so_pq": (1, "id"),
-    "sp_c": (-1, "id"),
-    "sp_pq": (1, "conj"),
-    "so_star": (-1, "conj"),
-}
-
-#: Scalar ring of each family's matrices.
-SCALAR_RING = {
-    "sl_r": "real",
-    "sl_c": "complex",
-    "sl_h": "quaternion",
-    "so_c": "complex",
-    "so_pq": "real",
-    "sp_c": "complex",
-    "sp_pq": "quaternion",
-    "so_star": "quaternion",
-}
-
-#: Real dimension of the scalar ring.
-RING_DIM = {"real": 1, "complex": 2, "quaternion": 4}
-
 
 class ZeroOrbitError(ValueError):
     """Raised when a construction needs a nonzero nilpotent representative."""
@@ -184,6 +160,20 @@ def _split_alternating(size: int) -> ExactMatrix:
     return ExactMatrix.from_entries(size, size, entries)
 
 
+def _form_block(spec: FamilySpec, d: int) -> str:
+    """Which form the family puts on the lowest-weight space of a part of length ``d``.
+
+    ``"alternating"`` on the parts that need even multiplicity,
+    ``"signed"`` on the rows with a free sign, and otherwise the identity,
+    or ``j`` times it over the quaternions.
+    """
+    if d % 2 == spec.paired:
+        return "alternating"
+    if d % 2 == spec.free_sign:
+        return "signed"
+    return "j" if spec.ring is QUATERNION else "identity"
+
+
 def lowest_weight_form(a: AlgebraSpec, datum: Datum, d: int) -> ExactMatrix:
     """Form values on the lowest-weight generators of the size-``d`` part.
 
@@ -192,31 +182,17 @@ def lowest_weight_form(a: AlgebraSpec, datum: Datum, d: int) -> ExactMatrix:
     alternating block for the skew case, and ``j``-diagonal for the
     quaternionic skew-adjoint case.
     """
-    part = datum_partition(datum)
-    t = part.multiplicity(d)
-    fam = a.family
-    odd = d % 2 == 1
-
-    def signed_diag(size: int, plus: int) -> ExactMatrix:
-        return ExactMatrix.diagonal([ONE] * plus + [MINUS_ONE] * (size - plus))
-
-    if fam == "so_c":
-        return ExactMatrix.identity(t) if odd else _split_alternating(t)
-    if fam == "so_pq":
-        if odd:
-            return signed_diag(t, datum.p_of(d))
+    spec = a.family_spec
+    if spec.form is None:
+        raise ValueError(f"{a.family} carries no invariant form")
+    t = datum_partition(datum).multiplicity(d)
+    block = _form_block(spec, d)
+    if block == "alternating":
         return _split_alternating(t)
-    if fam == "sp_c":
-        return _split_alternating(t) if odd else ExactMatrix.identity(t)
-    if fam == "sp_pq":
-        if odd:
-            return signed_diag(t, datum.p_of(d))
-        return ExactMatrix.diagonal([J_UNIT] * t)
-    if fam == "so_star":
-        if odd:
-            return ExactMatrix.diagonal([J_UNIT] * t)
-        return signed_diag(t, datum.p_of(d))
-    raise ValueError(f"{fam} carries no invariant form")
+    if block == "signed":
+        plus = datum.p_of(d)
+        return ExactMatrix.diagonal([ONE] * plus + [MINUS_ONE] * (t - plus))
+    return ExactMatrix.diagonal([J_UNIT] * t) if block == "j" else ExactMatrix.identity(t)
 
 
 def gram_matrix(a: AlgebraSpec, datum: Datum) -> ExactMatrix:
@@ -226,7 +202,7 @@ def gram_matrix(a: AlgebraSpec, datum: Datum) -> ExactMatrix:
     and otherwise equals ``(-1)^l`` times the lowest-weight form value;
     distinct parts are orthogonal.
     """
-    if a.family not in FORM_KIND:
+    if a.family_spec.form is None:
         raise ValueError(f"{a.family} carries no invariant form")
     part = datum_partition(datum)
     lay = layout_for(part)
@@ -244,8 +220,8 @@ def gram_matrix(a: AlgebraSpec, datum: Datum) -> ExactMatrix:
 def build_triple(a: AlgebraSpec, datum: Datum) -> Triple:
     part = triple_partition(a, datum)
     gram = epsilon = sigma = None
-    if a.family in FORM_KIND:
-        epsilon, sigma = FORM_KIND[a.family]
+    if a.family_spec.form is not None:
+        epsilon, sigma = a.family_spec.form
         gram = gram_matrix(a, datum)
     return Triple(
         family=a.family,
@@ -329,37 +305,35 @@ def _odd_level_takes_plus_rows(d: int, l: int) -> bool:
     return l % 2 == 1
 
 
-def _odd_real_column(lay: BasisLayout, d: int, l: int, j: int) -> Dict[int, Scalar]:
-    """Real two-term column used by the odd parts of the signed families."""
+def _odd_column(lay: BasisLayout, d: int, l: int, j: int,
+                low: Scalar, middle: Scalar, high: Scalar) -> Dict[int, Scalar]:
+    """Column of row ``j`` at level ``l`` of an odd part.
+
+    Below the middle it is ``low`` on levels ``l`` and ``d-1-l``, above it
+    ``high`` and ``-high`` on levels ``d-1-l`` and ``l``, and the middle
+    level alone scaled by ``middle``.
+    """
     mid = (d - 1) // 2
     if l < mid:
-        return {lay.slot(d, l, j): HALF_SQRT2, lay.slot(d, d - 1 - l, j): HALF_SQRT2}
+        return {lay.slot(d, l, j): low, lay.slot(d, d - 1 - l, j): low}
     if l == mid:
-        return {lay.slot(d, mid, j): ONE}
-    return {lay.slot(d, d - 1 - l, j): HALF_SQRT2, lay.slot(d, l, j): -HALF_SQRT2}
+        return {lay.slot(d, mid, j): middle}
+    return {lay.slot(d, d - 1 - l, j): high, lay.slot(d, l, j): -high}
 
 
-def _add_signed_odd_parts(datum: Datum, lay: BasisLayout, odds: Sequence[int],
-                          plus: Tuple[list, list], minus: Tuple[list, list]) -> None:
-    """Append the odd parts' columns and blocks of so_pq or sp_pq to each half.
+def _complex_odd_levels(lay: BasisLayout, d: int, i_half: Scalar) -> List[list]:
+    """The columns of each level of an odd part of a complex family.
 
-    ``plus`` and ``minus`` are the (columns, blocks) lists of the two halves.
-    Parts ``1 mod 4`` come before parts ``3 mod 4``.  At each level the
-    columns of the ``p_d`` rows starting with +1 form an ``odd_p`` block and
-    the rest an ``odd_q`` block; :func:`_odd_level_takes_plus_rows` says
-    whether the ``odd_p`` block goes to the plus half.
+    The coefficients alternate between 1/sqrt2 and ``i_half`` level by
+    level, and the middle level takes 1 or i as ``d`` is 1 or 3 mod 4.
     """
-    for d in [x for x in odds if x % 4 == 1] + [x for x in odds if x % 4 == 3]:
-        t = lay.multiplicity(d)
-        p = datum.p_of(d)
-        for l in range(d):
-            cols = [_odd_real_column(lay, d, l, j) for j in range(1, t + 1)]
-            p_side, q_side = ((plus, minus) if _odd_level_takes_plus_rows(d, l)
-                              else (minus, plus))
-            p_side[0].extend(cols[:p])
-            p_side[1].append(BlockSpec(("odd_p", d), p))
-            q_side[0].extend(cols[p:])
-            q_side[1].append(BlockSpec(("odd_q", d), t - p))
+    t = lay.multiplicity(d)
+    middle = ONE if d % 4 == 1 else I_UNIT
+    out = []
+    for l in range(d):
+        low, high = (HALF_SQRT2, i_half) if l % 2 == 0 else (i_half, HALF_SQRT2)
+        out.append([_odd_column(lay, d, l, j, low, middle, high) for j in range(1, t + 1)])
+    return out
 
 
 def _even_quarter_column(lay: BasisLayout, d: int, l: int, j: int, t: int,
@@ -391,137 +365,131 @@ def _even_quarter_column(lay: BasisLayout, d: int, l: int, j: int, t: int,
             lay.slot(d, hi, j - 3 * t2): s * second}
 
 
-def adapted_basis(a: AlgebraSpec, datum: Datum) -> AdaptedBasis:
-    """Adapted basis and block structure for a form family.
-
-    Defined for every datum including the zero orbit, where the adapted
-    basis is a signed permutation of the original one.
-    """
-    fam = a.family
-    if fam not in ("so_c", "so_pq", "sp_c", "sp_pq"):
-        raise ValueError(f"no adapted basis construction for {fam}")
-    part = datum_partition(datum)
-    lay = layout_for(part)
-    evens = sorted(d for d, _ in part.pairs if d % 2 == 0)
-    odds = sorted(d for d, _ in part.pairs if d % 2 == 1)
-
-    columns: List[Dict[int, Scalar]] = []
-    plus_blocks: List[BlockSpec] = []
-    minus_blocks: List[BlockSpec] = []
-
-    if fam == "so_c":
-        for d in evens:
-            t = part.multiplicity(d)
-            for l in range(d // 2):
-                for j in range(1, 2 * t + 1):
-                    columns.append(_even_quarter_column(lay, d, l, j, t, True))
-                plus_blocks.append(BlockSpec(("even", d), 2 * t))
-        for d in odds:
-            t = part.multiplicity(d)
-            mid = (d - 1) // 2
-            for l in range(d):
-                for j in range(1, t + 1):
-                    if l < mid:
-                        coeff = HALF_SQRT2 if l % 2 == 0 else I_HALF_SQRT2
-                        columns.append({lay.slot(d, l, j): coeff,
-                                        lay.slot(d, d - 1 - l, j): coeff})
-                    elif l == mid:
-                        coeff = ONE if mid % 2 == 0 else I_UNIT
-                        columns.append({lay.slot(d, mid, j): coeff})
-                    else:
-                        coeff = I_HALF_SQRT2 if l % 2 == 0 else HALF_SQRT2
-                        columns.append({lay.slot(d, d - 1 - l, j): coeff,
-                                        lay.slot(d, l, j): -coeff})
-                plus_blocks.append(BlockSpec(("odd", d), t))
-        matrix = _columns_to_matrix(columns, lay.dim)
-        return AdaptedBasis(matrix, tuple(plus_blocks), (), has_sides=False)
-
-    if fam == "so_pq":
-        plus_cols: List[Dict[int, Scalar]] = []
-        minus_cols: List[Dict[int, Scalar]] = []
-        for d in evens:
-            t = part.multiplicity(d)
-            for l in range(d // 2):
-                for j in range(1, t + 1):
-                    plus_cols.append(_even_quarter_column(lay, d, l, j, t, False))
-                for j in range(t + 1, 2 * t + 1):
-                    minus_cols.append(_even_quarter_column(lay, d, l, j, t, False))
-                plus_blocks.append(BlockSpec(("even", d), t))
-                minus_blocks.append(BlockSpec(("even", d), t))
-        _add_signed_odd_parts(datum, lay, odds, (plus_cols, plus_blocks),
-                              (minus_cols, minus_blocks))
-        matrix = _columns_to_matrix(plus_cols + minus_cols, lay.dim)
-        return AdaptedBasis(matrix, tuple(plus_blocks), tuple(minus_blocks),
-                            has_sides=True)
-
-    if fam == "sp_c":
-        plus_cols = []
-        minus_cols = []
-        for d in evens:
-            t = part.multiplicity(d)
-            for l in range(d // 2):
-                lo, hi = l, d - 1 - l
-                first, second = (lo, hi) if l % 2 == 0 else (hi, lo)
-                for j in range(1, t + 1):
-                    plus_cols.append({lay.slot(d, first, j): ONE})
-                for j in range(1, t + 1):
-                    minus_cols.append({lay.slot(d, second, j): ONE})
-                plus_blocks.append(BlockSpec(("even", d), t))
-                minus_blocks.append(BlockSpec(("even", d), t))
-        for d in odds:
-            t = part.multiplicity(d)
-            mid = (d - 1) // 2
-            for l in range(d):
-                cols = []
-                for j in range(1, t + 1):
-                    if l < mid:
-                        coeff = HALF_SQRT2 if l % 2 == 0 else -I_HALF_SQRT2
-                        cols.append({lay.slot(d, l, j): coeff,
-                                     lay.slot(d, d - 1 - l, j): coeff})
-                    elif l == mid:
-                        coeff = ONE if d % 4 == 1 else I_UNIT
-                        cols.append({lay.slot(d, mid, j): coeff})
-                    else:
-                        coeff = -I_HALF_SQRT2 if l % 2 == 0 else HALF_SQRT2
-                        cols.append({lay.slot(d, d - 1 - l, j): coeff,
-                                     lay.slot(d, l, j): -coeff})
-                half = t // 2
-                plus_cols.extend(cols[:half])
-                minus_cols.extend(cols[half:])
-                plus_blocks.append(BlockSpec(("odd", d), half))
-                minus_blocks.append(BlockSpec(("odd", d), half))
-        matrix = _columns_to_matrix(plus_cols + minus_cols, lay.dim)
-        return AdaptedBasis(matrix, tuple(plus_blocks), tuple(minus_blocks),
-                            has_sides=True)
-
-    # sp_pq
-    plus_cols = []
-    minus_cols = []
-    for d in evens:
-        t = part.multiplicity(d)
-        plus_levels = [l for l in range(d) if l % 2 == 1]
-        minus_levels = [l for l in range(d) if l % 2 == 0]
-        for l in plus_levels:
-            for j in range(1, t + 1):
-                plus_cols.append(_sp_pq_even_column(lay, d, l, j))
-            plus_blocks.append(BlockSpec(("even", d), t))
-        for l in minus_levels:
-            for j in range(1, t + 1):
-                minus_cols.append(_sp_pq_even_column(lay, d, l, j))
-            minus_blocks.append(BlockSpec(("even", d), t))
-    _add_signed_odd_parts(datum, lay, odds, (plus_cols, plus_blocks),
-                          (minus_cols, minus_blocks))
-    matrix = _columns_to_matrix(plus_cols + minus_cols, lay.dim)
-    return AdaptedBasis(matrix, tuple(plus_blocks), tuple(minus_blocks),
-                        has_sides=True)
+#: The (columns, blocks) lists of one half of an adapted basis.
+_Side = Tuple[List[Dict[int, Scalar]], List[BlockSpec]]
 
 
-def _sp_pq_even_column(lay: BasisLayout, d: int, l: int, j: int) -> Dict[int, Scalar]:
+def _extend(side: _Side, columns: list, factor: Tuple[str, int]) -> None:
+    """Append ``columns`` to one half as one block of the named factor."""
+    side[0].extend(columns)
+    side[1].append(BlockSpec(factor, len(columns)))
+
+
+def _alternating_even_part(spec: FamilySpec, datum: Datum, lay: BasisLayout, d: int,
+                           plus: _Side, minus: _Side) -> None:
+    """An even part under the split alternating form: 2t quarter columns per
+    level pair, all on one side with i coefficients when the basis has one
+    side, else real and split between the halves."""
+    t = lay.multiplicity(d)
+    for l in range(d // 2):
+        cols = [_even_quarter_column(lay, d, l, j, t, not spec.two_sided)
+                for j in range(1, 2 * t + 1)]
+        if spec.two_sided:
+            _extend(plus, cols[:t], ("even", d))
+            _extend(minus, cols[t:], ("even", d))
+        else:
+            _extend(plus, cols, ("even", d))
+
+
+def _identity_even_part(spec: FamilySpec, datum: Datum, lay: BasisLayout, d: int,
+                        plus: _Side, minus: _Side) -> None:
+    """An even part under the identity form: each level pair sends one level
+    to each half, the lower level to the plus half at even ``l``."""
+    t = lay.multiplicity(d)
+    for l in range(d // 2):
+        first, second = (l, d - 1 - l) if l % 2 == 0 else (d - 1 - l, l)
+        _extend(plus, [{lay.slot(d, first, j): ONE} for j in range(1, t + 1)], ("even", d))
+        _extend(minus, [{lay.slot(d, second, j): ONE} for j in range(1, t + 1)], ("even", d))
+
+
+def _j_column(lay: BasisLayout, d: int, l: int, j: int) -> Dict[int, Scalar]:
     if l < d // 2:
         return {lay.slot(d, l, j): HALF_SQRT2,
                 lay.slot(d, d - 1 - l, j): J_HALF_SQRT2}
     return {lay.slot(d, d - 1 - l, j): HALF_SQRT2,
             lay.slot(d, l, j): -J_HALF_SQRT2}
+
+
+def _j_even_part(spec: FamilySpec, datum: Datum, lay: BasisLayout, d: int,
+                 plus: _Side, minus: _Side) -> None:
+    """An even part under the j-diagonal form: odd levels on the plus half,
+    even levels on the minus half."""
+    t = lay.multiplicity(d)
+    for side, first in ((plus, 1), (minus, 0)):
+        for l in range(first, d, 2):
+            _extend(side, [_j_column(lay, d, l, j) for j in range(1, t + 1)], ("even", d))
+
+
+def _identity_odd_part(spec: FamilySpec, datum: Datum, lay: BasisLayout, d: int,
+                       plus: _Side, minus: _Side) -> None:
+    """An odd part under the identity form of a complex family: one block per level."""
+    for cols in _complex_odd_levels(lay, d, I_HALF_SQRT2):
+        _extend(plus, cols, ("odd", d))
+
+
+def _alternating_odd_part(spec: FamilySpec, datum: Datum, lay: BasisLayout, d: int,
+                          plus: _Side, minus: _Side) -> None:
+    """An odd part under the split alternating form: half of each level's
+    columns on each side."""
+    half = lay.multiplicity(d) // 2
+    for cols in _complex_odd_levels(lay, d, -I_HALF_SQRT2):
+        _extend(plus, cols[:half], ("odd", d))
+        _extend(minus, cols[half:], ("odd", d))
+
+
+def _signed_odd_part(spec: FamilySpec, datum: Datum, lay: BasisLayout, d: int,
+                     plus: _Side, minus: _Side) -> None:
+    """An odd part with free signs: at each level the real columns of the
+    ``p_d`` rows starting with +1 form an ``odd_p`` block and the rest an
+    ``odd_q`` block; :func:`_odd_level_takes_plus_rows` says whether the
+    ``odd_p`` block goes to the plus half."""
+    t, p = lay.multiplicity(d), datum.p_of(d)
+    for l in range(d):
+        cols = [_odd_column(lay, d, l, j, HALF_SQRT2, ONE, HALF_SQRT2)
+                for j in range(1, t + 1)]
+        p_side, q_side = ((plus, minus) if _odd_level_takes_plus_rows(d, l)
+                          else (minus, plus))
+        _extend(p_side, cols[:p], ("odd_p", d))
+        _extend(q_side, cols[p:], ("odd_q", d))
+
+
+#: The adapted columns of a part, by the parity of its length and the form
+#: on its lowest-weight space (:func:`_form_block`).
+_PART_COLUMNS = {
+    (0, "alternating"): _alternating_even_part,
+    (0, "identity"): _identity_even_part,
+    (0, "j"): _j_even_part,
+    (1, "identity"): _identity_odd_part,
+    (1, "alternating"): _alternating_odd_part,
+    (1, "signed"): _signed_odd_part,
+}
+
+
+def adapted_basis(a: AlgebraSpec, datum: Datum) -> AdaptedBasis:
+    """Adapted basis and block structure for a form family.
+
+    Defined for every datum including the zero orbit, where the adapted
+    basis is a signed permutation of the original one.  Even parts come
+    first, then odd parts, each ascending, except that signed odd parts
+    list those 1 mod 4 before those 3 mod 4.  The columns are the plus
+    half's followed by the minus half's.
+    """
+    spec = a.family_spec
+    if not spec.has_adapted_basis:
+        raise ValueError(f"no adapted basis construction for {a.family}")
+    part = datum_partition(datum)
+    lay = layout_for(part)
+    evens = sorted(d for d, _ in part.pairs if d % 2 == 0)
+    odds = sorted(d for d, _ in part.pairs if d % 2 == 1)
+    if spec.free_sign == 1:
+        odds.sort(key=lambda d: d % 4)
+    plus: _Side = ([], [])
+    minus: _Side = ([], [])
+    for d in evens + odds:
+        _PART_COLUMNS[d % 2, _form_block(spec, d)](spec, datum, lay, d, plus, minus)
+    matrix = _columns_to_matrix(plus[0] + minus[0], lay.dim)
+    return AdaptedBasis(matrix, tuple(plus[1]), tuple(minus[1]),
+                        has_sides=spec.two_sided)
 
 
 def _columns_to_matrix(columns: Sequence[Dict[int, Scalar]], dim: int) -> ExactMatrix:
@@ -537,13 +505,14 @@ def adapted_change_of_basis(a: AlgebraSpec, datum: Datum) -> ExactMatrix:
 
 
 def standard_adapted_gram(a: AlgebraSpec, datum: Datum) -> ExactMatrix:
-    """What the Gram matrix must become in the adapted basis."""
-    part = datum_partition(datum)
-    n = part.size()
-    if a.family == "so_c":
-        return ExactMatrix.identity(n)
-    if a.family in ("so_pq", "sp_pq"):
+    """What the Gram matrix must become in the adapted basis: diag(1_p, -1_q)
+    for a signature, else the identity or the split alternating matrix as
+    the form is symmetric or skew."""
+    if not a.family_spec.has_adapted_basis:
+        raise ValueError(f"no adapted basis construction for {a.family}")
+    n = datum_partition(datum).size()
+    if a.family_spec.signed:
         return ExactMatrix.diagonal([ONE] * a.p + [MINUS_ONE] * a.q)
-    if a.family == "sp_c":
-        return _split_alternating(n)
-    raise ValueError(f"no adapted basis construction for {a.family}")
+    if a.family_spec.form[0] == 1:
+        return ExactMatrix.identity(n)
+    return _split_alternating(n)

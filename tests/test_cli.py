@@ -313,6 +313,37 @@ def test_work_limit_admits_runs_below_it(monkeypatch, argv):
         main(list(argv))
 
 
+@pytest.mark.parametrize("argv,estimate,at", [
+    (("describe", "--algebra", "sl_r", "--n", "1001", "--datum", "1001"), "1,002,001",
+     "sl_r(n=1001)"),
+    (("describe", "--algebra", "sp_c", "--n", "501", "--datum", "1002"), "1,004,004",
+     "sp_c(n=501)"),
+])
+def test_oversized_describe_is_refused_before_anything_is_built(
+        capsys, monkeypatch, argv, estimate, at):
+    import nilorb.cli
+
+    def forbidden(*args):
+        raise AssertionError("datum parsed before the work limit")
+
+    _no_orbit_work(monkeypatch)
+    monkeypatch.setattr(nilorb.cli, "_parse_datum", forbidden)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (f"error: work limit: one orbit record x size^2 reaches {estimate} "
+                   f"at {at}; the limit is 1,000,000\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("describe", "--algebra", "sl_r", "--n", "1000", "--datum", "1000"),
+    ("describe", "--algebra", "sp_c", "--n", "500", "--datum", "1000"),
+], ids=" ".join)
+def test_describe_limit_admits_size_1000(monkeypatch, argv):
+    _no_orbit_work(monkeypatch)
+    with pytest.raises(AssertionError, match="before the work limit"):
+        main(list(argv))
+
+
 @pytest.mark.parametrize("family,cap", [("sp_pq", 5), ("so_pq", 6), ("sl_c", 6)])
 def test_verify_weight_leaves_the_benchmark_sweeps_twice_the_room(family, cap):
     """The weighted estimate of each benchmark verify sweep is at most half

@@ -1,0 +1,80 @@
+"""Only the family table names a family.
+
+Every per-family fact lives in one record per family in
+``nilorb.families``.  This scan reads the syntax tree of every other
+module under src/nilorb with the standard library and fails on the two
+signs of a family branch: a string constant equal to a family name, or a
+comparison with a ``.family`` attribute or a ``fam``/``family`` name on
+either side.  Output text that merely contains a family name, such as
+``f"{a.family} needs --n"``, is not a branch and passes.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from nilorb.families import FAMILIES
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nilorb"
+FAMILY_MODULE = "families.py"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != FAMILY_MODULE)
+FAMILY_NAMES = {"fam", "family"}
+
+
+def _names_a_family(node: ast.AST) -> bool:
+    if isinstance(node, ast.Attribute):
+        return node.attr == "family"
+    return isinstance(node, ast.Name) and node.id in FAMILY_NAMES
+
+
+def family_branches(source: str) -> list:
+    """``(line, what)`` for every quoted family name and family comparison."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and node.value in FAMILIES:
+            found.append((node.lineno, f"names {node.value}"))
+        elif isinstance(node, ast.Compare) and any(
+                map(_names_a_family, [node.left, *node.comparators])):
+            found.append((node.lineno, "compares a family"))
+    return sorted(found)
+
+
+def test_scan_finds_modules():
+    names = {p.name for p in MODULES}
+    assert names >= {"catalog.py", "triples.py", "centralizers.py", "homotopy.py",
+                     "cli.py"}
+    assert FAMILY_MODULE not in names
+    assert (PACKAGE / FAMILY_MODULE).exists()
+
+
+def test_scan_flags_family_branches_and_accepts_record_reads():
+    flagged = (
+        'if a.family == "so_c":\n'
+        "    pass\n"
+        'lo = 3 if fam in ("sl_r",) else 1\n'
+        "ok = family != other\n"
+        "same = spec.family is x.family\n"
+        "x = 2\n"
+    )
+    assert family_branches(flagged) == [(1, "compares a family"), (1, "names so_c"),
+                                        (3, "compares a family"), (3, "names sl_r"),
+                                        (4, "compares a family"),
+                                        (5, "compares a family")]
+    accepted = (
+        "spec = a.family_spec\n"
+        "if spec.signed and spec.form is not None:\n"
+        '    msg = f"{a.family} takes --p and --q"\n'
+        'doc = {"algebra": a.family, "kind": "so_cc"}\n'
+        "rec = FAMILY_SPECS[self.family]\n"
+        "if spec.cartan == 'BD':\n"
+        "    pass\n"
+    )
+    assert family_branches(accepted) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_family_table_names_families(path):
+    assert family_branches(path.read_text()) == []

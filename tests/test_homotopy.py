@@ -218,13 +218,45 @@ def test_block_accounting_every_signed_datum():
 
 # --- descriptor dimensions and rendering ------------------------------------
 
+def reference_compact_dim(a, datum) -> int:
+    """dim K by a closed form per family, written out independently of the
+    family table: the reference for the factor layout."""
+    part = getattr(datum, "partition", datum)
+    odd = [(d, t) for d, t in part.pairs if d % 2 == 1]
+    even = [(d, t) for d, t in part.pairs if d % 2 == 0]
+    if a.family == "sl_c":
+        return sum(t * t for _, t in part.pairs) - 1
+    if a.family == "sl_r":
+        return sum(t * (t - 1) // 2 for _, t in part.pairs)
+    if a.family == "sl_h":
+        return sum(t * (2 * t + 1) for _, t in part.pairs)
+    if a.family == "so_c":
+        return (sum((t // 2) * (t + 1) for _, t in even)
+                + sum(t * (t - 1) // 2 for _, t in odd))
+    if a.family == "sp_c":
+        return (sum(t * (t - 1) // 2 for _, t in even)
+                + sum((t // 2) * (t + 1) for _, t in odd))
+    signs = [(datum.p_of(d), datum.q_of(d)) for d, _ in odd]
+    if a.family == "so_pq":
+        return (sum((t // 2) ** 2 for _, t in even)
+                + sum((p * (p - 1) + q * (q - 1)) // 2 for p, q in signs))
+    return (sum(t * t for _, t in even)
+            + sum(p * (2 * p + 1) + q * (2 * q + 1) for p, q in signs))
+
+
 def test_factor_dims_sum_to_compact_dimension():
-    for a in HOMOTOPY_SPECS:
+    specs = HOMOTOPY_SPECS + [AlgebraSpec("sl_r", n=6), AlgebraSpec("sl_c", n=5),
+                              AlgebraSpec("sl_h", n=4), AlgebraSpec("so_c", n=9),
+                              AlgebraSpec("so_c", n=8), AlgebraSpec("sp_c", n=4)]
+    specs += [AlgebraSpec(family, p=p, q=6 - p) for family in ("so_pq", "sp_pq")
+              for p in range(1, 6)]
+    for a in specs:
         for rec in enumerate_orbits(a):
             dims = sum(f.dim() for f in factor_layout(a, rec.datum))
             if a.family == "sl_c":
                 dims -= 1  # the determinant-one circle constraint
-            assert dims == expected_compact_dim(a, rec.datum), str(rec.datum)
+            assert dims == expected_compact_dim(a, rec.datum) \
+                == reference_compact_dim(a, rec.datum), (str(a), str(rec.datum))
 
 
 def test_quotient_dim_is_orbit_retract_dimension():

@@ -10,9 +10,8 @@ import pytest
 from nilorb.matrices import (DegenerateFormError, ExactMatrix, block_oplus,
                              commutator, complex_to_real_blocks,
                              congruence_signature, conj_transpose, det,
-                             inverse, kernel_dim, quaternion_to_complex_blocks,
-                             rank, realify, reduced_norm, reduced_trace,
-                             repeat_blocks)
+                             inverse, quaternion_to_complex_blocks, rank,
+                             reduced_norm, repeat_blocks)
 from nilorb.scalars import (I_UNIT, J_UNIT, MINUS_ONE, ONE, ZERO, Scalar)
 
 
@@ -111,9 +110,9 @@ def test_realify_rank_scaling():
     """Realification multiplies rank by the real dimension of the entry ring."""
     rng = random.Random(7)
     a = complex_matrix(rng, 3)
-    assert rank(realify(a)) == 2 * rank_over_c(a)
+    assert rank(complex_to_real_blocks(a)) == 2 * rank_over_c(a)
     q = quaternion_matrix(rng, 2)
-    r = realify(q)
+    r = complex_to_real_blocks(quaternion_to_complex_blocks(q))
     assert r.nrows == 8
 
 
@@ -141,7 +140,7 @@ def rank_over_c(a: ExactMatrix) -> int:
 def test_rank_and_kernel_on_known_matrices():
     n = ExactMatrix([[ZERO, ONE, ZERO], [ZERO, ZERO, ONE], [ZERO, ZERO, ZERO]])
     assert rank(n) == 2
-    assert kernel_dim(n) == 1
+    assert n.ncols - rank(n) == 1
     assert rank(n @ n) == 1
     assert rank(n @ n @ n) == 0
     assert rank(ExactMatrix.identity(5)) == 5
@@ -171,7 +170,7 @@ def test_quaternion_inverse():
     done = 0
     while done < 8:
         a = quaternion_matrix(rng, 2)
-        if rank(realify(a)) < 8:
+        if reduced_norm(a).is_zero():
             continue
         assert a @ inverse(a) == ExactMatrix.identity(2)
         assert inverse(a) @ a == ExactMatrix.identity(2)
@@ -205,18 +204,16 @@ def test_congruence_signature_is_congruence_invariant():
         assert congruence_signature(t.transpose() @ base @ t) == (2, 2)
 
 
-def test_reduced_trace_and_norm():
-    # Trd(q) = q + conj(q) on 1x1 matrices; Nrd(q) = q * conj(q).
+def test_reduced_norm_is_multiplicative():
+    # Nrd(q) = q * conj(q) on 1x1 matrices.
     q = Scalar.quaternion_value(2, 1, -1, 3)
     m = ExactMatrix([[q]])
-    assert reduced_trace(m) == Fraction(4)
     assert reduced_norm(m) == q * q.conjugate()
     rng = random.Random(11)
     for _ in range(8):
         a = quaternion_matrix(rng, 2)
         b = quaternion_matrix(rng, 2)
         assert reduced_norm(a @ b) == reduced_norm(a) * reduced_norm(b)
-        assert reduced_trace(a + b) == reduced_trace(a) + reduced_trace(b)
 
 
 def test_matrix_json_round_trip():
