@@ -12,13 +12,12 @@ from .catalog import (FAMILIES, SIGNED_FAMILIES, AlgebraSpec, OrbitRecord,
                       total_orbit_count)
 from .centralizers import (AlgebraConstraint, CentralizerReport,
                            centralizer_dim_nilpotent, centralizer_dim_triple,
-                           centralizer_report, expected_compact_dim,
-                           expected_orbit_dim, expected_reductive_dim,
-                           graded_dims, orbit_dim)
+                           centralizer_report, expected_orbit_dim,
+                           expected_reductive_dim, graded_dims, orbit_dim)
 from .diagrams import SignedDiagram, enumerate_signed_diagrams, sign_matrix
 from .homotopy import (HomotopyType, KElement, chi, chi_pair, compact_pair,
-                       embed_K, factor_layout, quotient_dim, sample_k_element,
-                       verify_K_membership)
+                       embed_K, expected_compact_dim, factor_layout,
+                       quotient_dim, sample_k_element, verify_K_membership)
 from .matrices import ExactMatrix
 from .partitions import Partition, enumerate_partitions
 from .scalars import Scalar

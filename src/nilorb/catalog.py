@@ -132,7 +132,7 @@ def enumerate_orbits(a: AlgebraSpec) -> List[OrbitRecord]:
         if spec.free_sign is None:
             data.append(part)
         else:
-            data.extend(enumerate_signed_diagrams(part, spec.diagram_variant(), signature))
+            data.extend(enumerate_signed_diagrams(part, spec.free_sign, signature))
     return [
         OrbitRecord(
             datum=d,

@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .catalog import AlgebraSpec, Datum, datum_partition
 from .families import COMPLEX, QUATERNION, FamilySpec
-from .homotopy import expected_compact_dim
+from .homotopy import HomotopyType, compact_pair
 from .matrices import ExactMatrix
 from .scalars import _PROD
 from .triples import Triple, gram_matrix, layout_for, triple_partition
@@ -329,7 +329,6 @@ def _datum_graded_dims(a: AlgebraSpec, datum: Datum) -> Tuple[int, int, int]:
 
 
 def centralizer_dim_triple(t: Triple, a: AlgebraSpec,
-                           datum: Optional[Datum] = None,
                            constraint: Optional[AlgebraConstraint] = None) -> int:
     """Real dimension of the simultaneous centralizer of X, H, Y in the algebra.
 
@@ -370,14 +369,19 @@ def orbit_dim(a: AlgebraSpec, datum: Datum) -> int:
 
 @dataclass(frozen=True)
 class CentralizerReport:
-    """Solved and closed-form centralizer dimensions for one orbit."""
+    """Solved and closed-form centralizer dimensions for one orbit.
+
+    ``compact`` is the orbit's homotopy descriptor
+    (:func:`~nilorb.homotopy.compact_pair`), or ``None`` for a family
+    without one; its ``dim_K`` is reported as ``expected_compact``.
+    """
 
     dim_z_triple: int
     dim_z_X: int
     dim_g: int
     dim_orbit: int
     expected_reductive: int
-    expected_compact: Optional[int]
+    compact: Optional[HomotopyType]
     match: bool
 
     def to_json(self) -> dict:
@@ -387,7 +391,7 @@ class CentralizerReport:
             "dim_g": self.dim_g,
             "dim_orbit": self.dim_orbit,
             "expected_reductive": self.expected_reductive,
-            "expected_compact": self.expected_compact,
+            "expected_compact": None if self.compact is None else self.compact.dim_K,
             "match": self.match,
         }
 
@@ -402,11 +406,11 @@ def centralizer_report(a: AlgebraSpec, datum: Datum,
     zero = datum_partition(datum).is_zero_type()
     ambient = dim_g(a)
     expected = expected_reductive_dim(a, datum)
-    compact = expected_compact_dim(a, datum) if a.family_spec.has_descriptor else None
+    compact = compact_pair(a, datum) if a.family_spec.has_descriptor else None
     if zero:
         return CentralizerReport(
             dim_z_triple=ambient, dim_z_X=ambient, dim_g=ambient, dim_orbit=0,
-            expected_reductive=expected, expected_compact=compact,
+            expected_reductive=expected, compact=compact,
             match=ambient == expected)
     if triple is None:
         g0, g1, g2 = _datum_graded_dims(a, datum)
@@ -416,4 +420,4 @@ def centralizer_report(a: AlgebraSpec, datum: Datum,
     return CentralizerReport(
         dim_z_triple=dz_triple, dim_z_X=dz_x, dim_g=ambient,
         dim_orbit=ambient - dz_x, expected_reductive=expected,
-        expected_compact=compact, match=dz_triple == expected)
+        compact=compact, match=dz_triple == expected)

@@ -315,13 +315,9 @@ def _record_document(a: AlgebraSpec, rec: OrbitRecord) -> dict:
     doc["datum_rendered"] = str(rec.datum)
     doc["orbit_dim"] = report.dim_orbit
     doc["centralizer"] = report.to_json()
-    if a.family_spec.has_descriptor:
-        h = compact_pair(a, rec.datum)
-        doc["homotopy"] = h.to_json()
-        doc["homotopy_rendered"] = h.rendered()
-    else:
-        doc["homotopy"] = None
-        doc["homotopy_rendered"] = None
+    h = report.compact
+    doc["homotopy"] = None if h is None else h.to_json()
+    doc["homotopy_rendered"] = None if h is None else h.rendered()
     return doc
 
 
@@ -381,7 +377,7 @@ def _cmd_describe(args) -> int:
     report = centralizer_report(a, datum, triple=triple)
     adapted = _form_basis(a, datum)
     t_matrix = None if adapted is None else adapted.matrix
-    h = compact_pair(a, datum) if a.family_spec.has_descriptor else None
+    h = report.compact
 
     if args.format == "json":
         doc = {

@@ -6,6 +6,10 @@ size: for a part of size ``d`` with multiplicity ``t``, the integer ``p_d``
 are canonically sorted so the ``+``-starting rows come first, and the signs
 along a row follow the alternation rules below, so ``(d, t, p_d)`` data
 determines the whole diagram.
+
+This module is the one place that states the row sign rule.  Other modules
+take a row's sign counts from :func:`row_plus_minus` and a diagram's from
+:meth:`SignedDiagram.sgn_counts`.
 """
 
 from __future__ import annotations
@@ -13,9 +17,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
-from .partitions import Partition, classify
-
-SYD_VARIANTS = ("even", "odd", "even1")
+from .partitions import Partition
 
 
 def sign_row(d: int, start: int) -> Tuple[int, ...]:
@@ -147,29 +149,24 @@ def in_sign_balance_class(diagram: SignedDiagram) -> bool:
 
 def enumerate_signed_diagrams(
     partition: Partition,
-    variant: str,
+    free_sign: int,
     signature: Optional[Tuple[int, int]] = None,
 ) -> List[SignedDiagram]:
-    """All sign choices on one partition, filtered by variant and signature.
+    """All sign choices on one partition, filtered by signature.
 
-    Variants:
-
-    * ``"even"``  - rows of even length must start ``+`` (p_d = t_d there).
-    * ``"odd"``   - rows of odd length must start ``+``.
-    * ``"even1"`` - as ``"even"``, and every even part size must also have
-      even multiplicity (the orthogonal parametrizing restriction).
+    The rows whose length has parity ``free_sign`` (0 even, 1 odd) carry a
+    free sign; the rows of the other parity start with ``+``.  A family's
+    rule that some parts need even multiplicity is not applied here; the
+    catalog filters partitions by it first.
 
     ``signature=(p, q)`` keeps only diagrams whose box counts are exactly
     (p, q).  Output order: sign tuples ascending lexicographically in the
     (d descending) part order.
     """
-    if variant not in SYD_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if variant == "even1" and not classify(partition).in_even_mult_class:
-        return []
-    forced = 1 if variant == "odd" else 0
+    if free_sign not in (0, 1):
+        raise ValueError(f"free_sign must be 0 or 1, got {free_sign!r}")
     sizes = [d for d, _ in partition.pairs]
-    choices = [[t] if d % 2 == forced else range(t + 1) for d, t in partition.pairs]
+    choices = [range(t + 1) if d % 2 == free_sign else [t] for d, t in partition.pairs]
     out = []
     for combo in product(*choices):
         diag = SignedDiagram(partition, dict(zip(sizes, combo)))

@@ -136,13 +136,6 @@ class FamilySpec(NamedTuple):
         """The kind of K's factor on the parts of length ``d``."""
         return self.ring.unitary if self.form is None else self.k_kinds[d % 2]
 
-    def diagram_variant(self) -> str:
-        """The signed-diagram variant of a family with free signs: the rows of
-        the other parity start with +1 (``"even"`` or ``"odd"``), and
-        ``"even1"`` also asks those parts for even multiplicity."""
-        forced = 1 - self.free_sign
-        return ("even", "odd")[forced] + ("1" if self.paired == forced else "")
-
 
 def _sl(ring: Ring, ambient: str, constraint: str,
         fibers: Callable[[PartitionClasses, object], int] = _one_fiber) -> FamilySpec:

@@ -13,10 +13,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .catalog import AlgebraSpec, Datum, datum_partition
-from .diagrams import SignedDiagram
+from .diagrams import SignedDiagram, row_plus_minus
 from .families import FAMILY_SPECS, compact_dim, ring_of_kind
 from .matrices import (ExactMatrix, block_oplus, complex_to_real_blocks,
                        conj_transpose, det, inverse,
@@ -51,10 +51,8 @@ class FactorSpec:
             return out
         if self.role == "odd":
             return f"levels:{d};quaternionic" if spec.quaternionic_k else f"levels:{d}"
-        plus = (d + 1) // 2 if d % 4 == 1 else d // 2
-        if self.role == "odd_q":
-            plus = d - plus
-        return f"plus-levels:{plus};minus-levels:{d - plus}"
+        plus, minus = row_plus_minus(d, 1 if self.role == "odd_p" else -1)
+        return f"plus-levels:{plus};minus-levels:{minus}"
 
 
 def factor_layout(a: AlgebraSpec, datum: Datum) -> List[FactorSpec]:
@@ -84,20 +82,6 @@ def factor_layout(a: AlgebraSpec, datum: Datum) -> List[FactorSpec]:
         else:
             out.append(FactorSpec(kind, t // 2 if d % 2 == spec.paired else t, role, d))
     return out
-
-
-def expected_compact_dim(a: AlgebraSpec, datum: Datum) -> int:
-    """Real dimension of the maximal compact subgroup K, in closed form."""
-    return _k_dim(a, factor_layout(a, datum))
-
-
-def _k_dim(a: AlgebraSpec, factors: Sequence[FactorSpec]) -> int:
-    """The dimensions of the factors added up, less one where the constraint
-    chi = 1 is on a character of U factors, a circle; a character of O
-    factors takes only the values +-1."""
-    spec = a.family_spec
-    circle = spec.constraint == "chi=1" and spec.k_kind(1) == "U"
-    return sum(f.dim() for f in factors) - circle
 
 
 @dataclass(frozen=True)
@@ -205,11 +189,18 @@ class HomotopyType:
 
 
 def compact_pair(a: AlgebraSpec, datum: Datum) -> HomotopyType:
-    """Descriptor of the orbit's homotopy type M/Λ(K)."""
+    """Descriptor of the orbit's homotopy type M/Λ(K).
+
+    dim K adds up the factors' dimensions, less one where the constraint
+    chi = 1 is on a character of U factors, a circle; a character of O
+    factors takes only the values +-1.
+    """
+    spec = a.family_spec
     factors = tuple(factor_layout(a, datum))
     m = dim_M(a)
-    k = _k_dim(a, factors)
-    constraint = a.family_spec.constraint
+    constraint = spec.constraint
+    circle = constraint == "chi=1" and spec.k_kind(1) == "U"
+    k = sum(f.dim() for f in factors) - circle
     aux = None
     if constraint == "chi_p=chi_q=1":
         aux = {"ambient": f"S(O({a.p}) × O({a.q}))", "constraint": "chi_p*chi_q=1"}
@@ -219,8 +210,13 @@ def compact_pair(a: AlgebraSpec, datum: Datum) -> HomotopyType:
         dim_quotient=m - k, family=a.family, auxiliary=aux)
 
 
+def expected_compact_dim(a: AlgebraSpec, datum: Datum) -> int:
+    """Real dimension of the maximal compact subgroup K, in closed form."""
+    return compact_pair(a, datum).dim_K
+
+
 def quotient_dim(a: AlgebraSpec, datum: Datum) -> int:
-    return dim_M(a) - expected_compact_dim(a, datum)
+    return compact_pair(a, datum).dim_quotient
 
 
 # ---------------------------------------------------------------------------
@@ -275,21 +271,16 @@ def _assemble_K(a: AlgebraSpec, datum: Datum, e: KElement,
                 adapted: Optional[AdaptedBasis]) -> ExactMatrix:
     """The block assembly of :func:`embed_K` for a tuple with no factor defect."""
     layout = factor_layout(a, datum)
-    by_key = {(spec.role, spec.part): g for spec, g in zip(layout, e.factors)}
-
     if adapted is None:
-        part = datum_partition(datum)
-        blocks = [repeat_blocks(by_key[("part", d)], d) for d, _ in part.pairs]
-        return block_oplus(blocks)
+        # A trace-zero family has one factor per part, in the triple's part order.
+        return block_oplus([repeat_blocks(g, f.part) for f, g in zip(layout, e.factors)])
+    # Each factor as it enters the adapted basis, realized once, by (role, part).
+    realized = {(f.role, f.part): _factor_block(a, f, g) for f, g in zip(layout, e.factors)}
 
     def side_blocks(specs) -> List[ExactMatrix]:
         out = []
         for bs in specs:
-            role = bs.factor[0]
-            g = by_key[(role, bs.factor[1])]
-            spec = next(s for s in layout
-                        if (s.role, s.part) == (role, bs.factor[1]))
-            block = _factor_block(a, spec, g)
+            block = realized[bs.factor]
             if block.nrows != bs.size:
                 raise ValueError(
                     f"factor block for part {bs.factor[1]} has size "
@@ -355,23 +346,11 @@ def _half_totals(adapted: AdaptedBasis) -> Tuple[int, int]:
 def signed_block_relation(datum: SignedDiagram) -> Tuple[int, int]:
     """Closed-form totals of the two embedded halves from the sign data.
 
-    Even parts contribute d/2 rows per row of the diagram to both halves;
-    an odd part contributes (d+1)/2 rows of its own sign class and (d-1)/2
-    of the opposite one when d = 1 mod 4, and the reverse when d = 3 mod 4.
+    A row of the diagram sends one level to the plus half per +1 box and
+    one to the minus half per -1 box, so the totals are the diagram's box
+    counts, :meth:`~nilorb.diagrams.SignedDiagram.sgn_counts`.
     """
-    plus_total = minus_total = 0
-    for d, t in datum.partition.pairs:
-        if d % 2 == 0:
-            plus_total += (d // 2) * t
-            minus_total += (d // 2) * t
-            continue
-        p, q = datum.p_of(d), datum.q_of(d)
-        own, other = ((d + 1) // 2, (d - 1) // 2)
-        if d % 4 == 3:
-            own, other = other, own
-        plus_total += own * p + other * q
-        minus_total += other * p + own * q
-    return plus_total, minus_total
+    return datum.sgn_counts()
 
 
 # ---------------------------------------------------------------------------
@@ -457,26 +436,24 @@ def _random_scalar(rng: random.Random, dim: int) -> Scalar:
                   + [_NO_PART] * (8 - dim))
 
 
-def random_compact_point(rng: random.Random, kind: str, size: int,
-                         reflect: Optional[bool] = None) -> ExactMatrix:
+def random_compact_point(rng: random.Random, kind: str, size: int) -> ExactMatrix:
     """An exact random point of O/U/Sp(size) via the Cayley transform.
 
     The transform of an anti-self-adjoint matrix always lands in the
-    identity component; for the orthogonal groups ``reflect`` (default:
-    random) composes with a reflection to reach the other component.
+    identity component; for the orthogonal groups a reflection, composed
+    with probability 1/2, reaches the other component.
     """
     if size == 0:
         return ExactMatrix.zeros(0, 0)
     dim = ring_of_kind(kind).dim
-    raw = ExactMatrix.build(size, size, lambda r, c: _random_scalar(rng, dim))
+    # Row-major draws, so that a seed keeps giving the same point.
+    raw = ExactMatrix.from_entries(size, size, {
+        (r, c): _random_scalar(rng, dim) for r in range(size) for c in range(size)})
     anti = raw - (raw.transpose() if kind == "O" else conj_transpose(raw))
     ident = ExactMatrix.identity(size)
     g = (ident - anti) @ inverse(ident + anti)
-    if kind == "O":
-        if reflect is None:
-            reflect = rng.random() < 0.5
-        if reflect:
-            g = g @ ExactMatrix.diagonal([-1] + [1] * (size - 1))
+    if kind == "O" and rng.random() < 0.5:
+        g = g @ ExactMatrix.diagonal([-1] + [1] * (size - 1))
     return g
 
 

@@ -196,10 +196,6 @@ class ExactMatrix:
         n = len(entries)
         return ExactMatrix.from_entries(n, n, {(r, r): e for r, e in enumerate(entries)})
 
-    @staticmethod
-    def build(nrows: int, ncols: int, fn: Callable[[int, int], Scalar]) -> "ExactMatrix":
-        return ExactMatrix([[fn(r, c) for c in range(ncols)] for r in range(nrows)])
-
     # -- access ----------------------------------------------------------
 
     def entry(self, r: int, c: int) -> Scalar:

@@ -287,7 +287,6 @@ class AdaptedBasis:
     matrix: ExactMatrix
     plus_blocks: Tuple[BlockSpec, ...]
     minus_blocks: Tuple[BlockSpec, ...]
-    has_sides: bool
 
 
 def _odd_level_takes_plus_rows(d: int, l: int) -> bool:
@@ -488,8 +487,7 @@ def adapted_basis(a: AlgebraSpec, datum: Datum) -> AdaptedBasis:
     for d in evens + odds:
         _PART_COLUMNS[d % 2, _form_block(spec, d)](spec, datum, lay, d, plus, minus)
     matrix = _columns_to_matrix(plus[0] + minus[0], lay.dim)
-    return AdaptedBasis(matrix, tuple(plus[1]), tuple(minus[1]),
-                        has_sides=spec.two_sided)
+    return AdaptedBasis(matrix, tuple(plus[1]), tuple(minus[1]))
 
 
 def _columns_to_matrix(columns: Sequence[Dict[int, Scalar]], dim: int) -> ExactMatrix:

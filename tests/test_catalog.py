@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from nilorb.catalog import (FAMILIES, SIGNED_FAMILIES, AlgebraSpec,
@@ -85,6 +87,35 @@ def test_signed_catalogs_respect_signature():
             b = AlgebraSpec("sp_pq", p=p, q=q)
             for rec in enumerate_orbits(b):
                 assert rec.datum.sgn_counts() == (p, q)
+
+
+def _so_pq_brute_force(p, q):
+    """The so_pq data of signature (p, q), re-derived from every partition of
+    p + q and every sign count of its parts: even parts keep even
+    multiplicity, rows of even length start with +, and the boxes of the
+    rows written out by :func:`sign_row` give the signature."""
+    out = []
+    for part in enumerate_partitions(p + q):
+        if any(d % 2 == 0 and t % 2 for d, t in part.pairs):
+            continue
+        sizes = [d for d, _ in part.pairs]
+        for combo in itertools.product(*(range(t + 1) for _, t in part.pairs)):
+            data = dict(zip(sizes, combo))
+            if any(d % 2 == 0 and data[d] != t for d, t in part.pairs):
+                continue
+            signs = [s for d, t in part.pairs
+                     for row in [sign_row(d, 1)] * data[d] + [sign_row(d, -1)] * (t - data[d])
+                     for s in row]
+            if (signs.count(1), signs.count(-1)) == (p, q):
+                out.append(SignedDiagram(part, data))
+    return out
+
+
+@pytest.mark.parametrize("p,q", [(p, n - p) for n in range(2, 7) for p in range(1, n)])
+def test_so_pq_data_match_brute_force(p, q):
+    """The free signs and the even-multiplicity rule together, in order."""
+    got = [rec.datum for rec in enumerate_orbits(AlgebraSpec("so_pq", p=p, q=q))]
+    assert got == _so_pq_brute_force(p, q)
 
 
 def test_quaternionic_orthogonal_catalog():

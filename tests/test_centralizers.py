@@ -9,10 +9,10 @@ import pytest
 from nilorb.catalog import AlgebraSpec, enumerate_orbits
 from nilorb.centralizers import (AlgebraConstraint, centralizer_dim_nilpotent,
                                  centralizer_dim_triple, centralizer_report,
-                                 dim_g, expected_compact_dim,
-                                 expected_orbit_dim, expected_reductive_dim,
-                                 graded_dims, orbit_dim)
+                                 dim_g, expected_orbit_dim,
+                                 expected_reductive_dim, graded_dims, orbit_dim)
 from nilorb.diagrams import SignedDiagram
+from nilorb.homotopy import expected_compact_dim
 from nilorb.partitions import Partition
 from nilorb.triples import build_triple
 

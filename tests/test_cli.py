@@ -618,3 +618,65 @@ def test_list_and_orbit_dim_build_no_triple_matrices(capsys, monkeypatch):
     assert code == 0
     for rec in records:
         assert orbit_dim(a, rec.datum) == expected_orbit_dim(a, rec.datum)
+
+
+def _count_factor_layouts(monkeypatch) -> list:
+    """Wrap ``factor_layout`` in every nilorb module holding it; the returned
+    list gets one entry per call."""
+    import nilorb.homotopy
+
+    calls = []
+    original = nilorb.homotopy.factor_layout
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    for module_name, module in list(sys.modules.items()):
+        if ((module_name == "nilorb" or module_name.startswith("nilorb."))
+                and vars(module).get("factor_layout") is original):
+            monkeypatch.setattr(module, "factor_layout", counted)
+    return calls
+
+
+# One nonzero orbit of each family with a homotopy descriptor.
+_ONE_ORBIT_PER_DESCRIPTOR_FAMILY = [
+    ("sl_r", ["--n", "3", "--datum", "2,1"]),
+    ("sl_c", ["--n", "3", "--datum", "3"]),
+    ("sl_h", ["--n", "2", "--datum", "2"]),
+    ("so_c", ["--n", "5", "--datum", "3,1,1"]),
+    ("so_pq", ["--p", "2", "--q", "1", "--datum", "3", "--signs", "3:0"]),
+    ("sp_c", ["--n", "2", "--datum", "2,1,1"]),
+    ("sp_pq", ["--p", "1", "--q", "1", "--datum", "2", "--signs", "2:1"]),
+]
+
+
+def test_factor_layout_cases_cover_every_descriptor_family():
+    from nilorb.families import FAMILY_SPECS
+
+    assert ({family for family, _ in _ONE_ORBIT_PER_DESCRIPTOR_FAMILY}
+            == {family for family, spec in FAMILY_SPECS.items() if spec.has_descriptor})
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("family,args", _ONE_ORBIT_PER_DESCRIPTOR_FAMILY,
+                         ids=[f for f, _ in _ONE_ORBIT_PER_DESCRIPTOR_FAMILY])
+def test_describe_builds_the_factor_layout_once(capsys, monkeypatch, family, args, fmt):
+    """The centralizer report carries the descriptor that describe prints."""
+    calls = _count_factor_layouts(monkeypatch)
+    code, _, _ = run(capsys, "describe", "--algebra", family, *args, "--format", fmt)
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("family,args", [
+    ("sl_r", {"n": 4}), ("sl_h", {"n": 3}), ("so_c", {"n": 6}), ("sp_c", {"n": 3}),
+    ("so_pq", {"p": 3, "q": 2}), ("sp_pq", {"p": 2, "q": 2}), ("so_star", {"n": 3}),
+], ids=str)
+def test_list_builds_the_factor_layout_once_per_record(capsys, monkeypatch, family, args):
+    a = AlgebraSpec(family, **args)
+    calls = _count_factor_layouts(monkeypatch)
+    argv = [x for k, v in args.items() for x in (f"--{k}", str(v))]
+    code, _, _ = run(capsys, "list", "--algebra", family, *argv, "--format", "json")
+    assert code == 0
+    expected = len(enumerate_orbits(a)) if a.family_spec.has_descriptor else 0
+    assert len(calls) == expected

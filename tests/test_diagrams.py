@@ -1,4 +1,4 @@
-"""Signed diagrams: row sign rules, box counting, and variant enumeration."""
+"""Signed diagrams: row sign rules, box counting, and enumeration."""
 
 from __future__ import annotations
 
@@ -91,23 +91,15 @@ def test_sign_balance_class_examples():
     assert in_sign_balance_class(SignedDiagram(Partition([2, 2]), {2: 2}))
 
 
-def brute_force_diagrams(partition, variant, signature):
+def brute_force_diagrams(partition, free_sign, signature):
     """Re-derive the enumeration by filtering the full product of sign counts."""
     sizes = [d for d, _ in partition.pairs]
     mults = [t for _, t in partition.pairs]
     out = []
     for combo in itertools.product(*(range(t + 1) for t in mults)):
         data = dict(zip(sizes, combo))
-        if variant in ("even", "even1"):
-            if any(d % 2 == 0 and data[d] != partition.multiplicity(d)
-                   for d in sizes):
-                continue
-        if variant == "odd":
-            if any(d % 2 == 1 and data[d] != partition.multiplicity(d)
-                   for d in sizes):
-                continue
-        if variant == "even1" and any(
-                d % 2 == 0 and t % 2 for d, t in partition.pairs):
+        if any(d % 2 != free_sign and data[d] != partition.multiplicity(d)
+               for d in sizes):
             continue
         diag = SignedDiagram(partition, data)
         if signature is not None and diag.sgn_counts() != signature:
@@ -116,14 +108,20 @@ def brute_force_diagrams(partition, variant, signature):
     return out
 
 
-@pytest.mark.parametrize("variant", ["even", "odd", "even1"])
-def test_enumeration_matches_brute_force(variant):
+# Each id names the parity of the rows that must start with +.
+@pytest.mark.parametrize("free_sign", [1, 0], ids=["even", "odd"])
+def test_enumeration_matches_brute_force(free_sign):
     for n in range(1, 7):
         for part in enumerate_partitions(n):
-            got = enumerate_signed_diagrams(part, variant)
-            want = brute_force_diagrams(part, variant, None)
-            assert set(got) == set(want), (part, variant)
+            got = enumerate_signed_diagrams(part, free_sign)
+            want = brute_force_diagrams(part, free_sign, None)
+            assert set(got) == set(want), (part, free_sign)
             assert len(got) == len(want)
+
+
+def test_enumeration_rejects_a_parity_other_than_0_or_1():
+    with pytest.raises(ValueError, match="free_sign must be 0 or 1"):
+        enumerate_signed_diagrams(Partition([2, 1]), 2)
 
 
 def test_enumeration_signature_filter():
@@ -131,10 +129,10 @@ def test_enumeration_signature_filter():
         for p in range(n + 1):
             sig = (p, n - p)
             got = [d for part in enumerate_partitions(n)
-                   for d in enumerate_signed_diagrams(part, "even", sig)]
+                   for d in enumerate_signed_diagrams(part, 1, sig)]
             assert all(d.sgn_counts() == sig for d in got)
             want = sum(
-                len(brute_force_diagrams(part, "even", sig))
+                len(brute_force_diagrams(part, 1, sig))
                 for part in enumerate_partitions(n))
             assert len(got) == want
 

@@ -7,10 +7,10 @@ import random
 import pytest
 
 from nilorb.catalog import AlgebraSpec, enumerate_orbits
-from nilorb.centralizers import expected_compact_dim, orbit_dim
+from nilorb.centralizers import orbit_dim
 from nilorb.homotopy import (KElement, chi, chi_pair, compact_pair, dim_M,
-                             embed_K, factor_layout, k_element_defect,
-                             quotient_dim, sample_k_element,
+                             embed_K, expected_compact_dim, factor_layout,
+                             k_element_defect, quotient_dim, sample_k_element,
                              signed_block_relation, signed_block_totals,
                              verify_K_membership)
 from nilorb.matrices import ExactMatrix, conj_transpose, det, reduced_norm

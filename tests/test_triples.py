@@ -5,13 +5,14 @@ from __future__ import annotations
 import pytest
 
 from nilorb.catalog import AlgebraSpec, enumerate_orbits
+from nilorb.diagrams import row_plus_minus
 from nilorb.matrices import commutator, congruence_signature, rank
 from nilorb.partitions import Partition
 from nilorb.scalars import ZERO, Scalar
-from nilorb.triples import (ZeroOrbitError, adapted_basis,
-                            adapted_change_of_basis, build_triple, gram_matrix,
-                            jordan_type, layout_for, sigma_transpose,
-                            standard_adapted_gram)
+from nilorb.triples import (ZeroOrbitError, _odd_level_takes_plus_rows,
+                            adapted_basis, adapted_change_of_basis,
+                            build_triple, gram_matrix, jordan_type, layout_for,
+                            sigma_transpose, standard_adapted_gram)
 
 TWO = Scalar.rational(2)
 
@@ -143,6 +144,15 @@ def test_adapted_block_sizes_sum_to_dimension(a):
         total += sum(b.size for b in ab.minus_blocks)
         assert total == a.size
         assert ab.matrix.nrows == ab.matrix.ncols == a.size
+
+
+def test_odd_levels_on_the_plus_half_match_the_plus_boxes():
+    """The adapted basis restates the row sign rule: the levels of an odd
+    part that put its +1 rows on the plus half are as many as the +1 boxes
+    of a row starting with +1."""
+    for d in range(1, 42, 2):
+        levels = sum(_odd_level_takes_plus_rows(d, l) for l in range(d))
+        assert levels == row_plus_minus(d, 1)[0], d
 
 
 def test_triple_json_round_trip_fields():
