@@ -18,18 +18,32 @@ leaves the kernel unchanged.
 
 The reported dimensions come from the ad(H)-grading g = ⊕ g_k: by
 sl2-theory dim z(X) = dim g_0 + dim g_1 and dim z(X,H,Y) = dim g_0 -
-dim g_2, where each dim g_k is a small solve over the entries of weight
-difference k, with no commutation rows.  The direct solves
-``centralizer_dim_triple`` and ``centralizer_dim_nilpotent`` stay as
-independent references; ``verify`` checks the direct triple solve and
-the grading against each other and against the closed forms.  The graded
-solves read only the Gram matrix and the slot weights, so
-``centralizer_report`` without a triple and ``orbit_dim`` build no X, H
-or Y.
+dim g_2, where g_k holds the entries of weight difference k.  The form
+and trace conditions never mix grades, and no commutation rows are
+needed.  For a trace-zero family each dim g_k is one small solve.  A form
+family's grade is counted by the Gram pairing.  In the triple basis,
+row a of the Gram matrix has its one nonzero at column pi(a), pi is an
+involution, and w(pi(a)) = -w(a): <X^l v_i, X^m v_j> vanishes unless
+l + m = d - 1, and each lowest-weight form is diagonal, j-diagonal or
+split-alternating.  Condition entry (pi(a), b) of Z^sigma G + G Z = 0 then
+involves only Z[a][b] and its mate Z[pi(b)][pi(a)], which has the same
+weight difference, and entry (b, pi(a)) repeats it up to sigma, since
+(Z^sigma G + G Z)^sigma = epsilon (Z^sigma G + G Z).  The Gram entries
+are units of R, C or H, so the condition fixes one entry of a two-entry
+block from the other, and the block keeps one entry's real dimension.
+Only the self-paired entries (a, pi(a)), of weight difference 2 w(a), are
+solved: none in g_1 and at most n per orbit.  The direct solves
+``centralizer_dim_triple`` and ``centralizer_dim_nilpotent`` assemble the
+full system and stay as independent references; ``verify`` checks the
+direct triple solve and the grading against each other and against the
+closed forms.  The graded counts read only the Gram matrix and the slot
+weights, so ``centralizer_report`` without a triple and ``orbit_dim``
+build no X, H or Y.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -208,12 +222,50 @@ class AlgebraConstraint:
         self.comps, self.doubling = (1, 2) if ring is COMPLEX else (ring.dim, 1)
         self._terms: Dict[Tuple[int, int], Tuple[list, list]] = {}
         if gram is not None:
-            _, sigma = a.family_spec.form
+            epsilon, sigma = a.family_spec.form
             # sigma = conj negates the units i, j and k.
-            self._left_signs = [-1 if sigma == "conj" and c else 1
-                                for c in range(self.comps)]
+            conj = sigma == "conj"
+            self._left_signs = [-1 if conj and c else 1 for c in range(self.comps)]
+            # epsilon sigma(x), component by component.
+            self._hermitian_signs = [-epsilon if conj and c % 4 else epsilon
+                                     for c in range(8)]
             self._by_row = gram.integer_nonzeros()
             self._by_col = _columns(self._by_row, gram.ncols)
+
+    def pairing(self, weights: Sequence[int]) -> List[int]:
+        """The Gram pairing: ``pi[a]`` is the column of Gram row ``a``'s one nonzero.
+
+        Raises ``ValueError`` naming the broken rule unless every Gram row
+        and column holds exactly one nonzero, ``pi`` is an involution, each
+        mate has the opposite slot weight, and each nonzero lies in the
+        ring (R, C and H are division rings, so it is a unit) with
+        ``G[pi(a)][a] = epsilon sigma(G[a][pi(a)])``.
+        """
+        n = len(weights)
+        if len(self._by_row) != n or len(self._by_col) != n:
+            raise ValueError(f"the Gram matrix is not {n} x {n}, "
+                             f"the size of the slot weights")
+        for kind, lines in (("row", self._by_row), ("column", self._by_col)):
+            for a, line in enumerate(lines):
+                if len(line) != 1:
+                    raise ValueError(f"Gram {kind} {a} has {len(line)} nonzeros, not one")
+        pi = [row[0][0] for row in self._by_row]
+        for a, b in enumerate(pi):
+            if pi[b] != a:
+                raise ValueError(f"the Gram pairing is not an involution: "
+                                 f"{a} -> {b} -> {pi[b]}")
+            if weights[b] != -weights[a]:
+                raise ValueError(f"Gram mate {b} of slot {a} lies outside its grade: "
+                                 f"weights {weights[a]} and {weights[b]} are not "
+                                 f"opposite")
+            x = self._by_row[a][0][1]
+            if any(x[self._ring_dim:]):
+                raise ValueError(f"Gram entry ({a}, {b}) lies outside the scalar ring")
+            mirror = tuple([s * u for s, u in zip(self._hermitian_signs, x)])
+            if self._by_row[b][0][1] != mirror:
+                raise ValueError(f"Gram entries ({a}, {b}) and ({b}, {a}) break "
+                                 f"G^sigma = epsilon G")
+        return pi
 
     def form_terms(self, ra: int, c: int) -> Tuple[list, list]:
         """Scattered ``Z^sigma G`` and ``G Z`` terms of component ``c`` of row ``ra``.
@@ -299,9 +351,26 @@ def _grade_positions(weights: Sequence[int], k: int) -> List[Tuple[int, int]]:
 
 def _grade_nullities(constraint: AlgebraConstraint,
                      weights: Sequence[int]) -> Tuple[int, int, int]:
-    """dim g_0, g_1 and g_2 over the slot weights of the triple's basis."""
-    g0, g1, g2 = (_centralizer_nullity(constraint, [], _grade_positions(weights, k))
-                  for k in (0, 1, 2))
+    """dim g_0, g_1 and g_2 over the slot weights of the triple's basis.
+
+    A form family's grade k holds ``size`` entries, of which ``own`` are
+    self-paired; the others form two-entry blocks of one entry's real
+    dimension each.
+    """
+    if constraint.gram is None:
+        g0, g1, g2 = (_centralizer_nullity(constraint, [], _grade_positions(weights, k))
+                      for k in (0, 1, 2))
+        return g0, g1, g2
+    pi = constraint.pairing(weights)
+    counts = Counter(weights)
+    entry = constraint.comps * constraint.doubling
+    dims = []
+    for k in (0, 1, 2):
+        size = sum(t * counts[w - k] for w, t in counts.items())
+        own = [(a, pi[a]) for a, w in enumerate(weights) if 2 * w == k]
+        dims.append(entry * (size - len(own)) // 2
+                    + _centralizer_nullity(constraint, [], own))
+    g0, g1, g2 = dims
     return g0, g1, g2
 
 
@@ -311,9 +380,14 @@ def graded_dims(t: Triple, a: AlgebraSpec,
 
     By sl2-theory (Collingwood–McGovern, ch. 3) the centralizer of X has
     dimension dim g_0 + dim g_1 and that of the triple dim g_0 - dim g_2.
-    The form and trace conditions never mix grades, so each grade is its
-    own solve, with no commutation rows.  ``constraint`` is the algebra's
-    constraint over ``t.gram``, built here when not given.
+    The form and trace conditions never mix grades, so each grade is
+    counted alone, with no commutation rows: for a form family, by the
+    Gram pairing of the module docstring, solving only the self-paired
+    entries (a, pi(a)); otherwise by one solve over the grade's entries.
+    ``constraint`` is the algebra's constraint over ``t.gram``, built here
+    when not given.  Raises ``ValueError`` when ``t.gram`` breaks a rule
+    of the pairing (:meth:`AlgebraConstraint.pairing`); the direct solves
+    accept any Gram matrix.
     """
     if constraint is None:
         constraint = AlgebraConstraint(a, t.gram)

@@ -54,12 +54,14 @@ _CHECK_ORDER = (
 #: so its estimate is size^2: ``--n 1000`` runs and ``--n 1001`` is refused.
 MAX_WORK = 1_000_000
 
-#: Weight of a ``verify`` run in the work estimate.  A ``list`` record costs
-#: 0.35 to 2.4 us per unit of records x size^2, a ``verify`` record up to
-#: 190 us (most for sl_c), so with this weight ``verify --algebra sl_c
-#: --n 21``, which runs for over a minute, is refused.  The record counts
-#: follow the parity rules, so the largest admitted so/sp runs (so_c 25,
-#: sp_c 12, so_pq(8,8), sp_pq(7,8)) take under half a minute each.
+#: Weight of a ``verify`` run in the work estimate.  A ``list --format
+#: json`` record costs 0.3 us (``sl_r --n 24``) to 4.5 us (``sp_pq --p 6
+#: --q 6``) per unit of records x size^2 (2-core Xeon VM, Python 3.11), a
+#: ``verify`` record up to 190 us (most for sl_c), so with this weight
+#: ``verify --algebra sl_c --n 21``, which runs for over a minute, is
+#: refused.  The record counts follow the parity rules, so the largest
+#: admitted so/sp runs (so_c 25, sp_c 12, so_pq(8,8), sp_pq(7,8)) take
+#: under half a minute each.
 VERIFY_WEIGHT = 3
 
 

@@ -7,13 +7,17 @@ from dataclasses import replace
 import pytest
 
 from nilorb.catalog import AlgebraSpec, enumerate_orbits
-from nilorb.centralizers import (AlgebraConstraint, centralizer_dim_nilpotent,
+import nilorb.centralizers
+from nilorb.centralizers import (AlgebraConstraint, _centralizer_nullity,
+                                 _grade_positions, centralizer_dim_nilpotent,
                                  centralizer_dim_triple, centralizer_report,
                                  dim_g, expected_orbit_dim,
                                  expected_reductive_dim, graded_dims, orbit_dim)
 from nilorb.diagrams import SignedDiagram
 from nilorb.homotopy import expected_compact_dim
+from nilorb.matrices import ExactMatrix
 from nilorb.partitions import Partition
+from nilorb.scalars import J_UNIT
 from nilorb.triples import build_triple
 
 SWEEP = (
@@ -69,7 +73,8 @@ GRADING_SWEEP = (
 @pytest.mark.parametrize("a", GRADING_SWEEP, ids=str)
 def test_grading_matches_direct_solves_and_closed_forms(a):
     """dim g_0 - dim g_2 is the triple centralizer and dim g_0 + dim g_1
-    the centralizer of X, by the direct solves and by the closed forms."""
+    the centralizer of X, by the direct solves and by the closed forms;
+    each grade's paired count is the generic solve over all its entries."""
     for rec in enumerate_orbits(a):
         if rec.is_zero_orbit:
             continue
@@ -81,6 +86,110 @@ def test_grading_matches_direct_solves_and_closed_forms(a):
         assert (g0 + g1 == centralizer_dim_nilpotent(t.X, a, rec.datum)
                 == dim_g(a) - expected_orbit_dim(a, rec.datum)), str(rec.datum)
         assert (g0, g1, g2) == graded_dims(t, a)
+        weights = t.layout.weights()
+        assert (g0, g1, g2) == tuple(
+            _centralizer_nullity(constraint, [], _grade_positions(weights, k))
+            for k in (0, 1, 2)), str(rec.datum)
+
+
+#: The nullity of each one-entry block (a, pi(a)) of a form family.  Its one
+#: condition is sigma(z) g + epsilon sigma(g) z = 0 for the unit g = G[a][pi(a)],
+#: so the nullity depends on the form alone: none of z survives for
+#: epsilon = 1 and sigma = id, all of it for epsilon = -1 and sigma = id,
+#: the imaginary quaternions for sp_pq and one real line for so_star.
+ONE_ENTRY_NULLITY = {"so_c": 0, "so_pq": 0, "sp_c": 2, "sp_pq": 3, "so_star": 1}
+
+
+@pytest.mark.parametrize("family", ONE_ENTRY_NULLITY)
+def test_grading_sweep_meets_every_block_kind(family):
+    """The paired count is pinned above on two-entry blocks and on one-entry
+    blocks in grades 0 and 2 of every form family, and over the five
+    families on one-entry blocks of nullity 0 and of nullity > 0."""
+    met = set()
+    for a in GRADING_SWEEP:
+        if a.family != family:
+            continue
+        for rec in enumerate_orbits(a):
+            if rec.is_zero_orbit:
+                continue
+            t = build_triple(a, rec.datum)
+            constraint = AlgebraConstraint(a, t.gram)
+            weights = t.layout.weights()
+            pi = constraint.pairing(weights)
+            for k in (0, 1, 2):
+                for r, s in _grade_positions(weights, k):
+                    if s != pi[r]:
+                        met.add("two-entry")
+                        continue
+                    met.add(f"one-entry in g_{k}")
+                    assert (_centralizer_nullity(constraint, [], [(r, s)])
+                            == ONE_ENTRY_NULLITY[family]), (str(rec.datum), r, s)
+    assert met == {"two-entry", "one-entry in g_0", "one-entry in g_2"}
+
+
+def _refused_grams(gram):
+    """Gram matrices of the size of ``gram``, each breaking one rule of the pairing."""
+    n = gram.nrows
+    return {
+        "row": ExactMatrix.from_entries(
+            n, n, {(r, s): 1 + r + s for r in range(n) for s in range(n)}),
+        "involution": ExactMatrix.from_entries(
+            n, n, {(r, (r + 1) % n): 1 for r in range(n)}),
+        "grade": ExactMatrix.identity(n),
+        "epsilon": ExactMatrix.from_entries(
+            n, n, {(r, n - 1 - r): 1 if 2 * r < n else -1 for r in range(n)}),
+        "ring": gram.scale_left(J_UNIT),
+    }
+
+
+@pytest.mark.parametrize("rule,match", [
+    ("row", "Gram row 0 has 4 nonzeros"),
+    ("involution", "not an involution"),
+    ("grade", "outside its grade"),
+    ("epsilon", "epsilon G"),
+    ("ring", "outside the scalar ring"),
+])
+def test_paired_count_refuses_a_gram_it_cannot_pair(rule, match):
+    """graded_dims accepts any Gram matrix, but the paired count holds only
+    for a monomial, involutive, grade-respecting, epsilon-Hermitian one over
+    the ring: it raises on any other, and the direct solve still solves
+    every one whose entries lie in the ring."""
+    a = AlgebraSpec("so_c", n=4)
+    t = build_triple(a, Partition([2, 2]))
+    assert t.layout.weights() == [1, 1, -1, -1]
+    bad = replace(t, gram=_refused_grams(t.gram)[rule])
+    with pytest.raises(ValueError, match=match):
+        graded_dims(bad, a)
+    if rule != "ring":
+        assert centralizer_dim_triple(bad, a) >= 0
+    g0, _, g2 = graded_dims(t, a)
+    assert g0 - g2 == centralizer_dim_triple(t, a)
+
+
+def test_paired_count_solves_only_the_self_paired_entries(monkeypatch):
+    """One graded_dims call hands the generic eliminator only the entries
+    (a, pi(a)) with a of weight 0 or 1: at most n of them, not every entry
+    of weight difference 0, 1 or 2."""
+    solved = []
+    generic = nilorb.centralizers._centralizer_nullity
+
+    def counting(constraint, commute_with, positions):
+        solved.append(len(positions))
+        return generic(constraint, commute_with, positions)
+
+    monkeypatch.setattr(nilorb.centralizers, "_centralizer_nullity", counting)
+    for family, params in [("so_c", {"n": 9}), ("so_pq", {"p": 4, "q": 3}),
+                           ("sp_c", {"n": 4}), ("sp_pq", {"p": 3, "q": 2}),
+                           ("so_star", {"n": 4})]:
+        a = AlgebraSpec(family, **params)
+        rec = max((r for r in enumerate_orbits(a) if not r.is_zero_orbit),
+                  key=lambda r: (len(r.partition().pairs), str(r.datum)))
+        t = build_triple(a, rec.datum)
+        weights = t.layout.weights()
+        solved.clear()
+        graded_dims(t, a)
+        assert len(solved) == 3, family
+        assert 0 < sum(solved) <= sum(1 for w in weights if w in (0, 1)) <= len(weights)
 
 
 def dim_of(a: AlgebraSpec) -> int:
