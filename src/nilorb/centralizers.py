@@ -3,8 +3,8 @@
 The solver realifies the linear conditions cutting a subspace out of the
 ambient algebra and computes its dimension over the rationals.  Unknowns
 are the real components of the matrix entries.  Assembly visits only the
-nonzero entries of X, Y and the Gram matrix, and the scattered Gram
-products are built once per triple and shared by its solves.
+nonzero entries of X, Y and the Gram matrix, and each solve builds the
+scattered Gram products of a row once.
 
 The solver runs on Python ints from end to end.  It reads each matrix
 through :meth:`~nilorb.matrices.ExactMatrix.integer_nonzeros`, the matrix
@@ -34,9 +34,10 @@ block from the other, and the block keeps one entry's real dimension.
 Only the self-paired entries (a, pi(a)), of weight difference 2 w(a), are
 solved: none in g_1 and at most n per orbit.  The direct solves
 ``centralizer_dim_triple`` and ``centralizer_dim_nilpotent`` assemble the
-full system and stay as independent references; ``verify`` checks the
-direct triple solve and the grading against each other and against the
-closed forms.  The graded counts read only the Gram matrix and the slot
+full system and stay as independent references; ``verify`` reads the
+grading from :func:`centralizer_report`, the one place that turns it into
+reported dimensions, and checks it against the direct triple solve and
+the closed forms.  The graded counts read only the Gram matrix and the slot
 weights, so ``centralizer_report`` without a triple and ``orbit_dim``
 build no X, H or Y.
 """
@@ -192,14 +193,6 @@ def _rational_lines(m: ExactMatrix) -> _Lines:
     return out
 
 
-def _in_ring(terms: List[Tuple[int, int]], comps: int) -> List[Tuple[int, int]]:
-    """The ``(component, coefficient)`` terms, checked to lie in the scalar ring."""
-    for c, _ in terms:
-        if c >= comps:
-            raise AssertionError("constraint coefficient outside the scalar ring")
-    return terms
-
-
 class AlgebraConstraint:
     """The real linear conditions that cut the algebra out of gl_n over its ring.
 
@@ -211,14 +204,14 @@ class AlgebraConstraint:
     complex-linear, so its solves run on one real component and double the
     nullity.  The scattered Gram products of an unknown depend on its row
     and component but not on its column; they are built for a row on first
-    use and kept, so every solve over one Gram matrix shares them.  They
-    are products of a unit with the int numerators of ``D * G``.
+    use and kept, so the positions of one solve that share a row share
+    them.  They are products of a unit with the int numerators of ``D * G``.
+    Raises ``ValueError`` naming the first Gram entry outside the ring.
     """
 
     def __init__(self, a: AlgebraSpec, gram: Optional[ExactMatrix]):
         ring = a.family_spec.ring
         self.gram = gram
-        self._ring_dim = ring.dim
         self.comps, self.doubling = (1, 2) if ring is COMPLEX else (ring.dim, 1)
         self._terms: Dict[Tuple[int, int], Tuple[list, list]] = {}
         if gram is not None:
@@ -230,6 +223,11 @@ class AlgebraConstraint:
             self._hermitian_signs = [-epsilon if conj and c % 4 else epsilon
                                      for c in range(8)]
             self._by_row = gram.integer_nonzeros()
+            for r, row in enumerate(self._by_row):
+                for c, x in row:
+                    if any(x[ring.dim:]):
+                        raise ValueError(f"Gram entry ({r}, {c}) lies outside "
+                                         f"the scalar ring")
             self._by_col = _columns(self._by_row, gram.ncols)
 
     def pairing(self, weights: Sequence[int]) -> List[int]:
@@ -237,9 +235,10 @@ class AlgebraConstraint:
 
         Raises ``ValueError`` naming the broken rule unless every Gram row
         and column holds exactly one nonzero, ``pi`` is an involution, each
-        mate has the opposite slot weight, and each nonzero lies in the
-        ring (R, C and H are division rings, so it is a unit) with
-        ``G[pi(a)][a] = epsilon sigma(G[a][pi(a)])``.
+        mate has the opposite slot weight, and
+        ``G[pi(a)][a] = epsilon sigma(G[a][pi(a)])``.  The constructor has
+        checked that each nonzero lies in the ring (R, C and H are division
+        rings, so it is a unit).
         """
         n = len(weights)
         if len(self._by_row) != n or len(self._by_col) != n:
@@ -259,8 +258,6 @@ class AlgebraConstraint:
                                  f"weights {weights[a]} and {weights[b]} are not "
                                  f"opposite")
             x = self._by_row[a][0][1]
-            if any(x[self._ring_dim:]):
-                raise ValueError(f"Gram entry ({a}, {b}) lies outside the scalar ring")
             mirror = tuple([s * u for s, u in zip(self._hermitian_signs, x)])
             if self._by_row[b][0][1] != mirror:
                 raise ValueError(f"Gram entries ({a}, {b}) and ({b}, {a}) break "
@@ -276,14 +273,13 @@ class AlgebraConstraint:
         """
         terms = self._terms.get((ra, c))
         if terms is None:
-            sign, dim = self._left_signs[c], self._ring_dim
-            left = _PROD[c]
+            sign, left = self._left_signs[c], _PROD[c]
             terms = self._terms[ra, c] = (
-                [(s, _in_ring([(left[ib][0], sign * left[ib][1] * y)
-                              for ib, y in enumerate(g) if y], dim))
+                [(s, [(left[ib][0], sign * left[ib][1] * y)
+                      for ib, y in enumerate(g) if y])
                  for s, g in self._by_row[ra]],
-                [(r, _in_ring([(_PROD[ib][c][0], _PROD[ib][c][1] * y)
-                              for ib, y in enumerate(g) if y], dim))
+                [(r, [(_PROD[ib][c][0], _PROD[ib][c][1] * y)
+                      for ib, y in enumerate(g) if y])
                  for r, g in self._by_col[ra]])
         return terms
 
@@ -374,8 +370,7 @@ def _grade_nullities(constraint: AlgebraConstraint,
     return g0, g1, g2
 
 
-def graded_dims(t: Triple, a: AlgebraSpec,
-                constraint: Optional[AlgebraConstraint] = None) -> Tuple[int, int, int]:
+def graded_dims(t: Triple, a: AlgebraSpec) -> Tuple[int, int, int]:
     """Real dimensions of g_0, g_1 and g_2, the ad(H)-eigenspaces of the algebra.
 
     By sl2-theory (Collingwood–McGovern, ch. 3) the centralizer of X has
@@ -384,14 +379,13 @@ def graded_dims(t: Triple, a: AlgebraSpec,
     counted alone, with no commutation rows: for a form family, by the
     Gram pairing of the module docstring, solving only the self-paired
     entries (a, pi(a)); otherwise by one solve over the grade's entries.
-    ``constraint`` is the algebra's constraint over ``t.gram``, built here
-    when not given.  Raises ``ValueError`` when ``t.gram`` breaks a rule
-    of the pairing (:meth:`AlgebraConstraint.pairing`); the direct solves
-    accept any Gram matrix.
+    The count builds its own constraint over ``t.gram``.  Raises
+    ``ValueError`` when ``t.gram`` breaks a rule of the pairing
+    (:meth:`AlgebraConstraint.pairing`); the direct solves accept any Gram
+    matrix over the ring.  :func:`centralizer_report` turns the three
+    dimensions into the reported ones.
     """
-    if constraint is None:
-        constraint = AlgebraConstraint(a, t.gram)
-    return _grade_nullities(constraint, t.layout.weights())
+    return _grade_nullities(AlgebraConstraint(a, t.gram), t.layout.weights())
 
 
 def _datum_graded_dims(a: AlgebraSpec, datum: Datum) -> Tuple[int, int, int]:
@@ -402,16 +396,15 @@ def _datum_graded_dims(a: AlgebraSpec, datum: Datum) -> Tuple[int, int, int]:
     return _grade_nullities(AlgebraConstraint(a, gram), layout_for(part).weights())
 
 
-def centralizer_dim_triple(t: Triple, a: AlgebraSpec,
-                           constraint: Optional[AlgebraConstraint] = None) -> int:
+def centralizer_dim_triple(t: Triple, a: AlgebraSpec) -> int:
     """Real dimension of the simultaneous centralizer of X, H, Y in the algebra.
 
     This is the direct solve: commutation with X and Y over the entries
-    that commute with H.  ``constraint`` is as in :func:`graded_dims`.
+    that commute with H, with its own constraint over ``t.gram``, so it
+    shares nothing with :func:`graded_dims`.  Raises ``ValueError`` when a
+    Gram entry lies outside the ring.
     """
-    if constraint is None:
-        constraint = AlgebraConstraint(a, t.gram)
-    return _centralizer_nullity(constraint, [t.X, t.Y],
+    return _centralizer_nullity(AlgebraConstraint(a, t.gram), [t.X, t.Y],
                                 _grade_positions(t.layout.weights(), 0))
 
 
@@ -434,11 +427,9 @@ def centralizer_dim_nilpotent(x: ExactMatrix, a: AlgebraSpec,
 
 
 def orbit_dim(a: AlgebraSpec, datum: Datum) -> int:
-    """Real dimension of the adjoint orbit through the datum's representative."""
-    if datum_partition(datum).is_zero_type():
-        return 0
-    g0, g1, _ = _datum_graded_dims(a, datum)
-    return dim_g(a) - g0 - g1
+    """Real dimension of the adjoint orbit through the datum's representative,
+    as :func:`centralizer_report` gives it."""
+    return centralizer_report(a, datum).dim_orbit
 
 
 @dataclass(frozen=True)
@@ -474,8 +465,10 @@ def centralizer_report(a: AlgebraSpec, datum: Datum,
                        triple: Optional[Triple] = None) -> CentralizerReport:
     """Solved and closed-form centralizer dimensions of the datum's orbit.
 
-    ``triple`` is the datum's standard triple, if the caller has one.
-    Without it only the Gram matrix and the slot weights are built.
+    This is the one place that turns dim g_0, g_1 and g_2 into reported
+    dimensions and that sets a zero orbit's.  ``triple`` is the datum's
+    standard triple, if the caller has one.  Without it only the Gram
+    matrix and the slot weights are built.
     """
     zero = datum_partition(datum).is_zero_type()
     ambient = dim_g(a)

@@ -13,13 +13,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .catalog import (AlgebraSpec, Datum, OrbitRecord, datum_membership_error,
                       datum_partition, enumerate_orbits, fiber_count,
                       orbit_record_bound)
-from .centralizers import (AlgebraConstraint, centralizer_dim_triple,
-                           centralizer_report, dim_g, expected_orbit_dim,
-                           expected_reductive_dim, graded_dims)
+from .centralizers import (centralizer_dim_triple, centralizer_report,
+                           expected_orbit_dim)
 from .diagrams import SignedDiagram
 from .families import FAMILIES, FAMILY_SPECS
-from .homotopy import (KElement, _form_basis, _half_totals, compact_pair,
-                       embed_K, sample_k_element, signed_block_relation,
+from .homotopy import (KElement, _form_basis, _half_totals, embed_K,
+                       sample_k_element, signed_block_relation,
                        verify_K_membership)
 from .matrices import (ExactMatrix, commutator, congruence_signature,
                        conj_transpose)
@@ -454,21 +453,17 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
     rng = random.Random(f"{seed}:{a}:{index}")
     datum = rec.datum
     results: List[Tuple[str, bool, str]] = []
-    expected = expected_reductive_dim(a, datum)
-    expected_x = dim_g(a) - expected_orbit_dim(a, datum)
-    if rec.is_zero_orbit:
-        solved = graded = graded_x = dim_g(a)
-    else:
-        triple = build_triple(a, datum)
-        constraint = AlgebraConstraint(a, triple.gram)
-        solved = centralizer_dim_triple(triple, a, constraint=constraint)
-        g0, g1, g2 = graded_dims(triple, a, constraint=constraint)
-        graded, graded_x = g0 - g2, g0 + g1
+    triple = None if rec.is_zero_orbit else build_triple(a, datum)
+    report = centralizer_report(a, datum, triple=triple)
+    # The two independent routes: the direct triple solve and the closed form.
+    solved = report.dim_z_triple if triple is None else centralizer_dim_triple(triple, a)
+    expected_x = report.dim_g - expected_orbit_dim(a, datum)
+    graded, expected = report.dim_z_triple, report.expected_reductive
     disagreements = []
     if not solved == graded == expected:
         disagreements.append(f"solved {solved}, graded {graded}, expected {expected}")
-    if graded_x != expected_x:
-        disagreements.append(f"z(X) graded {graded_x}, expected {expected_x}")
+    if report.dim_z_X != expected_x:
+        disagreements.append(f"z(X) graded {report.dim_z_X}, expected {expected_x}")
     results.append(("centralizer-dim", not disagreements, "; ".join(disagreements)))
 
     adapted = _form_basis(a, datum)
@@ -480,8 +475,8 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
                         f"halves {totals}, closed form {relation}"))
 
     if rec.is_zero_orbit:
-        if a.family_spec.has_descriptor:
-            h = compact_pair(a, datum)
+        h = report.compact
+        if h is not None:
             results.append(("zero-orbit-quotient", h.dim_quotient == 0,
                             f"dim_quotient={h.dim_quotient}"))
         return results

@@ -93,7 +93,11 @@ class KElement:
 
 def k_element_defect(a: AlgebraSpec, datum: Datum, e: KElement) -> Optional[str]:
     """Name the first violated factor relation, or None when all hold."""
-    layout = factor_layout(a, datum)
+    return _layout_defect(factor_layout(a, datum), e)
+
+
+def _layout_defect(layout: List[FactorSpec], e: KElement) -> Optional[str]:
+    """:func:`k_element_defect` over the datum's factor layout."""
     if len(layout) != len(e.factors):
         return f"expected {len(layout)} factors, got {len(e.factors)}"
     for spec, g in zip(layout, e.factors):
@@ -254,12 +258,13 @@ def embed_K(a: AlgebraSpec, datum: Datum, e: KElement,
     the trace-zero families.  ``adapted`` is the datum's adapted basis,
     built here when not given.
     """
-    defect = k_element_defect(a, datum, e)
+    layout = factor_layout(a, datum)
+    defect = _layout_defect(layout, e)
     if defect is not None:
         raise ValueError(defect)
     if adapted is None:
         adapted = _form_basis(a, datum)
-    return _assemble_K(a, datum, e, adapted)
+    return _assemble_K(a, layout, e, adapted)
 
 
 def _form_basis(a: AlgebraSpec, datum: Datum) -> Optional[AdaptedBasis]:
@@ -267,10 +272,9 @@ def _form_basis(a: AlgebraSpec, datum: Datum) -> Optional[AdaptedBasis]:
     return adapted_basis(a, datum) if a.family_spec.has_adapted_basis else None
 
 
-def _assemble_K(a: AlgebraSpec, datum: Datum, e: KElement,
+def _assemble_K(a: AlgebraSpec, layout: List[FactorSpec], e: KElement,
                 adapted: Optional[AdaptedBasis]) -> ExactMatrix:
     """The block assembly of :func:`embed_K` for a tuple with no factor defect."""
-    layout = factor_layout(a, datum)
     if adapted is None:
         # A trace-zero family has one factor per part, in the triple's part order.
         return block_oplus([repeat_blocks(g, f.part) for f, g in zip(layout, e.factors)])
@@ -304,8 +308,13 @@ def chi(a: AlgebraSpec, datum: Datum, e: KElement) -> Scalar:
     spec = a.family_spec
     if not (spec.form is None or spec.constraint == "chi=1"):
         raise ValueError(f"no single character for {a.family}; see chi_pair")
+    return _chi(factor_layout(a, datum), e)
+
+
+def _chi(layout: List[FactorSpec], e: KElement) -> Scalar:
+    """:func:`chi` over the datum's factor layout."""
     total = ONE
-    for f, g in zip(factor_layout(a, datum), e.factors):
+    for f, g in zip(layout, e.factors):
         if f.role in ("part", "odd"):
             base = reduced_norm(g) if f.kind == "Sp" else det(g)
             for _ in range(f.part):
@@ -317,7 +326,11 @@ def chi_pair(a: AlgebraSpec, datum: Datum, e: KElement) -> Tuple[Scalar, Scalar]
     """The two characters of the split orthogonal family."""
     if a.family_spec.constraint != "chi_p=chi_q=1":
         raise ValueError("chi_pair applies to the split orthogonal family")
-    layout = factor_layout(a, datum)
+    return _chi_pair(factor_layout(a, datum), e)
+
+
+def _chi_pair(layout: List[FactorSpec], e: KElement) -> Tuple[Scalar, Scalar]:
+    """:func:`chi_pair` over the datum's factor layout."""
     chi_p = ONE
     chi_q = ONE
     for spec, g in zip(layout, e.factors):
@@ -385,10 +398,11 @@ def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
     if T is None and adapted is not None:
         T = adapted.matrix
     failures: List[str] = []
-    defect = k_element_defect(a, datum, e)
+    layout = factor_layout(a, datum)
+    defect = _layout_defect(layout, e)
     if defect is not None:
         return MembershipResult(False, (f"factor relation: {defect}",))
-    emb = _assemble_K(a, datum, e, adapted)
+    emb = _assemble_K(a, layout, e, adapted)
     g = emb
     if adapted is not None:
         t_star = conj_transpose(T)
@@ -404,11 +418,11 @@ def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
     one = ONE
     constraint = a.family_spec.constraint
     if constraint == "chi=1":
-        char = chi(a, datum, e)
+        char = _chi(layout, e)
         if (det(emb) == one) != (char == one):
             failures.append("det-vs-chi")
     elif constraint == "chi_p=chi_q=1":
-        cp, cq = chi_pair(a, datum, e)
+        cp, cq = _chi_pair(layout, e)
         det_p = det(_corner(emb, 0, a.p))
         det_q = det(_corner(emb, a.p, a.p + a.q))
         if (det_p == one and det_q == one) != (cp == one and cq == one):

@@ -79,13 +79,13 @@ def test_grading_matches_direct_solves_and_closed_forms(a):
         if rec.is_zero_orbit:
             continue
         t = build_triple(a, rec.datum)
-        constraint = AlgebraConstraint(a, t.gram)
-        g0, g1, g2 = graded_dims(t, a, constraint=constraint)
-        assert (g0 - g2 == centralizer_dim_triple(t, a, constraint=constraint)
+        g0, g1, g2 = graded_dims(t, a)
+        assert (g0 - g2 == centralizer_dim_triple(t, a)
                 == expected_reductive_dim(a, rec.datum)), str(rec.datum)
         assert (g0 + g1 == centralizer_dim_nilpotent(t.X, a, rec.datum)
                 == dim_g(a) - expected_orbit_dim(a, rec.datum)), str(rec.datum)
         assert (g0, g1, g2) == graded_dims(t, a)
+        constraint = AlgebraConstraint(a, t.gram)
         weights = t.layout.weights()
         assert (g0, g1, g2) == tuple(
             _centralizer_nullity(constraint, [], _grade_positions(weights, k))
@@ -153,14 +153,18 @@ def test_paired_count_refuses_a_gram_it_cannot_pair(rule, match):
     """graded_dims accepts any Gram matrix, but the paired count holds only
     for a monomial, involutive, grade-respecting, epsilon-Hermitian one over
     the ring: it raises on any other, and the direct solve still solves
-    every one whose entries lie in the ring."""
+    every one whose entries lie in the ring and raises the same ValueError
+    on the one that does not."""
     a = AlgebraSpec("so_c", n=4)
     t = build_triple(a, Partition([2, 2]))
     assert t.layout.weights() == [1, 1, -1, -1]
     bad = replace(t, gram=_refused_grams(t.gram)[rule])
     with pytest.raises(ValueError, match=match):
         graded_dims(bad, a)
-    if rule != "ring":
+    if rule == "ring":
+        with pytest.raises(ValueError, match=match):
+            centralizer_dim_triple(bad, a)
+    else:
         assert centralizer_dim_triple(bad, a) >= 0
     g0, _, g2 = graded_dims(t, a)
     assert g0 - g2 == centralizer_dim_triple(t, a)

@@ -101,20 +101,42 @@ def test_verify_names_a_graded_route_that_disagrees(capsys, monkeypatch,
                                                      grade, detail):
     """Adding one to dim g_2 breaks the triple route and adding one to
     dim g_1 the z(X) route; verify fails and names the route."""
-    import nilorb.cli
+    import nilorb.centralizers
 
-    graded = nilorb.cli.graded_dims
+    graded = nilorb.centralizers.graded_dims
 
     def off_by_one(*args, **kwargs):
         dims = list(graded(*args, **kwargs))
         dims[grade] += 1
         return tuple(dims)
 
-    monkeypatch.setattr(nilorb.cli, "graded_dims", off_by_one)
+    monkeypatch.setattr(nilorb.centralizers, "graded_dims", off_by_one)
     code, out, _ = run(capsys, "verify", "--algebra", "sl_r", "--n", "3")
     assert code == 1
     assert "centralizer-dim FAILED (3 orbit(s)) [2 failed: " + detail in out
     assert "verify: FAIL" in out
+
+
+def test_verify_reads_the_zero_orbit_quotient_from_the_report(capsys, monkeypatch):
+    """A zero orbit's quotient is the one the centralizer report carries."""
+    from dataclasses import replace
+
+    import nilorb.cli
+
+    report = nilorb.cli.centralizer_report
+
+    def raised_quotient(a, datum, triple=None):
+        r = report(a, datum, triple=triple)
+        if triple is not None:
+            return r
+        return replace(r, compact=replace(r.compact, dim_quotient=1))
+
+    monkeypatch.setattr(nilorb.cli, "centralizer_report", raised_quotient)
+    code, out, _ = run(capsys, "verify", "--algebra", "sl_r", "--n", "3")
+    assert code == 1
+    assert ("zero-orbit-quotient FAILED (1 orbit(s)) "
+            "[1 failed: [1,1,1]: dim_quotient=1]") in out
+    assert "centralizer-dim PASSED" in out
 
 
 def test_parser_is_built_once_and_reused_after_errors(capsys):
@@ -680,3 +702,55 @@ def test_list_builds_the_factor_layout_once_per_record(capsys, monkeypatch, fami
     assert code == 0
     expected = len(enumerate_orbits(a)) if a.family_spec.has_descriptor else 0
     assert len(calls) == expected
+
+
+@pytest.mark.parametrize("a", [
+    AlgebraSpec("sl_r", n=4), AlgebraSpec("sl_c", n=3), AlgebraSpec("sl_h", n=3),
+    AlgebraSpec("so_c", n=5), AlgebraSpec("so_pq", p=3, q=2), AlgebraSpec("sp_c", n=2),
+    AlgebraSpec("sp_pq", p=2, q=1),
+], ids=str)
+def test_each_public_k_function_builds_the_factor_layout_once(monkeypatch, a):
+    """One factor layout per call serves the defect check, the block assembly
+    and the characters."""
+    import random
+
+    from nilorb import homotopy
+    from nilorb.triples import build_triple
+
+    datum = [r for r in enumerate_orbits(a) if not r.is_zero_orbit][-1].datum
+    t = build_triple(a, datum)
+    e = homotopy.sample_k_element(a, datum, random.Random(0))
+    spec = a.family_spec
+    public = {
+        "sample_k_element": lambda: homotopy.sample_k_element(a, datum, random.Random(1)),
+        "k_element_defect": lambda: homotopy.k_element_defect(a, datum, e),
+        "embed_K": lambda: homotopy.embed_K(a, datum, e),
+        "verify_K_membership": lambda: homotopy.verify_K_membership(a, datum, e, t),
+    }
+    if spec.form is None or spec.constraint == "chi=1":
+        public["chi"] = lambda: homotopy.chi(a, datum, e)
+    if spec.constraint == "chi_p=chi_q=1":
+        public["chi_pair"] = lambda: homotopy.chi_pair(a, datum, e)
+    assert homotopy.verify_K_membership(a, datum, e, t).ok
+    calls = _count_factor_layouts(monkeypatch)
+    for name, call in public.items():
+        del calls[:]
+        call()
+        assert len(calls) == 1, name
+
+
+@pytest.mark.parametrize("family,args", [
+    ("sl_c", {"n": 3}), ("so_pq", {"p": 2, "q": 2}), ("sp_c", {"n": 2}),
+], ids=str)
+def test_verify_builds_the_factor_layout_once_per_record_and_per_k_call(
+        capsys, monkeypatch, family, args):
+    """The centralizer report builds one layout per record; a nonzero orbit
+    adds one per K call: two samples, four embeddings and one membership check."""
+    a = AlgebraSpec(family, **args)
+    records = enumerate_orbits(a)
+    nonzero = sum(not r.is_zero_orbit for r in records)
+    calls = _count_factor_layouts(monkeypatch)
+    argv = [x for k, v in args.items() for x in (f"--{k}", str(v))]
+    code, _, _ = run(capsys, "verify", "--algebra", family, *argv)
+    assert code == 0
+    assert len(calls) == len(records) + 7 * nonzero
