@@ -181,10 +181,12 @@ def _verify_specs(args) -> List[AlgebraSpec]:
 
 def _parse_datum(a: AlgebraSpec, datum_str: str, signs_str: Optional[str]) -> Datum:
     try:
-        parts = [int(x) for x in datum_str.replace(" ", "").split(",") if x]
-        if not parts:
+        chunks = datum_str.replace(" ", "").split(",")
+        if chunks == [""]:
             raise ValueError("empty partition")
-        partition = Partition(parts)
+        if "" in chunks:
+            raise ValueError("empty part")
+        partition = Partition([int(x) for x in chunks])
     except ValueError as exc:
         raise UsageError(f"cannot parse --datum {datum_str!r}: {exc}") from exc
     free_sign = a.family_spec.free_sign
@@ -193,10 +195,12 @@ def _parse_datum(a: AlgebraSpec, datum_str: str, signs_str: Optional[str]) -> Da
             raise UsageError(f"{a.family} takes plain partitions; drop --signs")
         return partition
     p_by_part: Dict[int, int] = {}
-    if signs_str:
-        for chunk in signs_str.replace(" ", "").split(","):
-            if not chunk:
-                continue
+    signs = (signs_str or "").replace(" ", "")
+    if signs:
+        chunks = signs.split(",")
+        if "" in chunks:
+            raise UsageError(f"cannot parse --signs {signs_str!r}: empty entry")
+        for chunk in chunks:
             try:
                 d, p = (int(x) for x in chunk.split(":"))
             except ValueError as exc:

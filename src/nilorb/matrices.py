@@ -17,14 +17,16 @@ through ``scalars._PROD``.  ``Scalar`` entries are built only when read
 (:meth:`ExactMatrix.entry`, :meth:`~ExactMatrix.rows`,
 :meth:`~ExactMatrix.nonzeros`) and then kept.  A matrix built by
 :meth:`ExactMatrix.from_entries` keeps the Scalars it was given and
-derives its ints on first use.  Rendering (:meth:`~ExactMatrix.to_json`
+derives its ints on first use; one given only ``int`` values stores them
+at once.  Rendering (:meth:`~ExactMatrix.to_json`
 and the CLI's matrix tables) builds Scalars for the nonzeros only: each
 nonzero is rendered once and every zero cell holds one value rendered
 once per call.
 
 Every structured matrix (triples, Gram matrices, adapted bases, block
 embeddings) is built from its nonzero entries with
-:meth:`ExactMatrix.from_entries`, and every consumer that wants to skip
+:meth:`ExactMatrix.from_entries`, or from such matrices by the int-native
+:func:`kron` and :func:`block_oplus`, and every consumer that wants to skip
 zeros reads them back through :meth:`ExactMatrix.nonzeros`, so how a
 matrix is stored is decided in this module alone.  A consumer whose answer
 does not change when the matrix is scaled by a positive integer, such as
@@ -169,18 +171,26 @@ class ExactMatrix:
 
         Absent entries are zero; values are coerced like :func:`as_scalar`.
         An index outside the shape, negative ones included, raises
-        ``IndexError``.
+        ``IndexError``.  When every value is an ``int`` the int storage is
+        built at once and no Scalar is made.
         """
+        ints = all(type(x) is int for x in entries.values())
         rows: List[list] = [[] for _ in range(nrows)]
         for (r, c), x in entries.items():
             if not (0 <= r < nrows and 0 <= c < ncols):
                 raise IndexError(f"entry ({r},{c}) outside a {nrows}x{ncols} matrix")
-            x = as_scalar(x)
-            if not x.is_zero():
-                rows[r].append((c, x))
+            if ints:
+                if x:
+                    rows[r].append((c, (x, 0, 0, 0, 0, 0, 0, 0)))
+            else:
+                x = as_scalar(x)
+                if not x.is_zero():
+                    rows[r].append((c, x))
+        by_column = tuple(tuple(sorted(row, key=lambda e: e[0])) for row in rows)
+        if ints:
+            return ExactMatrix._of(nrows, ncols, 1, by_column)
         m = object.__new__(ExactMatrix)
-        m._set_scalars(nrows, ncols, tuple(
-            tuple(sorted(row, key=lambda e: e[0])) for row in rows))
+        m._set_scalars(nrows, ncols, by_column)
         return m
 
     @staticmethod
@@ -398,6 +408,23 @@ def block_oplus(blocks: Sequence[ExactMatrix]) -> ExactMatrix:
                                for c, x in row]))
         off += b.nrows
     return ExactMatrix._reduced(off, off, den, tuple(rows))
+
+
+def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """The Kronecker product ``a ⊗ b``.
+
+    For ``b`` of shape ``m x n``, entry ``(i*m + j, k*n + l)`` is
+    ``a[i][k] * b[j][l]``, with the left factor on the left, which matters
+    over the quaternions.  Built from the int numerators alone; the scalar
+    tower has no zero divisors, so every product of two nonzeros is kept.
+    """
+    m, n = b.nrows, b.ncols
+    out = []
+    for row_a in a._num:
+        for row_b in b._num:
+            out.append(tuple([(k * n + l, _mul_nums(x, y))
+                              for k, x in row_a for l, y in row_b]))
+    return ExactMatrix._reduced(a.nrows * m, a.ncols * n, a._den * b._den, tuple(out))
 
 
 def repeat_blocks(b: ExactMatrix, s: int) -> ExactMatrix:

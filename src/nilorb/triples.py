@@ -8,17 +8,25 @@ family's invariant form in the same ordered basis, and the change of basis
 Basis layout: part sizes descend; within one part of size ``d`` and
 multiplicity ``t``, the basis lists ``X^l v_j`` with ``l`` descending from
 ``d-1`` to ``0`` and ``j`` running 1..t inside each level, so the highest
-weight vectors come first.
+weight vectors come first.  Writing ``i = d-1-l`` for the level, the slot
+of ``X^l v_j`` is ``offset + i*t + (j-1)``, so each matrix built here is a
+block sum over the parts, and a part's block is the Kronecker product of a
+``d x d`` level matrix with a ``t x t`` block: ``X``, ``H`` and ``Y`` take
+the identity on the right, the Gram matrix the lowest-weight form.  The
+part blocks are int-native and kept per ``(d, t)`` (and form), up to 1024
+of each kind, so building a triple or a Gram matrix only joins blocks
+already built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .catalog import AlgebraSpec, Datum, datum_partition
 from .families import QUATERNION, FamilySpec
-from .matrices import ExactMatrix, conj_transpose, rank
+from .matrices import ExactMatrix, block_oplus, conj_transpose, kron, rank
 from .partitions import Partition
 from .scalars import (HALF_SQRT2, I_HALF_SQRT2, I_UNIT, J_HALF_SQRT2, J_UNIT,
                       MINUS_ONE, ONE, Scalar)
@@ -127,25 +135,36 @@ def sigma_transpose(m: ExactMatrix, sigma: str) -> ExactMatrix:
     return conj_transpose(m) if sigma == "conj" else m.transpose()
 
 
+@lru_cache(maxsize=1024)
+def _triple_block(builder: str, d: int, t: int) -> ExactMatrix:
+    """One part's block of ``X``, ``H`` or ``Y``: its level matrix ⊗ ``I_t``.
+
+    On level ``i`` (``X^{d-1-i} v``), ``X`` steps up from level ``i`` to
+    ``i-1``, ``H`` has weight ``d-1-2i`` and ``Y`` steps down to ``i+1``
+    with coefficient ``(d-1-i)(i+1)``.
+    """
+    if builder == "X":
+        level = {(i - 1, i): 1 for i in range(1, d)}
+    elif builder == "H":
+        level = {(i, i): d - 1 - 2 * i for i in range(d)}
+    else:
+        level = {(i + 1, i): (d - 1 - i) * (i + 1) for i in range(d - 1)}
+    return kron(ExactMatrix.from_entries(d, d, level), ExactMatrix.identity(t))
+
+
 def nilpotent_matrix(partition: Partition) -> ExactMatrix:
     """The block matrix sending ``X^l v_j`` to ``X^{l+1} v_j``."""
-    lay = layout_for(partition)
-    return ExactMatrix.from_entries(lay.dim, lay.dim, {
-        (lay.slot(d, l + 1, j), lay.slot(d, l, j)): ONE
-        for d, t in partition.pairs for l in range(d - 1) for j in range(1, t + 1)})
+    return block_oplus([_triple_block("X", d, t) for d, t in partition.pairs])
 
 
 def semisimple_matrix(partition: Partition) -> ExactMatrix:
-    lay = layout_for(partition)
-    return ExactMatrix.diagonal([Scalar.rational(w) for w in lay.weights()])
+    """The diagonal matrix of the slot weights ``1 - d + 2l``."""
+    return block_oplus([_triple_block("H", d, t) for d, t in partition.pairs])
 
 
 def lowering_matrix(partition: Partition) -> ExactMatrix:
     """The block matrix sending ``X^l v_j`` to ``l(d-l) X^{l-1} v_j``."""
-    lay = layout_for(partition)
-    return ExactMatrix.from_entries(lay.dim, lay.dim, {
-        (lay.slot(d, l - 1, j), lay.slot(d, l, j)): l * (d - l)
-        for d, t in partition.pairs for l in range(1, d) for j in range(1, t + 1)})
+    return block_oplus([_triple_block("Y", d, t) for d, t in partition.pairs])
 
 
 def _split_alternating(size: int) -> ExactMatrix:
@@ -155,8 +174,8 @@ def _split_alternating(size: int) -> ExactMatrix:
     half = size // 2
     entries = {}
     for i in range(half):
-        entries[i, half + i] = ONE
-        entries[half + i, i] = MINUS_ONE
+        entries[i, half + i] = 1
+        entries[half + i, i] = -1
     return ExactMatrix.from_entries(size, size, entries)
 
 
@@ -174,25 +193,27 @@ def _form_block(spec: FamilySpec, d: int) -> str:
     return "j" if spec.ring is QUATERNION else "identity"
 
 
-def lowest_weight_form(a: AlgebraSpec, datum: Datum, d: int) -> ExactMatrix:
-    """Form values on the lowest-weight generators of the size-``d`` part.
+@lru_cache(maxsize=1024)
+def _gram_block(block: str, d: int, t: int, plus: Optional[int]) -> ExactMatrix:
+    """One part's Gram block: the ``(-1)^l`` antidiagonal ⊗ the lowest-weight form.
 
-    The symmetry type is forced by the family and the parity of ``d``:
-    identity or ``diag(+-1)`` blocks for the self-adjoint case, a split
-    alternating block for the skew case, and ``j``-diagonal for the
-    quaternionic skew-adjoint case.
+    The lowest-weight form is named by :func:`_form_block`: a split
+    alternating block, ``diag(1_plus, -1_{t-plus})`` for a signed row,
+    ``j`` times the identity, or the identity.  Built from ints and
+    int-native operations only, so a cold block makes no Scalar either and
+    a process counts the same scalar work whether the memo is warm or not.
     """
-    spec = a.family_spec
-    if spec.form is None:
-        raise ValueError(f"{a.family} carries no invariant form")
-    t = datum_partition(datum).multiplicity(d)
-    block = _form_block(spec, d)
     if block == "alternating":
-        return _split_alternating(t)
-    if block == "signed":
-        plus = datum.p_of(d)
-        return ExactMatrix.diagonal([ONE] * plus + [MINUS_ONE] * (t - plus))
-    return ExactMatrix.diagonal([J_UNIT] * t) if block == "j" else ExactMatrix.identity(t)
+        base = _split_alternating(t)
+    elif block == "signed":
+        base = ExactMatrix.diagonal([1] * plus + [-1] * (t - plus))
+    elif block == "j":
+        base = ExactMatrix.identity(t).scale_left(J_UNIT)
+    else:
+        base = ExactMatrix.identity(t)
+    # Level d-1-l pairs with level l, with sign (-1)^l.
+    level = ExactMatrix.from_entries(d, d, {(d - 1 - l, l): (-1) ** l for l in range(d)})
+    return kron(level, base)
 
 
 def gram_matrix(a: AlgebraSpec, datum: Datum) -> ExactMatrix:
@@ -200,21 +221,21 @@ def gram_matrix(a: AlgebraSpec, datum: Datum) -> ExactMatrix:
 
     Within one part, ``<X^l v_i, X^m v_j>`` vanishes unless ``l + m = d-1``
     and otherwise equals ``(-1)^l`` times the lowest-weight form value;
-    distinct parts are orthogonal.
+    distinct parts are orthogonal.  The form is symmetric or skew as the
+    family and the parity of ``d`` force: identity or ``diag(+-1)``
+    lowest-weight blocks in the self-adjoint case, a split alternating
+    block in the skew case, and ``j``-diagonal in the quaternionic
+    skew-adjoint case.
     """
-    if a.family_spec.form is None:
+    spec = a.family_spec
+    if spec.form is None:
         raise ValueError(f"{a.family} carries no invariant form")
-    part = datum_partition(datum)
-    lay = layout_for(part)
-    entries = {}
-    for d, _ in part.pairs:
-        base = lowest_weight_form(a, datum, d).nonzeros()
-        for l in range(d):
-            for i, row in enumerate(base, 1):
-                for j, val in row:
-                    entries[lay.slot(d, l, i), lay.slot(d, d - 1 - l, j + 1)] = (
-                        val if l % 2 == 0 else -val)
-    return ExactMatrix.from_entries(lay.dim, lay.dim, entries)
+    blocks = []
+    for d, t in datum_partition(datum).pairs:
+        block = _form_block(spec, d)
+        blocks.append(_gram_block(block, d, t,
+                                  datum.p_of(d) if block == "signed" else None))
+    return block_oplus(blocks)
 
 
 def build_triple(a: AlgebraSpec, datum: Datum) -> Triple:

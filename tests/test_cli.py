@@ -389,6 +389,36 @@ def test_describe_sign_part_named_twice(capsys):
     assert err == "error: sign data names part 3 twice\n"
 
 
+@pytest.mark.parametrize("datum", ["2,,1", ",2,1", "2,1,", " 2 , , 1 "])
+def test_describe_refuses_an_empty_datum_part(capsys, datum):
+    """An empty chunk is refused, not dropped into the datum [2,1]."""
+    code, out, err = run(capsys, "describe", "--algebra", "sl_r", "--n", "3",
+                         "--datum", datum)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot parse --datum {datum!r}: empty part\n"
+
+
+def test_describe_refuses_an_empty_datum(capsys):
+    code, out, err = run(capsys, "describe", "--algebra", "sl_r", "--n", "3",
+                         "--datum", " ")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot parse --datum ' ': empty partition\n"
+
+
+@pytest.mark.parametrize("signs", ["3:0,,1:1", ",3:0,1:1", "3:0,1:1,", "3:0, ,1:1"])
+def test_describe_refuses_an_empty_signs_entry(capsys, signs):
+    code, out, err = run(capsys, "describe", "--algebra", "so_pq", "--p", "3",
+                         "--q", "1", "--datum", "3,1", "--signs", signs)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot parse --signs {signs!r}: empty entry\n"
+
+
+def test_describe_accepts_the_signs_without_empty_entries(capsys):
+    code, _, err = run(capsys, "describe", "--algebra", "so_pq", "--p", "3",
+                       "--q", "1", "--datum", "3,1", "--signs", "3:0, 1:1")
+    assert (code, err) == (0, "")
+
+
 def test_describe_stray_sign_part_named(capsys):
     code, _, err = run(capsys, "describe", "--algebra", "so_pq", "--p", "2",
                        "--q", "1", "--datum", "3", "--signs", "2:1")

@@ -18,6 +18,11 @@ A third scan keeps the storage itself private: outside ``matrices`` and
 ``scalars``, no module touches the attributes ``_num``, ``_den``, ``_d``,
 ``_n``, ``_nonzeros`` or ``_rows``.  The centralizer solver reads
 numerators through the public ``ExactMatrix.integer_nonzeros``.
+
+A fourth scan keeps int assembly behind public operations such as
+``kron`` and ``block_oplus``: outside ``matrices`` and ``scalars``, no
+module calls the private constructors ``_of``, ``_reduced``,
+``_set_ints`` or ``_set_scalars``.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ ENTRY_READERS = LAYOUT_OWNERS
 HOT_MODULES = sorted(p for p in MODULES if p.name not in ENTRY_READERS)
 ENTRY_METHODS = {"rows", "row", "entry"}
 STORAGE_ATTRIBUTES = {"_num", "_den", "_d", "_n", "_nonzeros", "_rows"}
+PRIVATE_CONSTRUCTORS = {"_of", "_reduced", "_set_ints", "_set_scalars"}
 
 
 def _is_multiplied_list(node: ast.AST) -> bool:
@@ -143,3 +149,34 @@ def test_scan_flags_storage_reads_and_accepts_public_readers():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_storage_reads_outside_matrices_and_scalars(path):
     assert storage_reads(path.read_text()) == []
+
+
+def private_constructor_calls(source: str) -> list:
+    """``(line, what)`` for every call of a private matrix or scalar constructor."""
+    return sorted((node.lineno, f".{node.func.attr}()")
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in PRIVATE_CONSTRUCTORS)
+
+
+def test_scan_flags_private_constructors_and_accepts_public_ones():
+    source = (
+        "m = ExactMatrix._of(1, 1, 1, ((),))\n"
+        "r = ExactMatrix._reduced(n, n, den, num)\n"
+        "m._set_ints()\n"
+        "m._set_scalars(1, 1, ((),))\n"
+        "s = Scalar._of(comps)\n"
+        "p = datum.p_of(3)\n"
+        "k = kron(level, ExactMatrix.identity(t))\n"
+        "g = block_oplus(blocks)\n"
+        "e = ExactMatrix.from_entries(1, 1, {(0, 0): ONE})\n"
+        "f = ExactMatrix._of\n"
+    )
+    assert private_constructor_calls(source) == [
+        (1, "._of()"), (2, "._reduced()"), (3, "._set_ints()"),
+        (4, "._set_scalars()"), (5, "._of()")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_constructors_outside_matrices_and_scalars(path):
+    assert private_constructor_calls(path.read_text()) == []

@@ -1,6 +1,6 @@
 """Property tests: scalar and matrix arithmetic against component-level
-references, matrix construction from nonzero entries against raw-index
-references, ring laws of the scalar tower, realification, exact rank, the
+references, matrix construction from nonzero entries and the Kronecker
+product against raw-index and per-entry references, ring laws of the scalar tower, realification, exact rank, the
 canonical integer-numerator storage, inverse, det and signature against
 plain elimination, matrix rendering against per-entry references, the
 JSON encoder against ``json.dumps(doc, indent=2)``, and the integer
@@ -29,8 +29,9 @@ from nilorb.centralizers import (_nullity, centralizer_dim_triple,
 from nilorb.cli import _compare, _json_text, _matrix_lines
 from nilorb.matrices import (ExactMatrix, block_oplus, complex_to_real_blocks,
                              congruence_signature, conj_transpose, det, inverse,
-                             quaternion_to_complex_blocks, rank)
-from nilorb.scalars import I_UNIT, J_UNIT, ONE, VARIANT_COMPONENTS, ZERO, Scalar
+                             kron, quaternion_to_complex_blocks, rank)
+from nilorb.scalars import (I_UNIT, J_UNIT, K_UNIT, ONE, VARIANT_COMPONENTS, ZERO,
+                            Scalar)
 from nilorb.triples import build_triple
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
@@ -244,6 +245,20 @@ def test_from_entries_matches_raw_index_reference(shape):
         assert hash(m) == hash(from_rows)
 
 
+@PROPERTY
+@given(st.integers(0, 4), st.integers(0, 4),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-5, 5))))
+def test_int_entries_store_like_their_scalars(nrows, ncols, cells):
+    """Entries given as ints build at once the storage the same Scalars build."""
+    ints = {(r, c): v for r, c, v in cells if r < nrows and c < ncols}
+    m = ExactMatrix.from_entries(nrows, ncols, ints)
+    scalars = ExactMatrix.from_entries(
+        nrows, ncols, {key: Scalar.rational(v) for key, v in ints.items()})
+    assert m == scalars and hash(m) == hash(scalars)
+    assert raw_of(m) == raw_of(scalars)
+    assert nonzeros_as_raw(m) == nonzeros_as_raw(scalars)
+
+
 def test_matrices_without_rows_differ_by_column_count():
     shapes = [(0, 0), (0, 1), (0, 3), (1, 0), (2, 0), (1, 1)]
     for first in shapes:
@@ -304,6 +319,69 @@ def test_block_oplus_matches_raw_index_reference(blocks):
     out = block_oplus(mats)
     assert (out.nrows, out.ncols) == (n, n)
     assert raw_of(out) == ref
+
+
+def ref_kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """``a ⊗ b`` entry by entry through ``entry()`` and ``Scalar`` products."""
+    m, n = b.nrows, b.ncols
+    return ExactMatrix.from_entries(a.nrows * m, a.ncols * n, {
+        (i * m + j, k * n + l): a.entry(i, k) * b.entry(j, l)
+        for i in range(a.nrows) for k in range(a.ncols)
+        for j in range(m) for l in range(n)})
+
+
+def _entry_matrix(shape) -> ExactMatrix:
+    nrows, ncols, entries = shape
+    return ExactMatrix.from_entries(nrows, ncols,
+                                    {key: Scalar(x) for key, x in entries.items()})
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANT_COMPONENTS))
+@settings(PROPERTY, max_examples=30)
+@given(data=st.data())
+def test_kron_matches_the_entrywise_reference(variant, data):
+    """Every shape from 0 x 0 up, zero rows and columns included; the result's
+    storage is the normalized storage of the same entries."""
+    components = sorted(VARIANT_COMPONENTS[variant])
+    a = _entry_matrix(data.draw(entry_maps(components)))
+    b = _entry_matrix(data.draw(entry_maps(components)))
+    out, expected = kron(a, b), ref_kron(a, b)
+    assert (out.nrows, out.ncols) == (a.nrows * b.nrows, a.ncols * b.ncols)
+    assert out == expected
+    assert hash(out) == hash(expected)
+    assert raw_of(out) == raw_of(expected)
+
+
+def test_kron_keeps_the_left_factor_on_the_left():
+    """i ⊗ j is i*j = k, not j*i = -k, in every entry."""
+    i_block = ExactMatrix.from_entries(1, 2, {(0, 0): I_UNIT, (0, 1): ONE})
+    j_block = ExactMatrix.from_entries(2, 1, {(0, 0): J_UNIT, (1, 0): K_UNIT})
+    assert kron(i_block, j_block) == ExactMatrix.from_entries(2, 2, {
+        (0, 0): K_UNIT, (0, 1): J_UNIT, (1, 0): -J_UNIT, (1, 1): K_UNIT})
+    assert kron(j_block, i_block) == ExactMatrix.from_entries(2, 2, {
+        (0, 0): -K_UNIT, (0, 1): J_UNIT, (1, 0): J_UNIT, (1, 1): K_UNIT})
+
+
+def test_kron_denominators_and_empty_shapes():
+    half, third = Scalar.rational(Fraction(1, 2)), Scalar.rational(Fraction(1, 3))
+    a = ExactMatrix.diagonal([half, ONE])
+    b = ExactMatrix.from_entries(1, 2, {(0, 0): third, (0, 1): 2})
+    out = kron(a, b)
+    expected = ExactMatrix.from_entries(2, 4, {
+        (0, 0): Fraction(1, 6), (0, 1): 1, (1, 2): third, (1, 3): 2})
+    assert out == expected and hash(out) == hash(expected)
+    # The denominators cancel: the storage is that of the identity.
+    two = ExactMatrix.diagonal([Scalar.rational(2)])
+    assert kron(ExactMatrix.diagonal([half]), two) == ExactMatrix.identity(1)
+    assert hash(kron(two, ExactMatrix.diagonal([half]))) == hash(ExactMatrix.identity(1))
+    for left, right, shape in (((0, 3), (2, 2), (0, 6)), ((2, 2), (0, 0), (0, 0)),
+                               ((2, 0), (1, 3), (2, 0)), ((0, 0), (0, 0), (0, 0)),
+                               ((2, 2), (3, 1), (6, 2))):
+        out = kron(ExactMatrix.zeros(*left), ExactMatrix.zeros(*right))
+        assert out == ExactMatrix.zeros(*shape)
+        assert hash(out) == hash(ExactMatrix.zeros(*shape))
+    out = kron(ExactMatrix.identity(2), ExactMatrix.zeros(1, 2))
+    assert (out.nrows, out.ncols) == (2, 4) and out.is_zero()
 
 
 def ref_conj(x):

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from nilorb.catalog import AlgebraSpec, enumerate_orbits
+from nilorb import triples
+from nilorb.catalog import AlgebraSpec, datum_partition, enumerate_orbits
 from nilorb.diagrams import row_plus_minus
-from nilorb.matrices import commutator, congruence_signature, rank
+from nilorb.matrices import ExactMatrix, commutator, congruence_signature, rank
 from nilorb.partitions import Partition
-from nilorb.scalars import ZERO, Scalar
-from nilorb.triples import (ZeroOrbitError, _odd_level_takes_plus_rows,
+from nilorb.scalars import J_UNIT, MINUS_ONE, ONE, ZERO, Scalar
+from nilorb.triples import (ZeroOrbitError, _form_block, _odd_level_takes_plus_rows,
                             adapted_basis, adapted_change_of_basis,
                             build_triple, gram_matrix, jordan_type, layout_for,
                             sigma_transpose, standard_adapted_gram)
@@ -163,3 +164,159 @@ def test_triple_json_round_trip_fields():
     assert doc["family"] == "so_pq"
     assert set(doc) >= {"family", "partition", "X", "H", "Y", "gram"}
     assert doc["form"]["epsilon"] in (1, -1)
+
+
+# --- the per-part Kronecker builders against the slot-by-slot references -----
+#
+# The references below build every entry through ``BasisLayout.slot``, as the
+# library did before it joined memoized per-part Kronecker blocks.
+
+def reference_nilpotent(partition):
+    lay = layout_for(partition)
+    return ExactMatrix.from_entries(lay.dim, lay.dim, {
+        (lay.slot(d, l + 1, j), lay.slot(d, l, j)): ONE
+        for d, t in partition.pairs for l in range(d - 1) for j in range(1, t + 1)})
+
+
+def reference_semisimple(partition):
+    lay = layout_for(partition)
+    return ExactMatrix.diagonal([Scalar.rational(w) for w in lay.weights()])
+
+
+def reference_lowering(partition):
+    lay = layout_for(partition)
+    return ExactMatrix.from_entries(lay.dim, lay.dim, {
+        (lay.slot(d, l - 1, j), lay.slot(d, l, j)): l * (d - l)
+        for d, t in partition.pairs for l in range(1, d) for j in range(1, t + 1)})
+
+
+def reference_lowest_weight_form(a, datum, d):
+    t = datum_partition(datum).multiplicity(d)
+    block = _form_block(a.family_spec, d)
+    if block == "alternating":
+        half = t // 2
+        entries = {}
+        for i in range(half):
+            entries[i, half + i] = ONE
+            entries[half + i, i] = MINUS_ONE
+        return ExactMatrix.from_entries(t, t, entries)
+    if block == "signed":
+        plus = datum.p_of(d)
+        return ExactMatrix.diagonal([ONE] * plus + [MINUS_ONE] * (t - plus))
+    return ExactMatrix.diagonal([J_UNIT] * t) if block == "j" else ExactMatrix.identity(t)
+
+
+def reference_gram(a, datum):
+    part = datum_partition(datum)
+    lay = layout_for(part)
+    entries = {}
+    for d, _ in part.pairs:
+        base = reference_lowest_weight_form(a, datum, d).nonzeros()
+        for l in range(d):
+            for i, row in enumerate(base, 1):
+                for j, val in row:
+                    entries[lay.slot(d, l, i), lay.slot(d, d - 1 - l, j + 1)] = (
+                        val if l % 2 == 0 else -val)
+    return ExactMatrix.from_entries(lay.dim, lay.dim, entries)
+
+
+PIN_SWEEP = (
+    [AlgebraSpec("sl_r", n=n) for n in range(2, 7)]
+    + [AlgebraSpec("sl_c", n=n) for n in range(2, 6)]
+    + [AlgebraSpec("sl_h", n=n) for n in range(2, 5)]
+    + [AlgebraSpec("so_c", n=n) for n in range(3, 10)]
+    + [AlgebraSpec("sp_c", n=n) for n in range(1, 5)]
+    + [AlgebraSpec("so_star", n=n) for n in range(1, 6)]
+    + [AlgebraSpec(f, p=p, q=t - p)
+       for f in ("so_pq", "sp_pq")
+       for t in range(2, 7) for p in range(1, t)]
+)
+
+
+def clear_part_memo():
+    triples._triple_block.cache_clear()
+    triples._gram_block.cache_clear()
+
+
+@pytest.mark.parametrize("a", PIN_SWEEP, ids=str)
+def test_kronecker_builders_match_the_slot_references(a):
+    """X, H, Y and the Gram matrix equal the slot-by-slot builds, signed data
+    included, on a cold memo, a warm one and after clearing it."""
+    clear_part_memo()
+    has_form = a.family_spec.form is not None
+    for rec in enumerate_orbits(a):
+        if has_form:
+            expected = reference_gram(a, rec.datum)
+            for _ in range(2):
+                assert gram_matrix(a, rec.datum) == expected, str(rec.datum)
+        if rec.is_zero_orbit:
+            continue
+        part = rec.partition()
+        refs = (reference_nilpotent(part), reference_semisimple(part),
+                reference_lowering(part))
+        for _ in range(2):
+            t = build_triple(a, rec.datum)
+            assert (t.X, t.H, t.Y) == refs, str(rec.datum)
+            if has_form:
+                assert t.gram == expected
+    clear_part_memo()
+    for rec in enumerate_orbits(a):
+        if has_form:
+            assert gram_matrix(a, rec.datum) == reference_gram(a, rec.datum)
+        if not rec.is_zero_orbit:
+            t = build_triple(a, rec.datum)
+            assert t.X == reference_nilpotent(rec.partition())
+
+
+FORM_FAMILY_ORBITS = [
+    (AlgebraSpec("so_c", n=7), Partition([3, 2, 2])),
+    (AlgebraSpec("sp_c", n=3), Partition([3, 3])),
+    (AlgebraSpec("so_star", n=4), Partition([2, 1, 1])),
+    (AlgebraSpec("so_pq", p=3, q=2), Partition([3, 1, 1])),
+    (AlgebraSpec("sp_pq", p=2, q=1), Partition([2, 1])),
+]
+
+
+def _datum_of(a, partition):
+    return next(rec.datum for rec in enumerate_orbits(a)
+                if rec.partition() == partition and not rec.is_zero_orbit)
+
+
+@pytest.mark.parametrize("a,partition", FORM_FAMILY_ORBITS, ids=lambda x: str(x))
+def test_builders_build_no_scalar(monkeypatch, a, partition):
+    """Once the part blocks are built, a Gram matrix or a triple only joins
+    int blocks, and the blocks themselves are built from ints: neither
+    constructor of ``Scalar`` runs and no ``is_zero`` is asked, so a
+    process counts the same scalar work whether the memo is warm or cold."""
+    datum = _datum_of(a, partition)
+    gram_matrix(a, datum)
+    build_triple(a, datum)
+    built = []
+    original_init, original_of = Scalar.__init__, Scalar._of
+    original_is_zero = Scalar.is_zero
+
+    def counting_init(self, components):
+        built.append("__init__")
+        original_init(self, components)
+
+    def counting_of(components):
+        built.append("_of")
+        return original_of(components)
+
+    def counting_is_zero(self):
+        built.append("is_zero")
+        return original_is_zero(self)
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    monkeypatch.setattr(Scalar, "_of", staticmethod(counting_of))
+    monkeypatch.setattr(Scalar, "is_zero", counting_is_zero)
+    gram = gram_matrix(a, datum)
+    t = build_triple(a, datum)
+    assert built == []
+    clear_part_memo()
+    assert gram_matrix(a, datum) == gram
+    assert build_triple(a, datum) == t
+    assert built == []
+    # The wrapper counts: rendering still builds Scalars.
+    t.X.to_json()
+    gram.to_json()
+    assert built
