@@ -19,7 +19,7 @@ from .catalog import AlgebraSpec, Datum, datum_partition
 from .diagrams import SignedDiagram, row_plus_minus
 from .families import FAMILY_SPECS, compact_dim, ring_of_kind
 from .matrices import (ExactMatrix, block_oplus, complex_to_real_blocks,
-                       conj_transpose, det, inverse,
+                       conj_transpose, det, diagonal_block, inverse,
                        quaternion_to_complex_blocks, reduced_norm,
                        repeat_blocks)
 from .scalars import COMPLEX_LIKE_VARIANTS, ONE, Scalar
@@ -386,8 +386,10 @@ def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
 
     The element is moved back to triple coordinates through ``T`` (identity
     for the trace-zero families), then tested for exact commutation with
-    X, H, Y, preservation of the Gram matrix, and agreement between the
-    ambient determinant condition and the character constraint.
+    X, H, Y, preservation of the Gram matrix, and, under a character
+    constraint, equality of the determinant of the embedded element with
+    the character (for ``chi_p = chi_q = 1``, of the determinants of its
+    p x p and q x q diagonal blocks with ``chi_p`` and ``chi_q``).
     ``adapted`` is the datum's adapted basis, built here when not given;
     ``T`` defaults to its matrix.  ``T`` must be unitary (``T* T = I``),
     so that ``T*`` is its inverse; otherwise the result is the single
@@ -415,26 +417,19 @@ def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
     if t.gram is not None:
         if sigma_transpose(g, t.sigma) @ t.gram @ g != t.gram:
             failures.append("preserves[S]")
-    one = ONE
     constraint = a.family_spec.constraint
     if constraint == "chi=1":
-        char = _chi(layout, e)
-        if (det(emb) == one) != (char == one):
-            failures.append("det-vs-chi")
+        det_emb, char = det(emb), _chi(layout, e)
+        if det_emb != char:
+            failures.append(f"det-vs-chi: det {det_emb} != chi {char}")
     elif constraint == "chi_p=chi_q=1":
-        cp, cq = _chi_pair(layout, e)
-        det_p = det(_corner(emb, 0, a.p))
-        det_q = det(_corner(emb, a.p, a.p + a.q))
-        if (det_p == one and det_q == one) != (cp == one and cq == one):
-            failures.append("det-vs-chi")
+        dets = (det(diagonal_block(emb, 0, a.p)),
+                det(diagonal_block(emb, a.p, a.p + a.q)))
+        chars = _chi_pair(layout, e)
+        if dets != chars:
+            failures.append("det-vs-chi: (det_p, det_q) = ({}, {}) != "
+                            "(chi_p, chi_q) = ({}, {})".format(*dets, *chars))
     return MembershipResult(not failures, tuple(failures))
-
-
-def _corner(m: ExactMatrix, lo: int, hi: int) -> ExactMatrix:
-    """The diagonal block of rows and columns ``lo..hi-1``."""
-    return ExactMatrix.from_entries(hi - lo, hi - lo, {
-        (r - lo, c - lo): x for r, row in enumerate(m.nonzeros()[lo:hi], lo)
-        for c, x in row if lo <= c < hi})
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,14 @@ reduced so that ``gcd(D, all numerators) == 1``, and the zero matrix has
 hashes.  Products, sums, scaling, transposes, the block maps, equality,
 rank, ``det`` (Bareiss), ``inverse`` (Gauss-Jordan with int pivots) and
 ``congruence_signature`` work on these ints, multiplying components
-through ``scalars._PROD``.  ``Scalar`` entries are built only when read
+through ``scalars._PROD``.  The ints are the only storage: every
+constructor converts its values to them once, when it builds the matrix.
+Scalars are only a read cache, built when an entry is read
 (:meth:`ExactMatrix.entry`, :meth:`~ExactMatrix.rows`,
-:meth:`~ExactMatrix.nonzeros`) and then kept.  A matrix built by
-:meth:`ExactMatrix.from_entries` keeps the Scalars it was given and
-derives its ints on first use; one given only ``int`` values stores them
-at once.  Rendering (:meth:`~ExactMatrix.to_json`
+:meth:`~ExactMatrix.nonzeros`) and then kept; a matrix built by
+:meth:`ExactMatrix.from_entries` from Scalars starts with the nonzero
+Scalars it was given in that cache, and one given only ``int`` values
+makes no Scalar.  Rendering (:meth:`~ExactMatrix.to_json`
 and the CLI's matrix tables) builds Scalars for the nonzeros only: each
 nonzero is rendered once and every zero cell holds one value rendered
 once per call.
@@ -97,58 +99,28 @@ class ExactMatrix:
     """An immutable rectangular matrix over the scalar tower.
 
     See the module docstring for the storage: one denominator ``_den``
-    and the per-row nonzero numerators ``_num``.  ``_nonzeros`` and
-    ``_rows`` cache the entries as Scalars once they are read.  A matrix
-    built from Scalars keeps them and derives ``_den`` and ``_num`` on
-    first use, since many such matrices are only ever read back.
+    and the per-row nonzero numerators ``_num``, both set by every
+    constructor.  ``_nonzeros`` and ``_rows`` cache the entries as Scalars
+    once they are read, or from the start when the matrix was built from
+    Scalars.
     """
 
-    __slots__ = ("nrows", "ncols", "_d", "_n", "_nonzeros", "_rows")
+    __slots__ = ("nrows", "ncols", "_den", "_num", "_nonzeros", "_rows")
 
     def __init__(self, rows: Sequence[Sequence[Scalar]]):
         ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        nonzeros = []
-        for row in rows:
-            entries = [(c, as_scalar(x)) for c, x in enumerate(row)]
-            nonzeros.append(tuple([(c, x) for c, x in entries if not x.is_zero()]))
-        self._set_scalars(len(rows), ncols, tuple(nonzeros))
-
-    def _set_scalars(self, nrows: int, ncols: int, nonzeros: tuple) -> None:
-        """Store the matrix whose nonzero Scalars, per row by column, are ``nonzeros``."""
-        self.nrows, self.ncols = nrows, ncols
-        self._nonzeros = nonzeros
-        self._d = self._n = self._rows = None
-
-    @property
-    def _den(self) -> int:
-        if self._d is None:
-            self._set_ints()
-        return self._d
-
-    @property
-    def _num(self) -> tuple:
-        if self._n is None:
-            self._set_ints()
-        return self._n
-
-    def _set_ints(self) -> None:
-        """Derive the int storage from the Scalars ``_nonzeros``."""
-        nonzeros = self._nonzeros
-        den = lcm(*{f.denominator for row in nonzeros for _, x in row
-                    for f in x.components})
-        self._d = den
-        self._n = tuple(
-            tuple([(c, tuple([f.numerator * (den // f.denominator)
-                              for f in x.components])) for c, x in row])
-            for row in nonzeros)
+        m = ExactMatrix.from_entries(len(rows), ncols, {
+            (r, c): x for r, row in enumerate(rows) for c, x in enumerate(row)})
+        for name in ExactMatrix.__slots__:
+            setattr(self, name, getattr(m, name))
 
     @staticmethod
     def _of(nrows: int, ncols: int, den: int, num: tuple) -> "ExactMatrix":
         """Wrap storage that is already reduced, without checking it."""
         m = object.__new__(ExactMatrix)
-        m.nrows, m.ncols, m._d, m._n = nrows, ncols, den, num
+        m.nrows, m.ncols, m._den, m._num = nrows, ncols, den, num
         m._nonzeros = m._rows = None
         return m
 
@@ -171,8 +143,9 @@ class ExactMatrix:
 
         Absent entries are zero; values are coerced like :func:`as_scalar`.
         An index outside the shape, negative ones included, raises
-        ``IndexError``.  When every value is an ``int`` the int storage is
-        built at once and no Scalar is made.
+        ``IndexError``.  Each value is converted to numerators once, here.
+        When every value is an ``int`` no Scalar is made; otherwise the
+        nonzero Scalars are kept as the matrix's read cache.
         """
         ints = all(type(x) is int for x in entries.values())
         rows: List[list] = [[] for _ in range(nrows)]
@@ -189,8 +162,16 @@ class ExactMatrix:
         by_column = tuple(tuple(sorted(row, key=lambda e: e[0])) for row in rows)
         if ints:
             return ExactMatrix._of(nrows, ncols, 1, by_column)
-        m = object.__new__(ExactMatrix)
-        m._set_scalars(nrows, ncols, by_column)
+        # The least common denominator of reduced fractions leaves no common
+        # factor.  Zero components are mostly the shared ``_F0``, which is
+        # skipped by identity before any Fraction property is read.
+        den = lcm(*{f.denominator for row in by_column for _, x in row
+                    for f in x.components if f is not _F0})
+        m = ExactMatrix._of(nrows, ncols, den, tuple(
+            tuple([(c, tuple([0 if f is _F0 else f.numerator * (den // f.denominator)
+                              for f in x.components])) for c, x in row])
+            for row in by_column))
+        m._nonzeros = by_column
         return m
 
     @staticmethod
@@ -230,8 +211,8 @@ class ExactMatrix:
     def nonzeros(self) -> tuple:
         """Per row, the ``(column, entry)`` pairs of its nonzero entries, by column.
 
-        The Scalars are built on first use and kept, since matrices are
-        immutable.
+        The Scalars are built on first use, unless the matrix was built
+        from them, and kept, since matrices are immutable.
         """
         nz = self._nonzeros
         if nz is None:
@@ -408,6 +389,14 @@ def block_oplus(blocks: Sequence[ExactMatrix]) -> ExactMatrix:
                                for c, x in row]))
         off += b.nrows
     return ExactMatrix._reduced(off, off, den, tuple(rows))
+
+
+def diagonal_block(a: ExactMatrix, lo: int, hi: int) -> ExactMatrix:
+    """The square block of ``a`` on rows and columns ``lo..hi-1``."""
+    if not 0 <= lo <= hi <= min(a.nrows, a.ncols):
+        raise IndexError(f"block {lo}..{hi} outside a {a.nrows}x{a.ncols} matrix")
+    return ExactMatrix._reduced(hi - lo, hi - lo, a._den, tuple(
+        tuple([(c - lo, x) for c, x in row if lo <= c < hi]) for row in a._num[lo:hi]))
 
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

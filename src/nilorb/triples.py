@@ -20,9 +20,9 @@ already built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .catalog import AlgebraSpec, Datum, datum_partition
 from .families import QUATERNION, FamilySpec
@@ -41,23 +41,15 @@ class BasisLayout:
 
     pairs: Tuple[Tuple[int, int], ...]  # (d, t) descending
     dim: int
-    offsets: Tuple[Tuple[int, int], ...]  # (d, offset of the part block)
+    # d -> (offset of the part block, t); it follows from ``pairs``.
+    parts: Mapping[int, Tuple[int, int]] = field(compare=False)
 
     def slot(self, d: int, l: int, j: int) -> int:
         """Row index of ``X^l v_j`` inside the part of size ``d`` (j is 1-based)."""
-        for dd, off in self.offsets:
-            if dd == d:
-                t = self.multiplicity(d)
-                if not (0 <= l < d and 1 <= j <= t):
-                    raise IndexError("slot out of range")
-                return off + (d - 1 - l) * t + (j - 1)
-        raise KeyError(d)
-
-    def multiplicity(self, d: int) -> int:
-        for dd, t in self.pairs:
-            if dd == d:
-                return t
-        raise KeyError(d)
+        off, t = self.parts[d]
+        if not (0 <= l < d and 1 <= j <= t):
+            raise IndexError("slot out of range")
+        return off + (d - 1 - l) * t + (j - 1)
 
     def labels(self) -> List[str]:
         out = []
@@ -77,12 +69,12 @@ class BasisLayout:
 
 
 def layout_for(partition: Partition) -> BasisLayout:
-    offs = []
+    parts = {}
     off = 0
     for d, t in partition.pairs:
-        offs.append((d, off))
+        parts[d] = (off, t)
         off += d * t
-    return BasisLayout(pairs=partition.pairs, dim=off, offsets=tuple(offs))
+    return BasisLayout(pairs=partition.pairs, dim=off, parts=parts)
 
 
 @dataclass(frozen=True)
@@ -341,13 +333,12 @@ def _odd_column(lay: BasisLayout, d: int, l: int, j: int,
     return {lay.slot(d, d - 1 - l, j): high, lay.slot(d, l, j): -high}
 
 
-def _complex_odd_levels(lay: BasisLayout, d: int, i_half: Scalar) -> List[list]:
+def _complex_odd_levels(lay: BasisLayout, d: int, t: int, i_half: Scalar) -> List[list]:
     """The columns of each level of an odd part of a complex family.
 
     The coefficients alternate between 1/sqrt2 and ``i_half`` level by
     level, and the middle level takes 1 or i as ``d`` is 1 or 3 mod 4.
     """
-    t = lay.multiplicity(d)
     middle = ONE if d % 4 == 1 else I_UNIT
     out = []
     for l in range(d):
@@ -396,11 +387,10 @@ def _extend(side: _Side, columns: list, factor: Tuple[str, int]) -> None:
 
 
 def _alternating_even_part(spec: FamilySpec, datum: Datum, lay: BasisLayout, d: int,
-                           plus: _Side, minus: _Side) -> None:
+                           t: int, plus: _Side, minus: _Side) -> None:
     """An even part under the split alternating form: 2t quarter columns per
     level pair, all on one side with i coefficients when the basis has one
     side, else real and split between the halves."""
-    t = lay.multiplicity(d)
     for l in range(d // 2):
         cols = [_even_quarter_column(lay, d, l, j, t, not spec.two_sided)
                 for j in range(1, 2 * t + 1)]
@@ -412,10 +402,9 @@ def _alternating_even_part(spec: FamilySpec, datum: Datum, lay: BasisLayout, d: 
 
 
 def _identity_even_part(spec: FamilySpec, datum: Datum, lay: BasisLayout, d: int,
-                        plus: _Side, minus: _Side) -> None:
+                        t: int, plus: _Side, minus: _Side) -> None:
     """An even part under the identity form: each level pair sends one level
     to each half, the lower level to the plus half at even ``l``."""
-    t = lay.multiplicity(d)
     for l in range(d // 2):
         first, second = (l, d - 1 - l) if l % 2 == 0 else (d - 1 - l, l)
         _extend(plus, [{lay.slot(d, first, j): ONE} for j in range(1, t + 1)], ("even", d))
@@ -431,39 +420,38 @@ def _j_column(lay: BasisLayout, d: int, l: int, j: int) -> Dict[int, Scalar]:
 
 
 def _j_even_part(spec: FamilySpec, datum: Datum, lay: BasisLayout, d: int,
-                 plus: _Side, minus: _Side) -> None:
+                 t: int, plus: _Side, minus: _Side) -> None:
     """An even part under the j-diagonal form: odd levels on the plus half,
     even levels on the minus half."""
-    t = lay.multiplicity(d)
     for side, first in ((plus, 1), (minus, 0)):
         for l in range(first, d, 2):
             _extend(side, [_j_column(lay, d, l, j) for j in range(1, t + 1)], ("even", d))
 
 
 def _identity_odd_part(spec: FamilySpec, datum: Datum, lay: BasisLayout, d: int,
-                       plus: _Side, minus: _Side) -> None:
+                       t: int, plus: _Side, minus: _Side) -> None:
     """An odd part under the identity form of a complex family: one block per level."""
-    for cols in _complex_odd_levels(lay, d, I_HALF_SQRT2):
+    for cols in _complex_odd_levels(lay, d, t, I_HALF_SQRT2):
         _extend(plus, cols, ("odd", d))
 
 
 def _alternating_odd_part(spec: FamilySpec, datum: Datum, lay: BasisLayout, d: int,
-                          plus: _Side, minus: _Side) -> None:
+                          t: int, plus: _Side, minus: _Side) -> None:
     """An odd part under the split alternating form: half of each level's
     columns on each side."""
-    half = lay.multiplicity(d) // 2
-    for cols in _complex_odd_levels(lay, d, -I_HALF_SQRT2):
+    half = t // 2
+    for cols in _complex_odd_levels(lay, d, t, -I_HALF_SQRT2):
         _extend(plus, cols[:half], ("odd", d))
         _extend(minus, cols[half:], ("odd", d))
 
 
 def _signed_odd_part(spec: FamilySpec, datum: Datum, lay: BasisLayout, d: int,
-                     plus: _Side, minus: _Side) -> None:
+                     t: int, plus: _Side, minus: _Side) -> None:
     """An odd part with free signs: at each level the real columns of the
     ``p_d`` rows starting with +1 form an ``odd_p`` block and the rest an
     ``odd_q`` block; :func:`_odd_level_takes_plus_rows` says whether the
     ``odd_p`` block goes to the plus half."""
-    t, p = lay.multiplicity(d), datum.p_of(d)
+    p = datum.p_of(d)
     for l in range(d):
         cols = [_odd_column(lay, d, l, j, HALF_SQRT2, ONE, HALF_SQRT2)
                 for j in range(1, t + 1)]
@@ -499,14 +487,14 @@ def adapted_basis(a: AlgebraSpec, datum: Datum) -> AdaptedBasis:
         raise ValueError(f"no adapted basis construction for {a.family}")
     part = datum_partition(datum)
     lay = layout_for(part)
-    evens = sorted(d for d, _ in part.pairs if d % 2 == 0)
-    odds = sorted(d for d, _ in part.pairs if d % 2 == 1)
+    evens = sorted(pair for pair in part.pairs if pair[0] % 2 == 0)
+    odds = sorted(pair for pair in part.pairs if pair[0] % 2 == 1)
     if spec.free_sign == 1:
-        odds.sort(key=lambda d: d % 4)
+        odds.sort(key=lambda pair: pair[0] % 4)
     plus: _Side = ([], [])
     minus: _Side = ([], [])
-    for d in evens + odds:
-        _PART_COLUMNS[d % 2, _form_block(spec, d)](spec, datum, lay, d, plus, minus)
+    for d, t in evens + odds:
+        _PART_COLUMNS[d % 2, _form_block(spec, d)](spec, datum, lay, d, t, plus, minus)
     matrix = _columns_to_matrix(plus[0] + minus[0], lay.dim)
     return AdaptedBasis(matrix, tuple(plus[1]), tuple(minus[1]))
 
@@ -531,7 +519,7 @@ def standard_adapted_gram(a: AlgebraSpec, datum: Datum) -> ExactMatrix:
         raise ValueError(f"no adapted basis construction for {a.family}")
     n = datum_partition(datum).size()
     if a.family_spec.signed:
-        return ExactMatrix.diagonal([ONE] * a.p + [MINUS_ONE] * a.q)
+        return ExactMatrix.diagonal([1] * a.p + [-1] * a.q)
     if a.family_spec.form[0] == 1:
         return ExactMatrix.identity(n)
     return _split_alternating(n)

@@ -159,6 +159,38 @@ def test_membership_rejects_corrupted_element():
     assert result.failures
 
 
+def test_det_vs_chi_compares_the_values(monkeypatch):
+    """A character that is wrong but still not 1 is caught, and the failure
+    names both values; comparing only whether each side is 1 would pass."""
+    import nilorb.homotopy as homotopy
+    from nilorb.scalars import I_UNIT
+
+    a = AlgebraSpec("sl_c", n=3)
+    rec = [r for r in enumerate_orbits(a) if not r.is_zero_orbit][0]
+    t = build_triple(a, rec.datum)
+    e = sample_k_element(a, rec.datum, random.Random("values"))
+    assert verify_K_membership(a, rec.datum, e, t).ok
+    true_det = det(embed_K(a, rec.datum, e))
+    true_chi = homotopy._chi
+    monkeypatch.setattr(homotopy, "_chi", lambda layout, e: true_chi(layout, e) * I_UNIT)
+    assert true_det not in (homotopy.ONE, -I_UNIT)
+    result = verify_K_membership(a, rec.datum, e, t)
+    assert result.failures == (f"det-vs-chi: det {true_det} != chi {true_det * I_UNIT}",)
+
+    a = AlgebraSpec("so_pq", p=2, q=1)
+    rec = [r for r in enumerate_orbits(a) if not r.is_zero_orbit][0]
+    t = build_triple(a, rec.datum)
+    e = sample_k_element(a, rec.datum, random.Random("values"))
+    assert verify_K_membership(a, rec.datum, e, t).ok
+    cp, cq = chi_pair(a, rec.datum, e)
+    true_pair = homotopy._chi_pair
+    monkeypatch.setattr(homotopy, "_chi_pair",
+                        lambda layout, e: (true_pair(layout, e)[0], -true_pair(layout, e)[1]))
+    result = verify_K_membership(a, rec.datum, e, t)
+    assert result.failures == (f"det-vs-chi: (det_p, det_q) = ({cp}, {cq}) != "
+                               f"(chi_p, chi_q) = ({cp}, {-cq})",)
+
+
 # --- block accounting (the two size relations of the signed families) ------
 
 FORM_SPECS = (

@@ -1,6 +1,6 @@
 """Property tests: scalar and matrix arithmetic against component-level
-references, matrix construction from nonzero entries and the Kronecker
-product against raw-index and per-entry references, ring laws of the scalar tower, realification, exact rank, the
+references, matrix construction from nonzero entries, diagonal blocks and
+the Kronecker product against raw-index and per-entry references, ring laws of the scalar tower, realification, exact rank, the
 canonical integer-numerator storage, inverse, det and signature against
 plain elimination, matrix rendering against per-entry references, the
 JSON encoder against ``json.dumps(doc, indent=2)``, and the integer
@@ -28,8 +28,9 @@ from nilorb.centralizers import (_nullity, centralizer_dim_triple,
                                  expected_reductive_dim, graded_dims)
 from nilorb.cli import _compare, _json_text, _matrix_lines
 from nilorb.matrices import (ExactMatrix, block_oplus, complex_to_real_blocks,
-                             congruence_signature, conj_transpose, det, inverse,
-                             kron, quaternion_to_complex_blocks, rank)
+                             congruence_signature, conj_transpose, det,
+                             diagonal_block, inverse, kron,
+                             quaternion_to_complex_blocks, rank)
 from nilorb.scalars import (I_UNIT, J_UNIT, K_UNIT, ONE, VARIANT_COMPONENTS, ZERO,
                             Scalar)
 from nilorb.triples import build_triple
@@ -259,6 +260,32 @@ def test_int_entries_store_like_their_scalars(nrows, ncols, cells):
     assert nonzeros_as_raw(m) == nonzeros_as_raw(scalars)
 
 
+@settings(PROPERTY, max_examples=60)
+@given(entry_maps())
+def test_every_constructor_stores_its_numerators(shape):
+    """The int storage is plain slots that every constructor sets, and the
+    Scalars a matrix was built from are its read cache, equal to ``num / den``."""
+    for name in ("_den", "_num"):
+        assert type(getattr(ExactMatrix, name)).__name__ == "member_descriptor"
+    nrows, ncols, entries = shape
+    raw = [[entries.get((r, c), ZERO_TUPLE) for c in range(ncols)]
+           for r in range(nrows)]
+    m = ExactMatrix.from_entries(nrows, ncols,
+                                 {key: Scalar(x) for key, x in entries.items()})
+    size = min(nrows, ncols)
+    built = [m, ExactMatrix.diagonal([Scalar(raw[i][i]) for i in range(size)])]
+    if nrows:
+        built += [ExactMatrix([[Scalar(x) for x in row] for row in raw]),
+                  ExactMatrix.from_json(m.to_json())]
+    for matrix in built:
+        assert_canonical(matrix)
+    derived = m + ExactMatrix.zeros(nrows, ncols)
+    assert derived._nonzeros is None
+    if entries:
+        assert m._nonzeros == derived.nonzeros()
+    assert nonzeros_as_raw(m) == ref_nonzeros(raw)
+
+
 def test_matrices_without_rows_differ_by_column_count():
     shapes = [(0, 0), (0, 1), (0, 3), (1, 0), (2, 0), (1, 1)]
     for first in shapes:
@@ -319,6 +346,26 @@ def test_block_oplus_matches_raw_index_reference(blocks):
     out = block_oplus(mats)
     assert (out.nrows, out.ncols) == (n, n)
     assert raw_of(out) == ref
+
+
+@settings(PROPERTY, max_examples=60)
+@given(data=st.data())
+def test_diagonal_block_matches_the_raw_index_reference(data):
+    nrows, ncols, raw = shaped = data.draw(shaped_raw())
+    hi = data.draw(st.integers(0, min(nrows, ncols)))
+    lo = data.draw(st.integers(0, hi))
+    block = diagonal_block(matrix_of(shaped), lo, hi)
+    assert_canonical(block)
+    assert (block.nrows, block.ncols) == (hi - lo, hi - lo)
+    assert raw_of(block) == [row[lo:hi] for row in raw[lo:hi]]
+
+
+def test_diagonal_block_rejects_bounds_outside_the_matrix():
+    m = ExactMatrix.identity(3)
+    assert diagonal_block(m, 1, 1) == ExactMatrix.zeros(0, 0)
+    for lo, hi in ((-1, 2), (2, 1), (0, 4), (3, 4)):
+        with pytest.raises(IndexError):
+            diagonal_block(m, lo, hi)
 
 
 def ref_kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
