@@ -9,8 +9,9 @@ scattered Gram products of a row once.
 The solver runs on Python ints from end to end.  It reads each matrix
 through :meth:`~nilorb.matrices.ExactMatrix.integer_nonzeros`, the matrix
 times the least positive integer that clears its denominators, and
-eliminates fraction-free (:func:`_nullity`).  This is exact because each
-condition row draws on exactly one matrix: a form row on the Gram matrix,
+eliminates fraction-free (:func:`~nilorb.matrices.integer_nullity`, the
+eliminator ``rank`` uses too).  This is exact because each condition row
+draws on exactly one matrix: a form row on the Gram matrix,
 a commutation row on one commuting matrix, the trace row on the identity
 (coefficient 1 on the real component of each diagonal entry).  Dropping that
 matrix's denominator scales the whole row by a positive integer, which
@@ -38,21 +39,19 @@ full system and stay as independent references; ``verify`` reads the
 grading from :func:`centralizer_report`, the one place that turns it into
 reported dimensions, and checks it against the direct triple solve and
 the closed forms.  The graded counts read only the Gram matrix and the slot
-weights, so ``centralizer_report`` without a triple and ``orbit_dim``
-build no X, H or Y.
+weights, so ``centralizer_report`` and ``orbit_dim`` build no X, H or Y.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .catalog import AlgebraSpec, Datum, datum_partition
 from .families import COMPLEX, QUATERNION, FamilySpec
 from .homotopy import HomotopyType, compact_pair
-from .matrices import ExactMatrix
+from .matrices import ExactMatrix, integer_nullity
 from .scalars import _PROD
 from .triples import Triple, gram_matrix, layout_for, triple_partition
 
@@ -125,47 +124,6 @@ def expected_orbit_dim(a: AlgebraSpec, datum: Datum) -> int:
 # ---------------------------------------------------------------------------
 # Kernel solver
 # ---------------------------------------------------------------------------
-
-def _nullity(rows: List[Dict[int, int]], num_unknowns: int) -> int:
-    """Kernel dimension of a sparse integer system by fraction-free echelon.
-
-    Every pivot row is kept primitive: the gcd of its entries is 1.  A row
-    whose leading column ``c`` holds a pivot ``p``, with ``f`` at ``c`` in
-    the row, becomes ``(p/g) r - (f/g) pivot`` for ``g = gcd(p, f)`` and
-    is then divided by its content, so the entries stay small.
-    """
-    pivots: Dict[int, Dict[int, int]] = {}
-    rank = 0
-    for row in rows:
-        r = dict(row)
-        while r:
-            c = min(r)
-            pivot = pivots.get(c)
-            if pivot is None:
-                g = gcd(*r.values())
-                pivots[c] = r if g == 1 else {cc: v // g for cc, v in r.items()}
-                rank += 1
-                break
-            f = r.pop(c)
-            p = pivot[c]
-            g = gcd(p, f)
-            if g != 1:
-                p, f = p // g, f // g
-            if p != 1:
-                r = {cc: p * v for cc, v in r.items()}
-            for cc, v in pivot.items():
-                if cc != c:
-                    nv = r.get(cc, 0) - f * v
-                    if nv:
-                        r[cc] = nv
-                    else:
-                        del r[cc]
-            if r:
-                g = gcd(*r.values())
-                if g != 1:
-                    r = {cc: v // g for cc, v in r.items()}
-    return num_unknowns - rank
-
 
 #: Per-row (or per-column) lists of ``(column (or row), value)`` pairs.
 _Lines = Sequence[Sequence[Tuple[int, Any]]]
@@ -334,7 +292,8 @@ def _centralizer_nullity(constraint: AlgebraConstraint,
             if ra == rb:
                 add(("t",), i * comps, 1)
 
-    return constraint.doubling * _nullity(list(rows.values()), len(positions) * comps)
+    return constraint.doubling * integer_nullity(list(rows.values()),
+                                                 len(positions) * comps)
 
 
 def _grade_positions(weights: Sequence[int], k: int) -> List[Tuple[int, int]]:
@@ -382,18 +341,11 @@ def graded_dims(t: Triple, a: AlgebraSpec) -> Tuple[int, int, int]:
     The count builds its own constraint over ``t.gram``.  Raises
     ``ValueError`` when ``t.gram`` breaks a rule of the pairing
     (:meth:`AlgebraConstraint.pairing`); the direct solves accept any Gram
-    matrix over the ring.  :func:`centralizer_report` turns the three
-    dimensions into the reported ones.
+    matrix over the ring.  :func:`centralizer_report` counts the same three
+    from the datum's Gram matrix and slot weights and turns them into the
+    reported dimensions.
     """
     return _grade_nullities(AlgebraConstraint(a, t.gram), t.layout.weights())
-
-
-def _datum_graded_dims(a: AlgebraSpec, datum: Datum) -> Tuple[int, int, int]:
-    """:func:`graded_dims` of the datum's standard triple, from its Gram
-    matrix and slot weights alone: X, H and Y are never built."""
-    part = triple_partition(a, datum)
-    gram = gram_matrix(a, datum) if a.family_spec.form is not None else None
-    return _grade_nullities(AlgebraConstraint(a, gram), layout_for(part).weights())
 
 
 def centralizer_dim_triple(t: Triple, a: AlgebraSpec) -> int:
@@ -461,14 +413,12 @@ class CentralizerReport:
         }
 
 
-def centralizer_report(a: AlgebraSpec, datum: Datum,
-                       triple: Optional[Triple] = None) -> CentralizerReport:
+def centralizer_report(a: AlgebraSpec, datum: Datum) -> CentralizerReport:
     """Solved and closed-form centralizer dimensions of the datum's orbit.
 
     This is the one place that turns dim g_0, g_1 and g_2 into reported
-    dimensions and that sets a zero orbit's.  ``triple`` is the datum's
-    standard triple, if the caller has one.  Without it only the Gram
-    matrix and the slot weights are built.
+    dimensions and that sets a zero orbit's.  Only the Gram matrix, joined
+    from memoized part blocks, and the slot weights are built.
     """
     zero = datum_partition(datum).is_zero_type()
     ambient = dim_g(a)
@@ -479,10 +429,10 @@ def centralizer_report(a: AlgebraSpec, datum: Datum,
             dim_z_triple=ambient, dim_z_X=ambient, dim_g=ambient, dim_orbit=0,
             expected_reductive=expected, compact=compact,
             match=ambient == expected)
-    if triple is None:
-        g0, g1, g2 = _datum_graded_dims(a, datum)
-    else:
-        g0, g1, g2 = graded_dims(triple, a)
+    # The triple's grading, from its Gram matrix and slot weights alone.
+    gram = gram_matrix(a, datum) if a.family_spec.form is not None else None
+    weights = layout_for(triple_partition(a, datum)).weights()
+    g0, g1, g2 = _grade_nullities(AlgebraConstraint(a, gram), weights)
     dz_triple, dz_x = g0 - g2, g0 + g1
     return CentralizerReport(
         dim_z_triple=dz_triple, dim_z_X=dz_x, dim_g=ambient,

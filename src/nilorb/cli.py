@@ -17,15 +17,15 @@ from .centralizers import (centralizer_dim_triple, centralizer_report,
                            expected_orbit_dim)
 from .diagrams import SignedDiagram
 from .families import FAMILIES, FAMILY_SPECS
-from .homotopy import (KElement, _form_basis, _half_totals, embed_K,
-                       sample_k_element, signed_block_relation,
+from .homotopy import (KElement, embed_K, sample_k_element,
+                       signed_block_relation, signed_block_totals,
                        verify_K_membership)
 from .matrices import (ExactMatrix, commutator, congruence_signature,
                        conj_transpose)
 from .partitions import Partition
 from .scalars import Scalar
-from .triples import (build_triple, jordan_type, sigma_transpose,
-                      standard_adapted_gram)
+from .triples import (adapted_basis, build_triple, jordan_type,
+                      sigma_transpose, standard_adapted_gram)
 
 SCHEMA_VERSION = 1
 
@@ -379,9 +379,10 @@ def _cmd_describe(args) -> int:
     record = OrbitRecord(datum, fiber_count(a, datum),
                          datum_partition(datum).is_zero_type())
     triple = None if record.is_zero_orbit else build_triple(a, datum)
-    report = centralizer_report(a, datum, triple=triple)
-    adapted = _form_basis(a, datum)
-    t_matrix = None if adapted is None else adapted.matrix
+    report = centralizer_report(a, datum)
+    t_matrix = None
+    if a.family_spec.has_adapted_basis:
+        t_matrix = adapted_basis(a, datum).matrix
     h = report.compact
 
     if args.format == "json":
@@ -458,7 +459,7 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
     datum = rec.datum
     results: List[Tuple[str, bool, str]] = []
     triple = None if rec.is_zero_orbit else build_triple(a, datum)
-    report = centralizer_report(a, datum, triple=triple)
+    report = centralizer_report(a, datum)
     # The two independent routes: the direct triple solve and the closed form.
     solved = report.dim_z_triple if triple is None else centralizer_dim_triple(triple, a)
     expected_x = report.dim_g - expected_orbit_dim(a, datum)
@@ -470,9 +471,8 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
         disagreements.append(f"z(X) graded {report.dim_z_X}, expected {expected_x}")
     results.append(("centralizer-dim", not disagreements, "; ".join(disagreements)))
 
-    adapted = _form_basis(a, datum)
     if a.family_spec.signed:
-        totals = _half_totals(adapted)
+        totals = signed_block_totals(a, datum)
         relation = signed_block_relation(datum)
         ok = totals == relation == (a.p, a.q)
         results.append(("block-accounting", ok,
@@ -514,8 +514,8 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
             sig = congruence_signature(s)
             results.append(("gram-signature", sig == (a.p, a.q),
                             f"signature {sig}"))
-    if adapted is not None:
-        t_matrix = adapted.matrix
+    if a.family_spec.has_adapted_basis:
+        t_matrix = adapted_basis(a, datum).matrix
         target = standard_adapted_gram(a, datum)
         got = sigma_transpose(t_matrix, triple.sigma) @ triple.gram @ t_matrix
         adapted_ok, detail = _compare(got, target)
@@ -531,17 +531,15 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
         e2 = sample_k_element(a, datum, rng)
         prod = KElement(tuple(g1 @ g2 for g1, g2 in zip(e1.factors, e2.factors)))
         ident = KElement(tuple(ExactMatrix.identity(g.nrows) for g in e1.factors))
-        emb1 = embed_K(a, datum, e1, adapted=adapted)
-        if (emb1 @ embed_K(a, datum, e2, adapted=adapted)
-                != embed_K(a, datum, prod, adapted=adapted)):
+        emb1 = embed_K(a, datum, e1)
+        if emb1 @ embed_K(a, datum, e2) != embed_K(a, datum, prod):
             homo = (False, "product: emb(g1) emb(g2) != emb(g1 g2)")
-        elif (embed_K(a, datum, ident, adapted=adapted)
-              != ExactMatrix.identity(emb1.nrows)):
+        elif embed_K(a, datum, ident) != ExactMatrix.identity(emb1.nrows):
             homo = (False, "identity: emb(1) != 1")
         else:
             homo = (True, "")
         results.append(("embedding-homomorphism", *homo))
-        member = verify_K_membership(a, datum, e1, triple, adapted=adapted)
+        member = verify_K_membership(a, datum, e1, triple)
         detail = "" if member.ok else ", ".join(member.failures)
         results.append(("K-membership", member.ok, detail))
     return results

@@ -6,6 +6,13 @@ embedded image of the orbit's compact factor tuple.  This module produces
 the descriptor (ambient M, factor list, character constraint, dimensions),
 realizes factor tuples as exact block matrices in the adapted basis, and
 checks the embedded elements against the triple and the invariant form.
+
+Every public function takes the algebra and the datum and reads the
+datum's factor layout (:func:`factor_layout`) and adapted basis
+(:func:`~nilorb.triples.adapted_basis`) itself; both are memoized per
+datum, so no caller passes them down.  The factor relations are checked in
+:func:`k_element_defect` alone, and the characters computed in
+:func:`chi` and :func:`chi_pair` alone.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from .catalog import AlgebraSpec, Datum, datum_partition
@@ -23,7 +31,7 @@ from .matrices import (ExactMatrix, block_oplus, complex_to_real_blocks,
                        quaternion_to_complex_blocks, reduced_norm,
                        repeat_blocks)
 from .scalars import COMPLEX_LIKE_VARIANTS, ONE, Scalar
-from .triples import AdaptedBasis, Triple, adapted_basis, sigma_transpose
+from .triples import Triple, adapted_basis, sigma_transpose
 
 @dataclass(frozen=True)
 class FactorSpec:
@@ -55,21 +63,23 @@ class FactorSpec:
         return f"plus-levels:{plus};minus-levels:{minus}"
 
 
-def factor_layout(a: AlgebraSpec, datum: Datum) -> List[FactorSpec]:
+@lru_cache(maxsize=1024)
+def factor_layout(a: AlgebraSpec, datum: Datum) -> Tuple[FactorSpec, ...]:
     """The datum's compact factor tuple, in embedding order.
 
     A trace-zero family has one factor per part.  A form family lists its
     even parts, then its odd parts 1 mod 4, then those 3 mod 4, each
     ascending.  A part with free signs has one factor for its +1 rows and
     one for the others; a part that needs even multiplicity t has a factor
-    of size t/2.
+    of size t/2.  Kept per ``(a, datum)``, up to 1024 of them, so every K
+    function asks for it instead of being handed it.
     """
     spec = a.family_spec
     if not spec.has_descriptor:
         raise ValueError(f"no homotopy descriptor for {a.family}")
     part = datum_partition(datum)
     if spec.form is None:
-        return [FactorSpec(spec.k_kind(d), t, "part", d) for d, t in part.pairs]
+        return tuple(FactorSpec(spec.k_kind(d), t, "part", d) for d, t in part.pairs)
     evens = sorted((d, t) for d, t in part.pairs if d % 2 == 0)
     odds = sorted(((d, t) for d, t in part.pairs if d % 2 == 1),
                   key=lambda x: (x[0] % 4, x[0]))
@@ -81,7 +91,7 @@ def factor_layout(a: AlgebraSpec, datum: Datum) -> List[FactorSpec]:
             out.append(FactorSpec(kind, datum.q_of(d), role + "_q", d))
         else:
             out.append(FactorSpec(kind, t // 2 if d % 2 == spec.paired else t, role, d))
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -93,11 +103,7 @@ class KElement:
 
 def k_element_defect(a: AlgebraSpec, datum: Datum, e: KElement) -> Optional[str]:
     """Name the first violated factor relation, or None when all hold."""
-    return _layout_defect(factor_layout(a, datum), e)
-
-
-def _layout_defect(layout: List[FactorSpec], e: KElement) -> Optional[str]:
-    """:func:`k_element_defect` over the datum's factor layout."""
+    layout = factor_layout(a, datum)
     if len(layout) != len(e.factors):
         return f"expected {len(layout)} factors, got {len(e.factors)}"
     for spec, g in zip(layout, e.factors):
@@ -200,7 +206,7 @@ def compact_pair(a: AlgebraSpec, datum: Datum) -> HomotopyType:
     factors takes only the values +-1.
     """
     spec = a.family_spec
-    factors = tuple(factor_layout(a, datum))
+    factors = factor_layout(a, datum)
     m = dim_M(a)
     constraint = spec.constraint
     circle = constraint == "chi=1" and spec.k_kind(1) == "U"
@@ -248,36 +254,28 @@ def _factor_block(a: AlgebraSpec, spec: FactorSpec, g: ExactMatrix) -> ExactMatr
     return g
 
 
-def embed_K(a: AlgebraSpec, datum: Datum, e: KElement,
-            adapted: Optional[AdaptedBasis] = None) -> ExactMatrix:
+def embed_K(a: AlgebraSpec, datum: Datum, e: KElement) -> ExactMatrix:
     """Assemble the factor tuple into the ambient compact group.
 
     The output lives in adapted-basis coordinates for the form families
     (for the complex symplectic family that means the quaternion-to-complex
     image of the quaternionic block matrix) and in triple coordinates for
-    the trace-zero families.  ``adapted`` is the datum's adapted basis,
-    built here when not given.
+    the trace-zero families.  Raises ``ValueError`` naming the first
+    violated factor relation (:func:`k_element_defect`).
     """
-    layout = factor_layout(a, datum)
-    defect = _layout_defect(layout, e)
+    defect = k_element_defect(a, datum, e)
     if defect is not None:
         raise ValueError(defect)
-    if adapted is None:
-        adapted = _form_basis(a, datum)
-    return _assemble_K(a, layout, e, adapted)
+    return _assemble_K(a, datum, e)
 
 
-def _form_basis(a: AlgebraSpec, datum: Datum) -> Optional[AdaptedBasis]:
-    """The adapted basis of a form family; None for the trace-zero families."""
-    return adapted_basis(a, datum) if a.family_spec.has_adapted_basis else None
-
-
-def _assemble_K(a: AlgebraSpec, layout: List[FactorSpec], e: KElement,
-                adapted: Optional[AdaptedBasis]) -> ExactMatrix:
+def _assemble_K(a: AlgebraSpec, datum: Datum, e: KElement) -> ExactMatrix:
     """The block assembly of :func:`embed_K` for a tuple with no factor defect."""
-    if adapted is None:
+    layout = factor_layout(a, datum)
+    if not a.family_spec.has_adapted_basis:
         # A trace-zero family has one factor per part, in the triple's part order.
         return block_oplus([repeat_blocks(g, f.part) for f, g in zip(layout, e.factors)])
+    adapted = adapted_basis(a, datum)
     # Each factor as it enters the adapted basis, realized once, by (role, part).
     realized = {(f.role, f.part): _factor_block(a, f, g) for f, g in zip(layout, e.factors)}
 
@@ -308,13 +306,8 @@ def chi(a: AlgebraSpec, datum: Datum, e: KElement) -> Scalar:
     spec = a.family_spec
     if not (spec.form is None or spec.constraint == "chi=1"):
         raise ValueError(f"no single character for {a.family}; see chi_pair")
-    return _chi(factor_layout(a, datum), e)
-
-
-def _chi(layout: List[FactorSpec], e: KElement) -> Scalar:
-    """:func:`chi` over the datum's factor layout."""
     total = ONE
-    for f, g in zip(layout, e.factors):
+    for f, g in zip(factor_layout(a, datum), e.factors):
         if f.role in ("part", "odd"):
             base = reduced_norm(g) if f.kind == "Sp" else det(g)
             for _ in range(f.part):
@@ -326,14 +319,9 @@ def chi_pair(a: AlgebraSpec, datum: Datum, e: KElement) -> Tuple[Scalar, Scalar]
     """The two characters of the split orthogonal family."""
     if a.family_spec.constraint != "chi_p=chi_q=1":
         raise ValueError("chi_pair applies to the split orthogonal family")
-    return _chi_pair(factor_layout(a, datum), e)
-
-
-def _chi_pair(layout: List[FactorSpec], e: KElement) -> Tuple[Scalar, Scalar]:
-    """:func:`chi_pair` over the datum's factor layout."""
     chi_p = ONE
     chi_q = ONE
-    for spec, g in zip(layout, e.factors):
+    for spec, g in zip(factor_layout(a, datum), e.factors):
         if spec.role == "even":
             base = det(complex_to_real_blocks(g))
             for _ in range(spec.part // 2):
@@ -348,10 +336,7 @@ def _chi_pair(layout: List[FactorSpec], e: KElement) -> Tuple[Scalar, Scalar]:
 
 def signed_block_totals(a: AlgebraSpec, datum: Datum) -> Tuple[int, int]:
     """Row totals of the two embedded halves, counted from the adapted basis."""
-    return _half_totals(adapted_basis(a, datum))
-
-
-def _half_totals(adapted: AdaptedBasis) -> Tuple[int, int]:
+    adapted = adapted_basis(a, datum)
     return (sum(b.size for b in adapted.plus_blocks),
             sum(b.size for b in adapted.minus_blocks))
 
@@ -380,8 +365,7 @@ class MembershipResult:
 
 
 def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
-                        t: Triple, T: Optional[ExactMatrix] = None,
-                        adapted: Optional[AdaptedBasis] = None) -> MembershipResult:
+                        t: Triple, T: Optional[ExactMatrix] = None) -> MembershipResult:
     """Check an embedded element against the triple, form, and character.
 
     The element is moved back to triple coordinates through ``T`` (identity
@@ -390,23 +374,20 @@ def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
     constraint, equality of the determinant of the embedded element with
     the character (for ``chi_p = chi_q = 1``, of the determinants of its
     p x p and q x q diagonal blocks with ``chi_p`` and ``chi_q``).
-    ``adapted`` is the datum's adapted basis, built here when not given;
-    ``T`` defaults to its matrix.  ``T`` must be unitary (``T* T = I``),
+    ``T`` defaults to the matrix of the datum's adapted basis, and a
+    trace-zero family ignores it.  ``T`` must be unitary (``T* T = I``),
     so that ``T*`` is its inverse; otherwise the result is the single
     failure ``unitary[T]``.
     """
-    if adapted is None:
-        adapted = _form_basis(a, datum)
-    if T is None and adapted is not None:
-        T = adapted.matrix
     failures: List[str] = []
-    layout = factor_layout(a, datum)
-    defect = _layout_defect(layout, e)
+    defect = k_element_defect(a, datum, e)
     if defect is not None:
         return MembershipResult(False, (f"factor relation: {defect}",))
-    emb = _assemble_K(a, layout, e, adapted)
+    emb = _assemble_K(a, datum, e)
     g = emb
-    if adapted is not None:
+    if a.family_spec.has_adapted_basis:
+        if T is None:
+            T = adapted_basis(a, datum).matrix
         t_star = conj_transpose(T)
         if t_star @ T != ExactMatrix.identity(T.ncols):
             return MembershipResult(False, ("unitary[T]",))
@@ -419,13 +400,13 @@ def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
             failures.append("preserves[S]")
     constraint = a.family_spec.constraint
     if constraint == "chi=1":
-        det_emb, char = det(emb), _chi(layout, e)
+        det_emb, char = det(emb), chi(a, datum, e)
         if det_emb != char:
             failures.append(f"det-vs-chi: det {det_emb} != chi {char}")
     elif constraint == "chi_p=chi_q=1":
         dets = (det(diagonal_block(emb, 0, a.p)),
                 det(diagonal_block(emb, a.p, a.p + a.q)))
-        chars = _chi_pair(layout, e)
+        chars = chi_pair(a, datum, e)
         if dets != chars:
             failures.append("det-vs-chi: (det_p, det_q) = ({}, {}) != "
                             "(chi_p, chi_q) = ({}, {})".format(*dets, *chars))

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .scalars import (_F0, _PROD, COMPLEX_LIKE_VARIANTS, ONE, ZERO, Scalar,
                       as_scalar, variant_of)
@@ -157,7 +157,7 @@ class ExactMatrix:
                     rows[r].append((c, (x, 0, 0, 0, 0, 0, 0, 0)))
             else:
                 x = as_scalar(x)
-                if not x.is_zero():
+                if any(x.components):
                     rows[r].append((c, x))
         by_column = tuple(tuple(sorted(row, key=lambda e: e[0])) for row in rows)
         if ints:
@@ -474,49 +474,54 @@ def quaternion_to_complex_blocks(a: ExactMatrix) -> ExactMatrix:
 
 # -- exact linear algebra ---------------------------------------------------
 
-def _integer_rank(rows: List[List[int]], ncols: int) -> int:
-    """Rank by fraction-free (Bareiss) elimination over the integers."""
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot_row = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                pivot_row = r
+def integer_nullity(rows: List[Dict[int, int]], num_unknowns: int) -> int:
+    """Kernel dimension of a sparse integer system by fraction-free echelon.
+
+    Each row maps a column to its nonzero int coefficient; the rows are
+    read, not changed.  Every pivot row is kept primitive: the gcd of its
+    entries is 1.  A row whose leading column ``c`` holds a pivot ``p``,
+    with ``f`` at ``c`` in the row, becomes ``(p/g) r - (f/g) pivot`` for
+    ``g = gcd(p, f)`` and is then divided by its content, so the entries
+    stay small.
+    """
+    pivots: Dict[int, Dict[int, int]] = {}
+    for row in rows:
+        r = dict(row)
+        while r:
+            c = min(r)
+            pivot = pivots.get(c)
+            if pivot is None:
+                g = gcd(*r.values())
+                pivots[c] = r if g == 1 else {cc: v // g for cc, v in r.items()}
                 break
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        piv = m[rank][col]
-        for r in range(rank + 1, nrows):
-            if not any(m[r][col:]):
-                continue
-            factor = m[r][col]
-            for c in range(col, ncols):
-                m[r][c] = (piv * m[r][c] - factor * m[rank][c]) // prev
-        prev = piv
-        rank += 1
-        if rank == min(nrows, ncols):
-            break
-    return rank
+            f = r.pop(c)
+            p = pivot[c]
+            g = gcd(p, f)
+            if g != 1:
+                p, f = p // g, f // g
+            if p != 1:
+                r = {cc: p * v for cc, v in r.items()}
+            for cc, v in pivot.items():
+                if cc != c:
+                    nv = r.get(cc, 0) - f * v
+                    if nv:
+                        r[cc] = nv
+                    else:
+                        del r[cc]
+            if r:
+                g = gcd(*r.values())
+                if g != 1:
+                    r = {cc: v // g for cc, v in r.items()}
+    return num_unknowns - len(pivots)
 
 
 def rank(a: ExactMatrix) -> int:
     """Exact rank of a matrix with rational entries."""
-    if a.nrows == 0 or a.ncols == 0:
-        return 0
     if a.variant() != "rational":
         raise ValueError("operation requires rational entries")
     # The rows share one denominator, so the numerators have the same rank.
-    int_rows = []
-    for row in a._num:
-        dense = [0] * a.ncols
-        for c, x in row:
-            dense[c] = x[0]
-        int_rows.append(dense)
-    return _integer_rank(int_rows, a.ncols)
+    rows = [{c: x[0] for c, x in row} for row in a._num]
+    return a.ncols - integer_nullity(rows, a.ncols)
 
 
 def _dense(a: ExactMatrix, width: int) -> List[list]:

@@ -15,7 +15,7 @@ block sum over the parts, and a part's block is the Kronecker product of a
 the identity on the right, the Gram matrix the lowest-weight form.  The
 part blocks are int-native and kept per ``(d, t)`` (and form), up to 1024
 of each kind, so building a triple or a Gram matrix only joins blocks
-already built.
+already built.  The adapted basis is kept whole, per algebra and datum.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .families import QUATERNION, FamilySpec
 from .matrices import ExactMatrix, block_oplus, conj_transpose, kron, rank
 from .partitions import Partition
 from .scalars import (HALF_SQRT2, I_HALF_SQRT2, I_UNIT, J_HALF_SQRT2, J_UNIT,
-                      MINUS_ONE, ONE, Scalar)
+                      ONE, Scalar)
 
 class ZeroOrbitError(ValueError):
     """Raised when a construction needs a nonzero nilpotent representative."""
@@ -357,23 +357,25 @@ def _even_quarter_column(lay: BasisLayout, d: int, l: int, j: int, t: int,
     coefficients.
     """
     t2 = t // 2
-    s = ONE if l % 2 == 0 else MINUS_ONE
     lo, hi = l, d - 1 - l
     if complex_quarters:
         first, second = HALF_SQRT2, I_HALF_SQRT2
     else:
         first, second = HALF_SQRT2, HALF_SQRT2
+    # The sign (-1)^l is picked, not multiplied in, so a cold basis makes no
+    # Scalar product.
+    even = l % 2 == 0
     if j <= t2:
         return {lay.slot(d, lo, j): first,
-                lay.slot(d, hi, t2 + j): s * first}
+                lay.slot(d, hi, t2 + j): first if even else -first}
     if j <= t:
         return {lay.slot(d, lo, j): first,
-                lay.slot(d, hi, j - t2): -(s * first)}
+                lay.slot(d, hi, j - t2): -first if even else first}
     if j <= t + t2:
         return {lay.slot(d, lo, j - t): second,
-                lay.slot(d, hi, j - t2): -(s * second)}
+                lay.slot(d, hi, j - t2): -second if even else second}
     return {lay.slot(d, lo, j - t): second,
-            lay.slot(d, hi, j - 3 * t2): s * second}
+            lay.slot(d, hi, j - 3 * t2): second if even else -second}
 
 
 #: The (columns, blocks) lists of one half of an adapted basis.
@@ -473,6 +475,7 @@ _PART_COLUMNS = {
 }
 
 
+@lru_cache(maxsize=1024)
 def adapted_basis(a: AlgebraSpec, datum: Datum) -> AdaptedBasis:
     """Adapted basis and block structure for a form family.
 
@@ -480,7 +483,10 @@ def adapted_basis(a: AlgebraSpec, datum: Datum) -> AdaptedBasis:
     basis is a signed permutation of the original one.  Even parts come
     first, then odd parts, each ascending, except that signed odd parts
     list those 1 mod 4 before those 3 mod 4.  The columns are the plus
-    half's followed by the minus half's.
+    half's followed by the minus half's.  Kept per ``(a, datum)``, up to
+    1024 of them.  A cold build multiplies no Scalars and asks no
+    ``is_zero``, so a process counts the same scalar work whether the memo
+    is warm or not.
     """
     spec = a.family_spec
     if not spec.has_adapted_basis:

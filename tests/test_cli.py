@@ -103,14 +103,14 @@ def test_verify_names_a_graded_route_that_disagrees(capsys, monkeypatch,
     dim g_1 the z(X) route; verify fails and names the route."""
     import nilorb.centralizers
 
-    graded = nilorb.centralizers.graded_dims
+    graded = nilorb.centralizers._grade_nullities
 
     def off_by_one(*args, **kwargs):
         dims = list(graded(*args, **kwargs))
         dims[grade] += 1
         return tuple(dims)
 
-    monkeypatch.setattr(nilorb.centralizers, "graded_dims", off_by_one)
+    monkeypatch.setattr(nilorb.centralizers, "_grade_nullities", off_by_one)
     code, out, _ = run(capsys, "verify", "--algebra", "sl_r", "--n", "3")
     assert code == 1
     assert "centralizer-dim FAILED (3 orbit(s)) [2 failed: " + detail in out
@@ -125,9 +125,9 @@ def test_verify_reads_the_zero_orbit_quotient_from_the_report(capsys, monkeypatc
 
     report = nilorb.cli.centralizer_report
 
-    def raised_quotient(a, datum, triple=None):
-        r = report(a, datum, triple=triple)
-        if triple is not None:
+    def raised_quotient(a, datum):
+        r = report(a, datum)
+        if r.dim_orbit:
             return r
         return replace(r, compact=replace(r.compact, dim_quotient=1))
 
@@ -226,23 +226,27 @@ def test_verify_explains_an_embedding_that_is_not_a_homomorphism(
 def test_verify_requires_a_unitary_adapted_basis(capsys, monkeypatch):
     """T Q with Q complex orthogonal but not unitary still carries the Gram
     matrix to the identity, so only T*T = I catches it; K-membership then
-    reports unitary[T] instead of inverting T."""
+    reports unitary[T] instead of inverting T.  The basis is replaced in
+    both modules that read it: the CLI's adapted-basis check and the K
+    functions."""
     from dataclasses import replace
 
     import nilorb.cli
+    import nilorb.homotopy
     from nilorb.matrices import ExactMatrix
     from nilorb.scalars import Scalar
+    from nilorb.triples import adapted_basis
 
-    form_basis = nilorb.cli._form_basis
     a, b = Scalar.rational(Fraction(5, 4)), Scalar.complex_value(0, Fraction(3, 4))
     q = ExactMatrix.from_entries(3, 3, {(0, 0): a, (0, 1): b, (1, 0): -b,
                                         (1, 1): a, (2, 2): 1})
 
     def non_unitary(alg, datum):
-        adapted = form_basis(alg, datum)
+        adapted = adapted_basis(alg, datum)
         return replace(adapted, matrix=adapted.matrix @ q)
 
-    monkeypatch.setattr(nilorb.cli, "_form_basis", non_unitary)
+    for module in (nilorb.cli, nilorb.homotopy):
+        monkeypatch.setattr(module, "adapted_basis", non_unitary)
     code, out, _ = run(capsys, "verify", "--algebra", "so_c", "--n", "3")
     assert code == 1
     assert ("adapted-basis FAILED (1 orbit(s)) "
@@ -672,22 +676,13 @@ def test_list_and_orbit_dim_build_no_triple_matrices(capsys, monkeypatch):
         assert orbit_dim(a, rec.datum) == expected_orbit_dim(a, rec.datum)
 
 
-def _count_factor_layouts(monkeypatch) -> list:
-    """Wrap ``factor_layout`` in every nilorb module holding it; the returned
-    list gets one entry per call."""
-    import nilorb.homotopy
+def _cold_factor_layouts():
+    """Empty the factor layout memo; the returned callable reads how many
+    layouts were built since, one per distinct (algebra, datum)."""
+    from nilorb.homotopy import factor_layout
 
-    calls = []
-    original = nilorb.homotopy.factor_layout
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-    for module_name, module in list(sys.modules.items()):
-        if ((module_name == "nilorb" or module_name.startswith("nilorb."))
-                and vars(module).get("factor_layout") is original):
-            monkeypatch.setattr(module, "factor_layout", counted)
-    return calls
+    factor_layout.cache_clear()
+    return lambda: factor_layout.cache_info().misses
 
 
 # One nonzero orbit of each family with a homotopy descriptor.
@@ -712,26 +707,26 @@ def test_factor_layout_cases_cover_every_descriptor_family():
 @pytest.mark.parametrize("fmt", ["json", "table"])
 @pytest.mark.parametrize("family,args", _ONE_ORBIT_PER_DESCRIPTOR_FAMILY,
                          ids=[f for f, _ in _ONE_ORBIT_PER_DESCRIPTOR_FAMILY])
-def test_describe_builds_the_factor_layout_once(capsys, monkeypatch, family, args, fmt):
+def test_describe_builds_the_factor_layout_once(capsys, family, args, fmt):
     """The centralizer report carries the descriptor that describe prints."""
-    calls = _count_factor_layouts(monkeypatch)
+    built = _cold_factor_layouts()
     code, _, _ = run(capsys, "describe", "--algebra", family, *args, "--format", fmt)
     assert code == 0
-    assert len(calls) == 1
+    assert built() == 1
 
 
 @pytest.mark.parametrize("family,args", [
     ("sl_r", {"n": 4}), ("sl_h", {"n": 3}), ("so_c", {"n": 6}), ("sp_c", {"n": 3}),
     ("so_pq", {"p": 3, "q": 2}), ("sp_pq", {"p": 2, "q": 2}), ("so_star", {"n": 3}),
 ], ids=str)
-def test_list_builds_the_factor_layout_once_per_record(capsys, monkeypatch, family, args):
+def test_list_builds_the_factor_layout_once_per_record(capsys, family, args):
     a = AlgebraSpec(family, **args)
-    calls = _count_factor_layouts(monkeypatch)
+    built = _cold_factor_layouts()
     argv = [x for k, v in args.items() for x in (f"--{k}", str(v))]
     code, _, _ = run(capsys, "list", "--algebra", family, *argv, "--format", "json")
     assert code == 0
     expected = len(enumerate_orbits(a)) if a.family_spec.has_descriptor else 0
-    assert len(calls) == expected
+    assert built() == expected
 
 
 @pytest.mark.parametrize("a", [
@@ -739,9 +734,9 @@ def test_list_builds_the_factor_layout_once_per_record(capsys, monkeypatch, fami
     AlgebraSpec("so_c", n=5), AlgebraSpec("so_pq", p=3, q=2), AlgebraSpec("sp_c", n=2),
     AlgebraSpec("sp_pq", p=2, q=1),
 ], ids=str)
-def test_each_public_k_function_builds_the_factor_layout_once(monkeypatch, a):
-    """One factor layout per call serves the defect check, the block assembly
-    and the characters."""
+def test_each_public_k_function_builds_the_factor_layout_once(a):
+    """From a cold memo, one factor layout serves the defect check, the
+    block assembly and the characters of a call."""
     import random
 
     from nilorb import homotopy
@@ -762,25 +757,24 @@ def test_each_public_k_function_builds_the_factor_layout_once(monkeypatch, a):
     if spec.constraint == "chi_p=chi_q=1":
         public["chi_pair"] = lambda: homotopy.chi_pair(a, datum, e)
     assert homotopy.verify_K_membership(a, datum, e, t).ok
-    calls = _count_factor_layouts(monkeypatch)
     for name, call in public.items():
-        del calls[:]
+        built = _cold_factor_layouts()
         call()
-        assert len(calls) == 1, name
+        assert built() == 1, name
 
 
 @pytest.mark.parametrize("family,args", [
     ("sl_c", {"n": 3}), ("so_pq", {"p": 2, "q": 2}), ("sp_c", {"n": 2}),
 ], ids=str)
 def test_verify_builds_the_factor_layout_once_per_record_and_per_k_call(
-        capsys, monkeypatch, family, args):
-    """The centralizer report builds one layout per record; a nonzero orbit
-    adds one per K call: two samples, four embeddings and one membership check."""
+        capsys, family, args):
+    """The centralizer report builds one layout per record, and the K calls
+    of a nonzero orbit (two samples, four embeddings and one membership
+    check) build none: they find the record's layout in the memo."""
     a = AlgebraSpec(family, **args)
     records = enumerate_orbits(a)
-    nonzero = sum(not r.is_zero_orbit for r in records)
-    calls = _count_factor_layouts(monkeypatch)
+    built = _cold_factor_layouts()
     argv = [x for k, v in args.items() for x in (f"--{k}", str(v))]
     code, _, _ = run(capsys, "verify", "--algebra", family, *argv)
     assert code == 0
-    assert len(calls) == len(records) + 7 * nonzero
+    assert built() == len(records)

@@ -55,7 +55,7 @@ def test_scan_flags_graded_calls_and_accepts_report_reads():
     accepted = (
         "from .centralizers import centralizer_report, graded_dims\n"
         "__all__ = ['graded_dims']\n"
-        "report = centralizer_report(a, datum, triple=triple)\n"
+        "report = centralizer_report(a, datum)\n"
         "dz = report.dim_z_triple\n"
         "route = graded_dims\n"
     )

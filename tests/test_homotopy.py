@@ -159,6 +159,30 @@ def test_membership_rejects_corrupted_element():
     assert result.failures
 
 
+@pytest.mark.parametrize("a", [AlgebraSpec("sl_r", n=3), AlgebraSpec("so_pq", p=2, q=1)],
+                         ids=str)
+def test_embedding_and_membership_check_factors_through_k_element_defect(monkeypatch, a):
+    """The factor relations are checked in ``k_element_defect`` alone: the
+    defect it names makes ``embed_K`` raise and ``verify_K_membership`` fail."""
+    import nilorb.homotopy as homotopy
+
+    rec = [r for r in enumerate_orbits(a) if not r.is_zero_orbit][0]
+    t = build_triple(a, rec.datum)
+    e = sample_k_element(a, rec.datum, random.Random("defect route"))
+    assert verify_K_membership(a, rec.datum, e, t).ok
+    asked = []
+
+    def planted(*args):
+        asked.append(args)
+        return "planted defect"
+    monkeypatch.setattr(homotopy, "k_element_defect", planted)
+    with pytest.raises(ValueError, match="^planted defect$"):
+        embed_K(a, rec.datum, e)
+    result = verify_K_membership(a, rec.datum, e, t)
+    assert result.failures == ("factor relation: planted defect",)
+    assert asked == [(a, rec.datum, e)] * 2
+
+
 def test_det_vs_chi_compares_the_values(monkeypatch):
     """A character that is wrong but still not 1 is caught, and the failure
     names both values; comparing only whether each side is 1 would pass."""
@@ -171,8 +195,8 @@ def test_det_vs_chi_compares_the_values(monkeypatch):
     e = sample_k_element(a, rec.datum, random.Random("values"))
     assert verify_K_membership(a, rec.datum, e, t).ok
     true_det = det(embed_K(a, rec.datum, e))
-    true_chi = homotopy._chi
-    monkeypatch.setattr(homotopy, "_chi", lambda layout, e: true_chi(layout, e) * I_UNIT)
+    true_chi = homotopy.chi
+    monkeypatch.setattr(homotopy, "chi", lambda *args: true_chi(*args) * I_UNIT)
     assert true_det not in (homotopy.ONE, -I_UNIT)
     result = verify_K_membership(a, rec.datum, e, t)
     assert result.failures == (f"det-vs-chi: det {true_det} != chi {true_det * I_UNIT}",)
@@ -183,9 +207,9 @@ def test_det_vs_chi_compares_the_values(monkeypatch):
     e = sample_k_element(a, rec.datum, random.Random("values"))
     assert verify_K_membership(a, rec.datum, e, t).ok
     cp, cq = chi_pair(a, rec.datum, e)
-    true_pair = homotopy._chi_pair
-    monkeypatch.setattr(homotopy, "_chi_pair",
-                        lambda layout, e: (true_pair(layout, e)[0], -true_pair(layout, e)[1]))
+    true_pair = homotopy.chi_pair
+    monkeypatch.setattr(homotopy, "chi_pair",
+                        lambda *args: (true_pair(*args)[0], -true_pair(*args)[1]))
     result = verify_K_membership(a, rec.datum, e, t)
     assert result.failures == (f"det-vs-chi: (det_p, det_q) = ({cp}, {cq}) != "
                                f"(chi_p, chi_q) = ({cp}, {-cq})",)

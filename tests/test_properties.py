@@ -24,12 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilorb.catalog import AlgebraSpec, enumerate_orbits
-from nilorb.centralizers import (_nullity, centralizer_dim_triple,
-                                 expected_reductive_dim, graded_dims)
+from nilorb.centralizers import (centralizer_dim_triple, expected_reductive_dim,
+                                 graded_dims)
 from nilorb.cli import _compare, _json_text, _matrix_lines
 from nilorb.matrices import (ExactMatrix, block_oplus, complex_to_real_blocks,
                              congruence_signature, conj_transpose, det,
-                             diagonal_block, inverse, kron,
+                             diagonal_block, integer_nullity, inverse, kron,
                              quaternion_to_complex_blocks, rank)
 from nilorb.scalars import (I_UNIT, J_UNIT, K_UNIT, ONE, VARIANT_COMPONENTS, ZERO,
                             Scalar)
@@ -996,9 +996,10 @@ def test_json_text_refuses_what_nilorb_documents_never_hold(doc, message):
 #
 # The solver assembles its rows from ExactMatrix.integer_nonzeros, the matrix
 # times the least int that clears its denominators, and eliminates
-# fraction-free.  Its kernel dimensions are checked against Bareiss rank in
-# matrices and against the Fraction echelon it replaced, kept here, and its
-# centralizer dimensions against the same matrices with other denominators.
+# fraction-free (matrices.integer_nullity, which matrices.rank shares).  Its
+# kernel dimensions are checked against a dense Bareiss rank and against the
+# Fraction echelon it replaced, both kept here, and its centralizer
+# dimensions against the same matrices with other denominators.
 
 def fraction_nullity(rows, num_unknowns: int) -> int:
     """Kernel dimension by the sparse Fraction echelon the solver used to run."""
@@ -1026,9 +1027,25 @@ def fraction_nullity(rows, num_unknowns: int) -> int:
     return num_unknowns - rank
 
 
-def kernel_dim(a: ExactMatrix) -> int:
-    """Nullity of a rational matrix by Bareiss rank, the reference for ``_nullity``."""
-    return a.ncols - rank(a)
+def bareiss_nullity(rows, num_unknowns: int) -> int:
+    """Kernel dimension by dense fraction-free (Bareiss) elimination, the
+    reference for ``integer_nullity``: after step k every remaining entry is
+    a (k+1)-minor, so the division by the previous pivot is exact."""
+    m = [[row.get(c, 0) for c in range(num_unknowns)] for row in rows]
+    found, prev = 0, 1
+    for col in range(num_unknowns):
+        pivot = next((r for r in range(found, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[found], m[pivot] = m[pivot], m[found]
+        piv = m[found][col]
+        for r in range(found + 1, len(m)):
+            factor = m[r][col]
+            for c in range(col, num_unknowns):
+                m[r][c] = (piv * m[r][c] - factor * m[found][c]) // prev
+        prev = piv
+        found += 1
+    return num_unknowns - found
 
 
 # Small coefficients most of the time, and some up to 10^6 so that pivots and
@@ -1058,18 +1075,19 @@ def int_systems(draw):
 def test_integer_nullity_matches_bareiss_and_the_fraction_echelon(system):
     rows, n = system
     before = [dict(r) for r in rows]
-    got = _nullity(rows, n)
+    got = integer_nullity(rows, n)
     assert rows == before  # the input rows are not modified
     m = ExactMatrix.from_entries(len(rows), n, {(i, c): v for i, row in enumerate(rows)
                                                 for c, v in row.items()})
-    assert got == kernel_dim(m) == fraction_nullity(rows, n)
+    assert got == bareiss_nullity(rows, n) == fraction_nullity(rows, n)
+    assert rank(m) == n - got
 
 
 def test_integer_nullity_edge_cases():
-    assert _nullity([], 0) == 0
-    assert _nullity([{}, {}], 3) == 3
-    assert _nullity([{0: 2, 1: 4}, {0: 2, 1: 4}, {0: -1, 1: -2}], 2) == 1
-    assert _nullity([{0: 6, 1: 4}, {0: 9, 1: 6}, {1: 10 ** 6}], 3) == 1
+    assert integer_nullity([], 0) == 0
+    assert integer_nullity([{}, {}], 3) == 3
+    assert integer_nullity([{0: 2, 1: 4}, {0: 2, 1: 4}, {0: -1, 1: -2}], 2) == 1
+    assert integer_nullity([{0: 6, 1: 4}, {0: 9, 1: 6}, {1: 10 ** 6}], 3) == 1
 
 
 @settings(PROPERTY, max_examples=60)

@@ -320,3 +320,42 @@ def test_builders_build_no_scalar(monkeypatch, a, partition):
     t.X.to_json()
     gram.to_json()
     assert built
+
+
+@pytest.mark.parametrize("a", [
+    AlgebraSpec("sl_r", n=4), AlgebraSpec("sl_c", n=4), AlgebraSpec("sl_h", n=3),
+    AlgebraSpec("so_c", n=7), AlgebraSpec("sp_c", n=3),
+    AlgebraSpec("so_pq", p=3, q=3), AlgebraSpec("sp_pq", p=2, q=2),
+], ids=str)
+def test_cold_adapted_basis_and_factor_layout_make_no_scalar_work(monkeypatch, a):
+    """A cold adapted basis or factor layout multiplies no Scalars and asks
+    no ``is_zero``, so a process counts the same scalar work whether their
+    memos are warm or cold.  The wrappers count: a product and a zero test
+    after the builds are seen."""
+    from nilorb.homotopy import factor_layout
+
+    seen = []
+    original_mul, original_is_zero = Scalar.__mul__, Scalar.is_zero
+
+    def counting_mul(self, other):
+        seen.append("__mul__")
+        return original_mul(self, other)
+
+    def counting_is_zero(self):
+        seen.append("is_zero")
+        return original_is_zero(self)
+    monkeypatch.setattr(Scalar, "__mul__", counting_mul)
+    monkeypatch.setattr(Scalar, "is_zero", counting_is_zero)
+    adapted_basis.cache_clear()
+    factor_layout.cache_clear()
+    records = enumerate_orbits(a)
+    for rec in records:
+        factor_layout(a, rec.datum)
+        if a.family_spec.has_adapted_basis:
+            adapted_basis(a, rec.datum)
+    assert seen == []
+    assert factor_layout.cache_info().misses == len(records)
+    assert adapted_basis.cache_info().misses == (
+        len(records) if a.family_spec.has_adapted_basis else 0)
+    assert (TWO * TWO).is_zero() is False
+    assert seen == ["__mul__", "is_zero"]
