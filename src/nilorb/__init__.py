@@ -13,7 +13,7 @@ from .catalog import (FAMILIES, SIGNED_FAMILIES, AlgebraSpec, OrbitRecord,
 from .centralizers import (AlgebraConstraint, CentralizerReport,
                            centralizer_dim_nilpotent, centralizer_dim_triple,
                            centralizer_report, expected_orbit_dim,
-                           expected_reductive_dim, graded_dims, orbit_dim)
+                           expected_reductive_dim, orbit_dim)
 from .diagrams import SignedDiagram, enumerate_signed_diagrams, sign_matrix
 from .homotopy import (HomotopyType, KElement, chi, chi_pair, compact_pair,
                        embed_K, expected_compact_dim, factor_layout,
@@ -59,7 +59,6 @@ __all__ = [
     "expected_reductive_dim",
     "factor_layout",
     "fiber_count",
-    "graded_dims",
     "gram_matrix",
     "jordan_type",
     "orbit_dim",

@@ -308,9 +308,16 @@ def _grade_nullities(constraint: AlgebraConstraint,
                      weights: Sequence[int]) -> Tuple[int, int, int]:
     """dim g_0, g_1 and g_2 over the slot weights of the triple's basis.
 
+    By sl2-theory (Collingwood–McGovern, ch. 3) the centralizer of X has
+    dimension dim g_0 + dim g_1 and that of the triple dim g_0 - dim g_2.
+    The form and trace conditions never mix grades, so each grade is
+    counted alone, with no commutation rows: for a form family, by the
+    Gram pairing of the module docstring, solving only the self-paired
+    entries (a, pi(a)); otherwise by one solve over the grade's entries.
     A form family's grade k holds ``size`` entries, of which ``own`` are
     self-paired; the others form two-entry blocks of one entry's real
-    dimension each.
+    dimension each.  Raises ``ValueError`` when the constraint's Gram
+    matrix breaks a rule of the pairing (:meth:`AlgebraConstraint.pairing`).
     """
     if constraint.gram is None:
         g0, g1, g2 = (_centralizer_nullity(constraint, [], _grade_positions(weights, k))
@@ -329,32 +336,13 @@ def _grade_nullities(constraint: AlgebraConstraint,
     return g0, g1, g2
 
 
-def graded_dims(t: Triple, a: AlgebraSpec) -> Tuple[int, int, int]:
-    """Real dimensions of g_0, g_1 and g_2, the ad(H)-eigenspaces of the algebra.
-
-    By sl2-theory (Collingwood–McGovern, ch. 3) the centralizer of X has
-    dimension dim g_0 + dim g_1 and that of the triple dim g_0 - dim g_2.
-    The form and trace conditions never mix grades, so each grade is
-    counted alone, with no commutation rows: for a form family, by the
-    Gram pairing of the module docstring, solving only the self-paired
-    entries (a, pi(a)); otherwise by one solve over the grade's entries.
-    The count builds its own constraint over ``t.gram``.  Raises
-    ``ValueError`` when ``t.gram`` breaks a rule of the pairing
-    (:meth:`AlgebraConstraint.pairing`); the direct solves accept any Gram
-    matrix over the ring.  :func:`centralizer_report` counts the same three
-    from the datum's Gram matrix and slot weights and turns them into the
-    reported dimensions.
-    """
-    return _grade_nullities(AlgebraConstraint(a, t.gram), t.layout.weights())
-
-
 def centralizer_dim_triple(t: Triple, a: AlgebraSpec) -> int:
     """Real dimension of the simultaneous centralizer of X, H, Y in the algebra.
 
     This is the direct solve: commutation with X and Y over the entries
     that commute with H, with its own constraint over ``t.gram``, so it
-    shares nothing with :func:`graded_dims`.  Raises ``ValueError`` when a
-    Gram entry lies outside the ring.
+    shares nothing with the graded count of :func:`centralizer_report`.
+    Raises ``ValueError`` when a Gram entry lies outside the ring.
     """
     return _centralizer_nullity(AlgebraConstraint(a, t.gram), [t.X, t.Y],
                                 _grade_positions(t.layout.weights(), 0))

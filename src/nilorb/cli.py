@@ -244,10 +244,11 @@ def _json_text(doc) -> str:
     generator per nesting level yielding one token at a time; here each
     subtree's text is one ``str.join``.  Within the call, the text of each
     list or tuple whose items are not containers is kept by identity and
-    depth, so a cell list that ``ExactMatrix.to_json`` shares across a
-    matrix's zero entries is encoded once.  The document keeps every object
-    alive for the whole call, so no identity is reused.  Anything else,
-    floats and non-str keys included, raises ``TypeError``.
+    depth, and a list looks its items up there before it encodes them, so
+    a cell list that ``ExactMatrix.to_json`` shares across a matrix's equal
+    entries is encoded once and each repeat costs one lookup.  The document
+    keeps every object alive for the whole call, so no identity is reused.
+    Anything else, floats and non-str keys included, raises ``TypeError``.
     """
     memo: Dict[Tuple[int, int], str] = {}
     quote = encode_basestring_ascii
@@ -258,22 +259,23 @@ def _json_text(doc) -> str:
         if isinstance(o, (list, tuple)):
             if not o:
                 return "[]"
-            key = (id(o), depth)
-            text = memo.get(key)
-            if text is not None:
-                return text
             leaf = True
             items = []
             for x in o:
                 if isinstance(x, str):
                     items.append(quote(x))
-                else:
+                    continue
+                text = memo.get((id(x), depth + 1))
+                if text is None:
                     leaf = leaf and not isinstance(x, _JSON_CONTAINERS)
-                    items.append(encode(x, depth + 1))
+                    text = encode(x, depth + 1)
+                else:
+                    leaf = False
+                items.append(text)
             inner = "\n" + "  " * (depth + 1)
             text = f"[{inner}{(',' + inner).join(items)}\n{'  ' * depth}]"
             if leaf:
-                memo[key] = text
+                memo[id(o), depth] = text
             return text
         if isinstance(o, dict):
             if not o:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
@@ -417,18 +416,13 @@ def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
 # Exact random points via Cayley transforms
 # ---------------------------------------------------------------------------
 
-_NO_PART = Fraction(0)
-
-
-def _random_scalar(rng: random.Random, dim: int) -> Scalar:
-    """A random entry with ``dim`` (1, 2 or 4) random rational components."""
-    return Scalar([Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(dim)]
-                  + [_NO_PART] * (8 - dim))
-
-
 def random_compact_point(rng: random.Random, kind: str, size: int) -> ExactMatrix:
     """An exact random point of O/U/Sp(size) via the Cayley transform.
 
+    Each of the ``dim`` (1, 2 or 4) components of each raw entry is
+    ``rng.randint(-2, 2) / rng.randint(1, 3)``, drawn in that order and in
+    row-major order, so that a seed keeps giving the same point; the raw
+    matrix is built from int numerators over the common denominator 6.
     The transform of an anti-self-adjoint matrix always lands in the
     identity component; for the orthogonal groups a reflection, composed
     with probability 1/2, reaches the other component.
@@ -436,9 +430,12 @@ def random_compact_point(rng: random.Random, kind: str, size: int) -> ExactMatri
     if size == 0:
         return ExactMatrix.zeros(0, 0)
     dim = ring_of_kind(kind).dim
-    # Row-major draws, so that a seed keeps giving the same point.
-    raw = ExactMatrix.from_entries(size, size, {
-        (r, c): _random_scalar(rng, dim) for r in range(size) for c in range(size)})
+    pad = (0,) * (8 - dim)
+    # The numerator over 6 of randint(-2, 2) / randint(1, 3), drawn left to right.
+    raw = ExactMatrix.from_numerators(size, size, 6, [
+        [(c, tuple([rng.randint(-2, 2) * (6 // rng.randint(1, 3)) for _ in range(dim)])
+          + pad) for c in range(size)]
+        for _ in range(size)])
     anti = raw - (raw.transpose() if kind == "O" else conj_transpose(raw))
     ident = ExactMatrix.identity(size)
     g = (ident - anti) @ inverse(ident + anti)

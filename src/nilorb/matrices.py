@@ -20,20 +20,24 @@ Scalars are only a read cache, built when an entry is read
 :meth:`~ExactMatrix.nonzeros`) and then kept; a matrix built by
 :meth:`ExactMatrix.from_entries` from Scalars starts with the nonzero
 Scalars it was given in that cache, and one given only ``int`` values
-makes no Scalar.  Rendering (:meth:`~ExactMatrix.to_json`
-and the CLI's matrix tables) builds Scalars for the nonzeros only: each
-nonzero is rendered once and every zero cell holds one value rendered
-once per call.
+makes no Scalar, nor does one built by
+:meth:`ExactMatrix.from_numerators` from int numerators.  Rendering
+(:meth:`~ExactMatrix.to_json` and the CLI's matrix tables) reads the
+stored numerators: each distinct nonzero value is rendered once per call;
+equal cells share one object within a result, and every zero cell holds
+one value rendered once per call.
 
 Every structured matrix (triples, Gram matrices, adapted bases, block
 embeddings) is built from its nonzero entries with
 :meth:`ExactMatrix.from_entries`, or from such matrices by the int-native
-:func:`kron` and :func:`block_oplus`, and every consumer that wants to skip
-zeros reads them back through :meth:`ExactMatrix.nonzeros`, so how a
-matrix is stored is decided in this module alone.  A consumer whose answer
-does not change when the matrix is scaled by a positive integer, such as
-a kernel solve, reads the stored numerators instead through
-:meth:`ExactMatrix.integer_nonzeros` and builds no Scalar.
+:func:`kron` and :func:`block_oplus`; a random K point is built from its
+int numerators with :meth:`ExactMatrix.from_numerators`.  Every consumer
+that wants to skip zeros reads them back through
+:meth:`ExactMatrix.nonzeros`, so how a matrix is stored is decided in
+this module alone.  A consumer whose answer does not change when the
+matrix is scaled by a positive integer, such as a kernel solve, reads the
+stored numerators instead through :meth:`ExactMatrix.integer_nonzeros`
+and builds no Scalar.
 """
 
 from __future__ import annotations
@@ -173,6 +177,34 @@ class ExactMatrix:
             for row in by_column))
         m._nonzeros = by_column
         return m
+
+    @staticmethod
+    def from_numerators(nrows: int, ncols: int, den: int,
+                        rows: Sequence[Sequence[Tuple[int, tuple]]]) -> "ExactMatrix":
+        """The ``nrows x ncols`` matrix with ``numerators / den`` at (r, c)
+        for each ``(c, numerators)`` pair in ``rows[r]``.
+
+        ``numerators`` holds eight ints in the component order of
+        :data:`~nilorb.scalars.BASIS_NAMES`, and ``den`` is a positive
+        int; the result is reduced.  Pairs may come in any column order,
+        and all-zero ones are dropped.  A column outside the shape, or one
+        given twice in a row, raises ``IndexError``.  No Scalar is made.
+        """
+        if len(rows) != nrows:
+            raise ValueError(f"{len(rows)} rows given for a {nrows}-row matrix")
+        if type(den) is not int or den <= 0:
+            raise ValueError("the denominator must be a positive int")
+        out = []
+        for r, row in enumerate(rows):
+            kept = sorted((c, tuple(x)) for c, x in row if any(x))
+            for i, (c, x) in enumerate(kept):
+                if not 0 <= c < ncols or (i and kept[i - 1][0] == c):
+                    raise IndexError(f"entry ({r},{c}) outside a {nrows}x{ncols} "
+                                     "matrix or given twice")
+                if len(x) != 8 or any(type(v) is not int for v in x):
+                    raise ValueError("an entry needs exactly 8 int numerators")
+            out.append(tuple(kept))
+        return ExactMatrix._reduced(nrows, ncols, den, tuple(out))
 
     @staticmethod
     def zeros(nrows: int, ncols: int) -> "ExactMatrix":
@@ -331,19 +363,30 @@ class ExactMatrix:
         """Dense rows of rendered cells: ``render(x)`` for each nonzero entry
         ``x`` and the one object ``zero`` in every other cell.
 
-        Only the nonzero entries are built as Scalars and rendered.
+        Read from the stored numerators: each distinct nonzero value is
+        built as a Scalar and rendered once per call, and equal cells share
+        that one object within the result, as the zero cells share ``zero``.
         """
-        ncols = self.ncols
+        den, ncols = self._den, self.ncols
+        rendered: Dict[tuple, object] = {}
         out = []
-        for row in self.nonzeros():
+        for row in self._num:
             cells = [zero] * ncols
             for c, x in row:
-                cells[c] = render(x)
+                cell = rendered.get(x)
+                if cell is None:
+                    cell = rendered[x] = render(_to_scalar(x, den))
+                cells[c] = cell
             out.append(cells)
         return out
 
     def to_json(self) -> list:
-        # One fresh zero cell per call, shared by the zero cells of this result.
+        """Dense rows of :meth:`Scalar.to_json` cells.
+
+        Each distinct nonzero value is rendered once per call; equal cells,
+        the zero cells among them, share one object within a result and
+        none with another call's result.
+        """
         return self._cells(Scalar.to_json, ZERO.to_json())
 
     @staticmethod

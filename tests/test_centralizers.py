@@ -9,16 +9,26 @@ import pytest
 from nilorb.catalog import AlgebraSpec, enumerate_orbits
 import nilorb.centralizers
 from nilorb.centralizers import (AlgebraConstraint, _centralizer_nullity,
-                                 _grade_positions, centralizer_dim_nilpotent,
+                                 _grade_nullities, _grade_positions,
+                                 centralizer_dim_nilpotent,
                                  centralizer_dim_triple, centralizer_report,
                                  dim_g, expected_orbit_dim,
-                                 expected_reductive_dim, graded_dims, orbit_dim)
+                                 expected_reductive_dim, orbit_dim)
 from nilorb.diagrams import SignedDiagram
 from nilorb.homotopy import expected_compact_dim
 from nilorb.matrices import ExactMatrix
 from nilorb.partitions import Partition
 from nilorb.scalars import J_UNIT
 from nilorb.triples import build_triple
+
+
+def graded_dims(t, a):
+    """dim g_0, g_1 and g_2 of the triple ``t``'s own grading, counted over
+    ``t.gram`` and ``t.layout``: the count ``centralizer_report`` makes from
+    the datum's memoized Gram matrix and slot weights, here for any Gram
+    matrix a test puts in the triple."""
+    return _grade_nullities(AlgebraConstraint(a, t.gram), t.layout.weights())
+
 
 SWEEP = (
     [AlgebraSpec(f, n=n) for f in ("sl_r", "sl_c", "sl_h") for n in range(2, 7)]

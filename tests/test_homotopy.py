@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,11 +11,12 @@ from nilorb.catalog import AlgebraSpec, enumerate_orbits
 from nilorb.centralizers import orbit_dim
 from nilorb.homotopy import (KElement, chi, chi_pair, compact_pair, dim_M,
                              embed_K, expected_compact_dim, factor_layout,
-                             k_element_defect, quotient_dim, sample_k_element,
-                             signed_block_relation, signed_block_totals,
-                             verify_K_membership)
-from nilorb.matrices import ExactMatrix, conj_transpose, det, reduced_norm
+                             k_element_defect, quotient_dim, random_compact_point,
+                             sample_k_element, signed_block_relation,
+                             signed_block_totals, verify_K_membership)
+from nilorb.matrices import ExactMatrix, conj_transpose, det, inverse, reduced_norm
 from nilorb.partitions import Partition
+from nilorb.scalars import Scalar
 from nilorb.triples import adapted_change_of_basis, build_triple
 
 HOMOTOPY_SPECS = [
@@ -374,3 +376,38 @@ def test_no_descriptor_for_quaternionic_orthogonal():
         factor_layout(a, rec.datum)
     with pytest.raises(ValueError):
         dim_M(a)
+
+
+def _reference_compact_point(rng: random.Random, kind: str, size: int) -> ExactMatrix:
+    """The Fraction route ``random_compact_point`` replaced: one Scalar per
+    raw entry, ``Fraction(randint(-2, 2), randint(1, 3))`` per component,
+    built with ``from_entries``."""
+    if size == 0:
+        return ExactMatrix.zeros(0, 0)
+    dim = {"O": 1, "U": 2, "Sp": 4}[kind]
+
+    def random_scalar() -> Scalar:
+        return Scalar([Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                       for _ in range(dim)] + [Fraction(0)] * (8 - dim))
+
+    raw = ExactMatrix.from_entries(size, size, {
+        (r, c): random_scalar() for r in range(size) for c in range(size)})
+    anti = raw - (raw.transpose() if kind == "O" else conj_transpose(raw))
+    ident = ExactMatrix.identity(size)
+    g = (ident - anti) @ inverse(ident + anti)
+    if kind == "O" and rng.random() < 0.5:
+        g = g @ ExactMatrix.diagonal([-1] + [1] * (size - 1))
+    return g
+
+
+@pytest.mark.parametrize("kind", ["O", "U", "Sp"])
+def test_random_compact_point_keeps_the_fraction_draw_order(kind):
+    """The int-numerator draws give the point the Fraction route gave, and
+    leave the generator in the same state, so seeds keep their points."""
+    for size in range(5):
+        for seed in (0, 1, 7, 2024, "verify"):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                assert (random_compact_point(rng, kind, size)
+                        == _reference_compact_point(ref_rng, kind, size))
+                assert rng.getstate() == ref_rng.getstate()

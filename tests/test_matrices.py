@@ -1,4 +1,5 @@
-"""Exact matrix layer: products, block maps, rank, determinants, signatures."""
+"""Exact matrix layer: products, block maps, rank, determinants, signatures,
+construction from numerators and rendering."""
 
 from __future__ import annotations
 
@@ -7,12 +8,15 @@ from fractions import Fraction
 
 import pytest
 
+from nilorb.catalog import AlgebraSpec, enumerate_orbits
+from nilorb.cli import _matrix_lines
 from nilorb.matrices import (DegenerateFormError, ExactMatrix, block_oplus,
                              commutator, complex_to_real_blocks,
                              congruence_signature, conj_transpose, det,
                              inverse, quaternion_to_complex_blocks, rank,
                              reduced_norm, repeat_blocks)
 from nilorb.scalars import (I_UNIT, J_UNIT, MINUS_ONE, ONE, ZERO, Scalar)
+from nilorb.triples import adapted_basis, build_triple
 
 
 def rational_matrix(rng: random.Random, n: int, m: int | None = None) -> ExactMatrix:
@@ -221,3 +225,83 @@ def test_matrix_json_round_trip():
     a = quaternion_matrix(rng, 2)
     data = a.to_json()
     assert ExactMatrix.from_json(data) == a
+
+
+def test_from_numerators_reduces_and_checks_its_input():
+    half = ExactMatrix.from_numerators(2, 3, 6, [
+        [(2, (3, 0, 0, 0, 0, 0, 0, 0)), (0, (0, 3, 0, 0, 0, 0, 0, 0))],
+        [(1, (0,) * 8)]])
+    assert half == ExactMatrix.from_entries(2, 3, {
+        (0, 0): Scalar.complex_value(0, Fraction(1, 2)),
+        (0, 2): Scalar.rational(Fraction(1, 2))})
+    assert half.integer_nonzeros() == (
+        ((0, (0, 1, 0, 0, 0, 0, 0, 0)), (2, (1, 0, 0, 0, 0, 0, 0, 0))), ())
+    assert ExactMatrix.from_numerators(0, 0, 1, []) == ExactMatrix.zeros(0, 0)
+    one = (1, 0, 0, 0, 0, 0, 0, 0)
+    with pytest.raises(IndexError):
+        ExactMatrix.from_numerators(1, 2, 1, [[(2, one)]])
+    with pytest.raises(IndexError):
+        ExactMatrix.from_numerators(1, 2, 1, [[(-1, one)]])
+    with pytest.raises(IndexError):
+        ExactMatrix.from_numerators(1, 2, 1, [[(0, one), (0, one)]])
+    with pytest.raises(ValueError):
+        ExactMatrix.from_numerators(2, 2, 1, [[(0, one)]])
+    with pytest.raises(ValueError):
+        ExactMatrix.from_numerators(1, 1, 0, [[(0, one)]])
+    with pytest.raises(ValueError):
+        ExactMatrix.from_numerators(1, 1, 1, [[(0, (1, 0))]])
+    with pytest.raises(ValueError):
+        ExactMatrix.from_numerators(1, 1, 1, [[(0, (Fraction(1, 2),) + one[1:])]])
+
+
+def _rendered_matrices():
+    out = [ExactMatrix.identity(5), ExactMatrix.zeros(2, 3),
+           ExactMatrix.diagonal([ONE, MINUS_ONE, ONE, Scalar.rational(Fraction(1, 2)),
+                                 I_UNIT, Scalar.rational(Fraction(1, 2)), J_UNIT])]
+    for a in (AlgebraSpec("so_pq", p=3, q=2), AlgebraSpec("sp_pq", p=2, q=2),
+              AlgebraSpec("sl_h", n=3)):
+        rec = [r for r in enumerate_orbits(a) if not r.is_zero_orbit][-1]
+        t = build_triple(a, rec.datum)
+        out += [t.X, t.H, t.Y]
+        if t.gram is not None:
+            out.append(t.gram)
+        if a.family_spec.has_adapted_basis:
+            out.append(adapted_basis(a, rec.datum).matrix)
+    return out
+
+
+def test_rendering_renders_each_distinct_value_once(monkeypatch):
+    """``to_json`` and the CLI's matrix tables render each distinct nonzero
+    value once per call, and equal cells are one object within a result."""
+    rendered = []
+    original_to_json, original_str = Scalar.to_json, Scalar.__str__
+
+    def counting_to_json(self):
+        rendered.append(("json", self))
+        return original_to_json(self)
+
+    def counting_str(self):
+        rendered.append(("str", self))
+        return original_str(self)
+
+    cases = [(m, {x for row in m.nonzeros() for _, x in row}) for m in _rendered_matrices()]
+    assert len(cases[0][1]) == 1 and len(cases[2][1]) == 5
+    assert any(sum(map(len, m.nonzeros())) > len(values) + 2 for m, values in cases[3:])
+    monkeypatch.setattr(Scalar, "to_json", counting_to_json)
+    monkeypatch.setattr(Scalar, "__str__", counting_str)
+    for m, values in cases:
+        rendered.clear()
+        cells = m.to_json()
+        calls = list(rendered)
+        nonzero = [x for how, x in calls if how == "json" and any(x.components)]
+        assert len(nonzero) == len(values) and set(nonzero) == values
+        assert len(calls) == len(values) + 1  # and the one zero cell
+        for value in values:
+            shared = {id(cells[r][c]) for r, row in enumerate(m.nonzeros())
+                      for c, x in row if x == value}
+            assert len(shared) == 1
+        rendered.clear()
+        lines = _matrix_lines("m", m)
+        calls = list(rendered)
+        assert len(lines) == m.nrows + 1
+        assert len(calls) == len(values) and set(calls) == {("str", x) for x in values}

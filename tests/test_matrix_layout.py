@@ -20,7 +20,7 @@ A third scan keeps the storage itself private: outside ``matrices`` and
 numerators through the public ``ExactMatrix.integer_nonzeros``.
 
 A fourth scan keeps int assembly behind public operations such as
-``kron`` and ``block_oplus``: outside ``matrices`` and ``scalars``, no
+``kron``, ``block_oplus`` and ``ExactMatrix.from_numerators``: outside ``matrices`` and ``scalars``, no
 module calls the private constructors ``_of``, ``_reduced``,
 ``_set_ints`` or ``_set_scalars``.
 """

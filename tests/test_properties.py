@@ -24,8 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilorb.catalog import AlgebraSpec, enumerate_orbits
-from nilorb.centralizers import (centralizer_dim_triple, expected_reductive_dim,
-                                 graded_dims)
+from nilorb.centralizers import (AlgebraConstraint, _grade_nullities,
+                                 centralizer_dim_triple, expected_reductive_dim)
 from nilorb.cli import _compare, _json_text, _matrix_lines
 from nilorb.matrices import (ExactMatrix, block_oplus, complex_to_real_blocks,
                              congruence_signature, conj_transpose, det,
@@ -1100,6 +1100,11 @@ def test_integer_nonzeros_are_the_matrix_times_its_least_denominator(shaped):
     assert got is m.integer_nonzeros()
     assert [[(c, tuple(Fraction(v, den) for v in x)) for c, x in row] for row in got] == [
         [(c, x) for c, x in enumerate(raw[r]) if x != ZERO_TUPLE] for r in range(nrows)]
+
+
+def graded_dims(t, a):
+    """dim g_0, g_1 and g_2 of the triple ``t``'s grading, over ``t.gram``."""
+    return _grade_nullities(AlgebraConstraint(a, t.gram), t.layout.weights())
 
 
 def _scaled_triple(t, gram_by, x_by, y_by):

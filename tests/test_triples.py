@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from nilorb import triples
 from nilorb.catalog import AlgebraSpec, datum_partition, enumerate_orbits
 from nilorb.diagrams import row_plus_minus
+from nilorb.homotopy import factor_layout, sample_k_element
 from nilorb.matrices import ExactMatrix, commutator, congruence_signature, rank
 from nilorb.partitions import Partition
 from nilorb.scalars import J_UNIT, MINUS_ONE, ONE, ZERO, Scalar
@@ -287,7 +290,8 @@ def test_builders_build_no_scalar(monkeypatch, a, partition):
     """Once the part blocks are built, a Gram matrix or a triple only joins
     int blocks, and the blocks themselves are built from ints: neither
     constructor of ``Scalar`` runs and no ``is_zero`` is asked, so a
-    process counts the same scalar work whether the memo is warm or cold."""
+    process counts the same scalar work whether the memo is warm or cold.
+    Nor does a K sample, with its factor layout cold or warm."""
     datum = _datum_of(a, partition)
     gram_matrix(a, datum)
     build_triple(a, datum)
@@ -316,6 +320,12 @@ def test_builders_build_no_scalar(monkeypatch, a, partition):
     assert gram_matrix(a, datum) == gram
     assert build_triple(a, datum) == t
     assert built == []
+    if a.family_spec.has_descriptor:
+        # A K sample is drawn and built from int numerators, cold or warm.
+        factor_layout.cache_clear()
+        cold = sample_k_element(a, datum, random.Random(0))
+        assert sample_k_element(a, datum, random.Random(0)) == cold
+        assert built == []
     # The wrapper counts: rendering still builds Scalars.
     t.X.to_json()
     gram.to_json()
@@ -332,8 +342,6 @@ def test_cold_adapted_basis_and_factor_layout_make_no_scalar_work(monkeypatch, a
     no ``is_zero``, so a process counts the same scalar work whether their
     memos are warm or cold.  The wrappers count: a product and a zero test
     after the builds are seen."""
-    from nilorb.homotopy import factor_layout
-
     seen = []
     original_mul, original_is_zero = Scalar.__mul__, Scalar.is_zero
 
