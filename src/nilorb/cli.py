@@ -21,7 +21,7 @@ from .homotopy import (KElement, embed_K, sample_k_element,
                        signed_block_relation, signed_block_totals,
                        verify_K_membership)
 from .matrices import (ExactMatrix, commutator, congruence_signature,
-                       conj_transpose)
+                       conj_transpose, is_isometry)
 from .partitions import Partition
 from .scalars import Scalar
 from .triples import (adapted_basis, build_triple, jordan_type,
@@ -56,11 +56,11 @@ MAX_WORK = 1_000_000
 #: Weight of a ``verify`` run in the work estimate.  A ``list --format
 #: json`` record costs 0.3 us (``sl_r --n 24``) to 4.5 us (``sp_pq --p 6
 #: --q 6``) per unit of records x size^2 (2-core Xeon VM, Python 3.11), a
-#: ``verify`` record up to 190 us (most for sl_c), so with this weight
-#: ``verify --algebra sl_c --n 21``, which runs for over a minute, is
-#: refused.  The record counts follow the parity rules, so the largest
-#: admitted so/sp runs (so_c 25, sp_c 12, so_pq(8,8), sp_pq(7,8)) take
-#: under half a minute each.
+#: ``verify`` record up to about 40 us (most for sl_c: ``--n 20`` takes 10 s),
+#: so with this weight ``verify --algebra sl_c --n 21``, which would run
+#: for about 15 s, is refused.  The record counts follow the parity rules,
+#: so the largest admitted so/sp runs (so_c 25, sp_c 12, so_pq(8,8),
+#: sp_pq(7,8)) take under 10 s each.
 VERIFY_WEIGHT = 3
 
 
@@ -521,11 +521,11 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
         target = standard_adapted_gram(a, datum)
         got = sigma_transpose(t_matrix, triple.sigma) @ triple.gram @ t_matrix
         adapted_ok, detail = _compare(got, target)
-        if adapted_ok:
+        if adapted_ok and not is_isometry(t_matrix, conj=True):
             # T is unitary, so verify_K_membership may invert it by T*.
             adapted_ok, detail = _compare(conj_transpose(t_matrix) @ t_matrix,
                                           ExactMatrix.identity(t_matrix.ncols))
-            detail = detail and f"T*T {detail}"
+            detail = f"T*T {detail}"
         results.append(("adapted-basis", adapted_ok, detail))
 
     if a.family_spec.has_descriptor:
@@ -533,13 +533,20 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
         e2 = sample_k_element(a, datum, rng)
         prod = KElement(tuple(g1 @ g2 for g1, g2 in zip(e1.factors, e2.factors)))
         ident = KElement(tuple(ExactMatrix.identity(g.nrows) for g in e1.factors))
-        emb1 = embed_K(a, datum, e1)
-        if emb1 @ embed_K(a, datum, e2) != embed_K(a, datum, prod):
-            homo = (False, "product: emb(g1) emb(g2) != emb(g1 g2)")
-        elif embed_K(a, datum, ident) != ExactMatrix.identity(emb1.nrows):
-            homo = (False, "identity: emb(1) != 1")
+        try:
+            emb1, emb2, emb_prod, emb_ident = [embed_K(a, datum, e)
+                                               for e in (e1, e2, prod, ident)]
+        except ValueError as exc:
+            # embed_K refuses a sample with a factor defect; K-membership
+            # reports the same defect.
+            homo = (False, f"factor relation: {exc}")
         else:
-            homo = (True, "")
+            if emb1 @ emb2 != emb_prod:
+                homo = (False, "product: emb(g1) emb(g2) != emb(g1 g2)")
+            elif emb_ident != ExactMatrix.identity(emb1.nrows):
+                homo = (False, "identity: emb(1) != 1")
+            else:
+                homo = (True, "")
         results.append(("embedding-homomorphism", *homo))
         member = verify_K_membership(a, datum, e1, triple)
         detail = "" if member.ok else ", ".join(member.failures)

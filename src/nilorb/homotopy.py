@@ -26,9 +26,9 @@ from .catalog import AlgebraSpec, Datum, datum_partition
 from .diagrams import SignedDiagram, row_plus_minus
 from .families import FAMILY_SPECS, compact_dim, ring_of_kind
 from .matrices import (ExactMatrix, block_oplus, complex_to_real_blocks,
-                       conj_transpose, det, diagonal_block, inverse,
+                       conj_transpose, det, diagonal_block, is_isometry,
                        quaternion_to_complex_blocks, reduced_norm,
-                       repeat_blocks)
+                       repeat_blocks, solve)
 from .scalars import COMPLEX_LIKE_VARIANTS, ONE, Scalar
 from .triples import Triple, adapted_basis, sigma_transpose
 
@@ -108,19 +108,18 @@ def k_element_defect(a: AlgebraSpec, datum: Datum, e: KElement) -> Optional[str]
     for spec, g in zip(layout, e.factors):
         if g.nrows != spec.size or g.ncols != spec.size:
             return f"{spec.kind}({spec.size}) factor has shape {g.nrows}x{g.ncols}"
-        ident = ExactMatrix.identity(spec.size)
         if spec.kind == "O":
-            if g.transpose() @ g != ident:
+            if not is_isometry(g, conj=False):
                 return f"O({spec.size}) factor is not orthogonal"
             if g.variant() != "rational":
                 return f"O({spec.size}) factor has non-real entries"
         elif spec.kind == "U":
-            if conj_transpose(g) @ g != ident:
+            if not is_isometry(g, conj=True):
                 return f"U({spec.size}) factor is not unitary"
             if g.variant() not in COMPLEX_LIKE_VARIANTS:
                 return f"U({spec.size}) factor has j/k entries"
         else:
-            if conj_transpose(g) @ g != ident:
+            if not is_isometry(g, conj=True):
                 return f"Sp({spec.size}) factor is not quaternion-unitary"
     return None
 
@@ -387,10 +386,9 @@ def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
     if a.family_spec.has_adapted_basis:
         if T is None:
             T = adapted_basis(a, datum).matrix
-        t_star = conj_transpose(T)
-        if t_star @ T != ExactMatrix.identity(T.ncols):
+        if not is_isometry(T, conj=True):
             return MembershipResult(False, ("unitary[T]",))
-        g = T @ emb @ t_star
+        g = T @ emb @ conj_transpose(T)
     for name, m in (("X", t.X), ("H", t.H), ("Y", t.Y)):
         if g @ m != m @ g:
             failures.append(f"commutes[{name}]")
@@ -423,9 +421,11 @@ def random_compact_point(rng: random.Random, kind: str, size: int) -> ExactMatri
     ``rng.randint(-2, 2) / rng.randint(1, 3)``, drawn in that order and in
     row-major order, so that a seed keeps giving the same point; the raw
     matrix is built from int numerators over the common denominator 6.
-    The transform of an anti-self-adjoint matrix always lands in the
-    identity component; for the orthogonal groups a reflection, composed
-    with probability 1/2, reaches the other component.
+    The transform of the anti-self-adjoint ``A`` is the one solve
+    ``(I + A)^-1 (I - A)``, which equals ``(I - A) (I + A)^-1`` since the
+    two factors commute.  It always lands in the identity component; for
+    the orthogonal groups a reflection, composed with probability 1/2,
+    reaches the other component.
     """
     if size == 0:
         return ExactMatrix.zeros(0, 0)
@@ -438,7 +438,7 @@ def random_compact_point(rng: random.Random, kind: str, size: int) -> ExactMatri
         for _ in range(size)])
     anti = raw - (raw.transpose() if kind == "O" else conj_transpose(raw))
     ident = ExactMatrix.identity(size)
-    g = (ident - anti) @ inverse(ident + anti)
+    g = solve(ident + anti, ident - anti)
     if kind == "O" and rng.random() < 0.5:
         g = g @ ExactMatrix.diagonal([-1] + [1] * (size - 1))
     return g

@@ -11,12 +11,16 @@ component order of :data:`~nilorb.scalars.BASIS_NAMES`.  Every result is
 reduced so that ``gcd(D, all numerators) == 1``, and the zero matrix has
 ``D == 1`` and no entries, so equal matrices have equal storage and equal
 hashes.  Products, sums, scaling, transposes, the block maps, equality,
-rank, ``det`` (Bareiss), ``inverse`` (Gauss-Jordan with int pivots) and
+rank, ``det``, ``solve``, :func:`is_isometry` and
 ``congruence_signature`` work on these ints, multiplying components
-through ``scalars._PROD``.  The ints are the only storage: every
-constructor converts its values to them once, when it builds the matrix.
-Scalars are only a read cache, built when an entry is read
-(:meth:`ExactMatrix.entry`, :meth:`~ExactMatrix.rows`,
+through ``scalars._PROD``.  A product reads only the rows of its right
+operand that the left one meets.  ``det`` splits its input into the
+connected components of its nonzero pattern and runs Bareiss on each;
+``solve(a, b)`` is one Gauss-Jordan elimination with int pivots on
+``[a | b]``, and ``inverse`` is ``solve(a, I)``.  The ints are the only
+storage: every constructor converts its values to them once, when it
+builds the matrix.  Scalars are only a read cache, built when an entry is
+read (:meth:`ExactMatrix.entry`, :meth:`~ExactMatrix.rows`,
 :meth:`~ExactMatrix.nonzeros`) and then kept; a matrix built by
 :meth:`ExactMatrix.from_entries` from Scalars starts with the nonzero
 Scalars it was given in that cache, and one given only ``int`` values
@@ -97,6 +101,44 @@ def _mul_nums(a: tuple, b: tuple) -> tuple:
                     idx, f = prod[ib]
                     out[idx] += f * x * y
     return tuple(out)
+
+
+def _scaled_row(row: tuple, f: int) -> tuple:
+    """A stored row with every numerator multiplied by the int ``f``."""
+    return tuple([(c, tuple([f * v for v in x])) for c, x in row])
+
+
+def _row_times(row: tuple, b_num: tuple) -> Dict[int, list]:
+    """One stored row times the stored rows ``b_num``, as ``{column: numerators}``.
+
+    Only the rows of ``b_num`` that ``row`` meets are read.  A rational
+    left entry ``x`` scales the right row; any other one multiplies
+    component by component, placed by ``_PROD``.  Entries may cancel to
+    all-zero lists, which the caller drops.
+    """
+    acc: Dict[int, list] = {}
+    for k, a in row:
+        b_row = b_num[k]
+        if not b_row:
+            continue
+        x = a[0]
+        if x and a.count(0) == 7:
+            for c, y in b_row:
+                v = acc.get(c)
+                acc[c] = ([x * u for u in y] if v is None
+                          else [p + x * u for p, u in zip(v, y)])
+            continue
+        a_terms = [(_PROD[ia], x) for ia, x in enumerate(a) if x]
+        for c, y in b_row:
+            v = acc.get(c)
+            if v is None:
+                v = acc[c] = [0] * 8
+            for ib, u in enumerate(y):
+                if u:
+                    for prod, x in a_terms:
+                        idx, f = prod[ib]
+                        v[idx] += f * x * u
+    return acc
 
 
 class ExactMatrix:
@@ -276,22 +318,27 @@ class ExactMatrix:
     # -- ring operations ---------------------------------------------
 
     def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
-        """``self + sign * other`` over the least common denominator."""
+        """``self + sign * other`` over the least common denominator.
+
+        A row that is empty in one operand is the other's row, scaled.
+        """
         self._check_same_shape(other)
         den = lcm(self._den, other._den)
         fa, fb = den // self._den, sign * (den // other._den)
         out = []
         for ra, rb in zip(self._num, other._num):
-            acc = {c: [fa * v for v in x] for c, x in ra}
+            if not rb:
+                out.append(ra if fa == 1 else _scaled_row(ra, fa))
+                continue
+            if not ra:
+                out.append(_scaled_row(rb, fb))
+                continue
+            acc = dict(ra) if fa == 1 else dict(_scaled_row(ra, fa))
             for c, y in rb:
                 x = acc.get(c)
-                if x is None:
-                    acc[c] = [fb * v for v in y]
-                else:
-                    for i, v in enumerate(y):
-                        if v:
-                            x[i] += fb * v
-            out.append(tuple([(c, tuple(x)) for c, x in sorted(acc.items()) if any(x)]))
+                acc[c] = (tuple([fb * v for v in y]) if x is None
+                          else tuple([u + fb * v for u, v in zip(x, y)]))
+            out.append(tuple([(c, x) for c, x in sorted(acc.items()) if any(x)]))
         return ExactMatrix._reduced(self.nrows, self.ncols, den, tuple(out))
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -308,30 +355,12 @@ class ExactMatrix:
         if self.ncols != other.nrows:
             raise ValueError(
                 f"shape mismatch: {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
-        ncols = other.ncols
-        # Each nonzero component x of a[r][k] adds x * y, placed by _PROD, to
-        # output entry (r, c) for each nonzero component y of each b[k][c].
-        b_terms = [[(c, [(ib, y) for ib, y in enumerate(b) if y]) for c, b in row]
-                   for row in other._num]
+        b_num = other._num
         out = []
         for row in self._num:
-            acc = [None] * ncols
-            for k, a in row:
-                b_row = b_terms[k]
-                if not b_row:
-                    continue
-                a_terms = [(_PROD[ia], x) for ia, x in enumerate(a) if x]
-                for c, terms in b_row:
-                    v = acc[c]
-                    if v is None:
-                        v = acc[c] = [0] * 8
-                    for prod, x in a_terms:
-                        for ib, y in terms:
-                            idx, f = prod[ib]
-                            v[idx] += f * x * y
-            out.append(tuple([(c, tuple(v)) for c, v in enumerate(acc)
-                              if v is not None and any(v)]))
-        return ExactMatrix._reduced(self.nrows, ncols, self._den * other._den,
+            acc = _row_times(row, b_num)
+            out.append(tuple([(c, tuple(v)) for c, v in sorted(acc.items()) if any(v)]))
+        return ExactMatrix._reduced(self.nrows, other.ncols, self._den * other._den,
                                     tuple(out))
 
     def scale_left(self, s: Scalar) -> "ExactMatrix":
@@ -415,6 +444,22 @@ def conj_transpose(a: ExactMatrix) -> ExactMatrix:
 
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return a @ b - b @ a
+
+
+def is_isometry(g: ExactMatrix, conj: bool) -> bool:
+    """Whether ``g* g`` (``g^T g`` unless ``conj``) is the identity of size ``g.ncols``.
+
+    For ``g = N / D`` this is ``N* N = D^2 I``, checked one row of the
+    product at a time from the stored ints; the first row that differs
+    ends the check.
+    """
+    unit = [g._den ** 2] + [0] * 7
+    num = g._num
+    for r, row in enumerate(g._transposed(conj)._num):
+        acc = _row_times(row, num)
+        if acc.get(r) != unit or any(any(v) for c, v in acc.items() if c != r):
+            return False
+    return True
 
 
 def block_oplus(blocks: Sequence[ExactMatrix]) -> ExactMatrix:
@@ -602,28 +647,43 @@ def _exact_quotient(x: tuple, b: tuple) -> tuple:
     return tuple([v // d for v in _mul_nums(w, x)])
 
 
-def det(a: ExactMatrix) -> Scalar:
-    """Exact determinant over a commutative scalar ring (no j/k parts).
+def _components(num: tuple) -> List[List[int]]:
+    """The index sets of the connected components of a square matrix's
+    nonzero pattern (``r ~ c`` when entry ``(r, c)`` is nonzero), each
+    ascending, found by union-find over the stored rows."""
+    parent = list(range(len(num)))
 
-    Bareiss elimination on the integer numerators: after step ``k`` every
-    remaining entry is a ``(k+1)``-minor, so the division by the previous
-    pivot is exact.
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for r, row in enumerate(num):
+        for c, _ in row:
+            i, j = find(r), find(c)
+            if i != j:
+                parent[i] = j
+    groups: Dict[int, List[int]] = {}
+    for i in range(len(num)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _bareiss(m: List[list]) -> tuple:
+    """The numerators of the determinant of a dense square numerator matrix.
+
+    Fraction-free: after step ``k`` every remaining entry is a
+    ``(k+1)``-minor, so the division by the previous pivot is exact.
+    ``m`` is overwritten.
     """
-    if not a.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    n = a.nrows
-    if n == 0:
-        return ONE
-    if a.variant() not in COMPLEX_LIKE_VARIANTS:
-        raise ValueError(
-            "determinant needs commuting entries; use reduced_norm for quaternions")
-    m = _dense(a, n)
+    n = len(m)
     sign = 1
     prev = _ONE_NUM
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if any(m[r][col])), None)
         if pivot_row is None:
-            return ZERO
+            return _ZERO_NUM
         if pivot_row != col:
             m[col], m[pivot_row] = m[pivot_row], m[col]
             sign = -sign
@@ -635,7 +695,41 @@ def det(a: ExactMatrix) -> Scalar:
                                                   _mul_nums(f, prow[c]))])
                 row[c] = x if prev is _ONE_NUM else _exact_quotient(x, prev)
         prev = piv
-    return _to_scalar(tuple([sign * v for v in m[n - 1][n - 1]]), a._den ** n)
+    return tuple([sign * v for v in m[n - 1][n - 1]])
+
+
+def det(a: ExactMatrix) -> Scalar:
+    """Exact determinant over a commutative scalar ring (no j/k parts).
+
+    The connected components of the nonzero pattern split the matrix, up
+    to a simultaneous permutation of rows and columns, which has no sign,
+    into diagonal blocks; each block's determinant comes from Bareiss
+    elimination on its integer numerators (:func:`_bareiss`), and the
+    determinant is their product.  A connected matrix is one block.
+    """
+    if not a.is_square():
+        raise ValueError("determinant of a non-square matrix")
+    n = a.nrows
+    if n == 0:
+        return ONE
+    if a.variant() not in COMPLEX_LIKE_VARIANTS:
+        raise ValueError(
+            "determinant needs commuting entries; use reduced_norm for quaternions")
+    num = a._num
+    total = _ONE_NUM
+    for comp in _components(num):
+        index = {r: i for i, r in enumerate(comp)}
+        m = []
+        for r in comp:
+            dense = [_ZERO_NUM] * len(comp)
+            for c, x in num[r]:
+                dense[index[c]] = x
+            m.append(dense)
+        block = _bareiss(m)
+        if not any(block):
+            return ZERO
+        total = _mul_nums(total, block)
+    return _to_scalar(total, a._den ** n)
 
 
 def _primitive(row: list) -> list:
@@ -648,22 +742,30 @@ def _primitive(row: list) -> list:
     return [tuple([v // g for v in x]) for x in row] if g > 1 else row
 
 
-def inverse(a: ExactMatrix) -> ExactMatrix:
-    """Exact inverse over the full (possibly quaternionic) scalar tower.
+def solve(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """The exact ``a^-1 b`` for square invertible ``a``, over the full
+    (possibly quaternionic) scalar tower.
 
-    Gauss-Jordan elimination on the integer numerators.  Row operations
-    multiply rows by scalars on the left, which is the correct one-sided
-    operation over a division ring: each pivot row is multiplied by the
-    ``w`` of :func:`_integer_multiplier`, so its pivot becomes an int
-    ``d``, and each other row ``r`` becomes ``d * r - f * pivot_row``.
-    Every row is kept primitive, so the ints stay small.
+    One Gauss-Jordan elimination on the integer numerators of ``[a | b]``.
+    Row operations multiply rows by scalars on the left, which is the
+    correct one-sided operation over a division ring: each pivot row is
+    multiplied by the ``w`` of :func:`_integer_multiplier`, so its pivot
+    becomes an int ``d``, and each other row ``r`` becomes
+    ``d * r - f * pivot_row``.  Every row is kept primitive, so the ints
+    stay small.  Raises ``ValueError`` on a non-square ``a`` or a ``b``
+    with another row count, and ``ZeroDivisionError`` when ``a`` is
+    singular.
     """
     if not a.is_square():
-        raise ValueError("inverse of a non-square matrix")
+        raise ValueError("solve needs a square matrix")
+    if b.nrows != a.nrows:
+        raise ValueError(
+            f"shape mismatch: solve {a.nrows}x{a.ncols} against {b.nrows}x{b.ncols}")
     n = a.nrows
-    m = _dense(a, 2 * n)
-    for r, row in enumerate(m):
-        row[n + r] = _ONE_NUM
+    m = _dense(a, n + b.ncols)
+    for row, b_row in zip(m, b._num):
+        for c, x in b_row:
+            row[n + c] = x
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if any(m[r][col])), None)
         if pivot_row is None:
@@ -684,7 +786,8 @@ def inverse(a: ExactMatrix) -> ExactMatrix:
                 fy = _mul_nums(f, y)
                 row[j] = tuple([u - v for u, v in zip(row[j], fy)])
             m[r] = _primitive(row)
-    # Row r now reads d_r * e_r on the left, so inverse row r is its right half / d_r.
+    # Row r now reads [d_r * e_r | R_r], so row r of a^-1 b is R_r / d_r,
+    # times D_a / D_b for the stored denominators.
     pivots = [m[r][r][0] for r in range(n)]
     den = lcm(*pivots)
     out = []
@@ -692,7 +795,13 @@ def inverse(a: ExactMatrix) -> ExactMatrix:
         f = den // pivots[r] * a._den
         out.append(tuple([(c, tuple([f * v for v in x]))
                           for c, x in enumerate(row[n:]) if any(x)]))
-    return ExactMatrix._reduced(n, n, den, tuple(out))
+    return ExactMatrix._reduced(n, b.ncols, den * b._den, tuple(out))
+
+
+def inverse(a: ExactMatrix) -> ExactMatrix:
+    """Exact inverse over the full (possibly quaternionic) scalar tower:
+    ``solve(a, I)``."""
+    return solve(a, ExactMatrix.identity(a.nrows))
 
 
 def congruence_signature(s: ExactMatrix) -> Tuple[int, int]:

@@ -223,6 +223,31 @@ def test_verify_explains_an_embedding_that_is_not_a_homomorphism(
     assert detail in out
 
 
+def test_verify_reports_a_sampled_factor_defect_without_raising(capsys, monkeypatch):
+    """A K sample whose first factor is scaled by 2 is no group element:
+    the embedding check reads the defect instead of ending the run, and
+    K-membership reports the same one."""
+    import nilorb.cli
+    from nilorb.homotopy import KElement
+    from nilorb.scalars import Scalar
+
+    sample = nilorb.cli.sample_k_element
+
+    def scaled(a, datum, rng):
+        e = sample(a, datum, rng)
+        first = e.factors[0].scale_left(Scalar.rational(2))
+        return KElement((first,) + e.factors[1:])
+
+    monkeypatch.setattr(nilorb.cli, "sample_k_element", scaled)
+    code, out, _ = run(capsys, "verify", "--algebra", "sl_c", "--n", "3")
+    assert code == 1
+    assert ("embedding-homomorphism FAILED (2 orbit(s)) "
+            "[2 failed: [2,1]: factor relation: U(1) factor is not unitary]") in out
+    assert ("K-membership FAILED (2 orbit(s)) "
+            "[2 failed: [2,1]: factor relation: U(1) factor is not unitary]") in out
+    assert out.endswith("verify: FAIL\n")
+
+
 def test_verify_requires_a_unitary_adapted_basis(capsys, monkeypatch):
     """T Q with Q complex orthogonal but not unitary still carries the Gram
     matrix to the identity, so only T*T = I catches it; K-membership then

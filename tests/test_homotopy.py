@@ -381,7 +381,8 @@ def test_no_descriptor_for_quaternionic_orthogonal():
 def _reference_compact_point(rng: random.Random, kind: str, size: int) -> ExactMatrix:
     """The Fraction route ``random_compact_point`` replaced: one Scalar per
     raw entry, ``Fraction(randint(-2, 2), randint(1, 3))`` per component,
-    built with ``from_entries``."""
+    built with ``from_entries``, and the Cayley point as the product
+    ``(I - A) @ inverse(I + A)`` where the module makes one solve."""
     if size == 0:
         return ExactMatrix.zeros(0, 0)
     dim = {"O": 1, "U": 2, "Sp": 4}[kind]
@@ -402,8 +403,9 @@ def _reference_compact_point(rng: random.Random, kind: str, size: int) -> ExactM
 
 @pytest.mark.parametrize("kind", ["O", "U", "Sp"])
 def test_random_compact_point_keeps_the_fraction_draw_order(kind):
-    """The int-numerator draws give the point the Fraction route gave, and
-    leave the generator in the same state, so seeds keep their points."""
+    """The int-numerator draws and the one-solve Cayley transform give the
+    point the Fraction route and its product with an inverse gave, and leave
+    the generator in the same state, so seeds keep their points."""
     for size in range(5):
         for seed in (0, 1, 7, 2024, "verify"):
             rng, ref_rng = random.Random(seed), random.Random(seed)

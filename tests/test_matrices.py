@@ -10,11 +10,12 @@ import pytest
 
 from nilorb.catalog import AlgebraSpec, enumerate_orbits
 from nilorb.cli import _matrix_lines
+from nilorb.homotopy import random_compact_point
 from nilorb.matrices import (DegenerateFormError, ExactMatrix, block_oplus,
                              commutator, complex_to_real_blocks,
                              congruence_signature, conj_transpose, det,
-                             inverse, quaternion_to_complex_blocks, rank,
-                             reduced_norm, repeat_blocks)
+                             inverse, is_isometry, quaternion_to_complex_blocks,
+                             rank, reduced_norm, repeat_blocks, solve)
 from nilorb.scalars import (I_UNIT, J_UNIT, MINUS_ONE, ONE, ZERO, Scalar)
 from nilorb.triples import adapted_basis, build_triple
 
@@ -179,6 +180,178 @@ def test_quaternion_inverse():
         assert a @ inverse(a) == ExactMatrix.identity(2)
         assert inverse(a) @ a == ExactMatrix.identity(2)
         done += 1
+
+
+# Component indices of 1, i, sqrt2 and i*sqrt2 for each commutative variant.
+COMMUTATIVE_COMPONENTS = {
+    "rational": (0,),
+    "complex": (0, 1),
+    "sqrt2": (0, 4),
+    "complex-sqrt2": (0, 1, 4, 5),
+}
+
+
+def variant_matrix(rng: random.Random, variant: str, n: int,
+                   density: float = 1.0) -> ExactMatrix:
+    """A random n x n matrix whose entries use the variant's components;
+    each entry is nonzero with probability about ``density``."""
+    comps = COMMUTATIVE_COMPONENTS[variant]
+    entries = {}
+    for r in range(n):
+        for c in range(n):
+            if rng.random() < density:
+                x = [Fraction(0)] * 8
+                for i in comps:
+                    x[i] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                entries[(r, c)] = Scalar(x)
+    return ExactMatrix.from_entries(n, n, entries)
+
+
+def unsplit_bareiss(a: ExactMatrix) -> Scalar:
+    """Bareiss over the whole matrix with Scalar division: the route
+    ``det`` took before it split its input into connected components."""
+    n = a.nrows
+    m = [list(row) for row in a.rows()]
+    sign, prev = ONE, ONE
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if not m[r][k].is_zero()), None)
+        if pivot is None:
+            return ZERO
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for r in range(k + 1, n):
+            for c in range(k + 1, n):
+                m[r][c] = (m[k][k] * m[r][c] - m[r][k] * m[k][c]) / prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1] if n else ONE
+
+
+def permuted(a: ExactMatrix, perm) -> ExactMatrix:
+    """P a P^T for the permutation sending index i to ``perm[i]``."""
+    return ExactMatrix.from_entries(a.nrows, a.ncols, {
+        (perm[r], perm[c]): x for r, row in enumerate(a.nonzeros()) for c, x in row})
+
+
+@pytest.mark.parametrize("variant", sorted(COMMUTATIVE_COMPONENTS))
+def test_det_by_components_matches_the_unsplit_bareiss(variant):
+    """Block-diagonal, permuted-block, connected and singular-block inputs,
+    sizes 0 and 1 among them, give the determinant of one elimination over
+    the whole matrix."""
+    rng = random.Random(f"det:{variant}")
+    cases = [ExactMatrix.zeros(0, 0), ExactMatrix.zeros(1, 1),
+             variant_matrix(rng, variant, 1), ExactMatrix.identity(4)]
+    for _ in range(6):
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+        blocks = [variant_matrix(rng, variant, s) for s in sizes]
+        diag = block_oplus(blocks)
+        perm = list(range(diag.nrows))
+        rng.shuffle(perm)
+        cases += [diag, permuted(diag, perm),
+                  variant_matrix(rng, variant, 4),
+                  variant_matrix(rng, variant, 5, density=0.4)]
+        # A singular block: its last row repeats its first.
+        s = blocks[0].nrows + 1
+        rows = variant_matrix(rng, variant, s).rows()
+        singular = ExactMatrix(list(rows[:-1]) + [rows[0]])
+        assert unsplit_bareiss(singular) == ZERO
+        cases.append(permuted(block_oplus([singular] + blocks[1:]),
+                              list(reversed(range(s + diag.nrows - blocks[0].nrows)))))
+    for a in cases:
+        assert det(a) == unsplit_bareiss(a), a
+    assert any(not det(a).is_zero() for a in cases if a.nrows > 3)
+
+
+def test_det_of_a_split_matrix_still_rejects_a_quaternion_block():
+    rng = random.Random(11)
+    for variant in COMMUTATIVE_COMPONENTS:
+        blocks = [variant_matrix(rng, variant, 2), ExactMatrix([[J_UNIT]])]
+        with pytest.raises(ValueError):
+            det(block_oplus(blocks))
+        with pytest.raises(ValueError):
+            det(block_oplus([variant_matrix(rng, variant, 2),
+                             ExactMatrix([[ONE, J_UNIT], [ZERO, ONE]])]))
+
+
+def test_solve_gives_the_left_inverse_times_b():
+    """``a @ solve(a, b) == b`` for rectangular ``b``; over the quaternions
+    the left solve differs from ``b`` times the inverse on the right."""
+    rng = random.Random(12)
+    done = 0
+    while done < 8:
+        a = quaternion_matrix(rng, 3)
+        if reduced_norm(a).is_zero():
+            continue
+        for width in (1, 2, 3, 5):
+            b = ExactMatrix([[Scalar.quaternion_value(*(rng.randint(-2, 2)
+                                                        for _ in range(4)))
+                              for _ in range(width)] for _ in range(3)])
+            x = solve(a, b)
+            assert (x.nrows, x.ncols) == (3, width)
+            assert a @ x == b
+            assert x == inverse(a) @ b
+        b = quaternion_matrix(rng, 3)
+        assert solve(a, b) != b @ inverse(a)
+        assert solve(a, ExactMatrix.identity(3)) == inverse(a)
+        done += 1
+    assert solve(ExactMatrix.zeros(0, 0), ExactMatrix.zeros(0, 2)) == ExactMatrix.zeros(0, 2)
+
+
+def test_solve_rejects_singular_and_mismatched_input():
+    singular = ExactMatrix([[ONE, I_UNIT], [I_UNIT, MINUS_ONE]])
+    with pytest.raises(ZeroDivisionError):
+        solve(singular, ExactMatrix.identity(2))
+    with pytest.raises(ZeroDivisionError):
+        inverse(singular)
+    with pytest.raises(ValueError):
+        solve(ExactMatrix.identity(2), ExactMatrix.identity(3))
+    with pytest.raises(ValueError):
+        solve(ExactMatrix.zeros(2, 3), ExactMatrix.zeros(2, 1))
+    with pytest.raises(ValueError):
+        inverse(ExactMatrix.zeros(2, 3))
+
+
+def _with_entry(g: ExactMatrix, r: int, c: int, x) -> ExactMatrix:
+    entries = {(i, j): y for i, row in enumerate(g.nonzeros()) for j, y in row}
+    entries[(r, c)] = x
+    return ExactMatrix.from_entries(g.nrows, g.ncols, entries)
+
+
+def _columns(g: ExactMatrix, k: int) -> ExactMatrix:
+    return ExactMatrix.from_entries(g.nrows, k, {
+        (i, j): y for i, row in enumerate(g.nonzeros()) for j, y in row if j < k})
+
+
+@pytest.mark.parametrize("kind", ["O", "U", "Sp"])
+def test_is_isometry_agrees_with_the_product(kind):
+    """``is_isometry(g, conj)`` reads as ``g* g == I`` (``g^T g`` without
+    ``conj``) on Cayley points, on the same points with one entry changed,
+    on their leading columns and rows, and at size 0."""
+    rng = random.Random(f"isometry:{kind}")
+
+    def agrees(g: ExactMatrix) -> bool:
+        ident = ExactMatrix.identity(g.ncols)
+        assert is_isometry(g, conj=False) == (g.transpose() @ g == ident)
+        assert is_isometry(g, conj=True) == (conj_transpose(g) @ g == ident)
+        return is_isometry(g, conj=kind != "O")
+
+    assert agrees(ExactMatrix.zeros(0, 0))
+    assert agrees(ExactMatrix.zeros(3, 0))
+    assert not agrees(ExactMatrix.zeros(0, 2))
+    for size in range(1, 5):
+        for _ in range(3):
+            g = random_compact_point(rng, kind, size)
+            assert agrees(g)
+            r, c = rng.randrange(size), rng.randrange(size)
+            assert not agrees(_with_entry(g, r, c, g.entry(r, c) + ONE))
+            assert not agrees(g.scale_left(Scalar.rational(2)))
+            assert agrees(_columns(g, size - 1))
+            if size > 1:
+                assert not agrees(_columns(g, size - 1).transpose())
+                # Column 1 repeats column 0: unit columns, not orthogonal ones.
+                repeat = ExactMatrix.from_entries(size, size, {
+                    (0, 0): 1, (0, 1): 1, **{(k, k): 1 for k in range(2, size)}})
+                assert not agrees(g @ repeat)
 
 
 def test_congruence_signature_examples():
