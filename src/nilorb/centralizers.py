@@ -33,19 +33,36 @@ weight difference, and entry (b, pi(a)) repeats it up to sigma, since
 are units of R, C or H, so the condition fixes one entry of a two-entry
 block from the other, and the block keeps one entry's real dimension.
 Only the self-paired entries (a, pi(a)), of weight difference 2 w(a), are
-solved: none in g_1 and at most n per orbit.  The direct solves
+solved: none in g_1 and at most n per orbit.
+
+Distinct parts are orthogonal, so the Gram matrix is the block sum of the
+parts' own blocks, and a form family's count splits over the parts:
+
+    g_k(datum) = sum over parts of g_k(part)
+                 + (e/2) (size_k(datum) - sum over parts of size_k(part)),
+
+where size_k counts the entries of weight difference k and e is the real
+dimension of one entry.  An entry (a, b) between two different parts is
+never self-paired, and its mate (pi(b), pi(a)) joins the same two parts,
+so those entries form two-entry blocks of e each.  ``centralizer_report``
+counts each part once per family and Gram block key
+(:func:`~nilorb.triples.gram_block_keys`) and keeps the count; the part's
+block is checked by the pairing rules when it is counted.  So the report
+builds neither the datum's Gram matrix nor X, H or Y, only the slot
+weights and the blocks of parts it has not met.  The trace-zero families
+solve each grade of the datum whole.  The direct solves
 ``centralizer_dim_triple`` and ``centralizer_dim_nilpotent`` assemble the
-full system and stay as independent references; ``verify`` reads the
-grading from :func:`centralizer_report`, the one place that turns it into
-reported dimensions, and checks it against the direct triple solve and
-the closed forms.  The graded counts read only the Gram matrix and the slot
-weights, so ``centralizer_report`` and ``orbit_dim`` build no X, H or Y.
+full system over the whole Gram matrix and stay as independent
+references; ``verify`` reads the grading from :func:`centralizer_report`,
+the one place that turns it into reported dimensions, and checks it
+against the direct triple solve and the closed forms.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .catalog import AlgebraSpec, Datum, datum_partition
@@ -53,7 +70,8 @@ from .families import COMPLEX, QUATERNION, FamilySpec
 from .homotopy import HomotopyType, compact_pair
 from .matrices import ExactMatrix, integer_nullity
 from .scalars import _PROD
-from .triples import Triple, gram_matrix, layout_for, triple_partition
+from .triples import (Triple, _gram_block, gram_block_keys, gram_matrix,
+                      layout_for, part_weights, triple_partition)
 
 
 # The closed forms below work over the complexification: a type A, BD or C
@@ -167,13 +185,13 @@ class AlgebraConstraint:
     Raises ``ValueError`` naming the first Gram entry outside the ring.
     """
 
-    def __init__(self, a: AlgebraSpec, gram: Optional[ExactMatrix]):
-        ring = a.family_spec.ring
+    def __init__(self, spec: FamilySpec, gram: Optional[ExactMatrix]):
+        ring = spec.ring
         self.gram = gram
         self.comps, self.doubling = (1, 2) if ring is COMPLEX else (ring.dim, 1)
         self._terms: Dict[Tuple[int, int], Tuple[list, list]] = {}
         if gram is not None:
-            epsilon, sigma = a.family_spec.form
+            epsilon, sigma = spec.form
             # sigma = conj negates the units i, j and k.
             conj = sigma == "conj"
             self._left_signs = [-1 if conj and c else 1 for c in range(self.comps)]
@@ -304,6 +322,13 @@ def _grade_positions(weights: Sequence[int], k: int) -> List[Tuple[int, int]]:
     return [(r, s) for r, w in enumerate(weights) for s in slots.get(w - k, ())]
 
 
+def _grade_sizes(weights: Sequence[int]) -> Tuple[int, int, int]:
+    """How many entries have ad(H)-eigenvalue 0, 1 and 2 over the slot weights."""
+    counts = Counter(weights)
+    s0, s1, s2 = (sum(t * counts[w - k] for w, t in counts.items()) for k in (0, 1, 2))
+    return s0, s1, s2
+
+
 def _grade_nullities(constraint: AlgebraConstraint,
                      weights: Sequence[int]) -> Tuple[int, int, int]:
     """dim g_0, g_1 and g_2 over the slot weights of the triple's basis.
@@ -324,16 +349,29 @@ def _grade_nullities(constraint: AlgebraConstraint,
                       for k in (0, 1, 2))
         return g0, g1, g2
     pi = constraint.pairing(weights)
-    counts = Counter(weights)
     entry = constraint.comps * constraint.doubling
     dims = []
-    for k in (0, 1, 2):
-        size = sum(t * counts[w - k] for w, t in counts.items())
+    for k, size in enumerate(_grade_sizes(weights)):
         own = [(a, pi[a]) for a, w in enumerate(weights) if 2 * w == k]
         dims.append(entry * (size - len(own)) // 2
                     + _centralizer_nullity(constraint, [], own))
     g0, g1, g2 = dims
     return g0, g1, g2
+
+
+@lru_cache(maxsize=1024)
+def _part_grading(spec: FamilySpec, block: str, d: int, t: int, plus: Optional[int]
+                  ) -> Tuple[Tuple[int, int, int], Tuple[int, int, int]]:
+    """dim g_0, g_1 and g_2 of one part's own grading, and the sizes of its grades.
+
+    The part is the family's ``_gram_block(block, d, t, plus)`` over
+    ``part_weights(d, t)``; its count is kept per family and block key, up
+    to 1024 of them.  Raises ``ValueError`` when the block breaks a rule of
+    the pairing, so a bad block is refused when it is first counted.
+    """
+    weights = part_weights(d, t)
+    constraint = AlgebraConstraint(spec, _gram_block(block, d, t, plus))
+    return _grade_nullities(constraint, weights), _grade_sizes(weights)
 
 
 def centralizer_dim_triple(t: Triple, a: AlgebraSpec) -> int:
@@ -344,7 +382,7 @@ def centralizer_dim_triple(t: Triple, a: AlgebraSpec) -> int:
     shares nothing with the graded count of :func:`centralizer_report`.
     Raises ``ValueError`` when a Gram entry lies outside the ring.
     """
-    return _centralizer_nullity(AlgebraConstraint(a, t.gram), [t.X, t.Y],
+    return _centralizer_nullity(AlgebraConstraint(a.family_spec, t.gram), [t.X, t.Y],
                                 _grade_positions(t.layout.weights(), 0))
 
 
@@ -363,7 +401,7 @@ def centralizer_dim_nilpotent(x: ExactMatrix, a: AlgebraSpec,
         gram = gram_matrix(a, datum)
     n = x.nrows
     positions = [(r, s) for r in range(n) for s in range(n)]
-    return _centralizer_nullity(AlgebraConstraint(a, gram), [x], positions)
+    return _centralizer_nullity(AlgebraConstraint(a.family_spec, gram), [x], positions)
 
 
 def orbit_dim(a: AlgebraSpec, datum: Datum) -> int:
@@ -405,8 +443,11 @@ def centralizer_report(a: AlgebraSpec, datum: Datum) -> CentralizerReport:
     """Solved and closed-form centralizer dimensions of the datum's orbit.
 
     This is the one place that turns dim g_0, g_1 and g_2 into reported
-    dimensions and that sets a zero orbit's.  Only the Gram matrix, joined
-    from memoized part blocks, and the slot weights are built.
+    dimensions and that sets a zero orbit's.  A form family's grades are
+    summed from the memoized counts of its parts (the cross-part identity
+    of the module docstring); a trace-zero family's are solved whole.
+    Only the slot weights and the blocks of parts not yet counted are
+    built, never the datum's Gram matrix or X, H and Y.
     """
     zero = datum_partition(datum).is_zero_type()
     ambient = dim_g(a)
@@ -417,10 +458,17 @@ def centralizer_report(a: AlgebraSpec, datum: Datum) -> CentralizerReport:
             dim_z_triple=ambient, dim_z_X=ambient, dim_g=ambient, dim_orbit=0,
             expected_reductive=expected, compact=compact,
             match=ambient == expected)
-    # The triple's grading, from its Gram matrix and slot weights alone.
-    gram = gram_matrix(a, datum) if a.family_spec.form is not None else None
+    spec = a.family_spec
     weights = layout_for(triple_partition(a, datum)).weights()
-    g0, g1, g2 = _grade_nullities(AlgebraConstraint(a, gram), weights)
+    if spec.form is None:
+        g0, g1, g2 = _grade_nullities(AlgebraConstraint(spec, None), weights)
+    else:
+        parts = [_part_grading(spec, *key) for key in gram_block_keys(a, datum)]
+        sizes = _grade_sizes(weights)
+        # The entries between two parts keep one entry's real dimension per pair.
+        g0, g1, g2 = (sum(dims[k] for dims, _ in parts)
+                      + spec.ring.dim * (sizes[k] - sum(size[k] for _, size in parts)) // 2
+                      for k in (0, 1, 2))
     dz_triple, dz_x = g0 - g2, g0 + g1
     return CentralizerReport(
         dim_z_triple=dz_triple, dim_z_X=dz_x, dim_g=ambient,

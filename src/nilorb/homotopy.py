@@ -26,7 +26,7 @@ from .catalog import AlgebraSpec, Datum, datum_partition
 from .diagrams import SignedDiagram, row_plus_minus
 from .families import FAMILY_SPECS, compact_dim, ring_of_kind
 from .matrices import (ExactMatrix, block_oplus, complex_to_real_blocks,
-                       conj_transpose, det, diagonal_block, is_isometry,
+                       conj_transpose, det, diagonal_block, i_to_j, is_isometry,
                        quaternion_to_complex_blocks, reduced_norm,
                        repeat_blocks, solve)
 from .scalars import COMPLEX_LIKE_VARIANTS, ONE, Scalar
@@ -231,15 +231,6 @@ def quotient_dim(a: AlgebraSpec, datum: Datum) -> int:
 # Embedding
 # ---------------------------------------------------------------------------
 
-def _i_to_j(m: ExactMatrix) -> ExactMatrix:
-    """Send complex entries x + iy to the quaternions x + jy."""
-    if m.variant() not in ("rational", "gauss"):
-        raise ValueError("entry is not a rational complex number")
-    return ExactMatrix.from_entries(m.nrows, m.ncols, {
-        (r, c): Scalar.quaternion_value(x.components[0], 0, x.components[1], 0)
-        for r, row in enumerate(m.nonzeros()) for c, x in row})
-
-
 def _factor_block(a: AlgebraSpec, spec: FactorSpec, g: ExactMatrix) -> ExactMatrix:
     """A factor as it enters the adapted basis (``FamilySpec.even_embed``)."""
     embed = a.family_spec.even_embed if spec.role == "even" else None
@@ -248,7 +239,7 @@ def _factor_block(a: AlgebraSpec, spec: FactorSpec, g: ExactMatrix) -> ExactMatr
     if embed == "C-to-R":
         return complex_to_real_blocks(g)
     if embed == "i-to-j":
-        return _i_to_j(g)
+        return i_to_j(g)
     return g
 
 

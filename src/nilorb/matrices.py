@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .scalars import (_F0, _PROD, COMPLEX_LIKE_VARIANTS, ONE, ZERO, Scalar,
@@ -228,9 +229,11 @@ class ExactMatrix:
 
         ``numerators`` holds eight ints in the component order of
         :data:`~nilorb.scalars.BASIS_NAMES`, and ``den`` is a positive
-        int; the result is reduced.  Pairs may come in any column order,
-        and all-zero ones are dropped.  A column outside the shape, or one
-        given twice in a row, raises ``IndexError``.  No Scalar is made.
+        int; the result is reduced.  Pairs may come in any column order.
+        Every pair is checked before the all-zero ones are dropped: a
+        column outside the shape, or one given twice in a row, raises
+        ``IndexError``, and numerators other than eight ints raise
+        ``ValueError``.  No Scalar is made.
         """
         if len(rows) != nrows:
             raise ValueError(f"{len(rows)} rows given for a {nrows}-row matrix")
@@ -238,14 +241,14 @@ class ExactMatrix:
             raise ValueError("the denominator must be a positive int")
         out = []
         for r, row in enumerate(rows):
-            kept = sorted((c, tuple(x)) for c, x in row if any(x))
-            for i, (c, x) in enumerate(kept):
-                if not 0 <= c < ncols or (i and kept[i - 1][0] == c):
+            given = sorted([(c, tuple(x)) for c, x in row], key=itemgetter(0))
+            for i, (c, x) in enumerate(given):
+                if not 0 <= c < ncols or (i and given[i - 1][0] == c):
                     raise IndexError(f"entry ({r},{c}) outside a {nrows}x{ncols} "
                                      "matrix or given twice")
                 if len(x) != 8 or any(type(v) is not int for v in x):
                     raise ValueError("an entry needs exactly 8 int numerators")
-            out.append(tuple(kept))
+            out.append(tuple([e for e in given if any(e[1])]))
         return ExactMatrix._reduced(nrows, ncols, den, tuple(out))
 
     @staticmethod
@@ -537,6 +540,22 @@ def complex_to_real_blocks(a: ExactMatrix) -> ExactMatrix:
         top.append(tuple(re + [(n + c, tuple([-v for v in t])) for c, t in im]))
         bottom.append(tuple(im + [(n + c, s) for c, s in re]))
     return ExactMatrix._of(2 * m, 2 * n, a._den, tuple(top + bottom))
+
+
+def i_to_j(a: ExactMatrix) -> ExactMatrix:
+    """Send each Gaussian rational entry ``x + iy`` to the quaternion ``x + jy``.
+
+    Raises ``ValueError`` on an entry with a ``j``, ``k`` or ``sqrt2`` part.
+    """
+    rows = []
+    for row in a._num:
+        out = []
+        for c, x in row:
+            if any(x[2:]):
+                raise ValueError("entry is not a rational complex number")
+            out.append((c, (x[0], 0, x[1], 0, 0, 0, 0, 0)))
+        rows.append(tuple(out))
+    return ExactMatrix._of(a.nrows, a.ncols, a._den, tuple(rows))
 
 
 def quaternion_to_complex_blocks(a: ExactMatrix) -> ExactMatrix:

@@ -60,12 +60,13 @@ class BasisLayout:
         return out
 
     def weights(self) -> List[int]:
-        """The H-eigenvalue of each slot (``1 - d + 2l`` at ``X^l v_j``)."""
-        out = []
-        for d, t in self.pairs:
-            for l in range(d - 1, -1, -1):
-                out.extend([1 - d + 2 * l] * t)
-        return out
+        """The H-eigenvalue of each slot, the parts' :func:`part_weights` joined."""
+        return [w for d, t in self.pairs for w in part_weights(d, t)]
+
+
+def part_weights(d: int, t: int) -> List[int]:
+    """The H-eigenvalue of each slot of one part: ``1 - d + 2l`` at ``X^l v_j``."""
+    return [1 - d + 2 * l for l in range(d - 1, -1, -1) for _ in range(t)]
 
 
 def layout_for(partition: Partition) -> BasisLayout:
@@ -208,6 +209,26 @@ def _gram_block(block: str, d: int, t: int, plus: Optional[int]) -> ExactMatrix:
     return kron(level, base)
 
 
+def gram_block_keys(a: AlgebraSpec, datum: Datum
+                    ) -> List[Tuple[str, int, int, Optional[int]]]:
+    """The Gram block key of each part, in the triple's part order.
+
+    A key is the arguments of :func:`_gram_block`: the lowest-weight form
+    (:func:`_form_block`), ``d``, ``t`` and, on a signed row, the number of
+    rows starting with +1.  The Gram matrix is the block sum of the parts'
+    ``_gram_block(*key)``, and each part's slot weights are
+    ``part_weights(d, t)``.
+    """
+    spec = a.family_spec
+    if spec.form is None:
+        raise ValueError(f"{a.family} carries no invariant form")
+    keys = []
+    for d, t in datum_partition(datum).pairs:
+        block = _form_block(spec, d)
+        keys.append((block, d, t, datum.p_of(d) if block == "signed" else None))
+    return keys
+
+
 def gram_matrix(a: AlgebraSpec, datum: Datum) -> ExactMatrix:
     """Gram matrix of the invariant form in the triple's ordered basis.
 
@@ -219,15 +240,7 @@ def gram_matrix(a: AlgebraSpec, datum: Datum) -> ExactMatrix:
     block in the skew case, and ``j``-diagonal in the quaternionic
     skew-adjoint case.
     """
-    spec = a.family_spec
-    if spec.form is None:
-        raise ValueError(f"{a.family} carries no invariant form")
-    blocks = []
-    for d, t in datum_partition(datum).pairs:
-        block = _form_block(spec, d)
-        blocks.append(_gram_block(block, d, t,
-                                  datum.p_of(d) if block == "signed" else None))
-    return block_oplus(blocks)
+    return block_oplus([_gram_block(*key) for key in gram_block_keys(a, datum)])
 
 
 def build_triple(a: AlgebraSpec, datum: Datum) -> Triple:

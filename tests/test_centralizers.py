@@ -10,24 +10,27 @@ from nilorb.catalog import AlgebraSpec, enumerate_orbits
 import nilorb.centralizers
 from nilorb.centralizers import (AlgebraConstraint, _centralizer_nullity,
                                  _grade_nullities, _grade_positions,
+                                 _part_grading,
                                  centralizer_dim_nilpotent,
                                  centralizer_dim_triple, centralizer_report,
                                  dim_g, expected_orbit_dim,
                                  expected_reductive_dim, orbit_dim)
+from nilorb.cli import main
 from nilorb.diagrams import SignedDiagram
 from nilorb.homotopy import expected_compact_dim
 from nilorb.matrices import ExactMatrix
 from nilorb.partitions import Partition
 from nilorb.scalars import J_UNIT
-from nilorb.triples import build_triple
+from nilorb.triples import _gram_block, build_triple, gram_block_keys
 
 
 def graded_dims(t, a):
     """dim g_0, g_1 and g_2 of the triple ``t``'s own grading, counted over
-    ``t.gram`` and ``t.layout``: the count ``centralizer_report`` makes from
-    the datum's memoized Gram matrix and slot weights, here for any Gram
-    matrix a test puts in the triple."""
-    return _grade_nullities(AlgebraConstraint(a, t.gram), t.layout.weights())
+    the whole ``t.gram`` and ``t.layout``: the count ``centralizer_report``
+    sums from its parts, here for any Gram matrix a test puts in the
+    triple."""
+    return _grade_nullities(AlgebraConstraint(a.family_spec, t.gram),
+                            t.layout.weights())
 
 
 SWEEP = (
@@ -95,7 +98,7 @@ def test_grading_matches_direct_solves_and_closed_forms(a):
         assert (g0 + g1 == centralizer_dim_nilpotent(t.X, a, rec.datum)
                 == dim_g(a) - expected_orbit_dim(a, rec.datum)), str(rec.datum)
         assert (g0, g1, g2) == graded_dims(t, a)
-        constraint = AlgebraConstraint(a, t.gram)
+        constraint = AlgebraConstraint(a.family_spec, t.gram)
         weights = t.layout.weights()
         assert (g0, g1, g2) == tuple(
             _centralizer_nullity(constraint, [], _grade_positions(weights, k))
@@ -123,7 +126,7 @@ def test_grading_sweep_meets_every_block_kind(family):
             if rec.is_zero_orbit:
                 continue
             t = build_triple(a, rec.datum)
-            constraint = AlgebraConstraint(a, t.gram)
+            constraint = AlgebraConstraint(a.family_spec, t.gram)
             weights = t.layout.weights()
             pi = constraint.pairing(weights)
             for k in (0, 1, 2):
@@ -135,6 +138,65 @@ def test_grading_sweep_meets_every_block_kind(family):
                     assert (_centralizer_nullity(constraint, [], [(r, s)])
                             == ONE_ENTRY_NULLITY[family]), (str(rec.datum), r, s)
     assert met == {"two-entry", "one-entry in g_0", "one-entry in g_2"}
+
+
+REPORT_SWEEP = (
+    [a for a in GRADING_SWEEP if a.family_spec.form is not None]
+    + [AlgebraSpec("so_c", n=14), AlgebraSpec("sp_pq", p=4, q=4), AlgebraSpec("sp_c", n=6)]
+)
+
+
+@pytest.mark.parametrize("a", REPORT_SWEEP, ids=str)
+def test_report_sums_the_part_counts_to_the_whole_gram_count(a):
+    """The report's sum over parts plus the cross-part pairs is the count
+    over the whole Gram matrix, on a cold part memo and a warm one."""
+    _part_grading.cache_clear()
+    for _ in range(2):
+        for rec in enumerate_orbits(a):
+            if rec.is_zero_orbit:
+                continue
+            g0, g1, g2 = graded_dims(build_triple(a, rec.datum), a)
+            report = centralizer_report(a, rec.datum)
+            assert (report.dim_z_triple, report.dim_z_X, report.dim_orbit) == (
+                g0 - g2, g0 + g1, dim_g(a) - g0 - g1), str(rec.datum)
+
+
+def _record_with_part(family, d, t):
+    """The first nonzero record of ``family`` in the grading sweep with a
+    part ``(d, t)`` whose signed rows, if any, start once with +1, and that
+    part's Gram block key."""
+    for a in GRADING_SWEEP:
+        if a.family != family:
+            continue
+        for rec in enumerate_orbits(a):
+            if rec.is_zero_orbit:
+                continue
+            for key in gram_block_keys(a, rec.datum):
+                if key[1:3] == (d, t) and key[3] in (None, 1):
+                    return a, rec.datum, key
+    raise AssertionError(f"no part ({d}, {t}) in the {family} sweep")
+
+
+def test_part_counts_are_kept_per_family():
+    """so_pq and sp_pq name their (1, 2) part by the same block key, and so
+    do so_c and so_pq their (2, 2) part, yet each family keeps its own
+    count in either order of filling: the (1, 2) part's g_0 is one
+    two-entry block and two one-entry blocks, ``e + 2 * ONE_ENTRY_NULLITY``
+    for the real dimension e of an entry."""
+    picks = {family: _record_with_part(family, 1, 2) for family in ONE_ENTRY_NULLITY}
+    assert picks["so_pq"][2] == picks["sp_pq"][2] == ("signed", 1, 2, 1)
+    assert (_record_with_part("so_c", 2, 2)[2] == _record_with_part("so_pq", 2, 2)[2]
+            == ("alternating", 2, 2, None))
+    for order in (list(picks), list(reversed(picks))):
+        _part_grading.cache_clear()
+        for family in order:
+            a, datum, key = picks[family]
+            g0, g1, g2 = graded_dims(build_triple(a, datum), a)
+            report = centralizer_report(a, datum)
+            assert (report.dim_z_triple, report.dim_z_X) == (g0 - g2, g0 + g1), family
+            entry = a.family_spec.ring.dim
+            assert _part_grading(a.family_spec, *key) == (
+                (entry + 2 * ONE_ENTRY_NULLITY[family], 0, 0), (4, 0, 0)), family
 
 
 def _refused_grams(gram):
@@ -159,14 +221,25 @@ def _refused_grams(gram):
     ("epsilon", "epsilon G"),
     ("ring", "outside the scalar ring"),
 ])
-def test_paired_count_refuses_a_gram_it_cannot_pair(rule, match):
+def test_paired_count_refuses_a_gram_it_cannot_pair(monkeypatch, rule, match):
     """graded_dims accepts any Gram matrix, but the paired count holds only
     for a monomial, involutive, grade-respecting, epsilon-Hermitian one over
     the ring: it raises on any other, and the direct solve still solves
     every one whose entries lie in the ring and raises the same ValueError
-    on the one that does not."""
+    on the one that does not.  The report checks a part's block when it
+    first counts it: with the part memo cleared, a corrupted block raises
+    there too."""
     a = AlgebraSpec("so_c", n=4)
     t = build_triple(a, Partition([2, 2]))
+    report = centralizer_report(a, t.partition)
+    with monkeypatch.context() as patch:
+        patch.setattr(nilorb.centralizers, "_gram_block",
+                      lambda *key: _refused_grams(_gram_block(*key))[rule])
+        _part_grading.cache_clear()
+        with pytest.raises(ValueError, match=match):
+            centralizer_report(a, t.partition)
+    _part_grading.cache_clear()
+    assert centralizer_report(a, t.partition) == report
     assert t.layout.weights() == [1, 1, -1, -1]
     bad = replace(t, gram=_refused_grams(t.gram)[rule])
     with pytest.raises(ValueError, match=match):
@@ -178,6 +251,29 @@ def test_paired_count_refuses_a_gram_it_cannot_pair(rule, match):
         assert centralizer_dim_triple(bad, a) >= 0
     g0, _, g2 = graded_dims(t, a)
     assert g0 - g2 == centralizer_dim_triple(t, a)
+
+
+def test_a_cold_list_counts_each_distinct_part_once(capsys, monkeypatch):
+    """``list`` counts the grading of each distinct part once, not each
+    record's: so_c 14 has 104 part lookups over 27 distinct parts."""
+    counted = []
+    graded = nilorb.centralizers._grade_nullities
+
+    def counting(constraint, weights):
+        counted.append(len(weights))
+        return graded(constraint, weights)
+
+    a = AlgebraSpec("so_c", n=14)
+    records = [rec for rec in enumerate_orbits(a) if not rec.is_zero_orbit]
+    lookups = [key for rec in records for key in gram_block_keys(a, rec.datum)]
+    assert (len(lookups), len(set(lookups))) == (104, 27)
+    monkeypatch.setattr(nilorb.centralizers, "_grade_nullities", counting)
+    _part_grading.cache_clear()
+    assert main(["list", "--algebra", "so_c", "--n", "14", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(counted) == 27
+    info = _part_grading.cache_info()
+    assert (info.misses, info.hits) == (27, 104 - 27)
 
 
 def test_paired_count_solves_only_the_self_paired_entries(monkeypatch):

@@ -4,9 +4,10 @@
 and dim O out of dim g_0, g_1 and g_2, and the one place that sets a zero
 orbit's dimensions; ``list``, ``describe`` and ``verify`` read its report.
 This scan reads the syntax tree of every other module under src/nilorb
-with the standard library and fails on a call of ``graded_dims`` or
-``_grade_nullities``, by bare name or as an attribute.  Importing or
-re-exporting the name is not a call and passes.
+with the standard library and fails on a call of ``graded_dims``,
+``_grade_nullities`` or ``_part_grading`` (one part's memoized count), by
+bare name or as an attribute.  Importing or re-exporting the name is not a
+call and passes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nilorb"
 OWNER = "centralizers.py"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != OWNER)
-GRADED = {"graded_dims", "_grade_nullities"}
+GRADED = {"graded_dims", "_grade_nullities", "_part_grading"}
 
 
 def graded_calls(source: str) -> list:
@@ -49,9 +50,10 @@ def test_scan_flags_graded_calls_and_accepts_report_reads():
         "dims = centralizers._grade_nullities(constraint, weights)\n"
         "x = 2\n"
         "y = f(graded_dims(t, a))\n"
+        "part = _part_grading(spec, 'identity', 3, 1, None)\n"
     )
     assert graded_calls(flagged) == [(1, "graded_dims"), (2, "_grade_nullities"),
-                                     (4, "graded_dims")]
+                                     (4, "graded_dims"), (5, "_part_grading")]
     accepted = (
         "from .centralizers import centralizer_report, graded_dims\n"
         "__all__ = ['graded_dims']\n"

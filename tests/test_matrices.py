@@ -14,9 +14,10 @@ from nilorb.homotopy import random_compact_point
 from nilorb.matrices import (DegenerateFormError, ExactMatrix, block_oplus,
                              commutator, complex_to_real_blocks,
                              congruence_signature, conj_transpose, det,
-                             inverse, is_isometry, quaternion_to_complex_blocks,
+                             i_to_j, inverse, is_isometry,
+                             quaternion_to_complex_blocks,
                              rank, reduced_norm, repeat_blocks, solve)
-from nilorb.scalars import (I_UNIT, J_UNIT, MINUS_ONE, ONE, ZERO, Scalar)
+from nilorb.scalars import I_UNIT, J_UNIT, MINUS_ONE, ONE, SQRT2, ZERO, Scalar
 from nilorb.triples import adapted_basis, build_triple
 
 
@@ -109,6 +110,24 @@ def test_quaternion_complexification_is_multiplicative():
         assert quaternion_to_complex_blocks(a @ b) == (
             quaternion_to_complex_blocks(a) @ quaternion_to_complex_blocks(b))
     assert quaternion_to_complex_blocks(ExactMatrix.identity(2)) == ExactMatrix.identity(4)
+
+
+def test_i_to_j_sends_x_plus_iy_to_x_plus_jy():
+    """The entrywise map is the Scalar one, keeps the denominator, is a ring
+    homomorphism (C and R + jR are both the field R[u]/(u^2 + 1)), and
+    refuses an entry outside the Gaussian rationals."""
+    rng = random.Random(8)
+    for _ in range(10):
+        a = complex_matrix(rng, 3).scale_left(Scalar.rational(Fraction(1, 3)))
+        b = complex_matrix(rng, 3)
+        assert i_to_j(a) == ExactMatrix.from_entries(3, 3, {
+            (r, c): Scalar.quaternion_value(x.components[0], 0, x.components[1], 0)
+            for r, row in enumerate(a.nonzeros()) for c, x in row})
+        assert i_to_j(a @ b) == i_to_j(a) @ i_to_j(b)
+    assert i_to_j(ExactMatrix.zeros(2, 3)) == ExactMatrix.zeros(2, 3)
+    for bad in (J_UNIT, SQRT2):
+        with pytest.raises(ValueError, match="not a rational complex number"):
+            i_to_j(ExactMatrix.from_entries(2, 2, {(0, 0): ONE, (1, 1): bad}))
 
 
 def test_realify_rank_scaling():
@@ -417,6 +436,14 @@ def test_from_numerators_reduces_and_checks_its_input():
         ExactMatrix.from_numerators(1, 2, 1, [[(-1, one)]])
     with pytest.raises(IndexError):
         ExactMatrix.from_numerators(1, 2, 1, [[(0, one), (0, one)]])
+    # Every pair is checked before the all-zero ones are dropped.
+    zero = (0,) * 8
+    with pytest.raises(IndexError):
+        ExactMatrix.from_numerators(2, 2, 1, [[(5, zero)], []])
+    with pytest.raises(IndexError):
+        ExactMatrix.from_numerators(1, 2, 1, [[(0, one), (0, zero)]])
+    with pytest.raises(ValueError):
+        ExactMatrix.from_numerators(1, 1, 1, [[(0, (0, 0))]])
     with pytest.raises(ValueError):
         ExactMatrix.from_numerators(2, 2, 1, [[(0, one)]])
     with pytest.raises(ValueError):

@@ -1104,7 +1104,8 @@ def test_integer_nonzeros_are_the_matrix_times_its_least_denominator(shaped):
 
 def graded_dims(t, a):
     """dim g_0, g_1 and g_2 of the triple ``t``'s grading, over ``t.gram``."""
-    return _grade_nullities(AlgebraConstraint(a, t.gram), t.layout.weights())
+    return _grade_nullities(AlgebraConstraint(a.family_spec, t.gram),
+                            t.layout.weights())
 
 
 def _scaled_triple(t, gram_by, x_by, y_by):

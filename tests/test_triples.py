@@ -9,7 +9,8 @@ import pytest
 from nilorb import triples
 from nilorb.catalog import AlgebraSpec, datum_partition, enumerate_orbits
 from nilorb.diagrams import row_plus_minus
-from nilorb.homotopy import factor_layout, sample_k_element
+from nilorb.centralizers import _part_grading, centralizer_report
+from nilorb.homotopy import embed_K, factor_layout, sample_k_element
 from nilorb.matrices import ExactMatrix, commutator, congruence_signature, rank
 from nilorb.partitions import Partition
 from nilorb.scalars import J_UNIT, MINUS_ONE, ONE, ZERO, Scalar
@@ -291,10 +292,14 @@ def test_builders_build_no_scalar(monkeypatch, a, partition):
     int blocks, and the blocks themselves are built from ints: neither
     constructor of ``Scalar`` runs and no ``is_zero`` is asked, so a
     process counts the same scalar work whether the memo is warm or cold.
-    Nor does a K sample, with its factor layout cold or warm."""
+    Nor does a K sample or its embedding, with the factor layout cold or
+    warm, nor the centralizer report, with its part counts cold or warm."""
     datum = _datum_of(a, partition)
     gram_matrix(a, datum)
     build_triple(a, datum)
+    report = centralizer_report(a, datum)
+    if a.family_spec.has_descriptor:
+        adapted_basis(a, datum)
     built = []
     original_init, original_of = Scalar.__init__, Scalar._of
     original_is_zero = Scalar.is_zero
@@ -320,11 +325,19 @@ def test_builders_build_no_scalar(monkeypatch, a, partition):
     assert gram_matrix(a, datum) == gram
     assert build_triple(a, datum) == t
     assert built == []
+    assert centralizer_report(a, datum) == report
+    clear_part_memo()
+    _part_grading.cache_clear()
+    assert centralizer_report(a, datum) == report
+    assert built == []
     if a.family_spec.has_descriptor:
-        # A K sample is drawn and built from int numerators, cold or warm.
+        # A K sample is drawn and built from int numerators, and embedded
+        # by int block maps (sp_pq's even part by i_to_j), cold or warm.
         factor_layout.cache_clear()
         cold = sample_k_element(a, datum, random.Random(0))
+        embedded = embed_K(a, datum, cold)
         assert sample_k_element(a, datum, random.Random(0)) == cold
+        assert embed_K(a, datum, cold) == embedded
         assert built == []
     # The wrapper counts: rendering still builds Scalars.
     t.X.to_json()
