@@ -13,16 +13,15 @@ from .catalog import (FAMILIES, SIGNED_FAMILIES, AlgebraSpec, OrbitRecord,
 from .centralizers import (AlgebraConstraint, CentralizerReport,
                            centralizer_dim_nilpotent, centralizer_dim_triple,
                            centralizer_report, expected_orbit_dim,
-                           expected_reductive_dim, orbit_dim)
+                           expected_reductive_dim)
 from .diagrams import SignedDiagram, enumerate_signed_diagrams, sign_matrix
 from .homotopy import (HomotopyType, KElement, chi, chi_pair, compact_pair,
-                       embed_K, expected_compact_dim, factor_layout,
-                       quotient_dim, sample_k_element, verify_K_membership)
+                       embed_K, factor_layout, sample_k_element,
+                       verify_K_membership)
 from .matrices import ExactMatrix
 from .partitions import Partition, enumerate_partitions
 from .scalars import Scalar
-from .triples import (Triple, ZeroOrbitError, adapted_change_of_basis,
-                      build_triple, gram_matrix, jordan_type)
+from .triples import Triple, ZeroOrbitError, build_triple, gram_matrix, jordan_type
 
 __version__ = "0.1.0"
 
@@ -41,7 +40,6 @@ __all__ = [
     "SignedDiagram",
     "Triple",
     "ZeroOrbitError",
-    "adapted_change_of_basis",
     "build_triple",
     "centralizer_dim_nilpotent",
     "centralizer_dim_triple",
@@ -54,15 +52,12 @@ __all__ = [
     "enumerate_orbits",
     "enumerate_partitions",
     "enumerate_signed_diagrams",
-    "expected_compact_dim",
     "expected_orbit_dim",
     "expected_reductive_dim",
     "factor_layout",
     "fiber_count",
     "gram_matrix",
     "jordan_type",
-    "orbit_dim",
-    "quotient_dim",
     "sample_k_element",
     "sign_matrix",
     "total_orbit_count",

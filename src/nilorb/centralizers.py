@@ -404,12 +404,6 @@ def centralizer_dim_nilpotent(x: ExactMatrix, a: AlgebraSpec,
     return _centralizer_nullity(AlgebraConstraint(a.family_spec, gram), [x], positions)
 
 
-def orbit_dim(a: AlgebraSpec, datum: Datum) -> int:
-    """Real dimension of the adjoint orbit through the datum's representative,
-    as :func:`centralizer_report` gives it."""
-    return centralizer_report(a, datum).dim_orbit
-
-
 @dataclass(frozen=True)
 class CentralizerReport:
     """Solved and closed-form centralizer dimensions for one orbit.

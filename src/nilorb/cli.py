@@ -250,54 +250,55 @@ def _json_text(doc) -> str:
     keeps every object alive for the whole call, so no identity is reused.
     Anything else, floats and non-str keys included, raises ``TypeError``.
     """
-    memo: Dict[Tuple[int, int], str] = {}
+    return _encode(doc, 0, {})
+
+
+def _encode(o, depth: int, memo: Dict[Tuple[int, int], str]) -> str:
+    """The text of ``o`` at nesting ``depth`` for :func:`_json_text`, which
+    owns ``memo``; a module function, so a call leaves no reference cycle."""
     quote = encode_basestring_ascii
-
-    def encode(o, depth: int) -> str:
-        if isinstance(o, str):
-            return quote(o)
-        if isinstance(o, (list, tuple)):
-            if not o:
-                return "[]"
-            leaf = True
-            items = []
-            for x in o:
-                if isinstance(x, str):
-                    items.append(quote(x))
-                    continue
-                text = memo.get((id(x), depth + 1))
-                if text is None:
-                    leaf = leaf and not isinstance(x, _JSON_CONTAINERS)
-                    text = encode(x, depth + 1)
-                else:
-                    leaf = False
-                items.append(text)
-            inner = "\n" + "  " * (depth + 1)
-            text = f"[{inner}{(',' + inner).join(items)}\n{'  ' * depth}]"
-            if leaf:
-                memo[id(o), depth] = text
-            return text
-        if isinstance(o, dict):
-            if not o:
-                return "{}"
-            items = []
-            for k, v in o.items():
-                if not isinstance(k, str):
-                    raise TypeError(f"keys must be str, not {type(k).__name__}")
-                items.append(f"{quote(k)}: {encode(v, depth + 1)}")
-            inner = "\n" + "  " * (depth + 1)
-            return f"{{{inner}{(',' + inner).join(items)}\n{'  ' * depth}}}"
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-    return encode(doc, 0)
+    if isinstance(o, str):
+        return quote(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        leaf = True
+        items = []
+        for x in o:
+            if isinstance(x, str):
+                items.append(quote(x))
+                continue
+            text = memo.get((id(x), depth + 1))
+            if text is None:
+                leaf = leaf and not isinstance(x, _JSON_CONTAINERS)
+                text = _encode(x, depth + 1, memo)
+            else:
+                leaf = False
+            items.append(text)
+        inner = "\n" + "  " * (depth + 1)
+        text = f"[{inner}{(',' + inner).join(items)}\n{'  ' * depth}]"
+        if leaf:
+            memo[id(o), depth] = text
+        return text
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = []
+        for k, v in o.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            items.append(f"{quote(k)}: {_encode(v, depth + 1, memo)}")
+        inner = "\n" + "  " * (depth + 1)
+        return f"{{{inner}{(',' + inner).join(items)}\n{'  ' * depth}}}"
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> List[str]:

@@ -218,15 +218,6 @@ def compact_pair(a: AlgebraSpec, datum: Datum) -> HomotopyType:
         dim_quotient=m - k, family=a.family, auxiliary=aux)
 
 
-def expected_compact_dim(a: AlgebraSpec, datum: Datum) -> int:
-    """Real dimension of the maximal compact subgroup K, in closed form."""
-    return compact_pair(a, datum).dim_K
-
-
-def quotient_dim(a: AlgebraSpec, datum: Datum) -> int:
-    return compact_pair(a, datum).dim_quotient
-
-
 # ---------------------------------------------------------------------------
 # Embedding
 # ---------------------------------------------------------------------------
@@ -354,19 +345,18 @@ class MembershipResult:
 
 
 def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
-                        t: Triple, T: Optional[ExactMatrix] = None) -> MembershipResult:
+                        t: Triple) -> MembershipResult:
     """Check an embedded element against the triple, form, and character.
 
-    The element is moved back to triple coordinates through ``T`` (identity
-    for the trace-zero families), then tested for exact commutation with
+    The element is moved back to triple coordinates through the matrix
+    ``T`` of the datum's adapted basis (a trace-zero family embeds in
+    triple coordinates already), then tested for exact commutation with
     X, H, Y, preservation of the Gram matrix, and, under a character
     constraint, equality of the determinant of the embedded element with
     the character (for ``chi_p = chi_q = 1``, of the determinants of its
     p x p and q x q diagonal blocks with ``chi_p`` and ``chi_q``).
-    ``T`` defaults to the matrix of the datum's adapted basis, and a
-    trace-zero family ignores it.  ``T`` must be unitary (``T* T = I``),
-    so that ``T*`` is its inverse; otherwise the result is the single
-    failure ``unitary[T]``.
+    ``T`` must be unitary (``T* T = I``), so that ``T*`` is its inverse;
+    otherwise the result is the single failure ``unitary[T]``.
     """
     failures: List[str] = []
     defect = k_element_defect(a, datum, e)
@@ -375,8 +365,7 @@ def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
     emb = _assemble_K(a, datum, e)
     g = emb
     if a.family_spec.has_adapted_basis:
-        if T is None:
-            T = adapted_basis(a, datum).matrix
+        T = adapted_basis(a, datum).matrix
         if not is_isometry(T, conj=True):
             return MembershipResult(False, ("unitary[T]",))
         g = T @ emb @ conj_transpose(T)

@@ -31,11 +31,13 @@ stored numerators: each distinct nonzero value is rendered once per call;
 equal cells share one object within a result, and every zero cell holds
 one value rendered once per call.
 
-Every structured matrix (triples, Gram matrices, adapted bases, block
-embeddings) is built from its nonzero entries with
-:meth:`ExactMatrix.from_entries`, or from such matrices by the int-native
-:func:`kron` and :func:`block_oplus`; a random K point is built from its
-int numerators with :meth:`ExactMatrix.from_numerators`.  Every consumer
+Every structured matrix (triples, Gram matrices, block embeddings) is
+built from its nonzero entries with :meth:`ExactMatrix.from_entries`, or
+from such matrices by the int-native :func:`kron` and :func:`block_oplus`;
+a random K point and an adapted basis's level matrices are built from
+their int numerators with :meth:`ExactMatrix.from_numerators`, and an
+adapted basis's columns are put in order by :func:`permute_columns`,
+which moves numerators and computes none.  Every consumer
 that wants to skip zeros reads them back through
 :meth:`ExactMatrix.nonzeros`, so how a matrix is stored is decided in
 this module alone.  A consumer whose answer does not change when the
@@ -480,6 +482,21 @@ def block_oplus(blocks: Sequence[ExactMatrix]) -> ExactMatrix:
                                for c, x in row]))
         off += b.nrows
     return ExactMatrix._reduced(off, off, den, tuple(rows))
+
+
+def permute_columns(a: ExactMatrix, order: Sequence[int]) -> ExactMatrix:
+    """The matrix whose column ``k`` is column ``order[k]`` of ``a``.
+
+    ``order`` lists every column of ``a`` once; the stored numerators are
+    moved, not recomputed.
+    """
+    if sorted(order) != list(range(a.ncols)):
+        raise ValueError(f"{list(order)} is not an order of {a.ncols} columns")
+    new = [0] * a.ncols
+    for k, c in enumerate(order):
+        new[c] = k
+    return ExactMatrix._of(a.nrows, a.ncols, a._den, tuple(
+        tuple(sorted([(new[c], x) for c, x in row], key=itemgetter(0))) for row in a._num))
 
 
 def diagonal_block(a: ExactMatrix, lo: int, hi: int) -> ExactMatrix:

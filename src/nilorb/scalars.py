@@ -286,9 +286,6 @@ I_UNIT = Scalar.unit("i")
 J_UNIT = Scalar.unit("j")
 K_UNIT = Scalar.unit("k")
 SQRT2 = Scalar.unit("sqrt2")
-HALF_SQRT2 = Scalar((_F0, _F0, _F0, _F0, Fraction(1, 2), _F0, _F0, _F0))  # 1/sqrt(2)
-I_HALF_SQRT2 = Scalar((_F0, _F0, _F0, _F0, _F0, Fraction(1, 2), _F0, _F0))  # i/sqrt(2)
-J_HALF_SQRT2 = Scalar((_F0, _F0, _F0, _F0, _F0, _F0, Fraction(1, 2), _F0))  # j/sqrt(2)
 
 
 def as_scalar(x) -> Scalar:

@@ -15,21 +15,26 @@ block sum over the parts, and a part's block is the Kronecker product of a
 the identity on the right, the Gram matrix the lowest-weight form.  The
 part blocks are int-native and kept per ``(d, t)`` (and form), up to 1024
 of each kind, so building a triple or a Gram matrix only joins blocks
-already built.  The adapted basis is kept whole, per algebra and datum.
+already built.  No column of ``T`` crosses a part either: ``T`` is the
+block sum of each part's level matrix ⊗ ``I_{t/t0}``, built from int
+numerators, with its columns reordered once into the plus and minus
+halves, and is kept per algebra and datum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from itertools import groupby
+from operator import itemgetter
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .catalog import AlgebraSpec, Datum, datum_partition
 from .families import QUATERNION, FamilySpec
-from .matrices import ExactMatrix, block_oplus, conj_transpose, kron, rank
+from .matrices import (ExactMatrix, block_oplus, conj_transpose, kron,
+                       permute_columns, rank)
 from .partitions import Partition
-from .scalars import (HALF_SQRT2, I_HALF_SQRT2, I_UNIT, J_HALF_SQRT2, J_UNIT,
-                      ONE, Scalar)
+from .scalars import J_UNIT
 
 class ZeroOrbitError(ValueError):
     """Raised when a construction needs a nonzero nilpotent representative."""
@@ -330,162 +335,103 @@ def _odd_level_takes_plus_rows(d: int, l: int) -> bool:
     return l % 2 == 1
 
 
-def _odd_column(lay: BasisLayout, d: int, l: int, j: int,
-                low: Scalar, middle: Scalar, high: Scalar) -> Dict[int, Scalar]:
-    """Column of row ``j`` at level ``l`` of an odd part.
+#: Numerators over 2, in the component order of
+#: :data:`~nilorb.scalars.BASIS_NAMES`, of the adapted basis entries.
+_UNIT = (2, 0, 0, 0, 0, 0, 0, 0)            # 1
+_I = (0, 2, 0, 0, 0, 0, 0, 0)               # i
+_HALF_SQRT2 = (0, 0, 0, 0, 1, 0, 0, 0)      # 1/sqrt2
+_I_HALF_SQRT2 = (0, 0, 0, 0, 0, 1, 0, 0)    # i/sqrt2
+_J_HALF_SQRT2 = (0, 0, 0, 0, 0, 0, 1, 0)    # j/sqrt2
 
-    Below the middle it is ``low`` on levels ``l`` and ``d-1-l``, above it
-    ``high`` and ``-high`` on levels ``d-1-l`` and ``l``, and the middle
-    level alone scaled by ``middle``.
+#: The label of a level matrix column: (side, role, level), side 0 for the
+#: plus half and 1 for the minus half.
+_Label = Tuple[int, str, int]
+
+
+def _times(k: int, x: tuple) -> tuple:
+    return tuple([k * v for v in x])
+
+
+def _level_matrix(spec: FamilySpec, block: str, d: int
+                  ) -> Tuple[ExactMatrix, List[_Label]]:
+    """The level matrix ``L`` of a part of length ``d`` under the
+    lowest-weight form ``block`` (:func:`_form_block`), and its column labels.
+
+    A part of multiplicity ``t`` has the block ``L ⊗ I_{t/t0}`` in the
+    adapted basis, where ``t0`` is 2 on a part that needs even
+    multiplicity and 1 otherwise: row ``(d-1-l)*t0 + a`` of ``L`` stands
+    for level ``l`` and, when ``t0`` is 2, half ``a`` of the level's rows.
+    The entries are int numerators over 2, so no Scalar is made.
+
+    A column's label names its side, its role and its level (its level
+    pair on an even part); neighbouring columns with equal labels form one
+    block of the compact group.  The role is the factor's, ``"even"`` or
+    ``"odd"``, except on a part with free signs: a ``"signed"`` column
+    sends its first ``p`` copies, the rows starting with +1, to the side
+    it names as the ``odd_p`` factor and the rest to the other side as the
+    ``odd_q`` factor.
     """
-    mid = (d - 1) // 2
-    if l < mid:
-        return {lay.slot(d, l, j): low, lay.slot(d, d - 1 - l, j): low}
-    if l == mid:
-        return {lay.slot(d, mid, j): middle}
-    return {lay.slot(d, d - 1 - l, j): high, lay.slot(d, l, j): -high}
+    t0 = 2 if d % 2 == spec.paired else 1
+    columns: List[Tuple[_Label, Dict[int, tuple]]] = []
 
+    def at(l: int, a: int = 0) -> int:
+        return (d - 1 - l) * t0 + a
 
-def _complex_odd_levels(lay: BasisLayout, d: int, t: int, i_half: Scalar) -> List[list]:
-    """The columns of each level of an odd part of a complex family.
-
-    The coefficients alternate between 1/sqrt2 and ``i_half`` level by
-    level, and the middle level takes 1 or i as ``d`` is 1 or 3 mod 4.
-    """
-    middle = ONE if d % 4 == 1 else I_UNIT
-    out = []
-    for l in range(d):
-        low, high = (HALF_SQRT2, i_half) if l % 2 == 0 else (i_half, HALF_SQRT2)
-        out.append([_odd_column(lay, d, l, j, low, middle, high) for j in range(1, t + 1)])
-    return out
-
-
-def _even_quarter_column(lay: BasisLayout, d: int, l: int, j: int, t: int,
-                         complex_quarters: bool) -> Dict[int, Scalar]:
-    """Column ``j`` (1..2t) of the paired-level block of an even part.
-
-    Used by the complex and real orthogonal families, whose even parts mix
-    levels ``l`` and ``d-1-l`` through the split alternating form.  With
-    ``complex_quarters`` the second half of the columns carries ``i``
-    coefficients.
-    """
-    t2 = t // 2
-    lo, hi = l, d - 1 - l
-    if complex_quarters:
-        first, second = HALF_SQRT2, I_HALF_SQRT2
+    if d % 2 == 1:
+        # Below the middle a column is ``low`` on levels l and d-1-l, above
+        # it ``high`` and ``-high`` on levels d-1-l and l, and the middle
+        # level stands alone.  On a complex family the coefficients
+        # alternate between 1/sqrt2 and (-)i/sqrt2 level by level and the
+        # middle takes 1 or i as d is 1 or 3 mod 4.
+        mid = (d - 1) // 2
+        other = {"identity": _I_HALF_SQRT2, "alternating": _times(-1, _I_HALF_SQRT2),
+                 "signed": _HALF_SQRT2}[block]
+        middle = _UNIT if block == "signed" or d % 4 == 1 else _I
+        for l in range(d):
+            low, high = (_HALF_SQRT2, other) if l % 2 == 0 else (other, _HALF_SQRT2)
+            for a in range(t0):
+                if l < mid:
+                    col = {at(l, a): low, at(d - 1 - l, a): low}
+                elif l == mid:
+                    col = {at(l, a): middle}
+                else:
+                    col = {at(d - 1 - l, a): high, at(l, a): _times(-1, high)}
+                label = ((0 if _odd_level_takes_plus_rows(d, l) else 1, "signed", l)
+                         if block == "signed" else (a, "odd", l))
+                columns.append((label, col))
+    elif block == "alternating":
+        # Four quarter columns per level pair mix levels l and d-1-l through
+        # the split alternating form; when the basis has two sides the last
+        # two go to the minus half, else they carry i.
+        second, side = ((_HALF_SQRT2, 1) if spec.two_sided else (_I_HALF_SQRT2, 0))
+        for l in range(d // 2):
+            s = (-1) ** l
+            for label, x, a, sign in (((0, "even", l), _HALF_SQRT2, 0, s),
+                                      ((0, "even", l), _HALF_SQRT2, 1, -s),
+                                      ((side, "even", l), second, 0, -s),
+                                      ((side, "even", l), second, 1, s)):
+                columns.append((label, {at(l, a): x, at(d - 1 - l, 1 - a): _times(sign, x)}))
+    elif block == "identity":
+        # Each level pair sends one level to each half, the lower level to
+        # the plus half at even l.
+        for l in range(d // 2):
+            first, second = (l, d - 1 - l) if l % 2 == 0 else (d - 1 - l, l)
+            columns.append(((0, "even", l), {at(first): _UNIT}))
+            columns.append(((1, "even", l), {at(second): _UNIT}))
     else:
-        first, second = HALF_SQRT2, HALF_SQRT2
-    # The sign (-1)^l is picked, not multiplied in, so a cold basis makes no
-    # Scalar product.
-    even = l % 2 == 0
-    if j <= t2:
-        return {lay.slot(d, lo, j): first,
-                lay.slot(d, hi, t2 + j): first if even else -first}
-    if j <= t:
-        return {lay.slot(d, lo, j): first,
-                lay.slot(d, hi, j - t2): -first if even else first}
-    if j <= t + t2:
-        return {lay.slot(d, lo, j - t): second,
-                lay.slot(d, hi, j - t2): -second if even else second}
-    return {lay.slot(d, lo, j - t): second,
-            lay.slot(d, hi, j - 3 * t2): second if even else -second}
-
-
-#: The (columns, blocks) lists of one half of an adapted basis.
-_Side = Tuple[List[Dict[int, Scalar]], List[BlockSpec]]
-
-
-def _extend(side: _Side, columns: list, factor: Tuple[str, int]) -> None:
-    """Append ``columns`` to one half as one block of the named factor."""
-    side[0].extend(columns)
-    side[1].append(BlockSpec(factor, len(columns)))
-
-
-def _alternating_even_part(spec: FamilySpec, datum: Datum, lay: BasisLayout, d: int,
-                           t: int, plus: _Side, minus: _Side) -> None:
-    """An even part under the split alternating form: 2t quarter columns per
-    level pair, all on one side with i coefficients when the basis has one
-    side, else real and split between the halves."""
-    for l in range(d // 2):
-        cols = [_even_quarter_column(lay, d, l, j, t, not spec.two_sided)
-                for j in range(1, 2 * t + 1)]
-        if spec.two_sided:
-            _extend(plus, cols[:t], ("even", d))
-            _extend(minus, cols[t:], ("even", d))
-        else:
-            _extend(plus, cols, ("even", d))
-
-
-def _identity_even_part(spec: FamilySpec, datum: Datum, lay: BasisLayout, d: int,
-                        t: int, plus: _Side, minus: _Side) -> None:
-    """An even part under the identity form: each level pair sends one level
-    to each half, the lower level to the plus half at even ``l``."""
-    for l in range(d // 2):
-        first, second = (l, d - 1 - l) if l % 2 == 0 else (d - 1 - l, l)
-        _extend(plus, [{lay.slot(d, first, j): ONE} for j in range(1, t + 1)], ("even", d))
-        _extend(minus, [{lay.slot(d, second, j): ONE} for j in range(1, t + 1)], ("even", d))
-
-
-def _j_column(lay: BasisLayout, d: int, l: int, j: int) -> Dict[int, Scalar]:
-    if l < d // 2:
-        return {lay.slot(d, l, j): HALF_SQRT2,
-                lay.slot(d, d - 1 - l, j): J_HALF_SQRT2}
-    return {lay.slot(d, d - 1 - l, j): HALF_SQRT2,
-            lay.slot(d, l, j): -J_HALF_SQRT2}
-
-
-def _j_even_part(spec: FamilySpec, datum: Datum, lay: BasisLayout, d: int,
-                 t: int, plus: _Side, minus: _Side) -> None:
-    """An even part under the j-diagonal form: odd levels on the plus half,
-    even levels on the minus half."""
-    for side, first in ((plus, 1), (minus, 0)):
-        for l in range(first, d, 2):
-            _extend(side, [_j_column(lay, d, l, j) for j in range(1, t + 1)], ("even", d))
-
-
-def _identity_odd_part(spec: FamilySpec, datum: Datum, lay: BasisLayout, d: int,
-                       t: int, plus: _Side, minus: _Side) -> None:
-    """An odd part under the identity form of a complex family: one block per level."""
-    for cols in _complex_odd_levels(lay, d, t, I_HALF_SQRT2):
-        _extend(plus, cols, ("odd", d))
-
-
-def _alternating_odd_part(spec: FamilySpec, datum: Datum, lay: BasisLayout, d: int,
-                          t: int, plus: _Side, minus: _Side) -> None:
-    """An odd part under the split alternating form: half of each level's
-    columns on each side."""
-    half = t // 2
-    for cols in _complex_odd_levels(lay, d, t, -I_HALF_SQRT2):
-        _extend(plus, cols[:half], ("odd", d))
-        _extend(minus, cols[half:], ("odd", d))
-
-
-def _signed_odd_part(spec: FamilySpec, datum: Datum, lay: BasisLayout, d: int,
-                     t: int, plus: _Side, minus: _Side) -> None:
-    """An odd part with free signs: at each level the real columns of the
-    ``p_d`` rows starting with +1 form an ``odd_p`` block and the rest an
-    ``odd_q`` block; :func:`_odd_level_takes_plus_rows` says whether the
-    ``odd_p`` block goes to the plus half."""
-    p = datum.p_of(d)
-    for l in range(d):
-        cols = [_odd_column(lay, d, l, j, HALF_SQRT2, ONE, HALF_SQRT2)
-                for j in range(1, t + 1)]
-        p_side, q_side = ((plus, minus) if _odd_level_takes_plus_rows(d, l)
-                          else (minus, plus))
-        _extend(p_side, cols[:p], ("odd_p", d))
-        _extend(q_side, cols[p:], ("odd_q", d))
-
-
-#: The adapted columns of a part, by the parity of its length and the form
-#: on its lowest-weight space (:func:`_form_block`).
-_PART_COLUMNS = {
-    (0, "alternating"): _alternating_even_part,
-    (0, "identity"): _identity_even_part,
-    (0, "j"): _j_even_part,
-    (1, "identity"): _identity_odd_part,
-    (1, "alternating"): _alternating_odd_part,
-    (1, "signed"): _signed_odd_part,
-}
+        # The j-diagonal form: odd levels on the plus half, even levels on
+        # the minus half.
+        for l in range(d):
+            low, high = (l, d - 1 - l) if l < d // 2 else (d - 1 - l, l)
+            sign = 1 if l < d // 2 else -1
+            columns.append(((1 - l % 2, "even", l),
+                            {at(low): _HALF_SQRT2, at(high): _times(sign, _J_HALF_SQRT2)}))
+    rows: List[list] = [[] for _ in range(d * t0)]
+    for c, (_, col) in enumerate(columns):
+        for r, x in col.items():
+            rows[r].append((c, x))
+    level = ExactMatrix.from_numerators(d * t0, d * t0, 2, rows)
+    return level, [label for label, _ in columns]
 
 
 @lru_cache(maxsize=1024)
@@ -493,41 +439,47 @@ def adapted_basis(a: AlgebraSpec, datum: Datum) -> AdaptedBasis:
     """Adapted basis and block structure for a form family.
 
     Defined for every datum including the zero orbit, where the adapted
-    basis is a signed permutation of the original one.  Even parts come
-    first, then odd parts, each ascending, except that signed odd parts
-    list those 1 mod 4 before those 3 mod 4.  The columns are the plus
-    half's followed by the minus half's.  Kept per ``(a, datum)``, up to
-    1024 of them.  A cold build multiplies no Scalars and asks no
-    ``is_zero``, so a process counts the same scalar work whether the memo
-    is warm or not.
+    basis is a signed permutation of the original one.  No column crosses
+    a part, so ``T`` is the block sum, in the triple's part order, of each
+    part's ``L ⊗ I_{t/t0}`` (:func:`_level_matrix`) with its columns then
+    reordered: the plus half's, then the minus half's.  Within a half, even
+    parts come first, then odd parts, each ascending, except that signed
+    odd parts list those 1 mod 4 before those 3 mod 4; the block specs are
+    read off the column labels in that order.  Kept per ``(a, datum)``, up
+    to 1024 of them.  A cold build makes no Scalar and runs on ints alone,
+    so a process counts the same scalar work whether the memo is warm or
+    not.
     """
     spec = a.family_spec
     if not spec.has_adapted_basis:
         raise ValueError(f"no adapted basis construction for {a.family}")
-    part = datum_partition(datum)
-    lay = layout_for(part)
-    evens = sorted(pair for pair in part.pairs if pair[0] % 2 == 0)
-    odds = sorted(pair for pair in part.pairs if pair[0] % 2 == 1)
-    if spec.free_sign == 1:
-        odds.sort(key=lambda pair: pair[0] % 4)
-    plus: _Side = ([], [])
-    minus: _Side = ([], [])
-    for d, t in evens + odds:
-        _PART_COLUMNS[d % 2, _form_block(spec, d)](spec, datum, lay, d, t, plus, minus)
-    matrix = _columns_to_matrix(plus[0] + minus[0], lay.dim)
-    return AdaptedBasis(matrix, tuple(plus[1]), tuple(minus[1]))
+    blocks, parts = [], []
+    off = 0
+    for block, d, t, p in gram_block_keys(a, datum):
+        level, labels = _level_matrix(spec, block, d)
+        copies = t * d // level.nrows
+        blocks.append(kron(level, ExactMatrix.identity(copies)))
+        parts.append((d, off, copies, p, labels))
+        off += d * t
 
+    def adapted_order(part: tuple) -> tuple:
+        d = part[0]
+        return d % 2, d % 4 if d % 2 and spec.free_sign == 1 else 0, d
 
-def _columns_to_matrix(columns: Sequence[Dict[int, Scalar]], dim: int) -> ExactMatrix:
-    if len(columns) != dim:
-        raise AssertionError(f"expected {dim} adapted columns, built {len(columns)}")
-    return ExactMatrix.from_entries(dim, dim, {
-        (r, c): val for c, col in enumerate(columns) for r, val in col.items()})
-
-
-def adapted_change_of_basis(a: AlgebraSpec, datum: Datum) -> ExactMatrix:
-    """The matrix whose columns are the adapted basis vectors."""
-    return adapted_basis(a, datum).matrix
+    columns: Tuple[List[int], List[int]] = ([], [])
+    halves: Tuple[List[BlockSpec], List[BlockSpec]] = ([], [])
+    for d, off, copies, p, labels in sorted(parts, key=adapted_order):
+        for (side, role, _), run in groupby(enumerate(labels), key=itemgetter(1)):
+            cols = [off + c * copies + b for c, _ in run for b in range(copies)]
+            if role == "signed":
+                pieces = ((side, ("odd_p", d), cols[:p]), (1 - side, ("odd_q", d), cols[p:]))
+            else:
+                pieces = ((side, (role, d), cols),)
+            for s, factor, cs in pieces:
+                columns[s].extend(cs)
+                halves[s].append(BlockSpec(factor, len(cs)))
+    matrix = permute_columns(block_oplus(blocks), columns[0] + columns[1])
+    return AdaptedBasis(matrix, tuple(halves[0]), tuple(halves[1]))
 
 
 def standard_adapted_gram(a: AlgebraSpec, datum: Datum) -> ExactMatrix:

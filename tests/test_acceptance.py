@@ -10,19 +10,17 @@ import json
 import random
 
 from nilorb.catalog import AlgebraSpec, enumerate_orbits, total_orbit_count
-from nilorb.centralizers import (centralizer_dim_triple, expected_reductive_dim,
-                                 orbit_dim)
+from nilorb.centralizers import (centralizer_dim_triple, centralizer_report,
+                                 expected_reductive_dim)
 from nilorb.cli import main
 from nilorb.diagrams import SignedDiagram
 from nilorb.homotopy import (KElement, chi, compact_pair, embed_K,
-                             quotient_dim, sample_k_element,
-                             signed_block_relation, signed_block_totals,
-                             verify_K_membership)
+                             sample_k_element, signed_block_relation,
+                             signed_block_totals, verify_K_membership)
 from nilorb.matrices import commutator, congruence_signature, det
 from nilorb.partitions import Partition, enumerate_partitions
 from nilorb.scalars import Scalar
-from nilorb.triples import (adapted_change_of_basis, build_triple, gram_matrix,
-                            jordan_type, sigma_transpose)
+from nilorb.triples import build_triple, gram_matrix, jordan_type, sigma_transpose
 
 TWO = Scalar.rational(2)
 
@@ -181,11 +179,9 @@ def test_criterion_6_embedding_properties():
             if rec.is_zero_orbit:
                 continue
             t = build_triple(a, rec.datum)
-            T = (adapted_change_of_basis(a, rec.datum)
-                 if a.family in ("so_c", "sp_c") else None)
             rng = random.Random(f"accept6m:{a}:{rec.datum}")
             e = sample_k_element(a, rec.datum, rng)
-            assert verify_K_membership(a, rec.datum, e, t, T).ok
+            assert verify_K_membership(a, rec.datum, e, t).ok
     print("CRITERION 6 PASS: homomorphism, character, and membership checks")
 
 
@@ -204,8 +200,8 @@ def test_criterion_7_block_accounting():
 def test_criterion_8_minimal_orbit_sanity():
     a = AlgebraSpec("sl_c", n=2)
     datum = Partition([2])
-    assert orbit_dim(a, datum) == 4
-    assert quotient_dim(a, datum) == 3
+    assert centralizer_report(a, datum).dim_orbit == 4
+    assert compact_pair(a, datum).dim_quotient == 3
     assert compact_pair(a, datum).dim_K == 0
     print("CRITERION 8 PASS: minimal complex orbit retracts onto a 3-manifold")
 

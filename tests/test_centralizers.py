@@ -14,10 +14,10 @@ from nilorb.centralizers import (AlgebraConstraint, _centralizer_nullity,
                                  centralizer_dim_nilpotent,
                                  centralizer_dim_triple, centralizer_report,
                                  dim_g, expected_orbit_dim,
-                                 expected_reductive_dim, orbit_dim)
+                                 expected_reductive_dim)
 from nilorb.cli import main
 from nilorb.diagrams import SignedDiagram
-from nilorb.homotopy import expected_compact_dim
+from nilorb.homotopy import compact_pair
 from nilorb.matrices import ExactMatrix
 from nilorb.partitions import Partition
 from nilorb.scalars import J_UNIT
@@ -67,7 +67,7 @@ def test_nilpotent_centralizer_at_least_triple_centralizer(a):
         z_triple = centralizer_dim_triple(t, a)
         z_x = centralizer_dim_nilpotent(t.X, a, rec.datum)
         assert z_x >= z_triple
-        assert orbit_dim(a, rec.datum) == dim_of(a) - z_x
+        assert centralizer_report(a, rec.datum).dim_orbit == dim_of(a) - z_x
 
 
 GRADING_SWEEP = (
@@ -324,13 +324,13 @@ def test_hand_worked_examples():
     t = build_triple(a, Partition([2]))
     assert centralizer_dim_triple(t, a) == 0
     assert centralizer_dim_nilpotent(t.X, a, Partition([2])) == 1
-    assert orbit_dim(a, Partition([2])) == 2
+    assert centralizer_report(a, Partition([2])).dim_orbit == 2
 
     # sl(2, C) as a real algebra: z(X) is spanned by X and iX.
     a = AlgebraSpec("sl_c", n=2)
     assert centralizer_dim_nilpotent(
         build_triple(a, Partition([2])).X, a, Partition([2])) == 2
-    assert orbit_dim(a, Partition([2])) == 4
+    assert centralizer_report(a, Partition([2])).dim_orbit == 4
 
     # sp(1,1), datum [2] with one +row: worked out entry by entry.
     a = AlgebraSpec("sp_pq", p=1, q=1)
@@ -342,7 +342,7 @@ def test_hand_worked_examples():
     a = AlgebraSpec("so_pq", p=2, q=1)
     from nilorb.diagrams import SignedDiagram
     d = SignedDiagram(Partition([3]), {3: 0})
-    assert orbit_dim(a, d) == 2
+    assert centralizer_report(a, d).dim_orbit == 2
 
 
 def test_zero_orbit_dimensions():
@@ -375,8 +375,6 @@ def test_datum_of_another_size_is_refused():
     a = AlgebraSpec("so_pq", p=2, q=1)
     d = SignedDiagram(Partition([3, 1]), {3: 0, 1: 1})
     with pytest.raises(ValueError, match="does not match"):
-        orbit_dim(a, d)
-    with pytest.raises(ValueError, match="does not match"):
         centralizer_report(a, d)
 
 
@@ -385,7 +383,7 @@ def test_compact_at_most_reductive():
         if a.family == "so_star":
             continue
         for rec in enumerate_orbits(a):
-            assert (expected_compact_dim(a, rec.datum)
+            assert (compact_pair(a, rec.datum).dim_K
                     <= expected_reductive_dim(a, rec.datum))
 
 
@@ -393,14 +391,14 @@ def test_complex_orbits_have_even_dimension():
     for a in (AlgebraSpec("sl_c", n=5), AlgebraSpec("so_c", n=6),
               AlgebraSpec("sp_c", n=3)):
         for rec in enumerate_orbits(a):
-            assert orbit_dim(a, rec.datum) % 2 == 0
+            assert centralizer_report(a, rec.datum).dim_orbit % 2 == 0
 
 
 def test_low_rank_isomorphism_dimension_match():
     """so(3) = sl(2,R) up to cover: orbit dimensions agree pairwise."""
-    left = sorted(orbit_dim(AlgebraSpec("so_pq", p=2, q=1), r.datum)
+    left = sorted(centralizer_report(AlgebraSpec("so_pq", p=2, q=1), r.datum).dim_orbit
                   for r in enumerate_orbits(AlgebraSpec("so_pq", p=2, q=1)))
-    right = sorted({orbit_dim(AlgebraSpec("sl_r", n=2), r.datum)
+    right = sorted({centralizer_report(AlgebraSpec("sl_r", n=2), r.datum).dim_orbit
                     for r in enumerate_orbits(AlgebraSpec("sl_r", n=2))})
     assert left == right == [0, 2]
 
@@ -461,4 +459,4 @@ def test_expected_compact_unsupported_family():
     a = AlgebraSpec("so_star", n=2)
     rec = enumerate_orbits(a)[0]
     with pytest.raises(ValueError):
-        expected_compact_dim(a, rec.datum)
+        compact_pair(a, rec.datum).dim_K

@@ -564,6 +564,31 @@ def test_only_the_cli_encoder_writes_json(path):
     assert json_dumps_calls(path.read_text()) == []
 
 
+def test_json_text_leaves_no_garbage_for_the_cycle_collector(capsys, monkeypatch):
+    """A ``describe`` document's text is freed by reference counting alone:
+    with the cyclic collector off, one encoding leaves nothing for it."""
+    import gc
+
+    import nilorb.cli
+
+    docs = []
+    json_text = nilorb.cli._json_text
+    monkeypatch.setattr(nilorb.cli, "_json_text", lambda doc: docs.append(doc) or "")
+    code, _, _ = run(capsys, "describe", "--algebra", "so_pq", "--p", "3", "--q", "3",
+                     "--datum", "3,3", "--signs", "3:1", "--format", "json")
+    assert code == 0 and len(docs) == 1
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        text = json_text(docs[0])
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert text == json.dumps(docs[0], indent=2)
+
+
 def test_table_and_json_numeric_parity(capsys):
     """The table expands each record into one row per orbit in its fiber."""
     a = ["list", "--algebra", "so_pq", "--p", "3", "--q", "2"]
@@ -684,7 +709,7 @@ def _no_triple_matrices(monkeypatch):
 
 def test_list_and_orbit_dim_build_no_triple_matrices(capsys, monkeypatch):
     """The graded solves read only the Gram matrix and the slot weights."""
-    from nilorb.centralizers import expected_orbit_dim, orbit_dim
+    from nilorb.centralizers import centralizer_report, expected_orbit_dim
     from nilorb.triples import build_triple
 
     _no_triple_matrices(monkeypatch)
@@ -698,7 +723,7 @@ def test_list_and_orbit_dim_build_no_triple_matrices(capsys, monkeypatch):
     code, _, _ = run(capsys, "list", "--algebra", "sl_h", "--n", "3")
     assert code == 0
     for rec in records:
-        assert orbit_dim(a, rec.datum) == expected_orbit_dim(a, rec.datum)
+        assert centralizer_report(a, rec.datum).dim_orbit == expected_orbit_dim(a, rec.datum)
 
 
 def _cold_factor_layouts():

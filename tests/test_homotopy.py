@@ -8,16 +8,17 @@ from fractions import Fraction
 import pytest
 
 from nilorb.catalog import AlgebraSpec, enumerate_orbits
-from nilorb.centralizers import orbit_dim
+from nilorb import homotopy
+from nilorb.centralizers import centralizer_report
 from nilorb.homotopy import (KElement, chi, chi_pair, compact_pair, dim_M,
-                             embed_K, expected_compact_dim, factor_layout,
-                             k_element_defect, quotient_dim, random_compact_point,
-                             sample_k_element, signed_block_relation,
-                             signed_block_totals, verify_K_membership)
+                             embed_K, factor_layout, k_element_defect,
+                             random_compact_point, sample_k_element,
+                             signed_block_relation, signed_block_totals,
+                             verify_K_membership)
 from nilorb.matrices import ExactMatrix, conj_transpose, det, inverse, reduced_norm
 from nilorb.partitions import Partition
 from nilorb.scalars import Scalar
-from nilorb.triples import adapted_change_of_basis, build_triple
+from nilorb.triples import adapted_basis, build_triple
 
 HOMOTOPY_SPECS = [
     AlgebraSpec("sl_r", n=3), AlgebraSpec("sl_c", n=3), AlgebraSpec("sl_h", n=2),
@@ -75,12 +76,10 @@ def test_membership_holds_on_a_hundred_points_per_family():
     for a in cases:
         rec = next(r for r in enumerate_orbits(a) if not r.is_zero_orbit)
         t = build_triple(a, rec.datum)
-        T = (adapted_change_of_basis(a, rec.datum)
-             if a.family in ("so_c", "so_pq", "sp_c", "sp_pq") else None)
         rng = random.Random(f"hundred:{a}")
         for _ in range(100):
             e = sample_k_element(a, rec.datum, rng)
-            assert verify_K_membership(a, rec.datum, e, t, T).ok
+            assert verify_K_membership(a, rec.datum, e, t).ok
 
 
 def test_sampled_elements_satisfy_factor_relations():
@@ -140,11 +139,9 @@ def test_embedded_points_land_in_the_stabilizer(a):
         if rec.is_zero_orbit:
             continue
         t = build_triple(a, rec.datum)
-        T = (adapted_change_of_basis(a, rec.datum)
-             if a.family in ("so_c", "so_pq", "sp_c", "sp_pq") else None)
         for _ in range(3):
             e = sample_k_element(a, rec.datum, rng)
-            result = verify_K_membership(a, rec.datum, e, t, T)
+            result = verify_K_membership(a, rec.datum, e, t)
             assert result.ok, (str(rec.datum), result.failures)
 
 
@@ -156,7 +153,7 @@ def test_membership_rejects_corrupted_element():
     e = sample_k_element(a, rec.datum, rng)
     from nilorb.scalars import Scalar
     bad = KElement(tuple(g.scale_left(Scalar.rational(3)) for g in e.factors))
-    result = verify_K_membership(a, rec.datum, bad, t, None)
+    result = verify_K_membership(a, rec.datum, bad, t)
     assert not result.ok
     assert result.failures
 
@@ -232,7 +229,7 @@ def test_every_adapted_basis_is_unitary():
     count = 0
     for a in FORM_SPECS:
         for rec in enumerate_orbits(a):
-            T = adapted_change_of_basis(a, rec.datum)
+            T = adapted_basis(a, rec.datum).matrix
             ident = ExactMatrix.identity(T.nrows)
             assert conj_transpose(T) @ T == ident, (str(a), str(rec.datum))
             assert T @ conj_transpose(T) == ident, (str(a), str(rec.datum))
@@ -240,9 +237,10 @@ def test_every_adapted_basis_is_unitary():
     assert count == 164
 
 
-def test_membership_names_a_basis_that_is_not_unitary():
+def test_membership_names_a_basis_that_is_not_unitary(monkeypatch):
     """A complex orthogonal, non-unitary Q keeps T Q adapted to the form,
     but T Q cannot be inverted by its conjugate transpose."""
+    from dataclasses import replace
     from fractions import Fraction
 
     from nilorb.scalars import Scalar
@@ -254,10 +252,12 @@ def test_membership_names_a_basis_that_is_not_unitary():
     q = ExactMatrix.from_entries(3, 3, {(0, 0): x, (0, 1): y, (1, 0): -y,
                                         (1, 1): x, (2, 2): 1})
     assert q.transpose() @ q == ExactMatrix.identity(3)
-    T = adapted_change_of_basis(a, rec.datum)
+    adapted = adapted_basis(a, rec.datum)
     e = sample_k_element(a, rec.datum, random.Random("unitary"))
-    assert verify_K_membership(a, rec.datum, e, t, T).ok
-    result = verify_K_membership(a, rec.datum, e, t, T @ q)
+    assert verify_K_membership(a, rec.datum, e, t).ok
+    monkeypatch.setattr(homotopy, "adapted_basis",
+                        lambda *_: replace(adapted, matrix=adapted.matrix @ q))
+    result = verify_K_membership(a, rec.datum, e, t)
     assert not result.ok
     assert result.failures == ("unitary[T]",)
 
@@ -313,7 +313,7 @@ def test_factor_dims_sum_to_compact_dimension():
             dims = sum(f.dim() for f in factor_layout(a, rec.datum))
             if a.family == "sl_c":
                 dims -= 1  # the determinant-one circle constraint
-            assert dims == expected_compact_dim(a, rec.datum) \
+            assert dims == compact_pair(a, rec.datum).dim_K \
                 == reference_compact_dim(a, rec.datum), (str(a), str(rec.datum))
 
 
@@ -321,8 +321,8 @@ def test_quotient_dim_is_orbit_retract_dimension():
     """The compact quotient has dim M - dim K; for the minimal complex
     special-linear orbit this is the known odd-dimensional sphere bundle."""
     a = AlgebraSpec("sl_c", n=2)
-    assert orbit_dim(a, Partition([2])) == 4
-    assert quotient_dim(a, Partition([2])) == 3
+    assert centralizer_report(a, Partition([2])).dim_orbit == 4
+    assert compact_pair(a, Partition([2])).dim_quotient == 3
     h = compact_pair(a, Partition([2]))
     assert h.dim_K == 0  # finite stabilizer
     assert h.dim_quotient == 3

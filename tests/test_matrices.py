@@ -14,7 +14,7 @@ from nilorb.homotopy import random_compact_point
 from nilorb.matrices import (DegenerateFormError, ExactMatrix, block_oplus,
                              commutator, complex_to_real_blocks,
                              congruence_signature, conj_transpose, det,
-                             i_to_j, inverse, is_isometry,
+                             i_to_j, inverse, is_isometry, permute_columns,
                              quaternion_to_complex_blocks,
                              rank, reduced_norm, repeat_blocks, solve)
 from nilorb.scalars import I_UNIT, J_UNIT, MINUS_ONE, ONE, SQRT2, ZERO, Scalar
@@ -90,6 +90,19 @@ def test_block_oplus_and_repeat():
     r = repeat_blocks(b, 3)
     assert r.nrows == r.ncols == 3
     assert all(r.entry(t, t) == Scalar.rational(2) for t in range(3))
+
+
+def test_permute_columns_is_a_product_by_a_permutation_matrix():
+    """Column k of the result is column order[k]: the product with the
+    permutation matrix P, P[order[k]][k] = 1, made without one."""
+    rng = random.Random(11)
+    a = complex_matrix(rng, 4).scale_left(SQRT2)
+    for order in ([0, 1, 2, 3], [3, 1, 0, 2], [2, 3, 0, 1]):
+        p = ExactMatrix.from_entries(4, 4, {(c, k): 1 for k, c in enumerate(order)})
+        assert permute_columns(a, order) == a @ p
+    for bad in ([0, 1, 2], [0, 1, 1, 3], [0, 1, 2, 4]):
+        with pytest.raises(ValueError, match="not an order"):
+            permute_columns(a, bad)
 
 
 def test_complex_realification_is_multiplicative():

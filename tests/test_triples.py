@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -15,8 +17,7 @@ from nilorb.matrices import ExactMatrix, commutator, congruence_signature, rank
 from nilorb.partitions import Partition
 from nilorb.scalars import J_UNIT, MINUS_ONE, ONE, ZERO, Scalar
 from nilorb.triples import (ZeroOrbitError, _form_block, _odd_level_takes_plus_rows,
-                            adapted_basis, adapted_change_of_basis,
-                            build_triple, gram_matrix, jordan_type, layout_for,
+                            adapted_basis, build_triple, gram_matrix, jordan_type, layout_for,
                             sigma_transpose, standard_adapted_gram)
 
 TWO = Scalar.rational(2)
@@ -134,7 +135,7 @@ def test_adapted_basis_diagonalizes_gram(a):
     standard form of the family (identity, signature diagonal, or the
     split skew form)."""
     for rec in enumerate_orbits(a):
-        t_matrix = adapted_change_of_basis(a, rec.datum)
+        t_matrix = adapted_basis(a, rec.datum).matrix
         s = gram_matrix(a, rec.datum)
         sigma = "conj" if a.family == "sp_pq" else "id"
         got = sigma_transpose(t_matrix, sigma) @ s @ t_matrix
@@ -351,12 +352,22 @@ def test_builders_build_no_scalar(monkeypatch, a, partition):
     AlgebraSpec("so_pq", p=3, q=3), AlgebraSpec("sp_pq", p=2, q=2),
 ], ids=str)
 def test_cold_adapted_basis_and_factor_layout_make_no_scalar_work(monkeypatch, a):
-    """A cold adapted basis or factor layout multiplies no Scalars and asks
-    no ``is_zero``, so a process counts the same scalar work whether their
-    memos are warm or cold.  The wrappers count: a product and a zero test
-    after the builds are seen."""
+    """A cold adapted basis or factor layout constructs no Scalar, multiplies
+    none and asks no ``is_zero``, so a process counts the same scalar work
+    whether their memos are warm or cold.  The wrappers count: a product,
+    the Scalar it builds and a zero test after the builds are seen."""
+    records = enumerate_orbits(a)
     seen = []
+    original_init, original_of = Scalar.__init__, Scalar._of
     original_mul, original_is_zero = Scalar.__mul__, Scalar.is_zero
+
+    def counting_init(self, components):
+        seen.append("__init__")
+        original_init(self, components)
+
+    def counting_of(components):
+        seen.append("_of")
+        return original_of(components)
 
     def counting_mul(self, other):
         seen.append("__mul__")
@@ -365,11 +376,12 @@ def test_cold_adapted_basis_and_factor_layout_make_no_scalar_work(monkeypatch, a
     def counting_is_zero(self):
         seen.append("is_zero")
         return original_is_zero(self)
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    monkeypatch.setattr(Scalar, "_of", staticmethod(counting_of))
     monkeypatch.setattr(Scalar, "__mul__", counting_mul)
     monkeypatch.setattr(Scalar, "is_zero", counting_is_zero)
     adapted_basis.cache_clear()
     factor_layout.cache_clear()
-    records = enumerate_orbits(a)
     for rec in records:
         factor_layout(a, rec.datum)
         if a.family_spec.has_adapted_basis:
@@ -379,4 +391,35 @@ def test_cold_adapted_basis_and_factor_layout_make_no_scalar_work(monkeypatch, a
     assert adapted_basis.cache_info().misses == (
         len(records) if a.family_spec.has_adapted_basis else 0)
     assert (TWO * TWO).is_zero() is False
-    assert seen == ["__mul__", "is_zero"]
+    assert seen == ["__mul__", "_of", "is_zero"]
+
+
+#: so_c 3-10, sp_c 1-5, and so_pq and sp_pq with p + q <= 8: 493 records.
+T_DIGEST_SWEEP = (
+    [AlgebraSpec("so_c", n=n) for n in range(3, 11)]
+    + [AlgebraSpec("sp_c", n=n) for n in range(1, 6)]
+    + [AlgebraSpec(f, p=p, q=q) for f in ("so_pq", "sp_pq")
+       for p in range(1, 8) for q in range(1, 9 - p)]
+)
+
+
+def test_adapted_bases_match_their_pinned_digest():
+    """One SHA-256 over every record of :data:`T_DIGEST_SWEEP`, each the JSON
+    of its algebra, datum, ``T.to_json()`` and plus and minus block specs,
+    built cold.  The digest was computed at commit 4f5f2e2, where ``T`` was
+    still assembled column by column from Scalar column dicts, so the part
+    blocks reproduce that basis, its column order and its block specs."""
+    adapted_basis.cache_clear()
+    digest = hashlib.sha256()
+    count = 0
+    for a in T_DIGEST_SWEEP:
+        for rec in enumerate_orbits(a):
+            ab = adapted_basis(a, rec.datum)
+            digest.update(json.dumps([
+                str(a), str(rec.datum), ab.matrix.to_json(),
+                [[list(b.factor), b.size] for b in ab.plus_blocks],
+                [[list(b.factor), b.size] for b in ab.minus_blocks]]).encode())
+            count += 1
+    assert count == 493
+    assert digest.hexdigest() == (
+        "1774c25b183767a9e78bd9eb303d5a7feba8093f3521659967d46eaa8b23fcb0")
