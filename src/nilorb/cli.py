@@ -17,9 +17,9 @@ from .centralizers import (centralizer_dim_triple, centralizer_report,
                            expected_orbit_dim)
 from .diagrams import SignedDiagram
 from .families import FAMILIES, FAMILY_SPECS
-from .homotopy import (KElement, embed_K, sample_k_element,
-                       signed_block_relation, signed_block_totals,
-                       verify_K_membership)
+from .homotopy import (KElement, component_representative, embed_K,
+                       sample_k_element, signed_block_relation,
+                       signed_block_totals, verify_K_membership)
 from .matrices import (ExactMatrix, commutator, congruence_signature,
                        conj_transpose, is_isometry)
 from .partitions import Partition
@@ -530,18 +530,19 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
         results.append(("adapted-basis", adapted_ok, detail))
 
     if a.family_spec.has_descriptor:
+        # g1 is a random point, g2 the fixed component representative.
+        # K-membership checks and embeds g1 once; the product check reuses it.
         e1 = sample_k_element(a, datum, rng)
-        e2 = sample_k_element(a, datum, rng)
-        prod = KElement(tuple(g1 @ g2 for g1, g2 in zip(e1.factors, e2.factors)))
-        ident = KElement(tuple(ExactMatrix.identity(g.nrows) for g in e1.factors))
-        try:
-            emb1, emb2, emb_prod, emb_ident = [embed_K(a, datum, e)
-                                               for e in (e1, e2, prod, ident)]
-        except ValueError as exc:
-            # embed_K refuses a sample with a factor defect; K-membership
-            # reports the same defect.
-            homo = (False, f"factor relation: {exc}")
+        member = verify_K_membership(a, datum, e1, triple)
+        emb1 = member.embedded
+        if emb1 is None:
+            # K-membership names the sample's factor defect; so does this line.
+            homo = (False, member.failures[0])
         else:
+            e2 = component_representative(a, datum)
+            prod = KElement(tuple(g1 @ g2 for g1, g2 in zip(e1.factors, e2.factors)))
+            ident = KElement(tuple(ExactMatrix.identity(g.nrows) for g in e1.factors))
+            emb2, emb_prod, emb_ident = [embed_K(a, datum, e) for e in (e2, prod, ident)]
             if emb1 @ emb2 != emb_prod:
                 homo = (False, "product: emb(g1) emb(g2) != emb(g1 g2)")
             elif emb_ident != ExactMatrix.identity(emb1.nrows):
@@ -549,7 +550,6 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
             else:
                 homo = (True, "")
         results.append(("embedding-homomorphism", *homo))
-        member = verify_K_membership(a, datum, e1, triple)
         detail = "" if member.ok else ", ".join(member.failures)
         results.append(("K-membership", member.ok, detail))
     return results

@@ -7,6 +7,14 @@ the descriptor (ambient M, factor list, character constraint, dimensions),
 realizes factor tuples as exact block matrices in the adapted basis, and
 checks the embedded elements against the triple and the invariant form.
 
+Two kinds of factor tuple are built here: an exact random point by
+Cayley transforms (:func:`sample_k_element`), and a fixed one whose O
+factors are reflections, off their identity component
+(:func:`component_representative`, from int numerators).
+:func:`verify_K_membership` returns the embedded matrix it checked, so a
+caller that also needs the embedding checks and assembles the element
+once.
+
 Every public function takes the algebra and the datum and reads the
 datum's factor layout (:func:`factor_layout`) and adapted basis
 (:func:`~nilorb.triples.adapted_basis`) itself; both are memoized per
@@ -339,6 +347,8 @@ def signed_block_relation(datum: SignedDiagram) -> Tuple[int, int]:
 class MembershipResult:
     ok: bool
     failures: Tuple[str, ...]
+    # The embedded element that was checked; None after a factor defect.
+    embedded: Optional[ExactMatrix] = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -357,6 +367,11 @@ def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
     p x p and q x q diagonal blocks with ``chi_p`` and ``chi_q``).
     ``T`` must be unitary (``T* T = I``), so that ``T*`` is its inverse;
     otherwise the result is the single failure ``unitary[T]``.
+
+    The factor relations are checked first: a defect is the single failure
+    ``factor relation: ...`` and the result carries no element.  Otherwise
+    ``embedded`` is the element as :func:`embed_K` would return it, so a
+    caller can reuse it instead of checking and assembling ``e`` again.
     """
     failures: List[str] = []
     defect = k_element_defect(a, datum, e)
@@ -367,7 +382,7 @@ def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
     if a.family_spec.has_adapted_basis:
         T = adapted_basis(a, datum).matrix
         if not is_isometry(T, conj=True):
-            return MembershipResult(False, ("unitary[T]",))
+            return MembershipResult(False, ("unitary[T]",), emb)
         g = T @ emb @ conj_transpose(T)
     for name, m in (("X", t.X), ("H", t.H), ("Y", t.Y)):
         if g @ m != m @ g:
@@ -387,7 +402,7 @@ def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
         if dets != chars:
             failures.append("det-vs-chi: (det_p, det_q) = ({}, {}) != "
                             "(chi_p, chi_q) = ({}, {})".format(*dets, *chars))
-    return MembershipResult(not failures, tuple(failures))
+    return MembershipResult(not failures, tuple(failures), emb)
 
 
 # ---------------------------------------------------------------------------
@@ -430,3 +445,29 @@ def sample_k_element(a: AlgebraSpec, datum: Datum,
     return KElement(tuple(
         random_compact_point(rng, spec.kind, spec.size)
         for spec in factor_layout(a, datum)))
+
+
+# The (0, 0) entry of each kind's component representative, as numerators
+# over 5: -1, (3 + 4i)/5 and j, each of norm 1.
+_REPRESENTATIVE_UNIT = {
+    "O": (-5, 0, 0, 0, 0, 0, 0, 0),
+    "U": (3, 4, 0, 0, 0, 0, 0, 0),
+    "Sp": (0, 0, 5, 0, 0, 0, 0, 0),
+}
+_FIVE = (5, 0, 0, 0, 0, 0, 0, 0)
+
+
+def component_representative(a: AlgebraSpec, datum: Datum) -> KElement:
+    """A fixed point of the datum's factor group: diag(u, 1, ..., 1) per factor.
+
+    u is -1 for an O factor, a reflection into its other component,
+    (3 + 4i)/5 for a U factor and j for an Sp factor.  A size-0 factor is
+    the 0 x 0 matrix.  Built from int numerators, so it makes no Scalar,
+    and kept in no memo.
+    """
+    factors = []
+    for spec in factor_layout(a, datum):
+        unit = _REPRESENTATIVE_UNIT[spec.kind]
+        factors.append(ExactMatrix.from_numerators(spec.size, spec.size, 5, [
+            [(r, _FIVE if r else unit)] for r in range(spec.size)]))
+    return KElement(tuple(factors))

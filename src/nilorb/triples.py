@@ -23,11 +23,11 @@ halves, and is kept per algebra and datum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .catalog import AlgebraSpec, Datum, datum_partition
 from .families import QUATERNION, FamilySpec
@@ -46,15 +46,6 @@ class BasisLayout:
 
     pairs: Tuple[Tuple[int, int], ...]  # (d, t) descending
     dim: int
-    # d -> (offset of the part block, t); it follows from ``pairs``.
-    parts: Mapping[int, Tuple[int, int]] = field(compare=False)
-
-    def slot(self, d: int, l: int, j: int) -> int:
-        """Row index of ``X^l v_j`` inside the part of size ``d`` (j is 1-based)."""
-        off, t = self.parts[d]
-        if not (0 <= l < d and 1 <= j <= t):
-            raise IndexError("slot out of range")
-        return off + (d - 1 - l) * t + (j - 1)
 
     def labels(self) -> List[str]:
         out = []
@@ -75,12 +66,8 @@ def part_weights(d: int, t: int) -> List[int]:
 
 
 def layout_for(partition: Partition) -> BasisLayout:
-    parts = {}
-    off = 0
-    for d, t in partition.pairs:
-        parts[d] = (off, t)
-        off += d * t
-    return BasisLayout(pairs=partition.pairs, dim=off, parts=parts)
+    return BasisLayout(pairs=partition.pairs,
+                       dim=sum(d * t for d, t in partition.pairs))
 
 
 @dataclass(frozen=True)
@@ -441,14 +428,14 @@ def adapted_basis(a: AlgebraSpec, datum: Datum) -> AdaptedBasis:
     Defined for every datum including the zero orbit, where the adapted
     basis is a signed permutation of the original one.  No column crosses
     a part, so ``T`` is the block sum, in the triple's part order, of each
-    part's ``L ⊗ I_{t/t0}`` (:func:`_level_matrix`) with its columns then
-    reordered: the plus half's, then the minus half's.  Within a half, even
-    parts come first, then odd parts, each ascending, except that signed
-    odd parts list those 1 mod 4 before those 3 mod 4; the block specs are
-    read off the column labels in that order.  Kept per ``(a, datum)``, up
-    to 1024 of them.  A cold build makes no Scalar and runs on ints alone,
-    so a process counts the same scalar work whether the memo is warm or
-    not.
+    part's ``L ⊗ I_{t/t0}`` (:func:`_level_matrix`; ``L`` itself when
+    ``t = t0``) with its columns then reordered: the plus half's, then the
+    minus half's.  Within a half, even parts come first, then odd parts,
+    each ascending, except that signed odd parts list those 1 mod 4 before
+    those 3 mod 4; the block specs are read off the column labels in that
+    order.  Kept per ``(a, datum)``, up to 1024 of them.  A cold build
+    makes no Scalar and runs on ints alone, so a process counts the same
+    scalar work whether the memo is warm or not.
     """
     spec = a.family_spec
     if not spec.has_adapted_basis:
@@ -458,7 +445,7 @@ def adapted_basis(a: AlgebraSpec, datum: Datum) -> AdaptedBasis:
     for block, d, t, p in gram_block_keys(a, datum):
         level, labels = _level_matrix(spec, block, d)
         copies = t * d // level.nrows
-        blocks.append(kron(level, ExactMatrix.identity(copies)))
+        blocks.append(level if copies == 1 else kron(level, ExactMatrix.identity(copies)))
         parts.append((d, off, copies, p, labels))
         off += d * t
 

@@ -197,14 +197,17 @@ def test_verify_explains_a_gram_invariance_failure(capsys, monkeypatch):
 
 @pytest.mark.parametrize("fault, argv, detail", [
     ("product", ("--algebra", "sl_c", "--n", "4"),
-     "[2 failed: [2,1,1]: product: emb(g1) emb(g2) != emb(g1 g2)]"),
+     "[4 failed: [2,1,1]: product: emb(g1) emb(g2) != emb(g1 g2)]"),
     ("identity", ("--algebra", "sl_c", "--n", "3"),
      "[2 failed: [2,1]: identity: emb(1) != 1]"),
 ], ids=("product", "identity"))
 def test_verify_explains_an_embedding_that_is_not_a_homomorphism(
         capsys, monkeypatch, fault, argv, detail):
     """Embedding by the conjugate transpose reverses products; embedding
-    everything as zero keeps products but loses the identity."""
+    everything as zero keeps products but loses the identity.  The fault
+    wraps the CLI's ``embed_K`` only, and emb(g1) is the one K-membership
+    checked, so the product check compares emb(g1) emb(g2)* with
+    emb(g1 g2)*: it fails on all four orbits, the commutative ones too."""
     import nilorb.cli
     from nilorb.matrices import ExactMatrix, conj_transpose
 
@@ -221,6 +224,65 @@ def test_verify_explains_an_embedding_that_is_not_a_homomorphism(
     assert code == 1
     assert "embedding-homomorphism FAILED" in out
     assert detail in out
+
+
+@pytest.mark.parametrize("argv, failed", [
+    (("--algebra", "sl_r", "--n", "6"), "(10 orbit(s)) [6 failed: [2,1,1,1,1]"),
+    (("--algebra", "sl_c", "--n", "5"), "(6 orbit(s)) [3 failed: [2,1,1,1]"),
+    (("--algebra", "sl_h", "--n", "4"), "(4 orbit(s)) [2 failed: [2,1,1]"),
+], ids=("sl_r", "sl_c", "sl_h"))
+def test_only_the_homomorphism_check_catches_an_anti_homomorphism(
+        capsys, monkeypatch, argv, failed):
+    """Embedding each factor as its transpose reverses products but still
+    commutes with the triple and keeps det, so K-membership passes.  The
+    product check with the fixed component representative as g2 catches it
+    wherever a factor of size 2 or more does not commute with g1."""
+    import nilorb.homotopy
+
+    repeat = nilorb.homotopy.repeat_blocks
+    monkeypatch.setattr(nilorb.homotopy, "repeat_blocks",
+                        lambda g, s: repeat(g.transpose(), s))
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 1
+    assert (f"embedding-homomorphism FAILED {failed}: "
+            "product: emb(g1) emb(g2) != emb(g1 g2)]") in out
+    assert "K-membership PASSED" in out
+
+
+def test_verify_samples_and_checks_each_k_point_once(capsys, monkeypatch):
+    """Per nonzero orbit of sl_c(4), verify draws one Cayley sample g1 and
+    checks its factor relations once, in K-membership, whose embedding the
+    product check reuses; embed_K runs on g2, g1 g2 and the identity."""
+    import nilorb.cli
+    import nilorb.homotopy
+
+    a = AlgebraSpec("sl_c", n=4)
+    nonzero = sum(not rec.is_zero_orbit for rec in enumerate_orbits(a))
+    sample = nilorb.cli.sample_k_element
+    defect = nilorb.homotopy.k_element_defect
+    embed = nilorb.cli.embed_K
+    samples, checked, embedded = [], [], []
+
+    def counting_sample(*args):
+        samples.append(sample(*args))
+        return samples[-1]
+
+    def counting_defect(alg, datum, e):
+        checked.append(e)
+        return defect(alg, datum, e)
+
+    def counting_embed(*args):
+        embedded.append(args)
+        return embed(*args)
+    monkeypatch.setattr(nilorb.cli, "sample_k_element", counting_sample)
+    monkeypatch.setattr(nilorb.homotopy, "k_element_defect", counting_defect)
+    monkeypatch.setattr(nilorb.cli, "embed_K", counting_embed)
+    code, _, _ = run(capsys, "verify", "--algebra", "sl_c", "--n", "4")
+    assert code == 0
+    assert len(samples) == nonzero == 4
+    assert [sum(e is g1 for e in checked) for g1 in samples] == [1] * nonzero
+    assert len(embedded) == 3 * nonzero
+    assert len(checked) == 4 * nonzero
 
 
 def test_verify_reports_a_sampled_factor_defect_without_raising(capsys, monkeypatch):
@@ -819,8 +881,9 @@ def test_each_public_k_function_builds_the_factor_layout_once(a):
 def test_verify_builds_the_factor_layout_once_per_record_and_per_k_call(
         capsys, family, args):
     """The centralizer report builds one layout per record, and the K calls
-    of a nonzero orbit (two samples, four embeddings and one membership
-    check) build none: they find the record's layout in the memo."""
+    of a nonzero orbit (one sample, one component representative, one
+    membership check and three embeddings) build none: they find the
+    record's layout in the memo."""
     a = AlgebraSpec(family, **args)
     records = enumerate_orbits(a)
     built = _cold_factor_layouts()

@@ -145,6 +145,82 @@ def test_embedded_points_land_in_the_stabilizer(a):
             assert result.ok, (str(rec.datum), result.failures)
 
 
+@pytest.mark.parametrize("a", HOMOTOPY_SPECS, ids=str)
+def test_membership_returns_the_element_it_checked(a):
+    """The result carries embed_K's matrix of the element, or None when a
+    factor relation fails and nothing was embedded."""
+    rng = random.Random(f"embedded:{a}")
+    for rec in enumerate_orbits(a):
+        if rec.is_zero_orbit:
+            continue
+        t = build_triple(a, rec.datum)
+        e = sample_k_element(a, rec.datum, rng)
+        assert verify_K_membership(a, rec.datum, e, t).embedded == embed_K(a, rec.datum, e)
+        bad = KElement(tuple(g.scale_left(Scalar.rational(2)) for g in e.factors))
+        result = verify_K_membership(a, rec.datum, bad, t)
+        assert result.failures[0].startswith("factor relation: ")
+        assert result.embedded is None
+
+
+# Every family with a descriptor, with O factors of size 2 and more and
+# signed parts whose factor on one side has size 0.
+REPRESENTATIVE_SPECS = HOMOTOPY_SPECS + [
+    AlgebraSpec("sl_r", n=5), AlgebraSpec("sl_c", n=4), AlgebraSpec("sl_h", n=3),
+    AlgebraSpec("so_c", n=7), AlgebraSpec("sp_c", n=3),
+    AlgebraSpec("so_pq", p=3, q=3), AlgebraSpec("sp_pq", p=2, q=2),
+]
+
+
+def test_representative_specs_cover_every_descriptor_family():
+    from nilorb.families import FAMILY_SPECS
+
+    assert ({a.family for a in REPRESENTATIVE_SPECS}
+            == {family for family, spec in FAMILY_SPECS.items() if spec.has_descriptor})
+
+
+@pytest.mark.parametrize("a", REPRESENTATIVE_SPECS, ids=str)
+def test_component_representative_is_a_k_point(monkeypatch, a):
+    """Each factor is diag(u, 1, ..., 1): an O factor has det -1, a U factor
+    det (3+4i)/5 and an Sp factor reduced norm 1.  The tuple has no factor
+    defect and passes K-membership on every nonzero orbit, and it is built,
+    with the factor layout cold or warm, without constructing a Scalar."""
+    records = enumerate_orbits(a)
+    built = []
+    original_init, original_of = Scalar.__init__, Scalar._of
+
+    def counting_init(self, components):
+        built.append("__init__")
+        original_init(self, components)
+
+    def counting_of(components):
+        built.append("_of")
+        return original_of(components)
+    monkeypatch.setattr(Scalar, "__init__", counting_init)
+    monkeypatch.setattr(Scalar, "_of", staticmethod(counting_of))
+    factor_layout.cache_clear()
+    reps = [homotopy.component_representative(a, rec.datum) for rec in records]
+    assert [homotopy.component_representative(a, rec.datum) for rec in records] == reps
+    assert built == []
+    monkeypatch.undo()
+
+    unit = Scalar.complex_value(Fraction(3, 5), Fraction(4, 5))
+    expected = {"O": Scalar.rational(-1), "U": unit, "Sp": Scalar.rational(1)}
+    kinds = set()
+    for rec, rep in zip(records, reps):
+        assert k_element_defect(a, rec.datum, rep) is None
+        for spec, g in zip(factor_layout(a, rec.datum), rep.factors):
+            if spec.size == 0:
+                assert g == ExactMatrix.zeros(0, 0)
+                continue
+            kinds.add(spec.kind)
+            value = reduced_norm(g) if spec.kind == "Sp" else det(g)
+            assert value == expected[spec.kind], (str(rec.datum), spec)
+        if not rec.is_zero_orbit:
+            result = verify_K_membership(a, rec.datum, rep, build_triple(a, rec.datum))
+            assert result.ok, (str(rec.datum), result.failures)
+    assert kinds == {f.kind for rec in records for f in factor_layout(a, rec.datum)}
+
+
 def test_membership_rejects_corrupted_element():
     a = AlgebraSpec("sl_r", n=3)
     rec = [r for r in enumerate_orbits(a) if not r.is_zero_orbit][0]

@@ -173,11 +173,29 @@ def test_triple_json_round_trip_fields():
 
 # --- the per-part Kronecker builders against the slot-by-slot references -----
 #
-# The references below build every entry through ``BasisLayout.slot``, as the
-# library did before it joined memoized per-part Kronecker blocks.
+# The references below build every entry through ``Slots``, as the library
+# did before it joined memoized per-part Kronecker blocks.
+
+class Slots:
+    """Row index of ``X^l v_j`` inside the part of size ``d`` (j is 1-based),
+    in the basis layout the triples module documents."""
+
+    def __init__(self, partition):
+        self.parts = {}
+        self.dim = 0
+        for d, t in partition.pairs:
+            self.parts[d] = (self.dim, t)
+            self.dim += d * t
+
+    def slot(self, d, l, j):
+        off, t = self.parts[d]
+        if not (0 <= l < d and 1 <= j <= t):
+            raise IndexError("slot out of range")
+        return off + (d - 1 - l) * t + (j - 1)
+
 
 def reference_nilpotent(partition):
-    lay = layout_for(partition)
+    lay = Slots(partition)
     return ExactMatrix.from_entries(lay.dim, lay.dim, {
         (lay.slot(d, l + 1, j), lay.slot(d, l, j)): ONE
         for d, t in partition.pairs for l in range(d - 1) for j in range(1, t + 1)})
@@ -189,7 +207,7 @@ def reference_semisimple(partition):
 
 
 def reference_lowering(partition):
-    lay = layout_for(partition)
+    lay = Slots(partition)
     return ExactMatrix.from_entries(lay.dim, lay.dim, {
         (lay.slot(d, l - 1, j), lay.slot(d, l, j)): l * (d - l)
         for d, t in partition.pairs for l in range(1, d) for j in range(1, t + 1)})
@@ -213,7 +231,7 @@ def reference_lowest_weight_form(a, datum, d):
 
 def reference_gram(a, datum):
     part = datum_partition(datum)
-    lay = layout_for(part)
+    lay = Slots(part)
     entries = {}
     for d, _ in part.pairs:
         base = reference_lowest_weight_form(a, datum, d).nonzeros()
