@@ -71,7 +71,7 @@ from .homotopy import HomotopyType, compact_pair
 from .matrices import ExactMatrix, integer_nullity
 from .scalars import _PROD
 from .triples import (Triple, _gram_block, gram_block_keys, gram_matrix,
-                      layout_for, part_weights, triple_partition)
+                      part_weights, slot_weights, triple_partition)
 
 
 # The closed forms below work over the complexification: a type A, BD or C
@@ -383,7 +383,7 @@ def centralizer_dim_triple(t: Triple, a: AlgebraSpec) -> int:
     Raises ``ValueError`` when a Gram entry lies outside the ring.
     """
     return _centralizer_nullity(AlgebraConstraint(a.family_spec, t.gram), [t.X, t.Y],
-                                _grade_positions(t.layout.weights(), 0))
+                                _grade_positions(slot_weights(t.partition), 0))
 
 
 def centralizer_dim_nilpotent(x: ExactMatrix, a: AlgebraSpec,
@@ -453,7 +453,7 @@ def centralizer_report(a: AlgebraSpec, datum: Datum) -> CentralizerReport:
             expected_reductive=expected, compact=compact,
             match=ambient == expected)
     spec = a.family_spec
-    weights = layout_for(triple_partition(a, datum)).weights()
+    weights = slot_weights(triple_partition(a, datum))
     if spec.form is None:
         g0, g1, g2 = _grade_nullities(AlgebraConstraint(spec, None), weights)
     else:

@@ -56,11 +56,12 @@ MAX_WORK = 1_000_000
 #: Weight of a ``verify`` run in the work estimate.  A ``list --format
 #: json`` record costs 0.3 us (``sl_r --n 24``) to 4.5 us (``sp_pq --p 6
 #: --q 6``) per unit of records x size^2 (2-core Xeon VM, Python 3.11), a
-#: ``verify`` record up to about 40 us (most for sl_c: ``--n 20`` takes 10 s),
-#: so with this weight ``verify --algebra sl_c --n 21``, which would run
-#: for about 15 s, is refused.  The record counts follow the parity rules,
-#: so the largest admitted so/sp runs (so_c 25, sp_c 12, so_pq(8,8),
-#: sp_pq(7,8)) take under 10 s each.
+#: ``verify`` record 20 to 40 us: in raw single runs ``sl_c --n 20`` and
+#: ``sl_h --n 20`` take 8 to 10 s and ``sl_r --n 20`` 4 to 6 s.  With this
+#: weight ``verify --algebra sl_c --n 21`` (estimate 1,047,816), which would
+#: run for about 13 s, is refused.  The record counts follow the parity
+#: rules, so the largest admitted so/sp runs (so_c 25: 7.5 to 8.6 s; sp_c
+#: 12, so_pq(8,8), sp_pq(7,8)) take under 10 s each.
 VERIFY_WEIGHT = 3
 
 

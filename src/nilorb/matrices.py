@@ -19,17 +19,16 @@ connected components of its nonzero pattern and runs Bareiss on each;
 ``solve(a, b)`` is one Gauss-Jordan elimination with int pivots on
 ``[a | b]``, and ``inverse`` is ``solve(a, I)``.  The ints are the only
 storage: every constructor converts its values to them once, when it
-builds the matrix.  Scalars are only a read cache, built when an entry is
-read (:meth:`ExactMatrix.entry`, :meth:`~ExactMatrix.rows`,
-:meth:`~ExactMatrix.nonzeros`) and then kept; a matrix built by
-:meth:`ExactMatrix.from_entries` from Scalars starts with the nonzero
-Scalars it was given in that cache, and one given only ``int`` values
-makes no Scalar, nor does one built by
-:meth:`ExactMatrix.from_numerators` from int numerators.  Rendering
-(:meth:`~ExactMatrix.to_json` and the CLI's matrix tables) reads the
-stored numerators: each distinct nonzero value is rendered once per call;
-equal cells share one object within a result, and every zero cell holds
-one value rendered once per call.
+builds the matrix, and keeps no Scalar it was given.  A Scalar is made
+only when a value leaves the matrix (:meth:`~ExactMatrix.rows`,
+:meth:`~ExactMatrix.nonzeros`, :func:`det` and rendering), on each such
+call, and the matrix does not keep it; a matrix built by
+:meth:`ExactMatrix.from_entries` from ``int`` values, or by
+:meth:`ExactMatrix.from_numerators` from int numerators, makes none.
+Rendering (:meth:`~ExactMatrix.to_json` and the CLI's matrix tables)
+reads the stored numerators: each distinct nonzero value is rendered once
+per call; equal cells share one object within a result, and every zero
+cell holds one value rendered once per call.
 
 Every structured matrix (triples, Gram matrices, block embeddings) is
 built from its nonzero entries with :meth:`ExactMatrix.from_entries`, or
@@ -149,28 +148,16 @@ class ExactMatrix:
 
     See the module docstring for the storage: one denominator ``_den``
     and the per-row nonzero numerators ``_num``, both set by every
-    constructor.  ``_nonzeros`` and ``_rows`` cache the entries as Scalars
-    once they are read, or from the start when the matrix was built from
-    Scalars.
+    constructor; the matrix keeps nothing else.
     """
 
-    __slots__ = ("nrows", "ncols", "_den", "_num", "_nonzeros", "_rows")
-
-    def __init__(self, rows: Sequence[Sequence[Scalar]]):
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-        m = ExactMatrix.from_entries(len(rows), ncols, {
-            (r, c): x for r, row in enumerate(rows) for c, x in enumerate(row)})
-        for name in ExactMatrix.__slots__:
-            setattr(self, name, getattr(m, name))
+    __slots__ = ("nrows", "ncols", "_den", "_num")
 
     @staticmethod
     def _of(nrows: int, ncols: int, den: int, num: tuple) -> "ExactMatrix":
         """Wrap storage that is already reduced, without checking it."""
         m = object.__new__(ExactMatrix)
         m.nrows, m.ncols, m._den, m._num = nrows, ncols, den, num
-        m._nonzeros = m._rows = None
         return m
 
     @staticmethod
@@ -193,8 +180,8 @@ class ExactMatrix:
         Absent entries are zero; values are coerced like :func:`as_scalar`.
         An index outside the shape, negative ones included, raises
         ``IndexError``.  Each value is converted to numerators once, here.
-        When every value is an ``int`` no Scalar is made; otherwise the
-        nonzero Scalars are kept as the matrix's read cache.
+        When every value is an ``int`` no Scalar is made; no Scalar given
+        is kept.
         """
         ints = all(type(x) is int for x in entries.values())
         rows: List[list] = [[] for _ in range(nrows)]
@@ -216,12 +203,10 @@ class ExactMatrix:
         # skipped by identity before any Fraction property is read.
         den = lcm(*{f.denominator for row in by_column for _, x in row
                     for f in x.components if f is not _F0})
-        m = ExactMatrix._of(nrows, ncols, den, tuple(
+        return ExactMatrix._of(nrows, ncols, den, tuple(
             tuple([(c, tuple([0 if f is _F0 else f.numerator * (den // f.denominator)
                               for f in x.components])) for c, x in row])
             for row in by_column))
-        m._nonzeros = by_column
-        return m
 
     @staticmethod
     def from_numerators(nrows: int, ncols: int, den: int,
@@ -268,21 +253,12 @@ class ExactMatrix:
 
     # -- access ----------------------------------------------------------
 
-    def entry(self, r: int, c: int) -> Scalar:
-        return self.rows()[r][c]
-
     def rows(self) -> tuple:
-        """The entries as a tuple of rows of Scalars, built on first use and kept."""
-        rows = self._rows
-        if rows is None:
-            out = []
-            for row in self.nonzeros():
-                dense = [ZERO] * self.ncols
-                for c, x in row:
-                    dense[c] = x
-                out.append(tuple(dense))
-            rows = self._rows = tuple(out)
-        return rows
+        """The entries as a tuple of dense rows of Scalars, built on each call.
+
+        Equal cells share one Scalar within the result, as in :meth:`_cells`.
+        """
+        return tuple(map(tuple, self._cells(lambda x: x, ZERO)))
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -290,15 +266,11 @@ class ExactMatrix:
     def nonzeros(self) -> tuple:
         """Per row, the ``(column, entry)`` pairs of its nonzero entries, by column.
 
-        The Scalars are built on first use, unless the matrix was built
-        from them, and kept, since matrices are immutable.
+        The Scalars are built from the stored numerators on each call and
+        not kept.
         """
-        nz = self._nonzeros
-        if nz is None:
-            den = self._den
-            nz = self._nonzeros = tuple(
-                tuple([(c, _to_scalar(x, den)) for c, x in row]) for row in self._num)
-        return nz
+        den = self._den
+        return tuple(tuple([(c, _to_scalar(x, den)) for c, x in row]) for row in self._num)
 
     def integer_nonzeros(self) -> tuple:
         """Per row, the ``(column, numerators)`` pairs of ``D * self``, by column.
@@ -425,7 +397,16 @@ class ExactMatrix:
 
     @staticmethod
     def from_json(data) -> "ExactMatrix":
-        return ExactMatrix([[Scalar.from_json(x) for x in row] for row in data])
+        """The matrix whose rows are the given rows of :meth:`Scalar.to_json` cells.
+
+        Raises ``ValueError`` when the rows differ in length.
+        """
+        ncols = len(data[0]) if data else 0
+        if any(len(row) != ncols for row in data):
+            raise ValueError("ragged rows")
+        return ExactMatrix.from_entries(len(data), ncols, {
+            (r, c): Scalar.from_json(x)
+            for r, row in enumerate(data) for c, x in enumerate(row)})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):

@@ -255,7 +255,9 @@ class Scalar:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._c)
+        # A rational value hashes as its Fraction, so it agrees with __eq__.
+        c = self._c
+        return hash(c if any(c[1:]) else c[0])
 
     def __str__(self) -> str:
         """Nonzero terms joined by signs, e.g. ``1/2-i*sqrt2``; ``0`` for zero."""

@@ -40,34 +40,14 @@ class ZeroOrbitError(ValueError):
     """Raised when a construction needs a nonzero nilpotent representative."""
 
 
-@dataclass(frozen=True)
-class BasisLayout:
-    """Slot bookkeeping for the ordered basis of one partition."""
-
-    pairs: Tuple[Tuple[int, int], ...]  # (d, t) descending
-    dim: int
-
-    def labels(self) -> List[str]:
-        out = []
-        for d, t in self.pairs:
-            for l in range(d - 1, -1, -1):
-                for j in range(1, t + 1):
-                    out.append(f"X^{l}.v[{d}][{j}]")
-        return out
-
-    def weights(self) -> List[int]:
-        """The H-eigenvalue of each slot, the parts' :func:`part_weights` joined."""
-        return [w for d, t in self.pairs for w in part_weights(d, t)]
-
-
 def part_weights(d: int, t: int) -> List[int]:
     """The H-eigenvalue of each slot of one part: ``1 - d + 2l`` at ``X^l v_j``."""
     return [1 - d + 2 * l for l in range(d - 1, -1, -1) for _ in range(t)]
 
 
-def layout_for(partition: Partition) -> BasisLayout:
-    return BasisLayout(pairs=partition.pairs,
-                       dim=sum(d * t for d, t in partition.pairs))
+def slot_weights(partition: Partition) -> List[int]:
+    """The H-eigenvalue of each slot, the parts' :func:`part_weights` joined."""
+    return [w for d, t in partition.pairs for w in part_weights(d, t)]
 
 
 @dataclass(frozen=True)
@@ -82,10 +62,10 @@ class Triple:
     gram: Optional[ExactMatrix]
     epsilon: Optional[int]
     sigma: Optional[str]
-    layout: BasisLayout
 
     def basis_layout(self) -> List[str]:
-        return self.layout.labels()
+        return [f"X^{l}.v[{d}][{j}]" for d, t in self.partition.pairs
+                for l in range(d - 1, -1, -1) for j in range(1, t + 1)]
 
     def to_json(self) -> dict:
         data = {
@@ -250,7 +230,6 @@ def build_triple(a: AlgebraSpec, datum: Datum) -> Triple:
         gram=gram,
         epsilon=epsilon,
         sigma=sigma,
-        layout=layout_for(part),
     )
 
 

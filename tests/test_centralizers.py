@@ -21,16 +21,16 @@ from nilorb.homotopy import compact_pair
 from nilorb.matrices import ExactMatrix
 from nilorb.partitions import Partition
 from nilorb.scalars import J_UNIT
-from nilorb.triples import _gram_block, build_triple, gram_block_keys
+from nilorb.triples import _gram_block, build_triple, gram_block_keys, slot_weights
 
 
 def graded_dims(t, a):
     """dim g_0, g_1 and g_2 of the triple ``t``'s own grading, counted over
-    the whole ``t.gram`` and ``t.layout``: the count ``centralizer_report``
+    the whole ``t.gram`` and ``t.partition``: the count ``centralizer_report``
     sums from its parts, here for any Gram matrix a test puts in the
     triple."""
     return _grade_nullities(AlgebraConstraint(a.family_spec, t.gram),
-                            t.layout.weights())
+                            slot_weights(t.partition))
 
 
 SWEEP = (
@@ -99,7 +99,7 @@ def test_grading_matches_direct_solves_and_closed_forms(a):
                 == dim_g(a) - expected_orbit_dim(a, rec.datum)), str(rec.datum)
         assert (g0, g1, g2) == graded_dims(t, a)
         constraint = AlgebraConstraint(a.family_spec, t.gram)
-        weights = t.layout.weights()
+        weights = slot_weights(t.partition)
         assert (g0, g1, g2) == tuple(
             _centralizer_nullity(constraint, [], _grade_positions(weights, k))
             for k in (0, 1, 2)), str(rec.datum)
@@ -127,7 +127,7 @@ def test_grading_sweep_meets_every_block_kind(family):
                 continue
             t = build_triple(a, rec.datum)
             constraint = AlgebraConstraint(a.family_spec, t.gram)
-            weights = t.layout.weights()
+            weights = slot_weights(t.partition)
             pi = constraint.pairing(weights)
             for k in (0, 1, 2):
                 for r, s in _grade_positions(weights, k):
@@ -240,7 +240,7 @@ def test_paired_count_refuses_a_gram_it_cannot_pair(monkeypatch, rule, match):
             centralizer_report(a, t.partition)
     _part_grading.cache_clear()
     assert centralizer_report(a, t.partition) == report
-    assert t.layout.weights() == [1, 1, -1, -1]
+    assert slot_weights(t.partition) == [1, 1, -1, -1]
     bad = replace(t, gram=_refused_grams(t.gram)[rule])
     with pytest.raises(ValueError, match=match):
         graded_dims(bad, a)
@@ -295,7 +295,7 @@ def test_paired_count_solves_only_the_self_paired_entries(monkeypatch):
         rec = max((r for r in enumerate_orbits(a) if not r.is_zero_orbit),
                   key=lambda r: (len(r.partition().pairs), str(r.datum)))
         t = build_triple(a, rec.datum)
-        weights = t.layout.weights()
+        weights = slot_weights(t.partition)
         solved.clear()
         graded_dims(t, a)
         assert len(solved) == 3, family

@@ -3,6 +3,7 @@ construction from numerators and rendering."""
 
 from __future__ import annotations
 
+import gc
 import random
 from fractions import Fraction
 
@@ -21,23 +22,26 @@ from nilorb.scalars import I_UNIT, J_UNIT, MINUS_ONE, ONE, SQRT2, ZERO, Scalar
 from nilorb.triples import adapted_basis, build_triple
 
 
+def dense(rows) -> ExactMatrix:
+    """The matrix with the given rows of Scalars (or ints or Fractions)."""
+    return ExactMatrix.from_entries(len(rows), len(rows[0]) if rows else 0, {
+        (r, c): x for r, row in enumerate(rows) for c, x in enumerate(row)})
+
+
 def rational_matrix(rng: random.Random, n: int, m: int | None = None) -> ExactMatrix:
     m = n if m is None else m
-    return ExactMatrix([[Scalar.rational(Fraction(rng.randint(-4, 4),
-                                                  rng.randint(1, 3)))
-                         for _ in range(m)] for _ in range(n)])
+    return dense([[Scalar.rational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                   for _ in range(m)] for _ in range(n)])
 
 
 def complex_matrix(rng: random.Random, n: int) -> ExactMatrix:
-    return ExactMatrix([[Scalar.complex_value(rng.randint(-3, 3),
-                                              rng.randint(-3, 3))
-                         for _ in range(n)] for _ in range(n)])
+    return dense([[Scalar.complex_value(rng.randint(-3, 3), rng.randint(-3, 3))
+                   for _ in range(n)] for _ in range(n)])
 
 
 def quaternion_matrix(rng: random.Random, n: int) -> ExactMatrix:
-    return ExactMatrix([[Scalar.quaternion_value(*(rng.randint(-2, 2)
-                                                   for _ in range(4)))
-                         for _ in range(n)] for _ in range(n)])
+    return dense([[Scalar.quaternion_value(*(rng.randint(-2, 2) for _ in range(4)))
+                   for _ in range(n)] for _ in range(n)])
 
 
 def test_identity_and_product():
@@ -80,16 +84,16 @@ def test_commutator_bilinear_antisymmetric():
 
 
 def test_block_oplus_and_repeat():
-    a = ExactMatrix([[ONE, ONE], [ZERO, ONE]])
-    b = ExactMatrix([[Scalar.rational(2)]])
+    a = dense([[ONE, ONE], [ZERO, ONE]])
+    b = dense([[Scalar.rational(2)]])
     s = block_oplus([a, b])
     assert s.nrows == s.ncols == 3
-    assert s.entry(0, 1) == ONE
-    assert s.entry(2, 2) == Scalar.rational(2)
-    assert s.entry(0, 2) == ZERO
+    assert s.rows()[0][1] == ONE
+    assert s.rows()[2][2] == Scalar.rational(2)
+    assert s.rows()[0][2] == ZERO
     r = repeat_blocks(b, 3)
     assert r.nrows == r.ncols == 3
-    assert all(r.entry(t, t) == Scalar.rational(2) for t in range(3))
+    assert all(r.rows()[t][t] == Scalar.rational(2) for t in range(3))
 
 
 def test_permute_columns_is_a_product_by_a_permutation_matrix():
@@ -155,7 +159,7 @@ def test_realify_rank_scaling():
 
 def rank_over_c(a: ExactMatrix) -> int:
     # Row-reduce over the complex field using exact scalar division.
-    rows = [[a.entry(r, c) for c in range(a.ncols)] for r in range(a.nrows)]
+    rows = [list(row) for row in a.rows()]
     rank_count = 0
     col = 0
     while rows and col < a.ncols:
@@ -175,7 +179,7 @@ def rank_over_c(a: ExactMatrix) -> int:
 
 
 def test_rank_and_kernel_on_known_matrices():
-    n = ExactMatrix([[ZERO, ONE, ZERO], [ZERO, ZERO, ONE], [ZERO, ZERO, ZERO]])
+    n = dense([[ZERO, ONE, ZERO], [ZERO, ZERO, ONE], [ZERO, ZERO, ZERO]])
     assert rank(n) == 2
     assert n.ncols - rank(n) == 1
     assert rank(n @ n) == 1
@@ -197,7 +201,7 @@ def test_det_multiplicative_and_inverse():
 
 
 def test_det_rejects_quaternion_entries():
-    m = ExactMatrix([[J_UNIT]])
+    m = dense([[J_UNIT]])
     with pytest.raises(ValueError):
         det(m)
 
@@ -285,7 +289,7 @@ def test_det_by_components_matches_the_unsplit_bareiss(variant):
         # A singular block: its last row repeats its first.
         s = blocks[0].nrows + 1
         rows = variant_matrix(rng, variant, s).rows()
-        singular = ExactMatrix(list(rows[:-1]) + [rows[0]])
+        singular = dense(list(rows[:-1]) + [rows[0]])
         assert unsplit_bareiss(singular) == ZERO
         cases.append(permuted(block_oplus([singular] + blocks[1:]),
                               list(reversed(range(s + diag.nrows - blocks[0].nrows)))))
@@ -297,12 +301,12 @@ def test_det_by_components_matches_the_unsplit_bareiss(variant):
 def test_det_of_a_split_matrix_still_rejects_a_quaternion_block():
     rng = random.Random(11)
     for variant in COMMUTATIVE_COMPONENTS:
-        blocks = [variant_matrix(rng, variant, 2), ExactMatrix([[J_UNIT]])]
+        blocks = [variant_matrix(rng, variant, 2), dense([[J_UNIT]])]
         with pytest.raises(ValueError):
             det(block_oplus(blocks))
         with pytest.raises(ValueError):
             det(block_oplus([variant_matrix(rng, variant, 2),
-                             ExactMatrix([[ONE, J_UNIT], [ZERO, ONE]])]))
+                             dense([[ONE, J_UNIT], [ZERO, ONE]])]))
 
 
 def test_solve_gives_the_left_inverse_times_b():
@@ -315,9 +319,8 @@ def test_solve_gives_the_left_inverse_times_b():
         if reduced_norm(a).is_zero():
             continue
         for width in (1, 2, 3, 5):
-            b = ExactMatrix([[Scalar.quaternion_value(*(rng.randint(-2, 2)
-                                                        for _ in range(4)))
-                              for _ in range(width)] for _ in range(3)])
+            b = dense([[Scalar.quaternion_value(*(rng.randint(-2, 2) for _ in range(4)))
+                        for _ in range(width)] for _ in range(3)])
             x = solve(a, b)
             assert (x.nrows, x.ncols) == (3, width)
             assert a @ x == b
@@ -330,7 +333,7 @@ def test_solve_gives_the_left_inverse_times_b():
 
 
 def test_solve_rejects_singular_and_mismatched_input():
-    singular = ExactMatrix([[ONE, I_UNIT], [I_UNIT, MINUS_ONE]])
+    singular = dense([[ONE, I_UNIT], [I_UNIT, MINUS_ONE]])
     with pytest.raises(ZeroDivisionError):
         solve(singular, ExactMatrix.identity(2))
     with pytest.raises(ZeroDivisionError):
@@ -375,7 +378,7 @@ def test_is_isometry_agrees_with_the_product(kind):
             g = random_compact_point(rng, kind, size)
             assert agrees(g)
             r, c = rng.randrange(size), rng.randrange(size)
-            assert not agrees(_with_entry(g, r, c, g.entry(r, c) + ONE))
+            assert not agrees(_with_entry(g, r, c, g.rows()[r][c] + ONE))
             assert not agrees(g.scale_left(Scalar.rational(2)))
             assert agrees(_columns(g, size - 1))
             if size > 1:
@@ -389,13 +392,13 @@ def test_is_isometry_agrees_with_the_product(kind):
 def test_congruence_signature_examples():
     def diag(*entries):
         n = len(entries)
-        return ExactMatrix([[Scalar.rational(entries[r]) if r == c else ZERO
-                             for c in range(n)] for r in range(n)])
+        return dense([[Scalar.rational(entries[r]) if r == c else ZERO
+                       for c in range(n)] for r in range(n)])
 
     assert congruence_signature(diag(1, 1, -1)) == (2, 1)
     assert congruence_signature(diag(-2, -3, -4, 5)) == (1, 3)
     # A hyperbolic plane has one positive and one negative direction.
-    hyp = ExactMatrix([[ZERO, ONE], [ONE, ZERO]])
+    hyp = dense([[ZERO, ONE], [ONE, ZERO]])
     assert congruence_signature(hyp) == (1, 1)
     with pytest.raises(DegenerateFormError):
         congruence_signature(diag(1, 0))
@@ -403,9 +406,9 @@ def test_congruence_signature_examples():
 
 def test_congruence_signature_is_congruence_invariant():
     rng = random.Random(10)
-    base = ExactMatrix([[Scalar.rational(x) if r == c else ZERO
-                         for c, x in enumerate((1, 1, -1, -1))]
-                        for r in range(4)])
+    base = dense([[Scalar.rational(x) if r == c else ZERO
+                   for c, x in enumerate((1, 1, -1, -1))]
+                  for r in range(4)])
     for _ in range(6):
         t = rational_matrix(rng, 4)
         if rank(t) < 4:
@@ -416,7 +419,7 @@ def test_congruence_signature_is_congruence_invariant():
 def test_reduced_norm_is_multiplicative():
     # Nrd(q) = q * conj(q) on 1x1 matrices.
     q = Scalar.quaternion_value(2, 1, -1, 3)
-    m = ExactMatrix([[q]])
+    m = dense([[q]])
     assert reduced_norm(m) == q * q.conjugate()
     rng = random.Random(11)
     for _ in range(8):
@@ -430,6 +433,49 @@ def test_matrix_json_round_trip():
     a = quaternion_matrix(rng, 2)
     data = a.to_json()
     assert ExactMatrix.from_json(data) == a
+
+
+def test_from_json_rejects_ragged_rows():
+    one = ONE.to_json()
+    with pytest.raises(ValueError, match="ragged rows"):
+        ExactMatrix.from_json([[one, one], [one]])
+    with pytest.raises(ValueError, match="ragged rows"):
+        ExactMatrix.from_json([[one], [one, one]])
+    assert ExactMatrix.from_json([]) == ExactMatrix.zeros(0, 0)
+
+
+def _reachable_scalars(root) -> list:
+    """Every Scalar reachable from ``root`` through ``gc.get_referents``,
+    not walking into classes, whose namespaces hold module constants."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        x = stack.pop()
+        if id(x) in seen or isinstance(x, type):
+            continue
+        seen.add(id(x))
+        if isinstance(x, Scalar):
+            found.append(x)
+        else:
+            stack.extend(gc.get_referents(x))
+    return found
+
+
+def test_a_matrix_keeps_no_scalar_after_its_entries_are_read():
+    """The int numerators are the only storage: reading the entries as
+    Scalars builds them for the caller and leaves none in the matrix,
+    whether it was built from Scalars, from ints, from numerators or by
+    a product."""
+    rng = random.Random(13)
+    from_scalars = quaternion_matrix(rng, 3)
+    from_ints = ExactMatrix.from_entries(2, 3, {(0, 1): 2, (1, 0): -1})
+    from_nums = ExactMatrix.from_numerators(2, 2, 3, [
+        [(1, (1, 0, 2, 0, 0, 0, 0, 0))], [(0, (0, 0, 0, 0, 1, 0, 0, 0))]])
+    product = from_scalars @ complex_matrix(rng, 3)
+    for m in (from_scalars, from_ints, from_nums, product):
+        rows, nonzeros = m.rows(), m.nonzeros()
+        assert _reachable_scalars(rows) and _reachable_scalars(nonzeros)
+        assert _reachable_scalars(m) == []
+        assert (m.rows(), m.nonzeros()) == (rows, nonzeros)
 
 
 def test_from_numerators_reduces_and_checks_its_input():

@@ -148,3 +148,20 @@ def test_unit_names_cover_basis():
         assert [x != 0 for x in u.components].count(True) == 1
     with pytest.raises(ValueError):
         Scalar.unit("q")
+
+
+@pytest.mark.parametrize("value", [0, 1, -3, Fraction(1, 2), Fraction(-7, 3)])
+def test_a_rational_scalar_hashes_like_the_number_it_equals(value):
+    s = Scalar.rational(value)
+    assert s == value and hash(s) == hash(value)
+    assert len({s, value}) == 1
+    assert len({s, Fraction(value), Scalar(
+        [value, 0, 0, 0, 0, 0, 0, 0])}) == 1
+
+
+def test_scalars_with_other_parts_keep_distinct_hashes():
+    rational = Scalar.rational(1)
+    others = [I_UNIT, J_UNIT, K_UNIT, SQRT2, ONE + I_UNIT, ONE + SQRT2,
+              Scalar.complex_value(1, 2), Scalar.quaternion_value(1, 0, 1, 0)]
+    assert len({hash(x) for x in others} | {hash(rational)}) == len(others) + 1
+    assert len(set(others) | {rational, 1}) == len(others) + 1
