@@ -225,62 +225,49 @@ def _parse_datum(a: AlgebraSpec, datum_str: str, signs_str: Optional[str]) -> Da
 # ---------------------------------------------------------------------------
 
 def _matrix_lines(title: str, m: ExactMatrix) -> List[str]:
-    cells = m._cells(str, "0")
+    cells = m._cells(str)
     widths = [max(map(len, column)) for column in zip(*cells)]
     lines = [f"{title}:"]
     for row in cells:
-        padded = "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
-        lines.append(f"  [ {padded} ]")
+        lines.append(f"  [ {'  '.join(map(str.rjust, row, widths))} ]")
     return lines
 
 
-_JSON_CONTAINERS = (list, tuple, dict)
+#: The text of a container's item of exactly these types, made without a
+#: call of :func:`_encode`; bool, None and subclasses take the full path.
+_LEAF_TEXT = {str: encode_basestring_ascii, int: int.__repr__}
 
 
 def _json_text(doc) -> str:
-    """``json.dumps(doc, indent=2)``, byte for byte, for a document of str,
-    int, bool, None, lists, tuples and str-keyed dicts.
+    """``json.dumps(doc, indent=2, default=ExactMatrix.to_json)``, byte for
+    byte, for a document of str, int, bool, None, :class:`ExactMatrix`,
+    lists, tuples and str-keyed dicts.
 
     With ``indent`` set, ``json.dumps`` runs its pure-Python encoder, one
     generator per nesting level yielding one token at a time; here each
-    subtree's text is one ``str.join``.  Within the call, the text of each
-    list or tuple whose items are not containers is kept by identity and
-    depth, and a list looks its items up there before it encodes them, so
-    a cell list that ``ExactMatrix.to_json`` shares across a matrix's equal
-    entries is encoded once and each repeat costs one lookup.  The document
-    keeps every object alive for the whole call, so no identity is reused.
-    Anything else, floats and non-str keys included, raises ``TypeError``.
+    subtree's text is one ``str.join``.  A matrix is rendered from
+    ``ExactMatrix._cells``: the text of each distinct cell is built once,
+    at the cell's depth, and its rows and the matrix are joined from those
+    texts, so no cell list is built.  Anything else, floats and non-str
+    keys included, raises ``TypeError``.
     """
-    return _encode(doc, 0, {})
+    return _encode(doc, 0)
 
 
-def _encode(o, depth: int, memo: Dict[Tuple[int, int], str]) -> str:
-    """The text of ``o`` at nesting ``depth`` for :func:`_json_text`, which
-    owns ``memo``; a module function, so a call leaves no reference cycle."""
+def _encode(o, depth: int) -> str:
+    """The text of ``o`` at nesting ``depth`` for :func:`_json_text`."""
     quote = encode_basestring_ascii
     if isinstance(o, str):
         return quote(o)
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        leaf = True
         items = []
         for x in o:
-            if isinstance(x, str):
-                items.append(quote(x))
-                continue
-            text = memo.get((id(x), depth + 1))
-            if text is None:
-                leaf = leaf and not isinstance(x, _JSON_CONTAINERS)
-                text = _encode(x, depth + 1, memo)
-            else:
-                leaf = False
-            items.append(text)
+            leaf = _LEAF_TEXT.get(type(x))
+            items.append(leaf(x) if leaf else _encode(x, depth + 1))
         inner = "\n" + "  " * (depth + 1)
-        text = f"[{inner}{(',' + inner).join(items)}\n{'  ' * depth}]"
-        if leaf:
-            memo[id(o), depth] = text
-        return text
+        return f"[{inner}{(',' + inner).join(items)}\n{'  ' * depth}]"
     if isinstance(o, dict):
         if not o:
             return "{}"
@@ -288,7 +275,8 @@ def _encode(o, depth: int, memo: Dict[Tuple[int, int], str]) -> str:
         for k, v in o.items():
             if not isinstance(k, str):
                 raise TypeError(f"keys must be str, not {type(k).__name__}")
-            items.append(f"{quote(k)}: {_encode(v, depth + 1, memo)}")
+            leaf = _LEAF_TEXT.get(type(v))
+            items.append(f"{quote(k)}: {leaf(v) if leaf else _encode(v, depth + 1)}")
         inner = "\n" + "  " * (depth + 1)
         return f"{{{inner}{(',' + inner).join(items)}\n{'  ' * depth}}}"
     if o is None:
@@ -299,6 +287,16 @@ def _encode(o, depth: int, memo: Dict[Tuple[int, int], str]) -> str:
         return "false"
     if isinstance(o, int):
         return int.__repr__(o)
+    if isinstance(o, ExactMatrix):
+        if not o.nrows:
+            return "[]"
+        cells = o._cells(lambda x: _encode(x.to_json(), depth + 2))
+        cell_inner = "\n" + "  " * (depth + 2)
+        row_inner = "\n" + "  " * (depth + 1)
+        cell_sep = "," + cell_inner
+        rows = [f"[{cell_inner}{cell_sep.join(row)}{row_inner}]" if row else "[]"
+                for row in cells]
+        return f"[{row_inner}{(',' + row_inner).join(rows)}\n{'  ' * depth}]"
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
@@ -402,7 +400,7 @@ def _cmd_describe(args) -> int:
             "orbit_dim": report.dim_orbit,
             "centralizer": report.to_json(),
             "triple": None if triple is None else triple.to_json(),
-            "change_of_basis": None if t_matrix is None else t_matrix.to_json(),
+            "change_of_basis": t_matrix,
             "homotopy": None if h is None else h.to_json(),
             "homotopy_rendered": None if h is None else h.rendered(),
         }
@@ -425,14 +423,11 @@ def _cmd_describe(args) -> int:
             print("zero orbit: K = M, the quotient is a point")
     if triple is not None:
         for title, m in (("X", triple.X), ("H", triple.H), ("Y", triple.Y)):
-            for line in _matrix_lines(title, m):
-                print(line)
+            print("\n".join(_matrix_lines(title, m)))
         if triple.gram is not None:
-            for line in _matrix_lines("gram", triple.gram):
-                print(line)
+            print("\n".join(_matrix_lines("gram", triple.gram)))
     if t_matrix is not None:
-        for line in _matrix_lines("adapted basis (columns)", t_matrix):
-            print(line)
+        print("\n".join(_matrix_lines("adapted basis (columns)", t_matrix)))
     return 0
 
 

@@ -25,10 +25,14 @@ only when a value leaves the matrix (:meth:`~ExactMatrix.rows`,
 call, and the matrix does not keep it; a matrix built by
 :meth:`ExactMatrix.from_entries` from ``int`` values, or by
 :meth:`ExactMatrix.from_numerators` from int numerators, makes none.
-Rendering (:meth:`~ExactMatrix.to_json` and the CLI's matrix tables)
-reads the stored numerators: each distinct nonzero value is rendered once
-per call; equal cells share one object within a result, and every zero
-cell holds one value rendered once per call.
+Rendering goes through one method, ``ExactMatrix._cells(render)``, which
+reads the stored numerators and calls ``render`` once per call on each
+distinct value, ``ZERO`` included; equal cells share that one rendered
+object within a result.  :meth:`~ExactMatrix.to_json` renders
+:meth:`Scalar.to_json` cells this way.  The CLI renders its matrix tables
+from ``str`` cells, and its JSON encoder renders each distinct cell's
+indented text and joins rows and matrix with ``str.join``, so no
+``to_json`` cell list is built for a printed document.
 
 Every structured matrix (triples, Gram matrices, block embeddings) is
 built from its nonzero entries with :meth:`ExactMatrix.from_entries`, or
@@ -256,9 +260,10 @@ class ExactMatrix:
     def rows(self) -> tuple:
         """The entries as a tuple of dense rows of Scalars, built on each call.
 
-        Equal cells share one Scalar within the result, as in :meth:`_cells`.
+        Equal cells, the zero cells among them, share one Scalar within the
+        result, as in :meth:`_cells`.
         """
-        return tuple(map(tuple, self._cells(lambda x: x, ZERO)))
+        return tuple(map(tuple, self._cells(lambda x: x)))
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -365,15 +370,16 @@ class ExactMatrix:
 
     # -- serialization --------------------------------------------------
 
-    def _cells(self, render: Callable[[Scalar], object], zero) -> list:
-        """Dense rows of rendered cells: ``render(x)`` for each nonzero entry
-        ``x`` and the one object ``zero`` in every other cell.
+    def _cells(self, render: Callable[[Scalar], object]) -> list:
+        """Dense rows of rendered cells: ``render(x)`` for each entry ``x``.
 
         Read from the stored numerators: each distinct nonzero value is
-        built as a Scalar and rendered once per call, and equal cells share
-        that one object within the result, as the zero cells share ``zero``.
+        built as a Scalar and rendered once per call, and ``ZERO`` once,
+        whether or not a cell is zero; equal cells share that one object
+        within the result.
         """
         den, ncols = self._den, self.ncols
+        zero = render(ZERO)
         rendered: Dict[tuple, object] = {}
         out = []
         for row in self._num:
@@ -389,11 +395,13 @@ class ExactMatrix:
     def to_json(self) -> list:
         """Dense rows of :meth:`Scalar.to_json` cells.
 
-        Each distinct nonzero value is rendered once per call; equal cells,
-        the zero cells among them, share one object within a result and
-        none with another call's result.
+        Each distinct value is rendered once per call; equal cells, the
+        zero cells among them, share one object within a result and none
+        with another call's result.  The CLI does not call this: its JSON
+        encoder renders a matrix's text from :meth:`_cells` directly, byte
+        for byte what ``json.dumps`` prints for this list.
         """
-        return self._cells(Scalar.to_json, ZERO.to_json())
+        return self._cells(Scalar.to_json)
 
     @staticmethod
     def from_json(data) -> "ExactMatrix":
@@ -654,16 +662,6 @@ def _integer_multiplier(p: tuple) -> Tuple[tuple, int]:
     return _mul_nums((a, 0, 0, 0, -b, 0, 0, 0), conj), a * a - 2 * b * b
 
 
-def _exact_quotient(x: tuple, b: tuple) -> tuple:
-    """``x / b`` for complex-like ``x`` and ``b`` when it has int numerators.
-
-    Multiplies by ``conj(b) * (u - v sqrt2)``, where ``b * conj(b) = u + v sqrt2``,
-    which turns the divisor into the int ``u^2 - 2 v^2``.
-    """
-    w, d = _integer_multiplier(b)
-    return tuple([v // d for v in _mul_nums(w, x)])
-
-
 def _components(num: tuple) -> List[List[int]]:
     """The index sets of the connected components of a square matrix's
     nonzero pattern (``r ~ c`` when entry ``(r, c)`` is nonzero), each
@@ -691,12 +689,14 @@ def _bareiss(m: List[list]) -> tuple:
     """The numerators of the determinant of a dense square numerator matrix.
 
     Fraction-free: after step ``k`` every remaining entry is a
-    ``(k+1)``-minor, so the division by the previous pivot is exact.
-    ``m`` is overwritten.
+    ``(k+1)``-minor, so the division by the previous pivot ``p`` is exact.
+    It is done as a product by the ``w`` of :func:`_integer_multiplier`,
+    found once per step, and an int division by ``d = w * p``.  ``m`` is
+    overwritten.
     """
     n = len(m)
     sign = 1
-    prev = _ONE_NUM
+    w, d = _ONE_NUM, 1
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if any(m[r][col])), None)
         if pivot_row is None:
@@ -710,8 +710,10 @@ def _bareiss(m: List[list]) -> tuple:
             for c in range(col + 1, n):
                 x = tuple([u - v for u, v in zip(_mul_nums(piv, row[c]),
                                                   _mul_nums(f, prow[c]))])
-                row[c] = x if prev is _ONE_NUM else _exact_quotient(x, prev)
-        prev = piv
+                if w is not _ONE_NUM:
+                    x = _mul_nums(w, x)
+                row[c] = x if d == 1 else tuple([v // d for v in x])
+        w, d = _integer_multiplier(piv)
     return tuple([sign * v for v in m[n - 1][n - 1]])
 
 

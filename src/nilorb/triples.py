@@ -68,16 +68,19 @@ class Triple:
                 for l in range(d - 1, -1, -1) for j in range(1, t + 1)]
 
     def to_json(self) -> dict:
+        """The triple's document; X, H, Y and the Gram matrix are held as
+        :class:`ExactMatrix` leaves, which the CLI's JSON encoder renders
+        as ``ExactMatrix.to_json`` would."""
         data = {
             "family": self.family,
             "partition": self.partition.to_json(),
-            "X": self.X.to_json(),
-            "H": self.H.to_json(),
-            "Y": self.Y.to_json(),
+            "X": self.X,
+            "H": self.H,
+            "Y": self.Y,
             "basis_layout": self.basis_layout(),
         }
         if self.gram is not None:
-            data["gram"] = self.gram.to_json()
+            data["gram"] = self.gram
             data["form"] = {"epsilon": self.epsilon, "sigma": self.sigma}
         return data
 

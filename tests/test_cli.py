@@ -632,6 +632,7 @@ def test_json_text_leaves_no_garbage_for_the_cycle_collector(capsys, monkeypatch
     import gc
 
     import nilorb.cli
+    from nilorb.matrices import ExactMatrix
 
     docs = []
     json_text = nilorb.cli._json_text
@@ -648,7 +649,7 @@ def test_json_text_leaves_no_garbage_for_the_cycle_collector(capsys, monkeypatch
     finally:
         if enabled:
             gc.enable()
-    assert text == json.dumps(docs[0], indent=2)
+    assert text == json.dumps(docs[0], indent=2, default=ExactMatrix.to_json)
 
 
 def test_table_and_json_numeric_parity(capsys):
@@ -740,6 +741,9 @@ GOLDEN_CASES = [
     ("describe_sl_h_3_21.json",
      ["describe", "--algebra", "sl_h", "--n", "3", "--datum", "2,1",
       "--format", "json"]),
+    ("describe_sp_pq_2_1_21.json",
+     ["describe", "--algebra", "sp_pq", "--p", "2", "--q", "1", "--datum", "2,1",
+      "--signs", "2:1,1:1", "--format", "json"]),
     ("verify_sl_r_2_seed0.json",
      ["verify", "--algebra", "sl_r", "--n", "2", "--seed", "0",
       "--format", "json"]),

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from nilorb.catalog import AlgebraSpec, enumerate_orbits
-from nilorb.cli import _matrix_lines
+from nilorb.cli import _json_text, _matrix_lines
 from nilorb.homotopy import random_compact_point
 from nilorb.matrices import (DegenerateFormError, ExactMatrix, block_oplus,
                              commutator, complex_to_real_blocks,
@@ -530,8 +530,9 @@ def _rendered_matrices():
 
 
 def test_rendering_renders_each_distinct_value_once(monkeypatch):
-    """``to_json`` and the CLI's matrix tables render each distinct nonzero
-    value once per call, and equal cells are one object within a result."""
+    """``to_json``, the CLI's JSON encoder and its matrix tables render each
+    distinct value, zero included, once per call, and equal cells are one
+    object within a result."""
     rendered = []
     original_to_json, original_str = Scalar.to_json, Scalar.__str__
 
@@ -560,7 +561,11 @@ def test_rendering_renders_each_distinct_value_once(monkeypatch):
                       for c, x in row if x == value}
             assert len(shared) == 1
         rendered.clear()
+        _json_text({"m": [m]})
+        assert rendered == calls  # the encoder renders what to_json renders
+        rendered.clear()
         lines = _matrix_lines("m", m)
         calls = list(rendered)
         assert len(lines) == m.nrows + 1
-        assert len(calls) == len(values) and set(calls) == {("str", x) for x in values}
+        assert len(calls) == len(values) + 1  # and the one zero cell
+        assert set(calls) == {("str", x) for x in values} | {("str", ZERO)}

@@ -1,28 +1,38 @@
 """Only ``matrices`` and ``scalars`` decide how a matrix is laid out.
 
-Every other module under src/nilorb builds matrices from their nonzero
-entries (``ExactMatrix.from_entries``) and reads them back through
-``ExactMatrix.nonzeros``.  This scan reads each module's syntax tree with
-the standard library and fails on the two signs of a hand-rolled dense
-layout: importing ``ZERO``, or a comprehension of list-multiplied rows
-such as ``[[ZERO] * n for _ in range(m)]``.
+A matrix stores one int denominator ``_den`` and, per row, its nonzero
+entries' int numerators ``_num``; it keeps nothing else.  Every other
+module under src/nilorb builds matrices from their nonzero entries
+(``ExactMatrix.from_entries``) or int numerators
+(``ExactMatrix.from_numerators``) and reads them back through
+``ExactMatrix.nonzeros`` or ``ExactMatrix.integer_nonzeros``.  This scan
+reads each module's syntax tree with the standard library and fails on the
+two signs of a hand-rolled dense layout: importing ``ZERO``, or a
+comprehension of list-multiplied rows such as ``[[ZERO] * n for _ in
+range(m)]``.
 
 A second scan keeps every module from reading Scalars one entry at a
 time: outside ``matrices`` and ``scalars``, no module calls ``.rows()``,
-``.row()`` or ``.entry()``, or builds a matrix with the positional
-``ExactMatrix(rows)`` constructor.  ``cli`` is scanned too: it renders
-matrices through the nonzero-driven ``ExactMatrix._cells`` and names a
-failing entry from ``nonzeros()``.
+which builds every cell, zeros included, or builds a matrix by calling
+``ExactMatrix(...)``.  ``cli`` is scanned too: it renders its JSON text and
+its matrix tables through the nonzero-driven ``ExactMatrix._cells``, which
+renders the zero cell itself, so ``cli`` still imports no ``ZERO``; it
+names a failing entry from ``nonzeros()``.
 
 A third scan keeps the storage itself private: outside ``matrices`` and
-``scalars``, no module touches the attributes ``_num``, ``_den``, ``_d``,
-``_n``, ``_nonzeros`` or ``_rows``.  The centralizer solver reads
-numerators through the public ``ExactMatrix.integer_nonzeros``.
+``scalars``, no module touches ``_num`` or ``_den``.  The centralizer
+solver reads numerators through the public
+``ExactMatrix.integer_nonzeros``.
 
 A fourth scan keeps int assembly behind public operations such as
-``kron``, ``block_oplus`` and ``ExactMatrix.from_numerators``: outside ``matrices`` and ``scalars``, no
-module calls the private constructors ``_of``, ``_reduced``,
-``_set_ints`` or ``_set_scalars``.
+``kron``, ``block_oplus`` and ``ExactMatrix.from_numerators``: outside
+``matrices`` and ``scalars``, no module calls the private constructors
+``_of`` or ``_reduced``.
+
+The name sets below also hold names of earlier layouts that no module
+defines any more (``row``, ``entry``, ``_d``, ``_n``, ``_nonzeros``,
+``_rows``, ``_set_ints``, ``_set_scalars``); a stale name only widens a
+scan, so they stay.
 """
 
 from __future__ import annotations
@@ -138,7 +148,7 @@ def test_scan_flags_storage_reads_and_accepts_public_readers():
         "rows = m._rows\n"
         "nz = m.nonzeros()\n"
         "ints = m.integer_nonzeros()\n"
-        "cells = m._cells(str, '0')\n"
+        "cells = m._cells(str)\n"
         "k = m.ncols, m.nrows\n"
         "num = _num\n"
     )

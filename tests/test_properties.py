@@ -3,7 +3,8 @@ references, matrix construction from nonzero entries, diagonal blocks and
 the Kronecker product against raw-index and per-entry references, ring laws of the scalar tower, realification, exact rank, the
 canonical integer-numerator storage, inverse, det and signature against
 plain elimination, matrix rendering against per-entry references, the
-JSON encoder against ``json.dumps(doc, indent=2)``, and the integer
+JSON encoder against ``json.dumps(doc, indent=2,
+default=ExactMatrix.to_json)``, and the integer
 centralizer solver against Bareiss rank, the Fraction echelon it replaced
 and rescaled matrices.
 
@@ -810,6 +811,36 @@ def test_complex_det_matches_scalar_elimination(rows):
     assert exact_components(det(a)) == exact_components(scalar_det(rows))
 
 
+@st.composite
+def full_squares(draw, components):
+    """n x n, 2 <= n <= 5, with entries supported on ``components`` and
+    nonzero but for about one in eight, so the nonzero pattern is mostly
+    one block and Bareiss divides by non-rational pivots."""
+    n = draw(st.integers(2, 5))
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            values = [F0] * 8
+            if draw(st.integers(0, 7)):
+                for idx in draw(st.sets(st.sampled_from(components), min_size=1)):
+                    values[idx] = draw(st.fractions(min_value=-3, max_value=3,
+                                                    max_denominator=4).filter(bool))
+            row.append(Scalar(values))
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("components", [(0, 1), COMPLEX], ids=["gauss", "tower"])
+@settings(PROPERTY, max_examples=40)
+@given(data=st.data())
+def test_det_of_full_gauss_and_tower_matrices_matches_scalar_elimination(components,
+                                                                         data):
+    rows = data.draw(full_squares(components))
+    a = dense(rows)
+    assert exact_components(det(a)) == exact_components(scalar_det(rows))
+
+
 @settings(PROPERTY, max_examples=40)
 @given(squares(range(8)))
 def test_quaternion_inverse_is_two_sided(rows):
@@ -941,11 +972,14 @@ def test_compare_reads_only_the_columns_both_shapes_have():
 
 # --- the JSON encoder ------------------------------------------------------------
 #
-# cli._json_text must print json.dumps(doc, indent=2) byte for byte.  The
-# trees mix every value type a document may hold with text the escaper must
-# handle; a leaf list shared at two depths and the equal-content pair
-# [1, True], [True, 1] under one parent catch a memo that forgets the depth
-# or keys on content.
+# cli._json_text must print json.dumps(doc, indent=2, default=ExactMatrix.to_json)
+# byte for byte.  The trees mix every value type a document may hold with
+# text the escaper must handle; a leaf list shared at two depths and the
+# equal-content pair [1, True], [True, 1] under one parent check that each
+# subtree is indented at its own depth.  ExactMatrix leaves sit at depths 0
+# to 3, of every shape from 0 x 0 to 4 x 4 and every variant, so a cell text
+# rendered once per matrix must carry the matrix's depth, and 4- and
+# 8-string cells mix.
 
 json_strings = st.text(alphabet=st.one_of(
     st.sampled_from(['"', "\\", "/", "\x00", "\x1f", "\n", "\t", "\x7f", "é",
@@ -979,6 +1013,45 @@ def test_json_text_is_json_dumps_with_indent_2(doc):
 @given(shared_leaf_documents())
 def test_json_text_of_shared_lists_is_json_dumps(doc):
     assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+def dumps_with_matrices(doc) -> str:
+    return json.dumps(doc, indent=2, default=ExactMatrix.to_json)
+
+
+@st.composite
+def matrix_documents(draw, components):
+    """A matrix nested 0 to 3 levels deep in lists, tuples and dicts, beside
+    JSON values, other matrices or the same matrix again."""
+    leaves = shaped_raw(components=components).map(matrix_of)
+    first = doc = draw(leaves)
+    for _ in range(draw(st.integers(0, 3))):
+        sibling = draw(st.one_of(leaves, json_trees, st.just(first)))
+        doc = draw(st.sampled_from([[doc, sibling], (sibling, doc),
+                                    {"m": doc, "n": sibling}]))
+    return doc
+
+
+@pytest.mark.parametrize("variant", ["rational", "gauss", "tower", "quat", "quat_sqrt2"])
+@settings(PROPERTY, max_examples=60)
+@given(data=st.data())
+def test_json_text_of_matrices_is_json_dumps_of_to_json(variant, data):
+    doc = data.draw(matrix_documents(tuple(sorted(VARIANT_COMPONENTS[variant]))))
+    assert _json_text(doc) == dumps_with_matrices(doc)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)], ids=["0x0", "0xn", "nx0"])
+def test_json_text_of_empty_matrices_is_json_dumps_of_to_json(shape):
+    m = ExactMatrix.zeros(*shape)
+    for doc in (m, [m], (1, [m]), {"a": [{"b": m}], "c": m}):
+        assert _json_text(doc) == dumps_with_matrices(doc)
+
+
+def test_json_text_mixes_4_and_8_string_cells():
+    m = ExactMatrix.diagonal([ONE, I_UNIT + J_UNIT, Scalar.rational(Fraction(-1, 3))])
+    assert {len(cell) for row in m.to_json() for cell in row} == {4, 8}
+    for doc in (m, [[m]], {"a": [m]}):
+        assert _json_text(doc) == dumps_with_matrices(doc)
 
 
 @pytest.mark.parametrize("doc, message", [
