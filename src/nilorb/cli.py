@@ -8,7 +8,7 @@ import random
 import sys
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .catalog import (AlgebraSpec, Datum, OrbitRecord, datum_membership_error,
                       datum_partition, enumerate_orbits, fiber_count,
@@ -23,7 +23,7 @@ from .homotopy import (KElement, component_representative, embed_K,
 from .matrices import (ExactMatrix, commutator, congruence_signature,
                        conj_transpose, is_isometry)
 from .partitions import Partition
-from .scalars import Scalar
+from .scalars import Scalar, value_json, value_text
 from .triples import (adapted_basis, build_triple, jordan_type,
                       sigma_transpose, standard_adapted_gram)
 
@@ -225,7 +225,7 @@ def _parse_datum(a: AlgebraSpec, datum_str: str, signs_str: Optional[str]) -> Da
 # ---------------------------------------------------------------------------
 
 def _matrix_lines(title: str, m: ExactMatrix) -> List[str]:
-    cells = m._cells(str)
+    cells = m._cells(value_text)
     widths = [max(map(len, column)) for column in zip(*cells)]
     lines = [f"{title}:"]
     for row in cells:
@@ -247,9 +247,10 @@ def _json_text(doc) -> str:
     generator per nesting level yielding one token at a time; here each
     subtree's text is one ``str.join``.  A matrix is rendered from
     ``ExactMatrix._cells``: the text of each distinct cell is built once,
-    at the cell's depth, and its rows and the matrix are joined from those
-    texts, so no cell list is built.  Anything else, floats and non-str
-    keys included, raises ``TypeError``.
+    at the cell's depth, straight from the component strings of
+    ``scalars.value_json``, and its rows and the matrix are joined from
+    those texts, so no cell list is built.  Anything else, floats and
+    non-str keys included, raises ``TypeError``.
     """
     return _encode(doc, 0)
 
@@ -288,16 +289,24 @@ def _encode(o, depth: int) -> str:
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, ExactMatrix):
-        if not o.nrows:
-            return "[]"
-        cells = o._cells(lambda x: _encode(x.to_json(), depth + 2))
-        cell_inner = "\n" + "  " * (depth + 2)
-        row_inner = "\n" + "  " * (depth + 1)
-        cell_sep = "," + cell_inner
-        rows = [f"[{cell_inner}{cell_sep.join(row)}{row_inner}]" if row else "[]"
-                for row in cells]
-        return f"[{row_inner}{(',' + row_inner).join(rows)}\n{'  ' * depth}]"
+        return _matrix_text(o, depth)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _matrix_text(m: ExactMatrix, depth: int) -> str:
+    """The text of a matrix at nesting ``depth`` for :func:`_json_text`."""
+    if not m.nrows:
+        return "[]"
+    row_inner = "\n" + "  " * (depth + 1)
+    cell_inner = row_inner + "  "
+    part_inner = cell_inner + "  "
+    # A cell is a list of "num/den" strings, which need no escaping.
+    head, sep, tail = f'[{part_inner}"', f'",{part_inner}"', f'"{cell_inner}]'
+    cells = m._cells(lambda nums, den: head + sep.join(value_json(nums, den)) + tail)
+    cell_sep = "," + cell_inner
+    rows = [f"[{cell_inner}{cell_sep.join(row)}{row_inner}]" if row else "[]"
+            for row in cells]
+    return f"[{row_inner}{(',' + row_inner).join(rows)}\n{'  ' * depth}]"
 
 
 def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> List[str]:
@@ -451,103 +460,156 @@ def _compare(got: ExactMatrix, expected: ExactMatrix) -> Tuple[bool, str]:
                    f"expected {expected.nrows}x{expected.ncols}")
 
 
+def _once(compute: Callable[[], object]) -> Callable[[], object]:
+    """``compute`` run on the first call only: each call returns its result
+    or raises the exception it raised.  Unlike ``functools.cache`` it keeps
+    the exception too, so a failed value is not computed again (a second
+    K sample would draw other numbers)."""
+    outcome: list = []
+
+    def value():
+        if not outcome:
+            try:
+                outcome.append((True, compute()))
+            except Exception as exc:
+                outcome.append((False, exc))
+        ok, result = outcome[0]
+        if not ok:
+            raise result
+        return result
+    return value
+
+
 def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
                   inject_fault: bool) -> List[Tuple[str, bool, str]]:
-    """All checks for one orbit: (check name, passed, detail)."""
-    rng = random.Random(f"{seed}:{a}:{index}")
-    datum = rec.datum
-    results: List[Tuple[str, bool, str]] = []
-    triple = None if rec.is_zero_orbit else build_triple(a, datum)
-    report = centralizer_report(a, datum)
-    # The two independent routes: the direct triple solve and the closed form.
-    solved = report.dim_z_triple if triple is None else centralizer_dim_triple(triple, a)
-    expected_x = report.dim_g - expected_orbit_dim(a, datum)
-    graded, expected = report.dim_z_triple, report.expected_reductive
-    disagreements = []
-    if not solved == graded == expected:
-        disagreements.append(f"solved {solved}, graded {graded}, expected {expected}")
-    if report.dim_z_X != expected_x:
-        disagreements.append(f"z(X) graded {report.dim_z_X}, expected {expected_x}")
-    results.append(("centralizer-dim", not disagreements, "; ".join(disagreements)))
+    """All checks for one orbit: (check name, passed, detail).
 
-    if a.family_spec.signed:
-        totals = signed_block_totals(a, datum)
-        relation = signed_block_relation(datum)
-        ok = totals == relation == (a.p, a.q)
-        results.append(("block-accounting", ok,
-                        f"halves {totals}, closed form {relation}"))
+    Each check runs on its own.  When it raises, or a value it reads
+    raised, it fails with the exception as its detail (``ExcType:
+    message``), and the other checks still run.  The shared values (the
+    centralizer report, the triple, the K-membership result) are computed
+    at most once.
+    """
+    spec, datum = a.family_spec, rec.datum
+    results: List[Tuple[str, bool, str]] = []
+
+    def check(name: str, run: Callable[[], Tuple[bool, str]]) -> None:
+        try:
+            ok, detail = run()
+        except Exception as exc:
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
+        results.append((name, ok, detail))
+
+    report = _once(lambda: centralizer_report(a, datum))
+    triple = _once(lambda: build_triple(a, datum))
+
+    def centralizer_dim():
+        # The two independent routes: the direct triple solve and the closed form.
+        rep = report()
+        solved = rep.dim_z_triple if rec.is_zero_orbit else centralizer_dim_triple(triple(), a)
+        expected_x = rep.dim_g - expected_orbit_dim(a, datum)
+        graded, expected = rep.dim_z_triple, rep.expected_reductive
+        disagreements = []
+        if not solved == graded == expected:
+            disagreements.append(f"solved {solved}, graded {graded}, expected {expected}")
+        if rep.dim_z_X != expected_x:
+            disagreements.append(f"z(X) graded {rep.dim_z_X}, expected {expected_x}")
+        return not disagreements, "; ".join(disagreements)
+    check("centralizer-dim", centralizer_dim)
+
+    if spec.signed:
+        def block_accounting():
+            totals = signed_block_totals(a, datum)
+            relation = signed_block_relation(datum)
+            return totals == relation == (a.p, a.q), f"halves {totals}, closed form {relation}"
+        check("block-accounting", block_accounting)
 
     if rec.is_zero_orbit:
-        h = report.compact
-        if h is not None:
-            results.append(("zero-orbit-quotient", h.dim_quotient == 0,
-                            f"dim_quotient={h.dim_quotient}"))
+        if spec.has_descriptor:
+            def zero_orbit_quotient():
+                h = report().compact
+                return h.dim_quotient == 0, f"dim_quotient={h.dim_quotient}"
+            check("zero-orbit-quotient", zero_orbit_quotient)
         return results
 
-    if inject_fault:
-        triple = replace(triple, Y=triple.Y.scale_left(Scalar.rational(2)))
-    two_x = triple.X.scale_left(Scalar.rational(2))
-    minus_two_y = triple.Y.scale_left(Scalar.rational(-2))
-    results.append(("[H,X]=2X", *_compare(commutator(triple.H, triple.X), two_x)))
-    results.append(("[H,Y]=-2Y",
-                    *_compare(commutator(triple.H, triple.Y), minus_two_y)))
-    results.append(("[X,Y]=H", *_compare(commutator(triple.X, triple.Y), triple.H)))
-    found = jordan_type(triple.X)
-    results.append(("jordan-type", found == rec.partition(),
-                    f"found {found}, expected {rec.partition()}"))
+    @_once
+    def checked():
+        """The triple the identities are checked on, with the fault if armed."""
+        t = triple()
+        return replace(t, Y=t.Y.scale_left(Scalar.rational(2))) if inject_fault else t
 
-    if triple.gram is not None:
-        s = triple.gram
-        eps_s = s if triple.epsilon == 1 else -s
-        results.append(("gram-symmetry",
-                        *_compare(sigma_transpose(s, triple.sigma), eps_s)))
-        # Each of X, H, Y must satisfy sigma(m)^T S = -S m.
-        invariance = (True, "")
-        for name, m in (("X", triple.X), ("H", triple.H), ("Y", triple.Y)):
-            ok, detail = _compare(sigma_transpose(m, triple.sigma) @ s, -(s @ m))
-            if not ok:
-                invariance = (False, f"{name}: {detail}")
-                break
-        results.append(("gram-invariance", *invariance))
-        if a.family_spec.signed:
-            sig = congruence_signature(s)
-            results.append(("gram-signature", sig == (a.p, a.q),
-                            f"signature {sig}"))
-    if a.family_spec.has_adapted_basis:
-        t_matrix = adapted_basis(a, datum).matrix
-        target = standard_adapted_gram(a, datum)
-        got = sigma_transpose(t_matrix, triple.sigma) @ triple.gram @ t_matrix
-        adapted_ok, detail = _compare(got, target)
-        if adapted_ok and not is_isometry(t_matrix, conj=True):
-            # T is unitary, so verify_K_membership may invert it by T*.
-            adapted_ok, detail = _compare(conj_transpose(t_matrix) @ t_matrix,
-                                          ExactMatrix.identity(t_matrix.ncols))
-            detail = f"T*T {detail}"
-        results.append(("adapted-basis", adapted_ok, detail))
+    check("[H,X]=2X", lambda: _compare(commutator(checked().H, checked().X),
+                                       checked().X.scale_left(Scalar.rational(2))))
+    check("[H,Y]=-2Y", lambda: _compare(commutator(checked().H, checked().Y),
+                                        checked().Y.scale_left(Scalar.rational(-2))))
+    check("[X,Y]=H", lambda: _compare(commutator(checked().X, checked().Y), checked().H))
 
-    if a.family_spec.has_descriptor:
+    def jordan():
+        found = jordan_type(checked().X)
+        return found == rec.partition(), f"found {found}, expected {rec.partition()}"
+    check("jordan-type", jordan)
+
+    if spec.form is not None:
+        def gram_symmetry():
+            t = checked()
+            return _compare(sigma_transpose(t.gram, t.sigma),
+                            t.gram if t.epsilon == 1 else -t.gram)
+        check("gram-symmetry", gram_symmetry)
+
+        def gram_invariance():
+            # Each of X, H, Y must satisfy sigma(m)^T S = -S m.
+            t = checked()
+            for name, m in (("X", t.X), ("H", t.H), ("Y", t.Y)):
+                ok, detail = _compare(sigma_transpose(m, t.sigma) @ t.gram, -(t.gram @ m))
+                if not ok:
+                    return False, f"{name}: {detail}"
+            return True, ""
+        check("gram-invariance", gram_invariance)
+        if spec.signed:
+            def gram_signature():
+                sig = congruence_signature(checked().gram)
+                return sig == (a.p, a.q), f"signature {sig}"
+            check("gram-signature", gram_signature)
+
+    if spec.has_adapted_basis:
+        def adapted():
+            t = checked()
+            t_matrix = adapted_basis(a, datum).matrix
+            target = standard_adapted_gram(a, datum)
+            got = sigma_transpose(t_matrix, t.sigma) @ t.gram @ t_matrix
+            ok, detail = _compare(got, target)
+            if ok and not is_isometry(t_matrix, conj=True):
+                # T is unitary, so verify_K_membership may invert it by T*.
+                ok, detail = _compare(conj_transpose(t_matrix) @ t_matrix,
+                                      ExactMatrix.identity(t_matrix.ncols))
+                detail = f"T*T {detail}"
+            return ok, detail
+        check("adapted-basis", adapted)
+
+    if spec.has_descriptor:
         # g1 is a random point, g2 the fixed component representative.
         # K-membership checks and embeds g1 once; the product check reuses it.
-        e1 = sample_k_element(a, datum, rng)
-        member = verify_K_membership(a, datum, e1, triple)
-        emb1 = member.embedded
-        if emb1 is None:
-            # K-membership names the sample's factor defect; so does this line.
-            homo = (False, member.failures[0])
-        else:
+        rng = random.Random(f"{seed}:{a}:{index}")
+        e1 = _once(lambda: sample_k_element(a, datum, rng))
+        member = _once(lambda: verify_K_membership(a, datum, e1(), checked()))
+
+        def homomorphism():
+            emb1 = member().embedded
+            if emb1 is None:
+                # K-membership names the sample's factor defect; so does this line.
+                return False, member().failures[0]
             e2 = component_representative(a, datum)
-            prod = KElement(tuple(g1 @ g2 for g1, g2 in zip(e1.factors, e2.factors)))
-            ident = KElement(tuple(ExactMatrix.identity(g.nrows) for g in e1.factors))
+            prod = KElement(tuple(g1 @ g2 for g1, g2 in zip(e1().factors, e2.factors)))
+            ident = KElement(tuple(ExactMatrix.identity(g.nrows) for g in e1().factors))
             emb2, emb_prod, emb_ident = [embed_K(a, datum, e) for e in (e2, prod, ident)]
             if emb1 @ emb2 != emb_prod:
-                homo = (False, "product: emb(g1) emb(g2) != emb(g1 g2)")
-            elif emb_ident != ExactMatrix.identity(emb1.nrows):
-                homo = (False, "identity: emb(1) != 1")
-            else:
-                homo = (True, "")
-        results.append(("embedding-homomorphism", *homo))
-        detail = "" if member.ok else ", ".join(member.failures)
-        results.append(("K-membership", member.ok, detail))
+                return False, "product: emb(g1) emb(g2) != emb(g1 g2)"
+            if emb_ident != ExactMatrix.identity(emb1.nrows):
+                return False, "identity: emb(1) != 1"
+            return True, ""
+        check("embedding-homomorphism", homomorphism)
+        check("K-membership", lambda: (member().ok, "" if member().ok
+                                       else ", ".join(member().failures)))
     return results
 
 

@@ -21,18 +21,21 @@ connected components of its nonzero pattern and runs Bareiss on each;
 storage: every constructor converts its values to them once, when it
 builds the matrix, and keeps no Scalar it was given.  A Scalar is made
 only when a value leaves the matrix (:meth:`~ExactMatrix.rows`,
-:meth:`~ExactMatrix.nonzeros`, :func:`det` and rendering), on each such
-call, and the matrix does not keep it; a matrix built by
+:meth:`~ExactMatrix.nonzeros` and :func:`det`), on each such call, and
+the matrix does not keep it; a matrix built by
 :meth:`ExactMatrix.from_entries` from ``int`` values, or by
-:meth:`ExactMatrix.from_numerators` from int numerators, makes none.
-Rendering goes through one method, ``ExactMatrix._cells(render)``, which
-reads the stored numerators and calls ``render`` once per call on each
-distinct value, ``ZERO`` included; equal cells share that one rendered
-object within a result.  :meth:`~ExactMatrix.to_json` renders
-:meth:`Scalar.to_json` cells this way.  The CLI renders its matrix tables
-from ``str`` cells, and its JSON encoder renders each distinct cell's
-indented text and joins rows and matrix with ``str.join``, so no
-``to_json`` cell list is built for a printed document.
+:meth:`ExactMatrix.from_numerators` from int numerators, makes none, and
+rendering makes none either.  Rendering goes through one method,
+``ExactMatrix._cells(render)``, which calls ``render(numerators, D)`` once
+per call on each distinct stored value, the zero cell included; equal
+cells share that one rendered object within a result.  The renderers are
+the int-native :func:`~nilorb.scalars.value_json` and
+:func:`~nilorb.scalars.value_text`, which reduce each component by its gcd
+with ``D``: :meth:`~ExactMatrix.to_json` renders its cells with the first,
+the CLI renders its matrix tables with the second, and its JSON encoder
+builds each distinct cell's indented text from the first and joins rows
+and matrix with ``str.join``, so no ``to_json`` cell list is built for a
+printed document.
 
 Every structured matrix (triples, Gram matrices, block embeddings) is
 built from its nonzero entries with :meth:`ExactMatrix.from_entries`, or
@@ -57,7 +60,7 @@ from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from .scalars import (_F0, _PROD, COMPLEX_LIKE_VARIANTS, ONE, ZERO, Scalar,
-                      as_scalar, variant_of)
+                      as_scalar, real_sign, value_json, variant_of)
 
 
 class DegenerateFormError(ValueError):
@@ -68,13 +71,6 @@ class DegenerateFormError(ValueError):
 _CONJ_SIGNS = (1, -1, -1, -1, 1, -1, -1, -1)
 _ZERO_NUM = (0,) * 8
 _ONE_NUM = (1, 0, 0, 0, 0, 0, 0, 0)
-
-
-def _scalar_ints(x: Scalar) -> Tuple[int, tuple]:
-    """``(d, numerators)`` with ``x == numerators / d`` and ``d`` the least such."""
-    comps = x.components
-    den = lcm(*[f.denominator for f in comps])
-    return den, tuple([f.numerator * (den // f.denominator) for f in comps])
 
 
 def _to_scalar(nums: tuple, den: int) -> Scalar:
@@ -263,7 +259,7 @@ class ExactMatrix:
         Equal cells, the zero cells among them, share one Scalar within the
         result, as in :meth:`_cells`.
         """
-        return tuple(map(tuple, self._cells(lambda x: x)))
+        return tuple(map(tuple, self._cells(_to_scalar)))
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -346,7 +342,7 @@ class ExactMatrix:
                                     tuple(out))
 
     def scale_left(self, s: Scalar) -> "ExactMatrix":
-        den, s_num = _scalar_ints(as_scalar(s))
+        s_num, den = as_scalar(s)._ints()
         out = []
         for row in self._num:
             products = [(c, _mul_nums(s_num, x)) for c, x in row]
@@ -370,16 +366,16 @@ class ExactMatrix:
 
     # -- serialization --------------------------------------------------
 
-    def _cells(self, render: Callable[[Scalar], object]) -> list:
-        """Dense rows of rendered cells: ``render(x)`` for each entry ``x``.
+    def _cells(self, render: Callable[[tuple, int], object]) -> list:
+        """Dense rows of rendered cells: ``render(numerators, D)`` per entry.
 
-        Read from the stored numerators: each distinct nonzero value is
-        built as a Scalar and rendered once per call, and ``ZERO`` once,
-        whether or not a cell is zero; equal cells share that one object
-        within the result.
+        Each distinct stored numerator tuple is rendered once per call, and
+        the zero cell once as ``render((0,) * 8, 1)``, whether or not a
+        cell is zero; equal cells share that one object within the result.
+        ``render`` gets the ints as stored, not reduced to lowest terms.
         """
         den, ncols = self._den, self.ncols
-        zero = render(ZERO)
+        zero = render(_ZERO_NUM, 1)
         rendered: Dict[tuple, object] = {}
         out = []
         for row in self._num:
@@ -387,21 +383,22 @@ class ExactMatrix:
             for c, x in row:
                 cell = rendered.get(x)
                 if cell is None:
-                    cell = rendered[x] = render(_to_scalar(x, den))
+                    cell = rendered[x] = render(x, den)
                 cells[c] = cell
             out.append(cells)
         return out
 
     def to_json(self) -> list:
-        """Dense rows of :meth:`Scalar.to_json` cells.
+        """Dense rows of cells of "num/den" strings, as :meth:`Scalar.to_json`.
 
-        Each distinct value is rendered once per call; equal cells, the
-        zero cells among them, share one object within a result and none
-        with another call's result.  The CLI does not call this: its JSON
-        encoder renders a matrix's text from :meth:`_cells` directly, byte
-        for byte what ``json.dumps`` prints for this list.
+        Each distinct value is rendered once per call by
+        :func:`~nilorb.scalars.value_json`, straight from its numerators;
+        equal cells, the zero cells among them, share one object within a
+        result and none with another call's result.  The CLI does not call
+        this: its JSON encoder renders a matrix's text from :meth:`_cells`
+        directly, byte for byte what ``json.dumps`` prints for this list.
         """
-        return self._cells(Scalar.to_json)
+        return self._cells(value_json)
 
     @staticmethod
     def from_json(data) -> "ExactMatrix":
@@ -876,7 +873,7 @@ def congruence_signature(s: ExactMatrix) -> Tuple[int, int]:
         d = m[k][k]
         if not any(d):
             raise DegenerateFormError("form is degenerate")
-        if _to_scalar(d, 1).sign() > 0:
+        if real_sign(d[0], d[4]) > 0:
             pos += 1
         else:
             neg += 1

@@ -10,7 +10,8 @@ nothing here ever rounds.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Union
+from math import gcd, lcm
+from typing import List, Sequence, Tuple, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -58,6 +59,64 @@ def variant_of(support) -> str:
         if support <= VARIANT_COMPONENTS[name]:
             return name
     return "quat_sqrt2"
+
+
+def real_sign(a: RationalLike, b: RationalLike) -> int:
+    """Exact sign of ``a + b*sqrt2`` for rationals (or ints) ``a`` and ``b``."""
+    if not a and not b:
+        return 0
+    if a >= 0 and b >= 0:
+        return 1
+    if a <= 0 and b <= 0:
+        return -1
+    # Opposite signs: the larger of a^2 and 2 b^2 decides.
+    return (1 if a > 0 else -1) if a * a > 2 * b * b else (1 if b > 0 else -1)
+
+
+# -- rendering ------------------------------------------------------------
+#
+# A value is rendered from its int numerators over one positive int
+# denominator: ``value_text`` and ``value_json`` reduce each component by
+# ``gcd(v, den)``, and ``Scalar.__str__`` and ``Scalar.to_json`` feed them
+# their components over the least common denominator.
+
+def _nonzero_terms(nums: Sequence[int], den: int) -> List[Tuple[int, int, int]]:
+    """``(index, n, d)`` for each nonzero component ``nums[index] / den``,
+    with ``n / d`` its lowest terms (``d`` is ``den // gcd``)."""
+    out = []
+    for i, v in enumerate(nums):
+        if v:
+            g = gcd(v, den)
+            out.append((i, v // g, den // g))
+    return out
+
+
+def value_text(nums: Sequence[int], den: int) -> str:
+    """The value ``nums / den`` as nonzero terms joined by signs, e.g.
+    ``1/2-i*sqrt2``; ``0`` for zero.  ``nums`` holds eight ints in the
+    order of :data:`BASIS_NAMES` and ``den`` is a positive int."""
+    terms = []
+    for i, n, d in _nonzero_terms(nums, den):
+        c = str(n) if d == 1 else f"{n}/{d}"
+        if not i:
+            terms.append(c)
+        elif d == 1 and (n == 1 or n == -1):
+            terms.append(BASIS_NAMES[i] if n == 1 else f"-{BASIS_NAMES[i]}")
+        else:
+            terms.append(f"{c}*{BASIS_NAMES[i]}")
+    return "+".join(terms).replace("+-", "-") if terms else "0"
+
+
+def value_json(nums: Sequence[int], den: int) -> List[str]:
+    """The value ``nums / den`` as its "num/den" component strings, in
+    lowest terms: the components 1, i, sqrt2 and i*sqrt2 when no j or k
+    part is nonzero, else all eight; arguments as in :func:`value_text`."""
+    parts = ["0/1"] * 8
+    for i, n, d in _nonzero_terms(nums, den):
+        parts[i] = f"{n}/{d}"
+    if nums[2] or nums[3] or nums[6] or nums[7]:
+        return parts
+    return [parts[0], parts[1], parts[4], parts[5]]
 
 
 def _coerce_fraction(x: RationalLike) -> Fraction:
@@ -119,6 +178,12 @@ class Scalar:
     def components(self) -> tuple:
         return self._c
 
+    def _ints(self) -> Tuple[tuple, int]:
+        """``(numerators, d)`` with ``self == numerators / d`` and ``d`` the least such."""
+        c = self._c
+        den = lcm(*[f.denominator for f in c])
+        return tuple([f.numerator * (den // f.denominator) for f in c]), den
+
     # -- classification ----------------------------------------------
 
     def variant(self) -> str:
@@ -132,11 +197,6 @@ class Scalar:
         """True when the value lies in Q(sqrt2)."""
         c = self._c
         return not (c[1] or c[2] or c[3] or c[5] or c[6] or c[7])
-
-    def is_complex_like(self) -> bool:
-        """True when the value lies in Q(i, sqrt2) (no j or k parts)."""
-        c = self._c
-        return not (c[2] or c[3] or c[6] or c[7])
 
     # -- arithmetic ---------------------------------------------------
 
@@ -209,29 +269,13 @@ class Scalar:
         """Exact sign of a value in Q(sqrt2); raises for non-real values."""
         if not self.is_real():
             raise ValueError("sign is defined only for values in Q(sqrt2)")
-        a, b = self._c[0], self._c[4]
-        if not a and not b:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
-            return -1
-        # Opposite signs: compare a^2 with 2 b^2.
-        d = a * a - 2 * b * b
-        if a > 0:
-            return 1 if d > 0 else -1
-        return -1 if d > 0 else 1
+        return real_sign(self._c[0], self._c[4])
 
     # -- serialization ------------------------------------------------
 
     def to_json(self) -> list:
         """Component array of "num/den" strings (4 entries when no j/k parts)."""
-        c = self._c
-        if self.is_complex_like():
-            parts = (c[0], c[1], c[4], c[5])
-        else:
-            parts = c
-        return [f"{x.numerator}/{x.denominator}" for x in parts]
+        return value_json(*self._ints())
 
     @staticmethod
     def from_json(data) -> "Scalar":
@@ -261,21 +305,7 @@ class Scalar:
 
     def __str__(self) -> str:
         """Nonzero terms joined by signs, e.g. ``1/2-i*sqrt2``; ``0`` for zero."""
-        if self.is_zero():
-            return "0"
-        terms = []
-        for name, c in zip(BASIS_NAMES, self._c):
-            if not c:
-                continue
-            if name == "1":
-                terms.append(str(c))
-            elif c == 1:
-                terms.append(name)
-            elif c == -1:
-                terms.append(f"-{name}")
-            else:
-                terms.append(f"{c}*{name}")
-        return "+".join(terms).replace("+-", "-")
+        return value_text(*self._ints())
 
     def __repr__(self) -> str:
         return f"Scalar({self})"

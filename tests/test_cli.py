@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 import os
 import pathlib
@@ -757,6 +758,46 @@ def test_golden_documents(capsys, name, argv):
     assert code == 0
     golden = (DATA / name).read_text()
     assert out == golden
+
+
+# Every orbit of these algebras, in enumerate_orbits order, is described as
+# json and then as a table: 142 commands.  The SHA-256 of their concatenated
+# stdout pins every byte that describe renders for them.
+DESCRIBE_SWEEP = [
+    ("sl_r", {"n": 5}), ("sl_c", {"n": 4}), ("sl_h", {"n": 3}), ("so_c", {"n": 7}),
+    ("so_c", {"n": 8}), ("sp_c", {"n": 3}), ("so_pq", {"p": 3, "q": 3}),
+    ("so_pq", {"p": 4, "q": 2}), ("sp_pq", {"p": 2, "q": 2}), ("sp_pq", {"p": 3, "q": 1}),
+    ("so_star", {"n": 4}),
+]
+DESCRIBE_SWEEP_SHA256 = "d669a7d2c183edc60d5baab8356ca1e263e3093303c6d3149fb780761d6892a5"
+
+
+def _describe_argv(family: str, params: dict, datum) -> list:
+    """describe's argv for one datum: --datum and, for a signed diagram,
+    --signs naming every part."""
+    partition = getattr(datum, "partition", datum)
+    argv = ["describe", "--algebra", family]
+    for key, value in params.items():
+        argv += [f"--{key}", str(value)]
+    argv += ["--datum", ",".join(map(str, partition.parts()))]
+    if partition is not datum:
+        argv += ["--signs", ",".join(f"{d}:{p}" for d, p in datum.p_pairs)]
+    return argv
+
+
+def test_describe_sweep_digest(capsys):
+    digest = hashlib.sha256()
+    commands = 0
+    for family, params in DESCRIBE_SWEEP:
+        for rec in enumerate_orbits(AlgebraSpec(family, **params)):
+            for fmt in ("json", "table"):
+                code, out, err = run(capsys, *_describe_argv(family, params, rec.datum),
+                                     "--format", fmt)
+                assert (code, err) == (0, "")
+                digest.update(out.encode())
+                commands += 1
+    assert commands == 142
+    assert digest.hexdigest() == DESCRIBE_SWEEP_SHA256
 
 
 def _no_triple_matrices(monkeypatch):

@@ -531,24 +531,30 @@ def _rendered_matrices():
 
 def test_rendering_renders_each_distinct_value_once(monkeypatch):
     """``to_json``, the CLI's JSON encoder and its matrix tables render each
-    distinct value, zero included, once per call, and equal cells are one
+    distinct value, zero included, once per call through the numerator-level
+    renderers of ``scalars``, build no Scalar text, and equal cells are one
     object within a result."""
+    from nilorb import cli, matrices, scalars
+
     rendered = []
-    original_to_json, original_str = Scalar.to_json, Scalar.__str__
 
-    def counting_to_json(self):
-        rendered.append(("json", self))
-        return original_to_json(self)
+    def counting(how, render):
+        def counted(nums, den):
+            rendered.append((how, Scalar([Fraction(v, den) for v in nums])))
+            return render(nums, den)
+        return counted
 
-    def counting_str(self):
-        rendered.append(("str", self))
-        return original_str(self)
+    def scalar_text(self):
+        raise AssertionError("a matrix cell was rendered through a Scalar")
 
     cases = [(m, {x for row in m.nonzeros() for _, x in row}) for m in _rendered_matrices()]
     assert len(cases[0][1]) == 1 and len(cases[2][1]) == 5
     assert any(sum(map(len, m.nonzeros())) > len(values) + 2 for m, values in cases[3:])
-    monkeypatch.setattr(Scalar, "to_json", counting_to_json)
-    monkeypatch.setattr(Scalar, "__str__", counting_str)
+    for module in (matrices, cli):
+        monkeypatch.setattr(module, "value_json", counting("json", scalars.value_json))
+    monkeypatch.setattr(cli, "value_text", counting("str", scalars.value_text))
+    monkeypatch.setattr(Scalar, "to_json", scalar_text)
+    monkeypatch.setattr(Scalar, "__str__", scalar_text)
     for m, values in cases:
         rendered.clear()
         cells = m.to_json()

@@ -2,8 +2,9 @@
 references, matrix construction from nonzero entries, diagonal blocks and
 the Kronecker product against raw-index and per-entry references, ring laws of the scalar tower, realification, exact rank, the
 canonical integer-numerator storage, inverse, det and signature against
-plain elimination, matrix rendering against per-entry references, the
-JSON encoder against ``json.dumps(doc, indent=2,
+plain elimination, the int-native value renderers and the sign of
+``a + b*sqrt2`` against Fraction references, matrix rendering against
+per-entry references, the JSON encoder against ``json.dumps(doc, indent=2,
 default=ExactMatrix.to_json)``, and the integer
 centralizer solver against Bareiss rank, the Fraction echelon it replaced
 and rescaled matrices.
@@ -32,8 +33,9 @@ from nilorb.matrices import (ExactMatrix, block_oplus, complex_to_real_blocks,
                              congruence_signature, conj_transpose, det,
                              diagonal_block, integer_nullity, inverse, kron,
                              quaternion_to_complex_blocks, rank)
-from nilorb.scalars import (I_UNIT, J_UNIT, K_UNIT, ONE, VARIANT_COMPONENTS, ZERO,
-                            Scalar)
+from nilorb.scalars import (BASIS_NAMES, I_UNIT, J_UNIT, K_UNIT, ONE,
+                            VARIANT_COMPONENTS, ZERO, Scalar, real_sign, value_json,
+                            value_text)
 from nilorb.triples import build_triple, slot_weights
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
@@ -878,15 +880,108 @@ def test_signature_counts_the_signs_of_a_congruent_diagonal(case):
 
 # --- rendering -------------------------------------------------------------------
 #
+# ``scalars.value_text`` and ``scalars.value_json`` render a value from its int
+# numerators.  The references are the Fraction renderers that ``Scalar.__str__``
+# and ``Scalar.to_json`` were before they fed those two.
+
+def fraction_text(s: Scalar) -> str:
+    """Nonzero terms joined by signs, e.g. ``1/2-i*sqrt2``; ``0`` for zero."""
+    if not any(s.components):
+        return "0"
+    terms = []
+    for name, c in zip(BASIS_NAMES, s.components):
+        if not c:
+            continue
+        if name == "1":
+            terms.append(str(c))
+        elif c == 1:
+            terms.append(name)
+        elif c == -1:
+            terms.append(f"-{name}")
+        else:
+            terms.append(f"{c}*{name}")
+    return "+".join(terms).replace("+-", "-")
+
+
+def fraction_json(s: Scalar) -> List[str]:
+    """Component array of "num/den" strings (4 entries when no j/k parts)."""
+    c = s.components
+    parts = c if c[2] or c[3] or c[6] or c[7] else (c[0], c[1], c[4], c[5])
+    return [f"{x.numerator}/{x.denominator}" for x in parts]
+
+
+@st.composite
+def numerator_values(draw):
+    """``(numerators, den)`` of one value: a random variant's support, so 4-
+    and 8-string cells both occur; zero, negative numerators, and numerators
+    that are multiples of a factor of ``den``, so reductions happen."""
+    support = draw(st.sampled_from(sorted(map(sorted, VARIANT_COMPONENTS.values()))))
+    den = draw(st.integers(1, 72))
+    factor = draw(st.sampled_from([d for d in range(1, den + 1) if den % d == 0]))
+    nums = tuple(draw(st.integers(-40, 40)) * factor
+                 if i in support and draw(st.booleans()) else 0 for i in range(8))
+    return nums, den
+
+
+def check_renderers(nums: tuple, den: int) -> None:
+    s = Scalar([Fraction(v, den) for v in nums])
+    assert value_text(nums, den) == str(s) == fraction_text(s)
+    assert value_json(nums, den) == s.to_json() == fraction_json(s)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(numerator_values())
+def test_int_renderers_match_the_fraction_references(value):
+    check_renderers(*value)
+
+
+@pytest.mark.parametrize("index", range(8), ids=BASIS_NAMES)
+def test_int_renderers_match_on_every_component_and_coefficient_form(index):
+    """Coefficients 1, -1, whole, fractional and ones that reduce, alone and
+    beside a rational part, on each component."""
+    for v, den in ((1, 1), (-1, 1), (3, 1), (-6, 2), (1, 2), (-3, 4), (4, 6), (-9, 9)):
+        for rational in (0, 5, -2):
+            nums = [0] * 8
+            nums[0] += rational * den
+            nums[index] += v
+            check_renderers(tuple(nums), den)
+    check_renderers((0,) * 8, 1)
+    check_renderers((0,) * 8, 12)
+
+
+def ref_sign(a, b) -> int:
+    """Sign of ``a + b*sqrt2``: that of ``a`` when ``a^2 > 2 b^2``, else that
+    of ``b`` (the squares are equal only when both are zero)."""
+    big = a if a * a > 2 * b * b else b
+    return (big > 0) - (big < 0)
+
+
+# Pell pairs (a, b) with a^2 - 2 b^2 = +-1, where a + b*sqrt2 is close to 0
+# once the signs differ.
+PELL = [(1, 1), (3, 2), (7, 5), (17, 12), (41, 29), (99, 70), (577, 408)]
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.one_of(
+    st.tuples(fractions, fractions),
+    st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6)),
+    st.tuples(st.sampled_from(PELL), st.sampled_from([1, -1]), st.sampled_from([1, -1]),
+              st.integers(1, 9)).map(lambda t: (t[0][0] * t[1] * t[3], t[0][1] * t[2] * t[3]))))
+def test_real_sign_matches_the_squares_reference(pair):
+    a, b = pair
+    assert real_sign(a, b) == ref_sign(a, b)
+    assert Scalar((a, 0, 0, 0, b, 0, 0, 0)).sign() == ref_sign(a, b)
+
+
 # ``to_json``, ``cli._matrix_lines`` and ``cli._compare`` read only the nonzero
 # entries.  The references read every entry through ``rows()``.
 
 def ref_to_json(m: ExactMatrix) -> list:
-    return [[x.to_json() for x in row] for row in m.rows()]
+    return [[fraction_json(x) for x in row] for row in m.rows()]
 
 
 def ref_matrix_lines(title: str, m: ExactMatrix) -> List[str]:
-    cells = [[str(x) for x in row] for row in m.rows()]
+    cells = [[fraction_text(x) for x in row] for row in m.rows()]
     widths = [max((len(cells[r][c]) for r in range(m.nrows)), default=1)
               for c in range(m.ncols)]
     lines = [f"{title}:"]

@@ -33,6 +33,7 @@ ALLOWED = {
     "scalars.Scalar.complex_value": "the tests' constructor of Gaussian rationals",
     "scalars.Scalar.quaternion_value": "the tests' constructor of quaternions",
     "scalars.Scalar.scale": "the tests' reference for scaling by a rational",
+    "scalars.Scalar.sign": "the tests' sign of a Scalar; the program calls real_sign",
 }
 
 

@@ -310,7 +310,8 @@ def test_builders_build_no_scalar(monkeypatch, a, partition):
     constructor of ``Scalar`` runs and no ``is_zero`` is asked, so a
     process counts the same scalar work whether the memo is warm or cold.
     Nor does a K sample or its embedding, with the factor layout cold or
-    warm, nor the centralizer report, with its part counts cold or warm."""
+    warm, nor the centralizer report, with its part counts cold or warm,
+    nor rendering the matrices."""
     datum = _datum_of(a, partition)
     gram_matrix(a, datum)
     build_triple(a, datum)
@@ -356,9 +357,13 @@ def test_builders_build_no_scalar(monkeypatch, a, partition):
         assert sample_k_element(a, datum, random.Random(0)) == cold
         assert embed_K(a, datum, cold) == embedded
         assert built == []
-    # The wrapper counts: rendering still builds Scalars.
+    # Rendering reads the numerators and builds no Scalar either.
     t.X.to_json()
     gram.to_json()
+    assert built == []
+    # The wrapper counts: reading entries back builds Scalars.
+    t.X.nonzeros()
+    gram.rows()
     assert built
 
 
