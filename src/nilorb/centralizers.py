@@ -38,18 +38,25 @@ solved: none in g_1 and at most n per orbit.
 Distinct parts are orthogonal, so the Gram matrix is the block sum of the
 parts' own blocks, and a form family's count splits over the parts:
 
-    g_k(datum) = sum over parts of g_k(part)
-                 + (e/2) (size_k(datum) - sum over parts of size_k(part)),
+    g_k(datum) = sum over parts i of g_k(part i)
+                 + (e/2) sum over i < j of t_i t_j (N_k(d_i, d_j) + N_k(d_j, d_i)),
 
-where size_k counts the entries of weight difference k and e is the real
-dimension of one entry.  An entry (a, b) between two different parts is
-never self-paired, and its mate (pi(b), pi(a)) joins the same two parts,
-so those entries form two-entry blocks of e each.  ``centralizer_report``
-counts each part once per family and Gram block key
-(:func:`~nilorb.triples.gram_block_keys`) and keeps the count; the part's
-block is checked by the pairing rules when it is counted.  So the report
-builds neither the datum's Gram matrix nor X, H or Y, only the slot
-weights and the blocks of parts it has not met.  The trace-zero families
+where part i is the t_i rows of length d_i and e is the real dimension
+of one entry.  An entry (a, b) between two different parts is never
+self-paired, and its mate (pi(b), pi(a)) joins the same two parts, so
+those entries form two-entry blocks of e each.  How many there are is
+plain sl2 weight combinatorics (Collingwood–McGovern, ch. 3): level l of
+a row of length d has weight 1 - d + 2l, so N_k(d, d') counts the level
+pairs (l, m), 0 <= l < d and 0 <= m < d', with
+(1 - d + 2l) - (1 - d' + 2m) = k.  That is l = m + s for
+s = (k + d - d') / 2, so N_k is 0 when s is not an integer and otherwise
+max(0, min(d', d - s) - max(0, -s)), the m with both levels in range
+(:func:`_cross_sizes`).  ``centralizer_report`` counts each part once per
+family and Gram block key (:func:`~nilorb.triples.gram_block_keys`) and
+keeps the count; the part's block is checked by the pairing rules when
+it is counted.  So the report reads only the datum's (d, t) pairs: it
+builds neither the datum's Gram matrix nor X, H or Y nor its slot
+weights, only the blocks of parts it has not met.  The trace-zero families
 solve each grade of the datum whole.  The direct solves
 ``centralizer_dim_triple`` and ``centralizer_dim_nilpotent`` assemble the
 full system over the whole Gram matrix and stay as independent
@@ -361,17 +368,31 @@ def _grade_nullities(constraint: AlgebraConstraint,
 
 @lru_cache(maxsize=1024)
 def _part_grading(spec: FamilySpec, block: str, d: int, t: int, plus: Optional[int]
-                  ) -> Tuple[Tuple[int, int, int], Tuple[int, int, int]]:
-    """dim g_0, g_1 and g_2 of one part's own grading, and the sizes of its grades.
+                  ) -> Tuple[int, int, int]:
+    """dim g_0, g_1 and g_2 of one part's own grading.
 
     The part is the family's ``_gram_block(block, d, t, plus)`` over
     ``part_weights(d, t)``; its count is kept per family and block key, up
     to 1024 of them.  Raises ``ValueError`` when the block breaks a rule of
     the pairing, so a bad block is refused when it is first counted.
     """
-    weights = part_weights(d, t)
     constraint = AlgebraConstraint(spec, _gram_block(block, d, t, plus))
-    return _grade_nullities(constraint, weights), _grade_sizes(weights)
+    return _grade_nullities(constraint, part_weights(d, t))
+
+
+@lru_cache(maxsize=1024)
+def _cross_sizes(d: int, d2: int) -> Tuple[int, int, int]:
+    """N_k(d, d2) + N_k(d2, d) for k = 0, 1 and 2: the entries of weight
+    difference k between one row of length ``d`` and one of length ``d2``,
+    either way round (the level count of the module docstring)."""
+    def count(k: int, d: int, d2: int) -> int:
+        if (k + d - d2) % 2:
+            return 0
+        s = (k + d - d2) // 2
+        return max(0, min(d2, d - s) - max(0, -s))
+
+    n0, n1, n2 = (count(k, d, d2) + count(k, d2, d) for k in (0, 1, 2))
+    return n0, n1, n2
 
 
 def centralizer_dim_triple(t: Triple, a: AlgebraSpec) -> int:
@@ -438,31 +459,39 @@ def centralizer_report(a: AlgebraSpec, datum: Datum) -> CentralizerReport:
 
     This is the one place that turns dim g_0, g_1 and g_2 into reported
     dimensions and that sets a zero orbit's.  A form family's grades are
-    summed from the memoized counts of its parts (the cross-part identity
-    of the module docstring); a trace-zero family's are solved whole.
-    Only the slot weights and the blocks of parts not yet counted are
-    built, never the datum's Gram matrix or X, H and Y.
+    summed from the memoized counts of its parts and the closed-form
+    counts between two parts (the cross-part identity of the module
+    docstring), read from the datum's (d, t) pairs alone; only the blocks
+    of parts not yet counted are built.  A trace-zero family's grades are
+    solved whole over the slot weights.  The datum's Gram matrix and X, H
+    and Y are never built.
     """
-    zero = datum_partition(datum).is_zero_type()
+    part = datum_partition(datum)
     ambient = dim_g(a)
     expected = expected_reductive_dim(a, datum)
     compact = compact_pair(a, datum) if a.family_spec.has_descriptor else None
-    if zero:
+    if part.is_zero_type():
         return CentralizerReport(
             dim_z_triple=ambient, dim_z_X=ambient, dim_g=ambient, dim_orbit=0,
             expected_reductive=expected, compact=compact,
             match=ambient == expected)
     spec = a.family_spec
-    weights = slot_weights(triple_partition(a, datum))
+    pairs = triple_partition(a, datum).pairs
     if spec.form is None:
-        g0, g1, g2 = _grade_nullities(AlgebraConstraint(spec, None), weights)
+        g0, g1, g2 = _grade_nullities(AlgebraConstraint(spec, None), slot_weights(part))
     else:
-        parts = [_part_grading(spec, *key) for key in gram_block_keys(a, datum)]
-        sizes = _grade_sizes(weights)
+        g0 = g1 = g2 = 0
+        for key in gram_block_keys(a, datum):
+            p0, p1, p2 = _part_grading(spec, *key)
+            g0, g1, g2 = g0 + p0, g1 + p1, g2 + p2
         # The entries between two parts keep one entry's real dimension per pair.
-        g0, g1, g2 = (sum(dims[k] for dims, _ in parts)
-                      + spec.ring.dim * (sizes[k] - sum(size[k] for _, size in parts)) // 2
-                      for k in (0, 1, 2))
+        c0 = c1 = c2 = 0
+        for i, (d, t) in enumerate(pairs):
+            for d2, t2 in pairs[i + 1:]:
+                n0, n1, n2 = _cross_sizes(d, d2)
+                c0, c1, c2 = c0 + t * t2 * n0, c1 + t * t2 * n1, c2 + t * t2 * n2
+        e = spec.ring.dim
+        g0, g1, g2 = g0 + e * c0 // 2, g1 + e * c1 // 2, g2 + e * c2 // 2
     dz_triple, dz_x = g0 - g2, g0 + g1
     return CentralizerReport(
         dim_z_triple=dz_triple, dim_z_X=dz_x, dim_g=ambient,

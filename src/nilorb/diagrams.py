@@ -14,6 +14,7 @@ take a row's sign counts from :func:`row_plus_minus` and a diagram's from
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
@@ -43,8 +44,9 @@ def sign_matrix(d: int, t: int, p: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=1024)
 def row_plus_minus(d: int, start: int) -> Tuple[int, int]:
-    """Counts of +1 and -1 boxes in one row."""
+    """Counts of +1 and -1 boxes in one row, kept per (d, start)."""
     row = sign_row(d, start)
     plus = sum(1 for s in row if s == 1)
     return plus, d - plus
@@ -160,17 +162,27 @@ def enumerate_signed_diagrams(
     catalog filters partitions by it first.
 
     ``signature=(p, q)`` keeps only diagrams whose box counts are exactly
-    (p, q).  Output order: sign tuples ascending lexicographically in the
-    (d descending) part order.
+    (p, q).  A choice's +1 boxes are summed from each part's row counts
+    (:func:`row_plus_minus`) before any diagram is built, so only the
+    diagrams kept are built.  Output order: sign tuples ascending
+    lexicographically in the (d descending) part order.
     """
     if free_sign not in (0, 1):
         raise ValueError(f"free_sign must be 0 or 1, got {free_sign!r}")
     sizes = [d for d, _ in partition.pairs]
-    choices = [range(t + 1) if d % 2 == free_sign else [t] for d, t in partition.pairs]
+    # Each part's choices of p_d, with the +1 boxes that its t rows then hold:
+    # ``up`` in a row starting +1, ``down`` in one starting -1.
+    choices = []
+    for d, t in partition.pairs:
+        up, down = row_plus_minus(d, 1)[0], row_plus_minus(d, -1)[0]
+        ps = range(t + 1) if d % 2 == free_sign else (t,)
+        choices.append([(p, p * up + (t - p) * down) for p in ps])
+    boxes = partition.size()
     out = []
     for combo in product(*choices):
-        diag = SignedDiagram(partition, dict(zip(sizes, combo)))
-        if signature is not None and diag.sgn_counts() != signature:
-            continue
-        out.append(diag)
+        if signature is not None:
+            plus = sum(count for _, count in combo)
+            if (plus, boxes - plus) != signature:
+                continue
+        out.append(SignedDiagram(partition, {d: p for d, (p, _) in zip(sizes, combo)}))
     return out

@@ -24,6 +24,14 @@ class Partition:
             counts[d] = counts.get(d, 0) + 1
         self._pairs = tuple(sorted(counts.items(), reverse=True))
 
+    @classmethod
+    def _of_pairs(cls, pairs: Tuple[Tuple[int, int], ...]) -> "Partition":
+        """The partition of ``pairs``, trusted to hold positive ``(d, t)`` with
+        ``d`` strictly descending, so nothing is checked or sorted."""
+        partition = cls.__new__(cls)
+        partition._pairs = pairs
+        return partition
+
     @staticmethod
     def from_pairs(pairs: Sequence[Tuple[int, int]]) -> "Partition":
         parts: List[int] = []
@@ -87,21 +95,30 @@ def enumerate_partitions(n: int) -> List[Partition]:
     The order on the descending part lists is lexicographic, e.g. for n=4:
     [1,1,1,1] < [2,1,1] < [2,2] < [3,1] < [4].  ``n = 0`` yields the single
     empty partition.
+
+    The ``(d, t)`` pairs are generated directly, with no parts list: the
+    lists whose largest part is ``d`` ascend as ``d`` does, and among them
+    ``d`` repeated ``t`` times, followed by a partition of ``n - d * t`` into
+    parts below ``d``, ascends first in ``t`` and then in that rest.
     """
     if n < 0:
         raise ValueError("partition size must be non-negative")
     if n > MAX_PARTITION_SIZE:
         raise ValueError(f"partition size capped at {MAX_PARTITION_SIZE}")
 
-    def gen(total: int, cap: int) -> Iterator[List[int]]:
-        if total == 0:
-            yield []
+    def gen(total: int, cap: int) -> Iterator[Tuple[Tuple[int, int], ...]]:
+        """The pairs of the partitions of ``total`` into parts <= ``cap``, ascending."""
+        if total == 0 or cap == 1:
+            # Nothing, or only ones, is left.
+            yield ((1, total),) if total else ()
             return
-        for first in range(1, min(total, cap) + 1):
-            for rest in gen(total - first, first):
-                yield [first] + rest
+        for d in range(1, min(total, cap) + 1):
+            for t in range(1, total // d + 1):
+                head = ((d, t),)
+                for rest in gen(total - d * t, d - 1):
+                    yield head + rest
 
-    return [Partition(parts) for parts in gen(n, n)]
+    return [Partition._of_pairs(pairs) for pairs in gen(n, n)]
 
 
 def partition_counts(n: int) -> List[int]:

@@ -9,8 +9,8 @@ import pytest
 from nilorb.catalog import AlgebraSpec, enumerate_orbits
 import nilorb.centralizers
 from nilorb.centralizers import (AlgebraConstraint, _centralizer_nullity,
-                                 _grade_nullities, _grade_positions,
-                                 _part_grading,
+                                 _cross_sizes, _grade_nullities,
+                                 _grade_positions, _grade_sizes, _part_grading,
                                  centralizer_dim_nilpotent,
                                  centralizer_dim_triple, centralizer_report,
                                  dim_g, expected_orbit_dim,
@@ -19,9 +19,10 @@ from nilorb.cli import main
 from nilorb.diagrams import SignedDiagram
 from nilorb.homotopy import compact_pair
 from nilorb.matrices import ExactMatrix
-from nilorb.partitions import Partition
+from nilorb.partitions import Partition, enumerate_partitions
 from nilorb.scalars import J_UNIT
-from nilorb.triples import _gram_block, build_triple, gram_block_keys, slot_weights
+from nilorb.triples import (_gram_block, build_triple, gram_block_keys, part_weights,
+                            slot_weights)
 
 
 def graded_dims(t, a):
@@ -161,6 +162,27 @@ def test_report_sums_the_part_counts_to_the_whole_gram_count(a):
                 g0 - g2, g0 + g1, dim_g(a) - g0 - g1), str(rec.datum)
 
 
+def test_cross_part_sizes_are_the_whole_count_less_the_parts():
+    """The closed-form counts between two parts equal the entries of each
+    weight difference over the datum's slot weights less those inside one
+    part, for every partition of size at most 16."""
+    checked = 0
+    for n in range(17):
+        for part in enumerate_partitions(n):
+            pairs = part.pairs
+            cross = [0, 0, 0]
+            for i, (d, t) in enumerate(pairs):
+                for d2, t2 in pairs[i + 1:]:
+                    for k, count in enumerate(_cross_sizes(d, d2)):
+                        cross[k] += t * t2 * count
+            whole = _grade_sizes(slot_weights(part))
+            own = [_grade_sizes(part_weights(d, t)) for d, t in pairs]
+            assert tuple(cross) == tuple(whole[k] - sum(size[k] for size in own)
+                                         for k in range(3)), str(part)
+            checked += 1
+    assert checked == 915
+
+
 def _record_with_part(family, d, t):
     """The first nonzero record of ``family`` in the grading sweep with a
     part ``(d, t)`` whose signed rows, if any, start once with +1, and that
@@ -196,7 +218,8 @@ def test_part_counts_are_kept_per_family():
             assert (report.dim_z_triple, report.dim_z_X) == (g0 - g2, g0 + g1), family
             entry = a.family_spec.ring.dim
             assert _part_grading(a.family_spec, *key) == (
-                (entry + 2 * ONE_ENTRY_NULLITY[family], 0, 0), (4, 0, 0)), family
+                entry + 2 * ONE_ENTRY_NULLITY[family], 0, 0), family
+    assert _grade_sizes(part_weights(1, 2)) == (4, 0, 0)
 
 
 def _refused_grams(gram):

@@ -800,6 +800,38 @@ def test_describe_sweep_digest(capsys):
     assert digest.hexdigest() == DESCRIBE_SWEEP_SHA256
 
 
+# Every algebra below is listed as json and then as a table: 234 commands.
+# The SHA-256 of their concatenated stdout pins every byte that list
+# renders for them.
+LIST_SWEEP = (
+    [("so_c", {"n": n}) for n in range(3, 15)]
+    + [("sp_c", {"n": n}) for n in range(1, 8)]
+    + [("so_pq", {"p": p, "q": s - p}) for s in range(2, 11) for p in range(1, s)]
+    + [("sp_pq", {"p": p, "q": s - p}) for s in range(2, 9) for p in range(1, s)]
+    + [("so_star", {"n": n}) for n in range(1, 9)]
+    + [("sl_r", {"n": n}) for n in range(2, 9)]
+    + [("sl_c", {"n": n}) for n in range(2, 7)]
+    + [("sl_h", {"n": n}) for n in range(1, 6)]
+)
+LIST_SWEEP_SHA256 = "bb1797d5f47343466b631c84306426fbf5f5d9e5bc8609442f6de062a896fdf5"
+
+
+def test_list_sweep_digest(capsys):
+    digest = hashlib.sha256()
+    commands = 0
+    for family, params in LIST_SWEEP:
+        argv = ["list", "--algebra", family]
+        for key, value in params.items():
+            argv += [f"--{key}", str(value)]
+        for fmt in ("json", "table"):
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert (code, err) == (0, "")
+            digest.update(out.encode())
+            commands += 1
+    assert commands == 234
+    assert digest.hexdigest() == LIST_SWEEP_SHA256
+
+
 def _no_triple_matrices(monkeypatch):
     """Make the constructors of X, H and Y raise in every nilorb module holding them."""
     import nilorb.triples

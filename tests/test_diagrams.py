@@ -119,6 +119,21 @@ def test_enumeration_matches_brute_force(free_sign):
             assert len(got) == len(want)
 
 
+@pytest.mark.parametrize("free_sign", [1, 0], ids=["even", "odd"])
+def test_early_signature_filter_equals_build_then_filter(free_sign):
+    """Counting each choice's boxes before building its diagram keeps the
+    same diagrams, in the same order, as building every choice and then
+    filtering by ``sgn_counts``: every partition of size n at most 10,
+    every signature (p, q) with p + q <= n + 1, which is no diagram's when
+    p + q != n, and no signature."""
+    for n in range(11):
+        sigs = [None] + [(p, q) for p in range(n + 2) for q in range(n + 2 - p)]
+        for part in enumerate_partitions(n):
+            for sig in sigs:
+                assert (enumerate_signed_diagrams(part, free_sign, sig)
+                        == brute_force_diagrams(part, free_sign, sig)), (part, sig)
+
+
 def test_enumeration_rejects_a_parity_other_than_0_or_1():
     with pytest.raises(ValueError, match="free_sign must be 0 or 1"):
         enumerate_signed_diagrams(Partition([2, 1]), 2)

@@ -23,6 +23,33 @@ def test_enumeration_is_exhaustive_and_duplicate_free():
         assert all(p.size() == n for p in parts)
 
 
+def list_generator_partitions(n):
+    """The partitions of n built from descending part lists, each list
+    ascending lexicographically: the reference for the pairs-first order."""
+    def gen(total, cap):
+        if total == 0:
+            yield []
+            return
+        for first in range(1, min(total, cap) + 1):
+            for rest in gen(total - first, first):
+                yield [first] + rest
+
+    return [Partition(parts) for parts in gen(n, n)]
+
+
+def test_pairs_first_enumeration_equals_the_list_generator():
+    """Same partitions in the same order, with equal pairs and hashes, for
+    every n <= 20 (2,714 partitions)."""
+    total = 0
+    for n in range(21):
+        got, want = enumerate_partitions(n), list_generator_partitions(n)
+        assert got == want
+        assert [p.pairs for p in got] == [p.pairs for p in want]
+        assert [hash(p) for p in got] == [hash(p) for p in want]
+        total += len(got)
+    assert total == 2714
+
+
 def test_parts_are_stored_descending():
     p = Partition([1, 3, 2, 3])
     assert p.parts() == [3, 3, 2, 1]

@@ -1,8 +1,9 @@
 """Semantic mutants of the family data, and the ``verify`` line that catches each.
 
-Each mutant replaces one field of a family's record in ``FAMILY_SPECS``
-through ``monkeypatch``.  ``verify`` must then exit 1 with its whole table
-printed and no traceback, and the catching line must fail:
+Each mutant is applied through ``monkeypatch``: it replaces one field of a
+family's record in ``FAMILY_SPECS``, or swaps a function for one that
+drops a rule.  ``verify`` must then exit 1 with its whole table printed and
+no traceback, and the catching line must fail:
 
 =============================  =================================  ==========================================
 mutant                         command                            catching line
@@ -13,6 +14,8 @@ mutant                         command                            catching line
                                                                   (raised by ``matrices.i_to_j``)
 ``sp_c`` odd parts Sp -> U     ``verify --algebra sp_c --n 3``    ``zero-orbit-quotient``:
                                                                   ``[1,1,1,1,1,1]: dim_quotient=12``
+``dim_K`` keeps the U circle   ``verify --algebra sl_c --n 3``    ``zero-orbit-quotient``:
+(no -1 for chi = 1)                                               ``[1,1,1]: dim_quotient=-1``
 =============================  =================================  ==========================================
 
 A check that raises fails on its own line, naming the orbit and the
@@ -22,23 +25,51 @@ to pin that.
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+from dataclasses import replace
+
 import pytest
 
+import nilorb
+import nilorb.centralizers
 from nilorb import cli
 from nilorb.families import FAMILY_SPECS
-from nilorb.homotopy import factor_layout
-from nilorb.triples import adapted_basis
+from nilorb.homotopy import compact_pair
+
+
+def package_memos():
+    """Every memoized nilorb function: the module-level names of the
+    package's modules that have a ``cache_clear``, each once."""
+    memos = {}
+    for info in pkgutil.iter_modules(nilorb.__path__):
+        module = importlib.import_module(f"nilorb.{info.name}")
+        for value in vars(module).values():
+            if (callable(getattr(value, "cache_clear", None))
+                    and getattr(value, "__module__", "").startswith("nilorb")):
+                memos[id(value)] = value
+    return list(memos.values())
+
+
+def clear_memos():
+    for memo in package_memos():
+        memo.cache_clear()
 
 
 @pytest.fixture
 def cold_memos():
-    """Layouts and adapted bases are memoized per algebra and datum, so a
-    mutant's must not leak into, or come from, another test."""
-    factor_layout.cache_clear()
-    adapted_basis.cache_clear()
+    """Layouts, bases, blocks and part counts are memoized, some per
+    algebra and datum, so a mutant's must not leak into, or come from,
+    another test; every memo the package holds is cleared."""
+    clear_memos()
     yield
-    factor_layout.cache_clear()
-    adapted_basis.cache_clear()
+    clear_memos()
+
+
+def test_the_memo_scan_finds_every_memo():
+    names = {memo.__name__ for memo in package_memos()}
+    assert names >= {"factor_layout", "adapted_basis", "_part_grading", "_triple_block",
+                     "_gram_block", "_cross_sizes", "row_plus_minus"}
 
 
 def run(capsys, *argv):
@@ -53,32 +84,53 @@ def check_lines(out: str) -> dict:
     return dict(line.split(" ", 1) for line in lines)
 
 
+def family_fields(family, **fields):
+    """The mutant that replaces ``fields`` of the family's record."""
+    def mutate(monkeypatch):
+        monkeypatch.setitem(FAMILY_SPECS, family, FAMILY_SPECS[family]._replace(**fields))
+    return mutate
+
+
+def keep_the_circle(monkeypatch):
+    """The mutant whose descriptor, as ``centralizer_report`` reads it,
+    counts every factor's dimension in dim K, with no -1 for the circle
+    that chi = 1 removes."""
+    def kept(a, datum):
+        h = compact_pair(a, datum)
+        k = sum(f.dim() for f in h.factors)
+        return replace(h, dim_K=k, dim_quotient=h.dim_M - k)
+    monkeypatch.setattr(nilorb.centralizers, "compact_pair", kept)
+
+
 MUTANTS = {
     "sp_pq even U->Sp": (
-        "sp_pq", {"k_kinds": ("Sp", "Sp")}, ["--p", "2", "--q", "2"],
+        ["sp_pq", "--p", "2", "--q", "2"], family_fields("sp_pq", k_kinds=("Sp", "Sp")),
         {"K-membership": "FAILED (5 orbit(s)) [3 failed: [2,1,1](2:1,1:1): "
                          "ValueError: entry is not a rational complex number]",
          "embedding-homomorphism": "FAILED (5 orbit(s)) [3 failed: [2,1,1](2:1,1:1): "
                                    "ValueError: entry is not a rational complex number]"}),
     "sp_c odd Sp->U": (
-        "sp_c", {"k_kinds": ("O", "U")}, ["--n", "3"],
+        ["sp_c", "--n", "3"], family_fields("sp_c", k_kinds=("O", "U")),
         {"zero-orbit-quotient": "FAILED (1 orbit(s)) "
                                 "[1 failed: [1,1,1,1,1,1]: dim_quotient=12]"}),
+    "dim_K keeps the U circle": (
+        ["sl_c", "--n", "3"], keep_the_circle,
+        {"zero-orbit-quotient": "FAILED (1 orbit(s)) "
+                                "[1 failed: [1,1,1]: dim_quotient=-1]"}),
 }
 
 
 @pytest.mark.parametrize("mutant", MUTANTS)
 def test_verify_catches_the_mutant_without_a_traceback(capsys, monkeypatch, cold_memos,
                                                        mutant):
-    family, fields, size, caught = MUTANTS[mutant]
-    argv = ["verify", "--algebra", family, *size]
+    algebra, mutate, caught = MUTANTS[mutant]
+    argv = ["verify", "--algebra", *algebra]
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "") and out.endswith("verify: PASS\n")
     clean = check_lines(out)
 
-    monkeypatch.setitem(FAMILY_SPECS, family, FAMILY_SPECS[family]._replace(**fields))
-    factor_layout.cache_clear()
-    adapted_basis.cache_clear()
+    mutate(monkeypatch)
+    clear_memos()
     code, out, err = run(capsys, *argv)
     assert (code, err) == (1, "") and out.endswith("verify: FAIL\n")
     mutated = check_lines(out)
