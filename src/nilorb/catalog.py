@@ -13,19 +13,14 @@ from typing import List, Optional, Union
 
 from .diagrams import SignedDiagram, enumerate_signed_diagrams
 from .families import FAMILIES, FAMILY_SPECS, SIGNED_FAMILIES, FamilySpec
-from .partitions import Partition, classify, enumerate_partitions, partition_counts
+from .partitions import Partition, enumerate_partitions, partition_counts
 
 # FAMILIES and SIGNED_FAMILIES are re-exported from the family table.
 __all__ = ["FAMILIES", "SIGNED_FAMILIES", "AlgebraSpec", "Datum", "OrbitRecord",
-           "datum_membership_error", "datum_partition", "enumerate_orbits",
+           "datum_membership_error", "enumerate_orbits",
            "fiber_count", "orbit_record_bound", "total_orbit_count"]
 
 Datum = Union[Partition, SignedDiagram]
-
-
-def datum_partition(datum: Datum) -> Partition:
-    """The partition underlying a datum (a signed diagram's, or the datum itself)."""
-    return datum.partition if isinstance(datum, SignedDiagram) else datum
 
 
 @dataclass(frozen=True)
@@ -90,10 +85,10 @@ class AlgebraSpec:
 class OrbitRecord:
     datum: Datum
     fiber_count: int
-    is_zero_orbit: bool
 
-    def partition(self) -> Partition:
-        return datum_partition(self.datum)
+    @property
+    def is_zero_orbit(self) -> bool:
+        return self.datum.partition.is_zero_type()
 
     def to_json(self) -> dict:
         if isinstance(self.datum, SignedDiagram):
@@ -109,7 +104,7 @@ class OrbitRecord:
 
 def fiber_count(a: AlgebraSpec, datum: Datum) -> int:
     """How many orbits share this datum under the family's parametrization."""
-    return a.family_spec.fibers(classify(datum_partition(datum)), datum)
+    return a.family_spec.fibers(datum)
 
 
 def _pairs_ok(spec: FamilySpec, part: Partition) -> bool:
@@ -133,14 +128,7 @@ def enumerate_orbits(a: AlgebraSpec) -> List[OrbitRecord]:
             data.append(part)
         else:
             data.extend(enumerate_signed_diagrams(part, spec.free_sign, signature))
-    return [
-        OrbitRecord(
-            datum=d,
-            fiber_count=fiber_count(a, d),
-            is_zero_orbit=datum_partition(d).is_zero_type(),
-        )
-        for d in data
-    ]
+    return [OrbitRecord(d, fiber_count(a, d)) for d in data]
 
 
 def orbit_record_bound(a: AlgebraSpec) -> int:
@@ -180,7 +168,7 @@ def datum_membership_error(a: AlgebraSpec, datum: Datum) -> Optional[str]:
     Returns ``None`` when the datum is valid.
     """
     spec = a.family_spec
-    part = datum_partition(datum)
+    part = datum.partition
     expected = a.size
     if part.size() != expected:
         return f"partition has {part.size()} boxes, expected {expected}"

@@ -72,7 +72,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .catalog import AlgebraSpec, Datum, datum_partition
+from .catalog import AlgebraSpec, Datum
 from .families import COMPLEX, QUATERNION, FamilySpec
 from .homotopy import HomotopyType, compact_pair
 from .matrices import ExactMatrix, integer_nullity
@@ -93,7 +93,7 @@ def _real(spec: FamilySpec, complex_dim: int) -> int:
 def _complex_pairs(spec: FamilySpec, datum: Datum) -> Tuple[Tuple[int, int], ...]:
     """The datum's (part, multiplicity) pairs over the complexification."""
     k = 2 if spec.ring is QUATERNION else 1
-    return tuple((d, k * t) for d, t in datum_partition(datum).pairs)
+    return tuple((d, k * t) for d, t in datum.partition.pairs)
 
 
 def _orthogonal_sign(spec: FamilySpec) -> int:
@@ -466,7 +466,7 @@ def centralizer_report(a: AlgebraSpec, datum: Datum) -> CentralizerReport:
     solved whole over the slot weights.  The datum's Gram matrix and X, H
     and Y are never built.
     """
-    part = datum_partition(datum)
+    part = datum.partition
     ambient = dim_g(a)
     expected = expected_reductive_dim(a, datum)
     compact = compact_pair(a, datum) if a.family_spec.has_descriptor else None

@@ -11,10 +11,9 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .catalog import (AlgebraSpec, Datum, OrbitRecord, datum_membership_error,
-                      datum_partition, enumerate_orbits, fiber_count,
-                      orbit_record_bound)
-from .centralizers import (centralizer_dim_triple, centralizer_report,
-                           expected_orbit_dim)
+                      enumerate_orbits, fiber_count, orbit_record_bound)
+from .centralizers import (CentralizerReport, centralizer_dim_triple,
+                           centralizer_report, expected_orbit_dim)
 from .diagrams import SignedDiagram
 from .families import FAMILIES, FAMILY_SPECS
 from .homotopy import (KElement, component_representative, embed_K,
@@ -325,8 +324,7 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> List[str]:
 # list
 # ---------------------------------------------------------------------------
 
-def _record_document(a: AlgebraSpec, rec: OrbitRecord) -> dict:
-    report = centralizer_report(a, rec.datum)
+def _record_document(rec: OrbitRecord, report: CentralizerReport) -> dict:
     doc = rec.to_json()
     doc["datum_rendered"] = str(rec.datum)
     doc["orbit_dim"] = report.dim_orbit
@@ -340,35 +338,32 @@ def _record_document(a: AlgebraSpec, rec: OrbitRecord) -> dict:
 def _cmd_list(args) -> int:
     (a,) = _admit([_algebra_from_args(args)])
     records = enumerate_orbits(a)
-    docs = [_record_document(a, rec) for rec in records]
-    document = {
-        "schema": SCHEMA_VERSION,
-        "algebra": a.family,
-        "params": a.params_json(),
-        "low_rank_warning": a.low_rank_warning,
-        "total_orbit_count": sum(r.fiber_count for r in records),
-        "orbit_records": docs,
-    }
+    reports = [centralizer_report(a, rec.datum) for rec in records]
+    total = sum(r.fiber_count for r in records)
     if args.format == "json":
-        print(_json_text(document))
+        print(_json_text({
+            "schema": SCHEMA_VERSION,
+            "algebra": a.family,
+            "params": a.params_json(),
+            "low_rank_warning": a.low_rank_warning,
+            "total_orbit_count": total,
+            "orbit_records": [_record_document(rec, report)
+                              for rec, report in zip(records, reports)],
+        }))
         return 0
     rows = []
-    for doc in docs:
-        fibers = doc["fiber_count"]
+    for rec, report in zip(records, reports):
+        datum, fibers, h = str(rec.datum), rec.fiber_count, report.compact
+        homotopy = "-" if h is None else h.rendered()
         for k in range(1, fibers + 1):
-            rows.append([
-                doc["datum_rendered"],
-                f"{k}/{fibers}",
-                str(doc["orbit_dim"]),
-                doc["homotopy_rendered"] or "-",
-            ])
+            rows.append([datum, f"{k}/{fibers}", str(report.dim_orbit), homotopy])
     print(f"orbit catalog for {a}")
     if a.low_rank_warning:
         print("warning: size is below the family's simple range; "
               "small-rank coincidences apply")
     for line in _table(("datum", "orbit", "orbit-dim", "homotopy type"), rows):
         print(line)
-    print(f"total orbits: {document['total_orbit_count']}")
+    print(f"total orbits: {total}")
     return 0
 
 
@@ -387,8 +382,7 @@ def _cmd_describe(args) -> int:
     if problem is not None:
         print(f"datum rejected: {problem}", file=sys.stderr)
         return 2
-    record = OrbitRecord(datum, fiber_count(a, datum),
-                         datum_partition(datum).is_zero_type())
+    record = OrbitRecord(datum, fiber_count(a, datum))
     triple = None if record.is_zero_orbit else build_triple(a, datum)
     report = centralizer_report(a, datum)
     t_matrix = None
@@ -546,7 +540,7 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
 
     def jordan():
         found = jordan_type(checked().X)
-        return found == rec.partition(), f"found {found}, expected {rec.partition()}"
+        return found == datum.partition, f"found {found}, expected {datum.partition}"
     check("jordan-type", jordan)
 
     if spec.form is not None:

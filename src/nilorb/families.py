@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from .diagrams import SignedDiagram, in_sign_balance_class
-from .partitions import PartitionClasses
 
 
 class Ring(NamedTuple):
@@ -44,24 +43,30 @@ def compact_dim(kind: str, n: int) -> int:
     return n * (2 * n + 1)
 
 
-def _one_fiber(cls: PartitionClasses, datum) -> int:
+def _one_fiber(datum) -> int:
     return 1
 
 
-def _two_if_even(cls: PartitionClasses, datum) -> int:
-    return 2 if cls.is_even else 1
+def _two_if_even(datum) -> int:
+    return 2 if all(d % 2 == 0 for d, _ in datum.partition.pairs) else 1
 
 
-def _two_if_very_even(cls: PartitionClasses, datum) -> int:
-    return 2 if cls.is_very_even else 1
+def _very_even(datum) -> bool:
+    """Every part even and every multiplicity even."""
+    return all(d % 2 == 0 and t % 2 == 0 for d, t in datum.partition.pairs)
 
 
-def _indefinite_orthogonal_fibers(cls: PartitionClasses, datum) -> int:
+def _two_if_very_even(datum) -> int:
+    return 2 if _very_even(datum) else 1
+
+
+def _indefinite_orthogonal_fibers(datum) -> int:
     if not isinstance(datum, SignedDiagram):
         raise ValueError("so_pq data carry signs")
-    if cls.is_very_even:
+    if _very_even(datum):
         return 4
-    if cls.in_even_mult_class and in_sign_balance_class(datum):
+    if (all(t % 2 == 0 for d, t in datum.partition.pairs if d % 2 == 0)
+            and in_sign_balance_class(datum)):
         return 2
     return 1
 
@@ -90,8 +95,9 @@ class FamilySpec(NamedTuple):
       basis: ``"H-to-R"``, ``"C-to-R"``, ``"i-to-j"`` or ``None``.
     * ``constraint``: the character condition cutting K out of the factor
       product: ``"chi=1"``, ``"chi_p=chi_q=1"`` or ``"none"``.
-    * ``fibers``: the number of orbits sharing a datum, from the parity
-      classes of its partition and the datum.
+    * ``fibers``: the number of orbits sharing a datum, read from the
+      datum alone: its ``.partition``'s (d, t) pairs and, for so_pq, its
+      signs.
     """
 
     ring: Ring
@@ -107,7 +113,7 @@ class FamilySpec(NamedTuple):
     k_kinds: Optional[Tuple[str, str]]
     even_embed: Optional[str]
     constraint: Optional[str]
-    fibers: Callable[[PartitionClasses, object], int]
+    fibers: Callable[[object], int]
 
     @property
     def has_descriptor(self) -> bool:
@@ -138,7 +144,7 @@ class FamilySpec(NamedTuple):
 
 
 def _sl(ring: Ring, ambient: str, constraint: str,
-        fibers: Callable[[PartitionClasses, object], int] = _one_fiber) -> FamilySpec:
+        fibers: Callable[[object], int] = _one_fiber) -> FamilySpec:
     return FamilySpec(
         ring=ring, form=None, signed=False, free_sign=None, paired=None,
         min_n=1, low_rank=2, boxes_per_n=1, cartan="A", ambient=ambient,

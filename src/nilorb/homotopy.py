@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from .catalog import AlgebraSpec, Datum, datum_partition
+from .catalog import AlgebraSpec, Datum
 from .diagrams import SignedDiagram, row_plus_minus
 from .families import FAMILY_SPECS, compact_dim, ring_of_kind
 from .matrices import (ExactMatrix, block_oplus, complex_to_real_blocks,
@@ -84,7 +84,7 @@ def factor_layout(a: AlgebraSpec, datum: Datum) -> Tuple[FactorSpec, ...]:
     spec = a.family_spec
     if not spec.has_descriptor:
         raise ValueError(f"no homotopy descriptor for {a.family}")
-    part = datum_partition(datum)
+    part = datum.partition
     if spec.form is None:
         return tuple(FactorSpec(spec.k_kind(d), t, "part", d) for d, t in part.pairs)
     evens = sorted((d, t) for d, t in part.pairs if d % 2 == 0)

@@ -1,8 +1,7 @@
-"""Integer partitions and the parity classes that drive orbit enumeration."""
+"""Integer partitions: the (d, t) pairs every orbit datum is read from."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 MAX_PARTITION_SIZE = 64
@@ -44,6 +43,11 @@ class Partition:
     @property
     def pairs(self) -> tuple:
         return self._pairs
+
+    @property
+    def partition(self) -> "Partition":
+        """The partition itself, so every datum answers ``.partition``."""
+        return self
 
     def parts(self) -> List[int]:
         out: List[int] = []
@@ -139,32 +143,3 @@ def partition_counts(n: int) -> List[int]:
         p[m] = total
     return p
 
-
-@dataclass(frozen=True)
-class PartitionClasses:
-    """Parity bookkeeping for one partition."""
-
-    is_even: bool
-    is_very_even: bool
-    in_even_mult_class: bool
-    in_odd_mult_class: bool
-
-
-def classify(partition: Partition) -> PartitionClasses:
-    """Classify a partition by the parity data the orbit maps depend on.
-
-    * ``is_even``: every part is even.
-    * ``is_very_even``: every part even and every multiplicity even.
-    * ``in_even_mult_class``: every even part has even multiplicity (the
-      orthogonal parametrizing condition).
-    * ``in_odd_mult_class``: every odd part has even multiplicity (the
-      symplectic parametrizing condition).
-    """
-    pairs = partition.pairs
-    is_even = all(d % 2 == 0 for d, _ in pairs)
-    return PartitionClasses(
-        is_even=is_even,
-        is_very_even=is_even and all(t % 2 == 0 for _, t in pairs),
-        in_even_mult_class=all(t % 2 == 0 for d, t in pairs if d % 2 == 0),
-        in_odd_mult_class=all(t % 2 == 0 for d, t in pairs if d % 2 == 1),
-    )

@@ -29,7 +29,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
-from .catalog import AlgebraSpec, Datum, datum_partition
+from .catalog import AlgebraSpec, Datum
 from .families import QUATERNION, FamilySpec
 from .matrices import (ExactMatrix, block_oplus, conj_transpose, kron,
                        permute_columns, rank)
@@ -91,7 +91,7 @@ def triple_partition(a: AlgebraSpec, datum: Datum) -> Partition:
     Raises :class:`ZeroOrbitError` for the zero orbit and ``ValueError``
     when the datum's size is not the algebra's.
     """
-    part = datum_partition(datum)
+    part = datum.partition
     if part.is_zero_type():
         raise ZeroOrbitError("the zero orbit has no standard triple")
     if part.size() != a.size:
@@ -198,7 +198,7 @@ def gram_block_keys(a: AlgebraSpec, datum: Datum
     if spec.form is None:
         raise ValueError(f"{a.family} carries no invariant form")
     keys = []
-    for d, t in datum_partition(datum).pairs:
+    for d, t in datum.partition.pairs:
         block = _form_block(spec, d)
         keys.append((block, d, t, datum.p_of(d) if block == "signed" else None))
     return keys
@@ -457,7 +457,7 @@ def standard_adapted_gram(a: AlgebraSpec, datum: Datum) -> ExactMatrix:
     the form is symmetric or skew."""
     if not a.family_spec.has_adapted_basis:
         raise ValueError(f"no adapted basis construction for {a.family}")
-    n = datum_partition(datum).size()
+    n = datum.partition.size()
     if a.family_spec.signed:
         return ExactMatrix.diagonal([1] * a.p + [-1] * a.q)
     if a.family_spec.form[0] == 1:

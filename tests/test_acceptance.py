@@ -70,14 +70,14 @@ def test_criterion_2_fiber_rules_exhaustive():
             assert rec.fiber_count == (2 if all_even else 1)
         if n >= 3:
             for rec in enumerate_orbits(AlgebraSpec("so_c", n=n)):
-                part = rec.partition()
+                part = rec.datum.partition
                 very_even = (all(d % 2 == 0 for d, _ in part.pairs)
                              and all(t % 2 == 0 for _, t in part.pairs))
                 assert rec.fiber_count == (2 if very_even else 1)
         for p in range(1, n):
             a = AlgebraSpec("so_pq", p=p, q=n - p)
             for rec in enumerate_orbits(a):
-                part = rec.partition()
+                part = rec.datum.partition
                 very_even = (all(d % 2 == 0 for d, _ in part.pairs)
                              and all(t % 2 == 0 for _, t in part.pairs))
                 evens_paired = all(t % 2 == 0 for d, t in part.pairs
@@ -114,7 +114,7 @@ def test_criterion_3_triple_identities():
             assert commutator(t.H, t.X) == t.X.scale_left(TWO)
             assert commutator(t.H, t.Y) == t.Y.scale_left(-TWO)
             assert commutator(t.X, t.Y) == t.H
-            assert jordan_type(t.X) == rec.partition()
+            assert jordan_type(t.X) == rec.datum.partition
     print("CRITERION 3 PASS: triple identities and Jordan types, exact")
 
 

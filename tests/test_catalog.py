@@ -57,7 +57,7 @@ def test_special_linear_catalog_is_all_partitions():
     for family in ("sl_r", "sl_c", "sl_h"):
         for n in range(1, 7):
             recs = enumerate_orbits(AlgebraSpec(family, n=n))
-            assert [r.partition() for r in recs] == enumerate_partitions(n)
+            assert [r.datum.partition for r in recs] == enumerate_partitions(n)
 
 
 def test_complex_orthogonal_catalog_filter():
@@ -65,7 +65,7 @@ def test_complex_orthogonal_catalog_filter():
         recs = enumerate_orbits(AlgebraSpec("so_c", n=n))
         want = [p for p in enumerate_partitions(n)
                 if all(t % 2 == 0 for d, t in p.pairs if d % 2 == 0)]
-        assert [r.partition() for r in recs] == want
+        assert [r.datum.partition for r in recs] == want
 
 
 def test_complex_symplectic_catalog_filter():
@@ -73,7 +73,7 @@ def test_complex_symplectic_catalog_filter():
         recs = enumerate_orbits(AlgebraSpec("sp_c", n=n))
         want = [p for p in enumerate_partitions(2 * n)
                 if all(t % 2 == 0 for d, t in p.pairs if d % 2 == 1)]
-        assert [r.partition() for r in recs] == want
+        assert [r.datum.partition for r in recs] == want
 
 
 def test_signed_catalogs_respect_signature():
@@ -82,7 +82,7 @@ def test_signed_catalogs_respect_signature():
             a = AlgebraSpec("so_pq", p=p, q=q)
             for rec in enumerate_orbits(a):
                 assert rec.datum.sgn_counts() == (p, q)
-                assert all(t % 2 == 0 for d, t in rec.partition().pairs
+                assert all(t % 2 == 0 for d, t in rec.datum.partition.pairs
                            if d % 2 == 0)
             b = AlgebraSpec("sp_pq", p=p, q=q)
             for rec in enumerate_orbits(b):
@@ -123,7 +123,7 @@ def test_quaternionic_orthogonal_catalog():
         a = AlgebraSpec("so_star", n=n)
         for rec in enumerate_orbits(a):
             # Odd rows all start +; no signature constraint applies.
-            for d, t in rec.partition().pairs:
+            for d, t in rec.datum.partition.pairs:
                 if d % 2 == 1:
                     assert rec.datum.p_of(d) == t
 
@@ -132,7 +132,7 @@ def test_quaternionic_orthogonal_catalog():
 
 def rederived_fiber(family: str, datum) -> int:
     """Independent restatement of the orbit-fiber tables."""
-    part = datum.partition if isinstance(datum, SignedDiagram) else datum
+    part = datum.partition
     all_even = all(d % 2 == 0 for d, _ in part.pairs)
     very_even = all_even and all(t % 2 == 0 for _, t in part.pairs)
     if family == "sl_r":
@@ -188,6 +188,11 @@ def test_fiber_rules_exhaustive():
             a = AlgebraSpec("so_star", n=n)
             for rec in enumerate_orbits(a):
                 assert rec.fiber_count == 1
+
+
+def test_so_pq_fiber_rule_refuses_a_plain_partition():
+    with pytest.raises(ValueError, match="so_pq data carry signs"):
+        fiber_count(AlgebraSpec("so_pq", p=2, q=1), Partition([3]))
 
 
 def test_total_count_sums_fibers():

@@ -316,7 +316,7 @@ def test_paired_count_solves_only_the_self_paired_entries(monkeypatch):
                            ("so_star", {"n": 4})]:
         a = AlgebraSpec(family, **params)
         rec = max((r for r in enumerate_orbits(a) if not r.is_zero_orbit),
-                  key=lambda r: (len(r.partition().pairs), str(r.datum)))
+                  key=lambda r: (len(r.datum.partition.pairs), str(r.datum)))
         t = build_triple(a, rec.datum)
         weights = slot_weights(t.partition)
         solved.clear()

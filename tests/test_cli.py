@@ -678,6 +678,22 @@ def test_list_table_row_count_matches_orbit_total(capsys):
     assert len(rows) == 3  # [1,1] once, [2] twice (its fiber splits)
 
 
+def test_list_table_builds_no_json_documents(capsys, monkeypatch):
+    """The table reads each record and its report, not their JSON documents."""
+    from nilorb.centralizers import CentralizerReport
+    from nilorb.homotopy import HomotopyType
+
+    argv = ("list", "--algebra", "so_c", "--n", "8", "--format", "table")
+    code, table, _ = run(capsys, *argv)
+    assert code == 0
+
+    def forbidden(self):
+        raise AssertionError("the table built a JSON document")
+    monkeypatch.setattr(CentralizerReport, "to_json", forbidden)
+    monkeypatch.setattr(HomotopyType, "to_json", forbidden)
+    assert run(capsys, *argv) == (0, table, "")
+
+
 @pytest.mark.parametrize("family,params", [
     ("so_pq", {"p": 2, "q": 2}),
     ("sp_pq", {"p": 2, "q": 1}),
@@ -690,7 +706,7 @@ def test_describe_record_matches_catalog(capsys, family, params):
                  for arg in (f"--{key}", str(value))]
     for rec in enumerate_orbits(AlgebraSpec(family, **params)):
         argv = ["describe", "--algebra", family, *size_args,
-                "--datum", ",".join(map(str, rec.partition().parts())),
+                "--datum", ",".join(map(str, rec.datum.partition.parts())),
                 "--format", "json"]
         if isinstance(rec.datum, SignedDiagram):
             argv += ["--signs", ",".join(f"{d}:{p}" for d, p in rec.datum.p_pairs)]
@@ -775,7 +791,7 @@ DESCRIBE_SWEEP_SHA256 = "d669a7d2c183edc60d5baab8356ca1e263e3093303c6d3149fb7807
 def _describe_argv(family: str, params: dict, datum) -> list:
     """describe's argv for one datum: --datum and, for a signed diagram,
     --signs naming every part."""
-    partition = getattr(datum, "partition", datum)
+    partition = datum.partition
     argv = ["describe", "--algebra", family]
     for key, value in params.items():
         argv += [f"--{key}", str(value)]

@@ -355,7 +355,7 @@ def test_block_accounting_every_signed_datum():
 def reference_compact_dim(a, datum) -> int:
     """dim K by a closed form per family, written out independently of the
     family table: the reference for the factor layout."""
-    part = getattr(datum, "partition", datum)
+    part = datum.partition
     odd = [(d, t) for d, t in part.pairs if d % 2 == 1]
     even = [(d, t) for d, t in part.pairs if d % 2 == 0]
     if a.family == "sl_c":

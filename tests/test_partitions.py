@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from nilorb.partitions import (MAX_PARTITION_SIZE, Partition, classify,
-                               enumerate_partitions)
+from nilorb.partitions import MAX_PARTITION_SIZE, Partition, enumerate_partitions
 
 # Number of partitions of n = 0..9; standard table.
 PARTITION_COUNTS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30)
@@ -71,6 +70,11 @@ def test_from_pairs_and_json_round_trip():
     assert p.to_json() == [[3, 1], [2, 2]]
 
 
+def test_a_partition_is_its_own_partition():
+    p = Partition([2, 1])
+    assert p.partition is p
+
+
 def test_str_form():
     assert str(Partition([3, 2, 2, 1])) == "[3,2,2,1]"
 
@@ -87,20 +91,6 @@ def test_rejects_bad_parts():
 def test_size_guard():
     with pytest.raises(ValueError):
         enumerate_partitions(MAX_PARTITION_SIZE + 1)
-
-
-def test_classification_flags():
-    assert classify(Partition([2, 2])).is_very_even
-    assert not classify(Partition([2, 2, 1])).is_very_even
-    assert not classify(Partition([4, 2])).is_very_even
-    # Even parts all have even multiplicity:
-    assert classify(Partition([2, 2, 1])).in_even_mult_class
-    assert not classify(Partition([4, 2, 2])).in_even_mult_class
-    assert classify(Partition([3, 1])).in_even_mult_class  # vacuous
-    # Odd parts all have even multiplicity:
-    assert classify(Partition([3, 3, 2])).in_odd_mult_class
-    assert not classify(Partition([3, 2, 2])).in_odd_mult_class
-    assert classify(Partition([4, 2])).in_odd_mult_class  # vacuous
 
 
 def test_is_zero_type():

@@ -1300,7 +1300,7 @@ def test_centralizer_dims_ignore_the_denominators(family, params, gram_by, x_by,
     a = AlgebraSpec(family, **params)
     # The orbit with the most distinct parts, so odd and even parts meet.
     rec = max((r for r in enumerate_orbits(a) if not r.is_zero_orbit),
-              key=lambda r: (len(r.partition().pairs), str(r.datum)))
+              key=lambda r: (len(r.datum.partition.pairs), str(r.datum)))
     t = build_triple(a, rec.datum)
     scaled = _scaled_triple(t, gram_by, x_by, y_by)
     assert scaled.gram != t.gram or scaled.X != t.X

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from nilorb import triples
-from nilorb.catalog import AlgebraSpec, datum_partition, enumerate_orbits
+from nilorb.catalog import AlgebraSpec, enumerate_orbits
 from nilorb.diagrams import row_plus_minus
 from nilorb.centralizers import _part_grading, centralizer_report
 from nilorb.homotopy import embed_K, factor_layout, sample_k_element
@@ -51,7 +51,7 @@ def test_triple_identities(a):
 def test_jordan_type_recovers_partition(a):
     for rec in nonzero_orbits(a):
         t = build_triple(a, rec.datum)
-        assert jordan_type(t.X) == rec.partition()
+        assert jordan_type(t.X) == rec.datum.partition
 
 
 def test_weight_multiplicities():
@@ -212,7 +212,7 @@ def reference_lowering(partition):
 
 
 def reference_lowest_weight_form(a, datum, d):
-    t = datum_partition(datum).multiplicity(d)
+    t = datum.partition.multiplicity(d)
     block = _form_block(a.family_spec, d)
     if block == "alternating":
         half = t // 2
@@ -228,7 +228,7 @@ def reference_lowest_weight_form(a, datum, d):
 
 
 def reference_gram(a, datum):
-    part = datum_partition(datum)
+    part = datum.partition
     lay = Slots(part)
     entries = {}
     for d, _ in part.pairs:
@@ -272,7 +272,7 @@ def test_kronecker_builders_match_the_slot_references(a):
                 assert gram_matrix(a, rec.datum) == expected, str(rec.datum)
         if rec.is_zero_orbit:
             continue
-        part = rec.partition()
+        part = rec.datum.partition
         refs = (reference_nilpotent(part), reference_semisimple(part),
                 reference_lowering(part))
         for _ in range(2):
@@ -286,7 +286,7 @@ def test_kronecker_builders_match_the_slot_references(a):
             assert gram_matrix(a, rec.datum) == reference_gram(a, rec.datum)
         if not rec.is_zero_orbit:
             t = build_triple(a, rec.datum)
-            assert t.X == reference_nilpotent(rec.partition())
+            assert t.X == reference_nilpotent(rec.datum.partition)
 
 
 FORM_FAMILY_ORBITS = [
@@ -300,7 +300,7 @@ FORM_FAMILY_ORBITS = [
 
 def _datum_of(a, partition):
     return next(rec.datum for rec in enumerate_orbits(a)
-                if rec.partition() == partition and not rec.is_zero_orbit)
+                if rec.datum.partition == partition and not rec.is_zero_orbit)
 
 
 @pytest.mark.parametrize("a,partition", FORM_FAMILY_ORBITS, ids=lambda x: str(x))
