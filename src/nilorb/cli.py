@@ -1,4 +1,10 @@
-"""Command-line front end: list, describe, and verify orbit catalogs."""
+"""Command-line front end: list, describe, and verify orbit catalogs.
+
+A command line that names a command (``list``, ``describe``, ``verify``) is
+parsed by that command's parser alone.  The program-level parser handles
+only help, usage errors and unknown commands, with the same bytes and exit
+codes as when it parsed every command line.
+"""
 
 from __future__ import annotations
 
@@ -73,10 +79,16 @@ class UsageError(Exception):
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: argparse trees are
-    reference cycles, so a fresh tree per command is garbage for the
-    cyclic collector."""
+def _build_parsers() -> Tuple[argparse.ArgumentParser,
+                              Dict[str, argparse.ArgumentParser]]:
+    """The program-level parser and each command's parser by name, built
+    once per process: argparse trees are reference cycles, so a fresh tree
+    per command is garbage for the cyclic collector.
+
+    :func:`main` parses a command line that names a command with that
+    command's parser alone; the program-level parser handles only help,
+    usage errors and unknown commands.
+    """
     parser = argparse.ArgumentParser(
         prog="nilorb",
         description="Enumerate, construct, and verify nilpotent adjoint "
@@ -110,9 +122,14 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="run the exact verification suite")
     p_ver.add_argument("--inject-fault", action="store_true",
                        help="corrupt one triple to exercise failure paths")
-    for p in (p_list, p_desc, p_ver):
-        p.set_defaults(parser=p)
-    return parser
+    return parser, {"list": p_list, "describe": p_desc, "verify": p_ver}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The program-level parser of :func:`_build_parsers`: it parses help,
+    usage errors and unknown commands, and each command line whose first
+    argument is not a command name."""
+    return _build_parsers()[0]
 
 
 def _algebra_from_args(args) -> AlgebraSpec:
@@ -669,15 +686,23 @@ def _cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+_COMMANDS = {"list": _cmd_list, "describe": _cmd_describe, "verify": _cmd_verify}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser, command_parsers = _build_parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command_parser = command_parsers.get(argv[0]) if argv else None
+    if command_parser is None:
+        args = parser.parse_args(argv)
+    else:
+        # The program-level pass would only hand argv[1:] to this parser.
+        args, extras = command_parser.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
     try:
-        if args.command == "list":
-            return _cmd_list(args)
-        if args.command == "describe":
-            return _cmd_describe(args)
-        return _cmd_verify(args)
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -162,6 +162,82 @@ def test_parser_is_built_once_and_reused_after_errors(capsys):
     assert run(capsys, "list", "--algebra", "sl_r", "--n", "3") == (code, out, err)
 
 
+def _outcome(capsys, route, argv):
+    """(exit code, stdout, stderr) of ``route(argv)``, a usage exit included."""
+    try:
+        code = route(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _program_level_route(argv):
+    """``main`` as it was when the program-level parser parsed every command
+    line and handed the rest to the command's parser."""
+    import nilorb.cli as cli
+
+    args = cli._build_parser().parse_args(argv)
+    command = {"list": cli._cmd_list, "describe": cli._cmd_describe,
+               "verify": cli._cmd_verify}[args.command]
+    try:
+        return command(args)
+    except cli.UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+_LIST = ["list", "--algebra", "sl_r"]
+PARITY_ARGV = [
+    _LIST + ["--n", "3"],
+    ["describe", "--algebra", "so_pq", "--p", "2", "--q", "1",
+     "--datum", "3", "--signs", "3:0"],
+    ["verify", "--algebra", "sl_r", "--n", "2", "--format", "json"],
+    ["list", "--help"],
+    ["describe", "--help"],
+    ["verify", "--help"],
+    ["-h"],
+    [],
+    ["desc", "--algebra", "sl_r", "--n", "3", "--datum", "2,1"],
+    ["list", "--alg", "sl_r", "--n", "3"],
+    _LIST + ["--n=3"],
+    _LIST + ["--n", "3", "--bogus"],
+    _LIST + ["--n", "3", "stray"],
+    _LIST + ["--n", "3", "--", "x"],
+    _LIST + ["--n", "3", "--n", "4"],
+    _LIST + ["--n"],
+    _LIST + ["--n", "x"],
+    _LIST + ["--n", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV, ids=lambda argv: " ".join(argv) or "<none>")
+def test_main_matches_the_program_level_route(capsys, argv):
+    """Handing a command line straight to its command's parser changes no
+    exit code, stdout or stderr byte, usage errors and help included."""
+    assert _outcome(capsys, main, argv) == _outcome(capsys, _program_level_route, argv)
+
+
+def test_a_command_line_skips_the_program_level_parser(capsys, monkeypatch):
+    """A command line naming a command never reaches the program-level
+    parser; ``-h`` still does."""
+    import nilorb.cli
+
+    commands = PARITY_ARGV[:3]  # one list, one describe, one verify
+    expected = [_outcome(capsys, main, argv) for argv in commands]
+    assert [code for code, _, _ in expected] == [0, 0, 0]
+
+    class ProgramLevelParse(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise ProgramLevelParse
+    monkeypatch.setattr(nilorb.cli._build_parser(), "parse_known_args", refuse)
+    assert [_outcome(capsys, main, argv) for argv in commands] == expected
+    with pytest.raises(ProgramLevelParse):
+        main(["-h"])
+
+
 # --- failure details of the silent checks -------------------------------------
 
 def test_verify_explains_a_wrong_jordan_type(capsys, monkeypatch):
