@@ -15,7 +15,7 @@ from .centralizers import (AlgebraConstraint, CentralizerReport,
                            centralizer_report, expected_orbit_dim,
                            expected_reductive_dim)
 from .diagrams import SignedDiagram, enumerate_signed_diagrams, sign_matrix
-from .homotopy import (HomotopyType, KElement, chi, chi_pair, compact_pair,
+from .homotopy import (HomotopyType, KElement, characters, compact_pair,
                        embed_K, factor_layout, sample_k_element,
                        verify_K_membership)
 from .matrices import ExactMatrix
@@ -44,8 +44,7 @@ __all__ = [
     "centralizer_dim_nilpotent",
     "centralizer_dim_triple",
     "centralizer_report",
-    "chi",
-    "chi_pair",
+    "characters",
     "compact_pair",
     "datum_membership_error",
     "embed_K",

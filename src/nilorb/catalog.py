@@ -13,7 +13,7 @@ from typing import List, Optional, Union
 
 from .diagrams import SignedDiagram, enumerate_signed_diagrams
 from .families import FAMILIES, FAMILY_SPECS, SIGNED_FAMILIES, FamilySpec
-from .partitions import Partition, enumerate_partitions, partition_counts
+from .partitions import Partition, enumerate_partitions
 
 # FAMILIES and SIGNED_FAMILIES are re-exported from the family table.
 __all__ = ["FAMILIES", "SIGNED_FAMILIES", "AlgebraSpec", "Datum", "OrbitRecord",
@@ -139,13 +139,10 @@ def orbit_record_bound(a: AlgebraSpec) -> int:
     free sign (t rows have t + 1 sign choices), 1/(1 - x^(2d)) where parts
     d need even multiplicity, 1/(1 - x^d) otherwise.  Exact for the
     families without a signature; so_pq and sp_pq count every signature of
-    size p + q.  Without parity rules the count is p(size), taken from
-    :func:`partition_counts`.
+    size p + q.  Without parity rules the count is p(size).
     """
     spec = a.family_spec
     free, paired = spec.free_sign, spec.paired
-    if free is None and paired is None:
-        return partition_counts(a.size)[-1]
     n = a.size
     series = [1] + [0] * n
     for d in range(1, n + 1):

@@ -23,8 +23,8 @@ from .centralizers import (CentralizerReport, centralizer_dim_triple,
 from .diagrams import SignedDiagram
 from .families import FAMILIES, FAMILY_SPECS
 from .homotopy import (KElement, component_representative, embed_K,
-                       sample_k_element, signed_block_relation,
-                       signed_block_totals, verify_K_membership)
+                       sample_k_element, signed_block_totals,
+                       verify_K_membership)
 from .matrices import (ExactMatrix, commutator, congruence_signature,
                        conj_transpose, is_isometry)
 from .partitions import Partition
@@ -125,13 +125,6 @@ def _build_parsers() -> Tuple[argparse.ArgumentParser,
     return parser, {"list": p_list, "describe": p_desc, "verify": p_ver}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The program-level parser of :func:`_build_parsers`: it parses help,
-    usage errors and unknown commands, and each command line whose first
-    argument is not a command name."""
-    return _build_parsers()[0]
-
-
 def _algebra_from_args(args) -> AlgebraSpec:
     try:
         if FAMILY_SPECS[args.algebra].signed:
@@ -208,7 +201,7 @@ def _parse_datum(a: AlgebraSpec, datum_str: str, signs_str: Optional[str]) -> Da
         raise UsageError(f"cannot parse --datum {datum_str!r}: {exc}") from exc
     free_sign = a.family_spec.free_sign
     if free_sign is None:
-        if signs_str:
+        if signs_str is not None:
             raise UsageError(f"{a.family} takes plain partitions; drop --signs")
         return partition
     p_by_part: Dict[int, int] = {}
@@ -531,7 +524,9 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
     if spec.signed:
         def block_accounting():
             totals = signed_block_totals(a, datum)
-            relation = signed_block_relation(datum)
+            # A row sends one level to the plus half per +1 box and one to the
+            # minus half per -1 box, so the closed form is the box counts.
+            relation = datum.sgn_counts()
             return totals == relation == (a.p, a.q), f"halves {totals}, closed form {relation}"
         check("block-accounting", block_accounting)
 

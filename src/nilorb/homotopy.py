@@ -19,8 +19,8 @@ Every public function takes the algebra and the datum and reads the
 datum's factor layout (:func:`factor_layout`) and adapted basis
 (:func:`~nilorb.triples.adapted_basis`) itself; both are memoized per
 datum, so no caller passes them down.  The factor relations are checked in
-:func:`k_element_defect` alone, and the characters computed in
-:func:`chi` and :func:`chi_pair` alone.
+:func:`k_element_defect` alone, and the characters, one per factor of M,
+computed in :func:`characters` alone.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from .catalog import AlgebraSpec, Datum
-from .diagrams import SignedDiagram, row_plus_minus
+from .diagrams import row_plus_minus
 from .families import FAMILY_SPECS, compact_dim, ring_of_kind
 from .matrices import (ExactMatrix, block_oplus, complex_to_real_blocks,
                        conj_transpose, det, diagonal_block, i_to_j, is_isometry,
-                       quaternion_to_complex_blocks, reduced_norm,
-                       repeat_blocks, solve)
+                       kron, quaternion_to_complex_blocks, reduced_norm, solve)
 from .scalars import COMPLEX_LIKE_VARIANTS, ONE, Scalar
 from .triples import Triple, adapted_basis, sigma_transpose
 
@@ -262,7 +261,8 @@ def _assemble_K(a: AlgebraSpec, datum: Datum, e: KElement) -> ExactMatrix:
     layout = factor_layout(a, datum)
     if not a.family_spec.has_adapted_basis:
         # A trace-zero family has one factor per part, in the triple's part order.
-        return block_oplus([repeat_blocks(g, f.part) for f, g in zip(layout, e.factors)])
+        return block_oplus([kron(ExactMatrix.identity(f.part), g)
+                            for f, g in zip(layout, e.factors)])
     adapted = adapted_basis(a, datum)
     # Each factor as it enters the adapted basis, realized once, by (role, part).
     realized = {(f.role, f.part): _factor_block(a, f, g) for f, g in zip(layout, e.factors)}
@@ -285,41 +285,28 @@ def _assemble_K(a: AlgebraSpec, datum: Datum, e: KElement) -> ExactMatrix:
     return block_oplus(blocks)
 
 
-def chi(a: AlgebraSpec, datum: Datum, e: KElement) -> Scalar:
-    """The determinant character attached to the factor tuple.
+def characters(a: AlgebraSpec, datum: Datum, e: KElement) -> Tuple[Scalar, ...]:
+    """The determinant characters of the factor tuple, one per factor of M.
 
-    The product, over the factors of whole parts or of odd parts, of their
-    determinants (reduced norms for Sp factors) to the power of the part.
+    Each factor of a whole part or of an odd part contributes its
+    determinant (its reduced norm for Sp) to the power of the part: to the
+    second value for an ``odd_q`` factor, to the first otherwise.  An even
+    part's factor contributes nothing, since a realified U block and an Sp
+    block have determinant 1.  Under ``chi_p = chi_q = 1`` every
+    contributing factor is O, of determinant +-1, so only the parity of the
+    power matters: an ``odd_p`` or ``odd_q`` row of length d puts an odd
+    number of its levels on its own side of M and an even number on the
+    other, so the factor gives its own side's block its determinant to the
+    power d, equal to the power 1, and the other block the power 0.
     """
-    spec = a.family_spec
-    if not (spec.form is None or spec.constraint == "chi=1"):
-        raise ValueError(f"no single character for {a.family}; see chi_pair")
-    total = ONE
+    values = [ONE] * len(_ambient_sizes(a))
     for f, g in zip(factor_layout(a, datum), e.factors):
-        if f.role in ("part", "odd"):
+        if f.role == "part" or f.role.startswith("odd"):
             base = reduced_norm(g) if f.kind == "Sp" else det(g)
+            side = 1 if f.role == "odd_q" else 0
             for _ in range(f.part):
-                total = total * base
-    return total
-
-
-def chi_pair(a: AlgebraSpec, datum: Datum, e: KElement) -> Tuple[Scalar, Scalar]:
-    """The two characters of the split orthogonal family."""
-    if a.family_spec.constraint != "chi_p=chi_q=1":
-        raise ValueError("chi_pair applies to the split orthogonal family")
-    chi_p = ONE
-    chi_q = ONE
-    for spec, g in zip(factor_layout(a, datum), e.factors):
-        if spec.role == "even":
-            base = det(complex_to_real_blocks(g))
-            for _ in range(spec.part // 2):
-                chi_p = chi_p * base
-                chi_q = chi_q * base
-        elif spec.role == "odd_p":
-            chi_p = chi_p * det(g)
-        elif spec.role == "odd_q":
-            chi_q = chi_q * det(g)
-    return chi_p, chi_q
+                values[side] = values[side] * base
+    return tuple(values)
 
 
 def signed_block_totals(a: AlgebraSpec, datum: Datum) -> Tuple[int, int]:
@@ -327,16 +314,6 @@ def signed_block_totals(a: AlgebraSpec, datum: Datum) -> Tuple[int, int]:
     adapted = adapted_basis(a, datum)
     return (sum(b.size for b in adapted.plus_blocks),
             sum(b.size for b in adapted.minus_blocks))
-
-
-def signed_block_relation(datum: SignedDiagram) -> Tuple[int, int]:
-    """Closed-form totals of the two embedded halves from the sign data.
-
-    A row of the diagram sends one level to the plus half per +1 box and
-    one to the minus half per -1 box, so the totals are the diagram's box
-    counts, :meth:`~nilorb.diagrams.SignedDiagram.sgn_counts`.
-    """
-    return datum.sgn_counts()
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +327,6 @@ class MembershipResult:
     # The embedded element that was checked; None after a factor defect.
     embedded: Optional[ExactMatrix] = None
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
                         t: Triple) -> MembershipResult:
@@ -362,9 +336,8 @@ def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
     ``T`` of the datum's adapted basis (a trace-zero family embeds in
     triple coordinates already), then tested for exact commutation with
     X, H, Y, preservation of the Gram matrix, and, under a character
-    constraint, equality of the determinant of the embedded element with
-    the character (for ``chi_p = chi_q = 1``, of the determinants of its
-    p x p and q x q diagonal blocks with ``chi_p`` and ``chi_q``).
+    constraint, equality of the determinants of the embedded element's
+    diagonal blocks, one per factor of M, with :func:`characters`.
     ``T`` must be unitary (``T* T = I``), so that ``T*`` is its inverse;
     otherwise the result is the single failure ``unitary[T]``.
 
@@ -390,18 +363,15 @@ def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
     if t.gram is not None:
         if sigma_transpose(g, t.sigma) @ t.gram @ g != t.gram:
             failures.append("preserves[S]")
-    constraint = a.family_spec.constraint
-    if constraint == "chi=1":
-        det_emb, char = det(emb), chi(a, datum, e)
-        if det_emb != char:
-            failures.append(f"det-vs-chi: det {det_emb} != chi {char}")
-    elif constraint == "chi_p=chi_q=1":
-        dets = (det(diagonal_block(emb, 0, a.p)),
-                det(diagonal_block(emb, a.p, a.p + a.q)))
-        chars = chi_pair(a, datum, e)
-        if dets != chars:
-            failures.append("det-vs-chi: (det_p, det_q) = ({}, {}) != "
-                            "(chi_p, chi_q) = ({}, {})".format(*dets, *chars))
+    if a.family_spec.constraint != "none":
+        dets, lo = [], 0
+        for size in _ambient_sizes(a):
+            dets.append(det(diagonal_block(emb, lo, lo + size)))
+            lo += size
+        chars = characters(a, datum, e)
+        if tuple(dets) != chars:
+            failures.append(f"det-vs-chi: det {', '.join(map(str, dets))} "
+                            f"!= chi {', '.join(map(str, chars))}")
     return MembershipResult(not failures, tuple(failures), emb)
 
 

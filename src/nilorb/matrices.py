@@ -510,17 +510,6 @@ def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix._reduced(a.nrows * m, a.ncols * n, a._den * b._den, tuple(out))
 
 
-def repeat_blocks(b: ExactMatrix, s: int) -> ExactMatrix:
-    """The block-diagonal matrix with ``s`` copies of ``b`` (0 copies -> 0x0)."""
-    if s < 0:
-        raise ValueError("repeat count must be non-negative")
-    if not b.is_square():
-        raise ValueError("repeat_blocks needs a square block")
-    if s == 0:
-        return ExactMatrix.zeros(0, 0)
-    return block_oplus([b] * s)
-
-
 # -- realification ----------------------------------------------------------
 
 def complex_to_real_blocks(a: ExactMatrix) -> ExactMatrix:

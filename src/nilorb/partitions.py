@@ -123,23 +123,3 @@ def enumerate_partitions(n: int) -> List[Partition]:
                     yield head + rest
 
     return [Partition._of_pairs(pairs) for pairs in gen(n, n)]
-
-
-def partition_counts(n: int) -> List[int]:
-    """``[p(0), ..., p(n)]``, the partition numbers, without enumerating.
-
-    Euler's pentagonal-number recurrence:
-    ``p(m) = sum over k >= 1 of (-1)**(k+1) * (p(m - k(3k-1)/2) + p(m - k(3k+1)/2))``.
-    """
-    p = [1] + [0] * n
-    for m in range(1, n + 1):
-        total, k = 0, 1
-        while k * (3 * k - 1) // 2 <= m:
-            term = p[m - k * (3 * k - 1) // 2]
-            if k * (3 * k + 1) // 2 <= m:
-                term += p[m - k * (3 * k + 1) // 2]
-            total += term if k % 2 else -term
-            k += 1
-        p[m] = total
-    return p
-

@@ -14,9 +14,9 @@ from nilorb.centralizers import (centralizer_dim_triple, centralizer_report,
                                  expected_reductive_dim)
 from nilorb.cli import main
 from nilorb.diagrams import SignedDiagram
-from nilorb.homotopy import (KElement, chi, compact_pair, embed_K,
-                             sample_k_element, signed_block_relation,
-                             signed_block_totals, verify_K_membership)
+from nilorb.homotopy import (KElement, characters, compact_pair, embed_K,
+                             sample_k_element, signed_block_totals,
+                             verify_K_membership)
 from nilorb.matrices import commutator, congruence_signature, det
 from nilorb.partitions import Partition, enumerate_partitions
 from nilorb.scalars import Scalar
@@ -169,7 +169,7 @@ def test_criterion_6_embedding_properties():
             for rec in enumerate_orbits(a):
                 rng = random.Random(f"accept6chi:{a}:{rec.datum}")
                 e = sample_k_element(a, rec.datum, rng)
-                assert det(embed_K(a, rec.datum, e)) == chi(a, rec.datum, e)
+                assert (det(embed_K(a, rec.datum, e)),) == characters(a, rec.datum, e)
     member_specs = ([AlgebraSpec("so_c", n=n) for n in (3, 4)]
                     + [AlgebraSpec("sp_c", n=n) for n in (1, 2)]
                     + [AlgebraSpec(f, n=n) for f in ("sl_r", "sl_c", "sl_h")
@@ -192,7 +192,7 @@ def test_criterion_7_block_accounting():
                 a = AlgebraSpec(fam, p=p, q=total - p)
                 for rec in enumerate_orbits(a):
                     assert signed_block_totals(a, rec.datum) \
-                        == signed_block_relation(rec.datum) \
+                        == rec.datum.sgn_counts() \
                         == (p, total - p)
     print("CRITERION 7 PASS: split block sizes match on every signed datum")
 

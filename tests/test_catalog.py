@@ -10,7 +10,7 @@ from nilorb.catalog import (FAMILIES, SIGNED_FAMILIES, AlgebraSpec,
                             datum_membership_error, enumerate_orbits,
                             fiber_count, orbit_record_bound, total_orbit_count)
 from nilorb.diagrams import SignedDiagram, sign_row
-from nilorb.partitions import Partition, enumerate_partitions, partition_counts
+from nilorb.partitions import Partition, enumerate_partitions
 
 # Catalog totals frozen from independent hand enumeration:
 #   sl_r n=2: [2] splits in two, [1,1] stays      -> 3
@@ -256,10 +256,10 @@ def test_low_rank_warning():
 
 
 def test_partition_counts_match_enumeration():
-    counts = partition_counts(20)
-    assert counts == [len(enumerate_partitions(n)) for n in range(21)]
-    assert partition_counts(64)[64] == 1741630
-    assert partition_counts(0) == [1]
+    """Without parity rules the bound's series counts p(size) exactly."""
+    for k in range(1, 21):
+        assert orbit_record_bound(AlgebraSpec("sl_r", n=k)) == len(enumerate_partitions(k))
+    assert orbit_record_bound(AlgebraSpec("sl_r", n=64)) == 1741630
 
 
 # Largest size checked per family: signed algebras up to p + q = 14, so_c

@@ -145,7 +145,7 @@ def test_parser_is_built_once_and_reused_after_errors(capsys):
     cached parser gives the same error bytes and exit codes every time."""
     import nilorb.cli
 
-    assert nilorb.cli._build_parser() is nilorb.cli._build_parser()
+    assert nilorb.cli._build_parsers()[0] is nilorb.cli._build_parsers()[0]
     errors = []
     for _ in range(2):
         with pytest.raises(SystemExit) as exc:
@@ -177,7 +177,7 @@ def _program_level_route(argv):
     line and handed the rest to the command's parser."""
     import nilorb.cli as cli
 
-    args = cli._build_parser().parse_args(argv)
+    args = cli._build_parsers()[0].parse_args(argv)
     command = {"list": cli._cmd_list, "describe": cli._cmd_describe,
                "verify": cli._cmd_verify}[args.command]
     try:
@@ -232,7 +232,7 @@ def test_a_command_line_skips_the_program_level_parser(capsys, monkeypatch):
 
     def refuse(*args, **kwargs):
         raise ProgramLevelParse
-    monkeypatch.setattr(nilorb.cli._build_parser(), "parse_known_args", refuse)
+    monkeypatch.setattr(nilorb.cli._build_parsers()[0], "parse_known_args", refuse)
     assert [_outcome(capsys, main, argv) for argv in commands] == expected
     with pytest.raises(ProgramLevelParse):
         main(["-h"])
@@ -316,9 +316,9 @@ def test_only_the_homomorphism_check_catches_an_anti_homomorphism(
     wherever a factor of size 2 or more does not commute with g1."""
     import nilorb.homotopy
 
-    repeat = nilorb.homotopy.repeat_blocks
-    monkeypatch.setattr(nilorb.homotopy, "repeat_blocks",
-                        lambda g, s: repeat(g.transpose(), s))
+    kron = nilorb.homotopy.kron
+    monkeypatch.setattr(nilorb.homotopy, "kron",
+                        lambda ident, g: kron(ident, g.transpose()))
     code, out, _ = run(capsys, "verify", *argv)
     assert code == 1
     assert (f"embedding-homomorphism FAILED {failed}: "
@@ -539,10 +539,10 @@ def test_verify_weight_leaves_the_benchmark_sweeps_twice_the_room(family, cap):
     """The weighted estimate of each benchmark verify sweep is at most half
     the limit; the largest, so_pq up to size 6, is 6,700 unweighted."""
     from nilorb.catalog import orbit_record_bound
-    from nilorb.cli import MAX_WORK, VERIFY_WEIGHT, _build_parser, _verify_specs
+    from nilorb.cli import MAX_WORK, VERIFY_WEIGHT, _build_parsers, _verify_specs
 
-    args = _build_parser().parse_args(["verify", "--algebra", family,
-                                       "--max-verify-n", str(cap)])
+    args = _build_parsers()[0].parse_args(["verify", "--algebra", family,
+                                           "--max-verify-n", str(cap)])
     units = sum(a.size ** 2 * orbit_record_bound(a) for a in _verify_specs(args))
     assert 2 * VERIFY_WEIGHT * units <= MAX_WORK
     if family == "so_pq":
@@ -593,6 +593,27 @@ def test_describe_stray_sign_part_named(capsys):
     assert code == 2
     assert "part 2" in err
     assert "part 3" not in err
+
+
+@pytest.mark.parametrize("signs", ["", " ", "3:1"])
+def test_describe_refuses_any_given_signs_on_a_plain_family(capsys, signs):
+    """A family without free signs refuses --signs whenever it is given,
+    empty or blank too."""
+    code, out, err = run(capsys, "describe", "--algebra", "sl_r", "--n", "3",
+                         "--datum", "3", "--signs", signs)
+    assert (code, out) == (2, "")
+    assert err == "error: sl_r takes plain partitions; drop --signs\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--algebra", "so_pq", "--p", "2", "--q", "2", "--datum", "2,2"),
+    ("--algebra", "sp_pq", "--p", "1", "--q", "1", "--datum", "2"),
+], ids=("so_pq", "sp_pq"))
+def test_describe_reads_empty_signs_as_no_explicit_signs(capsys, argv):
+    """A signed family reads --signs "" as the datum's default signs."""
+    expected = run(capsys, "describe", *argv)
+    assert expected[0] == 0
+    assert run(capsys, "describe", *argv, "--signs", "") == expected
 
 
 # --- warnings and content -----------------------------------------------------
@@ -1026,17 +1047,13 @@ def test_each_public_k_function_builds_the_factor_layout_once(a):
     datum = [r for r in enumerate_orbits(a) if not r.is_zero_orbit][-1].datum
     t = build_triple(a, datum)
     e = homotopy.sample_k_element(a, datum, random.Random(0))
-    spec = a.family_spec
     public = {
         "sample_k_element": lambda: homotopy.sample_k_element(a, datum, random.Random(1)),
         "k_element_defect": lambda: homotopy.k_element_defect(a, datum, e),
         "embed_K": lambda: homotopy.embed_K(a, datum, e),
         "verify_K_membership": lambda: homotopy.verify_K_membership(a, datum, e, t),
+        "characters": lambda: homotopy.characters(a, datum, e),
     }
-    if spec.form is None or spec.constraint == "chi=1":
-        public["chi"] = lambda: homotopy.chi(a, datum, e)
-    if spec.constraint == "chi_p=chi_q=1":
-        public["chi_pair"] = lambda: homotopy.chi_pair(a, datum, e)
     assert homotopy.verify_K_membership(a, datum, e, t).ok
     for name, call in public.items():
         built = _cold_factor_layouts()

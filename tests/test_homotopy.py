@@ -10,14 +10,15 @@ import pytest
 from nilorb.catalog import AlgebraSpec, enumerate_orbits
 from nilorb import homotopy
 from nilorb.centralizers import centralizer_report
-from nilorb.homotopy import (KElement, chi, chi_pair, compact_pair, dim_M,
-                             embed_K, factor_layout, k_element_defect,
+from nilorb.homotopy import (KElement, characters, compact_pair,
+                             component_representative, dim_M, embed_K,
+                             factor_layout, k_element_defect,
                              random_compact_point, sample_k_element,
-                             signed_block_relation, signed_block_totals,
-                             verify_K_membership)
-from nilorb.matrices import ExactMatrix, conj_transpose, det, inverse, reduced_norm
+                             signed_block_totals, verify_K_membership)
+from nilorb.matrices import (ExactMatrix, complex_to_real_blocks, conj_transpose,
+                             det, diagonal_block, inverse, reduced_norm)
 from nilorb.partitions import Partition
-from nilorb.scalars import Scalar
+from nilorb.scalars import MINUS_ONE, ONE, Scalar
 from nilorb.triples import adapted_basis, build_triple
 
 HOMOTOPY_SPECS = [
@@ -98,7 +99,7 @@ def test_det_of_embedding_equals_character(a):
     for rec in enumerate_orbits(a):
         for _ in range(20):
             e = sample_k_element(a, rec.datum, rng)
-            assert det(embed_K(a, rec.datum, e)) == chi(a, rec.datum, e)
+            assert (det(embed_K(a, rec.datum, e)),) == characters(a, rec.datum, e)
 
 
 def test_reduced_norm_of_quaternionic_embedding_equals_character():
@@ -107,19 +108,113 @@ def test_reduced_norm_of_quaternionic_embedding_equals_character():
     for rec in enumerate_orbits(a):
         for _ in range(10):
             e = sample_k_element(a, rec.datum, rng)
-            assert reduced_norm(embed_K(a, rec.datum, e)) == chi(a, rec.datum, e)
+            assert (reduced_norm(embed_K(a, rec.datum, e)),) == characters(a, rec.datum, e)
 
 
 def test_split_orthogonal_characters_are_signs():
     a = AlgebraSpec("so_pq", p=2, q=2)
     rng = random.Random("char:so_pq")
-    from nilorb.scalars import MINUS_ONE, ONE
     for rec in enumerate_orbits(a):
         for _ in range(10):
             e = sample_k_element(a, rec.datum, rng)
-            cp, cq = chi_pair(a, rec.datum, e)
+            cp, cq = characters(a, rec.datum, e)
             assert cp in (ONE, MINUS_ONE)
             assert cq in (ONE, MINUS_ONE)
+
+
+# --- characters against the per-family routes they replaced -----------------
+
+def reference_chi(a, datum, e) -> Scalar:
+    """The single character of a trace-zero family or of so_c: the product,
+    over the factors of whole parts or of odd parts, of their determinants
+    (reduced norms for Sp factors) to the power of the part."""
+    total = ONE
+    for f, g in zip(factor_layout(a, datum), e.factors):
+        if f.role in ("part", "odd"):
+            base = reduced_norm(g) if f.kind == "Sp" else det(g)
+            for _ in range(f.part):
+                total = total * base
+    return total
+
+
+def reference_chi_pair(a, datum, e):
+    """The two characters of so_pq: each even part's realified U factor to
+    the power d/2 on both sides, each odd row's O factor to the power 1 on
+    its own side."""
+    chi_p = ONE
+    chi_q = ONE
+    for spec, g in zip(factor_layout(a, datum), e.factors):
+        if spec.role == "even":
+            base = det(complex_to_real_blocks(g))
+            for _ in range(spec.part // 2):
+                chi_p = chi_p * base
+                chi_q = chi_q * base
+        elif spec.role == "odd_p":
+            chi_p = chi_p * det(g)
+        elif spec.role == "odd_q":
+            chi_q = chi_q * det(g)
+    return chi_p, chi_q
+
+
+def reference_characters(a, datum, e):
+    """The reference route of the family; a form family without a character
+    constraint (sp_c, sp_pq) has none, and its Sp factors' reduced norms and
+    its even factors give the trivial character."""
+    spec = a.family_spec
+    if spec.constraint == "chi_p=chi_q=1":
+        return reference_chi_pair(a, datum, e)
+    if spec.form is None or spec.constraint == "chi=1":
+        return (reference_chi(a, datum, e),)
+    return (ONE,) * len(characters(a, datum, e))
+
+
+CHARACTER_SPECS = (
+    [AlgebraSpec("sl_r", n=n) for n in range(2, 6)]
+    + [AlgebraSpec("sl_c", n=n) for n in range(2, 5)]
+    + [AlgebraSpec("sl_h", n=n) for n in range(1, 4)]
+    + [AlgebraSpec("so_c", n=n) for n in range(3, 9)]
+    + [AlgebraSpec("sp_c", n=n) for n in range(1, 4)]
+    + [AlgebraSpec(f, p=p, q=total - p) for f in ("so_pq", "sp_pq")
+       for total in range(2, 8) for p in range(1, total)]
+)
+
+
+def character_points(a, datum, rng):
+    """Two Cayley samples and the component representative of the datum."""
+    return [sample_k_element(a, datum, rng), sample_k_element(a, datum, rng),
+            component_representative(a, datum)]
+
+
+@pytest.mark.parametrize("a", CHARACTER_SPECS, ids=str)
+def test_characters_match_the_reference_routes(a):
+    """One value per factor of M, equal to the family's reference route.
+    Under chi_p = chi_q = 1 the O factors' determinants are +-1, so the
+    power d of an odd row equals the reference's power 1."""
+    rng = random.Random(f"characters:{a}")
+    sides = 2 if a.family_spec.signed else 1
+    for rec in enumerate_orbits(a):
+        for e in character_points(a, rec.datum, rng):
+            got = characters(a, rec.datum, e)
+            assert len(got) == sides
+            assert got == reference_characters(a, rec.datum, e), str(rec.datum)
+
+
+@pytest.mark.parametrize("a", [s for s in CHARACTER_SPECS
+                               if s.family_spec.constraint != "none"
+                               and s.size <= 6], ids=str)
+def test_each_block_of_M_has_its_character_as_determinant(a):
+    """On a constrained family the determinant of each diagonal block of M in
+    the embedded element is that block's character."""
+    rng = random.Random(f"blocks:{a}")
+    sizes = (a.p, a.q) if a.family_spec.signed else (a.n,)
+    for rec in enumerate_orbits(a):
+        for e in character_points(a, rec.datum, rng):
+            emb = embed_K(a, rec.datum, e)
+            dets, lo = [], 0
+            for size in sizes:
+                dets.append(det(diagonal_block(emb, lo, lo + size)))
+                lo += size
+            assert tuple(dets) == characters(a, rec.datum, e), str(rec.datum)
 
 
 MEMBERSHIP_SPECS = (
@@ -270,24 +365,24 @@ def test_det_vs_chi_compares_the_values(monkeypatch):
     e = sample_k_element(a, rec.datum, random.Random("values"))
     assert verify_K_membership(a, rec.datum, e, t).ok
     true_det = det(embed_K(a, rec.datum, e))
-    true_chi = homotopy.chi
-    monkeypatch.setattr(homotopy, "chi", lambda *args: true_chi(*args) * I_UNIT)
+    true_characters = homotopy.characters
+    monkeypatch.setattr(homotopy, "characters",
+                        lambda *args: (true_characters(*args)[0] * I_UNIT,))
     assert true_det not in (homotopy.ONE, -I_UNIT)
     result = verify_K_membership(a, rec.datum, e, t)
     assert result.failures == (f"det-vs-chi: det {true_det} != chi {true_det * I_UNIT}",)
+    monkeypatch.setattr(homotopy, "characters", true_characters)
 
     a = AlgebraSpec("so_pq", p=2, q=1)
     rec = [r for r in enumerate_orbits(a) if not r.is_zero_orbit][0]
     t = build_triple(a, rec.datum)
     e = sample_k_element(a, rec.datum, random.Random("values"))
     assert verify_K_membership(a, rec.datum, e, t).ok
-    cp, cq = chi_pair(a, rec.datum, e)
-    true_pair = homotopy.chi_pair
-    monkeypatch.setattr(homotopy, "chi_pair",
-                        lambda *args: (true_pair(*args)[0], -true_pair(*args)[1]))
+    cp, cq = characters(a, rec.datum, e)
+    monkeypatch.setattr(homotopy, "characters",
+                        lambda *args: (true_characters(*args)[0], -true_characters(*args)[1]))
     result = verify_K_membership(a, rec.datum, e, t)
-    assert result.failures == (f"det-vs-chi: (det_p, det_q) = ({cp}, {cq}) != "
-                               f"(chi_p, chi_q) = ({cp}, {-cq})",)
+    assert result.failures == (f"det-vs-chi: det {cp}, {cq} != chi {cp}, {-cq}",)
 
 
 # --- block accounting (the two size relations of the signed families) ------
@@ -345,7 +440,7 @@ def test_block_accounting_every_signed_datum():
                 a = AlgebraSpec(family, p=p, q=total - p)
                 for rec in enumerate_orbits(a):
                     counted = signed_block_totals(a, rec.datum)
-                    closed = signed_block_relation(rec.datum)
+                    closed = rec.datum.sgn_counts()
                     assert counted == closed == (p, total - p), \
                         (family, p, total - p, str(rec.datum))
 

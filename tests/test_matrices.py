@@ -15,9 +15,9 @@ from nilorb.homotopy import random_compact_point
 from nilorb.matrices import (DegenerateFormError, ExactMatrix, block_oplus,
                              commutator, complex_to_real_blocks,
                              congruence_signature, conj_transpose, det,
-                             i_to_j, inverse, is_isometry, permute_columns,
+                             i_to_j, inverse, is_isometry, kron, permute_columns,
                              quaternion_to_complex_blocks,
-                             rank, reduced_norm, repeat_blocks, solve)
+                             rank, reduced_norm, solve)
 from nilorb.scalars import I_UNIT, J_UNIT, MINUS_ONE, ONE, SQRT2, ZERO, Scalar
 from nilorb.triples import adapted_basis, build_triple
 
@@ -91,7 +91,7 @@ def test_block_oplus_and_repeat():
     assert s.rows()[0][1] == ONE
     assert s.rows()[2][2] == Scalar.rational(2)
     assert s.rows()[0][2] == ZERO
-    r = repeat_blocks(b, 3)
+    r = kron(ExactMatrix.identity(3), b)
     assert r.nrows == r.ncols == 3
     assert all(r.rows()[t][t] == Scalar.rational(2) for t in range(3))
 
@@ -241,6 +241,20 @@ def variant_matrix(rng: random.Random, variant: str, n: int,
                     x[i] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                 entries[(r, c)] = Scalar(x)
     return ExactMatrix.from_entries(n, n, entries)
+
+
+def test_kron_with_an_identity_repeats_the_block():
+    """kron(I_s, b) is the block-diagonal sum of s copies of b, in value and
+    in storage, for s = 0..3: the route a trace-zero factor is embedded by."""
+    rng = random.Random("repeat")
+    for n in range(4):
+        blocks = [variant_matrix(rng, v, n, density=0.6) for v in COMMUTATIVE_COMPONENTS]
+        blocks.append(quaternion_matrix(rng, n))
+        for b in blocks:
+            for s in range(4):
+                out, expected = kron(ExactMatrix.identity(s), b), block_oplus([b] * s)
+                assert out == expected
+                assert hash(out) == hash(expected)
 
 
 def unsplit_bareiss(a: ExactMatrix) -> Scalar:
