@@ -234,11 +234,30 @@ def _parse_datum(a: AlgebraSpec, datum_str: str, signs_str: Optional[str]) -> Da
 # ---------------------------------------------------------------------------
 
 def _matrix_lines(title: str, m: ExactMatrix) -> List[str]:
-    cells = m._cells(value_text)
-    widths = [max(map(len, column)) for column in zip(*cells)]
+    """The table of ``m``, each column right-justified to its widest cell.
+
+    A column is as wide as the zero until a nonzero text widens it (no
+    text is shorter than the zero's one character).  Each row is a copy
+    of one padded zero row with its nonzeros patched in, and the all-zero
+    rows share one line.
+    """
+    zero, rows = m._rendered_nonzeros(value_text)
+    widths = [len(zero)] * m.ncols
+    for row in rows:
+        for c, text in row:
+            if len(text) > widths[c]:
+                widths[c] = len(text)
+    blank = [zero.rjust(w) for w in widths]
+    zero_line = f"  [ {'  '.join(blank)} ]"
     lines = [f"{title}:"]
-    for row in cells:
-        lines.append(f"  [ {'  '.join(map(str.rjust, row, widths))} ]")
+    for row in rows:
+        if not row:
+            lines.append(zero_line)
+            continue
+        cells = blank.copy()
+        for c, text in row:
+            cells[c] = text.rjust(widths[c])
+        lines.append(f"  [ {'  '.join(cells)} ]")
     return lines
 
 
@@ -255,11 +274,13 @@ def _json_text(doc) -> str:
     With ``indent`` set, ``json.dumps`` runs its pure-Python encoder, one
     generator per nesting level yielding one token at a time; here each
     subtree's text is one ``str.join``.  A matrix is rendered from
-    ``ExactMatrix._cells``: the text of each distinct cell is built once,
-    at the cell's depth, straight from the component strings of
-    ``scalars.value_json``, and its rows and the matrix are joined from
-    those texts, so no cell list is built.  Anything else, floats and
-    non-str keys included, raises ``TypeError``.
+    ``ExactMatrix._rendered_nonzeros``: the text of each distinct cell is
+    built once, at the cell's depth, straight from the component strings
+    of ``scalars.value_json``; one zero-row text serves every all-zero
+    row, each other row patches its nonzeros into a copy of the zero
+    cells' texts, and the matrix is joined from the row texts, so no
+    dense cell grid is built.  Anything else, floats and non-str keys
+    included, raises ``TypeError``.
     """
     return _encode(doc, 0)
 
@@ -311,11 +332,21 @@ def _matrix_text(m: ExactMatrix, depth: int) -> str:
     part_inner = cell_inner + "  "
     # A cell is a list of "num/den" strings, which need no escaping.
     head, sep, tail = f'[{part_inner}"', f'",{part_inner}"', f'"{cell_inner}]'
-    cells = m._cells(lambda nums, den: head + sep.join(value_json(nums, den)) + tail)
+    zero, rows = m._rendered_nonzeros(
+        lambda nums, den: head + sep.join(value_json(nums, den)) + tail)
     cell_sep = "," + cell_inner
-    rows = [f"[{cell_inner}{cell_sep.join(row)}{row_inner}]" if row else "[]"
-            for row in cells]
-    return f"[{row_inner}{(',' + row_inner).join(rows)}\n{'  ' * depth}]"
+    blank = [zero] * m.ncols
+    zero_row = f"[{cell_inner}{cell_sep.join(blank)}{row_inner}]" if blank else "[]"
+    texts = []
+    for row in rows:
+        if not row:
+            texts.append(zero_row)
+            continue
+        cells = blank.copy()
+        for c, text in row:
+            cells[c] = text
+        texts.append(f"[{cell_inner}{cell_sep.join(cells)}{row_inner}]")
+    return f"[{row_inner}{(',' + row_inner).join(texts)}\n{'  ' * depth}]"
 
 
 def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> List[str]:

@@ -93,8 +93,6 @@ class FamilySpec(NamedTuple):
       form family; the trace-zero families use their ring's unitary group.
     * ``even_embed``: how the factor of an even part enters the adapted
       basis: ``"H-to-R"``, ``"C-to-R"``, ``"i-to-j"`` or ``None``.
-    * ``constraint``: the character condition cutting K out of the factor
-      product: ``"chi=1"``, ``"chi_p=chi_q=1"`` or ``"none"``.
     * ``fibers``: the number of orbits sharing a datum, read from the
       datum alone: its ``.partition``'s (d, t) pairs and, for so_pq, its
       signs.
@@ -112,13 +110,23 @@ class FamilySpec(NamedTuple):
     ambient: Optional[str]
     k_kinds: Optional[Tuple[str, str]]
     even_embed: Optional[str]
-    constraint: Optional[str]
     fibers: Callable[[object], int]
 
     @property
     def has_descriptor(self) -> bool:
         """Whether the family has a homotopy descriptor M/K."""
         return self.ambient is not None
+
+    @property
+    def constraint(self) -> Optional[str]:
+        """The character condition cutting K out of the factor product:
+        ``"none"`` under an Sp ambient, ``"chi_p=chi_q=1"`` on a signed
+        family, else ``"chi=1"``; ``None`` where there is no descriptor."""
+        if self.ambient is None:
+            return None
+        if self.ambient == "Sp":
+            return "none"
+        return "chi_p=chi_q=1" if self.signed else "chi=1"
 
     @property
     def has_adapted_basis(self) -> bool:
@@ -143,44 +151,39 @@ class FamilySpec(NamedTuple):
         return self.ring.unitary if self.form is None else self.k_kinds[d % 2]
 
 
-def _sl(ring: Ring, ambient: str, constraint: str,
-        fibers: Callable[[object], int] = _one_fiber) -> FamilySpec:
+def _sl(ring: Ring, ambient: str, fibers: Callable[[object], int] = _one_fiber) -> FamilySpec:
     return FamilySpec(
         ring=ring, form=None, signed=False, free_sign=None, paired=None,
         min_n=1, low_rank=2, boxes_per_n=1, cartan="A", ambient=ambient,
-        k_kinds=None, even_embed=None, constraint=constraint, fibers=fibers)
+        k_kinds=None, even_embed=None, fibers=fibers)
 
 
 #: One record per family, in the order the command line lists them.
 FAMILY_SPECS: Dict[str, FamilySpec] = {
-    "sl_r": _sl(REAL, "SO", "chi=1", _two_if_even),
-    "sl_c": _sl(COMPLEX, "SU", "chi=1"),
-    "sl_h": _sl(QUATERNION, "Sp", "none"),
+    "sl_r": _sl(REAL, "SO", _two_if_even),
+    "sl_c": _sl(COMPLEX, "SU"),
+    "sl_h": _sl(QUATERNION, "Sp"),
     "so_c": FamilySpec(
         ring=COMPLEX, form=(1, "id"), signed=False, free_sign=None, paired=0,
         min_n=3, low_rank=5, boxes_per_n=1, cartan="BD", ambient="SO",
-        k_kinds=("Sp", "O"), even_embed="H-to-R", constraint="chi=1",
-        fibers=_two_if_very_even),
+        k_kinds=("Sp", "O"), even_embed="H-to-R", fibers=_two_if_very_even),
     "so_pq": FamilySpec(
         ring=REAL, form=(1, "id"), signed=True, free_sign=1, paired=0,
         min_n=1, low_rank=5, boxes_per_n=1, cartan="BD", ambient="SO",
-        k_kinds=("U", "O"), even_embed="C-to-R", constraint="chi_p=chi_q=1",
+        k_kinds=("U", "O"), even_embed="C-to-R",
         fibers=_indefinite_orthogonal_fibers),
     "sp_c": FamilySpec(
         ring=COMPLEX, form=(-1, "id"), signed=False, free_sign=None, paired=1,
         min_n=1, low_rank=0, boxes_per_n=2, cartan="C", ambient="Sp",
-        k_kinds=("O", "Sp"), even_embed=None, constraint="none",
-        fibers=_one_fiber),
+        k_kinds=("O", "Sp"), even_embed=None, fibers=_one_fiber),
     "sp_pq": FamilySpec(
         ring=QUATERNION, form=(1, "conj"), signed=True, free_sign=1, paired=None,
         min_n=1, low_rank=0, boxes_per_n=1, cartan="C", ambient="Sp",
-        k_kinds=("U", "Sp"), even_embed="i-to-j", constraint="none",
-        fibers=_one_fiber),
+        k_kinds=("U", "Sp"), even_embed="i-to-j", fibers=_one_fiber),
     "so_star": FamilySpec(
         ring=QUATERNION, form=(-1, "conj"), signed=False, free_sign=0, paired=None,
         min_n=1, low_rank=3, boxes_per_n=1, cartan="BD", ambient=None,
-        k_kinds=None, even_embed=None, constraint=None,
-        fibers=_one_fiber),
+        k_kinds=None, even_embed=None, fibers=_one_fiber),
 }
 
 FAMILIES = tuple(FAMILY_SPECS)

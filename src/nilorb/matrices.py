@@ -25,17 +25,21 @@ only when a value leaves the matrix (:meth:`~ExactMatrix.rows`,
 the matrix does not keep it; a matrix built by
 :meth:`ExactMatrix.from_entries` from ``int`` values, or by
 :meth:`ExactMatrix.from_numerators` from int numerators, makes none, and
-rendering makes none either.  Rendering goes through one method,
-``ExactMatrix._cells(render)``, which calls ``render(numerators, D)`` once
-per call on each distinct stored value, the zero cell included; equal
-cells share that one rendered object within a result.  The renderers are
-the int-native :func:`~nilorb.scalars.value_json` and
-:func:`~nilorb.scalars.value_text`, which reduce each component by its gcd
-with ``D``: :meth:`~ExactMatrix.to_json` renders its cells with the first,
-the CLI renders its matrix tables with the second, and its JSON encoder
-builds each distinct cell's indented text from the first and joins rows
-and matrix with ``str.join``, so no ``to_json`` cell list is built for a
-printed document.
+rendering makes none either.  Rendering goes through one sparse reader,
+``ExactMatrix._rendered_nonzeros(render)``, which calls
+``render(numerators, D)`` once per call on the zero cell and on each
+distinct stored value, and returns the rendered zero and, per row, the
+``(column, rendered)`` pairs of its nonzeros; equal cells share that one
+rendered object within a result.  The renderers are the int-native
+:func:`~nilorb.scalars.value_json` and :func:`~nilorb.scalars.value_text`,
+which reduce each component by its gcd with ``D``.
+:meth:`~ExactMatrix.to_json` and :meth:`~ExactMatrix.rows` fill the zero
+into dense rows of that reader's cells.  The CLI reads it directly: its
+matrix tables size each column from the zero and the nonzero texts and
+patch the nonzeros into one padded zero row, and its JSON encoder builds
+each distinct cell's indented text, shares one zero-row text across the
+all-zero rows and patches the nonzeros into the others, so no dense cell
+grid and no ``to_json`` cell list is built for a printed matrix.
 
 Every structured matrix (triples, Gram matrices, block embeddings) is
 built from its nonzero entries with :meth:`ExactMatrix.from_entries`, or
@@ -254,12 +258,13 @@ class ExactMatrix:
     # -- access ----------------------------------------------------------
 
     def rows(self) -> tuple:
-        """The entries as a tuple of dense rows of Scalars, built on each call.
+        """The entries as a tuple of dense rows of Scalars, built on each call
+        from :meth:`_rendered_nonzeros`.
 
         Equal cells, the zero cells among them, share one Scalar within the
-        result, as in :meth:`_cells`.
+        result.
         """
-        return tuple(map(tuple, self._cells(_to_scalar)))
+        return tuple(map(tuple, self._dense_cells(_to_scalar)))
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
@@ -366,24 +371,37 @@ class ExactMatrix:
 
     # -- serialization --------------------------------------------------
 
-    def _cells(self, render: Callable[[tuple, int], object]) -> list:
-        """Dense rows of rendered cells: ``render(numerators, D)`` per entry.
+    def _rendered_nonzeros(self, render: Callable[[tuple, int], object]) -> tuple:
+        """``(zero, rows)``: the rendered zero cell and, per row, the
+        ``(column, rendered)`` pairs of its nonzero entries, by column.
 
-        Each distinct stored numerator tuple is rendered once per call, and
-        the zero cell once as ``render((0,) * 8, 1)``, whether or not a
-        cell is zero; equal cells share that one object within the result.
+        The zero is rendered first, as ``render((0,) * 8, 1)``, whether or
+        not a cell is zero; then each distinct stored numerator tuple once
+        per call, in row order, and equal cells share that one object.
         ``render`` gets the ints as stored, not reduced to lowest terms.
         """
-        den, ncols = self._den, self.ncols
+        den = self._den
         zero = render(_ZERO_NUM, 1)
         rendered: Dict[tuple, object] = {}
-        out = []
+        rows = []
         for row in self._num:
-            cells = [zero] * ncols
+            cells = []
             for c, x in row:
                 cell = rendered.get(x)
                 if cell is None:
                     cell = rendered[x] = render(x, den)
+                cells.append((c, cell))
+            rows.append(cells)
+        return zero, rows
+
+    def _dense_cells(self, render: Callable[[tuple, int], object]) -> list:
+        """Dense rows of :meth:`_rendered_nonzeros`' cells, the zero filled in."""
+        zero, rows = self._rendered_nonzeros(render)
+        blank = [zero] * self.ncols
+        out = []
+        for row in rows:
+            cells = blank.copy()
+            for c, cell in row:
                 cells[c] = cell
             out.append(cells)
         return out
@@ -392,13 +410,14 @@ class ExactMatrix:
         """Dense rows of cells of "num/den" strings, as :meth:`Scalar.to_json`.
 
         Each distinct value is rendered once per call by
-        :func:`~nilorb.scalars.value_json`, straight from its numerators;
-        equal cells, the zero cells among them, share one object within a
-        result and none with another call's result.  The CLI does not call
-        this: its JSON encoder renders a matrix's text from :meth:`_cells`
-        directly, byte for byte what ``json.dumps`` prints for this list.
+        :func:`~nilorb.scalars.value_json`, straight from its numerators,
+        through :meth:`_rendered_nonzeros`; equal cells, the zero cells
+        among them, share one object within a result and none with another
+        call's result.  The CLI does not call this: its JSON encoder renders
+        a matrix's text from :meth:`_rendered_nonzeros` directly, byte for
+        byte what ``json.dumps`` prints for this list.
         """
-        return self._cells(value_json)
+        return self._dense_cells(value_json)
 
     @staticmethod
     def from_json(data) -> "ExactMatrix":

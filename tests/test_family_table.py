@@ -7,6 +7,11 @@ signs of a family branch: a string constant equal to a family name, or a
 comparison with a ``.family`` attribute or a ``fam``/``family`` name on
 either side.  Output text that merely contains a family name, such as
 ``f"{a.family} needs --n"``, is not a branch and passes.
+
+The record's derived facts are pinned here too: ``constraint``, a
+property read from ``ambient`` and ``signed``, and the ``even_embed``
+field, a function of the even parts' factor ring and M's ring that the
+record still spells out.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from nilorb.families import FAMILIES
+from nilorb.families import (COMPLEX, FAMILIES, FAMILY_SPECS, QUATERNION, REAL,
+                             ring_of_kind)
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nilorb"
 FAMILY_MODULE = "families.py"
@@ -78,3 +84,42 @@ def test_scan_flags_family_branches_and_accepts_record_reads():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_the_family_table_names_families(path):
     assert family_branches(path.read_text()) == []
+
+
+CONSTRAINTS = {
+    "sl_r": "chi=1", "sl_c": "chi=1", "sl_h": "none", "so_c": "chi=1",
+    "so_pq": "chi_p=chi_q=1", "sp_c": "none", "sp_pq": "none", "so_star": None,
+}
+
+
+def test_constraint_is_pinned_for_every_family():
+    assert {name: spec.constraint for name, spec in FAMILY_SPECS.items()} == CONSTRAINTS
+
+
+#: The ring of M for each ambient kind.
+AMBIENT_RINGS = {"SO": REAL, "SU": COMPLEX, "Sp": QUATERNION}
+
+#: ``even_embed`` by (even parts' factor ring, M's ring).
+EVEN_EMBEDS = {
+    (QUATERNION, REAL): "H-to-R",
+    (COMPLEX, REAL): "C-to-R",
+    (COMPLEX, QUATERNION): "i-to-j",
+    (REAL, QUATERNION): None,
+}
+
+
+def test_even_embed_is_the_table_of_the_two_rings():
+    seen = set()
+    for spec in FAMILY_SPECS.values():
+        if spec.form is None or spec.ambient is None:
+            continue
+        key = (ring_of_kind(spec.k_kind(0)), AMBIENT_RINGS[spec.ambient])
+        assert spec.even_embed == EVEN_EMBEDS[key]
+        seen.add(key)
+    assert seen == set(EVEN_EMBEDS)
+
+
+def test_trace_zero_families_carry_no_even_embed():
+    trace_zero = [name for name, spec in FAMILY_SPECS.items() if spec.form is None]
+    assert trace_zero == ["sl_r", "sl_c", "sl_h"]
+    assert all(FAMILY_SPECS[name].even_embed is None for name in trace_zero)

@@ -16,10 +16,12 @@ time: outside ``matrices`` and ``scalars``, no module calls ``.rows()``,
 which builds every cell, zeros included, or builds a matrix by calling
 ``ExactMatrix(...)``.  ``cli`` is scanned too: it renders its JSON text and
 its matrix tables by handing the int-native renderers of ``scalars``
-(``value_json``, ``value_text``) to the nonzero-driven
-``ExactMatrix._cells``, which feeds them each distinct value's numerators
-and renders the zero cell itself; so ``cli`` reads no numerators and
-imports no ``ZERO``.  It names a failing entry from ``nonzeros()``.
+(``value_json``, ``value_text``) to the sparse reader
+``ExactMatrix._rendered_nonzeros``, which feeds them the zero cell's and
+each distinct value's numerators and returns the rendered zero and each
+row's rendered nonzeros; ``cli`` fills the zero in itself, so it reads no
+numerators and imports no ``ZERO``.  It names a failing entry from
+``nonzeros()``.
 
 A third scan keeps the storage itself private: outside ``matrices`` and
 ``scalars``, no module touches ``_num`` or ``_den``.  The centralizer
@@ -150,7 +152,7 @@ def test_scan_flags_storage_reads_and_accepts_public_readers():
         "rows = m._rows\n"
         "nz = m.nonzeros()\n"
         "ints = m.integer_nonzeros()\n"
-        "cells = m._cells(value_text)\n"
+        "zero, rows = m._rendered_nonzeros(value_text)\n"
         "k = m.ncols, m.nrows\n"
         "num = _num\n"
     )

@@ -1036,6 +1036,37 @@ def test_to_json_results_share_no_mutable_state(m):
 
 
 @st.composite
+def describe_shaped_matrices(draw):
+    """Shapes up to 10 x 10 shaped like describe's triples, Gram matrices
+    and adapted bases: at most one nonzero per row, all-zero rows common,
+    and zero columns, so some columns' widest cell is the zero.  Values
+    mix one-character ints (as wide as the zero) with any components."""
+    nrows, ncols = draw(st.integers(0, 10)), draw(st.integers(0, 10))
+    zero_cols = draw(st.sets(st.integers(0, 9)))
+    live_cols = [c for c in range(ncols) if c not in zero_cols]
+    values = st.one_of(st.sampled_from([1, -1, 2]), sparse_tuples().filter(any).map(Scalar))
+    entries = {}
+    for r in range(nrows):
+        if live_cols and draw(st.integers(0, 2)) == 0:
+            entries[r, draw(st.sampled_from(live_cols))] = draw(values)
+    m = ExactMatrix.from_entries(nrows, ncols, entries)
+    return -(-m) if draw(st.booleans()) else m
+
+
+@settings(PROPERTY, max_examples=150)
+@given(describe_shaped_matrices())
+def test_describe_shaped_matrix_lines_match_the_per_entry_reference(m):
+    assert _matrix_lines("m", m) == ref_matrix_lines("m", m)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(describe_shaped_matrices())
+def test_describe_shaped_json_text_matches_the_dense_reference(m):
+    doc = {"m": [m]}
+    assert _json_text(doc) == json.dumps(doc, indent=2, default=ref_to_json)
+
+
+@st.composite
 def compare_pairs(draw):
     """Two matrices of one shape, or the first and a copy of either one
     with rows or columns cut off or zeros added, so the shapes differ."""
