@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Union
+from typing import List, NamedTuple, Optional, Union
 
 from .diagrams import SignedDiagram, enumerate_signed_diagrams
 from .families import FAMILIES, FAMILY_SPECS, SIGNED_FAMILIES, FamilySpec
@@ -81,8 +81,9 @@ class AlgebraSpec:
         return f"{self.family}(n={self.n})"
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(NamedTuple):
+    """One datum of the enumeration and how many orbits share it."""
+
     datum: Datum
     fiber_count: int
 

@@ -68,9 +68,8 @@ against the direct triple solve and the closed forms.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .catalog import AlgebraSpec, Datum
 from .families import COMPLEX, QUATERNION, FamilySpec
@@ -425,8 +424,7 @@ def centralizer_dim_nilpotent(x: ExactMatrix, a: AlgebraSpec,
     return _centralizer_nullity(AlgebraConstraint(a.family_spec, gram), [x], positions)
 
 
-@dataclass(frozen=True)
-class CentralizerReport:
+class CentralizerReport(NamedTuple):
     """Solved and closed-form centralizer dimensions for one orbit.
 
     ``compact`` is the orbit's homotopy descriptor

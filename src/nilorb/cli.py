@@ -262,8 +262,10 @@ def _matrix_lines(title: str, m: ExactMatrix) -> List[str]:
 
 
 #: The text of a container's item of exactly these types, made without a
-#: call of :func:`_encode`; bool, None and subclasses take the full path.
-_LEAF_TEXT = {str: encode_basestring_ascii, int: int.__repr__}
+#: call of :func:`_encode`; subclasses take the full path.
+_LEAF_TEXT = {str: encode_basestring_ascii, int: int.__repr__,
+              bool: {True: "true", False: "false"}.__getitem__,
+              type(None): lambda _: "null"}
 
 
 def _json_text(doc) -> str:
@@ -273,54 +275,69 @@ def _json_text(doc) -> str:
 
     With ``indent`` set, ``json.dumps`` runs its pure-Python encoder, one
     generator per nesting level yielding one token at a time; here each
-    subtree's text is one ``str.join``.  A matrix is rendered from
-    ``ExactMatrix._rendered_nonzeros``: the text of each distinct cell is
-    built once, at the cell's depth, straight from the component strings
-    of ``scalars.value_json``; one zero-row text serves every all-zero
-    row, each other row patches its nonzeros into a copy of the zero
-    cells' texts, and the matrix is joined from the row texts, so no
-    dense cell grid is built.  Anything else, floats and non-str keys
-    included, raises ``TypeError``.
+    subtree's text is one ``str.join``.  :func:`_encode` dispatches on the
+    exact type first: a container's str, int, bool and None items take
+    their text from ``_LEAF_TEXT`` without a call, and only subclasses
+    fall through to ``isinstance`` tests.  Two caches live for one call
+    and are passed down the recursion: each dict key's quoted text with
+    its ``": "``, and each depth's newline-and-indent string with its
+    ``","``-prefixed separator, built as the document first reaches that
+    depth.  A matrix is rendered from ``ExactMatrix._rendered_nonzeros``:
+    the text of each distinct cell is built once, at the cell's depth,
+    straight from the component strings of ``scalars.value_json``; one
+    zero-row text serves every all-zero row, each other row patches its
+    nonzeros into a copy of the zero cells' texts, and the matrix is
+    joined from the row texts, so no dense cell grid is built.  Anything
+    else, floats and non-str keys included, raises ``TypeError``.
     """
-    return _encode(doc, 0)
+    return _encode(doc, 0, {}, [("\n", ",\n")])
 
 
-def _encode(o, depth: int) -> str:
-    """The text of ``o`` at nesting ``depth`` for :func:`_json_text`."""
-    quote = encode_basestring_ascii
-    if isinstance(o, str):
-        return quote(o)
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        items = []
-        for x in o:
-            leaf = _LEAF_TEXT.get(type(x))
-            items.append(leaf(x) if leaf else _encode(x, depth + 1))
-        inner = "\n" + "  " * (depth + 1)
-        return f"[{inner}{(',' + inner).join(items)}\n{'  ' * depth}]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        items = []
+def _encode(o, depth: int, keys: Dict[str, str], levels: List[Tuple[str, str]]) -> str:
+    """The text of ``o`` at nesting ``depth`` for :func:`_json_text`.
+
+    ``keys`` maps each dict key met so far to its quoted text and ``": "``;
+    ``levels[d]`` holds depth ``d``'s newline-and-indent string and the
+    item separator that ends with it.
+    """
+    t = type(o)
+    if t is not dict and t is not list and t is not tuple:
+        leaf = _LEAF_TEXT.get(t)
+        if leaf is not None:
+            return leaf(o)
+        if isinstance(o, ExactMatrix):
+            return _matrix_text(o, depth)
+        # A subclass takes the text of the JSON type it derives from.
+        if isinstance(o, str):
+            return encode_basestring_ascii(o)
+        if isinstance(o, int):
+            return int.__repr__(o)
+        if not isinstance(o, (list, tuple, dict)):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    is_dict = isinstance(o, dict)
+    if not o:
+        return "{}" if is_dict else "[]"
+    if len(levels) == depth + 1:
+        inner = levels[depth][0] + "  "
+        levels.append((inner, "," + inner))
+    inner, sep = levels[depth + 1]
+    close = levels[depth][0]
+    leaf_text = _LEAF_TEXT
+    items = []
+    if is_dict:
         for k, v in o.items():
-            if not isinstance(k, str):
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
-            leaf = _LEAF_TEXT.get(type(v))
-            items.append(f"{quote(k)}: {leaf(v) if leaf else _encode(v, depth + 1)}")
-        inner = "\n" + "  " * (depth + 1)
-        return f"{{{inner}{(',' + inner).join(items)}\n{'  ' * depth}}}"
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, ExactMatrix):
-        return _matrix_text(o, depth)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+            key = keys.get(k)
+            if key is None:
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                key = keys[k] = encode_basestring_ascii(k) + ": "
+            leaf = leaf_text.get(type(v))
+            items.append(key + (leaf(v) if leaf else _encode(v, depth + 1, keys, levels)))
+        return f"{{{inner}{sep.join(items)}{close}}}"
+    for x in o:
+        leaf = leaf_text.get(type(x))
+        items.append(leaf(x) if leaf else _encode(x, depth + 1, keys, levels))
+    return f"[{inner}{sep.join(items)}{close}]"
 
 
 def _matrix_text(m: ExactMatrix, depth: int) -> str:

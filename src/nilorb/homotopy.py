@@ -28,15 +28,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .catalog import AlgebraSpec, Datum
 from .diagrams import row_plus_minus
 from .families import FAMILY_SPECS, compact_dim, ring_of_kind
-from .matrices import (ExactMatrix, block_oplus, complex_to_real_blocks,
-                       conj_transpose, det, diagonal_block, i_to_j, is_isometry,
-                       kron, quaternion_to_complex_blocks, reduced_norm, solve)
-from .scalars import COMPLEX_LIKE_VARIANTS, ONE, Scalar
+from .matrices import (_ONE_NUM, ExactMatrix, _det_nums, _mul_nums,
+                       _reduced_norm_nums, _to_scalar, block_oplus,
+                       complex_to_real_blocks, conj_transpose, det, diagonal_block,
+                       i_to_j, is_isometry, kron, quaternion_to_complex_blocks, solve)
+from .scalars import COMPLEX_LIKE_VARIANTS, Scalar
 from .triples import Triple, adapted_basis, sigma_transpose
 
 @dataclass(frozen=True)
@@ -152,8 +153,7 @@ def dim_M(a: AlgebraSpec) -> int:
     return sum(compact_dim(kind, n) for n in _ambient_sizes(a))
 
 
-@dataclass(frozen=True)
-class HomotopyType:
+class HomotopyType(NamedTuple):
     """The compact pair: orbit ≃ M / Λ(K)."""
 
     ambient: str
@@ -298,15 +298,21 @@ def characters(a: AlgebraSpec, datum: Datum, e: KElement) -> Tuple[Scalar, ...]:
     number of its levels on its own side of M and an even number on the
     other, so the factor gives its own side's block its determinant to the
     power d, equal to the power 1, and the other block the power 0.
+
+    The products run on int numerators over one denominator per character
+    (``matrices._det_nums``, ``_reduced_norm_nums`` and ``_mul_nums``), and
+    each character becomes a Scalar once, at the end.
     """
-    values = [ONE] * len(_ambient_sizes(a))
+    values = [(_ONE_NUM, 1)] * len(_ambient_sizes(a))
     for f, g in zip(factor_layout(a, datum), e.factors):
         if f.role == "part" or f.role.startswith("odd"):
-            base = reduced_norm(g) if f.kind == "Sp" else det(g)
+            base, den = _reduced_norm_nums(g) if f.kind == "Sp" else _det_nums(g)
             side = 1 if f.role == "odd_q" else 0
+            nums, d = values[side]
             for _ in range(f.part):
-                values[side] = values[side] * base
-    return tuple(values)
+                nums = _mul_nums(nums, base)
+            values[side] = nums, d * den ** f.part
+    return tuple([_to_scalar(nums, d) for nums, d in values])
 
 
 def signed_block_totals(a: AlgebraSpec, datum: Datum) -> Tuple[int, int]:

@@ -63,7 +63,7 @@ from math import gcd, lcm
 from operator import itemgetter
 from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
-from .scalars import (_F0, _PROD, COMPLEX_LIKE_VARIANTS, ONE, ZERO, Scalar,
+from .scalars import (_F0, _PROD, COMPLEX_LIKE_VARIANTS, Scalar,
                       as_scalar, real_sign, value_json, variant_of)
 
 
@@ -731,11 +731,16 @@ def det(a: ExactMatrix) -> Scalar:
     elimination on its integer numerators (:func:`_bareiss`), and the
     determinant is their product.  A connected matrix is one block.
     """
+    return _to_scalar(*_det_nums(a))
+
+
+def _det_nums(a: ExactMatrix) -> Tuple[tuple, int]:
+    """:func:`det` as ``(numerators, denominator)``, before any Scalar is built."""
     if not a.is_square():
         raise ValueError("determinant of a non-square matrix")
     n = a.nrows
     if n == 0:
-        return ONE
+        return _ONE_NUM, 1
     if a.variant() not in COMPLEX_LIKE_VARIANTS:
         raise ValueError(
             "determinant needs commuting entries; use reduced_norm for quaternions")
@@ -751,9 +756,9 @@ def det(a: ExactMatrix) -> Scalar:
             m.append(dense)
         block = _bareiss(m)
         if not any(block):
-            return ZERO
+            return _ZERO_NUM, 1
         total = _mul_nums(total, block)
-    return _to_scalar(total, a._den ** n)
+    return total, a._den ** n
 
 
 def _primitive(row: list) -> list:
@@ -913,9 +918,14 @@ def congruence_signature(s: ExactMatrix) -> Tuple[int, int]:
 
 def reduced_norm(a: ExactMatrix) -> Scalar:
     """Determinant of the complex image of a quaternion matrix (real valued)."""
+    return _to_scalar(*_reduced_norm_nums(a))
+
+
+def _reduced_norm_nums(a: ExactMatrix) -> Tuple[tuple, int]:
+    """:func:`reduced_norm` as ``(numerators, denominator)``."""
     if not a.is_square():
         raise ValueError("reduced norm of a non-square matrix")
-    value = det(quaternion_to_complex_blocks(a))
-    if not value.is_real():
+    nums, den = _det_nums(quaternion_to_complex_blocks(a))
+    if nums[1] or nums[2] or nums[3] or nums[5] or nums[6] or nums[7]:
         raise ValueError("reduced norm came out non-real")
-    return value
+    return nums, den

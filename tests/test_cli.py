@@ -120,8 +120,6 @@ def test_verify_names_a_graded_route_that_disagrees(capsys, monkeypatch,
 
 def test_verify_reads_the_zero_orbit_quotient_from_the_report(capsys, monkeypatch):
     """A zero orbit's quotient is the one the centralizer report carries."""
-    from dataclasses import replace
-
     import nilorb.cli
 
     report = nilorb.cli.centralizer_report
@@ -130,7 +128,7 @@ def test_verify_reads_the_zero_orbit_quotient_from_the_report(capsys, monkeypatc
         r = report(a, datum)
         if r.dim_orbit:
             return r
-        return replace(r, compact=replace(r.compact, dim_quotient=1))
+        return r._replace(compact=r.compact._replace(dim_quotient=1))
 
     monkeypatch.setattr(nilorb.cli, "centralizer_report", raised_quotient)
     code, out, _ = run(capsys, "verify", "--algebra", "sl_r", "--n", "3")

@@ -199,6 +199,43 @@ def test_characters_match_the_reference_routes(a):
             assert got == reference_characters(a, rec.datum, e), str(rec.datum)
 
 
+def scalar_product_characters(a, datum, e):
+    """The characters multiplied out as Scalars, factor by factor: the route
+    ``characters`` took before it worked on int numerators."""
+    values = [ONE] * (2 if a.family_spec.signed else 1)
+    for f, g in zip(factor_layout(a, datum), e.factors):
+        if f.role == "part" or f.role.startswith("odd"):
+            base = reduced_norm(g) if f.kind == "Sp" else det(g)
+            side = 1 if f.role == "odd_q" else 0
+            for _ in range(f.part):
+                values[side] = values[side] * base
+    return tuple(values)
+
+
+NUMERATOR_SPECS = ([AlgebraSpec("sl_c", n=n) for n in range(2, 7)]
+                   + [AlgebraSpec("sl_h", n=n) for n in range(1, 4)]
+                   + [AlgebraSpec("so_pq", p=p, q=total - p)
+                      for total in range(2, 7) for p in range(1, total)])
+
+
+@pytest.mark.parametrize("a", NUMERATOR_SPECS, ids=str)
+def test_characters_equal_the_scalar_product_route(a):
+    """Each character, raised and multiplied on int numerators, equals the
+    Scalar product of its factors' determinants (reduced norms on sl_h's Sp
+    factors), component by exact Fraction component."""
+    rng = random.Random(f"numerators:{a}")
+    roles = set()
+    for rec in enumerate_orbits(a):
+        roles.update(f.role for f in factor_layout(a, rec.datum))
+        for e in character_points(a, rec.datum, rng):
+            got = characters(a, rec.datum, e)
+            want = scalar_product_characters(a, rec.datum, e)
+            assert got == want, str(rec.datum)
+            assert [x.components for x in got] == [x.components for x in want]
+    if a.family == "so_pq":
+        assert "odd_q" in roles
+
+
 @pytest.mark.parametrize("a", [s for s in CHARACTER_SPECS
                                if s.family_spec.constraint != "none"
                                and s.size <= 6], ids=str)
@@ -368,7 +405,7 @@ def test_det_vs_chi_compares_the_values(monkeypatch):
     true_characters = homotopy.characters
     monkeypatch.setattr(homotopy, "characters",
                         lambda *args: (true_characters(*args)[0] * I_UNIT,))
-    assert true_det not in (homotopy.ONE, -I_UNIT)
+    assert true_det not in (ONE, -I_UNIT)
     result = verify_K_membership(a, rec.datum, e, t)
     assert result.failures == (f"det-vs-chi: det {true_det} != chi {true_det * I_UNIT}",)
     monkeypatch.setattr(homotopy, "characters", true_characters)

@@ -16,6 +16,7 @@ checks the same examples and the suite stays deterministic.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
@@ -1192,6 +1193,65 @@ def test_json_text_refuses_what_nilorb_documents_never_hold(doc, message):
     the encoder refuses those, and any other object, with TypeError."""
     with pytest.raises(TypeError, match=message):
         _json_text(doc)
+
+
+# The cases json_trees (max_leaves=20) does not reach: deep nesting, the
+# per-call caches of quoted keys and of each depth's indent, and leaves of
+# every exact type inside tuples and as dict values.
+
+class Key(str):
+    """A str subclass, as a dict key: quoted as its str value."""
+
+
+def nested(depth: int, leaf):
+    """``leaf`` under ``depth`` containers, cycling list, tuple and dict."""
+    doc = leaf
+    for d in range(depth):
+        doc = ([doc, d], (d, doc), {"k": doc, "d": d})[d % 3]
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    nested(200, "leaf"),
+    nested(200, []),
+    [nested(200, True), nested(3, None), nested(199, {})],
+    {"a": {"a": {"a": [{"a": 1}, {"a": {"a": None}}]}, "b": {"a": 2}}, "c": {"a": "a"}},
+    [{"x": 1, "y": 2}, {"y": 3, "x": 4}, ({"x": {"y": {"x": 5}}},)],
+    (True, False, None, (None, (False,), True), [1, True, None, "s"]),
+    {"t": True, "f": False, "n": None, "nested": {"t": False, "n": None, "f": True}},
+    {Key("k"): 1, "k2": {Key("k"): {"k": Key("v")}}},
+    {Key('q"uote\n'): [Key("é")]},
+], ids=["200 deep", "200 deep to empty", "deep siblings", "one key at five depths",
+        "keys in sibling dicts", "leaves in tuples", "leaves as dict values",
+        "str-subclass keys", "escaped subclass key"])
+def test_json_text_matches_json_dumps_beyond_the_tree_strategy(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [
+    {1: "a"},
+    {"a": 1, "b": {"a": 2, 1: 3}},
+    [{"a": 1}, {"b": {"a": {1: None}}}],
+], ids=["alone", "after cached keys", "deep after cached keys"])
+def test_json_text_refuses_an_int_key_whatever_came_before(doc):
+    with pytest.raises(TypeError, match="^keys must be str, not int$"):
+        _json_text(doc)
+
+
+def test_json_text_calls_share_no_state():
+    """Each call starts its caches afresh and keeps no reference to the
+    keys it quoted, whatever the call before it reached or raised."""
+    key = "".join(["only", "-", "here"])
+    refs = sys.getrefcount(key)
+    deep, shallow = nested(40, {key: True}), {key: [1, {key: None}]}
+    for doc in (deep, shallow, deep, {key: {1: 2}}, shallow):
+        try:
+            text = _json_text(doc)
+        except TypeError:
+            continue
+        assert text == json.dumps(doc, indent=2)
+    del deep, shallow, doc
+    assert sys.getrefcount(key) == refs
 
 
 # --- the integer centralizer solver --------------------------------------------

@@ -30,6 +30,8 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 ALLOWED = {
     "catalog.total_orbit_count": "the tests' cross-check of the orbit counts",
     "diagrams.sign_matrix": "the tests' reference for a signed diagram's rows",
+    "matrices.reduced_norm": ("the tests' reduced norm as a Scalar; characters "
+                              "reads its numerators from _reduced_norm_nums"),
     "scalars.Scalar.complex_value": "the tests' constructor of Gaussian rationals",
     "scalars.Scalar.quaternion_value": "the tests' constructor of quaternions",
     "scalars.Scalar.scale": "the tests' reference for scaling by a rational",

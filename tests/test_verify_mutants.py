@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import importlib
 import pkgutil
-from dataclasses import replace
 
 import pytest
 
@@ -98,7 +97,7 @@ def keep_the_circle(monkeypatch):
     def kept(a, datum):
         h = compact_pair(a, datum)
         k = sum(f.dim() for f in h.factors)
-        return replace(h, dim_K=k, dim_quotient=h.dim_M - k)
+        return h._replace(dim_K=k, dim_quotient=h.dim_M - k)
     monkeypatch.setattr(nilorb.centralizers, "compact_pair", kept)
 
 
