@@ -9,10 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, NamedTuple, Optional, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .diagrams import SignedDiagram, enumerate_signed_diagrams
-from .families import FAMILIES, FAMILY_SPECS, SIGNED_FAMILIES, FamilySpec
+from .families import (COMPLEX, FAMILIES, FAMILY_SPECS, QUATERNION, SIGNED_FAMILIES,
+                       FamilySpec, compact_dim)
 from .partitions import Partition, enumerate_partitions
 
 # FAMILIES and SIGNED_FAMILIES are re-exported from the family table.
@@ -29,6 +30,13 @@ class AlgebraSpec:
 
     ``n`` is the matrix size (half-rank for ``sp_c``); signed families use
     ``p`` and ``q`` instead, with ``n = p + q``.
+
+    The facts that belong to the algebra and not to one orbit (its family
+    record, M's name and sizes, dim M, dim g and the constraint facts of
+    the descriptor) are computed on first use and kept on the instance,
+    so every record of one command reads them from its algebra.  Nothing
+    outlives the instance: each command builds its own, and reads the
+    family record as it is then.
     """
 
     family: str
@@ -57,6 +65,61 @@ class AlgebraSpec:
     def family_spec(self) -> FamilySpec:
         """The family's record in :data:`~nilorb.families.FAMILY_SPECS`."""
         return FAMILY_SPECS[self.family]
+
+    @cached_property
+    def ambient_sizes(self) -> Tuple[int, ...]:
+        """M is one group of size n, or a product of two of sizes p and q.
+
+        Raises ``ValueError`` for a family without a homotopy descriptor.
+        """
+        if not self.family_spec.has_descriptor:
+            raise ValueError(f"no homotopy descriptor for {self.family}")
+        return (self.p, self.q) if self.family_spec.signed else (self.n,)
+
+    @cached_property
+    def ambient_name(self) -> str:
+        """M's name: ``SO(n)``, ``SU(n)``, ``Sp(n)`` or, for p and q, ``SO(p)×SO(q)``."""
+        kind = self.family_spec.ambient
+        return "×".join(f"{kind}({n})" for n in self.ambient_sizes)
+
+    @cached_property
+    def dim_M(self) -> int:
+        """Real dimension of M."""
+        kind = self.family_spec.ambient
+        return sum(compact_dim(kind, n) for n in self.ambient_sizes)
+
+    @cached_property
+    def dim_g(self) -> int:
+        """Real dimension of the algebra, from its complexification's N x N
+        matrices, N doubled for the quaternionic families: N^2 - 1 in type A,
+        N(N - 1)/2 in type BD and N(N + 1)/2 in type C, doubled for a
+        complex family."""
+        spec = self.family_spec
+        n = self.size * (2 if spec.ring is QUATERNION else 1)
+        if spec.cartan == "A":
+            complex_dim = n * n - 1
+        else:
+            complex_dim = n * (n - 1 if spec.cartan == "BD" else n + 1) // 2
+        return 2 * complex_dim if spec.ring is COMPLEX else complex_dim
+
+    @cached_property
+    def constraint_facts(self) -> Tuple[Optional[str], bool, Optional[dict]]:
+        """The descriptor's constraint, its circle flag and its auxiliary group.
+
+        The constraint is ``FamilySpec.constraint``.  The flag is true when
+        chi = 1 is on a character of U factors, a circle, which dim K
+        loses; a character of O factors takes only the values +-1.  Under
+        chi_p = chi_q = 1 the auxiliary group is S(O(p) × O(q)) with
+        chi_p chi_q = 1, else ``None``; its dict is shared by every
+        descriptor of the algebra and read only.
+        """
+        spec = self.family_spec
+        constraint = spec.constraint
+        circle = constraint == "chi=1" and spec.k_kind(1) == "U"
+        aux = None
+        if constraint == "chi_p=chi_q=1":
+            aux = {"ambient": f"S(O({self.p}) × O({self.q}))", "constraint": "chi_p*chi_q=1"}
+        return constraint, circle, aux
 
     @property
     def size(self) -> int:

@@ -77,7 +77,7 @@ from .homotopy import HomotopyType, compact_pair
 from .matrices import ExactMatrix, integer_nullity
 from .scalars import _PROD
 from .triples import (Triple, _gram_block, gram_block_keys, gram_matrix,
-                      part_weights, slot_weights, triple_partition)
+                      part_weights, slot_weights)
 
 
 # The closed forms below work over the complexification: a type A, BD or C
@@ -101,12 +101,8 @@ def _orthogonal_sign(spec: FamilySpec) -> int:
 
 
 def dim_g(a: AlgebraSpec) -> int:
-    """Real dimension of the ambient simple algebra."""
-    spec = a.family_spec
-    n = a.size * (2 if spec.ring is QUATERNION else 1)
-    if spec.cartan == "A":
-        return _real(spec, n * n - 1)
-    return _real(spec, n * (n - _orthogonal_sign(spec)) // 2)
+    """Real dimension of the ambient simple algebra (kept on ``a``, as ``a.dim_g``)."""
+    return a.dim_g
 
 
 def expected_reductive_dim(a: AlgebraSpec, datum: Datum) -> int:
@@ -114,14 +110,18 @@ def expected_reductive_dim(a: AlgebraSpec, datum: Datum) -> int:
 
     Over the complexification it is S(prod GL(t)) in type A.  In type BD a
     part of odd length carries O(t) and one of even length Sp(t); type C
-    swaps them.
+    swaps them.  A quaternionic family's multiplicities double over the
+    complexification (:func:`_complex_pairs`); the sums read the datum's
+    pairs and double each t as they go.
     """
     spec = a.family_spec
-    pairs = _complex_pairs(spec, datum)
+    k = 2 if spec.ring is QUATERNION else 1
+    pairs = datum.partition.pairs
     if spec.cartan == "A":
-        return _real(spec, sum(t * t for _, t in pairs) - 1)
+        return _real(spec, k * k * sum([t * t for _, t in pairs]) - 1)
     s = _orthogonal_sign(spec)
-    return _real(spec, sum(t * (t - s if d % 2 else t + s) // 2 for d, t in pairs))
+    return _real(spec, sum([k * t * (k * t - s if d % 2 else k * t + s) // 2
+                            for d, t in pairs]))
 
 
 def expected_orbit_dim(a: AlgebraSpec, datum: Datum) -> int:
@@ -464,17 +464,17 @@ def centralizer_report(a: AlgebraSpec, datum: Datum) -> CentralizerReport:
     solved whole over the slot weights.  The datum's Gram matrix and X, H
     and Y are never built.
     """
+    spec = a.family_spec
     part = datum.partition
     ambient = dim_g(a)
     expected = expected_reductive_dim(a, datum)
-    compact = compact_pair(a, datum) if a.family_spec.has_descriptor else None
+    compact = compact_pair(a, datum) if spec.has_descriptor else None
     if part.is_zero_type():
-        return CentralizerReport(
-            dim_z_triple=ambient, dim_z_X=ambient, dim_g=ambient, dim_orbit=0,
-            expected_reductive=expected, compact=compact,
-            match=ambient == expected)
-    spec = a.family_spec
-    pairs = triple_partition(a, datum).pairs
+        return CentralizerReport(ambient, ambient, ambient, 0, expected, compact,
+                                 ambient == expected)
+    if part.size() != a.size:
+        raise ValueError(f"datum size {part.size()} does not match {a}")
+    pairs = part.pairs
     if spec.form is None:
         g0, g1, g2 = _grade_nullities(AlgebraConstraint(spec, None), slot_weights(part))
     else:
@@ -491,7 +491,5 @@ def centralizer_report(a: AlgebraSpec, datum: Datum) -> CentralizerReport:
         e = spec.ring.dim
         g0, g1, g2 = g0 + e * c0 // 2, g1 + e * c1 // 2, g2 + e * c2 // 2
     dz_triple, dz_x = g0 - g2, g0 + g1
-    return CentralizerReport(
-        dim_z_triple=dz_triple, dim_z_X=dz_x, dim_g=ambient,
-        dim_orbit=ambient - dz_x, expected_reductive=expected,
-        compact=compact, match=dz_triple == expected)
+    return CentralizerReport(dz_triple, dz_x, ambient, ambient - dz_x, expected, compact,
+                             dz_triple == expected)

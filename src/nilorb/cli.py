@@ -25,7 +25,7 @@ from .families import FAMILIES, FAMILY_SPECS
 from .homotopy import (KElement, component_representative, embed_K,
                        sample_k_element, signed_block_totals,
                        verify_K_membership)
-from .matrices import (ExactMatrix, commutator, congruence_signature,
+from .matrices import (ExactMatrix, commutator, compare, congruence_signature,
                        conj_transpose, is_isometry)
 from .partitions import Partition
 from .scalars import Scalar, value_json, value_text
@@ -496,22 +496,6 @@ def _cmd_describe(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _compare(got: ExactMatrix, expected: ExactMatrix) -> Tuple[bool, str]:
-    """Whether two matrices agree and, if not, the first entry that differs."""
-    if got == expected:
-        return True, ""
-    ncols = min(got.ncols, expected.ncols)
-    for r, (row_got, row_expected) in enumerate(zip(got.nonzeros(), expected.nonzeros())):
-        x, y = dict(row_got), dict(row_expected)
-        bad = [c for c in x.keys() | y.keys()
-               if c < ncols and x.get(c, 0) != y.get(c, 0)]
-        if bad:
-            c = min(bad)
-            return False, f"entry ({r},{c}) is {x.get(c, 0)}, expected {y.get(c, 0)}"
-    return False, (f"shape {got.nrows}x{got.ncols}, "
-                   f"expected {expected.nrows}x{expected.ncols}")
-
-
 def _once(compute: Callable[[], object]) -> Callable[[], object]:
     """``compute`` run on the first call only: each call returns its result
     or raises the exception it raised.  Unlike ``functools.cache`` it keeps
@@ -592,11 +576,11 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
         t = triple()
         return replace(t, Y=t.Y.scale_left(Scalar.rational(2))) if inject_fault else t
 
-    check("[H,X]=2X", lambda: _compare(commutator(checked().H, checked().X),
-                                       checked().X.scale_left(Scalar.rational(2))))
-    check("[H,Y]=-2Y", lambda: _compare(commutator(checked().H, checked().Y),
-                                        checked().Y.scale_left(Scalar.rational(-2))))
-    check("[X,Y]=H", lambda: _compare(commutator(checked().X, checked().Y), checked().H))
+    check("[H,X]=2X", lambda: compare(commutator(checked().H, checked().X),
+                                      checked().X.scale_left(Scalar.rational(2))))
+    check("[H,Y]=-2Y", lambda: compare(commutator(checked().H, checked().Y),
+                                       checked().Y.scale_left(Scalar.rational(-2))))
+    check("[X,Y]=H", lambda: compare(commutator(checked().X, checked().Y), checked().H))
 
     def jordan():
         found = jordan_type(checked().X)
@@ -606,15 +590,15 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
     if spec.form is not None:
         def gram_symmetry():
             t = checked()
-            return _compare(sigma_transpose(t.gram, t.sigma),
-                            t.gram if t.epsilon == 1 else -t.gram)
+            return compare(sigma_transpose(t.gram, t.sigma),
+                           t.gram if t.epsilon == 1 else -t.gram)
         check("gram-symmetry", gram_symmetry)
 
         def gram_invariance():
             # Each of X, H, Y must satisfy sigma(m)^T S = -S m.
             t = checked()
             for name, m in (("X", t.X), ("H", t.H), ("Y", t.Y)):
-                ok, detail = _compare(sigma_transpose(m, t.sigma) @ t.gram, -(t.gram @ m))
+                ok, detail = compare(sigma_transpose(m, t.sigma) @ t.gram, -(t.gram @ m))
                 if not ok:
                     return False, f"{name}: {detail}"
             return True, ""
@@ -631,11 +615,11 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
             t_matrix = adapted_basis(a, datum).matrix
             target = standard_adapted_gram(a, datum)
             got = sigma_transpose(t_matrix, t.sigma) @ t.gram @ t_matrix
-            ok, detail = _compare(got, target)
+            ok, detail = compare(got, target)
             if ok and not is_isometry(t_matrix, conj=True):
                 # T is unitary, so verify_K_membership may invert it by T*.
-                ok, detail = _compare(conj_transpose(t_matrix) @ t_matrix,
-                                      ExactMatrix.identity(t_matrix.ncols))
+                ok, detail = compare(conj_transpose(t_matrix) @ t_matrix,
+                                     ExactMatrix.identity(t_matrix.ncols))
                 detail = f"T*T {detail}"
             return ok, detail
         check("adapted-basis", adapted)
@@ -663,7 +647,7 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
             return True, ""
         check("embedding-homomorphism", homomorphism)
         check("K-membership", lambda: (member().ok, "" if member().ok
-                                       else ", ".join(member().failures)))
+                                       else "; ".join(member().failures)))
     return results
 
 

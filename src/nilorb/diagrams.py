@@ -104,11 +104,6 @@ class SignedDiagram:
             "p": [[d, p] for d, p in self._p],
         }
 
-    @staticmethod
-    def from_json(data) -> "SignedDiagram":
-        part = Partition.from_json(data["partition"])
-        return SignedDiagram(part, {int(d): int(p) for d, p in data["p"]})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SignedDiagram):
             return NotImplemented

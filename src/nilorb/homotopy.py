@@ -35,8 +35,9 @@ from .diagrams import row_plus_minus
 from .families import FAMILY_SPECS, compact_dim, ring_of_kind
 from .matrices import (_ONE_NUM, ExactMatrix, _det_nums, _mul_nums,
                        _reduced_norm_nums, _to_scalar, block_oplus,
-                       complex_to_real_blocks, conj_transpose, det, diagonal_block,
-                       i_to_j, is_isometry, kron, quaternion_to_complex_blocks, solve)
+                       compare, complex_to_real_blocks, conj_transpose, det,
+                       diagonal_block, i_to_j, is_isometry, kron,
+                       quaternion_to_complex_blocks, solve)
 from .scalars import COMPLEX_LIKE_VARIANTS, Scalar
 from .triples import Triple, adapted_basis, sigma_transpose
 
@@ -136,21 +137,15 @@ def k_element_defect(a: AlgebraSpec, datum: Datum, e: KElement) -> Optional[str]
 # Descriptor
 # ---------------------------------------------------------------------------
 
-def _ambient_sizes(a: AlgebraSpec) -> Tuple[int, ...]:
-    """M is one group of size n, or a product of two of sizes p and q."""
-    if not a.family_spec.has_descriptor:
-        raise ValueError(f"no homotopy descriptor for {a.family}")
-    return (a.p, a.q) if a.family_spec.signed else (a.n,)
-
+# M belongs to the algebra: its sizes, name and dimension are kept on the
+# AlgebraSpec (``ambient_sizes``, ``ambient_name``, ``dim_M``); these read them.
 
 def ambient_name(a: AlgebraSpec) -> str:
-    kind = a.family_spec.ambient
-    return "×".join(f"{kind}({n})" for n in _ambient_sizes(a))
+    return a.ambient_name
 
 
 def dim_M(a: AlgebraSpec) -> int:
-    kind = a.family_spec.ambient
-    return sum(compact_dim(kind, n) for n in _ambient_sizes(a))
+    return a.dim_M
 
 
 class HomotopyType(NamedTuple):
@@ -208,21 +203,15 @@ def compact_pair(a: AlgebraSpec, datum: Datum) -> HomotopyType:
 
     dim K adds up the factors' dimensions, less one where the constraint
     chi = 1 is on a character of U factors, a circle; a character of O
-    factors takes only the values +-1.
+    factors takes only the values +-1.  M's name, dim M and the constraint
+    facts are the algebra's (:attr:`AlgebraSpec.constraint_facts`); only
+    the factors and dim K are the orbit's.
     """
-    spec = a.family_spec
     factors = factor_layout(a, datum)
+    constraint, circle, aux = a.constraint_facts
     m = dim_M(a)
-    constraint = spec.constraint
-    circle = constraint == "chi=1" and spec.k_kind(1) == "U"
-    k = sum(f.dim() for f in factors) - circle
-    aux = None
-    if constraint == "chi_p=chi_q=1":
-        aux = {"ambient": f"S(O({a.p}) × O({a.q}))", "constraint": "chi_p*chi_q=1"}
-    return HomotopyType(
-        ambient=ambient_name(a), factors=factors,
-        constraint=constraint, dim_M=m, dim_K=k,
-        dim_quotient=m - k, family=a.family, auxiliary=aux)
+    k = sum([f.dim() for f in factors]) - circle
+    return HomotopyType(ambient_name(a), factors, constraint, m, k, m - k, a.family, aux)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +292,7 @@ def characters(a: AlgebraSpec, datum: Datum, e: KElement) -> Tuple[Scalar, ...]:
     (``matrices._det_nums``, ``_reduced_norm_nums`` and ``_mul_nums``), and
     each character becomes a Scalar once, at the end.
     """
-    values = [(_ONE_NUM, 1)] * len(_ambient_sizes(a))
+    values = [(_ONE_NUM, 1)] * len(a.ambient_sizes)
     for f, g in zip(factor_layout(a, datum), e.factors):
         if f.role == "part" or f.role.startswith("odd"):
             base, den = _reduced_norm_nums(g) if f.kind == "Sp" else _det_nums(g)
@@ -328,10 +317,14 @@ def signed_block_totals(a: AlgebraSpec, datum: Datum) -> Tuple[int, int]:
 
 @dataclass(frozen=True)
 class MembershipResult:
-    ok: bool
     failures: Tuple[str, ...]
     # The embedded element that was checked; None after a factor defect.
     embedded: Optional[ExactMatrix] = None
+
+    @property
+    def ok(self) -> bool:
+        """Whether every check passed: there is no failure."""
+        return not self.failures
 
 
 def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
@@ -343,9 +336,13 @@ def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
     triple coordinates already), then tested for exact commutation with
     X, H, Y, preservation of the Gram matrix, and, under a character
     constraint, equality of the determinants of the embedded element's
-    diagonal blocks, one per factor of M, with :func:`characters`.
-    ``T`` must be unitary (``T* T = I``), so that ``T*`` is its inverse;
-    otherwise the result is the single failure ``unitary[T]``.
+    diagonal blocks, one per factor of M, with :func:`characters`.  A
+    failed commutation or preservation names its first bad entry
+    (:func:`~nilorb.matrices.compare`): ``commutes[X]: entry (r,c) is x,
+    expected y`` compares ``g X`` with ``X g``, and ``preserves[S]: ...``
+    compares ``sigma(g)^T S g`` with ``S``.  ``T`` must be unitary
+    (``T* T = I``), so that ``T*`` is its inverse; otherwise the result is
+    the single failure ``unitary[T]``.
 
     The factor relations are checked first: a defect is the single failure
     ``factor relation: ...`` and the result carries no element.  Otherwise
@@ -355,30 +352,32 @@ def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
     failures: List[str] = []
     defect = k_element_defect(a, datum, e)
     if defect is not None:
-        return MembershipResult(False, (f"factor relation: {defect}",))
+        return MembershipResult((f"factor relation: {defect}",))
     emb = _assemble_K(a, datum, e)
     g = emb
     if a.family_spec.has_adapted_basis:
         T = adapted_basis(a, datum).matrix
         if not is_isometry(T, conj=True):
-            return MembershipResult(False, ("unitary[T]",), emb)
+            return MembershipResult(("unitary[T]",), emb)
         g = T @ emb @ conj_transpose(T)
     for name, m in (("X", t.X), ("H", t.H), ("Y", t.Y)):
-        if g @ m != m @ g:
-            failures.append(f"commutes[{name}]")
+        ok, detail = compare(g @ m, m @ g)
+        if not ok:
+            failures.append(f"commutes[{name}]: {detail}")
     if t.gram is not None:
-        if sigma_transpose(g, t.sigma) @ t.gram @ g != t.gram:
-            failures.append("preserves[S]")
+        ok, detail = compare(sigma_transpose(g, t.sigma) @ t.gram @ g, t.gram)
+        if not ok:
+            failures.append(f"preserves[S]: {detail}")
     if a.family_spec.constraint != "none":
         dets, lo = [], 0
-        for size in _ambient_sizes(a):
+        for size in a.ambient_sizes:
             dets.append(det(diagonal_block(emb, lo, lo + size)))
             lo += size
         chars = characters(a, datum, e)
         if tuple(dets) != chars:
             failures.append(f"det-vs-chi: det {', '.join(map(str, dets))} "
                             f"!= chi {', '.join(map(str, chars))}")
-    return MembershipResult(not failures, tuple(failures), emb)
+    return MembershipResult(tuple(failures), emb)
 
 
 # ---------------------------------------------------------------------------

@@ -419,19 +419,6 @@ class ExactMatrix:
         """
         return self._dense_cells(value_json)
 
-    @staticmethod
-    def from_json(data) -> "ExactMatrix":
-        """The matrix whose rows are the given rows of :meth:`Scalar.to_json` cells.
-
-        Raises ``ValueError`` when the rows differ in length.
-        """
-        ncols = len(data[0]) if data else 0
-        if any(len(row) != ncols for row in data):
-            raise ValueError("ragged rows")
-        return ExactMatrix.from_entries(len(data), ncols, {
-            (r, c): Scalar.from_json(x)
-            for r, row in enumerate(data) for c, x in enumerate(row)})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -454,6 +441,29 @@ def conj_transpose(a: ExactMatrix) -> ExactMatrix:
 
 def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return a @ b - b @ a
+
+
+def compare(got: ExactMatrix, expected: ExactMatrix) -> Tuple[bool, str]:
+    """Whether two matrices agree and, if not, the first entry that differs.
+
+    The detail names the first differing entry in row-major order, among
+    the columns both matrices have, as ``entry (r,c) is x, expected y``;
+    two matrices that agree there differ in shape, and the detail names
+    both shapes.  ``verify``'s identity checks and K-membership name their
+    first bad entry through it.
+    """
+    if got == expected:
+        return True, ""
+    ncols = min(got.ncols, expected.ncols)
+    for r, (row_got, row_expected) in enumerate(zip(got.nonzeros(), expected.nonzeros())):
+        x, y = dict(row_got), dict(row_expected)
+        bad = [c for c in x.keys() | y.keys()
+               if c < ncols and x.get(c, 0) != y.get(c, 0)]
+        if bad:
+            c = min(bad)
+            return False, f"entry ({r},{c}) is {x.get(c, 0)}, expected {y.get(c, 0)}"
+    return False, (f"shape {got.nrows}x{got.ncols}, "
+                   f"expected {expected.nrows}x{expected.ncols}")
 
 
 def is_isometry(g: ExactMatrix, conj: bool) -> bool:

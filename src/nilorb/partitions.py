@@ -31,15 +31,6 @@ class Partition:
         partition._pairs = pairs
         return partition
 
-    @staticmethod
-    def from_pairs(pairs: Sequence[Tuple[int, int]]) -> "Partition":
-        parts: List[int] = []
-        for d, t in pairs:
-            if t < 1:
-                raise ValueError("multiplicities must be positive")
-            parts.extend([d] * t)
-        return Partition(parts)
-
     @property
     def pairs(self) -> tuple:
         return self._pairs
@@ -70,10 +61,6 @@ class Partition:
 
     def to_json(self) -> list:
         return [[d, t] for d, t in self._pairs]
-
-    @staticmethod
-    def from_json(data) -> "Partition":
-        return Partition.from_pairs([(int(d), int(t)) for d, t in data])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Partition):

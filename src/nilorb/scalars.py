@@ -277,18 +277,6 @@ class Scalar:
         """Component array of "num/den" strings (4 entries when no j/k parts)."""
         return value_json(*self._ints())
 
-    @staticmethod
-    def from_json(data) -> "Scalar":
-        if isinstance(data, str):
-            return Scalar.rational(Fraction(data))
-        vals = [Fraction(s) for s in data]
-        if len(vals) == 4:
-            re1, im1, re2, im2 = vals
-            return Scalar((re1, im1, _F0, _F0, re2, im2, _F0, _F0))
-        if len(vals) == 8:
-            return Scalar(vals)
-        raise ValueError("scalar arrays carry 4 or 8 components")
-
     # -- plumbing ------------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -366,6 +366,32 @@ def test_membership_rejects_corrupted_element():
     assert result.failures
 
 
+def test_membership_failures_name_the_first_bad_entry(monkeypatch):
+    """A failed commutation or form check names its first bad entry, and
+    ``ok`` is read from the failures."""
+    a, datum = AlgebraSpec("sl_r", n=3), Partition([2, 1])
+    t = build_triple(a, datum)
+    e = component_representative(a, datum)
+    swap = ExactMatrix.from_entries(3, 3, {(0, 2): 1, (1, 1): 1, (2, 0): 1})
+    monkeypatch.setattr(homotopy, "_assemble_K", lambda *_: swap)
+    result = verify_K_membership(a, datum, e, t)
+    assert not result.ok
+    assert result.failures == ("commutes[X]: entry (0,1) is 0, expected 1",
+                               "commutes[H]: entry (0,2) is 0, expected 1",
+                               "commutes[Y]: entry (1,0) is 1, expected 0")
+
+    a = AlgebraSpec("so_pq", p=2, q=1)
+    datum = [r for r in enumerate_orbits(a) if not r.is_zero_orbit][0].datum
+    t = build_triple(a, datum)
+    e = component_representative(a, datum)
+    twice = ExactMatrix.identity(3).scale_left(Scalar.rational(2))
+    monkeypatch.setattr(homotopy, "_assemble_K", lambda *_: twice)
+    result = verify_K_membership(a, datum, e, t)
+    assert result.failures[0] == "preserves[S]: entry (0,2) is -4, expected -1"
+    assert not result.ok
+    assert homotopy.MembershipResult(()).ok
+
+
 @pytest.mark.parametrize("a", [AlgebraSpec("sl_r", n=3), AlgebraSpec("so_pq", p=2, q=1)],
                          ids=str)
 def test_embedding_and_membership_check_factors_through_k_element_defect(monkeypatch, a):

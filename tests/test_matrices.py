@@ -442,22 +442,6 @@ def test_reduced_norm_is_multiplicative():
         assert reduced_norm(a @ b) == reduced_norm(a) * reduced_norm(b)
 
 
-def test_matrix_json_round_trip():
-    rng = random.Random(12)
-    a = quaternion_matrix(rng, 2)
-    data = a.to_json()
-    assert ExactMatrix.from_json(data) == a
-
-
-def test_from_json_rejects_ragged_rows():
-    one = ONE.to_json()
-    with pytest.raises(ValueError, match="ragged rows"):
-        ExactMatrix.from_json([[one, one], [one]])
-    with pytest.raises(ValueError, match="ragged rows"):
-        ExactMatrix.from_json([[one], [one, one]])
-    assert ExactMatrix.from_json([]) == ExactMatrix.zeros(0, 0)
-
-
 def _reachable_scalars(root) -> list:
     """Every Scalar reachable from ``root`` through ``gc.get_referents``,
     not walking into classes, whose namespaces hold module constants."""

@@ -16,7 +16,17 @@ mutant                         command                            catching line
                                                                   ``[1,1,1,1,1,1]: dim_quotient=12``
 ``dim_K`` keeps the U circle   ``verify --algebra sl_c --n 3``    ``zero-orbit-quotient``:
 (no -1 for chi = 1)                                               ``[1,1,1]: dim_quotient=-1``
+``sp_c`` even parts O -> U     ``verify --algebra sp_c --n 3``    ``K-membership``: ``[2,2,1,1]:
+                                                                  commutes[X]: entry (0,2) is ...``, the
+                                                                  first bad entry of each identity
+``so_pq`` odd parts O -> U     ``verify --algebra so_pq --p 3     ``zero-orbit-quotient`` and
+                               --q 3``                            ``K-membership``: ``[2,2,1,1](2:2,1:1):
+                                                                  preserves[S]: entry (4,4) is ...``
 =============================  =================================  ==========================================
+
+The field sweep at the end mutates every descriptor family's ``k_kinds``,
+``even_embed``, ``fibers`` and ``ambient`` and pins, for each mutant, the
+lines that catch it or the reason it survives.
 
 A check that raises fails on its own line, naming the orbit and the
 exception as ``ExcType: message``; the tests at the end raise on purpose
@@ -25,7 +35,10 @@ to pin that.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
+import io
+import itertools
 import pkgutil
 
 import pytest
@@ -33,7 +46,8 @@ import pytest
 import nilorb
 import nilorb.centralizers
 from nilorb import cli
-from nilorb.families import FAMILY_SPECS
+from nilorb.families import (FAMILY_SPECS, _indefinite_orthogonal_fibers, _one_fiber,
+                             _two_if_even, _two_if_very_even)
 from nilorb.homotopy import compact_pair
 
 
@@ -116,6 +130,17 @@ MUTANTS = {
         ["sl_c", "--n", "3"], keep_the_circle,
         {"zero-orbit-quotient": "FAILED (1 orbit(s)) "
                                 "[1 failed: [1,1,1]: dim_quotient=-1]"}),
+    "sp_c even O->U": (
+        ["sp_c", "--n", "3"], family_fields("sp_c", k_kinds=("U", "Sp")),
+        {"K-membership": "FAILED (7 orbit(s)) [4 failed: [2,2,1,1]: "
+                         "commutes[X]: entry (0,2) is -7/9+4/9*i, expected -7/9-4/9*i; "
+                         "commutes[Y]: entry (2,0) is -7/9-4/9*i, expected -7/9+4/9*i]"}),
+    "so_pq odd O->U": (
+        ["so_pq", "--p", "3", "--q", "3"], family_fields("so_pq", k_kinds=("U", "U")),
+        {"zero-orbit-quotient": "FAILED (1 orbit(s)) "
+                                "[1 failed: [1,1,1,1,1,1](1:3): dim_quotient=-12]",
+         "K-membership": "FAILED (6 orbit(s)) [6 failed: [2,2,1,1](2:2,1:1): "
+                         "preserves[S]: entry (4,4) is -119/169-120/169*i, expected 1]"}),
 }
 
 
@@ -166,3 +191,192 @@ def test_a_raising_shared_value_fails_each_check_that_reads_it(capsys, monkeypat
     for line in lines.values():
         assert line in ("FAILED (1 orbit(s)) [1 failed: [3](3:0): ValueError: no triple]",
                         "FAILED (2 orbit(s)) [1 failed: [3](3:0): ValueError: no triple]")
+
+
+# ---------------------------------------------------------------------------
+# The field sweep
+# ---------------------------------------------------------------------------
+
+#: The algebras each family's field mutants are verified on.
+SWEEP_ALGEBRAS = {
+    "sl_r": (["--n", "4"], ["--n", "5"]),
+    "sl_c": (["--n", "3"], ["--n", "4"]),
+    "sl_h": (["--n", "3"],),
+    "so_c": (["--n", "7"], ["--n", "8"]),
+    "so_pq": (["--p", "3", "--q", "3"], ["--p", "4", "--q", "2"]),
+    "sp_c": (["--n", "3"],),
+    "sp_pq": (["--p", "2", "--q", "2"], ["--p", "3", "--q", "1"]),
+}
+
+KINDS = ("O", "U", "Sp")
+
+
+def field_values(spec):
+    """``(field, text, value)`` for every value the sweep puts in a field of
+    the family's record, the record's own values among them.
+
+    A trace-zero family takes K's kinds from its ring, so its ``k_kinds``
+    stays ``None``.  The so_pq fiber rule reads signs, so only the signed
+    families get it.  An ambient of ``None`` would drop the descriptor,
+    not change it, so the ambients are the three compact kinds.
+    """
+    if spec.form is not None:
+        for pair in itertools.product(KINDS, KINDS):
+            yield "k_kinds", ",".join(pair), pair
+    for embed in (None, "H-to-R", "C-to-R", "i-to-j"):
+        yield "even_embed", str(embed), embed
+    rules = [_one_fiber, _two_if_even, _two_if_very_even]
+    if spec.signed:
+        rules.append(_indefinite_orthogonal_fibers)
+    for rule in rules:
+        yield "fibers", rule.__name__, rule
+    for kind in ("SO", "SU", "Sp"):
+        yield "ambient", kind, kind
+
+
+#: ``"family field value"`` -> (family, the replaced field), for every
+#: single-field mutant of every family with a descriptor.
+FIELD_MUTANTS = {
+    f"{family} {field} {text}": (family, {field: value})
+    for family, spec in FAMILY_SPECS.items() if spec.has_descriptor
+    for field, text, value in field_values(spec) if value != getattr(spec, field)
+}
+
+NO_EVEN_PARTS = "a trace-zero family's factors are whole parts, so nothing reads even_embed"
+NO_FIBER_CHECK = "verify checks no fiber count"
+SUBGROUP = ("the even or odd factor becomes a subgroup of the true one, which membership "
+            "accepts, and verify compares neither dim K nor its components with a solve")
+
+#: The mutants ``verify`` does not catch, each with its reason.
+SURVIVORS = {
+    "sl_r even_embed H-to-R": NO_EVEN_PARTS,
+    "sl_r even_embed C-to-R": NO_EVEN_PARTS,
+    "sl_r even_embed i-to-j": NO_EVEN_PARTS,
+    "sl_c even_embed H-to-R": NO_EVEN_PARTS,
+    "sl_c even_embed C-to-R": NO_EVEN_PARTS,
+    "sl_c even_embed i-to-j": NO_EVEN_PARTS,
+    "sl_h even_embed H-to-R": NO_EVEN_PARTS,
+    "sl_h even_embed C-to-R": NO_EVEN_PARTS,
+    "sl_h even_embed i-to-j": NO_EVEN_PARTS,
+    "sp_c even_embed i-to-j": "sp_c's even factors are O, rational, so i -> j leaves them as they are",
+    "so_c k_kinds O,O": SUBGROUP,
+    "so_c k_kinds U,O": SUBGROUP,
+    "so_pq k_kinds O,O": SUBGROUP,
+    "sp_pq k_kinds O,Sp": SUBGROUP,
+    "sl_r fibers _one_fiber": NO_FIBER_CHECK,
+    "sl_r fibers _two_if_very_even": NO_FIBER_CHECK,
+    "sl_c fibers _two_if_even": NO_FIBER_CHECK,
+    "sl_c fibers _two_if_very_even": NO_FIBER_CHECK,
+    "sl_h fibers _two_if_even": NO_FIBER_CHECK,
+    "sl_h fibers _two_if_very_even": NO_FIBER_CHECK,
+    "so_c fibers _one_fiber": NO_FIBER_CHECK,
+    "so_c fibers _two_if_even": NO_FIBER_CHECK,
+    "so_pq fibers _one_fiber": NO_FIBER_CHECK,
+    "so_pq fibers _two_if_even": NO_FIBER_CHECK,
+    "so_pq fibers _two_if_very_even": NO_FIBER_CHECK,
+    "sp_c fibers _two_if_even": NO_FIBER_CHECK,
+    "sp_c fibers _two_if_very_even": NO_FIBER_CHECK,
+    "sp_pq fibers _two_if_even": NO_FIBER_CHECK,
+    "sp_pq fibers _two_if_very_even": NO_FIBER_CHECK,
+    "sp_pq fibers _indefinite_orthogonal_fibers": NO_FIBER_CHECK,
+}
+
+#: The mutants ``verify`` catches, each with the lines that fail on one of
+#: its family's sweep algebras at least, in table order.
+CAUGHT = {
+    "sl_r ambient SU": "zero-orbit-quotient",
+    "sl_r ambient Sp": "zero-orbit-quotient",
+    "sl_c ambient SO": "zero-orbit-quotient",
+    "sl_c ambient Sp": "zero-orbit-quotient",
+    "sl_h ambient SO": "zero-orbit-quotient embedding-homomorphism K-membership",
+    "sl_h ambient SU": "zero-orbit-quotient embedding-homomorphism K-membership",
+    "so_c k_kinds O,U": "zero-orbit-quotient K-membership",
+    "so_c k_kinds O,Sp": "zero-orbit-quotient embedding-homomorphism K-membership",
+    "so_c k_kinds U,U": "zero-orbit-quotient K-membership",
+    "so_c k_kinds U,Sp": "zero-orbit-quotient embedding-homomorphism K-membership",
+    "so_c k_kinds Sp,U": "zero-orbit-quotient K-membership",
+    "so_c k_kinds Sp,Sp": "zero-orbit-quotient embedding-homomorphism K-membership",
+    "so_c even_embed None": "embedding-homomorphism K-membership",
+    "so_c even_embed C-to-R": "embedding-homomorphism K-membership",
+    "so_c even_embed i-to-j": "embedding-homomorphism K-membership",
+    "so_c ambient SU": "zero-orbit-quotient",
+    "so_c ambient Sp": "zero-orbit-quotient embedding-homomorphism K-membership",
+    "so_pq k_kinds O,U": "zero-orbit-quotient K-membership",
+    "so_pq k_kinds O,Sp": "zero-orbit-quotient embedding-homomorphism K-membership",
+    "so_pq k_kinds U,U": "zero-orbit-quotient K-membership",
+    "so_pq k_kinds U,Sp": "zero-orbit-quotient embedding-homomorphism K-membership",
+    "so_pq k_kinds Sp,O": "embedding-homomorphism K-membership",
+    "so_pq k_kinds Sp,U": "zero-orbit-quotient embedding-homomorphism K-membership",
+    "so_pq k_kinds Sp,Sp": "zero-orbit-quotient embedding-homomorphism K-membership",
+    "so_pq even_embed None": "embedding-homomorphism K-membership",
+    "so_pq even_embed H-to-R": "embedding-homomorphism K-membership",
+    "so_pq even_embed i-to-j": "embedding-homomorphism K-membership",
+    "so_pq ambient SU": "zero-orbit-quotient",
+    "so_pq ambient Sp": "zero-orbit-quotient",
+    "sp_c k_kinds O,O": "zero-orbit-quotient",
+    "sp_c k_kinds O,U": "zero-orbit-quotient",
+    "sp_c k_kinds U,O": "zero-orbit-quotient K-membership",
+    "sp_c k_kinds U,U": "zero-orbit-quotient K-membership",
+    "sp_c k_kinds U,Sp": "K-membership",
+    "sp_c k_kinds Sp,O": "zero-orbit-quotient K-membership",
+    "sp_c k_kinds Sp,U": "zero-orbit-quotient K-membership",
+    "sp_c k_kinds Sp,Sp": "K-membership",
+    "sp_c even_embed H-to-R": "embedding-homomorphism K-membership",
+    "sp_c even_embed C-to-R": "embedding-homomorphism K-membership",
+    "sp_c ambient SO": "zero-orbit-quotient embedding-homomorphism K-membership",
+    "sp_c ambient SU": "zero-orbit-quotient embedding-homomorphism K-membership",
+    "sp_pq k_kinds O,O": "zero-orbit-quotient",
+    "sp_pq k_kinds O,U": "zero-orbit-quotient",
+    "sp_pq k_kinds U,O": "zero-orbit-quotient",
+    "sp_pq k_kinds U,U": "zero-orbit-quotient",
+    "sp_pq k_kinds Sp,O": "zero-orbit-quotient embedding-homomorphism K-membership",
+    "sp_pq k_kinds Sp,U": "zero-orbit-quotient embedding-homomorphism K-membership",
+    "sp_pq k_kinds Sp,Sp": "embedding-homomorphism K-membership",
+    "sp_pq even_embed None": "K-membership",
+    "sp_pq even_embed H-to-R": "embedding-homomorphism K-membership",
+    "sp_pq even_embed C-to-R": "embedding-homomorphism K-membership",
+    "sp_pq ambient SO": "zero-orbit-quotient embedding-homomorphism K-membership",
+    "sp_pq ambient SU": "zero-orbit-quotient embedding-homomorphism K-membership",
+}
+
+
+def test_every_field_mutant_is_caught_or_pinned():
+    assert not set(CAUGHT) & set(SURVIVORS)
+    assert set(CAUGHT) | set(SURVIVORS) == set(FIELD_MUTANTS)
+
+
+@pytest.fixture(scope="module")
+def clean_tables():
+    """The check lines of each sweep algebra's unmutated ``verify`` table."""
+    clear_memos()
+    tables = {}
+    for family, algebras in SWEEP_ALGEBRAS.items():
+        for params in algebras:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["verify", "--algebra", family, *params]) == 0
+            tables[family, tuple(params)] = list(check_lines(out.getvalue()))
+    clear_memos()
+    return tables
+
+
+@pytest.mark.parametrize("mutant", FIELD_MUTANTS)
+def test_a_field_mutant_fails_its_pinned_lines_or_survives_for_its_reason(
+        capsys, monkeypatch, cold_memos, clean_tables, mutant):
+    """Every table still prints whole, with no traceback; a caught mutant
+    makes ``verify`` exit 1 with exactly its pinned lines failing, and a
+    pinned survivor passes everywhere."""
+    family, fields = FIELD_MUTANTS[mutant]
+    family_fields(family, **fields)(monkeypatch)
+    clear_memos()
+    failed = set()
+    for params in SWEEP_ALGEBRAS[family]:
+        code, out, err = run(capsys, "verify", "--algebra", family, *params)
+        lines = check_lines(out)
+        assert err == "" and list(lines) == clean_tables[family, tuple(params)]
+        bad = {name for name, line in lines.items() if line.startswith("FAILED")}
+        assert code == (1 if bad else 0)
+        assert out.endswith("verify: FAIL\n" if bad else "verify: PASS\n")
+        failed |= bad
+    order = [name for name in cli._CHECK_ORDER if name in failed]
+    assert " ".join(order) == CAUGHT.get(mutant, "")
