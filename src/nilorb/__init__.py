@@ -8,16 +8,14 @@ homogeneous space.
 """
 
 from .catalog import (FAMILIES, SIGNED_FAMILIES, AlgebraSpec, OrbitRecord,
-                      datum_membership_error, enumerate_orbits, fiber_count,
-                      total_orbit_count)
+                      datum_membership_error, enumerate_orbits, fiber_count)
 from .centralizers import (AlgebraConstraint, CentralizerReport,
                            centralizer_dim_nilpotent, centralizer_dim_triple,
                            centralizer_report, expected_orbit_dim,
                            expected_reductive_dim)
 from .diagrams import SignedDiagram, enumerate_signed_diagrams, sign_matrix
-from .homotopy import (HomotopyType, KElement, characters, compact_pair,
-                       embed_K, factor_layout, sample_k_element,
-                       verify_K_membership)
+from .homotopy import (HomotopyType, characters, compact_pair, embed_K,
+                       factor_layout, sample_k_element, verify_K_membership)
 from .matrices import ExactMatrix
 from .partitions import Partition, enumerate_partitions
 from .scalars import Scalar
@@ -32,7 +30,6 @@ __all__ = [
     "ExactMatrix",
     "FAMILIES",
     "HomotopyType",
-    "KElement",
     "OrbitRecord",
     "Partition",
     "SIGNED_FAMILIES",
@@ -59,7 +56,6 @@ __all__ = [
     "jordan_type",
     "sample_k_element",
     "sign_matrix",
-    "total_orbit_count",
     "verify_K_membership",
     "__version__",
 ]

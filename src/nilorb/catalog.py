@@ -19,7 +19,7 @@ from .partitions import Partition, enumerate_partitions
 # FAMILIES and SIGNED_FAMILIES are re-exported from the family table.
 __all__ = ["FAMILIES", "SIGNED_FAMILIES", "AlgebraSpec", "Datum", "OrbitRecord",
            "datum_membership_error", "enumerate_orbits",
-           "fiber_count", "orbit_record_bound", "total_orbit_count"]
+           "fiber_count", "orbit_record_bound"]
 
 Datum = Union[Partition, SignedDiagram]
 
@@ -216,11 +216,6 @@ def orbit_record_bound(a: AlgebraSpec) -> int:
             for m in range(k, n + 1):
                 series[m] += series[m - k]
     return series[n]
-
-
-def total_orbit_count(a: AlgebraSpec) -> int:
-    """Number of orbits: fiber counts summed over all records."""
-    return sum(rec.fiber_count for rec in enumerate_orbits(a))
 
 
 def datum_membership_error(a: AlgebraSpec, datum: Datum) -> Optional[str]:

@@ -100,11 +100,6 @@ def _orthogonal_sign(spec: FamilySpec) -> int:
     return 1 if spec.cartan == "BD" else -1
 
 
-def dim_g(a: AlgebraSpec) -> int:
-    """Real dimension of the ambient simple algebra (kept on ``a``, as ``a.dim_g``)."""
-    return a.dim_g
-
-
 def expected_reductive_dim(a: AlgebraSpec, datum: Datum) -> int:
     """Real dimension of the reductive centralizer, in closed form.
 
@@ -462,18 +457,19 @@ def centralizer_report(a: AlgebraSpec, datum: Datum) -> CentralizerReport:
     docstring), read from the datum's (d, t) pairs alone; only the blocks
     of parts not yet counted are built.  A trace-zero family's grades are
     solved whole over the slot weights.  The datum's Gram matrix and X, H
-    and Y are never built.
+    and Y are never built.  Raises ``ValueError`` when the datum's size is
+    not the algebra's, before anything else, the zero orbit included.
     """
     spec = a.family_spec
     part = datum.partition
-    ambient = dim_g(a)
+    if part.size() != a.size:
+        raise ValueError(f"datum size {part.size()} does not match {a}")
+    ambient = a.dim_g
     expected = expected_reductive_dim(a, datum)
     compact = compact_pair(a, datum) if spec.has_descriptor else None
     if part.is_zero_type():
         return CentralizerReport(ambient, ambient, ambient, 0, expected, compact,
                                  ambient == expected)
-    if part.size() != a.size:
-        raise ValueError(f"datum size {part.size()} does not match {a}")
     pairs = part.pairs
     if spec.form is None:
         g0, g1, g2 = _grade_nullities(AlgebraConstraint(spec, None), slot_weights(part))

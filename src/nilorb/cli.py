@@ -22,13 +22,12 @@ from .centralizers import (CentralizerReport, centralizer_dim_triple,
                            centralizer_report, expected_orbit_dim)
 from .diagrams import SignedDiagram
 from .families import FAMILIES, FAMILY_SPECS
-from .homotopy import (KElement, component_representative, embed_K,
-                       sample_k_element, signed_block_totals,
-                       verify_K_membership)
+from .homotopy import (component_representative, embed_K, sample_k_element,
+                       signed_block_totals, verify_K_membership)
 from .matrices import (ExactMatrix, commutator, compare, congruence_signature,
                        conj_transpose, is_isometry)
 from .partitions import Partition
-from .scalars import Scalar, value_json, value_text
+from .scalars import value_json, value_text
 from .triples import (adapted_basis, build_triple, jordan_type,
                       sigma_transpose, standard_adapted_gram)
 
@@ -574,12 +573,12 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
     def checked():
         """The triple the identities are checked on, with the fault if armed."""
         t = triple()
-        return replace(t, Y=t.Y.scale_left(Scalar.rational(2))) if inject_fault else t
+        return replace(t, Y=t.Y.scale_left(2)) if inject_fault else t
 
     check("[H,X]=2X", lambda: compare(commutator(checked().H, checked().X),
-                                      checked().X.scale_left(Scalar.rational(2))))
+                                      checked().X.scale_left(2)))
     check("[H,Y]=-2Y", lambda: compare(commutator(checked().H, checked().Y),
-                                       checked().Y.scale_left(Scalar.rational(-2))))
+                                       checked().Y.scale_left(-2)))
     check("[X,Y]=H", lambda: compare(commutator(checked().X, checked().Y), checked().H))
 
     def jordan():
@@ -637,8 +636,8 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
                 # K-membership names the sample's factor defect; so does this line.
                 return False, member().failures[0]
             e2 = component_representative(a, datum)
-            prod = KElement(tuple(g1 @ g2 for g1, g2 in zip(e1().factors, e2.factors)))
-            ident = KElement(tuple(ExactMatrix.identity(g.nrows) for g in e1().factors))
+            prod = tuple([g1 @ g2 for g1, g2 in zip(e1(), e2)])
+            ident = tuple([ExactMatrix.identity(g.nrows) for g in e1()])
             emb2, emb_prod, emb_ident = [embed_K(a, datum, e) for e in (e2, prod, ident)]
             if emb1 @ emb2 != emb_prod:
                 return False, "product: emb(g1) emb(g2) != emb(g1 g2)"

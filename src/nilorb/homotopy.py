@@ -6,21 +6,23 @@ embedded image of the orbit's compact factor tuple.  This module produces
 the descriptor (ambient M, factor list, character constraint, dimensions),
 realizes factor tuples as exact block matrices in the adapted basis, and
 checks the embedded elements against the triple and the invariant form.
+M's name and dim M belong to the algebra and are read from
+:class:`~nilorb.catalog.AlgebraSpec`; only the factors are the orbit's.
 
-Two kinds of factor tuple are built here: an exact random point by
-Cayley transforms (:func:`sample_k_element`), and a fixed one whose O
-factors are reflections, off their identity component
+A point of K is a plain tuple of exact factor matrices, one per factor,
+ordered like :func:`factor_layout`.  Two kinds are built here: an exact
+random point by Cayley transforms (:func:`sample_k_element`), and a fixed
+one whose O factors are reflections, off their identity component
 (:func:`component_representative`, from int numerators).
 :func:`verify_K_membership` returns the embedded matrix it checked, so a
 caller that also needs the embedding checks and assembles the element
 once.
 
 Every public function takes the algebra and the datum and reads the
-datum's factor layout (:func:`factor_layout`) and adapted basis
-(:func:`~nilorb.triples.adapted_basis`) itself; both are memoized per
-datum, so no caller passes them down.  The factor relations are checked in
-:func:`k_element_defect` alone, and the characters, one per factor of M,
-computed in :func:`characters` alone.
+datum's factor layout and adapted basis (:func:`~nilorb.triples.adapted_basis`)
+itself; both are memoized per datum, so no caller passes them down.  The
+factor relations are checked in :func:`k_element_defect` alone, and the
+characters, one per factor of M, computed in :func:`characters` alone.
 """
 
 from __future__ import annotations
@@ -102,19 +104,14 @@ def factor_layout(a: AlgebraSpec, datum: Datum) -> Tuple[FactorSpec, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class KElement:
-    """A tuple of exact factor matrices, ordered like :func:`factor_layout`."""
-
-    factors: Tuple[ExactMatrix, ...]
-
-
-def k_element_defect(a: AlgebraSpec, datum: Datum, e: KElement) -> Optional[str]:
-    """Name the first violated factor relation, or None when all hold."""
+def k_element_defect(a: AlgebraSpec, datum: Datum,
+                     e: Tuple[ExactMatrix, ...]) -> Optional[str]:
+    """Name the first violated factor relation of the factor tuple ``e``, or
+    None when all hold."""
     layout = factor_layout(a, datum)
-    if len(layout) != len(e.factors):
-        return f"expected {len(layout)} factors, got {len(e.factors)}"
-    for spec, g in zip(layout, e.factors):
+    if len(layout) != len(e):
+        return f"expected {len(layout)} factors, got {len(e)}"
+    for spec, g in zip(layout, e):
         if g.nrows != spec.size or g.ncols != spec.size:
             return f"{spec.kind}({spec.size}) factor has shape {g.nrows}x{g.ncols}"
         if spec.kind == "O":
@@ -136,17 +133,6 @@ def k_element_defect(a: AlgebraSpec, datum: Datum, e: KElement) -> Optional[str]
 # ---------------------------------------------------------------------------
 # Descriptor
 # ---------------------------------------------------------------------------
-
-# M belongs to the algebra: its sizes, name and dimension are kept on the
-# AlgebraSpec (``ambient_sizes``, ``ambient_name``, ``dim_M``); these read them.
-
-def ambient_name(a: AlgebraSpec) -> str:
-    return a.ambient_name
-
-
-def dim_M(a: AlgebraSpec) -> int:
-    return a.dim_M
-
 
 class HomotopyType(NamedTuple):
     """The compact pair: orbit ≃ M / Λ(K)."""
@@ -209,9 +195,9 @@ def compact_pair(a: AlgebraSpec, datum: Datum) -> HomotopyType:
     """
     factors = factor_layout(a, datum)
     constraint, circle, aux = a.constraint_facts
-    m = dim_M(a)
+    m = a.dim_M
     k = sum([f.dim() for f in factors]) - circle
-    return HomotopyType(ambient_name(a), factors, constraint, m, k, m - k, a.family, aux)
+    return HomotopyType(a.ambient_name, factors, constraint, m, k, m - k, a.family, aux)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +216,7 @@ def _factor_block(a: AlgebraSpec, spec: FactorSpec, g: ExactMatrix) -> ExactMatr
     return g
 
 
-def embed_K(a: AlgebraSpec, datum: Datum, e: KElement) -> ExactMatrix:
+def embed_K(a: AlgebraSpec, datum: Datum, e: Tuple[ExactMatrix, ...]) -> ExactMatrix:
     """Assemble the factor tuple into the ambient compact group.
 
     The output lives in adapted-basis coordinates for the form families
@@ -245,16 +231,17 @@ def embed_K(a: AlgebraSpec, datum: Datum, e: KElement) -> ExactMatrix:
     return _assemble_K(a, datum, e)
 
 
-def _assemble_K(a: AlgebraSpec, datum: Datum, e: KElement) -> ExactMatrix:
+def _assemble_K(a: AlgebraSpec, datum: Datum,
+                e: Tuple[ExactMatrix, ...]) -> ExactMatrix:
     """The block assembly of :func:`embed_K` for a tuple with no factor defect."""
     layout = factor_layout(a, datum)
     if not a.family_spec.has_adapted_basis:
         # A trace-zero family has one factor per part, in the triple's part order.
         return block_oplus([kron(ExactMatrix.identity(f.part), g)
-                            for f, g in zip(layout, e.factors)])
+                            for f, g in zip(layout, e)])
     adapted = adapted_basis(a, datum)
     # Each factor as it enters the adapted basis, realized once, by (role, part).
-    realized = {(f.role, f.part): _factor_block(a, f, g) for f, g in zip(layout, e.factors)}
+    realized = {(f.role, f.part): _factor_block(a, f, g) for f, g in zip(layout, e)}
 
     def side_blocks(specs) -> List[ExactMatrix]:
         out = []
@@ -274,7 +261,8 @@ def _assemble_K(a: AlgebraSpec, datum: Datum, e: KElement) -> ExactMatrix:
     return block_oplus(blocks)
 
 
-def characters(a: AlgebraSpec, datum: Datum, e: KElement) -> Tuple[Scalar, ...]:
+def characters(a: AlgebraSpec, datum: Datum,
+               e: Tuple[ExactMatrix, ...]) -> Tuple[Scalar, ...]:
     """The determinant characters of the factor tuple, one per factor of M.
 
     Each factor of a whole part or of an odd part contributes its
@@ -293,7 +281,7 @@ def characters(a: AlgebraSpec, datum: Datum, e: KElement) -> Tuple[Scalar, ...]:
     each character becomes a Scalar once, at the end.
     """
     values = [(_ONE_NUM, 1)] * len(a.ambient_sizes)
-    for f, g in zip(factor_layout(a, datum), e.factors):
+    for f, g in zip(factor_layout(a, datum), e):
         if f.role == "part" or f.role.startswith("odd"):
             base, den = _reduced_norm_nums(g) if f.kind == "Sp" else _det_nums(g)
             side = 1 if f.role == "odd_q" else 0
@@ -327,7 +315,7 @@ class MembershipResult:
         return not self.failures
 
 
-def verify_K_membership(a: AlgebraSpec, datum: Datum, e: KElement,
+def verify_K_membership(a: AlgebraSpec, datum: Datum, e: Tuple[ExactMatrix, ...],
                         t: Triple) -> MembershipResult:
     """Check an embedded element against the triple, form, and character.
 
@@ -415,11 +403,10 @@ def random_compact_point(rng: random.Random, kind: str, size: int) -> ExactMatri
 
 
 def sample_k_element(a: AlgebraSpec, datum: Datum,
-                     rng: random.Random) -> KElement:
+                     rng: random.Random) -> Tuple[ExactMatrix, ...]:
     """A random exact point of the datum's factor group."""
-    return KElement(tuple(
-        random_compact_point(rng, spec.kind, spec.size)
-        for spec in factor_layout(a, datum)))
+    return tuple([random_compact_point(rng, spec.kind, spec.size)
+                  for spec in factor_layout(a, datum)])
 
 
 # The (0, 0) entry of each kind's component representative, as numerators
@@ -432,7 +419,8 @@ _REPRESENTATIVE_UNIT = {
 _FIVE = (5, 0, 0, 0, 0, 0, 0, 0)
 
 
-def component_representative(a: AlgebraSpec, datum: Datum) -> KElement:
+def component_representative(a: AlgebraSpec, datum: Datum
+                             ) -> Tuple[ExactMatrix, ...]:
     """A fixed point of the datum's factor group: diag(u, 1, ..., 1) per factor.
 
     u is -1 for an O factor, a reflection into its other component,
@@ -445,4 +433,4 @@ def component_representative(a: AlgebraSpec, datum: Datum) -> KElement:
         unit = _REPRESENTATIVE_UNIT[spec.kind]
         factors.append(ExactMatrix.from_numerators(spec.size, spec.size, 5, [
             [(r, _FIVE if r else unit)] for r in range(spec.size)]))
-    return KElement(tuple(factors))
+    return tuple(factors)

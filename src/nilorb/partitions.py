@@ -70,9 +70,6 @@ class Partition:
     def __hash__(self) -> int:
         return hash(self._pairs)
 
-    def __lt__(self, other: "Partition") -> bool:
-        return self.parts() < other.parts()
-
     def __repr__(self) -> str:
         return f"Partition({self.parts()})"
 

@@ -85,20 +85,6 @@ class Triple:
         return data
 
 
-def triple_partition(a: AlgebraSpec, datum: Datum) -> Partition:
-    """The partition of a datum whose standard triple lives in ``a``.
-
-    Raises :class:`ZeroOrbitError` for the zero orbit and ``ValueError``
-    when the datum's size is not the algebra's.
-    """
-    part = datum.partition
-    if part.is_zero_type():
-        raise ZeroOrbitError("the zero orbit has no standard triple")
-    if part.size() != a.size:
-        raise ValueError(f"datum size {part.size()} does not match {a}")
-    return part
-
-
 def sigma_transpose(m: ExactMatrix, sigma: str) -> ExactMatrix:
     return conj_transpose(m) if sigma == "conj" else m.transpose()
 
@@ -118,21 +104,6 @@ def _triple_block(builder: str, d: int, t: int) -> ExactMatrix:
     else:
         level = {(i + 1, i): (d - 1 - i) * (i + 1) for i in range(d - 1)}
     return kron(ExactMatrix.from_entries(d, d, level), ExactMatrix.identity(t))
-
-
-def nilpotent_matrix(partition: Partition) -> ExactMatrix:
-    """The block matrix sending ``X^l v_j`` to ``X^{l+1} v_j``."""
-    return block_oplus([_triple_block("X", d, t) for d, t in partition.pairs])
-
-
-def semisimple_matrix(partition: Partition) -> ExactMatrix:
-    """The diagonal matrix of the slot weights ``1 - d + 2l``."""
-    return block_oplus([_triple_block("H", d, t) for d, t in partition.pairs])
-
-
-def lowering_matrix(partition: Partition) -> ExactMatrix:
-    """The block matrix sending ``X^l v_j`` to ``l(d-l) X^{l-1} v_j``."""
-    return block_oplus([_triple_block("Y", d, t) for d, t in partition.pairs])
 
 
 def _split_alternating(size: int) -> ExactMatrix:
@@ -219,21 +190,24 @@ def gram_matrix(a: AlgebraSpec, datum: Datum) -> ExactMatrix:
 
 
 def build_triple(a: AlgebraSpec, datum: Datum) -> Triple:
-    part = triple_partition(a, datum)
+    """The datum's standard triple, each of X, H and Y the block sum of its
+    parts' :func:`_triple_block`, with the family's Gram matrix.
+
+    Raises :class:`ZeroOrbitError` for the zero orbit and ``ValueError``
+    when the datum's size is not the algebra's.
+    """
+    part = datum.partition
+    if part.is_zero_type():
+        raise ZeroOrbitError("the zero orbit has no standard triple")
+    if part.size() != a.size:
+        raise ValueError(f"datum size {part.size()} does not match {a}")
     gram = epsilon = sigma = None
     if a.family_spec.form is not None:
         epsilon, sigma = a.family_spec.form
         gram = gram_matrix(a, datum)
-    return Triple(
-        family=a.family,
-        partition=part,
-        X=nilpotent_matrix(part),
-        H=semisimple_matrix(part),
-        Y=lowering_matrix(part),
-        gram=gram,
-        epsilon=epsilon,
-        sigma=sigma,
-    )
+    x, h, y = [block_oplus([_triple_block(m, d, t) for d, t in part.pairs])
+               for m in "XHY"]
+    return Triple(a.family, part, x, h, y, gram, epsilon, sigma)
 
 
 def jordan_type(x: ExactMatrix) -> Partition:

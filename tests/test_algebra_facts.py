@@ -17,9 +17,9 @@ import pytest
 
 from nilorb import cli
 from nilorb.catalog import AlgebraSpec, enumerate_orbits
-from nilorb.centralizers import centralizer_report, dim_g
+from nilorb.centralizers import centralizer_report
 from nilorb.families import FAMILY_SPECS
-from nilorb.homotopy import ambient_name, compact_pair, dim_M
+from nilorb.homotopy import compact_pair
 from nilorb.partitions import Partition
 
 FACTS = ("ambient_sizes", "ambient_name", "dim_M", "dim_g", "constraint_facts")
@@ -53,7 +53,8 @@ def test_list_builds_each_algebra_fact_once(capsys, monkeypatch):
 
 
 def test_the_facts_read_as_before():
-    """Each fact against its closed form, and the module readers agree."""
+    """Each fact against its closed form, and the descriptor and the
+    centralizer report of an orbit carry it."""
     cases = [
         (AlgebraSpec("sl_r", n=4), "SO(4)", 6, 15, ("chi=1", False, None)),
         (AlgebraSpec("sl_c", n=3), "SU(3)", 8, 16, ("chi=1", True, None)),
@@ -67,7 +68,9 @@ def test_the_facts_read_as_before():
     ]
     for a, name, m, g, facts in cases:
         assert (a.ambient_name, a.dim_M, a.dim_g, a.constraint_facts) == (name, m, g, facts)
-        assert (ambient_name(a), dim_M(a), dim_g(a)) == (name, m, g)
+        zero = enumerate_orbits(a)[0].datum
+        h, rep = compact_pair(a, zero), centralizer_report(a, zero)
+        assert (h.ambient, h.dim_M, rep.dim_g, rep.compact) == (name, m, g, h)
     so_star = AlgebraSpec("so_star", n=3)
     assert so_star.dim_g == 15
     with pytest.raises(ValueError, match="no homotopy descriptor for so_star"):

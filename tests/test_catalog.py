@@ -3,14 +3,22 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 
 from nilorb.catalog import (FAMILIES, SIGNED_FAMILIES, AlgebraSpec,
                             datum_membership_error, enumerate_orbits,
-                            fiber_count, orbit_record_bound, total_orbit_count)
+                            fiber_count, orbit_record_bound)
+from nilorb.cli import main
 from nilorb.diagrams import SignedDiagram, sign_row
 from nilorb.partitions import Partition, enumerate_partitions
+
+
+def orbit_total(a: AlgebraSpec) -> int:
+    """Number of orbits: fiber counts summed over all records."""
+    return sum(rec.fiber_count for rec in enumerate_orbits(a))
+
 
 # Catalog totals frozen from independent hand enumeration:
 #   sl_r n=2: [2] splits in two, [1,1] stays      -> 3
@@ -32,17 +40,17 @@ FROZEN_TOTALS = [
 
 @pytest.mark.parametrize("family,params,total", FROZEN_TOTALS)
 def test_frozen_totals(family, params, total):
-    assert total_orbit_count(AlgebraSpec(family, **params)) == total
+    assert orbit_total(AlgebraSpec(family, **params)) == total
 
 
 def test_cross_isomorphism_counts():
     """Low-rank coincidences force equal orbit totals."""
-    assert total_orbit_count(AlgebraSpec("so_pq", p=2, q=1)) == \
-        total_orbit_count(AlgebraSpec("sl_r", n=2)) == 3
-    assert total_orbit_count(AlgebraSpec("sp_c", n=2)) == \
-        total_orbit_count(AlgebraSpec("so_c", n=5)) == 4
-    assert total_orbit_count(AlgebraSpec("sp_c", n=1)) == \
-        total_orbit_count(AlgebraSpec("sl_c", n=2)) == 2
+    assert orbit_total(AlgebraSpec("so_pq", p=2, q=1)) == \
+        orbit_total(AlgebraSpec("sl_r", n=2)) == 3
+    assert orbit_total(AlgebraSpec("sp_c", n=2)) == \
+        orbit_total(AlgebraSpec("so_c", n=5)) == 4
+    assert orbit_total(AlgebraSpec("sp_c", n=1)) == \
+        orbit_total(AlgebraSpec("sl_c", n=2)) == 2
 
 
 def test_indefinite_orthogonal_2_1_example():
@@ -195,11 +203,15 @@ def test_so_pq_fiber_rule_refuses_a_plain_partition():
         fiber_count(AlgebraSpec("so_pq", p=2, q=1), Partition([3]))
 
 
-def test_total_count_sums_fibers():
-    for a in (AlgebraSpec("so_pq", p=3, q=2), AlgebraSpec("sl_r", n=4),
-              AlgebraSpec("so_c", n=8)):
-        recs = enumerate_orbits(a)
-        assert total_orbit_count(a) == sum(r.fiber_count for r in recs)
+def test_total_count_sums_fibers(capsys):
+    """``list``'s ``total_orbit_count`` is the fiber counts summed over the records."""
+    for argv, a in ((["--p", "3", "--q", "2"], AlgebraSpec("so_pq", p=3, q=2)),
+                    (["--n", "4"], AlgebraSpec("sl_r", n=4)),
+                    (["--n", "8"], AlgebraSpec("so_c", n=8))):
+        assert main(["list", "--algebra", a.family, *argv, "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["total_orbit_count"] == orbit_total(a) == sum(
+            r["fiber_count"] for r in doc["orbit_records"])
 
 
 # --- membership messages ----------------------------------------------------

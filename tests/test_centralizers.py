@@ -13,8 +13,7 @@ from nilorb.centralizers import (AlgebraConstraint, _centralizer_nullity,
                                  _grade_positions, _grade_sizes, _part_grading,
                                  centralizer_dim_nilpotent,
                                  centralizer_dim_triple, centralizer_report,
-                                 dim_g, expected_orbit_dim,
-                                 expected_reductive_dim)
+                                 expected_orbit_dim, expected_reductive_dim)
 from nilorb.cli import main
 from nilorb.diagrams import SignedDiagram
 from nilorb.homotopy import compact_pair
@@ -97,7 +96,7 @@ def test_grading_matches_direct_solves_and_closed_forms(a):
         assert (g0 - g2 == centralizer_dim_triple(t, a)
                 == expected_reductive_dim(a, rec.datum)), str(rec.datum)
         assert (g0 + g1 == centralizer_dim_nilpotent(t.X, a, rec.datum)
-                == dim_g(a) - expected_orbit_dim(a, rec.datum)), str(rec.datum)
+                == a.dim_g - expected_orbit_dim(a, rec.datum)), str(rec.datum)
         assert (g0, g1, g2) == graded_dims(t, a)
         constraint = AlgebraConstraint(a.family_spec, t.gram)
         weights = slot_weights(t.partition)
@@ -159,7 +158,7 @@ def test_report_sums_the_part_counts_to_the_whole_gram_count(a):
             g0, g1, g2 = graded_dims(build_triple(a, rec.datum), a)
             report = centralizer_report(a, rec.datum)
             assert (report.dim_z_triple, report.dim_z_X, report.dim_orbit) == (
-                g0 - g2, g0 + g1, dim_g(a) - g0 - g1), str(rec.datum)
+                g0 - g2, g0 + g1, a.dim_g - g0 - g1), str(rec.datum)
 
 
 def test_cross_part_sizes_are_the_whole_count_less_the_parts():
@@ -398,6 +397,19 @@ def test_datum_of_another_size_is_refused():
     a = AlgebraSpec("so_pq", p=2, q=1)
     d = SignedDiagram(Partition([3, 1]), {3: 0, 1: 1})
     with pytest.raises(ValueError, match="does not match"):
+        centralizer_report(a, d)
+
+
+def test_zero_type_datum_of_another_size_is_refused_first(monkeypatch):
+    """The size is checked before the zero-orbit branch and before the
+    descriptor is built, so a wrong-size zero-type datum gets no report."""
+    a = AlgebraSpec("so_pq", p=2, q=1)
+    d = SignedDiagram(Partition([1, 1, 1, 1]), {1: 3})
+
+    def no_descriptor(*args):
+        raise AssertionError("compact_pair ran before the size check")
+    monkeypatch.setattr(nilorb.centralizers, "compact_pair", no_descriptor)
+    with pytest.raises(ValueError, match=r"^datum size 4 does not match so_pq\(2,1\)$"):
         centralizer_report(a, d)
 
 

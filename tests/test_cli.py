@@ -365,15 +365,13 @@ def test_verify_reports_a_sampled_factor_defect_without_raising(capsys, monkeypa
     the embedding check reads the defect instead of ending the run, and
     K-membership reports the same one."""
     import nilorb.cli
-    from nilorb.homotopy import KElement
     from nilorb.scalars import Scalar
 
     sample = nilorb.cli.sample_k_element
 
     def scaled(a, datum, rng):
         e = sample(a, datum, rng)
-        first = e.factors[0].scale_left(Scalar.rational(2))
-        return KElement((first,) + e.factors[1:])
+        return (e[0].scale_left(Scalar.rational(2)),) + e[1:]
 
     monkeypatch.setattr(nilorb.cli, "sample_k_element", scaled)
     code, out, _ = run(capsys, "verify", "--algebra", "sl_c", "--n", "3")
@@ -944,17 +942,16 @@ def test_list_sweep_digest(capsys):
 
 
 def _no_triple_matrices(monkeypatch):
-    """Make the constructors of X, H and Y raise in every nilorb module holding them."""
+    """Make the part blocks of X, H and Y raise in every nilorb module holding them."""
     import nilorb.triples
 
     def forbidden(*args, **kwargs):
         raise AssertionError("X, H or Y was built")
-    for name in ("nilpotent_matrix", "semisimple_matrix", "lowering_matrix"):
-        original = getattr(nilorb.triples, name)
-        for module_name, module in list(sys.modules.items()):
-            if ((module_name == "nilorb" or module_name.startswith("nilorb."))
-                    and vars(module).get(name) is original):
-                monkeypatch.setattr(module, name, forbidden)
+    original = nilorb.triples._triple_block
+    for module_name, module in list(sys.modules.items()):
+        if ((module_name == "nilorb" or module_name.startswith("nilorb."))
+                and vars(module).get("_triple_block") is original):
+            monkeypatch.setattr(module, "_triple_block", forbidden)
 
 
 def test_list_and_orbit_dim_build_no_triple_matrices(capsys, monkeypatch):

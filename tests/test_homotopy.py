@@ -10,8 +10,8 @@ import pytest
 from nilorb.catalog import AlgebraSpec, enumerate_orbits
 from nilorb import homotopy
 from nilorb.centralizers import centralizer_report
-from nilorb.homotopy import (KElement, characters, compact_pair,
-                             component_representative, dim_M, embed_K,
+from nilorb.homotopy import (characters, compact_pair,
+                             component_representative, embed_K,
                              factor_layout, k_element_defect,
                              random_compact_point, sample_k_element,
                              signed_block_totals, verify_K_membership)
@@ -29,8 +29,8 @@ HOMOTOPY_SPECS = [
 ]
 
 
-def multiply(e1: KElement, e2: KElement) -> KElement:
-    return KElement(tuple(g1 @ g2 for g1, g2 in zip(e1.factors, e2.factors)))
+def multiply(e1: tuple, e2: tuple) -> tuple:
+    return tuple([g1 @ g2 for g1, g2 in zip(e1, e2)])
 
 
 @pytest.mark.parametrize("a", HOMOTOPY_SPECS, ids=str)
@@ -50,7 +50,7 @@ def test_embedding_sends_identity_to_identity(a):
     rng = random.Random(f"ident:{a}")
     for rec in enumerate_orbits(a):
         e = sample_k_element(a, rec.datum, rng)
-        ident = KElement(tuple(ExactMatrix.identity(g.nrows) for g in e.factors))
+        ident = tuple([ExactMatrix.identity(g.nrows) for g in e])
         embedded = embed_K(a, rec.datum, ident)
         assert embedded == ExactMatrix.identity(embedded.nrows)
 
@@ -62,7 +62,7 @@ def test_embedding_is_injective_on_samples(a):
     for rec in enumerate_orbits(a):
         for _ in range(10):
             e = sample_k_element(a, rec.datum, rng)
-            if all(g == ExactMatrix.identity(g.nrows) for g in e.factors):
+            if all(g == ExactMatrix.identity(g.nrows) for g in e):
                 continue
             embedded = embed_K(a, rec.datum, e)
             assert embedded != ExactMatrix.identity(embedded.nrows)
@@ -129,7 +129,7 @@ def reference_chi(a, datum, e) -> Scalar:
     over the factors of whole parts or of odd parts, of their determinants
     (reduced norms for Sp factors) to the power of the part."""
     total = ONE
-    for f, g in zip(factor_layout(a, datum), e.factors):
+    for f, g in zip(factor_layout(a, datum), e):
         if f.role in ("part", "odd"):
             base = reduced_norm(g) if f.kind == "Sp" else det(g)
             for _ in range(f.part):
@@ -143,7 +143,7 @@ def reference_chi_pair(a, datum, e):
     its own side."""
     chi_p = ONE
     chi_q = ONE
-    for spec, g in zip(factor_layout(a, datum), e.factors):
+    for spec, g in zip(factor_layout(a, datum), e):
         if spec.role == "even":
             base = det(complex_to_real_blocks(g))
             for _ in range(spec.part // 2):
@@ -203,7 +203,7 @@ def scalar_product_characters(a, datum, e):
     """The characters multiplied out as Scalars, factor by factor: the route
     ``characters`` took before it worked on int numerators."""
     values = [ONE] * (2 if a.family_spec.signed else 1)
-    for f, g in zip(factor_layout(a, datum), e.factors):
+    for f, g in zip(factor_layout(a, datum), e):
         if f.role == "part" or f.role.startswith("odd"):
             base = reduced_norm(g) if f.kind == "Sp" else det(g)
             side = 1 if f.role == "odd_q" else 0
@@ -288,7 +288,7 @@ def test_membership_returns_the_element_it_checked(a):
         t = build_triple(a, rec.datum)
         e = sample_k_element(a, rec.datum, rng)
         assert verify_K_membership(a, rec.datum, e, t).embedded == embed_K(a, rec.datum, e)
-        bad = KElement(tuple(g.scale_left(Scalar.rational(2)) for g in e.factors))
+        bad = tuple([g.scale_left(Scalar.rational(2)) for g in e])
         result = verify_K_membership(a, rec.datum, bad, t)
         assert result.failures[0].startswith("factor relation: ")
         assert result.embedded is None
@@ -340,7 +340,7 @@ def test_component_representative_is_a_k_point(monkeypatch, a):
     kinds = set()
     for rec, rep in zip(records, reps):
         assert k_element_defect(a, rec.datum, rep) is None
-        for spec, g in zip(factor_layout(a, rec.datum), rep.factors):
+        for spec, g in zip(factor_layout(a, rec.datum), rep):
             if spec.size == 0:
                 assert g == ExactMatrix.zeros(0, 0)
                 continue
@@ -359,8 +359,7 @@ def test_membership_rejects_corrupted_element():
     t = build_triple(a, rec.datum)
     rng = random.Random("bad")
     e = sample_k_element(a, rec.datum, rng)
-    from nilorb.scalars import Scalar
-    bad = KElement(tuple(g.scale_left(Scalar.rational(3)) for g in e.factors))
+    bad = tuple([g.scale_left(Scalar.rational(3)) for g in e])
     result = verify_K_membership(a, rec.datum, bad, t)
     assert not result.ok
     assert result.failures
@@ -594,13 +593,13 @@ def test_descriptor_json_shape():
 
 
 def test_dim_M_is_compact_group_dimension():
-    assert dim_M(AlgebraSpec("sl_r", n=4)) == 6        # SO(4)
-    assert dim_M(AlgebraSpec("sl_c", n=4)) == 15       # SU(4)
-    assert dim_M(AlgebraSpec("sl_h", n=2)) == 10       # Sp(2)
-    assert dim_M(AlgebraSpec("so_c", n=5)) == 10       # SO(5)
-    assert dim_M(AlgebraSpec("sp_c", n=2)) == 10       # Sp(2)
-    assert dim_M(AlgebraSpec("so_pq", p=3, q=2)) == 4  # SO(3) x SO(2)
-    assert dim_M(AlgebraSpec("sp_pq", p=2, q=1)) == 13  # Sp(2) x Sp(1)
+    assert AlgebraSpec("sl_r", n=4).dim_M == 6          # SO(4)
+    assert AlgebraSpec("sl_c", n=4).dim_M == 15         # SU(4)
+    assert AlgebraSpec("sl_h", n=2).dim_M == 10         # Sp(2)
+    assert AlgebraSpec("so_c", n=5).dim_M == 10         # SO(5)
+    assert AlgebraSpec("sp_c", n=2).dim_M == 10         # Sp(2)
+    assert AlgebraSpec("so_pq", p=3, q=2).dim_M == 4    # SO(3) x SO(2)
+    assert AlgebraSpec("sp_pq", p=2, q=1).dim_M == 13   # Sp(2) x Sp(1)
 
 
 def test_no_descriptor_for_quaternionic_orthogonal():
@@ -609,7 +608,7 @@ def test_no_descriptor_for_quaternionic_orthogonal():
     with pytest.raises(ValueError):
         factor_layout(a, rec.datum)
     with pytest.raises(ValueError):
-        dim_M(a)
+        a.dim_M
 
 
 def _reference_compact_point(rng: random.Random, kind: str, size: int) -> ExactMatrix:

@@ -94,9 +94,11 @@ def test_is_zero_type():
 
 
 def test_ordering_is_total_on_fixed_size():
+    """Sorted by their part lists, the partitions of n come in the order
+    they are enumerated, and no two share a part list."""
     for n in range(1, 8):
         parts = enumerate_partitions(n)
-        ordered = sorted(parts)
-        assert len(ordered) == len(parts)
+        ordered = sorted(parts, key=Partition.parts)
+        assert ordered == parts
         for a, b in zip(ordered, ordered[1:]):
-            assert a < b or a == b
+            assert a.parts() < b.parts()

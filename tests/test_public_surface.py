@@ -28,7 +28,6 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 
 # Public names that no command reaches, each kept for a reason.
 ALLOWED = {
-    "catalog.total_orbit_count": "the tests' cross-check of the orbit counts",
     "diagrams.sign_matrix": "the tests' reference for a signed diagram's rows",
     "matrices.reduced_norm": ("the tests' reduced norm as a Scalar; characters "
                               "reads its numerators from _reduced_norm_nums"),
@@ -153,3 +152,19 @@ def test_every_allowed_name_is_called_by_a_test(qualname):
     call = qualname.rsplit(".", 1)[1] + "("
     here = Path(__file__).resolve()
     assert any(call in p.read_text() for p in here.parent.glob("test_*.py") if p != here)
+
+
+def test_every_exported_name_is_a_package_attribute():
+    import nilorb
+
+    assert len(set(nilorb.__all__)) == len(nilorb.__all__)
+    assert [name for name in nilorb.__all__ if not hasattr(nilorb, name)] == []
+
+
+def test_star_import_binds_exactly_the_exports():
+    import nilorb
+
+    namespace: dict = {}
+    exec("from nilorb import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(nilorb.__all__)
