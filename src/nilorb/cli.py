@@ -24,8 +24,9 @@ from .diagrams import SignedDiagram
 from .families import FAMILIES, FAMILY_SPECS
 from .homotopy import (component_representative, embed_K, sample_k_element,
                        signed_block_totals, verify_K_membership)
-from .matrices import (ExactMatrix, commutator, compare, congruence_signature,
-                       conj_transpose, is_isometry)
+from .matrices import (ExactMatrix, commutator, compare, compare_products,
+                       congruence_signature, conj_transpose, is_isometry,
+                       products_agree)
 from .partitions import Partition
 from .scalars import value_json, value_text
 from .triples import (adapted_basis, build_triple, jordan_type,
@@ -575,11 +576,16 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
         t = triple()
         return replace(t, Y=t.Y.scale_left(2)) if inject_fault else t
 
-    check("[H,X]=2X", lambda: compare(commutator(checked().H, checked().X),
-                                      checked().X.scale_left(2)))
-    check("[H,Y]=-2Y", lambda: compare(commutator(checked().H, checked().Y),
-                                       checked().Y.scale_left(-2)))
-    check("[X,Y]=H", lambda: compare(commutator(checked().X, checked().Y), checked().H))
+    def bracket(a_name: str, b_name: str, k: int, c_name: str) -> Tuple[bool, str]:
+        """[A, B] = k C on the checked triple, built only to name a failure."""
+        t = checked()
+        a, b, c = getattr(t, a_name), getattr(t, b_name), getattr(t, c_name)
+        return compare_products([(1, a, b), (-1, b, a)], [(k, c, None)],
+                                lambda: (commutator(a, b), c if k == 1 else c.scale_left(k)))
+
+    check("[H,X]=2X", lambda: bracket("H", "X", 2, "X"))
+    check("[H,Y]=-2Y", lambda: bracket("H", "Y", -2, "Y"))
+    check("[X,Y]=H", lambda: bracket("X", "Y", 1, "H"))
 
     def jordan():
         found = jordan_type(checked().X)
@@ -597,7 +603,9 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
             # Each of X, H, Y must satisfy sigma(m)^T S = -S m.
             t = checked()
             for name, m in (("X", t.X), ("H", t.H), ("Y", t.Y)):
-                ok, detail = compare(sigma_transpose(m, t.sigma) @ t.gram, -(t.gram @ m))
+                mt = sigma_transpose(m, t.sigma)
+                ok, detail = compare_products([(1, mt, t.gram)], [(-1, t.gram, m)],
+                                              lambda: (mt @ t.gram, -(t.gram @ m)))
                 if not ok:
                     return False, f"{name}: {detail}"
             return True, ""
@@ -613,8 +621,9 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
             t = checked()
             t_matrix = adapted_basis(a, datum).matrix
             target = standard_adapted_gram(a, datum)
-            got = sigma_transpose(t_matrix, t.sigma) @ t.gram @ t_matrix
-            ok, detail = compare(got, target)
+            ts = sigma_transpose(t_matrix, t.sigma) @ t.gram
+            ok, detail = compare_products([(1, ts, t_matrix)], [(1, target, None)],
+                                          lambda: (ts @ t_matrix, target))
             if ok and not is_isometry(t_matrix, conj=True):
                 # T is unitary, so verify_K_membership may invert it by T*.
                 ok, detail = compare(conj_transpose(t_matrix) @ t_matrix,
@@ -639,7 +648,8 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
             prod = tuple([g1 @ g2 for g1, g2 in zip(e1(), e2)])
             ident = tuple([ExactMatrix.identity(g.nrows) for g in e1()])
             emb2, emb_prod, emb_ident = [embed_K(a, datum, e) for e in (e2, prod, ident)]
-            if emb1 @ emb2 != emb_prod:
+            if (not products_agree([(1, emb1, emb2)], [(1, emb_prod, None)])
+                    and emb1 @ emb2 != emb_prod):
                 return False, "product: emb(g1) emb(g2) != emb(g1 g2)"
             if emb_ident != ExactMatrix.identity(emb1.nrows):
                 return False, "identity: emb(1) != 1"

@@ -16,7 +16,17 @@ one whose O factors are reflections, off their identity component
 (:func:`component_representative`, from int numerators).
 :func:`verify_K_membership` returns the embedded matrix it checked, so a
 caller that also needs the embedding checks and assembles the element
-once.
+once; it checks commutation and the form through
+:func:`~nilorb.matrices.compare_products`, so a point that passes builds
+neither side of either identity.
+
+A Cayley point is built from its draws (:func:`random_compact_point`):
+the drawn entries stay int numerators over 6, the anti-self-adjoint
+``N = 6A`` is formed from them entry by entry, and the point is one
+:func:`~nilorb.matrices.solve` of ``6I + N`` against ``6I - N``, two
+matrices made from those numerators; no raw, anti-self-adjoint or
+identity matrix is made.  A 1 x 1 factor, the most common one, is the
+closed form ``(6 - v)^2 / (36 + |v|^2)`` and runs no solve.
 
 Every public function takes the algebra and the datum and reads the
 datum's factor layout and adapted basis (:func:`~nilorb.triples.adapted_basis`)
@@ -35,10 +45,10 @@ from typing import List, NamedTuple, Optional, Tuple
 from .catalog import AlgebraSpec, Datum
 from .diagrams import row_plus_minus
 from .families import FAMILY_SPECS, compact_dim, ring_of_kind
-from .matrices import (_ONE_NUM, ExactMatrix, _det_nums, _mul_nums,
+from .matrices import (_ONE_NUM, ExactMatrix, _conj_nums, _det_nums, _mul_nums,
                        _reduced_norm_nums, _to_scalar, block_oplus,
-                       compare, complex_to_real_blocks, conj_transpose, det,
-                       diagonal_block, i_to_j, is_isometry, kron,
+                       compare_products, complex_to_real_blocks, conj_transpose,
+                       det, diagonal_block, i_to_j, is_isometry, kron,
                        quaternion_to_complex_blocks, solve)
 from .scalars import COMPLEX_LIKE_VARIANTS, Scalar
 from .triples import Triple, adapted_basis, sigma_transpose
@@ -56,21 +66,26 @@ class FactorSpec:
         return compact_dim(self.kind, self.size)
 
     def multiplicity_pattern(self, family: str) -> str:
-        spec = FAMILY_SPECS[family]
-        d = self.part
-        if self.role == "part":
-            return f"repeat:{d}"
-        if self.role == "even":
-            out = f"levels:{d // 2}"
-            if spec.two_sided:
-                out += ";sides:2"
-            if spec.even_embed is not None:
-                out += f";embed:{spec.even_embed}"
-            return out
-        if self.role == "odd":
-            return f"levels:{d};quaternionic" if spec.quaternionic_k else f"levels:{d}"
-        plus, minus = row_plus_minus(d, 1 if self.role == "odd_p" else -1)
-        return f"plus-levels:{plus};minus-levels:{minus}"
+        return _multiplicity_pattern(family, self.role, self.part)
+
+
+@lru_cache(maxsize=1024)
+def _multiplicity_pattern(family: str, role: str, d: int) -> str:
+    """:meth:`FactorSpec.multiplicity_pattern`, built once per (family, role, part)."""
+    spec = FAMILY_SPECS[family]
+    if role == "part":
+        return f"repeat:{d}"
+    if role == "even":
+        out = f"levels:{d // 2}"
+        if spec.two_sided:
+            out += ";sides:2"
+        if spec.even_embed is not None:
+            out += f";embed:{spec.even_embed}"
+        return out
+    if role == "odd":
+        return f"levels:{d};quaternionic" if spec.quaternionic_k else f"levels:{d}"
+    plus, minus = row_plus_minus(d, 1 if role == "odd_p" else -1)
+    return f"plus-levels:{plus};minus-levels:{minus}"
 
 
 @lru_cache(maxsize=1024)
@@ -114,6 +129,8 @@ def k_element_defect(a: AlgebraSpec, datum: Datum,
     for spec, g in zip(layout, e):
         if g.nrows != spec.size or g.ncols != spec.size:
             return f"{spec.kind}({spec.size}) factor has shape {g.nrows}x{g.ncols}"
+        if not spec.size:
+            continue  # the 0 x 0 matrix is in every group
         if spec.kind == "O":
             if not is_isometry(g, conj=False):
                 return f"O({spec.size}) factor is not orthogonal"
@@ -349,11 +366,14 @@ def verify_K_membership(a: AlgebraSpec, datum: Datum, e: Tuple[ExactMatrix, ...]
             return MembershipResult(("unitary[T]",), emb)
         g = T @ emb @ conj_transpose(T)
     for name, m in (("X", t.X), ("H", t.H), ("Y", t.Y)):
-        ok, detail = compare(g @ m, m @ g)
+        ok, detail = compare_products([(1, g, m)], [(1, m, g)],
+                                      lambda: (g @ m, m @ g))
         if not ok:
             failures.append(f"commutes[{name}]: {detail}")
     if t.gram is not None:
-        ok, detail = compare(sigma_transpose(g, t.sigma) @ t.gram @ g, t.gram)
+        gs = sigma_transpose(g, t.sigma) @ t.gram
+        ok, detail = compare_products([(1, gs, g)], [(1, t.gram, None)],
+                                      lambda: (gs @ g, t.gram))
         if not ok:
             failures.append(f"preserves[S]: {detail}")
     if a.family_spec.constraint != "none":
@@ -377,26 +397,43 @@ def random_compact_point(rng: random.Random, kind: str, size: int) -> ExactMatri
 
     Each of the ``dim`` (1, 2 or 4) components of each raw entry is
     ``rng.randint(-2, 2) / rng.randint(1, 3)``, drawn in that order and in
-    row-major order, so that a seed keeps giving the same point; the raw
-    matrix is built from int numerators over the common denominator 6.
-    The transform of the anti-self-adjoint ``A`` is the one solve
-    ``(I + A)^-1 (I - A)``, which equals ``(I - A) (I + A)^-1`` since the
-    two factors commute.  It always lands in the identity component; for
-    the orthogonal groups a reflection, composed with probability 1/2,
-    reaches the other component.
+    row-major order, so that a seed keeps giving the same point.  The
+    draws are kept as int numerators over 6, and so is the
+    anti-self-adjoint ``A = raw - raw*`` (``raw - raw^T`` for O): ``N =
+    6A``.  The transform is ``(I + A)^-1 (I - A) = (6I + N)^-1 (6I - N)``,
+    which equals ``(I - A) (I + A)^-1`` since the two factors commute; it
+    is one solve on the numerators of ``6I + N`` and ``6I - N``.  At size
+    1, ``N`` is one pure imaginary ``v``, which commutes with ``6 - v``
+    and has ``v^2 = -|v|^2``, so the point is the closed form ``(6 - v)^2
+    / (36 + |v|^2)`` and no solve runs.  The transform always lands in the
+    identity component; for the orthogonal groups a reflection, composed
+    with probability 1/2, reaches the other component.
     """
     if size == 0:
         return ExactMatrix.zeros(0, 0)
     dim = ring_of_kind(kind).dim
     pad = (0,) * (8 - dim)
     # The numerator over 6 of randint(-2, 2) / randint(1, 3), drawn left to right.
-    raw = ExactMatrix.from_numerators(size, size, 6, [
-        [(c, tuple([rng.randint(-2, 2) * (6 // rng.randint(1, 3)) for _ in range(dim)])
-          + pad) for c in range(size)]
-        for _ in range(size)])
-    anti = raw - (raw.transpose() if kind == "O" else conj_transpose(raw))
-    ident = ExactMatrix.identity(size)
-    g = solve(ident + anti, ident - anti)
+    raw = [[tuple([rng.randint(-2, 2) * (6 // rng.randint(1, 3)) for _ in range(dim)]) + pad
+            for _ in range(size)] for _ in range(size)]
+    anti = [[tuple([u - v for u, v in zip(x, _conj_nums(raw[c][r]))])
+             for c, x in enumerate(row)] for r, row in enumerate(raw)]
+    if size == 1:
+        v = anti[0][0]
+        norm = sum([x * x for x in v])
+        g = ExactMatrix.from_numerators(1, 1, 36 + norm, [[(0, (36 - norm,) + tuple(
+            [-12 * x for x in v[1:]]))]])
+    else:
+        def shifted(sign: int) -> list:
+            """The numerator rows of ``6I + sign N``; ``N``'s diagonal is imaginary."""
+            out = []
+            for r, row in enumerate(anti):
+                cells = [(c, tuple([sign * u for u in x])) for c, x in enumerate(row)]
+                cells[r] = (r, (6,) + cells[r][1][1:])
+                out.append(cells)
+            return out
+        g = solve(ExactMatrix.from_numerators(size, size, 1, shifted(1)),
+                  ExactMatrix.from_numerators(size, size, 1, shifted(-1)))
     if kind == "O" and rng.random() < 0.5:
         g = g @ ExactMatrix.diagonal([-1] + [1] * (size - 1))
     return g

@@ -54,6 +54,17 @@ this module alone.  A consumer whose answer does not change when the
 matrix is scaled by a positive integer, such as a kernel solve, reads the
 stored numerators instead through :meth:`ExactMatrix.integer_nonzeros`
 and builds no Scalar.
+
+Identities are checked by one fused kernel, :func:`products_agree`: each
+side is a sum of terms ``(k, A, B)``, the int ``k`` times ``A @ B`` (or
+times ``A`` when ``B`` is None), scaled to one common denominator, and
+each row of the difference is accumulated from the stored ints into one
+dict, the first nonzero row ending the check.  No product, sum or Scalar
+is built for an identity that holds.  The rule is: compare only on
+failure.  :func:`compare_products` builds the two sides and hands them to
+:func:`compare` only when the kernel finds them different or misshapen,
+so a failure's detail, or the ``ValueError`` a misshapen side raises, is
+the one building them always gave.
 """
 
 from __future__ import annotations
@@ -61,7 +72,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .scalars import (_F0, _PROD, COMPLEX_LIKE_VARIANTS, Scalar,
                       as_scalar, real_sign, value_json, variant_of)
@@ -114,27 +125,31 @@ def _scaled_row(row: tuple, f: int) -> tuple:
     return tuple([(c, tuple([f * v for v in x])) for c, x in row])
 
 
-def _row_times(row: tuple, b_num: tuple) -> Dict[int, list]:
-    """One stored row times the stored rows ``b_num``, as ``{column: numerators}``.
+def _row_times(row: tuple, b_num: tuple, f: int = 1,
+               acc: Optional[Dict[int, list]] = None) -> Dict[int, list]:
+    """``f`` times one stored row times the stored rows ``b_num``, added
+    into ``acc`` (a new dict when None) as ``{column: numerators}``.
 
     Only the rows of ``b_num`` that ``row`` meets are read.  A rational
     left entry ``x`` scales the right row; any other one multiplies
     component by component, placed by ``_PROD``.  Entries may cancel to
     all-zero lists, which the caller drops.
     """
-    acc: Dict[int, list] = {}
+    if acc is None:
+        acc = {}
     for k, a in row:
         b_row = b_num[k]
         if not b_row:
             continue
         x = a[0]
         if x and a.count(0) == 7:
+            x *= f
             for c, y in b_row:
                 v = acc.get(c)
                 acc[c] = ([x * u for u in y] if v is None
                           else [p + x * u for p, u in zip(v, y)])
             continue
-        a_terms = [(_PROD[ia], x) for ia, x in enumerate(a) if x]
+        a_terms = [(_PROD[ia], f * x) for ia, x in enumerate(a) if x]
         for c, y in b_row:
             v = acc.get(c)
             if v is None:
@@ -142,9 +157,19 @@ def _row_times(row: tuple, b_num: tuple) -> Dict[int, list]:
             for ib, u in enumerate(y):
                 if u:
                     for prod, x in a_terms:
-                        idx, f = prod[ib]
-                        v[idx] += f * x * u
+                        idx, g = prod[ib]
+                        v[idx] += g * x * u
     return acc
+
+
+def _columns(num: tuple, ncols: int, conj: bool) -> List[list]:
+    """The stored rows ``num`` read by column: per column, its ``(row,
+    numerators)`` pairs by row, conjugated when ``conj``."""
+    cols: List[list] = [[] for _ in range(ncols)]
+    for r, row in enumerate(num):
+        for c, x in row:
+            cols[c].append((r, _conj_nums(x) if conj else x))
+    return cols
 
 
 class ExactMatrix:
@@ -347,6 +372,12 @@ class ExactMatrix:
                                     tuple(out))
 
     def scale_left(self, s: Scalar) -> "ExactMatrix":
+        """``s * self``; an ``int`` ``s`` scales the numerators without a Scalar."""
+        if type(s) is int:
+            if not s:
+                return ExactMatrix.zeros(self.nrows, self.ncols)
+            return ExactMatrix._reduced(self.nrows, self.ncols, self._den,
+                                        tuple([_scaled_row(row, s) for row in self._num]))
         s_num, den = as_scalar(s)._ints()
         out = []
         for row in self._num:
@@ -356,10 +387,7 @@ class ExactMatrix:
 
     def _transposed(self, conj: bool) -> "ExactMatrix":
         """The transpose, with conjugated entries when ``conj``."""
-        cols: List[list] = [[] for _ in range(self.ncols)]
-        for r, row in enumerate(self._num):
-            for c, x in row:
-                cols[c].append((r, _conj_nums(x) if conj else x))
+        cols = _columns(self._num, self.ncols, conj)
         return ExactMatrix._of(self.ncols, self.nrows, self._den, tuple(map(tuple, cols)))
 
     def transpose(self) -> "ExactMatrix":
@@ -466,16 +494,82 @@ def compare(got: ExactMatrix, expected: ExactMatrix) -> Tuple[bool, str]:
                    f"expected {expected.nrows}x{expected.ncols}")
 
 
+Term = Tuple[int, ExactMatrix, Optional[ExactMatrix]]
+
+
+def products_agree(lhs: Sequence[Term], rhs: Sequence[Term]) -> bool:
+    """Whether the sum of the terms ``lhs`` equals the sum of ``rhs``.
+
+    A term ``(k, A, B)`` is the int ``k`` times ``A @ B``, or ``k`` times
+    ``A`` when ``B`` is None.  No product, sum or Scalar is built: every
+    term is scaled to one common denominator, and each row of
+    ``sum(lhs) - sum(rhs)`` is accumulated from the stored ints into one
+    ``{column: numerators}`` dict, by :func:`_row_times` for a product;
+    the first nonzero row ends the check.  False as well when a product's
+    operands do not chain or two terms differ in shape, where building the
+    sides would raise or compare unequal: a caller then builds them to say
+    why (:func:`compare_products`).
+    """
+    terms, shape, dens = [], None, []
+    for sign, side in ((1, lhs), (-1, rhs)):
+        for k, a, b in side:
+            if b is None:
+                term_shape, den = (a.nrows, a.ncols), a._den
+            elif a.ncols != b.nrows:
+                return False
+            else:
+                term_shape, den = (a.nrows, b.ncols), a._den * b._den
+            if shape is None:
+                shape = term_shape
+            elif term_shape != shape:
+                return False
+            terms.append((sign * k, a._num, None if b is None else b._num))
+            dens.append(den)
+    if shape is None:
+        return True
+    common = lcm(*dens)
+    terms = [(k * (common // den), a, b) for (k, a, b), den in zip(terms, dens) if k]
+    for r in range(shape[0]):
+        acc: Dict[int, list] = {}
+        for f, a, b in terms:
+            if b is not None:
+                _row_times(a[r], b, f, acc)
+                continue
+            for c, x in a[r]:
+                v = acc.get(c)
+                acc[c] = ([f * u for u in x] if v is None
+                          else [p + f * u for p, u in zip(v, x)])
+        for v in acc.values():
+            if any(v):
+                return False
+    return True
+
+
+def compare_products(lhs: Sequence[Term], rhs: Sequence[Term],
+                     build: Callable[[], Tuple[ExactMatrix, ExactMatrix]]
+                     ) -> Tuple[bool, str]:
+    """:func:`compare` of the two matrices ``build()`` returns, which are
+    the sums ``lhs`` and ``rhs`` describe, built only when
+    :func:`products_agree` finds them different or misshapen.
+
+    An agreeing pair builds nothing; any other gets ``compare``'s detail,
+    or the exception ``build`` raises, exactly as if it had been built.
+    """
+    if products_agree(lhs, rhs):
+        return True, ""
+    return compare(*build())
+
+
 def is_isometry(g: ExactMatrix, conj: bool) -> bool:
     """Whether ``g* g`` (``g^T g`` unless ``conj``) is the identity of size ``g.ncols``.
 
     For ``g = N / D`` this is ``N* N = D^2 I``, checked one row of the
-    product at a time from the stored ints; the first row that differs
-    ends the check.
+    product at a time from the stored ints, row ``r`` of ``N*`` read as
+    column ``r`` of ``N``; the first row that differs ends the check.
     """
     unit = [g._den ** 2] + [0] * 7
     num = g._num
-    for r, row in enumerate(g._transposed(conj)._num):
+    for r, row in enumerate(_columns(num, g.ncols, conj)):
         acc = _row_times(row, num)
         if acc.get(r) != unit or any(any(v) for c, v in acc.items() if c != r):
             return False
@@ -737,9 +831,10 @@ def det(a: ExactMatrix) -> Scalar:
 
     The connected components of the nonzero pattern split the matrix, up
     to a simultaneous permutation of rows and columns, which has no sign,
-    into diagonal blocks; each block's determinant comes from Bareiss
-    elimination on its integer numerators (:func:`_bareiss`), and the
-    determinant is their product.  A connected matrix is one block.
+    into diagonal blocks; each distinct block's determinant comes from
+    one Bareiss elimination on its integer numerators (:func:`_bareiss`),
+    and the determinant is the product over the blocks.  A connected
+    matrix is one block.
     """
     return _to_scalar(*_det_nums(a))
 
@@ -756,6 +851,8 @@ def _det_nums(a: ExactMatrix) -> Tuple[tuple, int]:
             "determinant needs commuting entries; use reduced_norm for quaternions")
     num = a._num
     total = _ONE_NUM
+    # An embedded K point repeats each factor block, so equal blocks share one run.
+    block_dets: Dict[tuple, tuple] = {}
     for comp in _components(num):
         index = {r: i for i, r in enumerate(comp)}
         m = []
@@ -764,7 +861,10 @@ def _det_nums(a: ExactMatrix) -> Tuple[tuple, int]:
             for c, x in num[r]:
                 dense[index[c]] = x
             m.append(dense)
-        block = _bareiss(m)
+        key = tuple(map(tuple, m))
+        block = block_dets.get(key)
+        if block is None:
+            block = block_dets[key] = _bareiss(m)
         if not any(block):
             return _ZERO_NUM, 1
         total = _mul_nums(total, block)

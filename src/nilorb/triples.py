@@ -214,10 +214,10 @@ def jordan_type(x: ExactMatrix) -> Partition:
     """Jordan block sizes of a nilpotent matrix with rational entries."""
     n = x.nrows
     ranks = [n]
-    power = ExactMatrix.identity(n)
+    power = None
     k = 0
     while ranks[-1] > 0:
-        power = power @ x
+        power = x if power is None else power @ x
         ranks.append(rank(power))
         k += 1
         if k > n:

@@ -94,6 +94,52 @@ def test_verify_fault_injection_fails_named_identity(capsys):
     assert "verify: FAIL" in out
 
 
+# Matrix products one PASS run builds, at most: the identities and the K
+# checks are checked row by row on the stored ints, not by building both
+# sides (223 products before).
+VERIFY_PRODUCTS = {"sl_c": 13, "so_pq": 28, "sp_pq": 16}
+# The [X,Y]=H line of the PASS run and of the --inject-fault run.
+VERIFY_FAULT_LINES = {
+    "sl_c": ("  [X,Y]=H PASSED (4 orbit(s))",
+             "  [X,Y]=H FAILED (4 orbit(s)) [1 failed: [2,1,1]: entry (0,0) is 2, expected 1]"),
+    "so_pq": ("  [X,Y]=H PASSED (3 orbit(s))",
+              "  [X,Y]=H FAILED (3 orbit(s)) "
+              "[1 failed: [2,2](2:2): entry (0,0) is 2, expected 1]"),
+    "sp_pq": ("  [X,Y]=H PASSED (2 orbit(s))",
+              "  [X,Y]=H FAILED (2 orbit(s)) "
+              "[1 failed: [2,1](2:1,1:1): entry (0,0) is 2, expected 1]"),
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ("--algebra", "sl_c", "--n", "4"),
+    ("--algebra", "so_pq", "--p", "2", "--q", "2"),
+    ("--algebra", "sp_pq", "--p", "2", "--q", "1"),
+], ids=("sl_c", "so_pq", "sp_pq"))
+def test_verify_builds_few_products_and_keeps_its_fault_lines(capsys, monkeypatch, argv):
+    """A PASS run builds at most a pinned number of ``ExactMatrix``
+    products; with ``--inject-fault`` the one failed identity line is the
+    one it always was, and every other line is the PASS run's."""
+    from nilorb.matrices import ExactMatrix
+
+    products = [0]
+    matmul = ExactMatrix.__matmul__
+
+    def counting(a, b):
+        products[0] += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", counting)
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0 and out.endswith("verify: PASS\n")
+    assert products[0] <= VERIFY_PRODUCTS[argv[1]]
+    code, faulty, _ = run(capsys, "verify", *argv, "--inject-fault")
+    assert code == 1
+    changed = [(a, b) for a, b in zip(out.splitlines(), faulty.splitlines()) if a != b]
+    assert len(out.splitlines()) == len(faulty.splitlines())
+    assert changed == [VERIFY_FAULT_LINES[argv[1]], ("verify: PASS", "verify: FAIL")]
+
+
 @pytest.mark.parametrize("grade, detail", [
     (2, "[2,1]: solved 1, graded 0, expected 1]"),
     (1, "[2,1]: z(X) graded 5, expected 4]"),

@@ -16,7 +16,7 @@ from nilorb.homotopy import (characters, compact_pair,
                              random_compact_point, sample_k_element,
                              signed_block_totals, verify_K_membership)
 from nilorb.matrices import (ExactMatrix, complex_to_real_blocks, conj_transpose,
-                             det, diagonal_block, inverse, reduced_norm)
+                             det, diagonal_block, inverse, reduced_norm, solve)
 from nilorb.partitions import Partition
 from nilorb.scalars import MINUS_ONE, ONE, Scalar
 from nilorb.triples import adapted_basis, build_triple
@@ -646,3 +646,61 @@ def test_random_compact_point_keeps_the_fraction_draw_order(kind):
                 assert (random_compact_point(rng, kind, size)
                         == _reference_compact_point(ref_rng, kind, size))
                 assert rng.getstate() == ref_rng.getstate()
+
+
+def _solve_route_point(rng: random.Random, kind: str, size: int) -> ExactMatrix:
+    """The matrix route a Cayley point took before it was built from its
+    draws: the raw matrix from int numerators over 6, ``A = raw - raw*``
+    (``raw - raw^T`` for O) and one ``solve(I + A, I - A)``, at every size."""
+    if size == 0:
+        return ExactMatrix.zeros(0, 0)
+    dim = {"O": 1, "U": 2, "Sp": 4}[kind]
+    raw = ExactMatrix.from_numerators(size, size, 6, [
+        [(c, tuple([rng.randint(-2, 2) * (6 // rng.randint(1, 3)) for _ in range(dim)])
+          + (0,) * (8 - dim)) for c in range(size)]
+        for _ in range(size)])
+    anti = raw - (raw.transpose() if kind == "O" else conj_transpose(raw))
+    ident = ExactMatrix.identity(size)
+    g = solve(ident + anti, ident - anti)
+    if kind == "O" and rng.random() < 0.5:
+        g = g @ ExactMatrix.diagonal([-1] + [1] * (size - 1))
+    return g
+
+
+@pytest.mark.parametrize("kind", ["O", "U", "Sp"])
+def test_random_compact_point_is_the_solve_route_point(kind, monkeypatch):
+    """Built from its draws, a Cayley point has the storage of the matrix
+    route's ``solve(I + A, I - A)`` on the same draws, for 100 seeds at each
+    size 0 to 4, and leaves the generator in the same state; size 1 uses
+    the closed form and makes no solve."""
+    solves = []
+    real_solve = homotopy.solve
+    monkeypatch.setattr(homotopy, "solve",
+                        lambda a, b: solves.append(a.nrows) or real_solve(a, b))
+    for size in range(5):
+        for seed in range(100):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            got, expected = (random_compact_point(rng, kind, size),
+                             _solve_route_point(ref_rng, kind, size))
+            assert got == expected and hash(got) == hash(expected)
+            assert got.integer_nonzeros() == expected.integer_nonzeros()
+            assert rng.getstate() == ref_rng.getstate()
+    assert solves == [size for size in range(2, 5) for _ in range(100)]
+
+
+def test_multiplicity_patterns_are_built_once_per_family_role_and_part():
+    """Descriptor documents read each factor's pattern from one memo entry
+    per (family, role, part), however many records share it."""
+    homotopy._multiplicity_pattern.cache_clear()
+    keys = set()
+    for a in (AlgebraSpec("so_pq", p=4, q=4), AlgebraSpec("sp_c", n=4),
+              AlgebraSpec("sl_h", n=4)):
+        for _ in range(2):
+            for rec in enumerate_orbits(a):
+                h = compact_pair(a, rec.datum)
+                doc = h.to_json()
+                keys |= {(a.family, f.role, f.part) for f in h.factors}
+                assert [f["multiplicity_pattern"] for f in doc["factors"]] == [
+                    f.multiplicity_pattern(a.family) for f in h.factors]
+    info = homotopy._multiplicity_pattern.cache_info()
+    assert info.misses == len(keys) and info.hits > info.misses

@@ -12,13 +12,16 @@ import pytest
 from nilorb.catalog import AlgebraSpec, enumerate_orbits
 from nilorb.cli import _json_text, _matrix_lines
 from nilorb.homotopy import random_compact_point
+from nilorb import matrices
 from nilorb.matrices import (DegenerateFormError, ExactMatrix, block_oplus,
-                             commutator, complex_to_real_blocks,
-                             congruence_signature, conj_transpose, det,
-                             i_to_j, inverse, is_isometry, kron, permute_columns,
+                             commutator, compare, compare_products,
+                             complex_to_real_blocks, congruence_signature,
+                             conj_transpose, det, i_to_j, inverse, is_isometry,
+                             kron, permute_columns, products_agree,
                              quaternion_to_complex_blocks,
                              rank, reduced_norm, solve)
-from nilorb.scalars import I_UNIT, J_UNIT, MINUS_ONE, ONE, SQRT2, ZERO, Scalar
+from nilorb.scalars import (I_UNIT, J_UNIT, MINUS_ONE, ONE, SQRT2,
+                            VARIANT_COMPONENTS, ZERO, Scalar)
 from nilorb.triples import adapted_basis, build_triple
 
 
@@ -573,3 +576,192 @@ def test_rendering_renders_each_distinct_value_once(monkeypatch):
         assert len(lines) == m.nrows + 1
         assert len(calls) == len(values) + 1  # and the one zero cell
         assert set(calls) == {("str", x) for x in values} | {("str", ZERO)}
+
+
+# -- the fused identity kernel ------------------------------------------------
+
+def tower_matrix(rng: random.Random, variant: str, n: int, m: int) -> ExactMatrix:
+    """A random n x m matrix over the named variant's components, about half
+    its entries zero, with denominators 1 to 6 mixed across entries."""
+    comps = sorted(VARIANT_COMPONENTS[variant])
+    entries = {}
+    for r in range(n):
+        for c in range(m):
+            if rng.random() < 0.5:
+                x = [Fraction(0)] * 8
+                for i in comps:
+                    x[i] = Fraction(rng.randint(-3, 3), rng.randint(1, 6))
+                entries[(r, c)] = Scalar(x)
+    return ExactMatrix.from_entries(n, m, entries)
+
+
+def built(terms) -> ExactMatrix:
+    """The sum the terms describe, built with products, sums and Scalar scaling."""
+    total = None
+    for k, a, b in terms:
+        term = (a if b is None else a @ b).scale_left(Scalar.rational(k))
+        total = term if total is None else total + term
+    return total
+
+
+def random_terms(rng: random.Random, variant: str, n: int, p: int) -> list:
+    """One to three n x p terms, products through a random inner size or
+    plain matrices, with int coefficients of either sign."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        k = rng.choice([-3, -2, -1, 1, 2, 5])
+        if rng.random() < 0.3:
+            terms.append((k, tower_matrix(rng, variant, n, p), None))
+        else:
+            inner = rng.randint(0, 4)
+            terms.append((k, tower_matrix(rng, variant, n, inner),
+                          tower_matrix(rng, variant, inner, p)))
+    return terms
+
+
+def split(rng: random.Random, variant: str, terms) -> list:
+    """The same sum spelled differently: each product's right factor split
+    into two summands, each plain term into its halves, in reversed order."""
+    out = []
+    for k, a, b in reversed(terms):
+        if b is None:
+            out += [(k, a.scale_left(Scalar.rational(Fraction(1, 2))), None)] * 2
+        else:
+            part = tower_matrix(rng, variant, b.nrows, b.ncols)
+            out += [(k, a, b - part), (k, a, part)]
+    return out
+
+
+@pytest.mark.parametrize("variant", ["rational", "gauss", "tower", "quat", "quat_sqrt2"])
+def test_products_agree_is_equality_of_the_built_sides(variant):
+    """On random sums of products and plain terms, with mixed denominators
+    and shapes from 0 x 0 to 4 x 4, ``products_agree`` is ``==`` of the two
+    built sums: for the built sum against itself, for a differently spelled
+    sum of the same value, for one entry changed, and for unrelated sums."""
+    rng = random.Random(f"agree:{variant}")
+    seen = {True: 0, False: 0}
+    for _ in range(60):
+        n, p = rng.randint(0, 4), rng.randint(0, 4)
+        lhs = random_terms(rng, variant, n, p)
+        total = built(lhs)
+        sides = [[(1, total, None)], split(rng, variant, lhs),
+                 random_terms(rng, variant, n, p)]
+        if n and p:
+            r, c = rng.randrange(n), rng.randrange(p)
+            bump = ExactMatrix.from_entries(n, p, {(r, c): 1})
+            sides.append(lhs + [(rng.choice([-1, 1]), bump, None)])
+        for rhs in sides:
+            expected = total == built(rhs)
+            assert products_agree(lhs, rhs) == expected
+            assert products_agree(rhs, lhs) == expected
+            seen[expected] += 1
+    assert min(seen.values()) >= 60
+
+
+def test_products_agree_refuses_misshapen_terms():
+    """Operands that do not chain, or terms of different shapes, are False,
+    where building the sides raises or compares unequal."""
+    rng = random.Random("agree:shape")
+    a23, a32 = tower_matrix(rng, "gauss", 2, 3), tower_matrix(rng, "gauss", 3, 2)
+    a22, a33 = a23 @ a32, a32 @ a23
+    assert not products_agree([(1, a23, a23)], [(1, a22, None)])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        a23 @ a23
+    assert not products_agree([(1, a23, a32), (-1, a32, a23)], [(0, a22, None)])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        commutator(a23, a32)
+    assert not products_agree([(1, a23, a32)], [(1, a33, None)])
+    assert a23 @ a32 != a33
+    assert not products_agree([(1, ExactMatrix.zeros(0, 2), None)],
+                              [(1, ExactMatrix.zeros(0, 3), None)])
+    # Equal on the rows both have, but one has a further (zero) row.
+    taller = ExactMatrix.from_entries(3, 2, {
+        (r, c): x for r, row in enumerate(a22.nonzeros()) for c, x in row})
+    for lhs, rhs in (([(1, a22, None)], [(1, taller, None)]),
+                     ([(1, a23, a32)], [(1, taller, None)])):
+        assert not products_agree(lhs, rhs) and not products_agree(rhs, lhs)
+    assert a22 != taller
+    assert products_agree([(1, a23, a32), (-1, a22, None)], [(0, a22, None)])
+    assert products_agree([], [])
+
+
+def test_compare_products_builds_the_sides_only_on_failure():
+    """An agreeing pair gives ``(True, "")`` without building anything; a
+    disagreeing or misshapen one gives what ``compare`` of the built sides
+    gives, or raises what building them raises."""
+    rng = random.Random("compare-products")
+
+    def never():
+        raise AssertionError("built an agreeing pair")
+
+    h, x = tower_matrix(rng, "quat", 3, 3), tower_matrix(rng, "quat", 3, 3)
+    assert compare_products([(1, h, x), (-1, x, h)],
+                            [(1, commutator(h, x), None)], never) == (True, "")
+    y = x.scale_left(Scalar.rational(2))
+    got = compare_products([(1, h, y), (-1, y, h)], [(2, x, None)],
+                           lambda: (commutator(h, y), x.scale_left(2)))
+    assert got == compare(commutator(h, y), x.scale_left(2)) and not got[0]
+    z = tower_matrix(rng, "quat", 3, 3)
+    got = compare_products([(1, h, x)], [(1, z, None)], lambda: (h @ x, z))
+    assert got == compare(h @ x, z) and not got[0] and got[1].startswith("entry (")
+    wide = tower_matrix(rng, "quat", 3, 4)
+    got = compare_products([(1, h, wide)], [(1, z, None)], lambda: (h @ wide, z))
+    assert got == compare(h @ wide, z) and not got[0]
+    with pytest.raises(ValueError, match="shape mismatch: 3x4 @ 3x3"):
+        compare_products([(1, wide, z)], [(1, z, None)], lambda: (wide @ z, z))
+
+
+@pytest.mark.parametrize("variant", ["rational", "gauss", "tower", "quat", "quat_sqrt2"])
+def test_int_scale_left_matches_the_scalar_route(variant):
+    rng = random.Random(f"scale:{variant}")
+    for _ in range(20):
+        a = tower_matrix(rng, variant, rng.randint(0, 4), rng.randint(0, 4))
+        for k in (-3, -1, 0, 1, 2, 6):
+            got, expected = a.scale_left(k), a.scale_left(Scalar.rational(k))
+            assert got == expected and hash(got) == hash(expected)
+            assert got.integer_nonzeros() == expected.integer_nonzeros()
+
+
+@pytest.mark.parametrize("variant", sorted(COMMUTATIVE_COMPONENTS))
+def test_det_eliminates_each_distinct_block_once(variant, monkeypatch):
+    """Repeated blocks, as an embedded K point has them (``kron(I_d, g)``
+    and ``block_oplus`` with a block given more than once), give the
+    determinant of one Bareiss run over the whole matrix, permuted or not,
+    and unpermuted the split runs Bareiss once per distinct block."""
+    rng = random.Random(f"det-repeat:{variant}")
+    comps = COMMUTATIVE_COMPONENTS[variant]
+    runs = []
+    bareiss = matrices._bareiss
+
+    def counting(m):
+        runs.append(len(m))
+        return bareiss(m)
+
+    def connected(n: int) -> ExactMatrix:
+        """An invertible n x n matrix with no zero entry, so one connected
+        block whose determinant does not end the split early."""
+        while True:
+            entries = {}
+            for r in range(n):
+                for c in range(n):
+                    x = [Fraction(0)] * 8
+                    for i in comps:
+                        x[i] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                    x[0] = Fraction(rng.randint(1, 3))
+                    entries[(r, c)] = Scalar(x)
+            m = ExactMatrix.from_entries(n, n, entries)
+            if not unsplit_bareiss(m).is_zero():
+                return m
+
+    monkeypatch.setattr(matrices, "_bareiss", counting)
+    for _ in range(8):
+        b, c, d = connected(2), connected(3), rng.randint(1, 4)
+        for a, distinct in ((kron(ExactMatrix.identity(d), b), [2]),
+                            (block_oplus([b] * d + [c, b]), [2, 3]),
+                            (block_oplus([c, b, c]), [3, 2])):
+            del runs[:]
+            assert det(a) == unsplit_bareiss(a)
+            assert runs == distinct
+            perm = list(range(a.nrows))
+            rng.shuffle(perm)
+            assert det(permuted(a, perm)) == unsplit_bareiss(permuted(a, perm))

@@ -54,6 +54,34 @@ def test_jordan_type_recovers_partition(a):
         assert jordan_type(t.X) == rec.datum.partition
 
 
+def test_jordan_type_starts_its_powers_at_x(monkeypatch):
+    """For X of largest part d the powers X^2 .. X^d are the only products;
+    a zero matrix makes none, and a matrix that is not nilpotent still
+    raises after n + 1 ranks."""
+    products = [0]
+    matmul = ExactMatrix.__matmul__
+
+    def counting(a, b):
+        products[0] += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(ExactMatrix, "__matmul__", counting)
+    for a in (AlgebraSpec("sl_r", n=5), AlgebraSpec("so_pq", p=3, q=2)):
+        for rec in nonzero_orbits(a):
+            x = build_triple(a, rec.datum).X
+            products[0] = 0
+            assert jordan_type(x) == rec.datum.partition
+            assert products[0] == max(rec.datum.partition.parts()) - 1
+    products[0] = 0
+    assert jordan_type(ExactMatrix.zeros(3, 3)) == Partition([1, 1, 1])
+    assert jordan_type(ExactMatrix.zeros(0, 0)) == Partition([])
+    assert products[0] == 0
+    shift = ExactMatrix.from_entries(3, 3, {(0, 1): 1, (1, 2): 1, (2, 0): 1})
+    with pytest.raises(ValueError, match="matrix is not nilpotent"):
+        jordan_type(shift)
+    assert products[0] == 3
+
+
 def test_weight_multiplicities():
     """H acts with weight 1 - d + 2l on each string; the multiplicity of an
     eigenvalue w over the entry ring is the number of (d, l) with
