@@ -74,7 +74,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .catalog import AlgebraSpec, Datum
 from .families import COMPLEX, QUATERNION, FamilySpec
 from .homotopy import HomotopyType, compact_pair
-from .matrices import ExactMatrix, integer_nullity
+from .matrices import ExactMatrix, _columns, integer_nullity
 from .scalars import _PROD
 from .triples import (Triple, _gram_block, gram_block_keys, gram_matrix,
                       part_weights, slot_weights)
@@ -148,15 +148,6 @@ def expected_orbit_dim(a: AlgebraSpec, datum: Datum) -> int:
 _Lines = Sequence[Sequence[Tuple[int, Any]]]
 
 
-def _columns(by_row: _Lines, ncols: int) -> _Lines:
-    """Column lists of ``(row, value)`` pairs, ascending by row, of the row lists."""
-    by_col: List[list] = [[] for _ in range(ncols)]
-    for r, row in enumerate(by_row):
-        for c, v in row:
-            by_col[c].append((r, v))
-    return by_col
-
-
 def _rational_lines(m: ExactMatrix) -> _Lines:
     """The row lists of ``D * m`` with the int value of each entry.
 
@@ -205,7 +196,7 @@ class AlgebraConstraint:
                     if any(x[ring.dim:]):
                         raise ValueError(f"Gram entry ({r}, {c}) lies outside "
                                          f"the scalar ring")
-            self._by_col = _columns(self._by_row, gram.ncols)
+            self._by_col = _columns(self._by_row, gram.ncols, conj=False)
 
     def pairing(self, weights: Sequence[int]) -> List[int]:
         """The Gram pairing: ``pi[a]`` is the column of Gram row ``a``'s one nonzero.
@@ -286,7 +277,7 @@ def _centralizer_nullity(constraint: AlgebraConstraint,
     # matrices are rational.
     for mi, m in enumerate(commute_with):
         by_row = _rational_lines(m)
-        by_col = _columns(by_row, m.ncols)
+        by_col = _columns(by_row, m.ncols, conj=False)
         for i, (ra, rb) in enumerate(positions):
             for c in range(comps):
                 idx = i * comps + c

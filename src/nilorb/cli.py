@@ -24,9 +24,8 @@ from .diagrams import SignedDiagram
 from .families import FAMILIES, FAMILY_SPECS
 from .homotopy import (component_representative, embed_K, sample_k_element,
                        signed_block_totals, verify_K_membership)
-from .matrices import (ExactMatrix, commutator, compare, compare_products,
-                       congruence_signature, conj_transpose, is_isometry,
-                       products_agree)
+from .matrices import (ExactMatrix, compare, compare_products,
+                       congruence_signature, conj_transpose)
 from .partitions import Partition
 from .scalars import value_json, value_text
 from .triples import (adapted_basis, build_triple, jordan_type,
@@ -576,12 +575,11 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
         t = triple()
         return replace(t, Y=t.Y.scale_left(2)) if inject_fault else t
 
-    def bracket(a_name: str, b_name: str, k: int, c_name: str) -> Tuple[bool, str]:
-        """[A, B] = k C on the checked triple, built only to name a failure."""
+    def bracket(left: str, right: str, k: int, result: str) -> Tuple[bool, str]:
+        """[left, right] = k result, for members of the checked triple."""
         t = checked()
-        a, b, c = getattr(t, a_name), getattr(t, b_name), getattr(t, c_name)
-        return compare_products([(1, a, b), (-1, b, a)], [(k, c, None)],
-                                lambda: (commutator(a, b), c if k == 1 else c.scale_left(k)))
+        u, v, w = getattr(t, left), getattr(t, right), getattr(t, result)
+        return compare_products([(1, u, v), (-1, v, u)], [(k, w, None)])
 
     check("[H,X]=2X", lambda: bracket("H", "X", 2, "X"))
     check("[H,Y]=-2Y", lambda: bracket("H", "Y", -2, "Y"))
@@ -604,8 +602,7 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
             t = checked()
             for name, m in (("X", t.X), ("H", t.H), ("Y", t.Y)):
                 mt = sigma_transpose(m, t.sigma)
-                ok, detail = compare_products([(1, mt, t.gram)], [(-1, t.gram, m)],
-                                              lambda: (mt @ t.gram, -(t.gram @ m)))
+                ok, detail = compare_products([(1, mt, t.gram)], [(-1, t.gram, m)])
                 if not ok:
                     return False, f"{name}: {detail}"
             return True, ""
@@ -622,14 +619,13 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
             t_matrix = adapted_basis(a, datum).matrix
             target = standard_adapted_gram(a, datum)
             ts = sigma_transpose(t_matrix, t.sigma) @ t.gram
-            ok, detail = compare_products([(1, ts, t_matrix)], [(1, target, None)],
-                                          lambda: (ts @ t_matrix, target))
-            if ok and not is_isometry(t_matrix, conj=True):
-                # T is unitary, so verify_K_membership may invert it by T*.
-                ok, detail = compare(conj_transpose(t_matrix) @ t_matrix,
-                                     ExactMatrix.identity(t_matrix.ncols))
-                detail = f"T*T {detail}"
-            return ok, detail
+            ok, detail = compare_products([(1, ts, t_matrix)], [(1, target, None)])
+            if not ok:
+                return False, detail
+            # T is unitary, so verify_K_membership may invert it by T*.
+            ok, detail = compare_products([(1, conj_transpose(t_matrix), t_matrix)],
+                                          [(1, ExactMatrix.identity(t_matrix.ncols), None)])
+            return ok, detail and f"T*T {detail}"
         check("adapted-basis", adapted)
 
     if spec.has_descriptor:
@@ -648,12 +644,11 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
             prod = tuple([g1 @ g2 for g1, g2 in zip(e1(), e2)])
             ident = tuple([ExactMatrix.identity(g.nrows) for g in e1()])
             emb2, emb_prod, emb_ident = [embed_K(a, datum, e) for e in (e2, prod, ident)]
-            if (not products_agree([(1, emb1, emb2)], [(1, emb_prod, None)])
-                    and emb1 @ emb2 != emb_prod):
-                return False, "product: emb(g1) emb(g2) != emb(g1 g2)"
-            if emb_ident != ExactMatrix.identity(emb1.nrows):
-                return False, "identity: emb(1) != 1"
-            return True, ""
+            ok, detail = compare_products([(1, emb1, emb2)], [(1, emb_prod, None)])
+            if not ok:
+                return False, f"product: {detail}"
+            ok, detail = compare(emb_ident, ExactMatrix.identity(emb1.nrows))
+            return ok, detail and f"identity: {detail}"
         check("embedding-homomorphism", homomorphism)
         check("K-membership", lambda: (member().ok, "" if member().ok
                                        else "; ".join(member().failures)))

@@ -16,9 +16,10 @@ one whose O factors are reflections, off their identity component
 (:func:`component_representative`, from int numerators).
 :func:`verify_K_membership` returns the embedded matrix it checked, so a
 caller that also needs the embedding checks and assembles the element
-once; it checks commutation and the form through
-:func:`~nilorb.matrices.compare_products`, so a point that passes builds
-neither side of either identity.
+once.  It checks commutation and the form through
+:func:`~nilorb.matrices.compare_products`, whose kernel alone decides: a
+point that passes builds neither side of either identity, and a failing
+one builds both only to name the first bad entry.
 
 A Cayley point is built from its draws (:func:`random_compact_point`):
 the drawn entries stay int numerators over 6, the anti-self-adjoint
@@ -366,14 +367,12 @@ def verify_K_membership(a: AlgebraSpec, datum: Datum, e: Tuple[ExactMatrix, ...]
             return MembershipResult(("unitary[T]",), emb)
         g = T @ emb @ conj_transpose(T)
     for name, m in (("X", t.X), ("H", t.H), ("Y", t.Y)):
-        ok, detail = compare_products([(1, g, m)], [(1, m, g)],
-                                      lambda: (g @ m, m @ g))
+        ok, detail = compare_products([(1, g, m)], [(1, m, g)])
         if not ok:
             failures.append(f"commutes[{name}]: {detail}")
     if t.gram is not None:
         gs = sigma_transpose(g, t.sigma) @ t.gram
-        ok, detail = compare_products([(1, gs, g)], [(1, t.gram, None)],
-                                      lambda: (gs @ g, t.gram))
+        ok, detail = compare_products([(1, gs, g)], [(1, t.gram, None)])
         if not ok:
             failures.append(f"preserves[S]: {detail}")
     if a.family_spec.constraint != "none":

@@ -60,11 +60,12 @@ side is a sum of terms ``(k, A, B)``, the int ``k`` times ``A @ B`` (or
 times ``A`` when ``B`` is None), scaled to one common denominator, and
 each row of the difference is accumulated from the stored ints into one
 dict, the first nonzero row ending the check.  No product, sum or Scalar
-is built for an identity that holds.  The rule is: compare only on
-failure.  :func:`compare_products` builds the two sides and hands them to
-:func:`compare` only when the kernel finds them different or misshapen,
-so a failure's detail, or the ``ValueError`` a misshapen side raises, is
-the one building them always gave.
+is built for an identity that holds.  The rule is: the kernel decides,
+and the terms are built only to explain.  :func:`compare_products` takes
+the two term lists alone and returns the kernel's verdict; only on a
+"differ" does it build each side from its own terms and hand them to
+:func:`compare`, so a failure names its first bad entry, and a misshapen
+side raises the ``ValueError`` that building it raises.
 """
 
 from __future__ import annotations
@@ -162,9 +163,10 @@ def _row_times(row: tuple, b_num: tuple, f: int = 1,
     return acc
 
 
-def _columns(num: tuple, ncols: int, conj: bool) -> List[list]:
-    """The stored rows ``num`` read by column: per column, its ``(row,
-    numerators)`` pairs by row, conjugated when ``conj``."""
+def _columns(num: Sequence, ncols: int, conj: bool) -> List[list]:
+    """The rows ``num`` of ``(column, value)`` pairs read by column: per
+    column, its ``(row, value)`` pairs by row.  When ``conj``, each value
+    is a numerators tuple and is conjugated."""
     cols: List[list] = [[] for _ in range(ncols)]
     for r, row in enumerate(num):
         for c, x in row:
@@ -467,10 +469,6 @@ def conj_transpose(a: ExactMatrix) -> ExactMatrix:
     return a._transposed(True)
 
 
-def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a @ b - b @ a
-
-
 def compare(got: ExactMatrix, expected: ExactMatrix) -> Tuple[bool, str]:
     """Whether two matrices agree and, if not, the first entry that differs.
 
@@ -545,19 +543,28 @@ def products_agree(lhs: Sequence[Term], rhs: Sequence[Term]) -> bool:
     return True
 
 
-def compare_products(lhs: Sequence[Term], rhs: Sequence[Term],
-                     build: Callable[[], Tuple[ExactMatrix, ExactMatrix]]
-                     ) -> Tuple[bool, str]:
-    """:func:`compare` of the two matrices ``build()`` returns, which are
-    the sums ``lhs`` and ``rhs`` describe, built only when
-    :func:`products_agree` finds them different or misshapen.
+def _built(terms: Sequence[Term]) -> ExactMatrix:
+    """The sum of one or more ``terms``, built with ``@``, ``scale_left``
+    and ``+`` in term order."""
+    total = None
+    for k, a, b in terms:
+        term = (a if b is None else a @ b).scale_left(k)
+        total = term if total is None else total + term
+    return total
 
-    An agreeing pair builds nothing; any other gets ``compare``'s detail,
-    or the exception ``build`` raises, exactly as if it had been built.
+
+def compare_products(lhs: Sequence[Term], rhs: Sequence[Term]) -> Tuple[bool, str]:
+    """Whether the sums ``lhs`` and ``rhs``, each of one or more terms,
+    agree and, if not, :func:`compare`'s detail of the two built sums.
+
+    :func:`products_agree` alone decides.  Only when it finds the sides
+    different or misshapen is each side built from its own terms, to name
+    the first bad entry; a side whose terms do not chain or differ in shape
+    raises the ``ValueError`` that building it raises.
     """
     if products_agree(lhs, rhs):
         return True, ""
-    return compare(*build())
+    return False, compare(_built(lhs), _built(rhs))[1]
 
 
 def is_isometry(g: ExactMatrix, conj: bool) -> bool:

@@ -17,12 +17,17 @@ from nilorb.diagrams import SignedDiagram
 from nilorb.homotopy import (characters, compact_pair, embed_K,
                              sample_k_element, signed_block_totals,
                              verify_K_membership)
-from nilorb.matrices import commutator, congruence_signature, det
+from nilorb.matrices import ExactMatrix, congruence_signature, det
 from nilorb.partitions import Partition, enumerate_partitions
 from nilorb.scalars import Scalar
 from nilorb.triples import build_triple, gram_matrix, jordan_type, sigma_transpose
 
 TWO = Scalar.rational(2)
+
+
+def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """The reference bracket ``[a, b] = a b - b a``, built with ``@`` and ``-``."""
+    return a @ b - b @ a
 
 
 def small_specs(include_zero_rank=False):

@@ -318,9 +318,10 @@ def test_verify_explains_a_gram_invariance_failure(capsys, monkeypatch):
 
 @pytest.mark.parametrize("fault, argv, detail", [
     ("product", ("--algebra", "sl_c", "--n", "4"),
-     "[4 failed: [2,1,1]: product: emb(g1) emb(g2) != emb(g1 g2)]"),
+     "[4 failed: [2,1,1]: product: entry (2,2) is -1461/1885+248/1885*i, "
+     "expected 171/1885+1472/1885*i]"),
     ("identity", ("--algebra", "sl_c", "--n", "3"),
-     "[2 failed: [2,1]: identity: emb(1) != 1]"),
+     "[2 failed: [2,1]: identity: entry (0,0) is 0, expected 1]"),
 ], ids=("product", "identity"))
 def test_verify_explains_an_embedding_that_is_not_a_homomorphism(
         capsys, monkeypatch, fault, argv, detail):
@@ -328,7 +329,8 @@ def test_verify_explains_an_embedding_that_is_not_a_homomorphism(
     everything as zero keeps products but loses the identity.  The fault
     wraps the CLI's ``embed_K`` only, and emb(g1) is the one K-membership
     checked, so the product check compares emb(g1) emb(g2)* with
-    emb(g1 g2)*: it fails on all four orbits, the commutative ones too."""
+    emb(g1 g2)*: it fails on all four orbits, the commutative ones too.
+    Each detail names the first bad entry of the product or the identity."""
     import nilorb.cli
     from nilorb.matrices import ExactMatrix, conj_transpose
 
@@ -348,9 +350,14 @@ def test_verify_explains_an_embedding_that_is_not_a_homomorphism(
 
 
 @pytest.mark.parametrize("argv, failed", [
-    (("--algebra", "sl_r", "--n", "6"), "(10 orbit(s)) [6 failed: [2,1,1,1,1]"),
-    (("--algebra", "sl_c", "--n", "5"), "(6 orbit(s)) [3 failed: [2,1,1,1]"),
-    (("--algebra", "sl_h", "--n", "4"), "(4 orbit(s)) [2 failed: [2,1,1]"),
+    (("--algebra", "sl_r", "--n", "6"), "(10 orbit(s)) [6 failed: [2,1,1,1,1]: "
+     "product: entry (2,3) is 24/115, expected -24/115]"),
+    (("--algebra", "sl_c", "--n", "5"), "(6 orbit(s)) [3 failed: [2,1,1,1]: "
+     "product: entry (2,3) is 74196/1698341-39840/1698341*i, "
+     "expected 381948/8491705+177264/8491705*i]"),
+    (("--algebra", "sl_h", "--n", "4"), "(4 orbit(s)) [2 failed: [2,1,1]: "
+     "product: entry (2,3) is 129/1369-840/1369*i+27/1369*j-63/1369*k, "
+     "expected -27/1369+63/1369*i+129/1369*j-840/1369*k]"),
 ], ids=("sl_r", "sl_c", "sl_h"))
 def test_only_the_homomorphism_check_catches_an_anti_homomorphism(
         capsys, monkeypatch, argv, failed):
@@ -365,9 +372,26 @@ def test_only_the_homomorphism_check_catches_an_anti_homomorphism(
                         lambda ident, g: kron(ident, g.transpose()))
     code, out, _ = run(capsys, "verify", *argv)
     assert code == 1
-    assert (f"embedding-homomorphism FAILED {failed}: "
-            "product: emb(g1) emb(g2) != emb(g1 g2)]") in out
+    assert f"embedding-homomorphism FAILED {failed}" in out
     assert "K-membership PASSED" in out
+
+
+def test_verify_reads_every_product_identity_from_the_kernel_alone(capsys, monkeypatch):
+    """With ``products_agree`` answering "differ" on equal sides, every line
+    that checks a product identity fails, although its built sides agree:
+    no second route overturns the kernel.  The plain equalities and the
+    other checks still pass."""
+    from nilorb import matrices
+
+    monkeypatch.setattr(matrices, "products_agree", lambda lhs, rhs: False)
+    code, out, _ = run(capsys, "verify", "--algebra", "so_pq", "--p", "2", "--q", "1")
+    assert code == 1
+    failed = ("[H,X]=2X", "[H,Y]=-2Y", "[X,Y]=H", "gram-invariance", "adapted-basis",
+              "embedding-homomorphism", "K-membership")
+    lines = {line.split()[0]: line.split()[1] for line in out.splitlines()[1:-1]}
+    assert sorted(name for name, verdict in lines.items()
+                  if verdict == "FAILED") == sorted(failed)
+    assert len(lines) == 13 and "verify: FAIL" in out
 
 
 def test_verify_samples_and_checks_each_k_point_once(capsys, monkeypatch):

@@ -14,7 +14,7 @@ from nilorb.cli import _json_text, _matrix_lines
 from nilorb.homotopy import random_compact_point
 from nilorb import matrices
 from nilorb.matrices import (DegenerateFormError, ExactMatrix, block_oplus,
-                             commutator, compare, compare_products,
+                             compare, compare_products,
                              complex_to_real_blocks, congruence_signature,
                              conj_transpose, det, i_to_j, inverse, is_isometry,
                              kron, permute_columns, products_agree,
@@ -29,6 +29,11 @@ def dense(rows) -> ExactMatrix:
     """The matrix with the given rows of Scalars (or ints or Fractions)."""
     return ExactMatrix.from_entries(len(rows), len(rows[0]) if rows else 0, {
         (r, c): x for r, row in enumerate(rows) for c, x in enumerate(row)})
+
+
+def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """The reference bracket ``[a, b] = a b - b a``, built with ``@`` and ``-``."""
+    return a @ b - b @ a
 
 
 def rational_matrix(rng: random.Random, n: int, m: int | None = None) -> ExactMatrix:
@@ -685,30 +690,44 @@ def test_products_agree_refuses_misshapen_terms():
     assert products_agree([], [])
 
 
-def test_compare_products_builds_the_sides_only_on_failure():
+def test_compare_products_builds_the_sides_only_on_failure(monkeypatch):
     """An agreeing pair gives ``(True, "")`` without building anything; a
-    disagreeing or misshapen one gives what ``compare`` of the built sides
-    gives, or raises what building them raises."""
+    disagreeing or misshapen one gives what ``compare`` of the sides built
+    from its own terms gives, or raises what building them raises."""
     rng = random.Random("compare-products")
 
-    def never():
+    def never(*args):
         raise AssertionError("built an agreeing pair")
 
     h, x = tower_matrix(rng, "quat", 3, 3), tower_matrix(rng, "quat", 3, 3)
-    assert compare_products([(1, h, x), (-1, x, h)],
-                            [(1, commutator(h, x), None)], never) == (True, "")
+    hx = commutator(h, x)
+    with monkeypatch.context() as patched:
+        for name in ("__matmul__", "__add__", "scale_left"):
+            patched.setattr(ExactMatrix, name, never)
+        assert compare_products([(1, h, x), (-1, x, h)], [(1, hx, None)]) == (True, "")
     y = x.scale_left(Scalar.rational(2))
-    got = compare_products([(1, h, y), (-1, y, h)], [(2, x, None)],
-                           lambda: (commutator(h, y), x.scale_left(2)))
+    got = compare_products([(1, h, y), (-1, y, h)], [(2, x, None)])
     assert got == compare(commutator(h, y), x.scale_left(2)) and not got[0]
     z = tower_matrix(rng, "quat", 3, 3)
-    got = compare_products([(1, h, x)], [(1, z, None)], lambda: (h @ x, z))
+    got = compare_products([(1, h, x)], [(1, z, None)])
     assert got == compare(h @ x, z) and not got[0] and got[1].startswith("entry (")
     wide = tower_matrix(rng, "quat", 3, 4)
-    got = compare_products([(1, h, wide)], [(1, z, None)], lambda: (h @ wide, z))
+    got = compare_products([(1, h, wide)], [(1, z, None)])
     assert got == compare(h @ wide, z) and not got[0]
     with pytest.raises(ValueError, match="shape mismatch: 3x4 @ 3x3"):
-        compare_products([(1, wide, z)], [(1, z, None)], lambda: (wide @ z, z))
+        compare_products([(1, wide, z)], [(1, z, None)])
+
+
+def test_compare_products_takes_the_kernels_verdict(monkeypatch):
+    """A kernel "differ" stands even where the built sides compare equal."""
+    rng = random.Random("kernel-verdict")
+    h, x = tower_matrix(rng, "gauss", 3, 3), tower_matrix(rng, "gauss", 3, 3)
+    monkeypatch.setattr(matrices, "products_agree", lambda lhs, rhs: False)
+    for lhs, rhs in (([(1, h, x)], [(1, h @ x, None)]),
+                     ([(1, h, x), (-1, x, h)], [(1, commutator(h, x), None)]),
+                     ([(1, conj_transpose(h), h)], [(1, conj_transpose(h) @ h, None)])):
+        ok, _ = compare_products(lhs, rhs)
+        assert not ok
 
 
 @pytest.mark.parametrize("variant", ["rational", "gauss", "tower", "quat", "quat_sqrt2"])

@@ -13,6 +13,10 @@ tracer's ``SPANNED_FUNCTIONS`` strings count too.  Otherwise it sits in
   re-exports names, so its imports do not count.
 - A method counts as referenced only through an attribute (``.name``),
   so a local variable that shares its name does not hide a dead method.
+
+Module-level private functions (``_name``) are scanned too: each must be
+referenced by some ``src`` module other than ``__init__``, so a helper
+that loses its last caller is flagged.  They have no allowlist.
 """
 
 from __future__ import annotations
@@ -99,6 +103,19 @@ def unreferenced(sources: dict, users: dict, spanned: set) -> list:
     return sorted(flagged)
 
 
+def unreferenced_private(sources: dict) -> list:
+    """The qualified module-level private functions (``_name``, not dunders)
+    of ``sources`` that no module but ``__init__`` references."""
+    trees = {m: ast.parse(s) for m, s in sources.items()}
+    refs = [references(t) for m, t in trees.items() if m != "__init__"]
+    return sorted(f"{module}.{node.name}" for module, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                  and not node.name.startswith("__")
+                  and not any(node.name in names or node.name in attrs
+                              for names, attrs in refs))
+
+
 def _package_sources() -> dict:
     return {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
 
@@ -132,6 +149,30 @@ def test_scan_flags_dead_names_and_accepts_used_ones():
     assert unreferenced(sources, {}, {"spanned"}) == ["a.Box.entry", "a.only_exported"]
     assert unreferenced(sources, {"bench.py": "x.entry()\nonly_exported()\n"},
                         {"spanned"}) == []
+
+
+def test_private_scan_flags_a_helper_that_lost_its_last_caller():
+    sources = {
+        "__init__": "from .a import _exported\n",
+        "a": (
+            "def _called():\n    pass\n"
+            "def _read_by_attribute():\n    pass\n"
+            "def _exported():\n    pass\n"
+            "def _dead():\n    pass\n"
+            "def __getattr__(name):\n    pass\n"
+            "class Box:\n    def _method(self):\n        pass\n"
+        ),
+        "b": (
+            "from . import a\nfrom .a import _called\n"
+            "def _f():\n    return _called(), a._read_by_attribute\n"
+            "x = _f\n"
+        ),
+    }
+    assert unreferenced_private(sources) == ["a._dead", "a._exported"]
+
+
+def test_every_private_function_is_referenced():
+    assert unreferenced_private(_package_sources()) == []
 
 
 def _flagged() -> list:

@@ -13,7 +13,7 @@ from nilorb.catalog import AlgebraSpec, enumerate_orbits
 from nilorb.diagrams import row_plus_minus
 from nilorb.centralizers import _part_grading, centralizer_report
 from nilorb.homotopy import embed_K, factor_layout, sample_k_element
-from nilorb.matrices import ExactMatrix, commutator, congruence_signature, rank
+from nilorb.matrices import ExactMatrix, congruence_signature, rank
 from nilorb.partitions import Partition
 from nilorb.scalars import J_UNIT, MINUS_ONE, ONE, ZERO, Scalar
 from nilorb.triples import (ZeroOrbitError, _form_block, _odd_level_takes_plus_rows,
@@ -21,6 +21,11 @@ from nilorb.triples import (ZeroOrbitError, _form_block, _odd_level_takes_plus_r
                             sigma_transpose, slot_weights, standard_adapted_gram)
 
 TWO = Scalar.rational(2)
+
+
+def commutator(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """The reference bracket ``[a, b] = a b - b a``, built with ``@`` and ``-``."""
+    return a @ b - b @ a
 
 ALL_SMALL_SPECS = (
     [AlgebraSpec(f, n=n) for f in ("sl_r", "sl_c", "sl_h") for n in range(1, 7)]
