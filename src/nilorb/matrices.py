@@ -560,11 +560,12 @@ def compare_products(lhs: Sequence[Term], rhs: Sequence[Term]) -> Tuple[bool, st
     :func:`products_agree` alone decides.  Only when it finds the sides
     different or misshapen is each side built from its own terms, to name
     the first bad entry; a side whose terms do not chain or differ in shape
-    raises the ``ValueError`` that building it raises.
+    raises the ``ValueError`` that building it raises.  Built sides that
+    compare equal give the detail ``kernel and built sides disagree``.
     """
     if products_agree(lhs, rhs):
         return True, ""
-    return False, compare(_built(lhs), _built(rhs))[1]
+    return False, compare(_built(lhs), _built(rhs))[1] or "kernel and built sides disagree"
 
 
 def is_isometry(g: ExactMatrix, conj: bool) -> bool:

@@ -380,7 +380,7 @@ def test_verify_reads_every_product_identity_from_the_kernel_alone(capsys, monke
     """With ``products_agree`` answering "differ" on equal sides, every line
     that checks a product identity fails, although its built sides agree:
     no second route overturns the kernel.  The plain equalities and the
-    other checks still pass."""
+    other checks still pass, and no failed line ends in an empty detail."""
     from nilorb import matrices
 
     monkeypatch.setattr(matrices, "products_agree", lambda lhs, rhs: False)
@@ -392,6 +392,10 @@ def test_verify_reads_every_product_identity_from_the_kernel_alone(capsys, monke
     assert sorted(name for name, verdict in lines.items()
                   if verdict == "FAILED") == sorted(failed)
     assert len(lines) == 13 and "verify: FAIL" in out
+    for line in out.splitlines():
+        if "FAILED" in line:
+            assert not line.endswith((": ]", ": ;")) and ": ;" not in line
+            assert line.endswith("kernel and built sides disagree]")
 
 
 def test_verify_samples_and_checks_each_k_point_once(capsys, monkeypatch):

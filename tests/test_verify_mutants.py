@@ -26,7 +26,10 @@ mutant                         command                            catching line
 
 The field sweep at the end mutates every descriptor family's ``k_kinds``,
 ``even_embed``, ``fibers`` and ``ambient`` and pins, for each mutant, the
-lines that catch it or the reason it survives.
+lines that catch it or the reason it survives.  The rule sweep after it
+swaps each entry of the builder's kind table, keyed by (ring, eps'), for
+each other kind, rebuilds every record through the builder and pins the
+mutant the same way.
 
 A check that raises fails on its own line, naming the orbit and the
 exception as ``ExcType: message``; the tests at the end raise on purpose
@@ -45,10 +48,12 @@ import pytest
 
 import nilorb
 import nilorb.centralizers
-from nilorb import cli
-from nilorb.families import (FAMILY_SPECS, _indefinite_orthogonal_fibers, _one_fiber,
-                             _two_if_even, _two_if_very_even)
+from nilorb import cli, families
+from nilorb.families import (COMPLEX, FAMILY_SPECS, QUATERNION, REAL, _family,
+                             _indefinite_orthogonal_fibers, _one_fiber, _two_if_even,
+                             _two_if_very_even)
 from nilorb.homotopy import compact_pair
+from test_family_table import DERIVED, derived_fields
 
 
 def package_memos():
@@ -279,6 +284,15 @@ SURVIVORS = {
     "sp_pq fibers _two_if_even": NO_FIBER_CHECK,
     "sp_pq fibers _two_if_very_even": NO_FIBER_CHECK,
     "sp_pq fibers _indefinite_orthogonal_fibers": NO_FIBER_CHECK,
+    "rule R,+1 U": "drops so_pq's descriptor: its verify table loses the checks that read "
+                   "one, so it does not line up with the clean table (block-accounting "
+                   "fails); the literal pins catch it",
+    "rule H,+1 U": "drops sp_pq's descriptor: its verify table loses the checks that read "
+                   "one, so it does not line up with the clean table (block-accounting and "
+                   "centralizer-dim fail); the literal pins catch it",
+    "rule H,-1 O": "gives so_star a descriptor, which no sweep algebra verifies, and makes "
+                   "sp_pq's even factor O, a subgroup of U that membership accepts, whose "
+                   "rational entries need no i -> j; the literal pins catch it",
 }
 
 #: The mutants ``verify`` catches, each with the lines that fail on one of
@@ -337,12 +351,35 @@ CAUGHT = {
     "sp_pq even_embed C-to-R": "embedding-homomorphism K-membership",
     "sp_pq ambient SO": "zero-orbit-quotient embedding-homomorphism K-membership",
     "sp_pq ambient SU": "zero-orbit-quotient embedding-homomorphism K-membership",
+    "rule R,+1 Sp": "so_pq: centralizer-dim K-membership",
+    "rule R,-1 O": "so_pq: embedding-homomorphism K-membership",
+    "rule R,-1 Sp": "so_pq: embedding-homomorphism K-membership",
+    "rule C,+1 U": "so_c: drops its descriptor; sp_c: K-membership",
+    "rule C,+1 Sp": "so_c: centralizer-dim embedding-homomorphism K-membership; "
+                    "sp_c: embedding-homomorphism K-membership",
+    "rule C,-1 O": "so_c: embedding-homomorphism K-membership; "
+                   "sp_c: centralizer-dim K-membership",
+    "rule C,-1 U": "so_c: embedding-homomorphism K-membership; sp_c: drops its descriptor",
+    "rule H,+1 O": "sp_pq: centralizer-dim embedding-homomorphism K-membership",
+    "rule H,-1 Sp": "sp_pq: K-membership; so_star: gains a descriptor",
+}
+
+RINGS = {"R": REAL, "C": COMPLEX, "H": QUATERNION}
+
+#: ``"rule ring,eps' kind"`` -> (the kind table's key, the kind put there),
+#: for every entry of the builder's kind table and every other kind.
+RULE_MUTANTS = {
+    f"rule {letter},{sign:+d} {kind}": ((ring, sign), kind)
+    for letter, ring in RINGS.items() for sign in (1, -1)
+    for kind in KINDS if kind != families._KINDS[ring, sign]
 }
 
 
 def test_every_field_mutant_is_caught_or_pinned():
+    """Every field mutant and every rule mutant, each pinned once."""
+    assert len(FIELD_MUTANTS) == 83 and len(RULE_MUTANTS) == 12
     assert not set(CAUGHT) & set(SURVIVORS)
-    assert set(CAUGHT) | set(SURVIVORS) == set(FIELD_MUTANTS)
+    assert set(CAUGHT) | set(SURVIVORS) == set(FIELD_MUTANTS) | set(RULE_MUTANTS)
 
 
 @pytest.fixture(scope="module")
@@ -369,6 +406,12 @@ def test_a_field_mutant_fails_its_pinned_lines_or_survives_for_its_reason(
     family, fields = FIELD_MUTANTS[mutant]
     family_fields(family, **fields)(monkeypatch)
     clear_memos()
+    assert sweep_failures(capsys, clean_tables, family) == CAUGHT.get(mutant, "")
+
+
+def sweep_failures(capsys, clean_tables, family) -> str:
+    """The lines that fail on one of the family's sweep algebras at least,
+    in table order, each table printed whole with no traceback."""
     failed = set()
     for params in SWEEP_ALGEBRAS[family]:
         code, out, err = run(capsys, "verify", "--algebra", family, *params)
@@ -378,5 +421,36 @@ def test_a_field_mutant_fails_its_pinned_lines_or_survives_for_its_reason(
         assert code == (1 if bad else 0)
         assert out.endswith("verify: FAIL\n" if bad else "verify: PASS\n")
         failed |= bad
-    order = [name for name in cli._CHECK_ORDER if name in failed]
-    assert " ".join(order) == CAUGHT.get(mutant, "")
+    return " ".join(name for name in cli._CHECK_ORDER if name in failed)
+
+
+@pytest.mark.parametrize("mutant", RULE_MUTANTS)
+def test_a_rule_mutant_fails_its_pinned_lines_or_survives_for_its_reason(
+        capsys, monkeypatch, cold_memos, clean_tables, mutant):
+    """Every record is rebuilt through the builder from the mutated kind
+    table, and the literal pins of the derived fields fail.  A family whose
+    record changes is named with the lines that fail on its sweep
+    algebras, or with the descriptor it gains or drops: verify's table for
+    it then changes shape.  A mutant pinned in ``SURVIVORS`` fails no line
+    of a family that keeps its descriptor."""
+    key, kind = RULE_MUTANTS[mutant]
+    monkeypatch.setitem(families._KINDS, key, kind)
+    table = {name: _family(spec.ring, spec.form, spec.min_n, spec.low_rank,
+                           spec.boxes_per_n, spec.fibers)
+             for name, spec in FAMILY_SPECS.items()}
+    assert derived_fields(table) != DERIVED
+    changed = {name: (FAMILY_SPECS[name], spec) for name, spec in table.items()
+               if spec != FAMILY_SPECS[name]}
+    for name, (_, spec) in changed.items():
+        monkeypatch.setitem(FAMILY_SPECS, name, spec)
+    clear_memos()
+    parts = []
+    for name, (old, new) in changed.items():
+        if old.has_descriptor != new.has_descriptor:
+            parts.append(f"{name}: {'gains a' if new.has_descriptor else 'drops its'} descriptor")
+        elif failed := sweep_failures(capsys, clean_tables, name):
+            parts.append(f"{name}: {failed}")
+    if mutant in SURVIVORS:
+        assert parts and all(part.endswith(" descriptor") for part in parts)
+    else:
+        assert "; ".join(parts) == CAUGHT[mutant]
