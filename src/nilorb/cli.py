@@ -21,9 +21,9 @@ from .catalog import (AlgebraSpec, Datum, OrbitRecord, datum_membership_error,
 from .centralizers import (CentralizerReport, centralizer_dim_triple,
                            centralizer_report, expected_orbit_dim)
 from .diagrams import SignedDiagram
-from .families import FAMILIES, FAMILY_SPECS
-from .homotopy import (component_representative, embed_K, sample_k_element,
-                       signed_block_totals, verify_K_membership)
+from .families import COMPLEX, FAMILIES, FAMILY_SPECS
+from .homotopy import (sample_k_element, signed_block_totals, verify_K_homomorphism,
+                       verify_K_membership)
 from .matrices import (ExactMatrix, compare, compare_products,
                        congruence_signature, conj_transpose)
 from .partitions import Partition
@@ -549,6 +549,9 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
             disagreements.append(f"solved {solved}, graded {graded}, expected {expected}")
         if rep.dim_z_X != expected_x:
             disagreements.append(f"z(X) graded {rep.dim_z_X}, expected {expected_x}")
+        if spec.ring is COMPLEX and not rec.is_zero_orbit and 2 * rep.compact.dim_K != solved:
+            # A complex z(triple) is the complexification of K's Lie algebra.
+            disagreements.append(f"dim K: 2 x {rep.compact.dim_K} != dim z(triple) {solved}")
         return not disagreements, "; ".join(disagreements)
     check("centralizer-dim", centralizer_dim)
 
@@ -629,29 +632,13 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
         check("adapted-basis", adapted)
 
     if spec.has_descriptor:
-        # g1 is a random point, g2 the fixed component representative.
-        # K-membership checks and embeds g1 once; the product check reuses it.
+        # One seeded Cayley point g1 per orbit, checked and embedded once.
         rng = random.Random(f"{seed}:{a}:{index}")
         e1 = _once(lambda: sample_k_element(a, datum, rng))
         member = _once(lambda: verify_K_membership(a, datum, e1(), checked()))
-
-        def homomorphism():
-            emb1 = member().embedded
-            if emb1 is None:
-                # K-membership names the sample's factor defect; so does this line.
-                return False, member().failures[0]
-            e2 = component_representative(a, datum)
-            prod = tuple([g1 @ g2 for g1, g2 in zip(e1(), e2)])
-            ident = tuple([ExactMatrix.identity(g.nrows) for g in e1()])
-            emb2, emb_prod, emb_ident = [embed_K(a, datum, e) for e in (e2, prod, ident)]
-            ok, detail = compare_products([(1, emb1, emb2)], [(1, emb_prod, None)])
-            if not ok:
-                return False, f"product: {detail}"
-            ok, detail = compare(emb_ident, ExactMatrix.identity(emb1.nrows))
-            return ok, detail and f"identity: {detail}"
-        check("embedding-homomorphism", homomorphism)
-        check("K-membership", lambda: (member().ok, "" if member().ok
-                                       else "; ".join(member().failures)))
+        check("embedding-homomorphism",
+              lambda: verify_K_homomorphism(a, datum, e1(), member()))
+        check("K-membership", lambda: (member().ok, "; ".join(member().failures)))
     return results
 
 
@@ -671,16 +658,13 @@ def _cmd_verify(args) -> int:
                     detail = f"{rec.datum}: {detail}" if detail else str(rec.datum)
                 by_check.setdefault(name, []).append((ok, detail))
         checks = []
-        for name in _CHECK_ORDER:
-            if name not in by_check:
-                continue
+        for name in [name for name in _CHECK_ORDER if name in by_check]:
             outcomes = by_check[name]
             failed = [d for ok, d in outcomes if not ok]
-            ok_all = not failed
-            all_ok = all_ok and ok_all
+            all_ok = all_ok and not failed
             checks.append({
                 "name": name,
-                "status": "PASSED" if ok_all else "FAILED",
+                "status": "FAILED" if failed else "PASSED",
                 "orbits": len(outcomes),
                 "failures": len(failed),
                 "detail": failed[0] if failed else "",
@@ -691,6 +675,9 @@ def _cmd_verify(args) -> int:
             "orbit_records": len(records),
             "checks": checks,
         })
+    if fault_armed:
+        raise UsageError(f"fault target: --inject-fault corrupts the first nonzero orbit, "
+                         f"and the run ({', '.join(map(str, specs))}) has none")
     document = {
         "schema": SCHEMA_VERSION,
         "seed": args.seed,
@@ -705,8 +692,7 @@ def _cmd_verify(args) -> int:
             print(f"verify {rep['algebra']}({params}): "
                   f"{rep['orbit_records']} datum(s)")
             for chk in rep["checks"]:
-                line = (f"  {chk['name']} {chk['status']} "
-                        f"({chk['orbits']} orbit(s))")
+                line = f"  {chk['name']} {chk['status']} ({chk['orbits']} orbit(s))"
                 if chk["failures"]:
                     line += f" [{chk['failures']} failed"
                     if chk["detail"]:

@@ -14,12 +14,17 @@ ordered like :func:`factor_layout`.  Two kinds are built here: an exact
 random point by Cayley transforms (:func:`sample_k_element`), and a fixed
 one whose O factors are reflections, off their identity component
 (:func:`component_representative`, from int numerators).
-:func:`verify_K_membership` returns the embedded matrix it checked, so a
-caller that also needs the embedding checks and assembles the element
-once.  It checks commutation and the form through
-:func:`~nilorb.matrices.compare_products`, whose kernel alone decides: a
-point that passes builds neither side of either identity, and a failing
-one builds both only to name the first bad entry.
+
+``verify`` checks one seeded Cayley point g1 per orbit, in two functions
+here.  :func:`verify_K_membership` checks g1's factor relations and its
+embedding against the triple, the form and the characters.
+:func:`verify_K_homomorphism` reuses that embedding, checks only the
+relations of g2 = :func:`component_representative`, through
+:func:`embed_K`, and assembles g1 g2 and 1 unchecked: both lie in the
+group K once g1 and g2 do.  Membership checks commutation and the form
+through :func:`~nilorb.matrices.compare_products`, whose kernel alone
+decides: a point that passes builds neither side of either identity,
+and a failing one builds both only to name the first bad entry.
 
 A Cayley point is built from its draws (:func:`random_compact_point`):
 the drawn entries stay int numerators over 6, the anti-self-adjoint
@@ -47,7 +52,7 @@ from .catalog import AlgebraSpec, Datum
 from .diagrams import row_plus_minus
 from .families import FAMILY_SPECS, compact_dim, ring_of_kind
 from .matrices import (_ONE_NUM, ExactMatrix, _conj_nums, _det_nums, _mul_nums,
-                       _reduced_norm_nums, _to_scalar, block_oplus,
+                       _reduced_norm_nums, _to_scalar, block_oplus, compare,
                        compare_products, complex_to_real_blocks, conj_transpose,
                        det, diagonal_block, i_to_j, is_isometry, kron,
                        quaternion_to_complex_blocks, solve)
@@ -106,11 +111,8 @@ def factor_layout(a: AlgebraSpec, datum: Datum) -> Tuple[FactorSpec, ...]:
     part = datum.partition
     if spec.form is None:
         return tuple(FactorSpec(spec.k_kind(d), t, "part", d) for d, t in part.pairs)
-    evens = sorted((d, t) for d, t in part.pairs if d % 2 == 0)
-    odds = sorted(((d, t) for d, t in part.pairs if d % 2 == 1),
-                  key=lambda x: (x[0] % 4, x[0]))
     out: List[FactorSpec] = []
-    for d, t in evens + odds:
+    for d, t in sorted(part.pairs, key=lambda x: (x[0] % 2 and x[0] % 4, x[0])):
         kind, role = spec.k_kind(d), ("even", "odd")[d % 2]
         if d % 2 == spec.free_sign:
             out.append(FactorSpec(kind, datum.p_of(d), role + "_p", d))
@@ -118,6 +120,10 @@ def factor_layout(a: AlgebraSpec, datum: Datum) -> Tuple[FactorSpec, ...]:
         else:
             out.append(FactorSpec(kind, t // 2 if d % 2 == spec.paired else t, role, d))
     return tuple(out)
+
+
+#: The isometry relation of each factor kind; only O is read without conjugation.
+_RELATION = {"O": "orthogonal", "U": "unitary", "Sp": "quaternion-unitary"}
 
 
 def k_element_defect(a: AlgebraSpec, datum: Datum,
@@ -128,23 +134,17 @@ def k_element_defect(a: AlgebraSpec, datum: Datum,
     if len(layout) != len(e):
         return f"expected {len(layout)} factors, got {len(e)}"
     for spec, g in zip(layout, e):
+        factor = f"{spec.kind}({spec.size}) factor"
         if g.nrows != spec.size or g.ncols != spec.size:
-            return f"{spec.kind}({spec.size}) factor has shape {g.nrows}x{g.ncols}"
+            return f"{factor} has shape {g.nrows}x{g.ncols}"
         if not spec.size:
             continue  # the 0 x 0 matrix is in every group
-        if spec.kind == "O":
-            if not is_isometry(g, conj=False):
-                return f"O({spec.size}) factor is not orthogonal"
-            if g.variant() != "rational":
-                return f"O({spec.size}) factor has non-real entries"
-        elif spec.kind == "U":
-            if not is_isometry(g, conj=True):
-                return f"U({spec.size}) factor is not unitary"
-            if g.variant() not in COMPLEX_LIKE_VARIANTS:
-                return f"U({spec.size}) factor has j/k entries"
-        else:
-            if not is_isometry(g, conj=True):
-                return f"Sp({spec.size}) factor is not quaternion-unitary"
+        if not is_isometry(g, conj=spec.kind != "O"):
+            return f"{factor} is not {_RELATION[spec.kind]}"
+        if spec.kind == "O" and g.variant() != "rational":
+            return f"{factor} has non-real entries"
+        if spec.kind == "U" and g.variant() not in COMPLEX_LIKE_VARIANTS:
+            return f"{factor} has j/k entries"
     return None
 
 
@@ -187,15 +187,10 @@ class HomotopyType(NamedTuple):
             return f"{self.ambient} / ({' × '.join(names)})"
         if self.constraint == "chi=1" and FAMILY_SPECS[self.family].k_kind(1) == "O":
             # A character of O factors is +-1, trivial on the even parts.
-            plain, grouped = [], []
-            for f, name in zip(self.factors, names):
-                if f.part % 2 == 1:
-                    grouped.append(name)
-                else:
-                    plain.append(name)
-            if not grouped:
-                return f"{self.ambient} / ({' × '.join(plain)})"
-            parts = plain + [f"S({' × '.join(grouped)})"]
+            parts = [name for f, name in zip(self.factors, names) if f.part % 2 == 0]
+            grouped = [name for f, name in zip(self.factors, names) if f.part % 2 == 1]
+            if grouped:
+                parts.append(f"S({' × '.join(grouped)})")
             return f"{self.ambient} / ({' × '.join(parts)})"
         if self.constraint == "chi=1":
             return f"{self.ambient} / {{{' × '.join(names)} : chi = 1}}"
@@ -273,10 +268,8 @@ def _assemble_K(a: AlgebraSpec, datum: Datum,
         return out
 
     if a.family_spec.quaternionic_k:
-        quat = block_oplus(side_blocks(adapted.plus_blocks))
-        return quaternion_to_complex_blocks(quat)
-    blocks = side_blocks(adapted.plus_blocks) + side_blocks(adapted.minus_blocks)
-    return block_oplus(blocks)
+        return quaternion_to_complex_blocks(block_oplus(side_blocks(adapted.plus_blocks)))
+    return block_oplus(side_blocks(adapted.plus_blocks) + side_blocks(adapted.minus_blocks))
 
 
 def characters(a: AlgebraSpec, datum: Datum,
@@ -352,15 +345,14 @@ def verify_K_membership(a: AlgebraSpec, datum: Datum, e: Tuple[ExactMatrix, ...]
 
     The factor relations are checked first: a defect is the single failure
     ``factor relation: ...`` and the result carries no element.  Otherwise
-    ``embedded`` is the element as :func:`embed_K` would return it, so a
-    caller can reuse it instead of checking and assembling ``e`` again.
+    ``embedded`` is the element as :func:`embed_K` would return it, which
+    :func:`verify_K_homomorphism` reuses instead of checking ``e`` again.
     """
     failures: List[str] = []
     defect = k_element_defect(a, datum, e)
     if defect is not None:
         return MembershipResult((f"factor relation: {defect}",))
-    emb = _assemble_K(a, datum, e)
-    g = emb
+    g = emb = _assemble_K(a, datum, e)
     if a.family_spec.has_adapted_basis:
         T = adapted_basis(a, datum).matrix
         if not is_isometry(T, conj=True):
@@ -385,6 +377,31 @@ def verify_K_membership(a: AlgebraSpec, datum: Datum, e: Tuple[ExactMatrix, ...]
             failures.append(f"det-vs-chi: det {', '.join(map(str, dets))} "
                             f"!= chi {', '.join(map(str, chars))}")
     return MembershipResult(tuple(failures), emb)
+
+
+def verify_K_homomorphism(a: AlgebraSpec, datum: Datum, e: Tuple[ExactMatrix, ...],
+                          member: MembershipResult) -> Tuple[bool, str]:
+    """``verify``'s ``embedding-homomorphism`` line: emb(g1) emb(g2) =
+    emb(g1 g2) and emb(1) = 1, as ``(ok, detail)``.
+
+    ``member`` is :func:`verify_K_membership`'s result for g1 = ``e``; its
+    embedding is reused, or its factor defect is the detail.  Only g2 =
+    :func:`component_representative` is checked here, by :func:`embed_K`;
+    g1 g2 and 1 are assembled unchecked, as K is a group.  A failure names
+    ``product: `` or ``identity: `` and the first bad entry.
+    """
+    emb1 = member.embedded
+    if emb1 is None:
+        return False, member.failures[0]
+    e2 = component_representative(a, datum)
+    emb2 = embed_K(a, datum, e2)
+    emb_prod = _assemble_K(a, datum, tuple([g1 @ g2 for g1, g2 in zip(e, e2)]))
+    emb_ident = _assemble_K(a, datum, tuple([ExactMatrix.identity(g.nrows) for g in e]))
+    ok, detail = compare_products([(1, emb1, emb2)], [(1, emb_prod, None)])
+    if not ok:
+        return False, f"product: {detail}"
+    ok, detail = compare(emb_ident, ExactMatrix.identity(emb1.nrows))
+    return ok, detail and f"identity: {detail}"
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +481,6 @@ def component_representative(a: AlgebraSpec, datum: Datum
     the 0 x 0 matrix.  Built from int numerators, so it makes no Scalar,
     and kept in no memo.
     """
-    factors = []
-    for spec in factor_layout(a, datum):
-        unit = _REPRESENTATIVE_UNIT[spec.kind]
-        factors.append(ExactMatrix.from_numerators(spec.size, spec.size, 5, [
-            [(r, _FIVE if r else unit)] for r in range(spec.size)]))
-    return tuple(factors)
+    return tuple([ExactMatrix.from_numerators(spec.size, spec.size, 5, [
+        [(r, _FIVE if r else _REPRESENTATIVE_UNIT[spec.kind])] for r in range(spec.size)])
+        for spec in factor_layout(a, datum)])

@@ -94,6 +94,37 @@ def test_verify_fault_injection_fails_named_identity(capsys):
     assert "verify: FAIL" in out
 
 
+@pytest.mark.parametrize("params, algebra", [
+    (("sl_c", "--n", "1"), "sl_c(n=1)"),
+    (("sl_r", "--n", "1"), "sl_r(n=1)"),
+    (("so_pq", "--p", "1", "--q", "1"), "so_pq(1,1)"),
+], ids=("sl_c", "sl_r", "so_pq"))
+def test_verify_refuses_a_fault_with_no_nonzero_orbit_to_corrupt(capsys, params, algebra):
+    """The fault corrupts the first nonzero orbit's triple; a run whose
+    only orbit is the zero orbit would pass with nothing corrupted, so it
+    exits 2, names the rule and prints no table."""
+    assert run(capsys, "verify", "--algebra", *params)[0] == 0
+    code, out, err = run(capsys, "verify", "--algebra", *params, "--inject-fault")
+    assert (code, out) == (2, "")
+    assert err == ("error: fault target: --inject-fault corrupts the first nonzero "
+                   f"orbit, and the run ({algebra}) has none\n")
+
+
+@pytest.mark.parametrize("params", [
+    ("sl_r", "--n", "3"), ("sl_c", "--n", "3"), ("sl_h", "--n", "2"), ("so_c", "--n", "5"),
+    ("so_pq", "--p", "2", "--q", "2"), ("sp_c", "--n", "2"), ("sp_pq", "--p", "2", "--q", "1"),
+], ids=lambda params: params[0])
+def test_verify_table_bytes_do_not_depend_on_the_seed(capsys, params):
+    """The seed picks the K points, and a PASS table names none of them, so
+    its bytes are the same for every seed; perfbench's reference digests
+    of verify tables leave ``--seed`` out and rely on this."""
+    outcomes = {run(capsys, "verify", "--algebra", *params, "--format", "table",
+                    "--seed", seed) for seed in ("0", "1", "7")}
+    assert len(outcomes) == 1
+    code, out, err = outcomes.pop()
+    assert (code, err) == (0, "") and out.endswith("verify: PASS\n")
+
+
 # Matrix products one PASS run builds, at most: the identities and the K
 # checks are checked row by row on the stored ints, not by building both
 # sides (223 products before).
@@ -327,22 +358,32 @@ def test_verify_explains_an_embedding_that_is_not_a_homomorphism(
         capsys, monkeypatch, fault, argv, detail):
     """Embedding by the conjugate transpose reverses products; embedding
     everything as zero keeps products but loses the identity.  The fault
-    wraps the CLI's ``embed_K`` only, and emb(g1) is the one K-membership
-    checked, so the product check compares emb(g1) emb(g2)* with
-    emb(g1 g2)*: it fails on all four orbits, the commutative ones too.
-    Each detail names the first bad entry of the product or the identity."""
+    wraps the block assembly of every K point but the sampled g1, whose
+    embedding K-membership checks, so the product check compares emb(g1)
+    emb(g2)* with emb(g1 g2)*: it fails on all four orbits, the
+    commutative ones too.  Each detail names the first bad entry of the
+    product or the identity."""
     import nilorb.cli
+    import nilorb.homotopy
     from nilorb.matrices import ExactMatrix, conj_transpose
 
-    embed = nilorb.cli.embed_K
+    sample, assemble = nilorb.cli.sample_k_element, nilorb.homotopy._assemble_K
+    samples = []
 
-    def faulty(*args, **kwargs):
-        emb = embed(*args, **kwargs)
+    def sampled(*args):
+        samples.append(sample(*args))
+        return samples[-1]
+
+    def faulty(a, datum, e):
+        emb = assemble(a, datum, e)
+        if any(e is g1 for g1 in samples):
+            return emb
         if fault == "product":
             return conj_transpose(emb)
         return ExactMatrix.zeros(emb.nrows, emb.ncols)
 
-    monkeypatch.setattr(nilorb.cli, "embed_K", faulty)
+    monkeypatch.setattr(nilorb.cli, "sample_k_element", sampled)
+    monkeypatch.setattr(nilorb.homotopy, "_assemble_K", faulty)
     code, out, _ = run(capsys, "verify", *argv)
     assert code == 1
     assert "embedding-homomorphism FAILED" in out
@@ -401,7 +442,8 @@ def test_verify_reads_every_product_identity_from_the_kernel_alone(capsys, monke
 def test_verify_samples_and_checks_each_k_point_once(capsys, monkeypatch):
     """Per nonzero orbit of sl_c(4), verify draws one Cayley sample g1 and
     checks its factor relations once, in K-membership, whose embedding the
-    product check reuses; embed_K runs on g2, g1 g2 and the identity."""
+    product check reuses.  embed_K runs on g2 alone, which checks g2's
+    relations once; g1 g2 and the identity are assembled unchecked."""
     import nilorb.cli
     import nilorb.homotopy
 
@@ -409,7 +451,7 @@ def test_verify_samples_and_checks_each_k_point_once(capsys, monkeypatch):
     nonzero = sum(not rec.is_zero_orbit for rec in enumerate_orbits(a))
     sample = nilorb.cli.sample_k_element
     defect = nilorb.homotopy.k_element_defect
-    embed = nilorb.cli.embed_K
+    embed = nilorb.homotopy.embed_K
     samples, checked, embedded = [], [], []
 
     def counting_sample(*args):
@@ -425,13 +467,57 @@ def test_verify_samples_and_checks_each_k_point_once(capsys, monkeypatch):
         return embed(*args)
     monkeypatch.setattr(nilorb.cli, "sample_k_element", counting_sample)
     monkeypatch.setattr(nilorb.homotopy, "k_element_defect", counting_defect)
-    monkeypatch.setattr(nilorb.cli, "embed_K", counting_embed)
+    monkeypatch.setattr(nilorb.homotopy, "embed_K", counting_embed)
     code, _, _ = run(capsys, "verify", "--algebra", "sl_c", "--n", "4")
     assert code == 0
     assert len(samples) == nonzero == 4
     assert [sum(e is g1 for e in checked) for g1 in samples] == [1] * nonzero
-    assert len(embedded) == 3 * nonzero
-    assert len(checked) == 4 * nonzero
+    assert len(embedded) == nonzero
+    assert len(checked) == 2 * nonzero
+
+
+#: The K-point functions that compose, check or assemble K points; only
+#: ``homotopy`` calls them, so ``cli`` imports none of them.
+K_COMPOSITION = ("component_representative", "embed_K", "k_element_defect", "_assemble_K")
+
+
+def k_composition_references(source: str) -> list:
+    """``(line, name)`` of every :data:`K_COMPOSITION` name the source
+    imports or reads as a module attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name in K_COMPOSITION]
+        elif isinstance(node, ast.Attribute) and node.attr in K_COMPOSITION:
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_scan_flags_k_point_composition_outside_homotopy():
+    flagged = (
+        "from .homotopy import (component_representative, embed_K,\n"
+        "                       sample_k_element)\n"
+        "from nilorb.homotopy import _assemble_K as assemble\n"
+        "def line(a, datum, e):\n"
+        "    return homotopy.k_element_defect(a, datum, e)\n"
+    )
+    assert k_composition_references(flagged) == [
+        (1, "component_representative"), (1, "embed_K"), (3, "_assemble_K"),
+        (5, "k_element_defect")]
+    accepted = (
+        "from .homotopy import sample_k_element, verify_K_homomorphism\n"
+        "def line(a, datum, e, member):\n"
+        "    embed_K = verify_K_homomorphism(a, datum, e, member)\n"
+        "    return embed_K\n"
+    )
+    assert k_composition_references(accepted) == []
+
+
+def test_cli_leaves_k_point_composition_to_homotopy():
+    source = (pathlib.Path(__file__).resolve().parent.parent
+              / "src" / "nilorb" / "cli.py").read_text()
+    assert k_composition_references(source) == []
 
 
 def test_verify_reports_a_sampled_factor_defect_without_raising(capsys, monkeypatch):
@@ -1137,8 +1223,8 @@ def test_verify_builds_the_factor_layout_once_per_record_and_per_k_call(
         capsys, family, args):
     """The centralizer report builds one layout per record, and the K calls
     of a nonzero orbit (one sample, one component representative, one
-    membership check and three embeddings) build none: they find the
-    record's layout in the memo."""
+    membership check, one embedding and two block assemblies) build none:
+    they find the record's layout in the memo."""
     a = AlgebraSpec(family, **args)
     records = enumerate_orbits(a)
     built = _cold_factor_layouts()

@@ -12,13 +12,22 @@ mutant                         command                            catching line
                                --q 2``                            ``embedding-homomorphism``: ``ValueError:
                                                                   entry is not a rational complex number``
                                                                   (raised by ``matrices.i_to_j``)
-``sp_c`` odd parts Sp -> U     ``verify --algebra sp_c --n 3``    ``zero-orbit-quotient``:
+``sp_c`` odd parts Sp -> U     ``verify --algebra sp_c --n 3``    ``centralizer-dim``: ``[2,1,1,1,1]: dim
+                                                                  K: 2 x 4 != dim z(triple) 20`` and
+                                                                  ``zero-orbit-quotient``:
                                                                   ``[1,1,1,1,1,1]: dim_quotient=12``
-``dim_K`` keeps the U circle   ``verify --algebra sl_c --n 3``    ``zero-orbit-quotient``:
-(no -1 for chi = 1)                                               ``[1,1,1]: dim_quotient=-1``
-``sp_c`` even parts O -> U     ``verify --algebra sp_c --n 3``    ``K-membership``: ``[2,2,1,1]:
+``dim_K`` keeps the U circle   ``verify --algebra sl_c --n 3``    ``centralizer-dim``: ``[2,1]: dim K: 2 x
+(no -1 for chi = 1)                                               2 != dim z(triple) 2`` and
+                                                                  ``zero-orbit-quotient``:
+                                                                  ``[1,1,1]: dim_quotient=-1``
+``sp_c`` even parts O -> U     ``verify --algebra sp_c --n 3``    ``centralizer-dim`` and
+                                                                  ``K-membership``: ``[2,2,1,1]:
                                                                   commutes[X]: entry (0,2) is ...``, the
                                                                   first bad entry of each identity
+``compact_dim("Sp", n)`` is    ``verify --algebra sp_c --n 3``    ``centralizer-dim``: ``[2,1,1,1,1]: dim
+n(2n - 1), the dimension of                                       K: 2 x 6 != dim z(triple) 20``; dim M
+SO(2n), not Sp(n)                                                 and dim K shrink alike, so
+                                                                  ``zero-orbit-quotient`` passes
 ``so_pq`` odd parts O -> U     ``verify --algebra so_pq --p 3     ``zero-orbit-quotient`` and
                                --q 3``                            ``K-membership``: ``[2,2,1,1](2:2,1:1):
                                                                   preserves[S]: entry (4,4) is ...``
@@ -109,6 +118,19 @@ def family_fields(family, **fields):
     return mutate
 
 
+def sp_dim_of_so_2n(monkeypatch):
+    """The mutant whose ``compact_dim("Sp", n)`` is n(2n - 1), in every
+    module that binds the function."""
+    true = families.compact_dim
+
+    def wrong(kind, n):
+        return n * (2 * n - 1) if kind == "Sp" else true(kind, n)
+    for info in pkgutil.iter_modules(nilorb.__path__):
+        module = importlib.import_module(f"nilorb.{info.name}")
+        if getattr(module, "compact_dim", None) is true:
+            monkeypatch.setattr(module, "compact_dim", wrong)
+
+
 def keep_the_circle(monkeypatch):
     """The mutant whose descriptor, as ``centralizer_report`` reads it,
     counts every factor's dimension in dim K, with no -1 for the circle
@@ -129,17 +151,27 @@ MUTANTS = {
                                    "ValueError: entry is not a rational complex number]"}),
     "sp_c odd Sp->U": (
         ["sp_c", "--n", "3"], family_fields("sp_c", k_kinds=("O", "U")),
-        {"zero-orbit-quotient": "FAILED (1 orbit(s)) "
+        {"centralizer-dim": "FAILED (8 orbit(s)) [4 failed: [2,1,1,1,1]: "
+                            "dim K: 2 x 4 != dim z(triple) 20]",
+         "zero-orbit-quotient": "FAILED (1 orbit(s)) "
                                 "[1 failed: [1,1,1,1,1,1]: dim_quotient=12]"}),
     "dim_K keeps the U circle": (
         ["sl_c", "--n", "3"], keep_the_circle,
-        {"zero-orbit-quotient": "FAILED (1 orbit(s)) "
+        {"centralizer-dim": "FAILED (3 orbit(s)) [2 failed: [2,1]: "
+                            "dim K: 2 x 2 != dim z(triple) 2]",
+         "zero-orbit-quotient": "FAILED (1 orbit(s)) "
                                 "[1 failed: [1,1,1]: dim_quotient=-1]"}),
     "sp_c even O->U": (
         ["sp_c", "--n", "3"], family_fields("sp_c", k_kinds=("U", "Sp")),
-        {"K-membership": "FAILED (7 orbit(s)) [4 failed: [2,2,1,1]: "
+        {"centralizer-dim": "FAILED (8 orbit(s)) [6 failed: [2,1,1,1,1]: "
+                            "dim K: 2 x 11 != dim z(triple) 20]",
+         "K-membership": "FAILED (7 orbit(s)) [4 failed: [2,2,1,1]: "
                          "commutes[X]: entry (0,2) is -7/9+4/9*i, expected -7/9-4/9*i; "
                          "commutes[Y]: entry (2,0) is -7/9-4/9*i, expected -7/9+4/9*i]"}),
+    "compact_dim Sp is n(2n-1)": (
+        ["sp_c", "--n", "3"], sp_dim_of_so_2n,
+        {"centralizer-dim": "FAILED (8 orbit(s)) [4 failed: [2,1,1,1,1]: "
+                            "dim K: 2 x 6 != dim z(triple) 20]"}),
     "so_pq odd O->U": (
         ["so_pq", "--p", "3", "--q", "3"], family_fields("so_pq", k_kinds=("U", "U")),
         {"zero-orbit-quotient": "FAILED (1 orbit(s)) "
@@ -250,7 +282,8 @@ FIELD_MUTANTS = {
 NO_EVEN_PARTS = "a trace-zero family's factors are whole parts, so nothing reads even_embed"
 NO_FIBER_CHECK = "verify checks no fiber count"
 SUBGROUP = ("the even or odd factor becomes a subgroup of the true one, which membership "
-            "accepts, and verify compares neither dim K nor its components with a solve")
+            "accepts, and on a real form verify compares neither dim K nor its components "
+            "with a solve")
 
 #: The mutants ``verify`` does not catch, each with its reason.
 SURVIVORS = {
@@ -264,8 +297,6 @@ SURVIVORS = {
     "sl_h even_embed C-to-R": NO_EVEN_PARTS,
     "sl_h even_embed i-to-j": NO_EVEN_PARTS,
     "sp_c even_embed i-to-j": "sp_c's even factors are O, rational, so i -> j leaves them as they are",
-    "so_c k_kinds O,O": SUBGROUP,
-    "so_c k_kinds U,O": SUBGROUP,
     "so_pq k_kinds O,O": SUBGROUP,
     "sp_pq k_kinds O,Sp": SUBGROUP,
     "sl_r fibers _one_fiber": NO_FIBER_CHECK,
@@ -301,15 +332,20 @@ CAUGHT = {
     "sl_r ambient SU": "zero-orbit-quotient",
     "sl_r ambient Sp": "zero-orbit-quotient",
     "sl_c ambient SO": "zero-orbit-quotient",
-    "sl_c ambient Sp": "zero-orbit-quotient",
+    "sl_c ambient Sp": "centralizer-dim zero-orbit-quotient",
     "sl_h ambient SO": "zero-orbit-quotient embedding-homomorphism K-membership",
     "sl_h ambient SU": "zero-orbit-quotient embedding-homomorphism K-membership",
-    "so_c k_kinds O,U": "zero-orbit-quotient K-membership",
-    "so_c k_kinds O,Sp": "zero-orbit-quotient embedding-homomorphism K-membership",
-    "so_c k_kinds U,U": "zero-orbit-quotient K-membership",
-    "so_c k_kinds U,Sp": "zero-orbit-quotient embedding-homomorphism K-membership",
-    "so_c k_kinds Sp,U": "zero-orbit-quotient K-membership",
-    "so_c k_kinds Sp,Sp": "zero-orbit-quotient embedding-homomorphism K-membership",
+    "so_c k_kinds O,O": "centralizer-dim",
+    "so_c k_kinds O,U": "centralizer-dim zero-orbit-quotient K-membership",
+    "so_c k_kinds O,Sp": ("centralizer-dim zero-orbit-quotient embedding-homomorphism "
+                          "K-membership"),
+    "so_c k_kinds U,O": "centralizer-dim",
+    "so_c k_kinds U,U": "centralizer-dim zero-orbit-quotient K-membership",
+    "so_c k_kinds U,Sp": ("centralizer-dim zero-orbit-quotient embedding-homomorphism "
+                          "K-membership"),
+    "so_c k_kinds Sp,U": "centralizer-dim zero-orbit-quotient K-membership",
+    "so_c k_kinds Sp,Sp": ("centralizer-dim zero-orbit-quotient embedding-homomorphism "
+                           "K-membership"),
     "so_c even_embed None": "embedding-homomorphism K-membership",
     "so_c even_embed C-to-R": "embedding-homomorphism K-membership",
     "so_c even_embed i-to-j": "embedding-homomorphism K-membership",
@@ -327,14 +363,14 @@ CAUGHT = {
     "so_pq even_embed i-to-j": "embedding-homomorphism K-membership",
     "so_pq ambient SU": "zero-orbit-quotient",
     "so_pq ambient Sp": "zero-orbit-quotient",
-    "sp_c k_kinds O,O": "zero-orbit-quotient",
-    "sp_c k_kinds O,U": "zero-orbit-quotient",
-    "sp_c k_kinds U,O": "zero-orbit-quotient K-membership",
-    "sp_c k_kinds U,U": "zero-orbit-quotient K-membership",
-    "sp_c k_kinds U,Sp": "K-membership",
-    "sp_c k_kinds Sp,O": "zero-orbit-quotient K-membership",
-    "sp_c k_kinds Sp,U": "zero-orbit-quotient K-membership",
-    "sp_c k_kinds Sp,Sp": "K-membership",
+    "sp_c k_kinds O,O": "centralizer-dim zero-orbit-quotient",
+    "sp_c k_kinds O,U": "centralizer-dim zero-orbit-quotient",
+    "sp_c k_kinds U,O": "centralizer-dim zero-orbit-quotient K-membership",
+    "sp_c k_kinds U,U": "centralizer-dim zero-orbit-quotient K-membership",
+    "sp_c k_kinds U,Sp": "centralizer-dim K-membership",
+    "sp_c k_kinds Sp,O": "centralizer-dim zero-orbit-quotient K-membership",
+    "sp_c k_kinds Sp,U": "centralizer-dim zero-orbit-quotient K-membership",
+    "sp_c k_kinds Sp,Sp": "centralizer-dim K-membership",
     "sp_c even_embed H-to-R": "embedding-homomorphism K-membership",
     "sp_c even_embed C-to-R": "embedding-homomorphism K-membership",
     "sp_c ambient SO": "zero-orbit-quotient embedding-homomorphism K-membership",
@@ -354,12 +390,13 @@ CAUGHT = {
     "rule R,+1 Sp": "so_pq: centralizer-dim K-membership",
     "rule R,-1 O": "so_pq: embedding-homomorphism K-membership",
     "rule R,-1 Sp": "so_pq: embedding-homomorphism K-membership",
-    "rule C,+1 U": "so_c: drops its descriptor; sp_c: K-membership",
+    "rule C,+1 U": "so_c: drops its descriptor; sp_c: centralizer-dim K-membership",
     "rule C,+1 Sp": "so_c: centralizer-dim embedding-homomorphism K-membership; "
-                    "sp_c: embedding-homomorphism K-membership",
-    "rule C,-1 O": "so_c: embedding-homomorphism K-membership; "
+                    "sp_c: centralizer-dim embedding-homomorphism K-membership",
+    "rule C,-1 O": "so_c: centralizer-dim embedding-homomorphism K-membership; "
                    "sp_c: centralizer-dim K-membership",
-    "rule C,-1 U": "so_c: embedding-homomorphism K-membership; sp_c: drops its descriptor",
+    "rule C,-1 U": "so_c: centralizer-dim embedding-homomorphism K-membership; "
+                   "sp_c: drops its descriptor",
     "rule H,+1 O": "sp_pq: centralizer-dim embedding-homomorphism K-membership",
     "rule H,-1 Sp": "sp_pq: K-membership; so_star: gains a descriptor",
 }
