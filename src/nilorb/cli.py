@@ -12,7 +12,6 @@ import argparse
 import functools
 import random
 import sys
-from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -60,12 +59,13 @@ MAX_WORK = 1_000_000
 #: Weight of a ``verify`` run in the work estimate.  A ``list --format
 #: json`` record costs 0.3 us (``sl_r --n 24``) to 4.5 us (``sp_pq --p 6
 #: --q 6``) per unit of records x size^2 (2-core Xeon VM, Python 3.11), a
-#: ``verify`` record 20 to 40 us: in raw single runs ``sl_c --n 20`` and
-#: ``sl_h --n 20`` take 8 to 10 s and ``sl_r --n 20`` 4 to 6 s.  With this
-#: weight ``verify --algebra sl_c --n 21`` (estimate 1,047,816), which would
-#: run for about 13 s, is refused.  The record counts follow the parity
-#: rules, so the largest admitted so/sp runs (so_c 25: 7.5 to 8.6 s; sp_c
-#: 12, so_pq(8,8), sp_pq(7,8)) take under 10 s each.
+#: ``verify`` record 10 to 18 us: in three whole-process runs each,
+#: ``sl_c --n 20`` took 4.4 to 4.5 s, ``sl_h --n 20`` 4.0 to 4.4 s and
+#: ``sl_r --n 20`` 2.4 to 2.6 s.  With this weight ``verify --algebra sl_c
+#: --n 21`` (estimate 1,047,816), which ran for 6.3 to 7.1 s with the limit
+#: lifted, is refused.  The record counts follow the parity rules, so the
+#: largest admitted so/sp runs take under 5 s each: so_c 25 4.0 to 4.3 s,
+#: sp_c 12 3.1 to 3.3 s, so_pq(8,8) 0.8 to 0.9 s and sp_pq(7,8) 1.7 to 1.9 s.
 VERIFY_WEIGHT = 3
 
 
@@ -104,10 +104,6 @@ def _build_parsers() -> Tuple[argparse.ArgumentParser,
     common.add_argument("--q", type=int, help="negative part of the signature")
     common.add_argument("--format", choices=("json", "table"), default="table",
                         help="output format (default: table)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for the randomized checks (default: 0)")
-    common.add_argument("--max-verify-n", type=int, default=6,
-                        help="size cap for the verify sweep (default: 6)")
 
     p_list = sub.add_parser("list", parents=[common],
                             help="enumerate the orbit catalog")
@@ -119,6 +115,10 @@ def _build_parsers() -> Tuple[argparse.ArgumentParser,
                         help='sign counts "d:p_d" per part, e.g. "3:0,1:2"')
     p_ver = sub.add_parser("verify", parents=[common],
                            help="run the exact verification suite")
+    p_ver.add_argument("--seed", type=int, default=0,
+                       help="seed for the randomized checks (default: 0)")
+    p_ver.add_argument("--max-verify-n", type=int, default=6,
+                       help="size cap for the verify sweep (default: 6)")
     p_ver.add_argument("--inject-fault", action="store_true",
                        help="corrupt one triple to exercise failure paths")
     return parser, {"list": p_list, "describe": p_desc, "verify": p_ver}
@@ -576,7 +576,7 @@ def _verify_orbit(a: AlgebraSpec, rec: OrbitRecord, seed: int, index: int,
     def checked():
         """The triple the identities are checked on, with the fault if armed."""
         t = triple()
-        return replace(t, Y=t.Y.scale_left(2)) if inject_fault else t
+        return t._replace(Y=t.Y.scale_left(2)) if inject_fault else t
 
     def bracket(left: str, right: str, k: int, result: str) -> Tuple[bool, str]:
         """[left, right] = k result, for members of the checked triple."""

@@ -44,7 +44,6 @@ characters, one per factor of M, computed in :func:`characters` alone.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -59,8 +58,7 @@ from .matrices import (_ONE_NUM, ExactMatrix, _conj_nums, _det_nums, _mul_nums,
 from .scalars import COMPLEX_LIKE_VARIANTS, Scalar
 from .triples import Triple, adapted_basis, sigma_transpose
 
-@dataclass(frozen=True)
-class FactorSpec:
+class FactorSpec(NamedTuple):
     """One compact factor: its kind, size, and where it sits in the datum."""
 
     kind: str  # "U" | "O" | "Sp"
@@ -314,8 +312,7 @@ def signed_block_totals(a: AlgebraSpec, datum: Datum) -> Tuple[int, int]:
 # Membership verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(NamedTuple):
     failures: Tuple[str, ...]
     # The embedded element that was checked; None after a factor defect.
     embedded: Optional[ExactMatrix] = None

@@ -23,11 +23,10 @@ halves, and is kept per algebra and datum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .catalog import AlgebraSpec, Datum
 from .families import QUATERNION, FamilySpec
@@ -50,8 +49,7 @@ def slot_weights(partition: Partition) -> List[int]:
     return [w for d, t in partition.pairs for w in part_weights(d, t)]
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
     """A standard triple with its invariant form data."""
 
     family: str
@@ -235,8 +233,7 @@ def jordan_type(x: ExactMatrix) -> Partition:
 # Adapted bases
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlockSpec:
+class BlockSpec(NamedTuple):
     """One diagonal block of the compact group in the adapted basis.
 
     ``factor`` names which group factor acts there: ("even", d),
@@ -248,8 +245,7 @@ class BlockSpec:
     size: int
 
 
-@dataclass(frozen=True)
-class AdaptedBasis:
+class AdaptedBasis(NamedTuple):
     """Change of basis to the compact-adapted ordering.
 
     ``matrix`` holds the adapted vectors as columns over the triple basis.

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from nilorb.catalog import AlgebraSpec, enumerate_orbits
@@ -263,7 +261,7 @@ def test_paired_count_refuses_a_gram_it_cannot_pair(monkeypatch, rule, match):
     _part_grading.cache_clear()
     assert centralizer_report(a, t.partition) == report
     assert slot_weights(t.partition) == [1, 1, -1, -1]
-    bad = replace(t, gram=_refused_grams(t.gram)[rule])
+    bad = t._replace(gram=_refused_grams(t.gram)[rule])
     with pytest.raises(ValueError, match=match):
         graded_dims(bad, a)
     if rule == "ring":
@@ -390,7 +388,7 @@ def test_commuting_matrices_must_be_rational():
         with pytest.raises(ValueError, match="rational entries"):
             centralizer_dim_nilpotent(t.X.scale_left(unit), a)
         with pytest.raises(ValueError, match="rational entries"):
-            centralizer_dim_triple(replace(t, Y=t.Y.scale_left(unit)), a)
+            centralizer_dim_triple(t._replace(Y=t.Y.scale_left(unit)), a)
 
 
 def test_datum_of_another_size_is_refused():

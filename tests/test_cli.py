@@ -74,6 +74,21 @@ def test_unknown_algebra_exits_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["list", "--algebra", "sl_r", "--n", "3", "--seed", "0"],
+    ["list", "--algebra", "sl_r", "--n", "3", "--max-verify-n", "3"],
+    ["describe", "--algebra", "sl_r", "--n", "3", "--datum", "3", "--seed", "0"],
+    ["describe", "--algebra", "sl_r", "--n", "3", "--datum", "3", "--max-verify-n", "3"],
+], ids=" ".join)
+def test_only_verify_takes_the_seed_and_the_sweep_cap(capsys, argv):
+    """``--seed`` and ``--max-verify-n`` steer only ``verify``, so ``list``
+    and ``describe`` refuse them as unknown options."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+
 def test_verify_pass_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--algebra", "sl_c", "--n", "3")
     assert code == 0
@@ -328,8 +343,6 @@ def test_verify_explains_a_wrong_jordan_type(capsys, monkeypatch):
 
 def test_verify_explains_a_gram_invariance_failure(capsys, monkeypatch):
     """Y + I is not in the algebra: sigma(Y + I)^T S = -S (Y + I) fails at Y."""
-    from dataclasses import replace
-
     import nilorb.cli
     from nilorb.matrices import ExactMatrix
 
@@ -337,7 +350,7 @@ def test_verify_explains_a_gram_invariance_failure(capsys, monkeypatch):
 
     def shifted_y(a, datum):
         t = build(a, datum)
-        return replace(t, Y=t.Y + ExactMatrix.identity(t.Y.nrows))
+        return t._replace(Y=t.Y + ExactMatrix.identity(t.Y.nrows))
 
     monkeypatch.setattr(nilorb.cli, "build_triple", shifted_y)
     code, out, _ = run(capsys, "verify", "--algebra", "so_pq", "--p", "2", "--q", "1")
@@ -549,8 +562,6 @@ def test_verify_requires_a_unitary_adapted_basis(capsys, monkeypatch):
     reports unitary[T] instead of inverting T.  The basis is replaced in
     both modules that read it: the CLI's adapted-basis check and the K
     functions."""
-    from dataclasses import replace
-
     import nilorb.cli
     import nilorb.homotopy
     from nilorb.matrices import ExactMatrix
@@ -563,7 +574,7 @@ def test_verify_requires_a_unitary_adapted_basis(capsys, monkeypatch):
 
     def non_unitary(alg, datum):
         adapted = adapted_basis(alg, datum)
-        return replace(adapted, matrix=adapted.matrix @ q)
+        return adapted._replace(matrix=adapted.matrix @ q)
 
     for module in (nilorb.cli, nilorb.homotopy):
         monkeypatch.setattr(module, "adapted_basis", non_unitary)

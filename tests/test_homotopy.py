@@ -473,7 +473,6 @@ def test_every_adapted_basis_is_unitary():
 def test_membership_names_a_basis_that_is_not_unitary(monkeypatch):
     """A complex orthogonal, non-unitary Q keeps T Q adapted to the form,
     but T Q cannot be inverted by its conjugate transpose."""
-    from dataclasses import replace
     from fractions import Fraction
 
     from nilorb.scalars import Scalar
@@ -489,7 +488,7 @@ def test_membership_names_a_basis_that_is_not_unitary(monkeypatch):
     e = sample_k_element(a, rec.datum, random.Random("unitary"))
     assert verify_K_membership(a, rec.datum, e, t).ok
     monkeypatch.setattr(homotopy, "adapted_basis",
-                        lambda *_: replace(adapted, matrix=adapted.matrix @ q))
+                        lambda *_: adapted._replace(matrix=adapted.matrix @ q))
     result = verify_K_membership(a, rec.datum, e, t)
     assert not result.ok
     assert result.failures == ("unitary[T]",)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd, lcm
 from typing import List
@@ -1372,8 +1371,8 @@ def graded_dims(t, a):
 def _scaled_triple(t, gram_by, x_by, y_by):
     def scale(m, f):
         return m.scale_left(Scalar.rational(f))
-    return replace(t, gram=scale(t.gram, gram_by), X=scale(t.X, x_by),
-                   Y=scale(t.Y, y_by))
+    return t._replace(gram=scale(t.gram, gram_by), X=scale(t.X, x_by),
+                     Y=scale(t.Y, y_by))
 
 
 FORM_ORBITS = [("so_c", {"n": 6}), ("so_pq", {"p": 3, "q": 2}), ("sp_c", {"n": 3}),

@@ -1,5 +1,7 @@
-"""The per-record value types of ``list``: ``OrbitRecord``, ``CentralizerReport``
-and ``HomotopyType``.
+"""The record types: the per-record values of ``list`` (``OrbitRecord``,
+``CentralizerReport`` and ``HomotopyType``) and the values that ``describe``
+and ``verify`` build (``Triple``, ``AdaptedBasis``, ``BlockSpec``,
+``FactorSpec`` and ``MembershipResult``).
 
 Each is an immutable record compared by value: equal fields give equal
 records with equal hashes, a field cannot be assigned, ``_replace``
@@ -7,16 +9,27 @@ returns a changed copy and leaves the original alone, and the derived
 readings (``is_zero_orbit``, ``to_json()``, ``rendered()``) are pinned
 here for four orbits that between them take each rendering branch: O
 factors grouped under ``S(...)``, a U character ``chi = 1``, the signed
-``chi_p = chi_q = 1`` with its auxiliary group, and ``none``.
+``chi_p = chi_q = 1`` with its auxiliary group, and ``none``.  Under
+``src/nilorb`` only ``catalog`` imports ``dataclasses``, for
+``AlgebraSpec``; every other record is a ``typing.NamedTuple``.
 """
 
 from __future__ import annotations
+
+import ast
+import random
+from pathlib import Path
 
 import pytest
 
 from nilorb.catalog import AlgebraSpec, OrbitRecord, enumerate_orbits
 from nilorb.centralizers import CentralizerReport, centralizer_report
-from nilorb.homotopy import HomotopyType
+from nilorb.homotopy import (FactorSpec, HomotopyType, MembershipResult, factor_layout,
+                             sample_k_element, verify_K_membership)
+from nilorb.matrices import ExactMatrix
+from nilorb.triples import AdaptedBasis, BlockSpec, Triple, adapted_basis, build_triple
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "nilorb"
 
 CASES = {
     "sl_r [2,1]": (
@@ -118,3 +131,95 @@ def test_replace_returns_a_changed_copy(case):
         assert getattr(changed, field) == old + 7 and getattr(value, field) == old
         assert changed != value
         assert changed._replace(**{field: old}) == value
+
+
+#: Each value record's fields, in order.
+VALUE_FIELDS = {
+    Triple: ("family", "partition", "X", "H", "Y", "gram", "epsilon", "sigma"),
+    AdaptedBasis: ("matrix", "plus_blocks", "minus_blocks"),
+    BlockSpec: ("factor", "size"),
+    FactorSpec: ("kind", "size", "role", "part"),
+    MembershipResult: ("failures", "embedded"),
+}
+
+#: Nonzero orbits of form families, which have an adapted basis.
+VALUE_CASES = ("so_pq [3](3:0)", "sp_pq [2](2:1)")
+
+
+def values(case: str):
+    """``(record, field, new value)`` for a triple, its adapted basis, that
+    basis's first block, the first compact factor and a membership result."""
+    a = CASES[case][0]
+    datum = records(case)[0].datum
+    t = build_triple(a, datum)
+    adapted = adapted_basis(a, datum)
+    block, factor = adapted.plus_blocks[0], factor_layout(a, datum)[0]
+    member = verify_K_membership(a, datum, sample_k_element(a, datum, random.Random(case)), t)
+    return ((t, "epsilon", -t.epsilon),
+            (adapted, "matrix", adapted.matrix.scale_left(2)),
+            (block, "size", block.size + 7),
+            (factor, "size", factor.size + 7),
+            (member, "failures", ("changed",)))
+
+
+@pytest.mark.parametrize("case", VALUE_CASES)
+def test_value_records_keep_their_fields_and_readings(case):
+    a, homotopy_json = CASES[case][0], CASES[case][5]
+    built = [value for value, _, _ in values(case)]
+    for value in built:
+        assert type(value)._fields == VALUE_FIELDS[type(value)]
+    t, member = built[0], built[-1]
+    assert t.to_json()["basis_layout"] == t.basis_layout()
+    layout = factor_layout(a, records(case)[0].datum)
+    assert sum(f.dim() for f in layout) == homotopy_json["dim_K"]
+    assert [f.multiplicity_pattern(a.family) for f in layout] == [
+        f["multiplicity_pattern"] for f in homotopy_json["factors"]]
+    assert member.ok and member.embedded is not None
+    assert MembershipResult(("x",)).embedded is None and not MembershipResult(("x",)).ok
+
+
+@pytest.mark.parametrize("case", VALUE_CASES)
+def test_equal_value_fields_give_equal_records(case):
+    for value, _, _ in values(case):
+        twin = type(value)(**value._asdict())
+        assert twin is not value and twin == value and hash(twin) == hash(value)
+
+
+@pytest.mark.parametrize("case", VALUE_CASES)
+def test_value_fields_cannot_be_assigned(case):
+    for value, field, new in values(case):
+        with pytest.raises(AttributeError):
+            setattr(value, field, new)
+        assert getattr(value, field) != new
+
+
+@pytest.mark.parametrize("case", VALUE_CASES)
+def test_value_replace_returns_a_changed_copy(case):
+    for value, field, new in values(case):
+        old = getattr(value, field)
+        changed = value._replace(**{field: new})
+        assert type(changed) is type(value)
+        assert getattr(changed, field) == new and getattr(value, field) == old
+        assert changed != value
+        assert changed._replace(**{field: old}) == value
+
+
+def _dataclasses_importers() -> set:
+    found = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.add(path.name)
+    return found
+
+
+def test_only_catalog_imports_dataclasses():
+    """``AlgebraSpec`` is the one dataclass: its checks and cached facts
+    have no NamedTuple home yet."""
+    assert _dataclasses_importers() == {"catalog.py"}
